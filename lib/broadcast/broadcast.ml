@@ -1,6 +1,15 @@
+(* A tree's broadcast FIB in CSR form: the children of [v] are reached over
+   the link ids [links.(first.(v)) .. links.(first.(v + 1) - 1)], in
+   ascending child order. Replicating a packet is then a loop over an int
+   slice — no list, closure or link lookup per hop. *)
+type fib = {
+  first : int array;
+  links : int array;
+}
+
 type tree = {
   parent : int array;
-  children : int list array;
+  fib : fib;
   depth : int;
   hops : int array;
   mutable version : int;  (* Topology.version the tree was last validated against *)
@@ -9,14 +18,20 @@ type tree = {
 type t = {
   topo : Topology.t;
   trees_per_source : int;
-  cache : (int, tree) Hashtbl.t;  (* key = src * trees_per_source + tree id *)
+  cache : tree option array;  (* index = src * trees_per_source + tree id *)
   mutable repairs : int;
   mutable repair_bytes : int;
 }
 
 let make ?(trees_per_source = 4) topo =
   if trees_per_source < 1 then invalid_arg "Broadcast.make: trees_per_source < 1";
-  { topo; trees_per_source; cache = Hashtbl.create 64; repairs = 0; repair_bytes = 0 }
+  {
+    topo;
+    trees_per_source;
+    cache = Array.make (Topology.vertex_count topo * trees_per_source) None;
+    repairs = 0;
+    repair_bytes = 0;
+  }
 
 let topo t = t.topo
 let trees_per_source t = t.trees_per_source
@@ -53,32 +68,57 @@ let check_tree t ~src parent =
       if !ok && v <> src && Topology.node_alive topo v && d.(v) < max_int then begin
         let p = parent.(v) in
         if p < 0 then ok := false
-        else
-          match Topology.find_link topo p v with
-          | Some l -> if not (Topology.link_alive topo l) then ok := false
-          | None -> ok := false
+        else begin
+          let l = Topology.find_link_id topo p v in
+          if l < 0 || not (Topology.link_alive topo l) then ok := false
+        end
       end
     done;
     !ok
   end
 
+(* Counting sort of the tree edges by parent. [first.(p)] first counts
+   [p]'s children, then after the prefix sum marks the end of its slot;
+   placing children in descending order while decrementing it leaves each
+   slot ascending and [first.(p)] at the slot's start. *)
+let build_fib topo parent ~root =
+  let n = Array.length parent in
+  let first = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let p = parent.(v) in
+    if v <> root && p >= 0 then first.(p) <- first.(p) + 1
+  done;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  let links = Array.make first.(n) 0 in
+  for v = n - 1 downto 0 do
+    let p = parent.(v) in
+    if v <> root && p >= 0 then begin
+      let l = Topology.find_link_id topo p v in
+      if l < 0 then invalid_arg "Broadcast: tree edge is not a link";
+      first.(p) <- first.(p) - 1;
+      links.(first.(p)) <- l
+    end
+  done;
+  { first; links }
+
 let build_tree t ~src ~tree =
   let parent = Topology.shortest_path_tree t.topo ~root:src ~variant:tree in
-  let children = Topology.tree_children parent ~root:src in
+  let fib = build_fib t.topo parent ~root:src in
   let depth = Topology.tree_depth parent ~root:src in
   let hops = tree_hops parent ~root:src in
-  { parent; children; depth; hops; version = Topology.version t.topo }
+  { parent; fib; depth; hops; version = Topology.version t.topo }
 
-let tree_edge_count tr ~root =
-  let n = ref 0 in
-  Array.iteri (fun v p -> if v <> root && p >= 0 then incr n) tr.parent;
-  !n
+let slot t ~src ~tree =
+  if src < 0 || src >= Topology.vertex_count t.topo then invalid_arg "Broadcast: src out of range";
+  if tree < 0 || tree >= t.trees_per_source then invalid_arg "Broadcast: tree id out of range";
+  (src * t.trees_per_source) + tree
 
 let get_tree t ~src ~tree =
-  if tree < 0 || tree >= t.trees_per_source then invalid_arg "Broadcast: tree id out of range";
-  let key = (src * t.trees_per_source) + tree in
+  let key = slot t ~src ~tree in
   let v = Topology.version t.topo in
-  match Hashtbl.find_opt t.cache key with
+  match t.cache.(key) with
   | Some tr when tr.version = v -> tr
   | Some tr when check_tree t ~src tr.parent ->
       (* Survived the failure untouched; just re-stamp. *)
@@ -89,18 +129,16 @@ let get_tree t ~src ~tree =
          the FIB re-announcement (one broadcast-sized update per edge). *)
       let tr = build_tree t ~src ~tree in
       t.repairs <- t.repairs + 1;
-      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * tree_edge_count tr ~root:src);
-      Hashtbl.replace t.cache key tr;
+      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * Array.length tr.fib.links);
+      t.cache.(key) <- Some tr;
       tr
   | None ->
       let tr = build_tree t ~src ~tree in
-      Hashtbl.replace t.cache key tr;
+      t.cache.(key) <- Some tr;
       tr
 
 let tree_valid t ~src ~tree =
-  if tree < 0 || tree >= t.trees_per_source then invalid_arg "Broadcast: tree id out of range";
-  let key = (src * t.trees_per_source) + tree in
-  match Hashtbl.find_opt t.cache key with
+  match t.cache.(slot t ~src ~tree) with
   | Some tr -> tr.version = Topology.version t.topo || check_tree t ~src tr.parent
   | None -> Topology.node_alive t.topo src
 
@@ -114,16 +152,22 @@ let surviving_tree t ~src =
 
 let repair_all t =
   let before = t.repairs in
-  Array.iter
-    (fun key ->
-      let src = key / t.trees_per_source and tree = key mod t.trees_per_source in
-      ignore (get_tree t ~src ~tree))
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.cache);
+  Array.iteri
+    (fun key cached ->
+      if Option.is_some cached then
+        ignore
+          (get_tree t ~src:(key / t.trees_per_source) ~tree:(key mod t.trees_per_source)))
+    t.cache;
   t.repairs - before
 
 let choose_tree t rng ~src:_ = Util.Rng.int rng t.trees_per_source
 
-let children t ~src ~tree v = (get_tree t ~src ~tree).children.(v)
+let fib t ~src ~tree = (get_tree t ~src ~tree).fib
+
+let children t ~src ~tree v =
+  let { first; links } = fib t ~src ~tree in
+  List.init (first.(v + 1) - first.(v)) (fun i -> Topology.link_dst t.topo links.(first.(v) + i))
+
 let parent t ~src ~tree v = (get_tree t ~src ~tree).parent.(v)
 let depth t ~src ~tree = (get_tree t ~src ~tree).depth
 let delivery_hops t ~src ~tree = (get_tree t ~src ~tree).hops

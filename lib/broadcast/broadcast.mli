@@ -10,7 +10,11 @@ type t
 
 val make : ?trees_per_source:int -> Topology.t -> t
 (** Build the broadcast FIB machinery (default 4 trees per source). Trees
-    are constructed lazily per source and cached. *)
+    are constructed lazily per source and cached.
+
+    Every per-tree query below raises [Invalid_argument "Broadcast: src out
+    of range"] when [src] is not a vertex and [Invalid_argument "Broadcast:
+    tree id out of range"] when [tree] is not in [\[0, trees_per_source)]. *)
 
 val topo : t -> Topology.t
 val trees_per_source : t -> int
@@ -47,9 +51,23 @@ val repair_bytes : t -> int
 (** Cumulative control traffic charged for repairs: one broadcast-sized FIB
     update per edge of each rebuilt tree. *)
 
+type fib = private {
+  first : int array;  (** [vertex_count + 1] offsets into [links] *)
+  links : int array;  (** child link ids, grouped by parent vertex *)
+}
+(** A tree's broadcast FIB in compressed-sparse-row form: vertex [v]
+    forwards a [(src, tree)] packet over the links
+    [links.(first.(v)) .. links.(first.(v + 1) - 1)], in ascending order of
+    the child at their far end. Built once per tree; the arrays must not be
+    mutated. *)
+
+val fib : t -> src:int -> tree:int -> fib
+(** The (re-validated) FIB of a tree — the allocation-free form of
+    {!children} that packet replication loops over. *)
+
 val children : t -> src:int -> tree:int -> int -> int list
 (** FIB lookup: nodes to which a vertex forwards a [(src, tree)] broadcast
-    packet. *)
+    packet, in ascending order (a fresh list derived from {!fib}). *)
 
 val parent : t -> src:int -> tree:int -> int -> int
 (** Parent of a vertex in the tree ([src] is its own parent). *)

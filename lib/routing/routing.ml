@@ -156,9 +156,8 @@ let path_alive ctx path =
   let t = ctx.topo in
   let ok = ref true in
   for i = 0 to Array.length path - 2 do
-    match Topology.find_link t path.(i) path.(i + 1) with
-    | Some l -> if not (Topology.link_alive t l) then ok := false
-    | None -> ok := false
+    let l = Topology.find_link_id t path.(i) path.(i + 1) in
+    if l < 0 || not (Topology.link_alive t l) then ok := false
   done;
   !ok
 
@@ -359,9 +358,9 @@ let path_links ctx path =
   Array.init
     (Array.length path - 1)
     (fun i ->
-      match Topology.find_link ctx.topo path.(i) path.(i + 1) with
-      | Some l -> l
-      | None -> invalid_arg "Routing.path_links: non-adjacent vertices")
+      let l = Topology.find_link_id ctx.topo path.(i) path.(i + 1) in
+      if l < 0 then invalid_arg "Routing.path_links: non-adjacent vertices";
+      l)
 
 let sample_paths_distinct ctx rng ~k ~src ~dst =
   sync ctx;

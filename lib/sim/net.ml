@@ -317,10 +317,11 @@ let ctrl_hops t = t.ctrl_hops
 
 (* -- gray failures -------------------------------------------------------- *)
 
-let flaky_cable t u v =
-  match (Topology.find_link t.topo u v, Topology.find_link t.topo v u) with
-  | Some a, Some b -> (a, b)
-  | _ -> invalid_arg "Net: vertices not adjacent"
+(* Both directed link ids of the cable between [u] and [v]. *)
+let cable_ids t u v =
+  let a = Topology.find_link_id t.topo u v and b = Topology.find_link_id t.topo v u in
+  if a < 0 || b < 0 then invalid_arg "Net: vertices not adjacent";
+  (a, b)
 
 let get_flaky t ~seed =
   match t.flaky with
@@ -347,7 +348,7 @@ let set_flaky_link t ~seed ?(spike_ns = 0) u v ~loss ~spike =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Net.set_flaky_link: loss";
   if spike < 0.0 || spike >= 1.0 then invalid_arg "Net.set_flaky_link: spike";
   if spike_ns < 0 then invalid_arg "Net.set_flaky_link: spike_ns";
-  let a, b = flaky_cable t u v in
+  let a, b = cable_ids t u v in
   let fl = get_flaky t ~seed in
   fl.floss.(a) <- loss;
   fl.floss.(b) <- loss;
@@ -362,7 +363,7 @@ let clear_flaky_link t u v =
   match t.flaky with
   | None -> ()
   | Some fl ->
-      let a, b = flaky_cable t u v in
+      let a, b = cable_ids t u v in
       fl.floss.(a) <- 0.0;
       fl.floss.(b) <- 0.0;
       fl.fspike.(a) <- 0.0;
@@ -374,7 +375,7 @@ let flaky_link_stats t u v =
   match t.flaky with
   | None -> (0, 0)
   | Some fl ->
-      let a, b = flaky_cable t u v in
+      let a, b = cable_ids t u v in
       (fl.ftx.(a) + fl.ftx.(b), fl.flost.(a) + fl.flost.(b))
 
 let flaky_lost t = t.flaky_lost
@@ -455,11 +456,6 @@ let purge_link t link_id =
     ls.tail <- -1
   end;
   note_q_shrank t link_id ls
-
-let cable_ids t u v =
-  match (Topology.find_link t.topo u v, Topology.find_link t.topo v u) with
-  | Some a, Some b -> (a, b)
-  | _ -> invalid_arg "Net: vertices not adjacent"
 
 let fail_link t u v =
   let a, b = cable_ids t u v in
@@ -665,28 +661,27 @@ and arrive t node pkt =
     end
   end
 
+(* Replicate over the tree's CSR slice for [from]: one cache-validated FIB
+   fetch per arrival, then a plain loop over link ids. *)
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
   let b =
     match t.broadcast with
     | Some b -> b
     | None -> invalid_arg "Net: broadcast FIB not configured"
   in
-  List.iter
-    (fun child ->
-      match Topology.find_link t.topo from child with
-      | Some l ->
-          let h = alloc_pkt t in
-          fset t h f_meta (meta_make ~code ~bytes);
-          fset t h f_route Arena.Ints.empty;
-          fset t h f_p0 p0;
-          fset t h f_p1 p1;
-          fset t h f_p2 p2;
-          fset t h f_p3 p3;
-          fset t h f_p4 p4;
-          fset t h f_p5 p5;
-          enqueue_link t l h
-      | None -> assert false)
-    (Broadcast.children b ~src:root ~tree from)
+  let { Broadcast.first; links } = Broadcast.fib b ~src:root ~tree in
+  for i = first.(from) to first.(from + 1) - 1 do
+    let h = alloc_pkt t in
+    fset t h f_meta (meta_make ~code ~bytes);
+    fset t h f_route Arena.Ints.empty;
+    fset t h f_p0 p0;
+    fset t h f_p1 p1;
+    fset t h f_p2 p2;
+    fset t h f_p3 p3;
+    fset t h f_p4 p4;
+    fset t h f_p5 p5;
+    enqueue_link t (Array.unsafe_get links i) h
+  done
 
 let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link_gbps
     ~hop_latency_ns () =

@@ -253,8 +253,9 @@ type t = {
   active : (int, fstate) Hashtbl.t;
   all_states : (int, fstate) Hashtbl.t;  (** for per-node views that may lag *)
   views : (int, unit) Hashtbl.t array;  (** per-node traffic-matrix views (Per_node) *)
-  bcast_seen : (int, int ref) Hashtbl.t;
-      (** receipt counters: flow idx * 2 for start, * 2 + 1 for finish *)
+  mutable bcast_seen : int array;
+      (** receipt counters indexed by bcast id (flow idx * 2 for start,
+          * 2 + 1 for finish); -1 = not tracked. Grown by doubling. *)
   on_complete : (int, int -> unit) Hashtbl.t;
   mutable next_id : int;
   mutable recomputes : int;
@@ -400,17 +401,19 @@ let apply_bcast_event t ~node bcast_id =
     if bcast_id land 1 = 0 then Hashtbl.replace t.views.(node) flow ()
     else Hashtbl.remove t.views.(node) flow
   end;
-  match Hashtbl.find_opt t.bcast_seen bcast_id with
-  | None -> ()
-  | Some count ->
-      incr count;
+  if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
+    let count = Array.unsafe_get t.bcast_seen bcast_id in
+    if count >= 0 then begin
+      Array.unsafe_set t.bcast_seen bcast_id (count + 1);
       (* [>=]: after a node failure the target shrinks to the alive count,
          and stale pre-failure copies may still arrive. *)
-      if !count >= t.bcast_target && bcast_id land 1 = 0 then begin
+      if count + 1 >= t.bcast_target && bcast_id land 1 = 0 then begin
         match Hashtbl.find_opt t.active (bcast_id / 2) with
         | Some st -> mark_visible t st
         | None -> ()
       end
+    end
+  end
 
 (* A NACK with an empty range ([to_seq < from_seq]) is a full-state sync
    request — sent when a node is sequence-caught-up with an origin yet
@@ -598,6 +601,16 @@ and schedule_injection t st =
 
 (* -- control plane: broadcast and rate computation ------------------------ *)
 
+(* Start (or restart) counting receipts of a flow-event broadcast. *)
+let track_bcast t bcast_id =
+  let n = Array.length t.bcast_seen in
+  if bcast_id >= n then begin
+    let grown = Array.make (max (bcast_id + 1) (2 * n)) (-1) in
+    Array.blit t.bcast_seen 0 grown 0 n;
+    t.bcast_seen <- grown
+  end;
+  t.bcast_seen.(bcast_id) <- 0
+
 let send_flow_broadcast t st event =
   let bcast_id =
     (2 * st.idx)
@@ -607,7 +620,7 @@ let send_flow_broadcast t st event =
     | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> 1
   in
   if t.cfg.real_broadcast then begin
-    Hashtbl.replace t.bcast_seen bcast_id (ref 0);
+    track_bcast t bcast_id;
     if reliable t then begin
       (* Every event of a flow rides the tree picked at its start, so the
          per-(source, tree) window orders the finish after the start at
@@ -1471,16 +1484,16 @@ let create cfg topo =
       (* Pre-sized to measured steady-state populations (permutation
          workload, one flow per host): [active]/[all_states] and each
          node's view hold one entry per host (27 on the 3x3x3 test torus,
-         512 on the 8x8x8 bench torus); [bcast_seen] peaks at two ids per
-         flow (start + finish). Sizing from [nverts] keeps the packet-path
-         lookups resize-free at every scale. *)
+         512 on the 8x8x8 bench torus). Sizing from [nverts] keeps the
+         packet-path lookups resize-free at every scale. [bcast_seen] holds
+         two ids per flow (start + finish) and grows with the flow count. *)
       active = Hashtbl.create (max 256 nverts);
       all_states = Hashtbl.create (max 256 nverts);
       views =
         (if cfg.control = Per_node then
            Array.init nverts (fun _ -> Hashtbl.create (max 32 nverts))
          else [||]);
-      bcast_seen = Hashtbl.create (max 256 (2 * nverts));
+      bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
       recomputes = 0;

@@ -15,11 +15,9 @@ type t = {
   out : (node * link_id) array array;
   lsrc : int array;
   ldst : int array;
-  link_tbl : (int, link_id) Hashtbl.t;
   (* Dense (u * nverts + v) -> link_id matrix, -1 when not adjacent: the
-     packet hot path resolves one link per hop and cannot afford the
-     Hashtbl probe (or the [Some] cell find_opt allocates). Rack-scale
-     vertex counts keep it small: 512 nodes -> 2 MB. *)
+     packet hot path resolves one link per hop with a single load.
+     Rack-scale vertex counts keep it small: 512 nodes -> 2 MB. *)
   link_mat : int array;
   dist_cache : (int, int array) Hashtbl.t;
   (* Live down-state overlay: links and nodes can be failed and restored
@@ -42,7 +40,6 @@ let build ~kind ~hosts ~nverts edges =
       adj.(u) <- v :: adj.(u);
       adj.(v) <- u :: adj.(v))
     edges;
-  let link_tbl = Hashtbl.create (4 * List.length edges) in
   let link_mat = Array.make (nverts * nverts) (-1) in
   let lsrc = ref [] and ldst = ref [] in
   let next = ref 0 in
@@ -54,7 +51,6 @@ let build ~kind ~hosts ~nverts edges =
              (fun v ->
                let id = !next in
                incr next;
-               Hashtbl.replace link_tbl ((u * nverts) + v) id;
                link_mat.((u * nverts) + v) <- id;
                lsrc := u :: !lsrc;
                ldst := v :: !ldst;
@@ -69,7 +65,6 @@ let build ~kind ~hosts ~nverts edges =
     out;
     lsrc;
     ldst = Array.of_list (List.rev !ldst);
-    link_tbl;
     link_mat;
     dist_cache = Hashtbl.create 64;
     link_failed = Array.make (Array.length lsrc) false;
@@ -230,9 +225,14 @@ let link_src t l = t.lsrc.(l)
 let link_dst t l = t.ldst.(l)
 let out_links t u = t.out.(u)
 let degree t u = Array.length t.out.(u)
-let find_link t u v = Hashtbl.find_opt t.link_tbl ((u * t.nverts) + v)
+let[@inline] find_link_id t u v =
+  let n = t.nverts in
+  if u < 0 || u >= n || v < 0 || v >= n then -1
+  else Array.unsafe_get t.link_mat ((u * n) + v)
 
-let[@inline] find_link_id t u v = Array.unsafe_get t.link_mat ((u * t.nverts) + v)
+let find_link t u v =
+  let l = find_link_id t u v in
+  if l < 0 then None else Some l
 
 (* -- live down-state ----------------------------------------------------- *)
 

@@ -64,12 +64,13 @@ val out_links : t -> node -> (node * link_id) array
 val degree : t -> node -> int
 
 val find_link : t -> node -> node -> link_id option
-(** Directed link from [src] to an adjacent [dst], if any. *)
+(** Directed link from [src] to an adjacent [dst], if any; [None] when the
+    vertices are not adjacent or either is out of range. *)
 
 val find_link_id : t -> node -> node -> int
 (** Allocation-free {!find_link}: the directed link id, or [-1] when the
-    vertices are not adjacent. Bounds-unchecked — both vertices must be in
-    range. The packet hot path resolves one link per hop through this. *)
+    vertices are not adjacent or either is out of range. The packet hot
+    path resolves one link per hop through this. *)
 
 (** {2 Live down-state}
 

@@ -112,6 +112,79 @@ let greater_diameter_lower_overhead () =
   Alcotest.(check bool) "mesh < torus3d" true (mesh3d < torus3d);
   Alcotest.(check bool) "2D torus < 3D torus" true (torus2d < torus3d)
 
+let out_of_range_rejected () =
+  let topo = Topology.torus [| 4; 4 |] in
+  let b = Broadcast.make topo in
+  let src_err = Invalid_argument "Broadcast: src out of range" in
+  let tree_err = Invalid_argument "Broadcast: tree id out of range" in
+  Alcotest.check_raises "src too large" src_err (fun () ->
+      ignore (Broadcast.children b ~src:16 ~tree:0 0));
+  Alcotest.check_raises "src negative" src_err (fun () ->
+      ignore (Broadcast.depth b ~src:(-1) ~tree:0));
+  Alcotest.check_raises "tree too large" tree_err (fun () ->
+      ignore (Broadcast.fib b ~src:0 ~tree:4));
+  Alcotest.check_raises "tree_valid checks src" src_err (fun () ->
+      ignore (Broadcast.tree_valid b ~src:16 ~tree:0));
+  Alcotest.check_raises "tree_valid checks tree" tree_err (fun () ->
+      ignore (Broadcast.tree_valid b ~src:0 ~tree:(-1)))
+
+(* Differential check of the CSR FIB on every builder and every (src,
+   tree): [children] must equal [Topology.tree_children] of the tree's
+   parent array, and flooding over the FIB's link ids must cross only
+   alive links out of the forwarding vertex and reach every alive vertex
+   reachable from [src] exactly once. Repeated after a cable failure
+   (rebuilds) and its restore (re-validation of stamped trees). *)
+let check_all_trees name topo b =
+  let n = Topology.vertex_count topo in
+  for src = 0 to n - 1 do
+    for tree = 0 to Broadcast.trees_per_source b - 1 do
+      let ctx = Printf.sprintf "%s src %d tree %d" name src tree in
+      let parent = Array.init n (Broadcast.parent b ~src ~tree) in
+      let expected = Topology.tree_children parent ~root:src in
+      for v = 0 to n - 1 do
+        Alcotest.(check (list int)) (ctx ^ ": children") expected.(v)
+          (Broadcast.children b ~src ~tree v)
+      done;
+      let { Broadcast.first; links } = Broadcast.fib b ~src ~tree in
+      let visits = Array.make n 0 in
+      let rec flood v =
+        visits.(v) <- visits.(v) + 1;
+        for i = first.(v) to first.(v + 1) - 1 do
+          let l = links.(i) in
+          Alcotest.(check int) (ctx ^ ": link leaves the forwarder") v (Topology.link_src topo l);
+          Alcotest.(check bool) (ctx ^ ": link alive") true (Topology.link_alive topo l);
+          flood (Topology.link_dst topo l)
+        done
+      in
+      if Topology.node_alive topo src then flood src;
+      for v = 0 to n - 1 do
+        let want = if Topology.reachable topo src v then 1 else 0 in
+        Alcotest.(check int) (Printf.sprintf "%s: copies at %d" ctx v) want visits.(v)
+      done
+    done
+  done
+
+let fib_matches_tree_children_everywhere () =
+  List.iter
+    (fun (name, topo) ->
+      let b = Broadcast.make topo in
+      check_all_trees name topo b;
+      let n = Topology.vertex_count topo in
+      let u = n - 1 in
+      let v, _ = (Topology.out_links topo u).(0) in
+      Topology.fail_link topo u v;
+      check_all_trees (name ^ " (cable down)") topo b;
+      Alcotest.(check bool) (name ^ ": failure rebuilt some tree") true (Broadcast.repairs b > 0);
+      Topology.restore_link topo u v;
+      check_all_trees (name ^ " (restored)") topo b)
+    [
+      ("torus", Topology.torus [| 4; 4; 4 |]);
+      ("mesh", Topology.mesh [| 3; 4 |]);
+      ("clos", Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:3);
+      ("hypercube", Topology.hypercube 4);
+      ("flattened butterfly", Topology.flattened_butterfly 4);
+    ]
+
 let qcheck_tree_spans =
   QCheck.Test.make ~name:"every (src, tree) FIB spans the rack" ~count:50
     QCheck.(pair (int_bound 63) (int_bound 3))
@@ -142,6 +215,8 @@ let suites =
         tc "1.3% capacity at 5% small bytes (paper)" analytic_overhead_5pct;
         tc "overhead monotone in small-flow share" analytic_overhead_monotone;
         tc "greater diameter, lower overhead (Fig 9)" greater_diameter_lower_overhead;
+        tc "out-of-range src or tree rejected" out_of_range_rejected;
+        tc "CSR FIB matches tree_children on every builder" fib_matches_tree_children_everywhere;
         QCheck_alcotest.to_alcotest qcheck_tree_spans;
       ] );
   ]

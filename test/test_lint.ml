@@ -371,6 +371,25 @@ let a1_benign_shapes_ok () =
   check_sim_rules "Array.copy of non-route untouched" []
     "let snap stats = Array.copy stats"
 
+let a1_net_lookups_flagged () =
+  let lint_net src = Lint_core.lint_source ~file:"lib/sim/net.ml" ~in_lib:true src in
+  let check_net name expected src =
+    Alcotest.(check (list string)) name expected (rules_of (lint_net src))
+  in
+  check_net "find_link in net.ml" [ "A1" ] "let hop t u v = Topology.find_link t.topo u v";
+  check_net "children in net.ml" [ "A1" ]
+    "let fan t b ~src ~tree v = List.iter (send t) (Broadcast.children b ~src ~tree v)";
+  check_net "find_link_id and fib are the fast path" []
+    (String.concat "\n"
+       [
+         "let hop t u v = Topology.find_link_id t.topo u v";
+         "let fan b ~src ~tree = Broadcast.fib b ~src ~tree";
+       ]);
+  (* The ban is on the packet fabric only: other sim modules resolve links
+     off the per-hop path. *)
+  check_sim_rules "find_link fine in other sim files" []
+    "let hop t u v = Topology.find_link t.topo u v"
+
 let a1_allow_suppresses () =
   let r =
     lint_sim
@@ -703,6 +722,7 @@ let suites =
         tc "A1: route Array.copy" a1_route_copy_flagged;
         tc "A1: scoped to lib/sim" a1_scoped_to_sim;
         tc "A1: benign shapes ok" a1_benign_shapes_ok;
+        tc "A1: allocating lookups in net.ml" a1_net_lookups_flagged;
         tc "A1: allow suppresses" a1_allow_suppresses;
         tc "stale allow fails the gate" stale_allow_fails_gate;
         tc "per-rule suppression counts" per_rule_suppression_counts;

@@ -179,6 +179,36 @@ let net_steady_state_zero_alloc () =
   Sim.Net.release_route net fwd;
   Sim.Net.release_route net rev
 
+let net_broadcast_replication_zero_alloc () =
+  (* The same contract for broadcast replicas: once every tree of a 4x4x4
+     torus is built, a flood is a loop over each tree's CSR FIB — no
+     hashtable probe, child list, closure or link option per hop. *)
+  let eng = Sim.Engine.create () in
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let b = Broadcast.make topo in
+  Sim.Net.set_broadcast net b;
+  let flood () =
+    for src = 0 to 63 do
+      for tree = 0 to 3 do
+        Sim.Net.send_bcast net ~root:src ~tree ~bcast_id:src ~bytes:16 ()
+      done
+    done;
+    Sim.Engine.run eng
+  in
+  (* The first flood builds the trees and grows the pool and engine. *)
+  flood ();
+  let hops0 = Sim.Net.ctrl_hops net in
+  let before = Gc.minor_words () in
+  flood ();
+  let words = Gc.minor_words () -. before in
+  let hops = Sim.Net.ctrl_hops net - hops0 in
+  Alcotest.(check int) "every tree spans the rack" (64 * 4 * 63) hops;
+  let per_hop = words /. float_of_int hops in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per replica hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
 (* -- metrics --------------------------------------------------------------- *)
 
 let metrics_flow_lifecycle () =
@@ -777,6 +807,7 @@ let suites =
         tc "broadcast requires a FIB" net_requires_fib_for_broadcast;
         tc "bad routes rejected" net_rejects_bad_route;
         tc "steady state allocates nothing" net_steady_state_zero_alloc;
+        tc "broadcast replication allocates nothing" net_broadcast_replication_zero_alloc;
       ] );
     ( "sim.metrics",
       [

@@ -103,7 +103,12 @@ let find_link_consistent () =
         Alcotest.(check (option int)) "find_link finds it" (Some l) (Topology.find_link t v u))
       (Topology.out_links t v)
   done;
-  Alcotest.(check (option int)) "non-adjacent" None (Topology.find_link t 0 10)
+  Alcotest.(check (option int)) "non-adjacent" None (Topology.find_link t 0 10);
+  List.iter
+    (fun (u, v) ->
+      Alcotest.(check (option int)) "out of range" None (Topology.find_link t u v);
+      Alcotest.(check int) "out of range id" (-1) (Topology.find_link_id t u v))
+    [ (-1, 0); (0, -1); (16, 0); (0, 16); (15, 16) ]
 
 let clos_structure () =
   let t = Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:4 in

@@ -56,13 +56,16 @@
 
    The allocation pass (the zero-allocation data plane, DESIGN.md §11):
 
-   A1  arena bypass on the packet path, under `lib/sim` only. Two
+   A1  arena bypass on the packet path, under `lib/sim` only. Three
        shapes: a packet-shaped record literal (a `route` field next to
        a `kind` or `hop` field — the pre-arena `Net.packet` layout,
-       one heap block per packet), and `Array.copy` of anything
+       one heap block per packet), `Array.copy` of anything
        route-named (routes are interned refcounted slices in
-       `Arena.Ints`; copying one re-allocates per packet). Use the
-       arena handle API instead.
+       `Arena.Ints`; copying one re-allocates per packet), and, in
+       `net.ml`, the allocating link and FIB lookups
+       `Topology.find_link` (an option per call) and
+       `Broadcast.children` (a fresh list per call). Use the arena
+       handle API, `Topology.find_link_id` and `Broadcast.fib` instead.
 
    Since v3 two further rule families ride on top of this module's
    violation/suppression machinery but are implemented elsewhere
@@ -311,7 +314,15 @@ let mentions_route e =
   it.expr it e;
   !found
 
-let lint_structure ~tier ~check_u2 ~check_a1 ~add structure =
+(* A1 in `net.ml`: lookups that allocate per call, each with the
+   allocation-free replacement the fabric uses. *)
+let a1_net_banned =
+  [
+    ("Topology.find_link", "returns an option per call; use Topology.find_link_id (-1 = not adjacent)");
+    ("Broadcast.children", "builds a fresh list per call; loop over the CSR slice of Broadcast.fib");
+  ]
+
+let lint_structure ~tier ~check_u2 ~check_a1 ~a1_banned ~add structure =
   let open Parsetree in
   let check_d2 = tier = Lib in
   let check_d3 = tier = Lib || tier = Relaxed in
@@ -325,6 +336,11 @@ let lint_structure ~tier ~check_u2 ~check_a1 ~add structure =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
         check_path ~check_d2 ~check_d3 add (path_of txt) loc;
+        (match List.assoc_opt (path_of txt) a1_banned with
+        | Some why ->
+            add "A1" loc
+              (Printf.sprintf "'%s' on the packet path %s" (path_of txt) why)
+        | None -> ());
         if check_s && strip_stdlib (path_of txt) = "Obj.magic" then
           add "S1" loc "'Obj.magic' defeats the type system"
     | Pexp_record (fields, _) when check_a1 ->
@@ -720,7 +736,10 @@ let scan_source ~file ~tier src =
       (* A1 patrols the packet-rate data plane only: any file under a
          `sim` directory component. *)
       let check_a1 = tier = Lib && in_sim file in
-      lint_structure ~tier ~check_u2 ~check_a1 ~add structure;
+      let a1_banned =
+        if check_a1 && Filename.basename file = "net.ml" then a1_net_banned else []
+      in
+      lint_structure ~tier ~check_u2 ~check_a1 ~a1_banned ~add structure;
       if tier <> Relaxed then lint_wire ~add structure;
       Some structure
     with exn ->
