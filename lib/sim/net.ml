@@ -242,10 +242,13 @@ let digest_tree t h = fget t h f_p1
 let digest_epoch t h = fget t h f_p2
 let digest_last_seq t h = fget t h f_p3
 
-let digest_hash t h =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int (fget t h f_p5)) 32)
-    (Int64.of_int (fget t h f_p4))
+(* The hash is reassembled from its two 32-bit words in registers, so the
+   digest check never boxes it. *)
+let digest_hash_is t h (hash : int64) =
+  hash
+  = Int64.logor
+      (Int64.shift_left (Int64.of_int (fget t h f_p5)) 32)
+      (Int64.of_int (fget t h f_p4))
 
 let nack_root t h = fget t h f_p0
 let nack_tree t h = fget t h f_p1
@@ -545,9 +548,9 @@ and propagate t link_id pkt =
     match t.flaky with
     | Some fl when Bytes.unsafe_get fl.factive link_id = '\001' ->
         fl.ftx.(link_id) <- fl.ftx.(link_id) + 1;
-        let u_loss = Util.Rng.float fl.frng 1.0 in
-        let u_spike = Util.Rng.float fl.frng 1.0 in
-        if u_loss < fl.floss.(link_id) then begin
+        let lost = Util.Rng.below fl.frng fl.floss.(link_id) in
+        let spiked = Util.Rng.below fl.frng fl.fspike.(link_id) in
+        if lost then begin
           fl.flost.(link_id) <- fl.flost.(link_id) + 1;
           t.flaky_lost <- t.flaky_lost + 1;
           t.flaky_lost_bytes <-
@@ -557,17 +560,17 @@ and propagate t link_id pkt =
           free_pkt t pkt;
           -1
         end
-        else if u_spike < fl.fspike.(link_id) then fl.spike_ns
+        else if spiked then fl.spike_ns
         else 0
     | _ -> 0
   in
   if spike_ns >= 0 then begin
     match t.chaos with
     | Some ch when ctrl ->
-        let u_loss = Util.Rng.float ch.crng 1.0 in
-        let u_reorder = Util.Rng.float ch.crng 1.0 in
-        let u_dup = Util.Rng.float ch.crng 1.0 in
-        if u_loss < ch.loss then begin
+        let lost = Util.Rng.below ch.crng ch.loss in
+        let reordered = Util.Rng.below ch.crng ch.reorder in
+        let dupped = Util.Rng.below ch.crng ch.dup in
+        if lost then begin
           t.ctrl_lost <- t.ctrl_lost + 1;
           t.ctrl_lost_bytes <- t.ctrl_lost_bytes + meta_bytes (fget t pkt f_meta);
           free_pkt t pkt
@@ -576,14 +579,14 @@ and propagate t link_id pkt =
           let delay =
             spike_ns
             +
-            if u_reorder < ch.reorder then begin
+            if reordered then begin
               t.ctrl_reordered <- t.ctrl_reordered + 1;
               t.hop_latency_ns * (2 + Util.Rng.int ch.crng 4)
             end
             else t.hop_latency_ns
           in
           Engine.after_tagged t.engine delay ~tag:tag_arrive ~a:dst ~b:pkt;
-          if u_dup < ch.dup then begin
+          if dupped then begin
             t.ctrl_dupped <- t.ctrl_dupped + 1;
             let copy = clone_pkt t pkt in
             Engine.after_tagged t.engine (delay + t.hop_latency_ns) ~tag:tag_arrive

@@ -111,7 +111,11 @@ val digest_root : t -> packet -> int
 val digest_tree : t -> packet -> int
 val digest_epoch : t -> packet -> int
 val digest_last_seq : t -> packet -> int
-val digest_hash : t -> packet -> int64
+val digest_hash_is : t -> packet -> int64 -> bool
+(** [digest_hash_is t pkt h]: the digest's state hash equals [h]. The
+    packet's two 32-bit hash words are compared unboxed, so the check
+    allocates nothing. *)
+
 val nack_root : t -> packet -> int
 val nack_tree : t -> packet -> int
 val nack_from : t -> packet -> int

@@ -252,7 +252,15 @@ type t = {
   capacities : U.byte_rate array;
   active : (int, fstate) Hashtbl.t;
   all_states : (int, fstate) Hashtbl.t;  (** for per-node views that may lag *)
+  nverts : int;
   views : (int, unit) Hashtbl.t array;  (** per-node traffic-matrix views (Per_node) *)
+  view_hashes : int64 array;
+      (** Per_node, indexed [node * nverts + origin]: {!Rbcast.hash_ids} of
+          the node's believed live-flow set for that origin — what the
+          origin's digests are checked against *)
+  hash_stale : Bytes.t;
+      (** '\001' where a write to the view may have changed that origin's
+          slice since its [view_hashes] entry was computed *)
   mutable bcast_seen : int array;
       (** receipt counters indexed by bcast id (flow idx * 2 for start,
           * 2 + 1 for finish); -1 = not tracked. Grown by doubling. *)
@@ -283,8 +291,10 @@ type t = {
   (* -- control-plane reliability (reliable_bcast) -- *)
   origins : (int * int) Rbcast.origin array;
       (** per source; payload = (bcast_id, wire bytes) for replay *)
-  wins : (int, win) Hashtbl.t array;
-      (** per node, keyed root * trees_per_source + tree *)
+  mutable wins : win option array;
+      (** reliable mode: indexed
+          [(node * nverts + root) * trees_per_source + tree]. The table is
+          allocated by the first window created, each window on first use. *)
   chaos_on : bool;
   mutable digest_running : bool;
   mutable nacks_sent : int;
@@ -363,15 +373,31 @@ let flow_done_sending t st =
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
 let win_key t ~root ~tree = (root * t.cfg.trees_per_source) + tree
+let win_index t ~node ~root ~tree =
+  (node * t.nverts * t.cfg.trees_per_source) + win_key t ~root ~tree
+
+(* Read without creating: [None] until the window's first use. *)
+let find_win t ~node ~root ~tree =
+  if Array.length t.wins = 0 then None else t.wins.(win_index t ~node ~root ~tree)
 
 let get_win t ~node ~root ~tree =
-  let key = win_key t ~root ~tree in
-  match Hashtbl.find_opt t.wins.(node) key with
+  (* Not allocated at [create]: one large block goes to the major heap,
+     and on a 4x4x4 rack that added 15-20% to the set-up time. The
+     per-node hashtables it replaced fitted the minor heap. *)
+  if Array.length t.wins = 0 then
+    t.wins <- Array.make (t.nverts * t.nverts * t.cfg.trees_per_source) None;
+  let i = win_index t ~node ~root ~tree in
+  match t.wins.(i) with
   | Some w -> w
   | None ->
       let w = { rx = Rbcast.rx (); hi = -1 } in
-      Hashtbl.replace t.wins.(node) key w;
+      t.wins.(i) <- Some w;
       w
+
+(* A crash or cold restart loses every receive window of the node. *)
+let clear_wins t ~node =
+  let span = t.nverts * t.cfg.trees_per_source in
+  if Array.length t.wins > 0 then Array.fill t.wins (node * span) span None
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
    clear of flow events (ids >= 0) and batched reselection announcements
@@ -388,18 +414,63 @@ let win_ensure_inc w ~inc =
   if ok && Rbcast.rx_incarnation w.rx > prev then w.hi <- -1;
   ok
 
-(* Apply one flow-event broadcast at a node: update the node's view of the
-   traffic matrix (Per_node) and the global visibility counter. In reliable
-   mode this runs only on window-accepted deliveries, so each node counts
-   each event exactly once whatever the duplication rate. *)
-let apply_bcast_event t ~node bcast_id =
+(* -- per-node views and their per-origin hash cache ------------------------ *)
+
+(* Every write to a node's view goes through these three helpers, which
+   mark the cached hash of the written origin's slice stale. [origin] is
+   the source of flow [id]. *)
+let hash_slot t ~node ~origin = (node * t.nverts) + origin
+
+let view_add t ~node ~origin id =
+  Hashtbl.replace t.views.(node) id ();
+  Bytes.set t.hash_stale (hash_slot t ~node ~origin) '\001'
+
+let view_remove t ~node ~origin id =
+  Hashtbl.remove t.views.(node) id;
+  Bytes.set t.hash_stale (hash_slot t ~node ~origin) '\001'
+
+let view_clear t ~node =
+  Hashtbl.reset t.views.(node);
+  Bytes.fill t.hash_stale (hash_slot t ~node ~origin:0) t.nverts '\001'
+
+(* The node's believed live-flow set for one origin — what a digest's state
+   hash is checked against. *)
+let per_source_view_ids t ~node ~root =
+  let out = ref [] in
+  Array.iter
+    (fun id ->
+      match Hashtbl.find_opt t.all_states id with
+      | Some st when st.src = root -> out := id :: !out
+      | _ -> ())
+    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node));
+  List.rev !out
+
+(* [Rbcast.hash_ids (per_source_view_ids ...)], recomputed only after a
+   view write marked it stale. A node's view of one origin changes far less
+   often than that origin's digests arrive, so a digest check is an O(1),
+   allocation-free read. *)
+let source_view_hash t ~node ~root =
+  if t.cfg.control <> Per_node then
+    invalid_arg "R2c2_sim.source_view_hash: Per_node control only";
+  let i = hash_slot t ~node ~origin:root in
+  if Bytes.get t.hash_stale i <> '\000' then begin
+    t.view_hashes.(i) <- Rbcast.hash_ids (per_source_view_ids t ~node ~root);
+    Bytes.set t.hash_stale i '\000'
+  end;
+  t.view_hashes.(i)
+
+(* Apply one flow-event broadcast from [root] at a node: update the node's
+   view of the traffic matrix (Per_node) and the global visibility counter.
+   In reliable mode this runs only on window-accepted deliveries, so each
+   node counts each event exactly once whatever the duplication rate. *)
+let apply_bcast_event t ~node ~root bcast_id =
   (* Negative ids are batched route-change announcements (§3.4); only flow
      start/finish events update the views. *)
   if t.cfg.control = Per_node && bcast_id >= 0 then begin
     let flow = bcast_id / 2 in
     t.epoch_dirty <- true;
-    if bcast_id land 1 = 0 then Hashtbl.replace t.views.(node) flow ()
-    else Hashtbl.remove t.views.(node) flow
+    if bcast_id land 1 = 0 then view_add t ~node ~origin:root flow
+    else view_remove t ~node ~origin:root flow
   end;
   if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
     let count = Array.unsafe_get t.bcast_seen bcast_id in
@@ -490,17 +561,24 @@ let send_sync t ~root ~requester =
     Net.release_route t.net route
   end
 
+(* Drop every flow sourced at [src] from the node's view — a restarted
+   [src] lost them all, and anything still real arrives again through the
+   fresh incarnation's stream. *)
+let purge_view_of t ~node ~src =
+  Array.iter
+    (fun id ->
+      match Hashtbl.find_opt t.all_states id with
+      | Some st when st.src = src ->
+          view_remove t ~node ~origin:src id;
+          t.epoch_dirty <- true
+      | _ -> ())
+    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node))
+
 let apply_sync t ~node ~root ~entries ~last_seqs =
   if t.cfg.control = Per_node && Net.node_up t.net node then begin
-    let view = t.views.(node) in
     (* Replace the per-source slice of the view with the origin's truth. *)
-    Array.iter
-      (fun id ->
-        match Hashtbl.find_opt t.all_states id with
-        | Some st when st.src = root -> Hashtbl.remove view id
-        | _ -> ())
-      (Util.Tbl.sorted_keys ~cmp:Int.compare view);
-    List.iter (fun id -> Hashtbl.replace view id ()) entries;
+    purge_view_of t ~node ~src:root;
+    List.iter (fun id -> view_add t ~node ~origin:root id) entries;
     t.epoch_dirty <- true;
     (* Jump every window past what the sync covers; events buffered beyond
        it are strictly newer and still apply. *)
@@ -509,36 +587,10 @@ let apply_sync t ~node ~root ~entries ~last_seqs =
         let w = get_win t ~node ~root ~tree in
         if last > w.hi then w.hi <- last;
         List.iter
-          (fun (bid, _) -> apply_bcast_event t ~node bid)
+          (fun (bid, _) -> apply_bcast_event t ~node ~root bid)
           (Rbcast.fast_forward w.rx ~next:(last + 1)))
       last_seqs
   end
-
-(* The node's believed live-flow set for one origin — what a digest's state
-   hash is checked against. *)
-let per_source_view_ids t ~node ~root =
-  let out = ref [] in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = root -> out := id :: !out
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node));
-  List.rev !out
-
-(* Drop every flow sourced at [src] from the node's view — a restarted
-   [src] lost them all, and anything still real arrives again through the
-   fresh incarnation's stream. *)
-let purge_view_of t ~node ~src =
-  let view = t.views.(node) in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = src ->
-          Hashtbl.remove view id;
-          t.epoch_dirty <- true
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare view)
 
 (* A JOIN announcement from a restarted node: re-key every window for that
    root to the new incarnation — wiping the pre-crash window state, which
@@ -930,41 +982,9 @@ let digest_round t =
       end)
     t.origins
 
-(* Global-knowledge convergence test, used only to decide when the digest
-   loop may stop (and by tests): every alive node is sequence-caught-up
-   with every reachable origin, and (Per_node) believes exactly the
-   origin's live-flow set. *)
-let control_converged t =
-  let ok = ref true in
-  Array.iteri
-    (fun node _ ->
-      if Net.node_up t.net node then
-        Array.iteri
-          (fun root o ->
-            if
-              root <> node && Net.node_up t.net root
-              && Topology.reachable t.topo root node
-            then begin
-              for tree = 0 to t.cfg.trees_per_source - 1 do
-                let last = Rbcast.last_seq o ~tree in
-                if last >= 0 then
-                  match Hashtbl.find_opt t.wins.(node) (win_key t ~root ~tree) with
-                  | Some w when Rbcast.next_expected w.rx > last -> ()
-                  | Some _ | None -> ok := false
-              done;
-              if
-                t.cfg.control = Per_node
-                && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
-                   <> Rbcast.state_hash o
-              then ok := false
-            end)
-          t.origins)
-    t.wins;
-  !ok
-
-(* [control_converged] restricted to one node — the rejoin-completion
-   criterion: the restarted node is sequence-caught-up with every reachable
-   origin and (Per_node) believes exactly their live-flow sets. *)
+(* The rejoin-completion criterion: the node is sequence-caught-up with
+   every reachable origin and (Per_node) believes exactly their live-flow
+   sets. Windows are read, never created: an absent one has seen nothing. *)
 let node_caught_up t ~node =
   let ok = ref true in
   Array.iteri
@@ -976,17 +996,26 @@ let node_caught_up t ~node =
         for tree = 0 to t.cfg.trees_per_source - 1 do
           let last = Rbcast.last_seq o ~tree in
           if last >= 0 then
-            match Hashtbl.find_opt t.wins.(node) (win_key t ~root ~tree) with
+            match find_win t ~node ~root ~tree with
             | Some w when Rbcast.next_expected w.rx > last -> ()
             | Some _ | None -> ok := false
         done;
         if
           t.cfg.control = Per_node
-          && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
-             <> Rbcast.state_hash o
+          && source_view_hash t ~node ~root <> Rbcast.state_hash o
         then ok := false
       end)
     t.origins;
+  !ok
+
+(* Global-knowledge convergence test, used only to decide when the digest
+   loop may stop (and by tests): every alive node has caught up. Without
+   the reliable machinery there are no origins, so it holds trivially. *)
+let control_converged t =
+  let ok = ref true in
+  for node = 0 to t.nverts - 1 do
+    if Net.node_up t.net node && not (node_caught_up t ~node) then ok := false
+  done;
   !ok
 
 let detection_delay t =
@@ -1077,7 +1106,7 @@ let abort_flow t st =
     flow_done_sending t st;
     Hashtbl.remove t.active st.idx;
     Hashtbl.remove t.on_complete st.idx;
-    Array.iter (fun view -> Hashtbl.remove view st.idx) t.views;
+    Array.iteri (fun node _ -> view_remove t ~node ~origin:st.src st.idx) t.views;
     (* The origin's advertised live set must drop the flow too, or every
        digest hash would disagree with the views forever. *)
     if reliable t then Rbcast.mark_dead t.origins.(st.src) st.idx;
@@ -1241,8 +1270,8 @@ let crash_node_at t ~ns u =
   schedule_event t ~ns "crash"
     (fun () ->
       Net.fail_node t.net u;
-      if reliable t then Hashtbl.reset t.wins.(u);
-      if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
+      if reliable t then clear_wins t ~node:u;
+      if t.cfg.control = Per_node then view_clear t ~node:u;
       Util.Tbl.iter_sorted ~cmp:Int.compare
         (fun _ st ->
           if st.src = u then begin
@@ -1311,10 +1340,10 @@ let restart_node_at t ~ns u =
   Engine.at t.eng ns (fun () ->
       Net.restore_node t.net u;
       if reliable t then begin
-        Hashtbl.reset t.wins.(u);
+        clear_wins t ~node:u;
         ignore (Rbcast.restart t.origins.(u))
       end;
-      if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
+      if t.cfg.control = Per_node then view_clear t ~node:u;
       Hashtbl.replace t.pending_rejoins u ns;
       let fr =
         {
@@ -1489,10 +1518,18 @@ let create cfg topo =
          two ids per flow (start + finish) and grows with the flow count. *)
       active = Hashtbl.create (max 256 nverts);
       all_states = Hashtbl.create (max 256 nverts);
+      nverts;
       views =
         (if cfg.control = Per_node then
            Array.init nverts (fun _ -> Hashtbl.create (max 32 nverts))
          else [||]);
+      (* Every view starts empty, so every cached hash starts valid. *)
+      view_hashes =
+        (if cfg.control = Per_node then Array.make (nverts * nverts) (Rbcast.hash_ids [])
+         else [||]);
+      hash_stale =
+        (if cfg.control = Per_node then Bytes.make (nverts * nverts) '\000'
+         else Bytes.empty);
       bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
@@ -1521,14 +1558,7 @@ let create cfg topo =
            Array.init nverts (fun _ ->
                Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:cfg.trees_per_source ())
          else [||]);
-      wins =
-        (if cfg.reliable_bcast && cfg.real_broadcast then
-           (* Each node ends up with one receive window per (root, tree):
-              measured trees_per_source * (nverts - 1) entries — 104 on
-              the 3x3x3 test torus, 2044 on the 8x8x8 bench torus. The
-              old create 16 forced ~7 doublings per node on the bench. *)
-           Array.init nverts (fun _ -> Hashtbl.create (cfg.trees_per_source * nverts))
-         else [||]);
+      wins = [||];
       chaos_on;
       digest_running = false;
       nacks_sent = 0;
@@ -1606,20 +1636,19 @@ let create cfg topo =
             if seq > w.hi then w.hi <- seq;
             match Rbcast.receive w.rx ~seq (bcast_id, Net.bytes net pkt) with
             | Rbcast.Deliver ps ->
-                List.iter (fun (bid, _) -> apply_bcast_event t ~node bid) ps
+                List.iter (fun (bid, _) -> apply_bcast_event t ~node ~root bid) ps
             | Rbcast.Duplicate -> ()
             | Rbcast.Buffered -> schedule_nack t ~node ~root ~tree w
           end
         end
-        else apply_bcast_event t ~node bcast_id
+        else apply_bcast_event t ~node ~root:(Net.bcast_root net pkt) bcast_id
       end
       else if k = Net.code_digest then begin
-        let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
-        let last_seq = Net.digest_last_seq net pkt in
-        let hash = Net.digest_hash net pkt in
         if reliable t then begin
-            let w = get_win t ~node ~root ~tree in
-            if win_ensure_inc w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
+          let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
+          let last_seq = Net.digest_last_seq net pkt in
+          let w = get_win t ~node ~root ~tree in
+          if win_ensure_inc w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
             if last_seq > w.hi then w.hi <- last_seq;
             let next = Rbcast.next_expected w.rx in
             if next <= last_seq then schedule_nack t ~node ~root ~tree w
@@ -1629,19 +1658,20 @@ let create cfg topo =
                  divergence (e.g. a repair evicted from the replay log) —
                  ask for a full-state sync. If some other tree still has a
                  gap, its own digest will trigger the cheaper NACK path
-                 first. *)
+                 first. An absent window has next 0 and hi -1: caught up. *)
               let all_caught_up = ref true in
               for tr = 0 to cfg.trees_per_source - 1 do
-                let wt = get_win t ~node ~root ~tree:tr in
-                if Rbcast.next_expected wt.rx <= wt.hi then all_caught_up := false
+                match find_win t ~node ~root ~tree:tr with
+                | Some wt when Rbcast.next_expected wt.rx <= wt.hi -> all_caught_up := false
+                | Some _ | None -> ()
               done;
               if
                 !all_caught_up
-                && Rbcast.hash_ids (per_source_view_ids t ~node ~root) <> hash
+                && not (Net.digest_hash_is net pkt (source_view_hash t ~node ~root))
               then send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
             end
-            end
           end
+        end
       end);
   (* Lost Data packets — queue tail drops and failure blackholes alike —
      feed the retransmission machinery; payload losses are bucketed for the
@@ -1675,7 +1705,7 @@ let create cfg topo =
                 if Hashtbl.length t.active = 0 then stamp_reconvergence t;
                 (* The finish broadcast never reaches its own root, but the
                    sender knows its flow ended. *)
-                if cfg.control = Per_node then Hashtbl.remove t.views.(st.src) flow;
+                if cfg.control = Per_node then view_remove t ~node:st.src ~origin:st.src flow;
                 send_flow_broadcast t st Wire.Flow_finish
             | None -> ());
             match Hashtbl.find_opt t.on_complete flow with
@@ -1788,7 +1818,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
   Hashtbl.replace t.all_states idx st;
   t.epoch_dirty <- true;
   (match on_complete with Some k -> Hashtbl.replace t.on_complete idx k | None -> ());
-  if t.cfg.control = Per_node then Hashtbl.replace t.views.(src) idx ();
+  if t.cfg.control = Per_node then view_add t ~node:src ~origin:src idx;
   send_flow_broadcast t st Wire.Flow_start;
   ensure_loop t;
   inject t st;
@@ -1871,10 +1901,7 @@ let diverged_nodes t =
 
 let dup_events_absorbed t =
   Array.fold_left
-    (fun acc wt ->
-      Util.Tbl.fold_sorted ~cmp:Int.compare
-        (fun _ w acc -> acc + Rbcast.duplicates w.rx)
-        wt acc)
+    (fun acc w -> match w with Some w -> acc + Rbcast.duplicates w.rx | None -> acc)
     0 t.wins
 
 let results t =

@@ -357,6 +357,13 @@ val diverged_nodes : t -> int
 val node_view_ids : t -> node:int -> int list
 (** The flow ids in the node's view, ascending (Per_node only). *)
 
+val source_view_hash : t -> node:int -> root:int -> int64
+(** {!Rbcast.hash_ids} of the flows sourced at [root] in the node's view —
+    the value that [root]'s digests are checked against (Per_node only).
+    Read from a per-(node, origin) cache that every view write marks
+    stale; the digest path reads the same cache. Exposed as a test
+    observer: reading it changes nothing the simulation can see. *)
+
 val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
 (** The full rate vector the node computes from its current view — every
     flow it believes exists, in ascending id order. Nodes with identical

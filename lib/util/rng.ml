@@ -1,23 +1,33 @@
-type t = { mutable state : int64 }
+(* SplitMix64. The state lives unboxed in an 8-byte buffer: a
+   [mutable int64] record field would box a fresh state on every draw, and
+   under the dev profile's [-opaque] no caller sees through the call to
+   unbox it. [mix64] and [bits64] are inlined into every draw below, so
+   [int] and [below] allocate nothing; only values returned as [int64] or
+   [float] are boxed at the module boundary. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy t = Bytes.copy t
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
 
 let int t bound =
   assert (bound > 0);
@@ -25,10 +35,12 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform bits in [0,1). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992.0 *. bound
+
+let below t p = float t 1.0 < p
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 

@@ -25,7 +25,14 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
+(** [float t bound] is uniform in [\[0, bound)]. Under [-opaque] (dune's
+    dev profile) the result is boxed at every call site outside this
+    module. *)
+
+val below : t -> float -> bool
+(** [below t p] is exactly [float t 1.0 < p] — a Bernoulli draw that is
+    true with probability [p] — but allocates nothing. Use it for the
+    per-packet loss and chaos draws. *)
 
 val bool : t -> bool
 

@@ -410,6 +410,87 @@ let blackhole_splits_control_and_data () =
   Alcotest.(check bool) "control bytes were blackholed" true (r.blackholed_ctrl_bytes > 0);
   Alcotest.(check int) "zero terminal divergence" 0 r.terminal_diverged
 
+(* The per-origin view-hash cache behind the digest check must equal a
+   from-scratch hash of the view after any sequence of view writes. Every
+   write path runs here: window-accepted deliveries, NACK replays and syncs
+   under 5% loss with reordering and duplication, a crash and cold restart
+   (view cleared, JOIN purge at the peers), a partition and heal, and flows
+   aborted because an endpoint died. A second node fails with its state
+   kept and later restarts cold, so a restart also clears a non-empty
+   view. Every 50 us, each (node, origin) pair's cached hash is checked
+   against the origin's flows in [node_view_ids] — down nodes too, since
+   the cache is kept exact for every node. The crash and restarts land on
+   poll instants and were scheduled before those polls, so a poll sees
+   each view clear before anything else writes to the view. *)
+let view_hash_cache_coherent () =
+  let topo = Topology.torus [| 3; 3; 3 |] in
+  let n = Topology.vertex_count topo in
+  let t = Sim.R2c2_sim.create (sim_cfg ~loss:0.05 ~reorder:0.05 ~dup:0.05 ()) topo in
+  let eng = Sim.R2c2_sim.engine t in
+  let src_of = Hashtbl.create 64 in
+  let start ~src ~dst ~size =
+    Hashtbl.replace src_of (Sim.R2c2_sim.start_flow t ~src ~dst ~size) src
+  in
+  (* A permutation now, and a second wave once the crashed node is back. *)
+  for i = 0 to n - 1 do
+    start ~src:i ~dst:((i + (n / 2) + 1) mod n) ~size:200_000
+  done;
+  Sim.Engine.at eng 600_000 (fun () ->
+      for i = 0 to n - 1 do
+        start ~src:i ~dst:((i + 5) mod n) ~size:60_000
+      done);
+  let checks = ref 0 and stale = ref [] in
+  let check () =
+    for node = 0 to n - 1 do
+      let view = Sim.R2c2_sim.node_view_ids t ~node in
+      for root = 0 to n - 1 do
+        let ids = List.filter (fun id -> Hashtbl.find src_of id = root) view in
+        incr checks;
+        if Sim.R2c2_sim.source_view_hash t ~node ~root <> Rbcast.hash_ids ids then
+          stale := (Sim.Engine.now eng, node, root) :: !stale
+      done
+    done
+  in
+  let horizon = 4_000_000 in
+  let rec poll () =
+    check ();
+    if Sim.Engine.now eng < horizon then Sim.Engine.after eng 50_000 poll
+  in
+  Sim.Engine.at eng 50_000 poll;
+  Sim.R2c2_sim.fail_node_at t ~ns:200_000 22;
+  let steps =
+    [
+      Sim.Scenario.crash ~at:100_000 13;
+      Sim.Scenario.partition ~at:150_000 [ 0 ];
+      Sim.Scenario.heal ~at:350_000 [ 0 ];
+      Sim.Scenario.restart ~at:400_000 13;
+      Sim.Scenario.restart ~at:500_000 22;
+    ]
+  in
+  (* Bounded: a stale cache can make digests request syncs forever, which
+     would keep the run from ever going idle. *)
+  let report =
+    Sim.Scenario.run ~until_ns:horizon ~invariants:[ Sim.Scenario.Byte_conservation ] t steps
+  in
+  let r = Sim.R2c2_sim.results t in
+  let open Sim.R2c2_sim in
+  Alcotest.(check (list string)) "no violations" [] report.Sim.Scenario.violations;
+  (match !stale with
+  | [] -> ()
+  | (ns, node, root) :: _ ->
+      Alcotest.failf "%d stale cached hashes; latest: node %d, origin %d at %d ns"
+        (List.length !stale) node root ns);
+  Alcotest.(check bool) "checked every step" true (!checks > n * n * 70);
+  Alcotest.(check bool) "chaos lost, reordered and duplicated control packets" true
+    (r.ctrl_lost > 0 && r.ctrl_reordered > 0 && r.ctrl_dupped > 0);
+  Alcotest.(check bool) "repairs ran" true (r.nacks_sent > 0 && r.syncs_sent > 0);
+  Alcotest.(check bool) "flows were aborted" true (r.aborted_flows <> []);
+  Alcotest.(check int) "every other flow completed" (2 * n)
+    (Sim.Metrics.completed_count r.metrics + List.length r.aborted_flows);
+  Alcotest.(check bool) "control plane converged" true (Sim.R2c2_sim.control_converged t);
+  Alcotest.(check int) "both restarted nodes rejoined" 2 (List.length r.rejoins);
+  Alcotest.(check int) "zero terminal divergence" 0 r.terminal_diverged
+
 let suites =
   [
     ( "control-loss",
@@ -427,5 +508,6 @@ let suites =
         tc "identical allocations after 2% loss" identical_allocations_after_2pct_loss;
         tc "evicted replay falls back to sync" evicted_replay_falls_back_to_sync;
         tc "blackhole splits control and data" blackhole_splits_control_and_data;
+        tc "view-hash cache stays coherent" view_hash_cache_coherent;
       ] );
   ]

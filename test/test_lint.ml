@@ -385,6 +385,11 @@ let a1_net_lookups_flagged () =
          "let hop t u v = Topology.find_link_id t.topo u v";
          "let fan b ~src ~tree = Broadcast.fib b ~src ~tree";
        ]);
+  (* A per-hop loss draw: [float] boxes its result across the module
+     boundary, [below] compares inside Rng and returns an immediate. *)
+  check_net "boxed Rng.float draw in net.ml" [ "A1" ]
+    "let lost ch = Util.Rng.float ch.crng 1.0 < ch.loss";
+  check_net "Rng.below is the unboxed draw" [] "let lost ch = Util.Rng.below ch.crng ch.loss";
   (* The ban is on the packet fabric only: other sim modules resolve links
      off the per-hop path. *)
   check_sim_rules "find_link fine in other sim files" []

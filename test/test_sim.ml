@@ -209,6 +209,54 @@ let net_broadcast_replication_zero_alloc () =
     (Printf.sprintf "minor words per replica hop ~ 0 (got %.3f)" per_hop)
     true (per_hop < 0.05)
 
+let digest_check_zero_alloc () =
+  (* The anti-entropy steady state: every origin beacons a digest per tree
+     and every caught-up node checks it against its cached view hash. With
+     the windows and caches warm, a digest hop — chaos draws, window lookup
+     and hash compare included — allocates nothing. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let cfg =
+    {
+      Sim.R2c2_sim.default_config with
+      control = Sim.R2c2_sim.Per_node;
+      reliable_bcast = true;
+      control_loss = U.fraction 0.01;
+    }
+  in
+  let t = Sim.R2c2_sim.create cfg topo in
+  let net = Sim.R2c2_sim.net t and eng = Sim.R2c2_sim.engine t in
+  let empty = Rbcast.hash_ids [] in
+  let flood () =
+    for root = 0 to 63 do
+      for tree = 0 to 3 do
+        Sim.Net.send_digest_tree net ~root ~tree ~epoch:0 ~last_seq:(-1) ~hash:empty
+          ~bytes:Wire.digest_size
+      done
+    done;
+    Sim.Engine.run eng
+  in
+  let set_loss p =
+    Sim.Net.set_control_chaos net ~seed:0 ~loss:(U.fraction p) ~reorder:U.zero ~dup:U.zero
+  in
+  (* The first flood creates the windows and grows the pool and engine. It
+     runs lossless: a digest lost there would leave its subtree's windows
+     to be created during the measured flood. *)
+  set_loss 0.0;
+  flood ();
+  set_loss 0.01;
+  let hops0 = Sim.Net.ctrl_hops net in
+  let before = Gc.minor_words () in
+  flood ();
+  let words = Gc.minor_words () -. before in
+  let hops = Sim.Net.ctrl_hops net - hops0 in
+  Alcotest.(check bool) "digests flooded the rack, some lost" true
+    (hops > 64 * 4 * 60 && hops < 64 * 4 * 63);
+  Alcotest.(check int) "no sync requested" 0 (Sim.R2c2_sim.results t).Sim.R2c2_sim.sync_requests;
+  let per_hop = words /. float_of_int hops in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per digest hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
 (* -- metrics --------------------------------------------------------------- *)
 
 let metrics_flow_lifecycle () =
@@ -808,6 +856,7 @@ let suites =
         tc "bad routes rejected" net_rejects_bad_route;
         tc "steady state allocates nothing" net_steady_state_zero_alloc;
         tc "broadcast replication allocates nothing" net_broadcast_replication_zero_alloc;
+        tc "digest check allocates nothing" digest_check_zero_alloc;
       ] );
     ( "sim.metrics",
       [

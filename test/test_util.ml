@@ -98,6 +98,126 @@ let rng_pick_uniform () =
       Alcotest.(check bool) "roughly uniform" true (c > 2500 && c < 3500))
     arr
 
+(* The boxed SplitMix64 that the unboxed generator replaced, kept verbatim
+   as the reference: the property below pins the new stream to it draw for
+   draw, so no seeded run anywhere can have moved. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+  let copy t = { state = t.state }
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let split t =
+    let s = bits64 t in
+    { state = mix64 s }
+
+  let int t bound =
+    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+    r mod bound
+
+  let float t bound =
+    let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    r /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+end
+
+type rng_op =
+  | Bits64
+  | Int of int
+  | Float of float
+  | Below of float
+  | Bool
+  | Split
+  | Copy
+
+let show_rng_op = function
+  | Bits64 -> "bits64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float x -> Printf.sprintf "float %h" x
+  | Below p -> Printf.sprintf "below %h" p
+  | Bool -> "bool"
+  | Split -> "split"
+  | Copy -> "copy"
+
+(* Each op names the generator it draws from (modulo the generators alive
+   so far); split and copy add a generator, so children and copies are
+   exercised as much as the root. *)
+let rng_program =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, return Bits64);
+        (3, map (fun b -> Int b) (oneof [ 1 -- 16; 1 -- max_int ]));
+        (3, map (fun x -> Float x) (float_bound_inclusive 1e6));
+        (3, map (fun p -> Below p) (oneof [ float_bound_inclusive 1.0; oneofl [ 0.0; 0.01; 1.0 ] ]));
+        (2, return Bool);
+        (1, return Split);
+        (1, return Copy);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat "; "
+           (List.map (fun (i, op) -> Printf.sprintf "%d:%s" i (show_rng_op op)) ops)))
+    (pair int (list_size (0 -- 200) (pair (0 -- 7) op)))
+
+let qcheck_rng_matches_boxed_reference =
+  QCheck.Test.make ~name:"unboxed generator = boxed reference, draw for draw" ~count:300
+    rng_program
+    (fun (seed, ops) ->
+      let pool = ref [| (Boxed_rng.create seed, Util.Rng.create seed) |] in
+      let add g = pool := Array.append !pool [| g |] in
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun (i, op) ->
+          let r, n = !pool.(i mod Array.length !pool) in
+          match op with
+          | Bits64 -> Int64.equal (Boxed_rng.bits64 r) (Util.Rng.bits64 n)
+          | Int b -> Boxed_rng.int r b = Util.Rng.int n b
+          | Float x -> same_float (Boxed_rng.float r x) (Util.Rng.float n x)
+          | Below p -> (Boxed_rng.float r 1.0 < p) = Util.Rng.below n p
+          | Bool -> Boxed_rng.bool r = Util.Rng.bool n
+          | Split ->
+              add (Boxed_rng.split r, Util.Rng.split n);
+              true
+          | Copy ->
+              add (Boxed_rng.copy r, Util.Rng.copy n);
+              true)
+        ops
+      && Array.for_all (fun (r, n) -> Int64.equal (Boxed_rng.bits64 r) (Util.Rng.bits64 n)) !pool)
+
+(* The per-hop chaos draws: [below] and [int] must not box the state or
+   the result. *)
+let rng_draws_allocate_nothing () =
+  let rng = Util.Rng.create 43 in
+  let n = 100_000 in
+  let per_draw f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let hits = ref 0 and sum = ref 0 in
+  let below = per_draw (fun () -> for _ = 1 to n do if Util.Rng.below rng 0.25 then incr hits done) in
+  let int = per_draw (fun () -> for _ = 1 to n do sum := !sum + Util.Rng.int rng 6 done) in
+  Alcotest.(check bool) (Printf.sprintf "below: %.4f words/draw" below) true (below < 0.01);
+  Alcotest.(check bool) (Printf.sprintf "int: %.4f words/draw" int) true (int < 0.01);
+  Alcotest.(check bool) "below draws with p" true (!hits > 20_000 && !hits < 30_000);
+  Alcotest.(check bool) "int draws in range" true (!sum >= 0 && !sum <= 5 * n)
+
 (* -- heap ---------------------------------------------------------------- *)
 
 let heap_ordering () =
@@ -494,6 +614,8 @@ let suites =
         tc "pareto support" rng_pareto_support;
         tc "categorical follows weights" rng_categorical_weights;
         tc "pick roughly uniform" rng_pick_uniform;
+        QCheck_alcotest.to_alcotest qcheck_rng_matches_boxed_reference;
+        tc "below and int allocate nothing" rng_draws_allocate_nothing;
       ] );
     ( "util.heap",
       [

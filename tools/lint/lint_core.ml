@@ -320,6 +320,7 @@ let a1_net_banned =
   [
     ("Topology.find_link", "returns an option per call; use Topology.find_link_id (-1 = not adjacent)");
     ("Broadcast.children", "builds a fresh list per call; loop over the CSR slice of Broadcast.fib");
+    ("Util.Rng.float", "returns a boxed float under -opaque; use Util.Rng.below");
   ]
 
 let lint_structure ~tier ~check_u2 ~check_a1 ~a1_banned ~add structure =
