@@ -140,7 +140,7 @@ let run ~quick () =
      staying a small fraction of the run. *)
   let digest = 50_000 in
   let rejoin_bound =
-    detection + (2 * Sim.R2c2_sim.default_config.rejoin_retry_ns) + (10 * digest)
+    detection + (2 * Sim.R2c2_sim.rejoin_retry_ns) + (10 * digest)
   in
   let crashed = 100 in
   let gray1 = (7, cable topo 7) in

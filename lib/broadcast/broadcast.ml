@@ -142,14 +142,6 @@ let tree_valid t ~src ~tree =
   | Some tr -> tr.version = Topology.version t.topo || check_tree t ~src tr.parent
   | None -> Topology.node_alive t.topo src
 
-let surviving_tree t ~src =
-  let rec go tree =
-    if tree >= t.trees_per_source then None
-    else if tree_valid t ~src ~tree then Some tree
-    else go (tree + 1)
-  in
-  go 0
-
 let repair_all t =
   let before = t.repairs in
   Array.iteri

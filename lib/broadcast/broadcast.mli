@@ -35,11 +35,6 @@ val tree_valid : t -> src:int -> tree:int -> bool
     alive links. An unbuilt tree is valid iff the source is alive (it would
     be built on the surviving graph). *)
 
-val surviving_tree : t -> src:int -> int option
-(** Lowest tree id of [src] that is currently valid without a rebuild —
-    the "alternative tree" fallback of §3.2 — or [None] if every tree of
-    this source crosses a failure. *)
-
 val repair_all : t -> int
 (** Re-validate every cached tree, rebuilding the broken ones; returns how
     many were rebuilt. *)

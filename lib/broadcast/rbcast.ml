@@ -65,7 +65,6 @@ let replay o ~tree ~seq =
 let mark_live o id = Hashtbl.replace o.live id ()
 let mark_dead o id = Hashtbl.remove o.live id
 let live_ids o = Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare o.live)
-let live_count o = Hashtbl.length o.live
 let state_hash o = hash_ids (live_ids o)
 
 let bump_epoch o =
@@ -109,7 +108,6 @@ let rx () =
   { rnext = 0; pending = Hashtbl.create 8; dups = 0; armed = false; rinc = 0 }
 
 let next_expected r = r.rnext
-let pending_count r = Hashtbl.length r.pending
 let duplicates r = r.dups
 let rx_incarnation r = r.rinc
 

@@ -47,7 +47,6 @@ val mark_dead : 'a origin -> int -> unit
 val live_ids : 'a origin -> int list
 (** The live-flow ids, ascending — the payload of a full-state sync. *)
 
-val live_count : 'a origin -> int
 val state_hash : 'a origin -> int64
 (** {!hash_ids} of {!live_ids} — what digests advertise. *)
 
@@ -95,9 +94,6 @@ val rx_incarnation : 'a rx -> int
 val receive : 'a rx -> seq:int -> 'a -> 'a verdict
 
 val next_expected : 'a rx -> int
-val pending_count : 'a rx -> int
-(** Out-of-order packets currently buffered behind a gap. *)
-
 val duplicates : 'a rx -> int
 (** Packets absorbed as duplicates so far. *)
 

@@ -154,67 +154,6 @@ let allocate_reference ?headroom ~capacities flows =
   List.iter (fun idx -> fill_round ~remaining ~rates flows idx) (by_priority flows);
   U.of_floats rates
 
-(* -- efficient variant (§4.2) ------------------------------------------- *)
-
-(* Min-heap on float keys with insertion-order tie-breaking; payloads carry
-   a version for lazy deletion. *)
-module Fheap = struct
-  type 'a t = { mutable keys : float array; mutable vals : 'a array; mutable len : int }
-
-  let create dummy = { keys = Array.make 64 0.0; vals = Array.make 64 dummy; len = 0 }
-
-  let push h key v =
-    if h.len = Array.length h.keys then begin
-      let keys = Array.make (2 * h.len) 0.0 and vals = Array.make (2 * h.len) h.vals.(0) in
-      Array.blit h.keys 0 keys 0 h.len;
-      Array.blit h.vals 0 vals 0 h.len;
-      h.keys <- keys;
-      h.vals <- vals
-    end;
-    h.keys.(h.len) <- key;
-    h.vals.(h.len) <- v;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
-      let p = (!i - 1) / 2 in
-      let k = h.keys.(p) and v' = h.vals.(p) in
-      h.keys.(p) <- h.keys.(!i);
-      h.vals.(p) <- h.vals.(!i);
-      h.keys.(!i) <- k;
-      h.vals.(!i) <- v';
-      i := p
-    done
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let key = h.keys.(0) and v = h.vals.(0) in
-      h.len <- h.len - 1;
-      if h.len > 0 then begin
-        h.keys.(0) <- h.keys.(h.len);
-        h.vals.(0) <- h.vals.(h.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.len && h.keys.(l) < h.keys.(!s) then s := l;
-          if r < h.len && h.keys.(r) < h.keys.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let k = h.keys.(!s) and v' = h.vals.(!s) in
-            h.keys.(!s) <- h.keys.(!i);
-            h.vals.(!s) <- h.vals.(!i);
-            h.keys.(!i) <- k;
-            h.vals.(!i) <- v';
-            i := !s
-          end
-        done
-      end;
-      Some (key, v)
-    end
-end
-
 (* Operation counters for the performance ablation (bench `ablation`).
    Reset at the top of every allocation so each call reports only its own
    work. One explicit record — registered domain_local in the lint
@@ -223,123 +162,15 @@ end
 type debug_counters = {
   mutable pops : int;
   mutable valid : int;
-  mutable scan : int;
   mutable push : int;
 }
 
-let dbg = { pops = 0; valid = 0; scan = 0; push = 0 }
+let dbg = { pops = 0; valid = 0; push = 0 }
 
 let reset_debug_counters () =
   dbg.pops <- 0;
   dbg.valid <- 0;
-  dbg.scan <- 0;
   dbg.push <- 0
-
-type event = Link_sat of int (* link *) | Demand_met of int (* flow index *)
-
-(* One priority round, event-driven: a heap orders link saturations and
-   demand caps by fill level. Each link keeps exactly ONE heap entry whose
-   key is a lower bound on its true saturation level (the level can only
-   grow as other flows freeze and stop loading the link). On pop the true
-   level is recomputed: if it moved, the entry is re-inserted at the new
-   key; otherwise the link saturates and its flows freeze. Keeping the
-   heap at O(links) entries keeps every sift in cache, which is what makes
-   this the fast variant. *)
-let fast_round ~remaining ~rates flows indices =
-  let nl = Array.length remaining in
-  let wsum = Array.make nl 0.0 in
-  let last_t = Array.make nl 0.0 in
-  let queued = Array.make nl false in
-  let on_link = Array.make nl [] in
-  let frozen = Array.make (Array.length flows) false in
-  let heap = Fheap.create (Demand_met 0) in
-  let settle l t =
-    if t > last_t.(l) then begin
-      remaining.(l) <- Float.max 0.0 (remaining.(l) -. (wsum.(l) *. (t -. last_t.(l))));
-      last_t.(l) <- t
-    end
-  in
-  let sat_level l =
-    if wsum.(l) > eps then last_t.(l) +. (remaining.(l) /. wsum.(l)) else infinity
-  in
-  List.iter
-    (fun i ->
-      let f = flows.(i) in
-      Array.iter
-        (fun (l, frac) ->
-          wsum.(l) <- wsum.(l) +. (f.weight *. (frac : U.fraction :> float));
-          on_link.(l) <- i :: on_link.(l))
-        f.links)
-    indices;
-  List.iter
-    (fun i ->
-      let f = flows.(i) in
-      Array.iter
-        (fun (l, _) ->
-          if not queued.(l) then begin
-            queued.(l) <- true;
-            dbg.push <- dbg.push + 1;
-            Fheap.push heap (sat_level l) (Link_sat l)
-          end)
-        f.links;
-      match f.demand with
-      | Some d -> Fheap.push heap ((d : U.byte_rate :> float) /. f.weight) (Demand_met i)
-      | None -> ())
-    indices;
-  let active = ref (List.length indices) in
-  let freeze_flow i level =
-    if not frozen.(i) then begin
-      frozen.(i) <- true;
-      rates.(i) <- flows.(i).weight *. level;
-      decr active;
-      Array.iter
-        (fun (l, frac) ->
-          settle l level;
-          wsum.(l) <- Float.max 0.0 (wsum.(l) -. (flows.(i).weight *. (frac : U.fraction :> float))))
-        flows.(i).links
-    end
-  in
-  let rec drain () =
-    if !active > 0 then begin
-      match Fheap.pop heap with
-      | None ->
-          (* No constraining event left: flows with no links get 0. *)
-          List.iter (fun i -> freeze_flow i 0.0) indices
-      | Some (key, Link_sat l) ->
-          dbg.pops <- dbg.pops + 1;
-          let cur = sat_level l in
-          if cur = infinity then () (* no unfrozen flow loads this link *)
-          else if cur > key +. (1e-12 *. (1.0 +. abs_float key)) then begin
-            (* The level moved since this entry was queued; re-insert. *)
-            dbg.push <- dbg.push + 1;
-            Fheap.push heap cur (Link_sat l)
-          end
-          else begin
-            dbg.valid <- dbg.valid + 1;
-            settle l cur;
-            List.iter
-              (fun i ->
-                dbg.scan <- dbg.scan + 1;
-                freeze_flow i cur)
-              on_link.(l)
-          end;
-          drain ()
-      | Some (key, Demand_met i) ->
-          freeze_flow i key;
-          drain ()
-    end
-  in
-  drain ()
-
-let allocate ?headroom ~capacities flows =
-  let headroom = headroom_raw headroom in
-  let capacities = U.floats_of capacities in
-  validate flows capacities;
-  reset_debug_counters ();
-  let rates = Array.make (Array.length flows) 0.0 in
-  let remaining = Array.map (fun c -> c *. (1.0 -. headroom)) capacities in
-  List.iter (fun idx -> fast_round ~remaining ~rates flows idx) (by_priority flows);
-  U.of_floats rates
 
 let link_utilization ~capacities flows rates =
   let capacities = U.floats_of capacities in
@@ -747,9 +578,15 @@ module Inc = struct
       done
     done
 
-  (* One priority round over order[lo..hi): the same event-driven algorithm
-     as [fast_round], on the CSR layout. The transpose spans all rounds, so
-     the saturation scan skips rows of other rounds ([round_of]); earlier
+  (* One priority round over order[lo..hi), event-driven (§4.2): a heap
+     orders link saturations and demand caps by fill level. Each link keeps
+     exactly ONE heap entry whose key is a lower bound on its true
+     saturation level (the level can only grow as other flows freeze and
+     stop loading the link). On pop the true level is recomputed: if it
+     moved, the entry is re-inserted at the new key; otherwise the link
+     saturates and its flows freeze. Keeping the heap at O(links) entries
+     keeps every sift in cache. The transpose spans all rounds, so the
+     saturation scan skips rows of other rounds ([round_of]); earlier
      rounds are frozen, later ones not yet filling. *)
   let round_inc t ~round lo hi =
     let nl = Array.length t.capacities in
@@ -821,7 +658,6 @@ module Inc = struct
           settle l cur;
           for p = t.link_start.(l) to t.link_start.(l + 1) - 1 do
             let r = t.link_rows.(p) in
-            dbg.scan <- dbg.scan + 1;
             if t.round_of.(r) = round then freeze r cur
           done
         end
@@ -881,21 +717,14 @@ module Inc = struct
     done
 end
 
-let bottleneck_fill ~capacities flows =
-  let capacities = U.floats_of capacities in
-  let nl = Array.length capacities in
-  let wsum = Array.make nl 0.0 in
-  Array.iter
-    (fun f ->
-      Array.iter
-        (fun (l, frac) -> wsum.(l) <- wsum.(l) +. (f.weight *. (frac : U.fraction :> float)))
-        f.links)
+(* The efficient variant (§4.2) is {!Inc} run once on a fresh state. Flows
+   are keyed by array slot, since [flow.id] is opaque and may repeat; with
+   no removals, row [i] holds slot [i]. *)
+let allocate ?headroom ~capacities flows =
+  let inc = Inc.create ?headroom ~capacities () in
+  Array.iteri
+    (fun i f ->
+      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.links)
     flows;
-  let fill = ref infinity in
-  for l = 0 to nl - 1 do
-    if wsum.(l) > eps then begin
-      let step = capacities.(l) /. wsum.(l) in
-      if step < !fill then fill := step
-    end
-  done;
-  U.byte_rate !fill
+  Inc.allocate inc;
+  U.of_floats (Array.sub inc.Inc.rates 0 (Array.length flows))

@@ -43,9 +43,11 @@ val allocate :
     Raises [Invalid_argument] on non-positive weights or fractions.
 
     This is the paper's "efficient variant of the water-filling algorithm"
-    (§4.2): saturation events are processed from a heap with lazy per-link
-    settlement, so the cost is near-linear in the total number of
-    (flow, link) incidences rather than iterations times links. *)
+    (§4.2), run as {!Inc} on a fresh state with each flow keyed by its
+    array slot ([id] may repeat): saturation events are processed from a
+    heap with lazy per-link settlement, so the cost is near-linear in the
+    total number of (flow, link) incidences rather than iterations times
+    links. *)
 
 val allocate_reference :
   ?headroom:Util.Units.fraction ->
@@ -65,12 +67,6 @@ val link_utilization :
 (** [link_utilization ~capacities flows rates] is each link's load divided
     by its capacity; for checking feasibility in tests. *)
 
-val bottleneck_fill :
-  capacities:Util.Units.byte_rate array -> flow array -> Util.Units.byte_rate
-(** Fill level at which the first link saturates when all flows rise
-    together — the single-iteration core of progressive filling, exposed
-    for the channel-load analysis. *)
-
 (** Incremental epoch recomputation (§3.3.4).
 
     [Inc.t] keeps the allocator's inputs — flow rows in a flat CSR layout —
@@ -79,8 +75,7 @@ val bottleneck_fill :
     dirty; {!Inc.allocate} on a clean state returns the cached rates in
     O(1), and on a dirty state recomputes with every buffer reused, so a
     steady-state recompute performs no per-epoch array or list allocation.
-    Results are bit-compatible with {!allocate} up to floating-point noise
-    and property-tested against {!allocate_reference}. *)
+    Results are property-tested against {!allocate_reference}. *)
 module Inc : sig
   type t
 
@@ -157,12 +152,12 @@ end
 type debug_counters = {
   mutable pops : int;
   mutable valid : int;
-  mutable scan : int;
   mutable push : int;
 }
 
 val dbg : debug_counters
 
 val reset_debug_counters : unit -> unit
-(** Zero the four counters; {!allocate} and a dirty {!Inc.allocate} also
-    reset them on entry so each measurement reports one computation. *)
+(** Zero the three counters; a dirty {!Inc.allocate} (and so every
+    {!allocate}) also resets them on entry so each measurement reports one
+    computation. *)

@@ -124,9 +124,14 @@ let observe_digest t (d : Wire.digest) =
   check_tree t d.Wire.dtree;
   let tree = d.Wire.dtree in
   if d.Wire.last_seq > t.hi.(tree) then t.hi.(tree) <- d.Wire.last_seq;
-  if Rbcast.next_expected t.windows.(tree) <= d.Wire.last_seq then
-    Gaps (missing t ~tree)
-  else if caught_up t && matrix_hash t <> d.Wire.state_hash then Diverged
+  let next = Rbcast.next_expected t.windows.(tree) in
+  if next <= d.Wire.last_seq then Gaps (missing t ~tree)
+  else if
+    (* A delayed digest (the tree has moved past [last_seq]) hashes a state
+       the replica has already left behind; only a digest of the replica's
+       current position on this tree can reveal divergence. *)
+    next = d.Wire.last_seq + 1 && caught_up t && matrix_hash t <> d.Wire.state_hash
+  then Diverged
   else Synced
 
 let sync t ~flows ~last_seqs =

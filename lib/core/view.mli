@@ -49,14 +49,17 @@ type digest_verdict =
           NACK to the source should request (then replay via
           {!Stack.replay}) *)
   | Diverged
-      (** sequence-caught-up on every tree yet hashing differently from
+      (** sequence-caught-up on every tree, positioned exactly at the
+          digest's [last_seq] on its tree, yet hashing differently from
           the source's live set: genuine divergence, repair with
           {!Stack.sync_view} *)
 
 val observe_digest : t -> Wire.digest -> digest_verdict
 (** Process one anti-entropy digest from the source. Detects losses the
     stream cannot reveal — e.g. when the {e last} broadcast of a burst was
-    dropped and no later packet exposes the gap. *)
+    dropped and no later packet exposes the gap. A delayed digest, whose
+    tree the replica has already moved past, hashes an older state and
+    answers [Synced]. *)
 
 val sync : t -> flows:(int * Wire.broadcast) list -> last_seqs:int array -> unit
 (** Full-state repair: replace the believed flow set and fast-forward

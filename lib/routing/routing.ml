@@ -537,5 +537,3 @@ let fractions_raw ctx p ~src ~dst =
 
 let fractions ctx p ~src ~dst =
   Util.Units.pairs_of_floats (fractions_raw ctx p ~src ~dst)
-
-let min_path_fractions ctx ~src ~dst = fractions ctx Rps ~src ~dst

@@ -66,11 +66,6 @@ val fractions :
     fractions out of [src] sum to 1; for VLB/WLB a link can carry both
     phases so per-link fractions may exceed shortest-path values. *)
 
-val min_path_fractions :
-  ctx -> src:int -> dst:int -> (int * Util.Units.fraction) array
-(** Fractions of uniform packet spraying over shortest paths (the RPS data
-    plane); exposed for analysis and tests. *)
-
 val wlb_beta : float
 (** Path-length bias of WLB: waypoint [w] is drawn with probability
     proportional to [wlb_beta ^ (d(s,w) + d(w,d) - d(s,d))]. *)

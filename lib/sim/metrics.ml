@@ -273,9 +273,3 @@ let throughputs_gbps ?min_size ?max_size t =
       (all t)
   in
   Array.of_list xs
-
-let reorder_depths t =
-  Array.of_list
-    (List.filter_map
-       (fun f -> if f.finish_ns >= 0 then Some (float_of_int f.reorder_max) else None)
-       (all t))

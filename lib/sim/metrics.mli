@@ -51,9 +51,6 @@ val fcts_us : ?min_size:int -> ?max_size:int -> ?priority:int -> t -> float arra
 
 val throughputs_gbps : ?min_size:int -> ?max_size:int -> t -> Util.Units.gbps array
 
-val reorder_depths : t -> float array
-(** Peak reorder-buffer depth per completed flow, in packets. *)
-
 (** {2 Per-class tail latency and SLO attainment}
 
     Completions are bucketed into log-major / linear-sub latency histograms

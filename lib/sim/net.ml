@@ -819,7 +819,6 @@ let set_queue_watermarks t ~high ~low =
 let overloaded_links t = t.over_count
 let link_overloaded t ~link_id = Bytes.get t.over link_id = '\001'
 
-let packets_live t = Arena.live t.pool
 let packets_high_water t = Arena.high_water t.pool
 let max_queue_bytes t = Array.map (fun ls -> ls.max_qbytes) t.links
 let drops t = t.drops

@@ -213,7 +213,6 @@ val tx_time_ns : t -> int -> int
 
 (** {2 Pool telemetry} *)
 
-val packets_live : t -> int
 val packets_high_water : t -> int
 (** Peak in-flight packet count — the measured figure behind the pool's
     initial sizing. *)

@@ -15,41 +15,15 @@ type config = {
   reselect_interval_ns : int option;
       (** §3.4: when set, long flows are periodically re-assigned a routing
           protocol (RPS vs VLB) by the GA selector *)
-  detection_delay_ns : int option;
-      (** failure -> topology-discovery latency; [None] = twice the
-          broadcast depth of the rack (2 * diameter hops of a 16-byte
-          packet) *)
   rtx_timeout_ns : int;  (** initial per-packet retransmission timeout *)
-  rtx_backoff : float;  (** timeout multiplier per unacknowledged attempt *)
-  rtx_cap_ns : int;  (** backed-off timeout ceiling *)
-  rtx_max_retries : int;  (** per packet; exceeding it aborts the flow *)
   reliable_bcast : bool;
       (** sequence every flow-event broadcast, run receive windows with
           NACK repair and periodic anti-entropy digests *)
   digest_interval_ns : int;  (** anti-entropy beacon period per source *)
-  nack_delay_ns : int;  (** gap detection -> NACK send delay (and retry) *)
   bcast_log_cap : int;  (** origin replay-log depth per tree *)
   control_loss : U.fraction;  (** per-hop control-packet loss probability *)
   control_reorder : U.fraction;  (** per-hop extra-delay (reorder) probability *)
   control_dup : U.fraction;  (** per-hop duplication probability *)
-  loss_headroom_gain : float;
-      (** graceful degradation: effective headroom =
-          min max_headroom (headroom + gain * loss EWMA); a dimensionless
-          gain multiplying a fraction, so it stays a raw float *)
-  max_headroom : U.fraction;
-  flaky_spike_ns : int;
-      (** extra latency a spiked hop on a flaky link suffers, unless the
-          injection call overrides it *)
-  health_interval_ns : int;  (** per-link loss-EWMA estimator period *)
-  health_alpha : float;  (** EWMA weight of the newest interval, (0, 1] *)
-  quarantine_loss_threshold : float;
-      (** per-link loss EWMA above this quarantines the cable *)
-  probation_ns : int;
-      (** quarantine dwell before probation, and probation dwell before the
-          recover/re-quarantine verdict *)
-  rejoin_retry_ns : int;
-      (** a restarted node re-announces its JOIN at this period until it has
-          caught up — a lost JOIN or snapshot must not strand the rejoin *)
   (* -- SLO-guarded overload control; every default leaves it off -- *)
   queue_high_watermark : int;
       (** link-queue bytes above which the link counts as overloaded;
@@ -57,16 +31,6 @@ type config = {
   queue_low_watermark : int;  (** hysteresis: overload clears only below this *)
   overload_control : bool;
       (** master switch for admission shedding and PAUSE backpressure *)
-  pause_interval_ns : int;
-      (** a congested receiver sends at most one PAUSE per this period *)
-  pause_class : int;
-      (** only flows of this class or below (numerically >=) are paced and
-          trigger pauses; higher classes are never slowed by backpressure *)
-  pause_backoff : float;  (** multiplicative decrease per PAUSE level *)
-  pause_recovery : float;  (** additive scale recovery per clean epoch *)
-  pause_min_scale : float;  (** floor of the pacing scale *)
-  shed_recover_epochs : int;
-      (** consecutive clean epochs before the shed floor relaxes one class *)
   slos : (int * int) list;
       (** (priority class, FCT bound ns) promises fed to {!Metrics.set_slo} *)
   reserve_priority : int;
@@ -78,6 +42,54 @@ type config = {
           wheel, [Binary_heap] the reference for differential tests *)
   seed : int;
 }
+
+(* Protocol constants: every caller runs with the same value, so they are
+   not config fields. *)
+
+(* Per-packet retransmission: the timeout multiplies by [rtx_backoff] per
+   attempt up to [rtx_cap_ns]; a packet re-sent [rtx_max_retries] times
+   aborts its flow. *)
+let rtx_backoff = 2.0
+let rtx_cap_ns = 1_000_000
+let rtx_max_retries = 30
+
+(* Gap detection -> NACK send delay (and between retries). *)
+let nack_delay_ns = 20_000
+
+(* Graceful degradation: effective headroom =
+   min max_headroom (headroom + loss_headroom_gain * loss EWMA); the gain
+   is dimensionless, so it stays a raw float. *)
+let loss_headroom_gain = 2.0
+let max_headroom = U.fraction 0.30
+
+(* Gray failures: the extra latency of a spiked hop on a flaky link, unless
+   the injection call overrides it; the per-link loss-EWMA estimator period
+   and the weight of its newest interval; the loss EWMA above which a cable
+   is quarantined; and the dwell in quarantine before probation, and in
+   probation before the recover/re-quarantine verdict. *)
+let flaky_spike_ns = 2_000
+let health_interval_ns = 50_000
+let health_alpha = 0.3
+let quarantine_loss_threshold = 0.02
+let probation_ns = 500_000
+
+(* A restarted node re-announces its JOIN at this period until it has
+   caught up — a lost JOIN or snapshot must not strand the rejoin. *)
+let rejoin_retry_ns = 500_000
+
+(* Overload control: a congested receiver sends at most one PAUSE per
+   [pause_interval_ns]; only classes numerically >= [pause_class] are paced
+   and trigger pauses, so higher classes are never slowed by backpressure.
+   Each PAUSE level multiplies the pacing scale by [pause_backoff], floored
+   at [pause_min_scale]; each clean epoch adds [pause_recovery] back. The
+   shed floor relaxes one class after [shed_recover_epochs] consecutive
+   clean epochs. *)
+let pause_interval_ns = 50_000
+let pause_class = 1
+let pause_backoff = 0.5
+let pause_recovery = 0.1
+let pause_min_scale = 0.05
+let shed_recover_epochs = 3
 
 let default_config =
   {
@@ -91,35 +103,16 @@ let default_config =
     queue_capacity = max_int;
     control = Global_epoch;
     reselect_interval_ns = None;
-    detection_delay_ns = None;
     rtx_timeout_ns = 50_000;
-    rtx_backoff = 2.0;
-    rtx_cap_ns = 1_000_000;
-    rtx_max_retries = 30;
     reliable_bcast = false;
     digest_interval_ns = 100_000;
-    nack_delay_ns = 20_000;
     bcast_log_cap = 65536;
     control_loss = U.fraction 0.0;
     control_reorder = U.fraction 0.0;
     control_dup = U.fraction 0.0;
-    loss_headroom_gain = 2.0;
-    max_headroom = U.fraction 0.30;
-    flaky_spike_ns = 2_000;
-    health_interval_ns = 50_000;
-    health_alpha = 0.3;
-    quarantine_loss_threshold = 0.02;
-    probation_ns = 500_000;
-    rejoin_retry_ns = 500_000;
     queue_high_watermark = max_int;
     queue_low_watermark = 0;
     overload_control = false;
-    pause_interval_ns = 50_000;
-    pause_class = 1;
-    pause_backoff = 0.5;
-    pause_recovery = 0.1;
-    pause_min_scale = 0.05;
-    shed_recover_epochs = 3;
     slos = [];
     reserve_priority = 1;
     class_reserve = U.fraction 0.0;
@@ -512,7 +505,7 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
    whole — so a lost repair is simply requested again. *)
 let rec schedule_nack t ~node ~root ~tree w =
   if Rbcast.arm w.rx then
-    Engine.after t.eng t.cfg.nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w)
+    Engine.after t.eng nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w)
 
 and fire_nack t ~node ~root ~tree w =
   Rbcast.disarm w.rx;
@@ -720,6 +713,27 @@ let wf_of st =
   Congestion.Waterfill.flow ~weight:st.weight ~priority:st.priority ?demand:st.demand ~id:st.idx
     st.wf_links
 
+(* Water-filling over every flow the node believes exists — its view plus
+   [own], flows it sources and so always knows — in ascending id order.
+   Returns those flows and their rates, index for index. *)
+let believed_allocation t ~node ~own =
+  (* Measured: the believed-flow count, = host count once every start
+     broadcast has arrived. *)
+  let view : (int, fstate) Hashtbl.t =
+    Hashtbl.create (max 64 (Hashtbl.length t.views.(node)))
+  in
+  Util.Tbl.iter_sorted ~cmp:Int.compare
+    (fun flow () ->
+      match Hashtbl.find_opt t.all_states flow with
+      | Some st -> Hashtbl.replace view flow st
+      | None -> ())
+    t.views.(node);
+  List.iter (fun st -> Hashtbl.replace view st.idx st) own;
+  let flows = Util.Tbl.sorted_values ~cmp:Int.compare view in
+  ( flows,
+    Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
+      ~capacities:t.capacities (Array.map wf_of flows) )
+
 (* Per-node control (§3.3, the paper's actual design): every sender runs
    water-filling over its own broadcast-built view of the traffic matrix
    and rate-limits only its own flows. Views differ transiently — that is
@@ -740,29 +754,10 @@ let recompute_per_node t =
     t.active;
   Util.Tbl.iter_sorted ~cmp:Int.compare
     (fun node own ->
-      (* The node's view, plus its own flows which it always knows.
-         Measured: the believed-flow count, = host count once every
-         start broadcast has arrived. *)
-      let view : (int, fstate) Hashtbl.t =
-        Hashtbl.create (max 64 (Hashtbl.length t.views.(node)))
-      in
-      Util.Tbl.iter_sorted ~cmp:Int.compare
-        (fun flow () ->
-          match Hashtbl.find_opt t.all_states flow with
-          | Some st -> Hashtbl.replace view flow st
-          | None -> ())
-        t.views.(node);
-      List.iter (fun st -> Hashtbl.replace view st.idx st) own;
-      let flows = Util.Tbl.sorted_values ~cmp:Int.compare view in
-      if Array.length flows > 0 then begin
-        t.recomputes <- t.recomputes + 1;
-        let wf = Array.map wf_of flows in
-        let rates =
-          Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
-            ~capacities:t.capacities wf
-        in
-        Array.iteri (fun i st -> if st.src = node then apply_rate t st rates.(i)) flows
-      end)
+      (* [own] is never empty, so neither is the believed set. *)
+      let flows, rates = believed_allocation t ~node ~own in
+      t.recomputes <- t.recomputes + 1;
+      Array.iteri (fun i st -> if st.src = node then apply_rate t st rates.(i)) flows)
     senders
 
 (* Global-epoch approximation: every node would run the same water-filling
@@ -797,9 +792,9 @@ let update_loss_ewma t =
         (0.8 *. t.loss_ewma) +. (0.2 *. (float_of_int dl /. float_of_int dh));
     t.eff_headroom <-
       Float.min
-        (t.cfg.max_headroom : U.fraction :> float)
+        (max_headroom : U.fraction :> float)
         ((t.cfg.headroom : U.fraction :> float)
-        +. (t.cfg.loss_headroom_gain *. t.loss_ewma));
+        +. (loss_headroom_gain *. t.loss_ewma));
     match t.galloc with
     | Some inc -> Congestion.Waterfill.Inc.set_headroom inc (U.fraction t.eff_headroom)
     | None -> ()
@@ -1018,12 +1013,11 @@ let control_converged t =
   done;
   !ok
 
+(* Failure -> topology-discovery latency: twice the time a broadcast packet
+   needs to cross the rack diameter. *)
 let detection_delay t =
-  match t.cfg.detection_delay_ns with
-  | Some d -> d
-  | None ->
-      let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-      2 * Topology.diameter t.topo * (t.cfg.hop_latency_ns + tx)
+  let tx = Net.tx_time_ns t.net Wire.broadcast_size in
+  2 * Topology.diameter t.topo * (t.cfg.hop_latency_ns + tx)
 
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
@@ -1089,9 +1083,9 @@ let rcfg cfg =
   {
     Reliability.packets = 1;
     rtx_timeout_ns = cfg.rtx_timeout_ns;
-    max_retries = cfg.rtx_max_retries;
-    rtx_backoff = cfg.rtx_backoff;
-    rtx_cap_ns = cfg.rtx_cap_ns;
+    max_retries = rtx_max_retries;
+    rtx_backoff;
+    rtx_cap_ns;
   }
 
 let flow_complete t idx = Metrics.complete t.mtrcs (Metrics.find t.mtrcs idx)
@@ -1122,7 +1116,7 @@ let abort_flow t st =
    that window. *)
 let rec arm_retransmit t st ~seq ~bytes ~last =
   let n = Option.value ~default:0 (Hashtbl.find_opt st.rtx seq) in
-  if n >= t.cfg.rtx_max_retries then abort_flow t st
+  if n >= rtx_max_retries then abort_flow t st
   else begin
     Hashtbl.replace st.rtx seq (n + 1);
     Engine.after t.eng
@@ -1165,13 +1159,13 @@ let maybe_send_pause t pkt ~flow =
   if t.overload_on && Net.overloaded_links t.net > 0 then begin
     let dst = Net.route_last t.net pkt in
     let now = Engine.now t.eng in
-    if now - t.last_pause.(dst) >= t.cfg.pause_interval_ns then begin
+    if now - t.last_pause.(dst) >= pause_interval_ns then begin
       let len = Net.route_length t.net pkt in
       let l = Topology.find_link_id t.topo (Net.route_at t.net pkt (len - 2)) dst in
       if l >= 0 && Net.link_overloaded t.net ~link_id:l then
         match Hashtbl.find_opt t.all_states flow with
         | Some st
-          when st.priority >= t.cfg.pause_class
+          when st.priority >= pause_class
                && st.src <> dst && Net.node_up t.net st.src
                && Topology.reachable t.topo dst st.src ->
             t.last_pause.(dst) <- now;
@@ -1181,7 +1175,7 @@ let maybe_send_pause t pkt ~flow =
                 (Routing.ecmp_path t.rctx ~flow_id:(dst + (131 * st.src))
                    ~src:dst ~dst:st.src)
             in
-            Net.send_pause t.net ~node:st.src ~cls:t.cfg.pause_class ~level:1
+            Net.send_pause t.net ~node:st.src ~cls:pause_class ~level:1
               ~window_kbps:0 ~bytes:Wire.pause_size ~route;
             Net.release_route t.net route
         | _ -> ()
@@ -1322,7 +1316,7 @@ let rec announce_join t u =
     end;
     send_snapshot_reqs t u;
     if reliable t then
-      Engine.after t.eng t.cfg.rejoin_retry_ns (fun () -> announce_join t u)
+      Engine.after t.eng rejoin_retry_ns (fun () -> announce_join t u)
     else begin
       (* Without the reliable machinery there is no catch-up to await: the
          rejoin completes at the announcement. *)
@@ -1399,27 +1393,27 @@ let health_tick t h =
       h.prev_lost.(l) <- lost;
       if dtx > 0 then
         h.ewma.(l) <-
-          (t.cfg.health_alpha *. (float_of_int dlost /. float_of_int dtx))
-          +. ((1.0 -. t.cfg.health_alpha) *. h.ewma.(l))
-      else h.ewma.(l) <- (1.0 -. t.cfg.health_alpha) *. h.ewma.(l);
+          (health_alpha *. (float_of_int dlost /. float_of_int dtx))
+          +. ((1.0 -. health_alpha) *. h.ewma.(l))
+      else h.ewma.(l) <- (1.0 -. health_alpha) *. h.ewma.(l);
       (match Routing.link_health t.rctx u v with
       | Routing.Healthy ->
-          if h.ewma.(l) > t.cfg.quarantine_loss_threshold then begin
+          if h.ewma.(l) > quarantine_loss_threshold then begin
             Routing.note_suspect t.rctx u v;
             t.quarantines <- t.quarantines + 1;
             h.since.(l) <- now
           end
       | Routing.Quarantined ->
-          if now - h.since.(l) >= t.cfg.probation_ns then begin
+          if now - h.since.(l) >= probation_ns then begin
             Routing.note_probation t.rctx u v;
             t.probations <- t.probations + 1;
             h.since.(l) <- now
           end
       | Routing.Probation ->
-          if now - h.since.(l) >= t.cfg.probation_ns then begin
+          if now - h.since.(l) >= probation_ns then begin
             (* The probation trickle kept sampling the cable; the verdict
                is whatever the estimator saw of it. *)
-            if h.ewma.(l) > t.cfg.quarantine_loss_threshold then begin
+            if h.ewma.(l) > quarantine_loss_threshold then begin
               Routing.note_suspect t.rctx u v;
               t.quarantines <- t.quarantines + 1
             end
@@ -1442,7 +1436,7 @@ let rec health_loop t () =
   | Some h ->
       let demoted = health_tick t h in
       if demoted || Hashtbl.length t.active > 0 then
-        Engine.after t.eng t.cfg.health_interval_ns (health_loop t)
+        Engine.after t.eng health_interval_ns (health_loop t)
       else t.health_running <- false
 
 (* Started when the first flaky link is flagged — a clean run never runs a
@@ -1451,13 +1445,13 @@ let ensure_health_loop t =
   ignore (get_health t);
   if not t.health_running then begin
     t.health_running <- true;
-    Engine.after t.eng t.cfg.health_interval_ns (health_loop t)
+    Engine.after t.eng health_interval_ns (health_loop t)
   end
 
 let flaky_link_at t ~ns ?spike_ns u v ~loss ~spike =
   Engine.at t.eng ns (fun () ->
       Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed)
-        ~spike_ns:(Option.value ~default:t.cfg.flaky_spike_ns spike_ns)
+        ~spike_ns:(Option.value ~default:flaky_spike_ns spike_ns)
         u v ~loss ~spike;
       ensure_health_loop t)
 
@@ -1474,10 +1468,6 @@ let create cfg topo =
     invalid_arg "R2c2_sim: Per_node control builds its views from real broadcasts";
   if cfg.reliable_bcast && not cfg.real_broadcast then
     invalid_arg "R2c2_sim: reliable_bcast needs real broadcasts to protect";
-  if cfg.overload_control && cfg.pause_interval_ns <= 0 then
-    invalid_arg "R2c2_sim: pause_interval_ns must be positive";
-  if cfg.overload_control && cfg.pause_class < 0 then
-    invalid_arg "R2c2_sim: negative pause_class";
   let eng = Engine.create ~backend:cfg.engine_backend () in
   let net =
     Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps
@@ -1585,18 +1575,18 @@ let create cfg topo =
         (if cfg.overload_control then
            Some
              (Congestion.Overload.Admission.create
-                ~clean_epochs_to_recover:cfg.shed_recover_epochs
+                ~clean_epochs_to_recover:shed_recover_epochs
                 ~max_priority:(Metrics.max_class - 1) ())
          else None);
       pacers =
         (if cfg.overload_control then
            Array.init nverts (fun _ ->
-               Congestion.Overload.Pacer.create ~backoff:cfg.pause_backoff
-                 ~recovery:cfg.pause_recovery ~min_scale:cfg.pause_min_scale ())
+               Congestion.Overload.Pacer.create ~backoff:pause_backoff
+                 ~recovery:pause_recovery ~min_scale:pause_min_scale ())
          else [||]);
       pause_cls = (if cfg.overload_control then Array.make nverts max_int else [||]);
       last_pause =
-        (if cfg.overload_control then Array.make nverts (-cfg.pause_interval_ns)
+        (if cfg.overload_control then Array.make nverts (-pause_interval_ns)
          else [||]);
       shed_flows = 0;
       shed_payload = 0;
@@ -1857,25 +1847,8 @@ let node_view_ids t ~node =
 let node_allocations t ~node =
   if t.cfg.control <> Per_node then
     invalid_arg "R2c2_sim.node_allocations: Per_node control only";
-  let view : (int, fstate) Hashtbl.t =
-    Hashtbl.create (max 64 (Hashtbl.length t.views.(node)))
-  in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun flow () ->
-      match Hashtbl.find_opt t.all_states flow with
-      | Some st -> Hashtbl.replace view flow st
-      | None -> ())
-    t.views.(node);
-  let flows = Util.Tbl.sorted_values ~cmp:Int.compare view in
-  if Array.length flows = 0 then [||]
-  else begin
-    let wf = Array.map wf_of flows in
-    let rates =
-      Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
-        ~capacities:t.capacities wf
-    in
-    Array.mapi (fun i st -> (st.idx, rates.(i))) flows
-  end
+  let flows, rates = believed_allocation t ~node ~own:[] in
+  Array.mapi (fun i st -> (st.idx, rates.(i))) flows
 
 let diverged_nodes t =
   if t.cfg.control <> Per_node then 0

@@ -38,17 +38,10 @@ type config = {
       (** §3.4: when set, flows alive for at least one interval are
           periodically re-assigned RPS or VLB by the GA routing selector,
           and the new assignment is advertised in one batched broadcast *)
-  detection_delay_ns : int option;
-      (** latency from a physical failure to every node's topology map
-          reflecting it (§3.2 topology discovery); [None] = twice the time
-          a broadcast packet needs to cross the rack diameter *)
-  rtx_timeout_ns : int;  (** initial per-packet retransmission timeout *)
-  rtx_backoff : float;
-      (** timeout multiplier per retransmission of the same packet;
-          [<= 1.0] keeps a fixed period *)
-  rtx_cap_ns : int;  (** ceiling on the backed-off timeout *)
-  rtx_max_retries : int;
-      (** retransmissions per packet before the flow is aborted *)
+  rtx_timeout_ns : int;
+      (** initial per-packet retransmission timeout; it doubles per
+          retransmission of the same packet up to 1 ms, and a packet lost
+          again after 30 retransmissions aborts its flow *)
   reliable_bcast : bool;
       (** loss-tolerant control plane: every flow-event broadcast carries a
           per-(source, tree) sequence number, receivers run windows with
@@ -57,33 +50,12 @@ type config = {
           full-state sync on genuine divergence. Requires
           [real_broadcast] *)
   digest_interval_ns : int;  (** anti-entropy beacon period per source *)
-  nack_delay_ns : int;
-      (** delay from gap detection to the NACK (and between retries) *)
   bcast_log_cap : int;  (** origin replay-log depth per tree *)
   control_loss : Util.Units.fraction;
       (** chaos: per-hop control-packet loss probability, [0, 1) *)
   control_reorder : Util.Units.fraction;
       (** per-hop extra-delay (reorder) probability *)
   control_dup : Util.Units.fraction;  (** per-hop duplication probability *)
-  loss_headroom_gain : float;
-      (** graceful degradation: the waterfill reserves
-          [min max_headroom (headroom + gain * loss EWMA)] instead of the
-          static [headroom], so stale views overbook less under loss; a
-          dimensionless gain, so a raw float *)
-  max_headroom : Util.Units.fraction;
-  flaky_spike_ns : int;
-      (** default extra latency of a gray-failure spike ({!flaky_link_at}) *)
-  health_interval_ns : int;  (** per-neighbor health estimator tick period *)
-  health_alpha : float;
-      (** EWMA gain of the per-cable loss estimate; higher reacts faster *)
-  quarantine_loss_threshold : float;
-      (** estimated loss rate above which a cable is quarantined *)
-  probation_ns : int;
-      (** dwell time in quarantine before probation, and in probation
-          before the recovery verdict *)
-  rejoin_retry_ns : int;
-      (** period between JOIN re-announcements while a restarted node is
-          still catching up *)
   queue_high_watermark : int;
       (** overload detection: a link whose queue exceeds this many bytes is
           flagged overloaded; [max_int] (the default) disables detection and
@@ -93,20 +65,12 @@ type config = {
   overload_control : bool;
       (** master switch for strict-priority admission shedding and PAUSE
           backpressure; needs [queue_high_watermark] to be armed to ever
-          see an overloaded epoch *)
-  pause_interval_ns : int;
-      (** a congested receiver emits at most one PAUSE per this period *)
-  pause_class : int;
-      (** backpressure covers classes numerically >= this (lower priority);
-          classes above it are never paced — their tail latency is what the
-          mechanism defends *)
-  pause_backoff : float;
-      (** multiplicative pacing decrease per PAUSE level, in (0, 1) *)
-  pause_recovery : float;  (** additive pacing recovery per clean epoch *)
-  pause_min_scale : float;  (** pacing-scale floor, in (0, 1] *)
-  shed_recover_epochs : int;
-      (** consecutive clean epochs before the shed floor re-admits one
-          class — the admission-side hysteresis *)
+          see an overloaded epoch. Its constants: a congested receiver
+          emits at most one PAUSE per 50 µs; backpressure covers classes
+          numerically >= 1, so class 0 is never paced; each PAUSE level
+          halves the pacing scale, floored at 0.05, and each clean epoch
+          adds 0.1 back; the shed floor re-admits one class after 3
+          consecutive clean epochs *)
   slos : (int * int) list;
       (** per-class SLO promises [(priority, fct_bound_ns)], installed into
           {!Metrics.set_slo} at {!create} *)
@@ -126,10 +90,20 @@ type config = {
 
 val default_config : config
 (** 10 Gbps, 100 ns hops, 5% headroom, rho = 500 µs, 1500-byte MTU, real
-    broadcasts, unbounded queues, global-epoch control, auto detection
-    delay, 50 µs retransmission timeout doubling up to 1 ms, 30 retries,
-    seed 1. Reliable broadcast off, digests every 100 µs, 20 µs NACK
-    delay, 64 Ki replay log, no chaos, headroom gain 2 capped at 30%. *)
+    broadcasts, unbounded queues, global-epoch control, 50 µs
+    retransmission timeout, seed 1. Reliable broadcast off, digests every
+    100 µs, 64 Ki replay log, no chaos.
+
+    Fixed for every run: failure detection takes twice the time a
+    broadcast packet needs to cross the rack diameter (§3.2 topology
+    discovery); a gap is NACKed (and re-NACKed) every 20 µs; under
+    reliable broadcast the waterfill reserves
+    [min 0.30 (headroom + 2 * loss EWMA)] instead of the static
+    [headroom], so stale views overbook less under loss. *)
+
+val rejoin_retry_ns : int
+(** 500 µs: the period between JOIN re-announcements while a restarted
+    node is still catching up. *)
 
 type failure = {
   kind : string;
@@ -286,7 +260,7 @@ val restore_node_at : t -> ns:int -> int -> unit
     receiver re-keys its windows for that root and drops its pre-crash
     flows), plus per-origin snapshot requests answered over the
     anti-entropy full-state sync path. The rejoin is re-announced every
-    [rejoin_retry_ns] until the node is sequence-caught-up with every
+    {!rejoin_retry_ns} until the node is sequence-caught-up with every
     reachable origin, at which point {!Metrics.note_rejoin} stamps it. *)
 
 val crash_node_at : t -> ns:int -> int -> unit
@@ -295,11 +269,12 @@ val restart_node_at : t -> ns:int -> int -> unit
 (** {2 Gray failures}
 
     A flaky cable stays up but intermittently loses packets and spikes its
-    latency. A per-neighbor EWMA health estimator (ticking every
-    [health_interval_ns] once a flaky link exists) feeds the {!Routing}
-    quarantine state machine, which {e demotes} — rather than deletes —
-    suspect cables from spraying fractions and VLB waypoint choice, with
-    probation-based unquarantine. *)
+    latency. A per-neighbor EWMA health estimator (ticking every 50 µs
+    once a flaky link exists, weight 0.3 on the newest interval) feeds the
+    {!Routing} quarantine state machine, which {e demotes} — rather than
+    deletes — suspect cables whose loss estimate exceeds 2% from spraying
+    fractions and VLB waypoint choice, with probation-based unquarantine
+    (500 µs dwell in quarantine, and again in probation). *)
 
 val flaky_link_at :
   t ->
@@ -311,8 +286,7 @@ val flaky_link_at :
   spike:Util.Units.fraction ->
   unit
 (** [flaky_link_at t ~ns u v ~loss ~spike] flags the cable between adjacent
-    [u] and [v] at time [ns]; [spike_ns] defaults to the config's
-    [flaky_spike_ns]. *)
+    [u] and [v] at time [ns]; [spike_ns] defaults to 2 µs. *)
 
 val unflaky_link_at : t -> ns:int -> int -> int -> unit
 
@@ -380,8 +354,8 @@ val shed_floor : t -> int
     controller is off). *)
 
 val pacer_scale : t -> node:int -> float
-(** The node's current backpressure pacing multiplier in
-    [[pause_min_scale, 1]]; 1 when the controller is off. *)
+(** The node's current backpressure pacing multiplier in [[0.05, 1]]; 1
+    when the controller is off. *)
 
 (** {2 Batch API — pre-generated workloads} *)
 

@@ -245,21 +245,6 @@ let alive_vertex_count t =
   Array.iter (fun up -> if up then incr n) t.node_up;
   !n
 
-let failed_nodes t =
-  let acc = ref [] in
-  for u = t.nverts - 1 downto 0 do
-    if not t.node_up.(u) then acc := u :: !acc
-  done;
-  !acc
-
-let failed_links t =
-  (* Explicitly failed cables, each reported once as (u, v) with u < v. *)
-  let acc = ref [] in
-  for l = Array.length t.link_failed - 1 downto 0 do
-    if t.link_failed.(l) && t.lsrc.(l) < t.ldst.(l) then acc := (t.lsrc.(l), t.ldst.(l)) :: !acc
-  done;
-  !acc
-
 let cable_ids t u v =
   match (find_link t u v, find_link t v u) with
   | Some a, Some b -> (a, b)
@@ -324,27 +309,6 @@ let restore_node t u =
   if not t.node_up.(u) then begin
     t.node_up.(u) <- true;
     (* A node coming back can shorten arbitrary paths; flush everything. *)
-    Hashtbl.reset t.dist_cache;
-    t.version <- t.version + 1
-  end
-
-let restore_all t =
-  let changed = ref false in
-  Array.iteri
-    (fun l f ->
-      if f then begin
-        t.link_failed.(l) <- false;
-        changed := true
-      end)
-    t.link_failed;
-  Array.iteri
-    (fun u up ->
-      if not up then begin
-        t.node_up.(u) <- true;
-        changed := true
-      end)
-    t.node_up;
-  if !changed then begin
     Hashtbl.reset t.dist_cache;
     t.version <- t.version + 1
   end

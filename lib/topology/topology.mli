@@ -96,9 +96,6 @@ val fail_node : t -> node -> unit
 val restore_node : t -> node -> unit
 (** Undo {!fail_node}. Idempotent. *)
 
-val restore_all : t -> unit
-(** Clear every failed link and node. *)
-
 val link_alive : t -> link_id -> bool
 (** A directed link is alive iff it is not failed and both endpoints are up. *)
 
@@ -106,12 +103,6 @@ val node_alive : t -> node -> bool
 
 val alive_vertex_count : t -> int
 (** Number of vertices currently up (switches included). *)
-
-val failed_links : t -> (node * node) list
-(** Explicitly failed cables, each once as [(u, v)] with [u < v] (cables
-    dead only because an endpoint is down are not listed). *)
-
-val failed_nodes : t -> node list
 
 val version : t -> int
 (** Monotonic counter bumped by every effective fail/restore; consumers

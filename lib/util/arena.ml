@@ -112,7 +112,6 @@ module Ints = struct
     mutable next_fresh : int;
     by_len : (int, int) Hashtbl.t;  (* length -> free-list head handle *)
     mutable live : int;
-    mutable live_words : int;
   }
 
   let empty = 2
@@ -130,12 +129,10 @@ module Ints = struct
          handful of hop counts even on the 8x8x8 torus. *)
       by_len = Hashtbl.create 16;
       live = 0;
-      live_words = 0;
     }
 
   let data p = p.store
   let live p = p.live
-  let live_words p = p.live_words
   let length p s = A1.unsafe_get p.store (s - 2)
   let refcount p s = A1.unsafe_get p.store (s - 1)
   let get p s i = A1.unsafe_get p.store (s + i)
@@ -175,7 +172,6 @@ module Ints = struct
         A1.unsafe_set p.store (s + i) a.(i)
       done;
       p.live <- p.live + 1;
-      p.live_words <- p.live_words + len;
       s
     end
 
@@ -196,8 +192,7 @@ module Ints = struct
         let head = match Hashtbl.find_opt p.by_len len with Some h -> h | None -> -1 in
         A1.unsafe_set p.store s head;
         Hashtbl.replace p.by_len len s;
-        p.live <- p.live - 1;
-        p.live_words <- p.live_words - len
+        p.live <- p.live - 1
       end
     end
 end

@@ -94,8 +94,6 @@ module Ints : sig
   val live : pool -> int
   (** Live slice count. *)
 
-  val live_words : pool -> int
-
   val data : pool -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
   (** Backing store; element [i] of slice [s] lives at index [s + i].
       Replaced on growth, so re-fetch after any allocation. *)

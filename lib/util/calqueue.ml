@@ -24,7 +24,7 @@ type t = {
   mutable in_wheel : int;
   mutable cursor : int;  (* no nonempty bucket lies below this slot *)
   mutable overflow_pushes : int;
-  mutable last_time : int;  (* time of the entry removed by [pop_fast] *)
+  mutable last_time : int;  (* time of the entry removed by [pop_until] *)
 }
 
 let create ?(wheel = 16384) ?(start = 0) () =
@@ -174,16 +174,8 @@ let pop_until t ~until =
     end
   end
 
-let pop_fast t = pop_until t ~until:max_int
-
-let peek_time_fast t =
-  if t.in_wheel > 0 then t.win_start + scan t else Heap.peek_prio t.overflow
-
 let[@inline] popped_time t = t.last_time
 
-let peek_time t =
-  match peek_time_fast t with -1 -> None | time -> Some time
-
 let pop t =
-  let id = pop_fast t in
+  let id = pop_until t ~until:max_int in
   if id < 0 then None else Some (t.last_time, id)

@@ -37,22 +37,12 @@ val add : t -> time:int -> int -> unit
 val pop : t -> (int * int) option
 (** Remove the minimum (time, insertion-order) entry as [(time, payload)]. *)
 
-val peek_time : t -> int option
-(** Time of the next entry without removing it. *)
-
 (** {2 Allocation-free variants}
 
     The engine's hot loop drains millions of events; the option/tuple
-    results above would cost ~7 heap words per event. These return plain
+    result above would cost ~7 heap words per event. These return plain
     ints instead, with [-1] as the empty marker — callers must therefore
     only schedule non-negative times. *)
-
-val peek_time_fast : t -> int
-(** Time of the next entry, or [-1] when the queue is empty. *)
-
-val pop_fast : t -> int
-(** Remove the minimum entry and return its payload, or [-1] when empty.
-    The removed entry's time is readable via {!popped_time}. *)
 
 val pop_until : t -> until:int -> int
 (** One drain step in a single bitmap scan: remove the minimum entry and
@@ -62,7 +52,7 @@ val pop_until : t -> until:int -> int
     both a pop and a [-2]. *)
 
 val popped_time : t -> int
-(** Time of the entry last removed by {!pop_fast} / {!pop_until}; [-1]
+(** Time of the entry last removed by {!pop} / {!pop_until}; [-1]
     before any pop. *)
 
 val size : t -> int

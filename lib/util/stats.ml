@@ -96,7 +96,3 @@ let summarize xs =
       min = ys.(0);
     }
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g p999=%.3g max=%.3g" s.count
-    s.mean s.p50 s.p95 s.p99 s.p999 s.max

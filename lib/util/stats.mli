@@ -36,5 +36,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** All-zero summary on an empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -40,7 +40,6 @@ external ticks : int -> ticks = "%identity"
 external to_float : 'u t -> float = "%identity"
 external ticks_to_int : ticks -> int = "%identity"
 
-let bytes_of_int i = float_of_int i
 let ns_of_int i = float_of_int i
 
 let rate_of ~amount ~dt = amount /. dt
@@ -53,9 +52,6 @@ let bits_of_bytes b = b *. 8.0
 let bytes_of_bits b = b /. 8.0
 let gbps_of_byte_rate r = r *. 8.0
 let byte_rate_of_gbps g = g /. 8.0
-
-let seconds_of_ns t = t *. 1e-9
-let ns_of_seconds s = s *. 1e9
 
 let zero = 0.0
 let add a b = a +. b

@@ -101,10 +101,6 @@ external to_float : 'u t -> float = "%identity"
 
 external ticks_to_int : ticks -> int = "%identity"
 
-val bytes_of_int : int -> bytes
-(** [float_of_int] then {!bytes} — for the [int]-typed packet and payload
-    sizes crossing into rate math. *)
-
 val ns_of_int : int -> ns
 (** [float_of_int] then {!ns} — for engine timestamps entering rate
     math. *)
@@ -146,12 +142,6 @@ val gbps_of_byte_rate : byte_rate -> gbps
 
 val byte_rate_of_gbps : gbps -> byte_rate
 (** [/. 8.0] *)
-
-val seconds_of_ns : ns -> seconds
-(** [*. 1e-9] *)
-
-val ns_of_seconds : seconds -> ns
-(** [*. 1e9] *)
 
 (** {2 Same-unit algebra} *)
 

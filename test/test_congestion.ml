@@ -118,6 +118,32 @@ let invalid_inputs_rejected () =
         (allocate ~headroom:1.0 ~capacities:[| 1.0 |]
            [| wf ~id:0 [| (0, 1.0) |] |]))
 
+(* [allocate] keys flows by array slot: [id] is opaque and may repeat. *)
+let repeated_ids_by_slot () =
+  let flows = [| wf ~id:7 [| (0, 1.0) |]; wf ~demand:2.0 ~id:7 [| (0, 1.0) |] |] in
+  let rates = allocate ~capacities:[| 10.0 |] flows in
+  Alcotest.(check (float 1e-9)) "first slot takes the rest" 8.0 rates.(0);
+  Alcotest.(check (float 1e-9)) "second slot capped at its demand" 2.0 rates.(1)
+
+(* Nothing constrains a flow without links: it gets its demand, or 0. *)
+let linkless_flows () =
+  let flows = [| wf ~id:0 [||]; wf ~demand:3.0 ~id:1 [||]; wf ~id:2 [| (0, 1.0) |] |] in
+  let rates = allocate ~capacities:[| 10.0 |] flows in
+  Alcotest.(check (float 1e-9)) "no demand: 0" 0.0 rates.(0);
+  Alcotest.(check (float 1e-9)) "demand met" 3.0 rates.(1);
+  Alcotest.(check (float 1e-9)) "linked flow unaffected" 10.0 rates.(2)
+
+let headroom_checked_before_flows () =
+  Alcotest.check_raises "headroom first" (Invalid_argument "Waterfill: headroom out of range")
+    (fun () ->
+      ignore
+        (allocate ~headroom:1.0 ~capacities:[| 1.0 |]
+           [| wf ~weight:0.0 ~id:0 [| (0, 1.0) |] |]));
+  Alcotest.check_raises "negative demand" (Invalid_argument "Waterfill: negative demand")
+    (fun () -> ignore (allocate ~capacities:[| 1.0 |] [| wf ~demand:(-1.0) ~id:0 [||] |]));
+  Alcotest.check_raises "zero fraction" (Invalid_argument "Waterfill: non-positive fraction")
+    (fun () -> ignore (allocate ~capacities:[| 1.0 |] [| wf ~id:0 [| (0, 0.0) |] |]))
+
 (* Random instances for the property tests. *)
 let gen_instance =
   QCheck.Gen.(
@@ -299,6 +325,9 @@ let suites =
         tc "fractional link loads" fractional_load;
         tc "empty flow list" empty_flow_list;
         tc "invalid inputs rejected" invalid_inputs_rejected;
+        tc "repeated ids allocate by slot" repeated_ids_by_slot;
+        tc "link-less flows get 0 or their demand" linkless_flows;
+        tc "headroom checked before flows" headroom_checked_before_flows;
         QCheck_alcotest.to_alcotest qcheck_capacity_feasible;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference_dense;

@@ -213,6 +213,60 @@ let view_dedups_duplicates () =
   Alcotest.(check bool) "views agree" true
     (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
 
+(* A digest delayed past newer events on its tree hashes a state the
+   replica has already left behind: that is not divergence, and answering
+   [Diverged] would cost a needless full sync. *)
+let view_stale_digest_is_not_divergence () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  R2c2.Stack.on_broadcast_seq st (feed view);
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:3);
+  let kept = R2c2.Stack.emit_digests st in
+  ignore (R2c2.Stack.open_flow st ~src:1 ~dst:4);
+  ignore (R2c2.Stack.open_flow st ~src:2 ~dst:5);
+  let d =
+    match kept with
+    | [ d ] -> d
+    | _ -> Alcotest.fail "one event rode one tree"
+  in
+  Alcotest.(check int) "kept digest covers the first event only" 0 d.Wire.last_seq;
+  Alcotest.(check int) "replica moved past it" 2
+    (R2c2.View.next_expected view ~tree:d.Wire.dtree);
+  match R2c2.View.observe_digest view d with
+  | R2c2.View.Synced -> ()
+  | R2c2.View.Diverged -> Alcotest.fail "stale digest read as divergence"
+  | R2c2.View.Gaps _ -> Alcotest.fail "no sequence is missing"
+
+(* A caught-up replica whose flow set is wrong — positions right, content
+   not — is genuine divergence; a full sync clears it. *)
+let view_caught_up_wrong_set_diverges () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  R2c2.Stack.on_broadcast_seq st (feed view);
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:3);
+  ignore (R2c2.Stack.open_flow st ~src:1 ~dst:4);
+  R2c2.View.sync view ~flows:[]
+    ~last_seqs:(Array.init trees (fun tree -> R2c2.Stack.last_seq st ~tree));
+  Alcotest.(check bool) "caught up" true (R2c2.View.caught_up view);
+  let verdicts () =
+    List.map
+      (fun d ->
+        match R2c2.View.observe_digest view d with
+        | R2c2.View.Synced -> "synced"
+        | R2c2.View.Diverged -> "diverged"
+        | R2c2.View.Gaps _ -> "gaps")
+      (R2c2.Stack.emit_digests st)
+  in
+  let before = verdicts () in
+  Alcotest.(check bool) "digests seen" true (before <> []);
+  Alcotest.(check (list string)) "every digest reports divergence"
+    (List.map (fun _ -> "diverged") before) before;
+  R2c2.Stack.sync_view st view;
+  Alcotest.(check (list string)) "synced after repair"
+    (List.map (fun _ -> "synced") before) (verdicts ())
+
 (* -- Stack: watchdog full-state sync and loss-scaled headroom -------------- *)
 
 let watchdog_repairs_diverged_view () =
@@ -500,6 +554,8 @@ let suites =
         tc "view NACK repair heals all loss" view_nack_repair_heals_all_loss;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;
+        tc "view ignores a stale digest" view_stale_digest_is_not_divergence;
+        tc "caught-up view with wrong set diverges" view_caught_up_wrong_set_diverges;
         tc "watchdog repairs diverged view" watchdog_repairs_diverged_view;
         tc "loss EWMA scales headroom" loss_ewma_scales_headroom;
         tc "chaos is seed-deterministic" chaos_is_deterministic;
