@@ -1,0 +1,237 @@
+(* One table for every receive window and believed flow set of a rack, or
+   of a single library replica. Pure data structure: timers, packets and
+   the origin side ([Rbcast]) stay with the caller. A row is one (replica,
+   origin) pair; its windows are [row * trees] to [row * trees + trees - 1]. *)
+
+type t = {
+  replicas : int;
+  origins : int;
+  trees : int;
+  (* Window columns; empty until first use, because on a rack-wide table
+     each one is a large major-heap block. *)
+  mutable next : int array;  (* next expected sequence number *)
+  mutable hi : int array;  (* highest sequence heard of; -1 = none *)
+  mutable inc : int array;  (* origin incarnation the window is keyed to *)
+  mutable armed : Bytes.t;  (* the caller's repair-timer latch *)
+  mutable dups : int array;  (* per replica: duplicates absorbed *)
+  buffer : (int, int) Hashtbl.t;
+      (* out-of-order events, keyed [seq * windows + window]; a window's
+         buffered events all lie in its [next + 1 .. hi] *)
+  (* Believed sets, also empty until first use. *)
+  mutable sets : (int, int) Hashtbl.t array;  (* per replica: id -> origin *)
+  mutable hashes : int array;  (* per row: the slice's set hash *)
+  mutable sizes : int array;  (* per row: the slice's size *)
+}
+
+let create ~replicas ~origins ~trees =
+  if replicas < 1 || origins < 1 || trees < 1 then invalid_arg "Replicas.create";
+  { replicas; origins; trees; next = [||]; hi = [||]; inc = [||]; armed = Bytes.empty;
+    dups = [||]; buffer = Hashtbl.create 16; sets = [||]; hashes = [||]; sizes = [||] }
+
+(* SplitMix64's finalizer, with its constants cut to 63 bits. *)
+let id_hash id =
+  let z = id + 0x1E3779B97F4A7C15 in
+  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+  z lxor (z lsr 31)
+
+let windows t = t.replicas * t.origins * t.trees
+let window t ~replica ~origin ~tree = (((replica * t.origins) + origin) * t.trees) + tree
+let key t w seq = (seq * windows t) + w
+
+(* Before first use every window and slice reads as a fresh one. *)
+let read col i ~fresh = if Array.length col = 0 then fresh else col.(i)
+let next_expected t w = read t.next w ~fresh:0
+let highest_heard t w = read t.hi w ~fresh:(-1)
+let incarnation t w = read t.inc w ~fresh:0
+let hash t ~replica ~origin = read t.hashes ((replica * t.origins) + origin) ~fresh:0
+let size t ~replica ~origin = read t.sizes ((replica * t.origins) + origin) ~fresh:0
+let duplicates t = Array.fold_left ( + ) 0 t.dups
+
+let ensure_windows t =
+  if Array.length t.next = 0 then begin
+    let n = windows t in
+    t.next <- Array.make n 0;
+    t.hi <- Array.make n (-1);
+    t.inc <- Array.make n 0;
+    t.armed <- Bytes.make n '\000';
+    t.dups <- Array.make t.replicas 0
+  end
+
+(* -- receive windows ------------------------------------------------------- *)
+
+let drop_buffered t w ~below =
+  for s = t.next.(w) + 1 to min (below - 1) t.hi.(w) do
+    Hashtbl.remove t.buffer (key t w s)
+  done
+
+let reset t w ~inc =
+  drop_buffered t w ~below:max_int;
+  t.next.(w) <- 0;
+  t.hi.(w) <- -1;
+  t.inc.(w) <- inc;
+  Bytes.set t.armed w '\000'
+
+let rekey t w ~inc = inc > incarnation t w && (ensure_windows t; reset t w ~inc; true)
+
+let admit t w ~inc =
+  ignore (rekey t w ~inc);
+  inc >= incarnation t w
+
+type receipt = Delivered | Duplicate | Buffered
+
+let rec drain t w ~deliver =
+  match Hashtbl.find t.buffer (key t w t.next.(w)) with
+  | ev ->
+      Hashtbl.remove t.buffer (key t w t.next.(w));
+      t.next.(w) <- t.next.(w) + 1;
+      deliver ev;
+      drain t w ~deliver
+  | exception Not_found -> ()
+
+let receive t w ~seq ev ~deliver =
+  if seq < 0 then invalid_arg "Replicas.receive: negative seq";
+  ensure_windows t;
+  if seq > t.hi.(w) then t.hi.(w) <- seq;
+  let next = t.next.(w) in
+  if seq < next || Hashtbl.mem t.buffer (key t w seq) then begin
+    let r = w / (t.origins * t.trees) in
+    t.dups.(r) <- t.dups.(r) + 1;
+    Duplicate
+  end
+  else if seq = next then begin
+    t.next.(w) <- next + 1;
+    deliver ev;
+    drain t w ~deliver;
+    Delivered
+  end
+  else begin
+    Hashtbl.replace t.buffer (key t w seq) ev;
+    Buffered
+  end
+
+let missing t w =
+  let upto = highest_heard t w in
+  let out = ref [] and from = ref (-1) in
+  for s = next_expected t w to upto do
+    if Hashtbl.mem t.buffer (key t w s) then begin
+      if !from >= 0 then out := (!from, s - 1) :: !out;
+      from := -1
+    end
+    else if !from < 0 then from := s
+  done;
+  if !from >= 0 then out := (!from, upto) :: !out;
+  List.rev !out
+
+let row_caught_up t row =
+  let ok = ref true in
+  for w = row * t.trees to ((row + 1) * t.trees) - 1 do
+    if next_expected t w <= highest_heard t w then ok := false
+  done;
+  !ok
+
+let caught_up t ~replica ~origin = row_caught_up t ((replica * t.origins) + origin)
+
+let arm t w =
+  ensure_windows t;
+  Bytes.get t.armed w = '\000' && (Bytes.set t.armed w '\001'; true)
+
+let disarm t w = if Array.length t.next > 0 then Bytes.set t.armed w '\000'
+
+(* -- believed sets --------------------------------------------------------- *)
+
+let add t ~replica ~origin id =
+  if Array.length t.sets = 0 then begin
+    t.sets <- Array.init t.replicas (fun _ -> Hashtbl.create (max 32 t.origins));
+    t.hashes <- Array.make (t.replicas * t.origins) 0;
+    t.sizes <- Array.make (t.replicas * t.origins) 0
+  end;
+  if not (Hashtbl.mem t.sets.(replica) id) then begin
+    Hashtbl.replace t.sets.(replica) id origin;
+    let row = (replica * t.origins) + origin in
+    t.hashes.(row) <- t.hashes.(row) + id_hash id;
+    t.sizes.(row) <- t.sizes.(row) + 1
+  end
+
+let remove t ~replica id =
+  if Array.length t.sets > 0 then
+    match Hashtbl.find t.sets.(replica) id with
+    | origin ->
+        Hashtbl.remove t.sets.(replica) id;
+        let row = (replica * t.origins) + origin in
+        t.hashes.(row) <- t.hashes.(row) - id_hash id;
+        t.sizes.(row) <- t.sizes.(row) - 1
+    | exception Not_found -> ()
+
+let apply t ~replica ~origin ev =
+  if ev >= 0 then
+    if ev land 1 = 0 then add t ~replica ~origin (ev lsr 1) else remove t ~replica (ev lsr 1)
+
+let believed t ~replica =
+  if Array.length t.sets = 0 then [||]
+  else Util.Tbl.sorted_keys ~cmp:Int.compare t.sets.(replica)
+
+let replica_hash t ~replica =
+  let h = ref 0 in
+  for origin = 0 to t.origins - 1 do
+    h := !h + hash t ~replica ~origin
+  done;
+  !h
+
+let clear_slice t ~replica ~origin =
+  if size t ~replica ~origin > 0 then begin
+    (* Order-independent: drops exactly the origin's members. *)
+    Hashtbl.filter_map_inplace (fun _ o -> if o = origin then None else Some o) t.sets.(replica);
+    t.hashes.((replica * t.origins) + origin) <- 0;
+    t.sizes.((replica * t.origins) + origin) <- 0
+  end
+
+(* -- anti-entropy and membership ------------------------------------------- *)
+
+type verdict = Synced | Gaps | Diverged
+
+let digest t w ~last_seq ~hash:h =
+  ensure_windows t;
+  if last_seq > t.hi.(w) then t.hi.(w) <- last_seq;
+  let next = t.next.(w) and row = w / t.trees in
+  (* A delayed digest hashes a state the replica has already left. *)
+  if next <= last_seq then Gaps
+  else if next = last_seq + 1 && h <> read t.hashes row ~fresh:0 && row_caught_up t row then Diverged
+  else Synced
+
+let sync t ~replica ~origin ~ids ~last_seqs ~deliver =
+  if Array.length last_seqs <> t.trees then invalid_arg "Replicas.sync: last_seqs";
+  clear_slice t ~replica ~origin;
+  List.iter (add t ~replica ~origin) ids;
+  ensure_windows t;
+  Array.iteri
+    (fun tree last ->
+      let w = window t ~replica ~origin ~tree in
+      if last > t.hi.(w) then t.hi.(w) <- last;
+      if last >= t.next.(w) then begin
+        drop_buffered t w ~below:(last + 1);
+        t.next.(w) <- last + 1;
+        drain t w ~deliver
+      end)
+    last_seqs
+
+let join t ~replica ~origin ~inc =
+  let base = window t ~replica ~origin ~tree:0 in
+  let stale = inc < incarnation t base and reset = ref false in
+  for w = base to base + t.trees - 1 do
+    if rekey t w ~inc then reset := true
+  done;
+  if !reset then (clear_slice t ~replica ~origin; `Reset) else if stale then `Stale else `Current
+
+let clear t ~replica =
+  if Array.length t.next > 0 then begin
+    for w = replica * t.origins * t.trees to ((replica + 1) * t.origins * t.trees) - 1 do
+      reset t w ~inc:0
+    done;
+    t.dups.(replica) <- 0
+  end;
+  if Array.length t.sets > 0 then begin
+    Hashtbl.reset t.sets.(replica);
+    Array.fill t.hashes (replica * t.origins) t.origins 0;
+    Array.fill t.sizes (replica * t.origins) t.origins 0
+  end

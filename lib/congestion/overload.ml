@@ -92,3 +92,13 @@ module Pacer = struct
   let note_clean_epoch t = t.scale <- Float.min 1.0 (t.scale +. t.recovery)
   let reset t = t.scale <- 1.0
 end
+
+module Loss_headroom = struct
+  let cap = Util.Units.fraction 0.30
+  let gain = 2.0
+
+  let ewma e ~lost ~sent = (0.8 *. e) +. (0.2 *. (float_of_int lost /. float_of_int sent))
+
+  let effective ~headroom e =
+    Float.min (cap :> float) ((headroom : Util.Units.fraction :> float) +. (gain *. e))
+end

@@ -1,6 +1,7 @@
 (** Overload control shared by the simulator and the application stack:
-    strict-priority admission/shedding with hysteresis, and an AIMD
-    backpressure pacer driven by PAUSE packets.
+    strict-priority admission/shedding with hysteresis, an AIMD
+    backpressure pacer driven by PAUSE packets, and the loss-scaled
+    headroom.
 
     Both machines are driven once per rate epoch and are allocation-free
     after construction. *)
@@ -54,4 +55,17 @@ module Pacer : sig
 
   val note_clean_epoch : t -> unit
   val reset : t -> unit
+end
+
+(** Graceful degradation under control-packet loss, for both control
+    planes: the loss EWMA (newest interval weighted 0.2) widens the
+    waterfill reserve to [min cap (headroom + 2 * ewma)], so stale peer
+    views overbook less while repairs are in flight. *)
+module Loss_headroom : sig
+  val cap : Util.Units.fraction  (** 0.30 *)
+
+  val ewma : float -> lost:int -> sent:int -> float
+  (** The estimate after an interval that lost [lost] of [sent > 0]. *)
+
+  val effective : headroom:Util.Units.fraction -> float -> float
 end

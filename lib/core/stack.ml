@@ -6,9 +6,6 @@ type config = {
   trees_per_source : int;
   default_protocol : Routing.protocol;
   selection_choices : Routing.protocol array;
-  loss_headroom_gain : float;
-  max_headroom : U.fraction;
-  shed_recover_epochs : int;
 }
 
 let default_config =
@@ -18,9 +15,6 @@ let default_config =
     trees_per_source = 4;
     default_protocol = Routing.Rps;
     selection_choices = [| Routing.Rps; Routing.Vlb |];
-    loss_headroom_gain = 2.0;
-    max_headroom = U.fraction 0.30;
-    shed_recover_epochs = 3;
   }
 
 (* Priority classes the admission machinery distinguishes: one above the
@@ -75,12 +69,6 @@ type t = {
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
-  if config.loss_headroom_gain < 0.0 then
-    invalid_arg "Stack.create: loss_headroom_gain < 0";
-  if
-    U.compare_q config.max_headroom config.headroom < 0
-    || (config.max_headroom :> float) >= 1.0
-  then invalid_arg "Stack.create: max_headroom out of [headroom, 1)";
   let capacities =
     Array.make (Topology.link_count topo) (U.byte_rate_of_gbps config.link_gbps)
   in
@@ -103,10 +91,7 @@ let create ?(config = default_config) ?(seed = 1) topo =
     eff_headroom = (config.headroom :> float);
     capacities;
     alloc = Congestion.Waterfill.Inc.create ~headroom:config.headroom ~capacities ();
-    admission =
-      Congestion.Overload.Admission.create
-        ~clean_epochs_to_recover:config.shed_recover_epochs
-        ~max_priority:max_shed_class ();
+    admission = Congestion.Overload.Admission.create ~max_priority:max_shed_class ();
     shed_flows = 0;
   }
 
@@ -332,12 +317,12 @@ let syncs_sent t = t.syncs_sent
 let event_retransmits t = t.event_retransmits
 let last_seq t ~tree = Rbcast.last_seq t.origin ~tree
 
-let matrix_hash t =
-  Rbcast.hash_ids (Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare t.flows))
+(* Every path that changes [t.flows] marks the origin's live set too. *)
+let matrix_hash t = Int64.of_int (Rbcast.state_hash t.origin)
 
 let emit_digests ?(src = 0) t =
   let epoch = Rbcast.bump_epoch t.origin in
-  let hash = Rbcast.state_hash t.origin in
+  let hash = matrix_hash t in
   let ds = ref [] in
   for tree = t.cfg.trees_per_source - 1 downto 0 do
     let last = Rbcast.last_seq t.origin ~tree in
@@ -379,18 +364,12 @@ let replay_range t ~tree ~from_seq ~to_seq =
   if !items = [] then None else Some (Wire.encode_batch !items)
 
 let sync_view t view =
-  let fl = flow_array t in
-  let flows =
-    Array.to_list (Array.map (fun f -> (f.id, pkt_of_flow f Wire.Flow_start)) fl)
-  in
-  let last_seqs =
-    Array.init t.cfg.trees_per_source (fun tree -> Rbcast.last_seq t.origin ~tree)
-  in
+  let flows, last_seqs = Rbcast.snapshot t.origin in
   View.sync view ~flows ~last_seqs;
   t.syncs_sent <- t.syncs_sent + 1;
   t.reliability_bytes <-
     t.reliability_bytes
-    + Control_traffic.sync_bytes ~flows:(Array.length fl) ~trees:t.cfg.trees_per_source
+    + Control_traffic.sync_bytes ~flows:(List.length flows) ~trees:t.cfg.trees_per_source
 
 let watchdog t views =
   let h = matrix_hash t in
@@ -439,13 +418,9 @@ let snapshot_request ?(requester = 0) t ~root =
 let note_control_loss t ~sent ~lost =
   if sent < 0 || lost < 0 || lost > sent then invalid_arg "Stack.note_control_loss";
   if sent > 0 then begin
-    let observed = float_of_int lost /. float_of_int sent in
-    t.loss_ewma <- (0.8 *. t.loss_ewma) +. (0.2 *. observed);
-    let eff =
-      Float.min
-        (t.cfg.max_headroom :> float)
-        ((t.cfg.headroom :> float) +. (t.cfg.loss_headroom_gain *. t.loss_ewma))
-    in
+    let module L = Congestion.Overload.Loss_headroom in
+    t.loss_ewma <- L.ewma t.loss_ewma ~lost ~sent;
+    let eff = L.effective ~headroom:t.cfg.headroom t.loss_ewma in
     if eff <> t.eff_headroom then begin
       t.eff_headroom <- eff;
       Congestion.Waterfill.Inc.set_headroom t.alloc (U.fraction eff)

@@ -19,22 +19,11 @@ type config = {
   default_protocol : Routing.protocol;
   selection_choices : Routing.protocol array;
       (** protocols the routing re-selection may assign *)
-  loss_headroom_gain : float;
-      (** graceful degradation under control-packet loss: the waterfill
-          reserves [min max_headroom (headroom + gain * loss EWMA)] instead
-          of the static [headroom], so stale peer views overbook less while
-          repairs are in flight ({!note_control_loss}) *)
-  max_headroom : Util.Units.fraction;
-      (** ceiling on the loss-scaled reserve, < 1 *)
-  shed_recover_epochs : int;
-      (** overload admission: consecutive clean epochs before the shed
-          floor re-admits one class ({!note_epoch_load}) *)
 }
 
 val default_config : config
 (** 10 Gbps links, 5% headroom, 4 broadcast trees per source, RPS default
-    routing, selection between RPS and VLB, loss gain 2 capped at 30%
-    headroom, 3 clean epochs to recover shed classes. *)
+    routing, selection between RPS and VLB. *)
 
 type t
 type flow_id = int
@@ -65,8 +54,8 @@ val close_flow : t -> flow_id -> unit
     above its watermark ({!Sim.Net.overloaded_links} in simulation, switch
     telemetry on hardware) — into {!note_epoch_load}; every overloaded
     epoch lowers the shed floor one class (lowest priority refused first,
-    class 0 never refused) and [shed_recover_epochs] consecutive clean
-    epochs raise it back. *)
+    class 0 never refused) and 3 consecutive clean epochs raise it
+    back. *)
 
 val note_epoch_load : t -> overloaded:bool -> unit
 (** One rate epoch's overload verdict. *)
@@ -168,8 +157,8 @@ val last_seq : t -> tree:int -> int
 (** Last sequence number sent on a tree; -1 if none. *)
 
 val matrix_hash : t -> int64
-(** Hash of the open-flow id set ({!Rbcast.hash_ids}); equals
-    {!View.matrix_hash} of every consistent replica. *)
+(** The {!Replicas.id_hash} set hash of the open-flow ids, kept in O(1)
+    per event; equals {!View.matrix_hash} of every consistent replica. *)
 
 val emit_digests : ?src:int -> t -> Wire.digest list
 (** One anti-entropy beacon round: bumps the epoch and returns a digest
@@ -222,9 +211,10 @@ val snapshot_request : ?requester:int -> t -> root:int -> bytes
 
 val note_control_loss : t -> sent:int -> lost:int -> unit
 (** Feed one observation interval of control-transport statistics into the
-    loss EWMA (weight 0.2); updates {!effective_headroom} and the
-    allocator so the next {!recompute} reserves more under loss. Raises
-    [Invalid_argument] unless [0 <= lost <= sent]. *)
+    loss EWMA ({!Congestion.Overload.Loss_headroom}); updates
+    {!effective_headroom} and the allocator so the next {!recompute}
+    reserves more under loss. Raises [Invalid_argument] unless
+    [0 <= lost <= sent]. *)
 
 val reliability_bytes_sent : t -> int
 (** Wire bytes of the loss-tolerance machinery: the 8-byte sequencing

@@ -3,8 +3,9 @@
 
     The authoritative state lives in a {!Stack}; a view is what another
     node believes after the transport between them lost, reordered or
-    duplicated control packets. Per-tree receive windows deliver each event
-    exactly once in sequence order; {!observe_digest} turns the source's
+    duplicated control packets. A view is a one-receiver, one-origin
+    {!Replicas} table: per-tree receive windows deliver each event exactly
+    once in sequence order; {!observe_digest} turns the source's
     anti-entropy beacons into repair decisions; {!sync} applies a
     full-state repair. The view's {!matrix_hash} equals the source's
     {!Stack.matrix_hash} exactly when the replica is consistent — the
@@ -61,25 +62,18 @@ val observe_digest : t -> Wire.digest -> digest_verdict
     tree the replica has already moved past, hashes an older state and
     answers [Synced]. *)
 
-val sync : t -> flows:(int * Wire.broadcast) list -> last_seqs:int array -> unit
-(** Full-state repair: replace the believed flow set and fast-forward
+val sync : t -> flows:int list -> last_seqs:int array -> unit
+(** Full-state repair: replace the believed flow ids and fast-forward
     every window past [last_seqs]; events buffered beyond the sync still
     apply. *)
 
 val matrix_hash : t -> int64
-(** Hash of the believed live-flow ids ({!Rbcast.hash_ids}). *)
+(** The {!Replicas.id_hash} set hash of the believed live-flow ids. *)
 
 val flow_ids : t -> int list
 (** Believed-live flow ids, ascending. *)
 
-val flow : t -> int -> Wire.broadcast option
-(** The latest record applied for a flow, if believed live. *)
-
 val flow_count : t -> int
-
-val missing : t -> tree:int -> (int * int) list
-(** Known missing ranges on a tree (window gaps up to the highest sequence
-    heard of). *)
 
 val next_expected : t -> tree:int -> int
 val caught_up : t -> bool

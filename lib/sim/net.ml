@@ -241,14 +241,7 @@ let digest_root t h = fget t h f_p0
 let digest_tree t h = fget t h f_p1
 let digest_epoch t h = fget t h f_p2
 let digest_last_seq t h = fget t h f_p3
-
-(* The hash is reassembled from its two 32-bit words in registers, so the
-   digest check never boxes it. *)
-let digest_hash_is t h (hash : int64) =
-  hash
-  = Int64.logor
-      (Int64.shift_left (Int64.of_int (fget t h f_p5)) 32)
-      (Int64.of_int (fget t h f_p4))
+let digest_hash t h = fget t h f_p4
 
 let nack_root t h = fget t h f_p0
 let nack_tree t h = fget t h f_p1
@@ -801,9 +794,7 @@ let send_bcast t ?(seq = 0) ?(inc = 0) ~root ~tree ~bcast_id ~bytes () =
 
 let send_digest_tree t ~root ~tree ~epoch ~last_seq ~hash ~bytes =
   fanout t ~root ~tree ~from:root ~code:code_digest ~bytes ~p0:root ~p1:tree
-    ~p2:epoch ~p3:last_seq
-    ~p4:(Int64.to_int (Int64.logand hash 0xFFFFFFFFL))
-    ~p5:(Int64.to_int (Int64.shift_right_logical hash 32))
+    ~p2:epoch ~p3:last_seq ~p4:hash ~p5:0
 
 (* -- telemetry ------------------------------------------------------------ *)
 

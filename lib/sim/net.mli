@@ -105,16 +105,14 @@ val bcast_seq : t -> packet -> int
 
 val bcast_inc : t -> packet -> int
 (** The origin incarnation stamped on the copy — receive windows key their
-    crash-restart invalidation on this ({!Rbcast.ensure_epoch}). *)
+    crash-restart invalidation on this ({!Replicas.admit}). *)
 
 val digest_root : t -> packet -> int
 val digest_tree : t -> packet -> int
 val digest_epoch : t -> packet -> int
 val digest_last_seq : t -> packet -> int
-val digest_hash_is : t -> packet -> int64 -> bool
-(** [digest_hash_is t pkt h]: the digest's state hash equals [h]. The
-    packet's two 32-bit hash words are compared unboxed, so the check
-    allocates nothing. *)
+val digest_hash : t -> packet -> int
+(** The digest's state hash: the origin's {!Replicas.id_hash} set hash. *)
 
 val nack_root : t -> packet -> int
 val nack_tree : t -> packet -> int
@@ -204,7 +202,7 @@ val send_bcast :
     the origin incarnation after crash-restarts. *)
 
 val send_digest_tree :
-  t -> root:int -> tree:int -> epoch:int -> last_seq:int -> hash:int64 -> bytes:int -> unit
+  t -> root:int -> tree:int -> epoch:int -> last_seq:int -> hash:int -> bytes:int -> unit
 (** Inject a periodic anti-entropy beacon at its root, tree-forwarded like
     a broadcast. *)
 

@@ -56,12 +56,6 @@ let rtx_max_retries = 30
 (* Gap detection -> NACK send delay (and between retries). *)
 let nack_delay_ns = 20_000
 
-(* Graceful degradation: effective headroom =
-   min max_headroom (headroom + loss_headroom_gain * loss EWMA); the gain
-   is dimensionless, so it stays a raw float. *)
-let loss_headroom_gain = 2.0
-let max_headroom = U.fraction 0.30
-
 (* Gray failures: the extra latency of a spiked hop on a flaky link, unless
    the injection call overrides it; the per-link loss-EWMA estimator period
    and the weight of its newest interval; the loss EWMA above which a cable
@@ -82,14 +76,13 @@ let rejoin_retry_ns = 500_000
    and trigger pauses, so higher classes are never slowed by backpressure.
    Each PAUSE level multiplies the pacing scale by [pause_backoff], floored
    at [pause_min_scale]; each clean epoch adds [pause_recovery] back. The
-   shed floor relaxes one class after [shed_recover_epochs] consecutive
-   clean epochs. *)
+   shed floor relaxes one class after [Overload.Admission]'s default of 3
+   consecutive clean epochs. *)
 let pause_interval_ns = 50_000
 let pause_class = 1
 let pause_backoff = 0.5
 let pause_recovery = 0.1
 let pause_min_scale = 0.05
-let shed_recover_epochs = 3
 
 let default_config =
   {
@@ -213,11 +206,6 @@ type fstate = {
           start broadcast picks one *)
 }
 
-(* One receive window per (receiving node, source, tree): the Rbcast window
-   plus the highest sequence number this node has heard of on the tree
-   (from packets or digests) — the upper bound a NACK sweep covers. *)
-type win = { rx : (int * int) Rbcast.rx; mutable hi : int }
-
 (* Per-cable gray-failure health estimator state, indexed by the canonical
    directed link id (src < dst); allocated only once a flaky link exists so
    clean runs never touch it. *)
@@ -246,14 +234,9 @@ type t = {
   active : (int, fstate) Hashtbl.t;
   all_states : (int, fstate) Hashtbl.t;  (** for per-node views that may lag *)
   nverts : int;
-  views : (int, unit) Hashtbl.t array;  (** per-node traffic-matrix views (Per_node) *)
-  view_hashes : int64 array;
-      (** Per_node, indexed [node * nverts + origin]: {!Rbcast.hash_ids} of
-          the node's believed live-flow set for that origin — what the
-          origin's digests are checked against *)
-  hash_stale : Bytes.t;
-      (** '\001' where a write to the view may have changed that origin's
-          slice since its [view_hashes] entry was computed *)
+  reps : Replicas.t;
+      (** every node's receive windows (reliable mode) and, under Per_node,
+          its view of the traffic matrix: one (node, origin, tree) table *)
   mutable bcast_seen : int array;
       (** receipt counters indexed by bcast id (flow idx * 2 for start,
           * 2 + 1 for finish); -1 = not tracked. Grown by doubling. *)
@@ -284,10 +267,6 @@ type t = {
   (* -- control-plane reliability (reliable_bcast) -- *)
   origins : (int * int) Rbcast.origin array;
       (** per source; payload = (bcast_id, wire bytes) for replay *)
-  mutable wins : win option array;
-      (** reliable mode: indexed
-          [(node * nverts + root) * trees_per_source + tree]. The table is
-          allocated by the first window created, each window on first use. *)
   chaos_on : bool;
   mutable digest_running : bool;
   mutable nacks_sent : int;
@@ -366,91 +345,14 @@ let flow_done_sending t st =
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
 let win_key t ~root ~tree = (root * t.cfg.trees_per_source) + tree
-let win_index t ~node ~root ~tree =
-  (node * t.nverts * t.cfg.trees_per_source) + win_key t ~root ~tree
-
-(* Read without creating: [None] until the window's first use. *)
-let find_win t ~node ~root ~tree =
-  if Array.length t.wins = 0 then None else t.wins.(win_index t ~node ~root ~tree)
-
-let get_win t ~node ~root ~tree =
-  (* Not allocated at [create]: one large block goes to the major heap,
-     and on a 4x4x4 rack that added 15-20% to the set-up time. The
-     per-node hashtables it replaced fitted the minor heap. *)
-  if Array.length t.wins = 0 then
-    t.wins <- Array.make (t.nverts * t.nverts * t.cfg.trees_per_source) None;
-  let i = win_index t ~node ~root ~tree in
-  match t.wins.(i) with
-  | Some w -> w
-  | None ->
-      let w = { rx = Rbcast.rx (); hi = -1 } in
-      t.wins.(i) <- Some w;
-      w
-
-(* A crash or cold restart loses every receive window of the node. *)
-let clear_wins t ~node =
-  let span = t.nverts * t.cfg.trees_per_source in
-  if Array.length t.wins > 0 then Array.fill t.wins (node * span) span None
+let window t ~node ~root ~tree = Replicas.window t.reps ~replica:node ~origin:root ~tree
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
    clear of flow events (ids >= 0) and batched reselection announcements
    (small negatives). *)
 let bcast_id_join = min_int
 
-(* Key the window to the incarnation stamped on an incoming packet; a
-   newer incarnation wipes the window ([Rbcast.ensure_epoch]) and the
-   NACK-sweep bound tracked next to it. Returns false for stale packets.
-   On clean runs every incarnation is 0, so this never changes state. *)
-let win_ensure_inc w ~inc =
-  let prev = Rbcast.rx_incarnation w.rx in
-  let ok = Rbcast.ensure_epoch w.rx ~epoch:inc in
-  if ok && Rbcast.rx_incarnation w.rx > prev then w.hi <- -1;
-  ok
-
-(* -- per-node views and their per-origin hash cache ------------------------ *)
-
-(* Every write to a node's view goes through these three helpers, which
-   mark the cached hash of the written origin's slice stale. [origin] is
-   the source of flow [id]. *)
-let hash_slot t ~node ~origin = (node * t.nverts) + origin
-
-let view_add t ~node ~origin id =
-  Hashtbl.replace t.views.(node) id ();
-  Bytes.set t.hash_stale (hash_slot t ~node ~origin) '\001'
-
-let view_remove t ~node ~origin id =
-  Hashtbl.remove t.views.(node) id;
-  Bytes.set t.hash_stale (hash_slot t ~node ~origin) '\001'
-
-let view_clear t ~node =
-  Hashtbl.reset t.views.(node);
-  Bytes.fill t.hash_stale (hash_slot t ~node ~origin:0) t.nverts '\001'
-
-(* The node's believed live-flow set for one origin — what a digest's state
-   hash is checked against. *)
-let per_source_view_ids t ~node ~root =
-  let out = ref [] in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = root -> out := id :: !out
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node));
-  List.rev !out
-
-(* [Rbcast.hash_ids (per_source_view_ids ...)], recomputed only after a
-   view write marked it stale. A node's view of one origin changes far less
-   often than that origin's digests arrive, so a digest check is an O(1),
-   allocation-free read. *)
-let source_view_hash t ~node ~root =
-  if t.cfg.control <> Per_node then
-    invalid_arg "R2c2_sim.source_view_hash: Per_node control only";
-  let i = hash_slot t ~node ~origin:root in
-  if Bytes.get t.hash_stale i <> '\000' then begin
-    t.view_hashes.(i) <- Rbcast.hash_ids (per_source_view_ids t ~node ~root);
-    Bytes.set t.hash_stale i '\000'
-  end;
-  t.view_hashes.(i)
+let source_view_hash t ~node ~root = Replicas.hash t.reps ~replica:node ~origin:root
 
 (* Apply one flow-event broadcast from [root] at a node: update the node's
    view of the traffic matrix (Per_node) and the global visibility counter.
@@ -460,10 +362,8 @@ let apply_bcast_event t ~node ~root bcast_id =
   (* Negative ids are batched route-change announcements (§3.4); only flow
      start/finish events update the views. *)
   if t.cfg.control = Per_node && bcast_id >= 0 then begin
-    let flow = bcast_id / 2 in
     t.epoch_dirty <- true;
-    if bcast_id land 1 = 0 then view_add t ~node ~origin:root flow
-    else view_remove t ~node ~origin:root flow
+    Replicas.apply t.reps ~replica:node ~origin:root bcast_id
   end;
   if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
     let count = Array.unsafe_get t.bcast_seen bcast_id in
@@ -504,16 +404,16 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
    every open range after a short delay and re-arms until the window is
    whole — so a lost repair is simply requested again. *)
 let rec schedule_nack t ~node ~root ~tree w =
-  if Rbcast.arm w.rx then
+  if Replicas.arm t.reps w then
     Engine.after t.eng nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w)
 
 and fire_nack t ~node ~root ~tree w =
-  Rbcast.disarm w.rx;
+  Replicas.disarm t.reps w;
   if
     Net.node_up t.net node && Net.node_up t.net root
     && Topology.reachable t.topo node root
   then begin
-    match Rbcast.missing w.rx ~upto:w.hi with
+    match Replicas.missing t.reps w with
     | [] -> ()
     | gaps ->
         List.iteri
@@ -534,11 +434,7 @@ let send_sync t ~root ~requester =
     && Net.node_up t.net requester
     && Topology.reachable t.topo root requester
   then begin
-    let o = t.origins.(root) in
-    let entries = Rbcast.live_ids o in
-    let last_seqs =
-      Array.init t.cfg.trees_per_source (fun tr -> Rbcast.last_seq o ~tree:tr)
-    in
+    let entries, last_seqs = Rbcast.snapshot t.origins.(root) in
     let bytes =
       min t.cfg.mtu
         (sync_header_bytes + (4 * List.length entries) + (4 * t.cfg.trees_per_source))
@@ -554,48 +450,24 @@ let send_sync t ~root ~requester =
     Net.release_route t.net route
   end
 
-(* Drop every flow sourced at [src] from the node's view — a restarted
-   [src] lost them all, and anything still real arrives again through the
-   fresh incarnation's stream. *)
-let purge_view_of t ~node ~src =
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = src ->
-          view_remove t ~node ~origin:src id;
-          t.epoch_dirty <- true
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node))
-
+(* Replace the per-source slice of the view with the origin's truth and
+   jump every window past what the sync covers. *)
 let apply_sync t ~node ~root ~entries ~last_seqs =
   if t.cfg.control = Per_node && Net.node_up t.net node then begin
-    (* Replace the per-source slice of the view with the origin's truth. *)
-    purge_view_of t ~node ~src:root;
-    List.iter (fun id -> view_add t ~node ~origin:root id) entries;
     t.epoch_dirty <- true;
-    (* Jump every window past what the sync covers; events buffered beyond
-       it are strictly newer and still apply. *)
-    Array.iteri
-      (fun tree last ->
-        let w = get_win t ~node ~root ~tree in
-        if last > w.hi then w.hi <- last;
-        List.iter
-          (fun (bid, _) -> apply_bcast_event t ~node ~root bid)
-          (Rbcast.fast_forward w.rx ~next:(last + 1)))
-      last_seqs
+    Replicas.sync t.reps ~replica:node ~origin:root ~ids:entries ~last_seqs
+      ~deliver:(apply_bcast_event t ~node ~root)
   end
 
-(* A JOIN announcement from a restarted node: re-key every window for that
-   root to the new incarnation — wiping the pre-crash window state, which
+(* A JOIN announcement from a restarted node: a newer incarnation re-keys
+   every window for that root — wiping the pre-crash window state, which
    would otherwise absorb the fresh sequence space as duplicates — and
-   forget the joiner's pre-crash flows. The joiner pulls full state itself
-   with snapshot requests, so receivers only reset here. *)
+   forgets the joiner's pre-crash flows. The joiner pulls full state
+   itself with snapshot requests, so receivers only reset here. *)
 let handle_join t ~node ~joiner ~inc =
-  if reliable t then
-    for tree = 0 to t.cfg.trees_per_source - 1 do
-      ignore (win_ensure_inc (get_win t ~node ~root:joiner ~tree) ~inc)
-    done;
-  if t.cfg.control = Per_node then purge_view_of t ~node ~src:joiner
+  let had_flows = Replicas.size t.reps ~replica:node ~origin:joiner > 0 in
+  if Replicas.join t.reps ~replica:node ~origin:joiner ~inc = `Reset && had_flows then
+    t.epoch_dirty <- true
 
 (* -- data plane: token-bucket pacing and source routing ------------------- *)
 
@@ -719,15 +591,14 @@ let wf_of st =
 let believed_allocation t ~node ~own =
   (* Measured: the believed-flow count, = host count once every start
      broadcast has arrived. *)
-  let view : (int, fstate) Hashtbl.t =
-    Hashtbl.create (max 64 (Hashtbl.length t.views.(node)))
-  in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun flow () ->
+  let ids = Replicas.believed t.reps ~replica:node in
+  let view : (int, fstate) Hashtbl.t = Hashtbl.create (max 64 (Array.length ids)) in
+  Array.iter
+    (fun flow ->
       match Hashtbl.find_opt t.all_states flow with
       | Some st -> Hashtbl.replace view flow st
       | None -> ())
-    t.views.(node);
+    ids;
   List.iter (fun st -> Hashtbl.replace view st.idx st) own;
   let flows = Util.Tbl.sorted_values ~cmp:Int.compare view in
   ( flows,
@@ -787,14 +658,9 @@ let update_loss_ewma t =
     let dh = hops - t.prev_ctrl_hops and dl = lost - t.prev_ctrl_lost in
     t.prev_ctrl_hops <- hops;
     t.prev_ctrl_lost <- lost;
-    if dh > 0 then
-      t.loss_ewma <-
-        (0.8 *. t.loss_ewma) +. (0.2 *. (float_of_int dl /. float_of_int dh));
-    t.eff_headroom <-
-      Float.min
-        (max_headroom : U.fraction :> float)
-        ((t.cfg.headroom : U.fraction :> float)
-        +. (loss_headroom_gain *. t.loss_ewma));
+    let module L = Congestion.Overload.Loss_headroom in
+    if dh > 0 then t.loss_ewma <- L.ewma t.loss_ewma ~lost:dl ~sent:dh;
+    t.eff_headroom <- L.effective ~headroom:t.cfg.headroom t.loss_ewma;
     match t.galloc with
     | Some inc -> Congestion.Waterfill.Inc.set_headroom inc (U.fraction t.eff_headroom)
     | None -> ()
@@ -802,31 +668,34 @@ let update_loss_ewma t =
 
 (* -- view-divergence watchdog --------------------------------------------- *)
 
-let view_hash t node =
-  Rbcast.hash_ids
-    (Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node)))
+(* Alive nodes whose traffic-matrix hash disagrees with the modal one. *)
+let diverged_nodes t =
+  if t.cfg.control <> Per_node then 0
+  else begin
+    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    for node = 0 to t.nverts - 1 do
+      if Net.node_up t.net node then begin
+        let h = Replicas.replica_hash t.reps ~replica:node in
+        Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
+      end
+    done;
+    let modal = ref 0 and total = ref 0 in
+    Util.Tbl.iter_sorted ~cmp:Int.compare
+      (fun _ n ->
+        total := !total + n;
+        if n > !modal then modal := n)
+      counts;
+    !total - !modal
+  end
 
 (* Every rate epoch, compare the traffic-matrix hash across alive nodes.
    Divergent epochs are counted and the span from first divergence to the
    next all-identical epoch is a reconvergence sample. Pure observation —
    repair itself is driven by NACKs and digests. *)
-let views_identical t =
-  let first = ref None and distinct = ref false in
-  Array.iteri
-    (fun node _ ->
-      if Net.node_up t.net node then begin
-        let h = view_hash t node in
-        match !first with
-        | None -> first := Some h
-        | Some h0 -> if h <> h0 then distinct := true
-      end)
-    t.views;
-  not !distinct
-
 let note_divergence t =
   if t.cfg.control = Per_node && (t.cfg.reliable_bcast || t.chaos_on) then begin
     let now = Engine.now t.eng in
-    if not (views_identical t) then begin
+    if diverged_nodes t > 0 then begin
       t.divergence_epochs <- t.divergence_epochs + 1;
       if t.diverged_since < 0 then t.diverged_since <- now
     end
@@ -840,7 +709,7 @@ let note_divergence t =
    by the final finish events would never see its closing epoch there; the
    digest loop keeps watching until the control plane converges. *)
 let close_reconvergence t =
-  if t.cfg.control = Per_node && t.diverged_since >= 0 && views_identical t then begin
+  if t.cfg.control = Per_node && t.diverged_since >= 0 && diverged_nodes t = 0 then begin
     t.reconverge_samples <-
       (Engine.now t.eng - t.diverged_since) :: t.reconverge_samples;
     t.diverged_since <- -1
@@ -989,11 +858,8 @@ let node_caught_up t ~node =
         && Topology.reachable t.topo root node
       then begin
         for tree = 0 to t.cfg.trees_per_source - 1 do
-          let last = Rbcast.last_seq o ~tree in
-          if last >= 0 then
-            match find_win t ~node ~root ~tree with
-            | Some w when Rbcast.next_expected w.rx > last -> ()
-            | Some _ | None -> ok := false
+          if Replicas.next_expected t.reps (window t ~node ~root ~tree) <= Rbcast.last_seq o ~tree
+          then ok := false
         done;
         if
           t.cfg.control = Per_node
@@ -1100,7 +966,9 @@ let abort_flow t st =
     flow_done_sending t st;
     Hashtbl.remove t.active st.idx;
     Hashtbl.remove t.on_complete st.idx;
-    Array.iteri (fun node _ -> view_remove t ~node ~origin:st.src st.idx) t.views;
+    for node = 0 to t.nverts - 1 do
+      Replicas.remove t.reps ~replica:node st.idx
+    done;
     (* The origin's advertised live set must drop the flow too, or every
        digest hash would disagree with the views forever. *)
     if reliable t then Rbcast.mark_dead t.origins.(st.src) st.idx;
@@ -1264,8 +1132,7 @@ let crash_node_at t ~ns u =
   schedule_event t ~ns "crash"
     (fun () ->
       Net.fail_node t.net u;
-      if reliable t then clear_wins t ~node:u;
-      if t.cfg.control = Per_node then view_clear t ~node:u;
+      Replicas.clear t.reps ~replica:u;
       Util.Tbl.iter_sorted ~cmp:Int.compare
         (fun _ st ->
           if st.src = u then begin
@@ -1333,11 +1200,8 @@ let rec announce_join t u =
 let restart_node_at t ~ns u =
   Engine.at t.eng ns (fun () ->
       Net.restore_node t.net u;
-      if reliable t then begin
-        clear_wins t ~node:u;
-        ignore (Rbcast.restart t.origins.(u))
-      end;
-      if t.cfg.control = Per_node then view_clear t ~node:u;
+      Replicas.clear t.reps ~replica:u;
+      if reliable t then ignore (Rbcast.restart t.origins.(u));
       Hashtbl.replace t.pending_rejoins u ns;
       let fr =
         {
@@ -1509,17 +1373,7 @@ let create cfg topo =
       active = Hashtbl.create (max 256 nverts);
       all_states = Hashtbl.create (max 256 nverts);
       nverts;
-      views =
-        (if cfg.control = Per_node then
-           Array.init nverts (fun _ -> Hashtbl.create (max 32 nverts))
-         else [||]);
-      (* Every view starts empty, so every cached hash starts valid. *)
-      view_hashes =
-        (if cfg.control = Per_node then Array.make (nverts * nverts) (Rbcast.hash_ids [])
-         else [||]);
-      hash_stale =
-        (if cfg.control = Per_node then Bytes.make (nverts * nverts) '\000'
-         else Bytes.empty);
+      reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:cfg.trees_per_source;
       bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
@@ -1548,7 +1402,6 @@ let create cfg topo =
            Array.init nverts (fun _ ->
                Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:cfg.trees_per_source ())
          else [||]);
-      wins = [||];
       chaos_on;
       digest_running = false;
       nacks_sent = 0;
@@ -1573,10 +1426,7 @@ let create cfg topo =
       overload_on = cfg.overload_control;
       admission =
         (if cfg.overload_control then
-           Some
-             (Congestion.Overload.Admission.create
-                ~clean_epochs_to_recover:shed_recover_epochs
-                ~max_priority:(Metrics.max_class - 1) ())
+           Some (Congestion.Overload.Admission.create ~max_priority:(Metrics.max_class - 1) ())
          else None);
       pacers =
         (if cfg.overload_control then
@@ -1620,47 +1470,32 @@ let create cfg topo =
             ~inc:(Net.bcast_inc net pkt)
         else if reliable t then begin
           let root = Net.bcast_root net pkt and tree = Net.bcast_tree net pkt in
-          let seq = Net.bcast_seq net pkt in
-          let w = get_win t ~node ~root ~tree in
-          if win_ensure_inc w ~inc:(Net.bcast_inc net pkt) then begin
-            if seq > w.hi then w.hi <- seq;
-            match Rbcast.receive w.rx ~seq (bcast_id, Net.bytes net pkt) with
-            | Rbcast.Deliver ps ->
-                List.iter (fun (bid, _) -> apply_bcast_event t ~node ~root bid) ps
-            | Rbcast.Duplicate -> ()
-            | Rbcast.Buffered -> schedule_nack t ~node ~root ~tree w
-          end
+          let w = window t ~node ~root ~tree in
+          if Replicas.admit t.reps w ~inc:(Net.bcast_inc net pkt) then
+            match
+              Replicas.receive t.reps w ~seq:(Net.bcast_seq net pkt) bcast_id
+                ~deliver:(apply_bcast_event t ~node ~root)
+            with
+            | Replicas.Delivered | Replicas.Duplicate -> ()
+            | Replicas.Buffered -> schedule_nack t ~node ~root ~tree w
         end
         else apply_bcast_event t ~node ~root:(Net.bcast_root net pkt) bcast_id
       end
       else if k = Net.code_digest then begin
         if reliable t then begin
           let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
-          let last_seq = Net.digest_last_seq net pkt in
-          let w = get_win t ~node ~root ~tree in
-          if win_ensure_inc w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
-            if last_seq > w.hi then w.hi <- last_seq;
-            let next = Rbcast.next_expected w.rx in
-            if next <= last_seq then schedule_nack t ~node ~root ~tree w
-            else if cfg.control = Per_node && next = last_seq + 1 then begin
-              (* Sequence-caught-up on every tree of this origin, yet the
-                 believed live-flow set hashes differently: genuine
-                 divergence (e.g. a repair evicted from the replay log) —
-                 ask for a full-state sync. If some other tree still has a
-                 gap, its own digest will trigger the cheaper NACK path
-                 first. An absent window has next 0 and hi -1: caught up. *)
-              let all_caught_up = ref true in
-              for tr = 0 to cfg.trees_per_source - 1 do
-                match find_win t ~node ~root ~tree:tr with
-                | Some wt when Rbcast.next_expected wt.rx <= wt.hi -> all_caught_up := false
-                | Some _ | None -> ()
-              done;
-              if
-                !all_caught_up
-                && not (Net.digest_hash_is net pkt (source_view_hash t ~node ~root))
-              then send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
-            end
-          end
+          let w = window t ~node ~root ~tree in
+          if Replicas.admit t.reps w ~inc:(Net.digest_epoch net pkt lsr 32) then
+            match
+              Replicas.digest t.reps w ~last_seq:(Net.digest_last_seq net pkt)
+                ~hash:(Net.digest_hash net pkt)
+            with
+            | Replicas.Gaps -> schedule_nack t ~node ~root ~tree w
+            | Replicas.Diverged when cfg.control = Per_node ->
+                (* Genuine divergence, e.g. a repair evicted from the replay
+                   log: ask for a full-state sync. *)
+                send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
+            | Replicas.Diverged | Replicas.Synced -> ()
         end
       end);
   (* Lost Data packets — queue tail drops and failure blackholes alike —
@@ -1695,7 +1530,7 @@ let create cfg topo =
                 if Hashtbl.length t.active = 0 then stamp_reconvergence t;
                 (* The finish broadcast never reaches its own root, but the
                    sender knows its flow ended. *)
-                if cfg.control = Per_node then view_remove t ~node:st.src ~origin:st.src flow;
+                if cfg.control = Per_node then Replicas.remove t.reps ~replica:st.src flow;
                 send_flow_broadcast t st Wire.Flow_finish
             | None -> ());
             match Hashtbl.find_opt t.on_complete flow with
@@ -1808,7 +1643,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
   Hashtbl.replace t.all_states idx st;
   t.epoch_dirty <- true;
   (match on_complete with Some k -> Hashtbl.replace t.on_complete idx k | None -> ());
-  if t.cfg.control = Per_node then view_add t ~node:src ~origin:src idx;
+  if t.cfg.control = Per_node then Replicas.add t.reps ~replica:src ~origin:src idx;
   send_flow_broadcast t st Wire.Flow_start;
   ensure_loop t;
   inject t st;
@@ -1838,7 +1673,7 @@ let pacer_scale t ~node =
 let node_view_ids t ~node =
   if t.cfg.control <> Per_node then
     invalid_arg "R2c2_sim.node_view_ids: Per_node control only";
-  Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node))
+  Array.to_list (Replicas.believed t.reps ~replica:node)
 
 (* The full rate vector a node would compute from its current view — every
    flow it believes exists, not just its own. Two nodes with identical
@@ -1849,33 +1684,6 @@ let node_allocations t ~node =
     invalid_arg "R2c2_sim.node_allocations: Per_node control only";
   let flows, rates = believed_allocation t ~node ~own:[] in
   Array.mapi (fun i st -> (st.idx, rates.(i))) flows
-
-let diverged_nodes t =
-  if t.cfg.control <> Per_node then 0
-  else begin
-    (* Nodes disagreeing with the modal view hash. *)
-    let counts : (int64, int) Hashtbl.t = Hashtbl.create 8 in
-    Array.iteri
-      (fun node _ ->
-        if Net.node_up t.net node then begin
-          let h = view_hash t node in
-          Hashtbl.replace counts h
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
-        end)
-      t.views;
-    let modal = ref 0 and total = ref 0 in
-    Util.Tbl.iter_sorted ~cmp:Int64.compare
-      (fun _ n ->
-        total := !total + n;
-        if n > !modal then modal := n)
-      counts;
-    !total - !modal
-  end
-
-let dup_events_absorbed t =
-  Array.fold_left
-    (fun acc w -> match w with Some w -> acc + Rbcast.duplicates w.rx | None -> acc)
-    0 t.wins
 
 let results t =
   {
@@ -1910,7 +1718,7 @@ let results t =
     sync_requests = t.sync_requests;
     syncs_sent = t.syncs_sent;
     sync_bytes = t.sync_bytes;
-    dup_events_absorbed = dup_events_absorbed t;
+    dup_events_absorbed = Replicas.duplicates t.reps;
     divergence_epochs = t.divergence_epochs;
     reconverge_samples = List.rev t.reconverge_samples;
     terminal_diverged = diverged_nodes t;

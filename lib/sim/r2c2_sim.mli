@@ -257,8 +257,8 @@ val restore_node_at : t -> ns:int -> int -> unit
     and sender soft state are wiped at the crash instant. A later
     {!restart_node_at} brings the node back {e cold} and runs the rejoin
     protocol — a JOIN broadcast carrying a bumped origin incarnation (every
-    receiver re-keys its windows for that root and drops its pre-crash
-    flows), plus per-origin snapshot requests answered over the
+    receiver still on an older one re-keys its windows for that root and
+    drops its pre-crash flows), plus per-origin snapshot requests over the
     anti-entropy full-state sync path. The rejoin is re-announced every
     {!rejoin_retry_ns} until the node is sequence-caught-up with every
     reachable origin, at which point {!Metrics.note_rejoin} stamps it. *)
@@ -320,10 +320,6 @@ val control_converged : t -> bool
 (** Every alive node is sequence-caught-up with every reachable origin and
     (Per_node) believes exactly the origin's live-flow set. *)
 
-val view_hash : t -> int -> int64
-(** The node's traffic-matrix hash (Per_node) — identical across nodes
-    exactly when their views agree. *)
-
 val diverged_nodes : t -> int
 (** Alive nodes currently disagreeing with the modal view hash; 0 when the
     control plane is consistent (always 0 under [Global_epoch]). *)
@@ -331,12 +327,11 @@ val diverged_nodes : t -> int
 val node_view_ids : t -> node:int -> int list
 (** The flow ids in the node's view, ascending (Per_node only). *)
 
-val source_view_hash : t -> node:int -> root:int -> int64
-(** {!Rbcast.hash_ids} of the flows sourced at [root] in the node's view —
-    the value that [root]'s digests are checked against (Per_node only).
-    Read from a per-(node, origin) cache that every view write marks
-    stale; the digest path reads the same cache. Exposed as a test
-    observer: reading it changes nothing the simulation can see. *)
+val source_view_hash : t -> node:int -> root:int -> int
+(** The {!Replicas.id_hash} set hash of the flows sourced at [root] in the
+    node's view — the value that [root]'s digests are checked against
+    (Per_node; 0 otherwise). Kept in O(1) by every view write; a test
+    observer that changes nothing the simulation can see. *)
 
 val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
 (** The full rate vector the node computes from its current view — every

@@ -1,5 +1,5 @@
-(* The lossy control plane: reliable-broadcast windows (Rbcast), peer view
-   replicas (View), the Stack repair machinery (digests, NACK replay,
+(* The lossy control plane: reliable-broadcast sequencing (Rbcast) and
+   receive windows (Replicas), peer view replicas (View), the Stack repair machinery (digests, NACK replay,
    watchdog sync, loss-scaled headroom), and the packet-level simulation
    under chaos injection — loss, reordering and duplication of control
    packets must never leave the rack with diverged traffic-matrix views. *)
@@ -31,7 +31,14 @@ let reliability_dedup_under_loss () =
   Alcotest.(check bool) "retransmissions happened" true
     (s.Sim.Reliability.transmissions > cfg.Sim.Reliability.packets)
 
-(* -- Rbcast: sequence windows ---------------------------------------------- *)
+(* -- Rbcast sequencing and Replicas windows -------------------------------- *)
+
+(* Receive one sequenced event at a window; the delivered run comes back
+   as the payload names, event [2 * i] standing for [names.(i)]. *)
+let receive_named r w names ~seq i =
+  let run = ref [] in
+  let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun ev -> run := names.(ev / 2) :: !run) in
+  (v, List.rev !run)
 
 let rbcast_window_orders_and_dedups () =
   let o = Rbcast.origin ~trees:2 () in
@@ -40,21 +47,23 @@ let rbcast_window_orders_and_dedups () =
   let s2 = Rbcast.send o ~tree:0 "c" in
   Alcotest.(check (list int)) "per-tree seqs are dense" [ 0; 1; 2 ] [ s0; s1; s2 ];
   Alcotest.(check int) "other tree has its own space" 0 (Rbcast.send o ~tree:1 "x");
-  let r = Rbcast.rx () in
-  (match Rbcast.receive r ~seq:1 "b" with
-  | Rbcast.Buffered -> ()
-  | Rbcast.Deliver _ | Rbcast.Duplicate -> Alcotest.fail "seq 1 before 0 must buffer");
-  Alcotest.(check (list (pair int int))) "gap is visible" [ (0, 0) ] (Rbcast.missing r ~upto:1);
-  (match Rbcast.receive r ~seq:0 "a" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "in order" [ "a"; "b" ] ps
-  | Rbcast.Buffered | Rbcast.Duplicate -> Alcotest.fail "seq 0 must release the window");
-  (match Rbcast.receive r ~seq:0 "a" with
-  | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered -> Alcotest.fail "replayed seq must dedup");
-  Alcotest.(check int) "duplicate counted" 1 (Rbcast.duplicates r);
-  (match Rbcast.receive r ~seq:2 "c" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "tail" [ "c" ] ps
-  | Rbcast.Buffered | Rbcast.Duplicate -> Alcotest.fail "seq 2 must deliver");
+  let r = Replicas.create ~replicas:1 ~origins:1 ~trees:2 in
+  let w = Replicas.window r ~replica:0 ~origin:0 ~tree:0 in
+  let receive = receive_named r w [| "a"; "b"; "c" |] in
+  (match receive ~seq:1 1 with
+  | Replicas.Buffered, _ -> ()
+  | (Replicas.Delivered | Replicas.Duplicate), _ -> Alcotest.fail "seq 1 before 0 must buffer");
+  Alcotest.(check (list (pair int int))) "gap is visible" [ (0, 0) ] (Replicas.missing r w);
+  (match receive ~seq:0 0 with
+  | Replicas.Delivered, ps -> Alcotest.(check (list string)) "in order" [ "a"; "b" ] ps
+  | (Replicas.Buffered | Replicas.Duplicate), _ -> Alcotest.fail "seq 0 must release the window");
+  (match receive ~seq:0 0 with
+  | Replicas.Duplicate, _ -> ()
+  | (Replicas.Delivered | Replicas.Buffered), _ -> Alcotest.fail "replayed seq must dedup");
+  Alcotest.(check int) "duplicate counted" 1 (Replicas.duplicates r);
+  (match receive ~seq:2 2 with
+  | Replicas.Delivered, ps -> Alcotest.(check (list string)) "tail" [ "c" ] ps
+  | (Replicas.Buffered | Replicas.Duplicate), _ -> Alcotest.fail "seq 2 must deliver");
   Alcotest.(check (option string)) "origin replays" (Some "b") (Rbcast.replay o ~tree:0 ~seq:1)
 
 (* -- View: replica repair from the sequenced stream ------------------------ *)
@@ -310,7 +319,7 @@ let loss_ewma_scales_headroom () =
     R2c2.Stack.note_control_loss st ~sent:10 ~lost:9
   done;
   Alcotest.(check (float 1e-9)) "capped at max_headroom"
-    (Util.Units.to_float (R2c2.Stack.config st).R2c2.Stack.max_headroom)
+    (Util.Units.to_float Congestion.Overload.Loss_headroom.cap)
     (Util.Units.to_float (R2c2.Stack.effective_headroom st));
   (* A clean interval decays the estimate and the reserve follows. *)
   for _ = 1 to 50 do
@@ -464,16 +473,16 @@ let blackhole_splits_control_and_data () =
   Alcotest.(check bool) "control bytes were blackholed" true (r.blackholed_ctrl_bytes > 0);
   Alcotest.(check int) "zero terminal divergence" 0 r.terminal_diverged
 
-(* The per-origin view-hash cache behind the digest check must equal a
-   from-scratch hash of the view after any sequence of view writes. Every
+(* The incremental per-origin view hash behind the digest check must equal
+   a from-scratch hash of the view after any sequence of view writes. Every
    write path runs here: window-accepted deliveries, NACK replays and syncs
    under 5% loss with reordering and duplication, a crash and cold restart
    (view cleared, JOIN purge at the peers), a partition and heal, and flows
    aborted because an endpoint died. A second node fails with its state
    kept and later restarts cold, so a restart also clears a non-empty
-   view. Every 50 us, each (node, origin) pair's cached hash is checked
-   against the origin's flows in [node_view_ids] — down nodes too, since
-   the cache is kept exact for every node. The crash and restarts land on
+   view. Every 50 us, each (node, origin) pair's hash is checked against
+   the origin's flows in [node_view_ids] — down nodes too, since the hash
+   is kept exact for every node. The crash and restarts land on
    poll instants and were scheduled before those polls, so a poll sees
    each view clear before anything else writes to the view. *)
 let view_hash_cache_coherent () =
@@ -500,7 +509,8 @@ let view_hash_cache_coherent () =
       for root = 0 to n - 1 do
         let ids = List.filter (fun id -> Hashtbl.find src_of id = root) view in
         incr checks;
-        if Sim.R2c2_sim.source_view_hash t ~node ~root <> Rbcast.hash_ids ids then
+        let scratch = List.fold_left (fun h id -> h + Replicas.id_hash id) 0 ids in
+        if Sim.R2c2_sim.source_view_hash t ~node ~root <> scratch then
           stale := (Sim.Engine.now eng, node, root) :: !stale
       done
     done
@@ -521,7 +531,7 @@ let view_hash_cache_coherent () =
       Sim.Scenario.restart ~at:500_000 22;
     ]
   in
-  (* Bounded: a stale cache can make digests request syncs forever, which
+  (* Bounded: a stale hash can make digests request syncs forever, which
      would keep the run from ever going idle. *)
   let report =
     Sim.Scenario.run ~until_ns:horizon ~invariants:[ Sim.Scenario.Byte_conservation ] t steps
@@ -532,7 +542,7 @@ let view_hash_cache_coherent () =
   (match !stale with
   | [] -> ()
   | (ns, node, root) :: _ ->
-      Alcotest.failf "%d stale cached hashes; latest: node %d, origin %d at %d ns"
+      Alcotest.failf "%d stale hashes; latest: node %d, origin %d at %d ns"
         (List.length !stale) node root ns);
   Alcotest.(check bool) "checked every step" true (!checks > n * n * 70);
   Alcotest.(check bool) "chaos lost, reordered and duplicated control packets" true

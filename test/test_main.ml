@@ -17,6 +17,7 @@ let () =
          Test_failure.suites;
          Test_controlloss.suites;
          Test_robustness.suites;
+         Test_replicas.suites;
          Test_overload.suites;
          Test_integration.suites;
          Test_lint.suites;

@@ -21,38 +21,45 @@ let rbcast_restart_bumps_incarnation () =
 
 (* The satellite regression: a receive window surviving an origin crash
    keeps its old sequence position, so the fresh incarnation's seq 0 is
-   absorbed as a duplicate and the event silently lost. [ensure_epoch]
+   absorbed as a duplicate and the event silently lost. [Replicas.admit]
    re-keys the window to the incarnation and is the fix. *)
 let stale_window_duplicate_regression () =
   let o = Rbcast.origin ~trees:1 () in
-  let r = Rbcast.rx () in
+  let r = Replicas.create ~replicas:1 ~origins:1 ~trees:1 in
+  let w = Replicas.window r ~replica:0 ~origin:0 ~tree:0 in
+  (* Event [2 * i] stands for payload [names.(i)]. *)
+  let names = [| "a"; "b"; "c" |] in
+  let receive ~seq i =
+    let run = ref [] in
+    let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun ev -> run := names.(ev / 2) :: !run) in
+    (v, List.rev !run)
+  in
   ignore (Rbcast.send o ~tree:0 "a");
   ignore (Rbcast.send o ~tree:0 "b");
-  (match Rbcast.receive r ~seq:0 "a" with
-  | Rbcast.Deliver _ -> ()
-  | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "first life seq 0");
-  (match Rbcast.receive r ~seq:1 "b" with
-  | Rbcast.Deliver _ -> ()
-  | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "first life seq 1");
+  (match receive ~seq:0 0 with
+  | Replicas.Delivered, _ -> ()
+  | (Replicas.Duplicate | Replicas.Buffered), _ -> Alcotest.fail "first life seq 0");
+  (match receive ~seq:1 1 with
+  | Replicas.Delivered, _ -> ()
+  | (Replicas.Duplicate | Replicas.Buffered), _ -> Alcotest.fail "first life seq 1");
   let inc = Rbcast.restart o in
   let seq = Rbcast.send o ~tree:0 "c" in
   Alcotest.(check int) "new life starts at seq 0" 0 seq;
   (* The hazard itself: without re-keying, the stale window eats it. *)
-  (match Rbcast.receive r ~seq "c" with
-  | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered ->
+  (match receive ~seq 2 with
+  | Replicas.Duplicate, _ -> ()
+  | (Replicas.Delivered | Replicas.Buffered), _ ->
       Alcotest.fail "hazard gone: stale window no longer absorbs seq 0");
-  Alcotest.(check bool) "new incarnation re-keys" true (Rbcast.ensure_epoch r ~epoch:inc);
-  Alcotest.(check int) "window speaks the new incarnation" inc (Rbcast.rx_incarnation r);
-  Alcotest.(check bool) "old incarnation now stale" false
-    (Rbcast.ensure_epoch r ~epoch:(inc - 1));
-  (match Rbcast.receive r ~seq "c" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "new life delivers" [ "c" ] ps
-  | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "post-restart event lost");
-  (match Rbcast.receive r ~seq "c" with
-  | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered -> Alcotest.fail "dedup broke after re-key");
-  Alcotest.(check bool) "same incarnation is a no-op" true (Rbcast.ensure_epoch r ~epoch:inc)
+  Alcotest.(check bool) "new incarnation re-keys" true (Replicas.admit r w ~inc);
+  Alcotest.(check int) "window speaks the new incarnation" inc (Replicas.incarnation r w);
+  Alcotest.(check bool) "old incarnation now stale" false (Replicas.admit r w ~inc:(inc - 1));
+  (match receive ~seq 2 with
+  | Replicas.Delivered, ps -> Alcotest.(check (list string)) "new life delivers" [ "c" ] ps
+  | (Replicas.Duplicate | Replicas.Buffered), _ -> Alcotest.fail "post-restart event lost");
+  (match receive ~seq 2 with
+  | Replicas.Duplicate, _ -> ()
+  | (Replicas.Delivered | Replicas.Buffered), _ -> Alcotest.fail "dedup broke after re-key");
+  Alcotest.(check bool) "same incarnation is a no-op" true (Replicas.admit r w ~inc)
 
 (* -- Stack / View: restart, JOIN, snapshot request -------------------------- *)
 

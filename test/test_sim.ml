@@ -211,8 +211,8 @@ let net_broadcast_replication_zero_alloc () =
 
 let digest_check_zero_alloc () =
   (* The anti-entropy steady state: every origin beacons a digest per tree
-     and every caught-up node checks it against its cached view hash. With
-     the windows and caches warm, a digest hop — chaos draws, window lookup
+     and every caught-up node checks it against its view hash. With the
+     windows warm, a digest hop — chaos draws, window lookup
      and hash compare included — allocates nothing. *)
   let topo = Topology.torus [| 4; 4; 4 |] in
   let cfg =
@@ -225,7 +225,7 @@ let digest_check_zero_alloc () =
   in
   let t = Sim.R2c2_sim.create cfg topo in
   let net = Sim.R2c2_sim.net t and eng = Sim.R2c2_sim.engine t in
-  let empty = Rbcast.hash_ids [] in
+  let empty = Rbcast.state_hash (Rbcast.origin ~trees:1 ()) in
   let flood () =
     for root = 0 to 63 do
       for tree = 0 to 3 do

@@ -164,13 +164,6 @@ let to_json report =
   in
   kv_ints "violations_by_rule" (per_rule_violations r);
   kv_ints "suppressions_by_rule" r.suppressed_by_rule;
-  Buffer.add_string buf "  \"timings_ms\": {";
-  List.iteri
-    (fun i (name, ms) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\"%s\": %.1f" (if i = 0 then "" else ", ") (json_escape name) ms))
-    report.timings;
-  Buffer.add_string buf "},\n";
   Buffer.add_string buf "  \"violations\": [";
   List.iteri
     (fun i (v : Lint_core.violation) ->
@@ -215,9 +208,9 @@ let write_json path report =
   close_out oc
 
 (* SHARD_REPORT.json: the effect map and cut-set the multicore PR
-   consumes. Unlike LINT_REPORT.json this file carries no timings —
-   it must be byte-identical for a given repo state, because CI diffs
-   the checked-in copy against the freshly built one (the ratchet). *)
+   consumes. Like LINT_REPORT.json this file carries no timings — it
+   must be byte-identical for a given repo state, because CI diffs the
+   checked-in copy against the freshly built one (the ratchet). *)
 let shard_to_json (e : Lint_effects.result) =
   let buf = Buffer.create 4096 in
   let strings l =
@@ -283,4 +276,6 @@ let report_and_exit_code oc report =
          region(s), %d witnessed\n"
         e.analyzed_fns e.reachable_fns (List.length e.cut_set) witnessed
   | None -> ());
+  Printf.fprintf oc "  timings (ms): %s\n"
+    (String.concat ", " (List.map (fun (name, ms) -> Printf.sprintf "%s %.1f" name ms) report.timings));
   code

@@ -112,8 +112,8 @@ let () =
             in
             if total_s > b then begin
               Printf.eprintf
-                "lint_main: lint passes took %.1fs, over the %.1fs budget — profile \
-                 timings_ms in the JSON report\n"
+                "lint_main: lint passes took %.1fs, over the %.1fs budget — see the \
+                 per-pass timings in the summary above\n"
                 total_s b;
               max code 1
             end
