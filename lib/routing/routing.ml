@@ -42,6 +42,29 @@ type ctx = {
   quar : (int, health) Hashtbl.t;  (* per directed link; absent = Healthy *)
   mutable demoted : int;  (* directed links currently not Healthy *)
   mutable quar_version : int;  (* bumped on every health transition *)
+  mutable scratch : scratch option;  (* allocated on first use *)
+}
+
+(* Working memory of the fraction DP and the path walker (DESIGN.md §11):
+   flat arrays sized by the topology, so neither kernel allocates beyond
+   its output. Nothing here outlives one call; the stamps mark which
+   entries the current call wrote, so nothing is cleared between calls. *)
+and scratch = {
+  mass : float array;  (* per vertex: DP probability mass reaching it *)
+  seen : int array;  (* per vertex: [dp_stamp] of the DP that reached it *)
+  queue : int array;  (* DAG vertices, layer by layer, in discovery order *)
+  mutable qtail : int;
+  mutable dp_stamp : int;
+  share : float array;  (* per link: mass the last DP put on it *)
+  share_seen : int array;  (* per link: [dp_stamp] of the DP that set [share] *)
+  touched : int array;  (* links the last DP deposited on, in deposit order *)
+  mutable ntouched : int;
+  acc : float array;  (* per link: a row composed from several parts *)
+  acc_seen : int array;  (* per link: [acc_stamp] of the row it belongs to *)
+  mutable acc_stamp : int;
+  path : int array;  (* the last sampled vertex path *)
+  ports : int array;  (* productive ports of one vertex *)
+  weights : float array;  (* demoted walk: their link weights *)
 }
 
 let make topo =
@@ -55,7 +78,41 @@ let make topo =
     quar = Hashtbl.create 16;
     demoted = 0;
     quar_version = 0;
+    scratch = None;
   }
+
+let scratch ctx =
+  match ctx.scratch with
+  | Some sc -> sc
+  | None ->
+      let t = ctx.topo in
+      let n = Topology.vertex_count t and m = Topology.link_count t in
+      let deg = ref 0 in
+      for u = 0 to n - 1 do
+        deg := max !deg (Topology.degree t u)
+      done;
+      let sc =
+        {
+          mass = Array.make n 0.0;
+          seen = Array.make n 0;
+          queue = Array.make n 0;
+          qtail = 0;
+          dp_stamp = 0;
+          share = Array.make m 0.0;
+          share_seen = Array.make m 0;
+          touched = Array.make m 0;
+          ntouched = 0;
+          acc = Array.make m 0.0;
+          acc_seen = Array.make m 0;
+          acc_stamp = 0;
+          (* A two-phase path visits at most 2n - 1 vertices. *)
+          path = Array.make (2 * n) 0;
+          ports = Array.make !deg 0;
+          weights = Array.make !deg 0.0;
+        }
+      in
+      ctx.scratch <- Some sc;
+      sc
 
 (* Every cached structure bakes in the down-state and link-health it was
    computed under; flush wholesale when either version moved. Both counters
@@ -130,27 +187,58 @@ let pack ctx p ~src ~dst =
 
 (* -- path sampling ------------------------------------------------------ *)
 
-let walk_minimal ctx rng ~src ~dst =
-  (* Random shortest path: spray uniformly over productive hops at every
-     vertex — health-weighted instead when any link is demoted. The
-     [demoted = 0] branch is the exact legacy draw, so runs without
-     quarantine consume the identical RNG stream. *)
-  let rec go acc u =
-    if u = dst then List.rev (dst :: acc)
-    else begin
-      let hops = Topology.productive_hops ctx.topo u ~dst in
-      if Array.length hops = 0 then invalid_arg "Routing: destination unreachable";
-      let v =
-        if ctx.demoted = 0 then fst (Util.Rng.pick rng hops)
-        else begin
-          let weights = Array.map (fun (_, l) -> link_weight ctx l) hops in
-          fst hops.(Util.Rng.categorical rng weights)
-        end
-      in
-      go (u :: acc) v
-    end
-  in
-  Array.of_list (go [] src)
+(* The one path walker. Writes a minimal [src] -> [dst] phase into the
+   scratch path buffer, [src] at position [pos], and returns the position
+   of [dst]. At every vertex it sprays uniformly over the productive hops
+   — [Rng.int n] and then the k-th hop, the very draw [Rng.pick] makes
+   over the [productive_hops] array — or, when any link is demoted,
+   draws by link weight in [Rng.categorical]'s order: the same sum, the
+   same single float draw, the same cumulative scan. [lowest] takes the
+   lowest-id productive hop instead and draws nothing (DOR on graphs
+   without coordinates). The [demoted = 0] branch is the exact legacy
+   draw, so runs without quarantine consume the identical RNG stream. *)
+let walk_into ctx sc rng ~lowest ~pos ~src ~dst =
+  let t = ctx.topo in
+  let path = sc.path and ports = sc.ports in
+  let pos = ref pos and u = ref src in
+  path.(!pos) <- src;
+  while !u <> dst do
+    let out = Topology.out_links t !u in
+    let n = Topology.productive_ports t !u ~dst ports in
+    if n = 0 then invalid_arg "Routing: destination unreachable";
+    let k =
+      if lowest then begin
+        let best = ref 0 in
+        for k = 1 to n - 1 do
+          if fst out.(ports.(k)) < fst out.(ports.(!best)) then best := k
+        done;
+        !best
+      end
+      else if ctx.demoted = 0 then Util.Rng.int rng n
+      else begin
+        let total = ref 0.0 in
+        for k = 0 to n - 1 do
+          sc.weights.(k) <- link_weight ctx (snd out.(ports.(k)));
+          total := !total +. sc.weights.(k)
+        done;
+        assert (!total > 0.0);
+        let x = Util.Rng.float rng !total in
+        let k = ref 0 and acc = ref 0.0 and found = ref false in
+        while not !found do
+          if !k = n - 1 then found := true
+          else begin
+            acc := !acc +. sc.weights.(!k);
+            if x < !acc then found := true else incr k
+          end
+        done;
+        !k
+      end
+    in
+    u := fst out.(ports.(k));
+    incr pos;
+    path.(!pos) <- !u
+  done;
+  !pos
 
 let path_alive ctx path =
   let t = ctx.topo in
@@ -223,44 +311,35 @@ let dor_torus_path ctx rng ~src ~dst =
       let i = Util.Rng.categorical rng weights in
       fst (List.nth paths i)
 
-let deterministic_min_path ctx ~src ~dst =
-  (* Fallback single shortest path for non-grid topologies: lowest-id
-     productive hop at every step. *)
-  let rec go acc u =
-    if u = dst then List.rev (dst :: acc)
-    else begin
-      let hops = Topology.productive_hops ctx.topo u ~dst in
-      let best =
-        Array.fold_left
-          (fun best (v, _) -> match best with Some b when b <= v -> best | _ -> Some v)
-          None hops
-      in
-      match best with
-      | Some v -> go (u :: acc) v
-      | None -> invalid_arg "Routing: destination unreachable"
-    end
-  in
-  Array.of_list (go [] src)
+(* A fresh copy of one walked minimal phase. *)
+let walk_copy ctx sc rng ~lowest ~src ~dst =
+  Array.sub sc.path 0 (walk_into ctx sc rng ~lowest ~pos:0 ~src ~dst + 1)
 
-let dor_path ctx rng ~src ~dst =
+(* Fallback single shortest path for non-grid topologies: lowest-id
+   productive hop at every step. The lowest-id walk never draws, so its
+   generator is a throwaway. *)
+let deterministic_min_path ctx sc ~src ~dst =
+  walk_copy ctx sc (Util.Rng.create 0) ~lowest:true ~src ~dst
+
+let dor_into ctx sc rng ~src ~dst =
   match Topology.kind ctx.topo with
   | Topology.Torus _ | Topology.Mesh _ ->
       let p = dor_torus_path ctx rng ~src ~dst in
       (* Dimension-order paths ignore down-state; detour on the surviving
          shortest-path DAG when the coordinate path crosses a dead link. *)
-      if path_alive ctx p then p else walk_minimal ctx rng ~src ~dst
+      if path_alive ctx p then begin
+        Array.blit p 0 sc.path 0 (Array.length p);
+        Array.length p - 1
+      end
+      else walk_into ctx sc rng ~lowest:false ~pos:0 ~src ~dst
   | Topology.Clos _ | Topology.Flattened_butterfly _ | Topology.Custom _ ->
-      deterministic_min_path ctx ~src ~dst
+      walk_into ctx sc rng ~lowest:true ~pos:0 ~src ~dst
 
-let dor_paths_weighted ctx ~src ~dst =
+let dor_paths_weighted ctx sc ~src ~dst =
   match Topology.kind ctx.topo with
   | Topology.Torus _ | Topology.Mesh _ -> dor_torus_paths ctx ~src ~dst
   | Topology.Clos _ | Topology.Flattened_butterfly _ | Topology.Custom _ ->
-      [ (deterministic_min_path ctx ~src ~dst, 1.0) ]
-
-let concat_phases p1 p2 =
-  (* [p1] ends where [p2] starts; drop the duplicated waypoint. *)
-  Array.append p1 (Array.sub p2 1 (Array.length p2 - 1))
+      [ (deterministic_min_path ctx sc ~src ~dst, 1.0) ]
 
 let wlb_waypoint_weights ctx ~src ~dst =
   let key = (src * Topology.vertex_count ctx.topo) + dst in
@@ -304,55 +383,74 @@ let sample_prefix rng prefix =
   done;
   !lo
 
-let two_phase ctx rng ~src ~dst w =
-  if w = src then walk_minimal ctx rng ~src ~dst
-  else if w = dst then walk_minimal ctx rng ~src ~dst
-  else concat_phases (walk_minimal ctx rng ~src ~dst:w) (walk_minimal ctx rng ~src:w ~dst)
+(* Both phases through waypoint [w], written in place; a waypoint equal to
+   an endpoint degenerates to one minimal phase. The second phase draws
+   first: that is the order the RNG stream, and with it every pinned
+   digest, was fixed in. A minimal phase is exactly d(src, w) hops, which
+   is where the second one starts. *)
+let two_phase_into ctx sc rng ~src ~dst w =
+  if w = src || w = dst then walk_into ctx sc rng ~lowest:false ~pos:0 ~src ~dst
+  else begin
+    let mid = Topology.distance ctx.topo src w in
+    if mid = max_int then invalid_arg "Routing: destination unreachable";
+    let last = walk_into ctx sc rng ~lowest:false ~pos:mid ~src:w ~dst in
+    ignore (walk_into ctx sc rng ~lowest:false ~pos:0 ~src ~dst:w : int);
+    last
+  end
 
-let sample_path ctx rng p ~src ~dst =
+let sample_into ctx rng p ~src ~dst =
   if src = dst then invalid_arg "Routing.sample_path: src = dst";
   sync ctx;
-  match p with
-  | Rps -> walk_minimal ctx rng ~src ~dst
-  | Dor -> dor_path ctx rng ~src ~dst
-  | Vlb ->
-      let t = ctx.topo in
-      let h = Topology.host_count t in
-      (* Resample until the waypoint is alive and connects both phases;
-         degenerate to a single minimal phase if none is found quickly.
-         A quarantine-shadowed waypoint is kept only with its demoted
-         weight (never outright rejected forever: the last try accepts),
-         so suspect regions still see a probing trickle. *)
-      let rec draw tries =
-        if tries = 0 then src
-        else begin
-          let w = Util.Rng.int rng h in
-          if w = src || w = dst then w
-          else if Topology.reachable t src w && Topology.reachable t w dst then
-            if
-              node_shadowed ctx w
-              && tries > 1
-              && Util.Rng.float rng 1.0 >= quarantine_weight
-            then draw (tries - 1)
-            else w
-          else draw (tries - 1)
-        end
-      in
-      two_phase ctx rng ~src ~dst (draw 32)
-  | Wlb ->
-      let prefix = wlb_waypoint_weights ctx ~src ~dst in
-      let w = sample_prefix rng prefix in
-      let marginal = if w = 0 then prefix.(0) else prefix.(w) -. prefix.(w - 1) in
-      (* A zero-weight (dead) waypoint can only surface on an exact
-         prefix-sum tie; degrade to the single minimal phase. *)
-      let w = if marginal > 0.0 then w else src in
-      two_phase ctx rng ~src ~dst w
+  let sc = scratch ctx in
+  let last =
+    match p with
+    | Rps -> walk_into ctx sc rng ~lowest:false ~pos:0 ~src ~dst
+    | Dor -> dor_into ctx sc rng ~src ~dst
+    | Vlb ->
+        let t = ctx.topo in
+        let h = Topology.host_count t in
+        (* Resample until the waypoint is alive and connects both phases;
+           degenerate to a single minimal phase if none is found quickly.
+           A quarantine-shadowed waypoint is kept only with its demoted
+           weight (never outright rejected forever: the last try accepts),
+           so suspect regions still see a probing trickle. *)
+        let w = ref (-1) and tries = ref 32 in
+        while !w < 0 do
+          if !tries = 0 then w := src
+          else begin
+            let c = Util.Rng.int rng h in
+            if c = src || c = dst then w := c
+            else if Topology.reachable t src c && Topology.reachable t c dst then begin
+              let rejected =
+                node_shadowed ctx c && !tries > 1 && not (Util.Rng.below rng quarantine_weight)
+              in
+              if not rejected then w := c
+            end;
+            decr tries
+          end
+        done;
+        two_phase_into ctx sc rng ~src ~dst !w
+    | Wlb ->
+        let prefix = wlb_waypoint_weights ctx ~src ~dst in
+        let w = sample_prefix rng prefix in
+        let marginal = if w = 0 then prefix.(0) else prefix.(w) -. prefix.(w - 1) in
+        (* A zero-weight (dead) waypoint can only surface on an exact
+           prefix-sum tie; degrade to the single minimal phase. *)
+        let w = if marginal > 0.0 then w else src in
+        two_phase_into ctx sc rng ~src ~dst w
+  in
+  last + 1
+
+let path_buffer ctx = (scratch ctx).path
+
+let sample_path ctx rng p ~src ~dst =
+  let n = sample_into ctx rng p ~src ~dst in
+  Array.sub (path_buffer ctx) 0 n
 
 let ecmp_path ctx ~flow_id ~src ~dst =
   sync ctx;
   let seed = (flow_id * 1000003) lxor (src * 8191) lxor dst in
-  let rng = Util.Rng.create seed in
-  walk_minimal ctx rng ~src ~dst
+  walk_copy ctx (scratch ctx) (Util.Rng.create seed) ~lowest:false ~src ~dst
 
 let path_links ctx path =
   Array.init
@@ -364,12 +462,13 @@ let path_links ctx path =
 
 let sample_paths_distinct ctx rng ~k ~src ~dst =
   sync ctx;
+  let sc = scratch ctx in
   let seen = Hashtbl.create 16 in
   let paths = ref [] in
   let tries = ref 0 in
   while Hashtbl.length seen < k && !tries < 8 * k do
     incr tries;
-    let p = walk_minimal ctx rng ~src ~dst in
+    let p = walk_copy ctx sc rng ~lowest:false ~src ~dst in
     let key = String.concat "," (Array.to_list (Array.map string_of_int p)) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
@@ -380,104 +479,170 @@ let sample_paths_distinct ctx rng ~k ~src ~dst =
 
 (* -- link fractions ----------------------------------------------------- *)
 
-let min_fractions_uncached ctx ~src ~dst =
+(* Mass [share] crosses link [l] into [v]. Every link is deposited on
+   once per DP (its source is expanded once), so the link's share is
+   [0.0 +. share], the old table's first insert; a vertex sums its
+   in-links in deposit order and joins the queue on its first. *)
+let[@inline] deposit sc v l share =
+  sc.share.(l) <- 0.0 +. share;
+  sc.share_seen.(l) <- sc.dp_stamp;
+  sc.touched.(sc.ntouched) <- l;
+  sc.ntouched <- sc.ntouched + 1;
+  if sc.seen.(v) = sc.dp_stamp then sc.mass.(v) <- sc.mass.(v) +. share
+  else begin
+    sc.seen.(v) <- sc.dp_stamp;
+    sc.mass.(v) <- share;
+    sc.queue.(sc.qtail) <- v;
+    sc.qtail <- sc.qtail + 1
+  end
+
+let min_fractions_uncached ctx sc ~src ~dst =
   (* DP over the shortest-path DAG: probability mass splits uniformly over
-     productive hops at every vertex. *)
+     productive hops at every vertex (by link weight when any link is
+     demoted). Leaves each link's share in [sc.share], for the links
+     [sc.touched.(0 .. ntouched-1)]. The queue holds one layer after
+     another in discovery order; walking each layer backwards expands
+     the vertices in exactly the order the old prepend-built layer lists
+     did, so every float sum runs in the same order. *)
   let t = ctx.topo in
   let d = Topology.dist_to t dst in
   if d.(src) = max_int then invalid_arg "Routing: destination unreachable";
-  let layers = Array.make (d.(src) + 1) [] in
-  layers.(d.(src)) <- [ src ];
-  let prob = Hashtbl.create 32 in
-  Hashtbl.replace prob src 1.0;
-  let frac = Hashtbl.create 32 in
-  (* Mass deposits on link [l] and flows into [v]. *)
-  let deposit v l share =
-    let cur = Option.value ~default:0.0 (Hashtbl.find_opt frac l) in
-    Hashtbl.replace frac l (cur +. share);
-    match Hashtbl.find_opt prob v with
-    | Some q -> Hashtbl.replace prob v (q +. share)
-    | None ->
-        Hashtbl.replace prob v share;
-        layers.(d.(v)) <- v :: layers.(d.(v))
-  in
-  for layer = d.(src) downto 1 do
-    List.iter
-      (fun u ->
-        let p = Hashtbl.find prob u in
-        let hops = Topology.productive_hops t u ~dst in
-        if ctx.demoted = 0 then begin
-          (* Uniform split — the exact legacy arithmetic. *)
-          let share = p /. float_of_int (Array.length hops) in
-          Array.iter (fun (v, l) -> deposit v l share) hops
-        end
-        else begin
-          let wtot =
-            Array.fold_left (fun acc (_, l) -> acc +. link_weight ctx l) 0.0 hops
-          in
-          Array.iter
-            (fun (v, l) -> deposit v l (p *. link_weight ctx l /. wtot))
-            hops
-        end)
-      layers.(layer)
-  done;
-  Util.Tbl.sorted_bindings ~cmp:Int.compare frac
+  let ports = sc.ports in
+  sc.dp_stamp <- sc.dp_stamp + 1;
+  sc.ntouched <- 0;
+  sc.seen.(src) <- sc.dp_stamp;
+  sc.mass.(src) <- 1.0;
+  sc.queue.(0) <- src;
+  sc.qtail <- 1;
+  let lo = ref 0 in
+  for _ = d.(src) downto 1 do
+    let hi = sc.qtail in
+    for j = hi - 1 downto !lo do
+      let u = sc.queue.(j) in
+      let p = sc.mass.(u) in
+      let out = Topology.out_links t u in
+      let n = Topology.productive_ports t u ~dst ports in
+      if ctx.demoted = 0 then begin
+        (* Uniform split — the exact legacy arithmetic. *)
+        let share = p /. float_of_int n in
+        for k = 0 to n - 1 do
+          let v, l = out.(ports.(k)) in
+          deposit sc v l share
+        done
+      end
+      else begin
+        let wtot = ref 0.0 in
+        for k = 0 to n - 1 do
+          wtot := !wtot +. link_weight ctx (snd out.(ports.(k)))
+        done;
+        for k = 0 to n - 1 do
+          let v, l = out.(ports.(k)) in
+          deposit sc v l (p *. link_weight ctx l /. !wtot)
+        done
+      end
+    done;
+    lo := hi
+  done
 
-let dor_fractions ctx ~src ~dst =
-  let acc = Hashtbl.create 16 in
-  let add l p =
-    let cur = Option.value ~default:0.0 (Hashtbl.find_opt acc l) in
-    Hashtbl.replace acc l (cur +. p)
-  in
+(* The last DP's row, sorted by link id without a sort: links are numbered
+   source-major in port order ({!Topology.link_count}), so visiting the
+   DAG's vertices by id, and each one's links in port order, lists them
+   ascending. Allocates the row only. *)
+let min_fractions ctx sc ~src ~dst =
+  min_fractions_uncached ctx sc ~src ~dst;
+  let t = ctx.topo in
+  let row = Array.make sc.ntouched (0, 0.0) in
+  let k = ref 0 in
+  for u = 0 to Topology.vertex_count t - 1 do
+    if sc.seen.(u) = sc.dp_stamp then begin
+      let out = Topology.out_links t u in
+      for i = 0 to Array.length out - 1 do
+        let l = snd out.(i) in
+        if sc.share_seen.(l) = sc.dp_stamp then begin
+          row.(!k) <- (l, sc.share.(l));
+          incr k
+        end
+      done
+    end
+  done;
+  row
+
+(* A row composed from several parts (DOR's paths plus its detour, WLB's
+   waypoint phases) accumulates per link in [sc.acc], each link starting
+   from [0.0 +.] its first part. *)
+let acc_reset sc = sc.acc_stamp <- sc.acc_stamp + 1
+
+let[@inline] acc_add sc l x =
+  if sc.acc_seen.(l) = sc.acc_stamp then sc.acc.(l) <- sc.acc.(l) +. x
+  else begin
+    sc.acc_seen.(l) <- sc.acc_stamp;
+    sc.acc.(l) <- 0.0 +. x
+  end
+
+(* Adds [scale] times the last DP's shares to the accumulator. *)
+let[@inline] acc_add_dp sc scale =
+  for i = 0 to sc.ntouched - 1 do
+    let l = sc.touched.(i) in
+    acc_add sc l (scale *. sc.share.(l))
+  done
+
+(* The accumulated row in link order, keeping entries above [above].
+   Allocates the row only. *)
+let acc_row sc ~above =
+  let m = Array.length sc.acc in
+  let kept l = sc.acc_seen.(l) = sc.acc_stamp && sc.acc.(l) > above in
+  let k = ref 0 in
+  for l = 0 to m - 1 do
+    if kept l then incr k
+  done;
+  let row = Array.make !k (0, 0.0) in
+  let k = ref 0 in
+  for l = 0 to m - 1 do
+    if kept l then begin
+      row.(!k) <- (l, sc.acc.(l));
+      incr k
+    end
+  done;
+  row
+
+let dor_fractions ctx sc ~src ~dst =
+  acc_reset sc;
   (* Probability mass of coordinate paths crossing a dead link detours over
      the surviving shortest-path DAG, mirroring the data plane's fallback. *)
   let dead = ref 0.0 in
   List.iter
     (fun (path, p) ->
-      if path_alive ctx path then Array.iter (fun l -> add l p) (path_links ctx path)
+      if path_alive ctx path then Array.iter (fun l -> acc_add sc l p) (path_links ctx path)
       else dead := !dead +. p)
-    (dor_paths_weighted ctx ~src ~dst);
-  if !dead > 0.0 then
-    Array.iter (fun (l, f) -> add l (!dead *. f)) (min_fractions_uncached ctx ~src ~dst);
-  Util.Tbl.sorted_bindings ~cmp:Int.compare acc
+    (dor_paths_weighted ctx sc ~src ~dst);
+  if !dead > 0.0 then begin
+    min_fractions_uncached ctx sc ~src ~dst;
+    acc_add_dp sc !dead
+  end;
+  acc_row sc ~above:neg_infinity
 
-let accumulate_dense dense scale sparse =
-  Array.iter (fun (l, f) -> dense.(l) <- dense.(l) +. (scale *. f)) sparse
-
-let vlb_a ctx src =
-  match Hashtbl.find_opt ctx.vlb_a src with
+(* VLB's per-endpoint sums over every waypoint's minimal fractions: phase
+   1 out of [v] when [outbound], phase 2 into [v] otherwise. *)
+let vlb_sum ctx sc table v ~outbound =
+  match Hashtbl.find_opt table v with
   | Some a -> a
   | None ->
       let t = ctx.topo in
       let dense = Array.make (Topology.link_count t) 0.0 in
       for w = 0 to Topology.host_count t - 1 do
-        if w <> src && Topology.reachable t src w then
-          accumulate_dense dense 1.0 (min_fractions_uncached ctx ~src ~dst:w)
+        let src = if outbound then v else w and dst = if outbound then w else v in
+        if w <> v && Topology.reachable t src dst then begin
+          min_fractions_uncached ctx sc ~src ~dst;
+          for i = 0 to sc.ntouched - 1 do
+            let l = sc.touched.(i) in
+            dense.(l) <- dense.(l) +. (1.0 *. sc.share.(l))
+          done
+        end
       done;
-      Hashtbl.replace ctx.vlb_a src dense;
+      Hashtbl.replace table v dense;
       dense
 
-let vlb_b ctx dst =
-  match Hashtbl.find_opt ctx.vlb_b dst with
-  | Some b -> b
-  | None ->
-      let t = ctx.topo in
-      let dense = Array.make (Topology.link_count t) 0.0 in
-      for w = 0 to Topology.host_count t - 1 do
-        if w <> dst && Topology.reachable t w dst then
-          accumulate_dense dense 1.0 (min_fractions_uncached ctx ~src:w ~dst)
-      done;
-      Hashtbl.replace ctx.vlb_b dst dense;
-      dense
-
-let sparse_of_dense dense =
-  let acc = ref [] in
-  for l = Array.length dense - 1 downto 0 do
-    if dense.(l) > 1e-12 then acc := (l, dense.(l)) :: !acc
-  done;
-  Array.of_list !acc
-
-let vlb_fractions ctx ~src ~dst =
+let vlb_fractions ctx sc ~src ~dst =
   (* Expected load: average over uniform waypoints of phase-1 plus phase-2
      minimal fractions. Waypoints equal to src or dst degenerate to a single
      minimal phase, which the sums already capture (the degenerate phase
@@ -495,28 +660,46 @@ let vlb_fractions ctx ~src ~dst =
   done;
   if !valid = 0 then invalid_arg "Routing: destination unreachable";
   let h = float_of_int !valid in
-  let a = vlb_a ctx src and b = vlb_b ctx dst in
-  let dense = Array.make (Array.length a) 0.0 in
-  Array.iteri (fun l x -> dense.(l) <- (x +. b.(l)) /. h) a;
-  sparse_of_dense dense
+  let a = vlb_sum ctx sc ctx.vlb_a src ~outbound:true in
+  let b = vlb_sum ctx sc ctx.vlb_b dst ~outbound:false in
+  let m = Array.length a in
+  let k = ref 0 in
+  for l = 0 to m - 1 do
+    if (a.(l) +. b.(l)) /. h > 1e-12 then incr k
+  done;
+  let row = Array.make !k (0, 0.0) in
+  let k = ref 0 in
+  for l = 0 to m - 1 do
+    let x = (a.(l) +. b.(l)) /. h in
+    if x > 1e-12 then begin
+      row.(!k) <- (l, x);
+      incr k
+    end
+  done;
+  row
 
-let wlb_fractions ctx ~src ~dst =
+let wlb_fractions ctx sc ~src ~dst =
   let t = ctx.topo in
   let h = Topology.host_count t in
   let prefix = wlb_waypoint_weights ctx ~src ~dst in
   let total = prefix.(h - 1) in
-  let dense = Array.make (Topology.link_count t) 0.0 in
+  acc_reset sc;
   for w = 0 to h - 1 do
     let weight = (if w = 0 then prefix.(0) else prefix.(w) -. prefix.(w - 1)) /. total in
     if weight > 0.0 then begin
       if w <> src && w <> dst then begin
-        accumulate_dense dense weight (min_fractions_uncached ctx ~src ~dst:w);
-        accumulate_dense dense weight (min_fractions_uncached ctx ~src:w ~dst)
+        min_fractions_uncached ctx sc ~src ~dst:w;
+        acc_add_dp sc weight;
+        min_fractions_uncached ctx sc ~src:w ~dst;
+        acc_add_dp sc weight
       end
-      else accumulate_dense dense weight (min_fractions_uncached ctx ~src ~dst)
+      else begin
+        min_fractions_uncached ctx sc ~src ~dst;
+        acc_add_dp sc weight
+      end
     end
   done;
-  sparse_of_dense dense
+  acc_row sc ~above:1e-12
 
 let fractions_raw ctx p ~src ~dst =
   if src = dst then invalid_arg "Routing.fractions: src = dst";
@@ -525,12 +708,13 @@ let fractions_raw ctx p ~src ~dst =
   match Hashtbl.find_opt ctx.frac_cache key with
   | Some f -> f
   | None ->
+      let sc = scratch ctx in
       let f =
         match p with
-        | Rps -> min_fractions_uncached ctx ~src ~dst
-        | Dor -> dor_fractions ctx ~src ~dst
-        | Vlb -> vlb_fractions ctx ~src ~dst
-        | Wlb -> wlb_fractions ctx ~src ~dst
+        | Rps -> min_fractions ctx sc ~src ~dst
+        | Dor -> dor_fractions ctx sc ~src ~dst
+        | Vlb -> vlb_fractions ctx sc ~src ~dst
+        | Wlb -> wlb_fractions ctx sc ~src ~dst
       in
       Hashtbl.replace ctx.frac_cache key f;
       f

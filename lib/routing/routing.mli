@@ -14,7 +14,11 @@
     flow's {e link fractions}: the expected fraction of the flow's rate
     crossing each directed link, which is what the paper's flow-level rate
     computation consumes (§3.3). Fraction computation is cached per
-    (protocol, src, dst) inside a {!ctx}. *)
+    (protocol, src, dst) inside a {!ctx}.
+
+    Both kernels run on working memory the context allocates on first
+    use, so a sampled path and a fresh fraction row allocate only their
+    output (DESIGN.md §11). *)
 
 type protocol = Rps | Dor | Vlb | Wlb
 
@@ -42,7 +46,19 @@ val topo : ctx -> Topology.t
 val sample_path : ctx -> Util.Rng.t -> protocol -> src:int -> dst:int -> int array
 (** Vertex sequence [src; ...; dst] of one packet's path. For RPS/DOR the
     path is minimal; for VLB/WLB it concatenates two minimal phases through
-    a waypoint. [src <> dst] required. *)
+    a waypoint. [src <> dst] required. A fresh copy of {!sample_into}'s
+    buffer; the copy is all it allocates beyond {!sample_into}. *)
+
+val sample_into : ctx -> Util.Rng.t -> protocol -> src:int -> dst:int -> int
+(** {!sample_path} without the copy: writes the path into {!path_buffer}
+    and returns its vertex count. Same path, same draws. Allocates nothing
+    for RPS and for VLB once the context is warm (demoted links and WLB
+    box one float draw; DOR enumerates its coordinate paths). *)
+
+val path_buffer : ctx -> int array
+(** The context's path buffer: after [n = sample_into ...], positions
+    [0 .. n-1] hold the path until the next call into the same context.
+    Owned by the context, never by the caller. *)
 
 val ecmp_path : ctx -> flow_id:int -> src:int -> dst:int -> int array
 (** Deterministic shortest path chosen by hashing the flow identifier — the

@@ -182,10 +182,12 @@ let alloc_pkt t =
   end;
   h
 
-let intern t a =
-  let s = Arena.Ints.of_array t.slices a in
+let intern_prefix t a n =
+  let s = Arena.Ints.of_prefix t.slices a n in
   t.sl <- Arena.Ints.data t.slices;
   s
+
+let intern t a = intern_prefix t a (Array.length a)
 
 (* Terminal for every packet: drop the route reference (and, for Sync, the
    two payload slices), then recycle the record. *)

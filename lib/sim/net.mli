@@ -58,6 +58,12 @@ val intern_route : t -> int array -> route
     right after sending; a flow keeps its route interned for its lifetime
     and releases it (once) when done. *)
 
+val intern_prefix : t -> int array -> int -> route
+(** [intern_prefix t buf n] interns [buf.(0 .. n-1)], like {!intern_route}
+    on [Array.sub buf 0 n] but without the copy: the data plane samples
+    each packet's path into {!Routing.path_buffer} and interns it from
+    there, allocating nothing per packet. *)
+
 val retain_route : t -> route -> unit
 
 val release_route : t -> route -> unit

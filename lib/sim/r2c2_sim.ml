@@ -483,8 +483,8 @@ let rec inject t st =
     st.last_inject <- Engine.now t.eng;
     t.injected_payload <- t.injected_payload + payload;
     Metrics.note_first_tx t.mtrcs ~id:st.idx ~now:(Engine.now t.eng);
-    let path = Routing.sample_path t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
-    let route = Net.intern_route t.net path in
+    let n = Routing.sample_into t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
+    let route = Net.intern_prefix t.net (Routing.path_buffer t.rctx) n in
     Net.send_data t.net ~flow:st.idx ~seq:st.seq ~last ~bytes:wire ~route;
     Net.release_route t.net route;
     st.seq <- st.seq + 1;
@@ -997,8 +997,8 @@ and retransmit t st ~seq ~bytes ~last =
     if Topology.reachable t.topo st.src st.dst then begin
       t.retransmissions <- t.retransmissions + 1;
       t.injected_payload <- t.injected_payload + (bytes - header);
-      let path = Routing.sample_path t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
-      let route = Net.intern_route t.net path in
+      let n = Routing.sample_into t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
+      let route = Net.intern_prefix t.net (Routing.path_buffer t.rctx) n in
       Net.send_data t.net ~flow:st.idx ~seq ~last ~bytes ~route;
       Net.release_route t.net route
     end

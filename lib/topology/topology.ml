@@ -19,7 +19,9 @@ type t = {
      packet hot path resolves one link per hop with a single load.
      Rack-scale vertex counts keep it small: 512 nodes -> 2 MB. *)
   link_mat : int array;
-  dist_cache : (int, int array) Hashtbl.t;
+  (* Distances towards each destination, indexed by destination; [||] =
+     not computed. Reading an entry allocates nothing. *)
+  dist_cache : int array array;
   (* Live down-state overlay: links and nodes can be failed and restored
      without rebuilding the graph. [link_failed] records explicitly failed
      directed links; a link is alive only if it is not failed AND both its
@@ -66,7 +68,7 @@ let build ~kind ~hosts ~nverts edges =
     lsrc;
     ldst = Array.of_list (List.rev !ldst);
     link_mat;
-    dist_cache = Hashtbl.create 64;
+    dist_cache = Array.make nverts [||];
     link_failed = Array.make (Array.length lsrc) false;
     node_up = Array.make nverts true;
     version = 0;
@@ -237,7 +239,7 @@ let find_link t u v =
 (* -- live down-state ----------------------------------------------------- *)
 
 let node_alive t u = t.node_up.(u)
-let link_alive t l = (not t.link_failed.(l)) && t.node_up.(t.lsrc.(l)) && t.node_up.(t.ldst.(l))
+let[@inline] link_alive t l = (not t.link_failed.(l)) && t.node_up.(t.lsrc.(l)) && t.node_up.(t.ldst.(l))
 let version t = t.version
 
 let alive_vertex_count t =
@@ -255,28 +257,19 @@ let cable_ids t u v =
    (restore) a shortest path towards [dst] under the distances the cache
    currently holds. *)
 
+let invalidate t stale =
+  for dst = 0 to t.nverts - 1 do
+    let d = t.dist_cache.(dst) in
+    if Array.length d > 0 && stale d then t.dist_cache.(dst) <- [||]
+  done
+
 let invalidate_link_failure t u v =
-  let stale = ref [] in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun dst d ->
+  invalidate t (fun d ->
       let du = d.(u) and dv = d.(v) in
-      if du < max_int && dv < max_int && abs (du - dv) = 1 then stale := dst :: !stale)
-    t.dist_cache;
-  List.iter (Hashtbl.remove t.dist_cache) !stale
+      du < max_int && dv < max_int && abs (du - dv) = 1)
 
-let invalidate_link_restore t u v =
-  let stale = ref [] in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun dst d -> if d.(u) <> d.(v) then stale := dst :: !stale)
-    t.dist_cache;
-  List.iter (Hashtbl.remove t.dist_cache) !stale
-
-let invalidate_node_failure t u =
-  let stale = ref [] in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun dst d -> if d.(u) < max_int then stale := dst :: !stale)
-    t.dist_cache;
-  List.iter (Hashtbl.remove t.dist_cache) !stale
+let invalidate_link_restore t u v = invalidate t (fun d -> d.(u) <> d.(v))
+let invalidate_node_failure t u = invalidate t (fun d -> d.(u) < max_int)
 
 let fail_link t u v =
   let a, b = cable_ids t u v in
@@ -309,7 +302,7 @@ let restore_node t u =
   if not t.node_up.(u) then begin
     t.node_up.(u) <- true;
     (* A node coming back can shorten arbitrary paths; flush everything. *)
-    Hashtbl.reset t.dist_cache;
+    Array.fill t.dist_cache 0 t.nverts [||];
     t.version <- t.version + 1
   end
 
@@ -349,28 +342,39 @@ let bfs t src =
 let dist_to t dst =
   (* The graph is symmetric, so a forward BFS from [dst] yields distances
      towards [dst]. *)
-  match Hashtbl.find_opt t.dist_cache dst with
-  | Some d -> d
-  | None ->
-      let d = bfs t dst in
-      Hashtbl.replace t.dist_cache dst d;
-      d
+  let d = t.dist_cache.(dst) in
+  if Array.length d > 0 then d
+  else begin
+    let d = bfs t dst in
+    t.dist_cache.(dst) <- d;
+    d
+  end
 
 let distance t u v = (dist_to t v).(u)
 
-let productive_hops t u ~dst =
-  if u = dst then [||]
-  else begin
-    let d = dist_to t dst in
-    let du = d.(u) in
-    if du = max_int then [||]
-    else begin
-      let hops = Array.to_list t.out.(u) in
-      (* The distance filter alone is not enough: a dead link between two
-         alive vertices still satisfies d.(v) = du - 1. *)
-      Array.of_list (List.filter (fun (v, l) -> d.(v) = du - 1 && link_alive t l) hops)
+(* The one productive-hop test: hop [(v, l)] out of [u] steps one hop
+   closer to the destination whose distances are [d], over an alive link.
+   The distance filter alone is not enough: a dead link between two alive
+   vertices still satisfies d.(v) = d.(u) - 1. Unreachable [u]
+   (d.(u) = max_int) and [u] = dst (d.(u) = 0) have no productive hop,
+   since distances are either below the vertex count or max_int. *)
+let[@inline] productive t d u (v, l) = d.(v) = d.(u) - 1 && link_alive t l
+
+let productive_ports t u ~dst ports =
+  let d = dist_to t dst in
+  let out = t.out.(u) in
+  let n = ref 0 in
+  for i = 0 to Array.length out - 1 do
+    if productive t d u out.(i) then begin
+      ports.(!n) <- i;
+      incr n
     end
-  end
+  done;
+  !n
+
+let productive_hops t u ~dst =
+  let d = dist_to t dst in
+  Array.of_list (List.filter (productive t d u) (Array.to_list t.out.(u)))
 
 let reachable t u v =
   t.node_up.(u) && t.node_up.(v) && (u = v || (dist_to t v).(u) < max_int)

@@ -52,7 +52,9 @@ val host_count : t -> int
 (** Number of traffic end-points; hosts are vertices [0 .. host_count-1]. *)
 
 val link_count : t -> int
-(** Number of directed links. *)
+(** Number of directed links. Link ids are numbered source-major: the
+    links out of vertex [u] carry consecutive ids in {!out_links} order,
+    and all of them are below those out of [u + 1]. *)
 
 val link_src : t -> link_id -> node
 val link_dst : t -> link_id -> node
@@ -128,8 +130,14 @@ val dist_to : t -> node -> int array
 
 val productive_hops : t -> node -> dst:node -> (node * link_id) array
 (** Next hops of [node] lying on some shortest path to [dst] over alive
-    links. Empty if [node = dst] or [dst] is unreachable; never contains a
-    failed link. *)
+    links, in {!out_links} order. Empty if [node = dst] or [dst] is
+    unreachable; never contains a failed link. *)
+
+val productive_ports : t -> node -> dst:node -> int array -> int
+(** [productive_ports t u ~dst ports] is {!productive_hops} without
+    allocating: it writes the positions in [out_links t u] of the
+    productive hops into [ports] (ascending; [ports] needs room for
+    [degree t u]) and returns their count. *)
 
 val average_distance : t -> float
 (** Mean shortest-path distance over distinct host pairs (exact for small

@@ -110,7 +110,7 @@ module Ints = struct
     mutable store : (int, Bigarray.int_elt, Bigarray.c_layout) A1.t;
     mutable cap : int;  (* words *)
     mutable next_fresh : int;
-    by_len : (int, int) Hashtbl.t;  (* length -> free-list head handle *)
+    mutable heads : int array;  (* length -> free-list head handle; -1 = none *)
     mutable live : int;
   }
 
@@ -126,8 +126,8 @@ module Ints = struct
       cap = capacity;
       next_fresh = 2;
       (* Steady state sees one free list per distinct route length — a
-         handful of hop counts even on the 8x8x8 torus. *)
-      by_len = Hashtbl.create 16;
+         handful of hop counts even on the 8x8x8 torus; grown on demand. *)
+      heads = Array.make 16 (-1);
       live = 0;
     }
 
@@ -149,22 +149,23 @@ module Ints = struct
     end
 
   let alloc_block p len =
-    match Hashtbl.find_opt p.by_len len with
-    | Some s when s >= 0 ->
-        let next = A1.unsafe_get p.store s in
-        Hashtbl.replace p.by_len len next;
-        A1.unsafe_set p.store (s - 1) 1;
-        s
-    | _ ->
-        ensure p (len + 2);
-        let s = p.next_fresh + 2 in
-        p.next_fresh <- p.next_fresh + len + 2;
-        A1.unsafe_set p.store (s - 2) len;
-        A1.unsafe_set p.store (s - 1) 1;
-        s
+    let s = if len < Array.length p.heads then p.heads.(len) else -1 in
+    if s >= 0 then begin
+      p.heads.(len) <- A1.unsafe_get p.store s;
+      A1.unsafe_set p.store (s - 1) 1;
+      s
+    end
+    else begin
+      ensure p (len + 2);
+      let s = p.next_fresh + 2 in
+      p.next_fresh <- p.next_fresh + len + 2;
+      A1.unsafe_set p.store (s - 2) len;
+      A1.unsafe_set p.store (s - 1) 1;
+      s
+    end
 
-  let of_array p a =
-    let len = Array.length a in
+  let of_prefix p a len =
+    if len < 0 || len > Array.length a then invalid_arg "Arena.Ints.of_prefix: length";
     if len = 0 then empty
     else begin
       let s = alloc_block p len in
@@ -174,6 +175,8 @@ module Ints = struct
       p.live <- p.live + 1;
       s
     end
+
+  let of_array p a = of_prefix p a (Array.length a)
 
   let[@inline] retain p s =
     if s <> empty then begin
@@ -189,9 +192,13 @@ module Ints = struct
       A1.unsafe_set p.store (s - 1) (rc - 1);
       if rc = 1 then begin
         let len = length p s in
-        let head = match Hashtbl.find_opt p.by_len len with Some h -> h | None -> -1 in
-        A1.unsafe_set p.store s head;
-        Hashtbl.replace p.by_len len s;
+        if len >= Array.length p.heads then begin
+          let heads = Array.make (max (len + 1) (2 * Array.length p.heads)) (-1) in
+          Array.blit p.heads 0 heads 0 (Array.length p.heads);
+          p.heads <- heads
+        end;
+        A1.unsafe_set p.store s p.heads.(len);
+        p.heads.(len) <- s;
         p.live <- p.live - 1
       end
     end

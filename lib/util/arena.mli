@@ -57,9 +57,10 @@ val high_water : t -> int
 val capacity : t -> int
 
 (** Refcounted int slices in one flat pool — the simulator's route store.
-    A slice is allocated once per flow and shared by every packet that
-    carries the route (retransmits included); the last [release] recycles
-    it onto a per-length free list. *)
+    A slice is shared by every packet that carries the route (retransmits
+    included); the last [release] recycles it onto a per-length free list.
+    The free-list heads are a flat array indexed by length, so an
+    intern/release pair allocates nothing in steady state. *)
 module Ints : sig
   type pool
 
@@ -69,6 +70,12 @@ module Ints : sig
   val of_array : pool -> int array -> int
   (** Copies the array into the pool; returns a slice handle with
       refcount 1. The empty array yields the shared handle {!empty}. *)
+
+  val of_prefix : pool -> int array -> int -> int
+  (** [of_prefix pool a n] is [of_array pool (Array.sub a 0 n)] without
+      the intermediate array: interning a route from a reusable buffer
+      allocates nothing once its length's free list is warm. Raises
+      [Invalid_argument] unless [0 <= n <= Array.length a]. *)
 
   val empty : int
   (** The canonical zero-length slice; retain/release on it are no-ops. *)

@@ -395,6 +395,27 @@ let a1_net_lookups_flagged () =
   check_sim_rules "find_link fine in other sim files" []
     "let hop t u v = Topology.find_link t.topo u v"
 
+let a1_sim_path_sampling_flagged () =
+  (* The R2C2 sender picks a route per data packet: a fresh vertex array
+     each time is the allocation the path buffer removed. *)
+  let lint_r2c2 src = Lint_core.lint_source ~file:"lib/sim/r2c2_sim.ml" ~in_lib:true src in
+  let check_r2c2 name expected src =
+    Alcotest.(check (list string)) name expected (rules_of (lint_r2c2 src))
+  in
+  check_r2c2 "sample_path in r2c2_sim.ml" [ "A1" ]
+    "let route t st = Net.intern_route t.net (Routing.sample_path t.rctx t.rng st.proto ~src ~dst)";
+  check_r2c2 "sample_into and the path buffer are the fast path" []
+    (String.concat "\n"
+       [
+         "let route t st =";
+         "  let n = Routing.sample_into t.rctx t.rng st.proto ~src ~dst in";
+         "  Net.intern_prefix t.net (Routing.path_buffer t.rctx) n";
+       ]);
+  (* Other sim modules sample off the per-packet path (PFQ's per-flow
+     path set, for one). *)
+  check_sim_rules "sample_path fine in other sim files" []
+    "let paths ctx rng = Routing.sample_path ctx rng Routing.Rps ~src:0 ~dst:1"
+
 let a1_allow_suppresses () =
   let r =
     lint_sim
@@ -731,6 +752,7 @@ let suites =
         tc "A1: scoped to lib/sim" a1_scoped_to_sim;
         tc "A1: benign shapes ok" a1_benign_shapes_ok;
         tc "A1: allocating lookups in net.ml" a1_net_lookups_flagged;
+        tc "A1: per-packet path arrays in r2c2_sim.ml" a1_sim_path_sampling_flagged;
         tc "A1: allow suppresses" a1_allow_suppresses;
         tc "stale allow fails the gate" stale_allow_fails_gate;
         tc "per-rule suppression counts" per_rule_suppression_counts;

@@ -75,7 +75,25 @@ let leak_flags () =
          "  if c then release_route t r else ()";
        ]);
   check_rules "minted and discarded in statement position" [ "L1" ]
-    "let f t a = intern_route t a; ()"
+    "let f t a = intern_route t a; ()";
+  (* The data plane's prefix interning mints a route like intern_route. *)
+  check_rules "prefix route never released" [ "L1" ]
+    "let f t buf n = let r = intern_prefix t buf n in send_data t r";
+  check_rules "pool prefix slice released on only some paths" [ "L1" ]
+    (String.concat "\n"
+       [
+         "let f p buf n c =";
+         "  let s = Arena.Ints.of_prefix p buf n in";
+         "  if c then Arena.Ints.release p s else ()";
+       ]);
+  check_rules "prefix route used after release" [ "L2" ]
+    (String.concat "\n"
+       [
+         "let f t buf n =";
+         "  let r = intern_prefix t buf n in";
+         "  release_route t r;";
+         "  send_data t r";
+       ])
 
 let wrong_releaser_flags () =
   (* A route slice handed to the packet pool's free recycles the wrong
@@ -107,6 +125,15 @@ let sanctioned_idiom_ok () =
          "  let route = intern_route net path in";
          "  send_data net ~flow ~seq ~route;";
          "  release_route net route";
+       ]);
+  check_rules "sample into the buffer / intern the prefix / send / release" []
+    (String.concat "\n"
+       [
+         "let f t st =";
+         "  let n = Routing.sample_into t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in";
+         "  let route = Net.intern_prefix t.net (Routing.path_buffer t.rctx) n in";
+         "  Net.send_data t.net ~flow:st.idx ~route;";
+         "  Net.release_route t.net route";
        ]);
   check_rules "release on every branch" []
     (String.concat "\n"

@@ -217,6 +217,174 @@ let qcheck_sampled_path_minimal =
       let p = Routing.sample_path ctx rng Routing.Rps ~src ~dst in
       Array.length p - 1 = Topology.distance (Routing.topo ctx) src dst)
 
+(* -- differential tests against the reference model ------------------------ *)
+
+module M = Routing_model
+
+(* The topologies of the differential tests, small enough to check every
+   (src, dst) pair: each builds a fresh graph, so a variant's failures
+   never leak into the next. *)
+let model_topologies =
+  [
+    ("4x4x4 torus", fun () -> Topology.torus [| 4; 4; 4 |]);
+    ("3x4 mesh", fun () -> Topology.mesh [| 3; 4 |]);
+    ("clos", fun () -> Topology.clos ~leaves:3 ~spines:2 ~servers_per_leaf:2);
+    ("hypercube", fun () -> Topology.hypercube 4);
+    ( "bridged pair",
+      fun () ->
+        Topology.bridge (Topology.torus [| 3; 3 |]) (Topology.mesh [| 2; 3 |])
+          ~cables:[ (0, 0); (4, 5) ] );
+  ]
+
+(* A cable out of [u]: its first neighbour. *)
+let cable_of t u = (u, fst (Topology.out_links t u).(0))
+
+(* Each variant fails part of the topology and/or demotes cables of a
+   context: [health] is applied to every context made on the topology. *)
+let model_variants =
+  let no_health _ _ = () in
+  [
+    ("pristine", ignore, no_health);
+    ( "failed link",
+      (fun t ->
+        let u, v = cable_of t 1 in
+        Topology.fail_link t u v),
+      no_health );
+    ("failed node", (fun t -> Topology.fail_node t (Topology.vertex_count t - 2)), no_health);
+    ( "quarantined cable",
+      ignore,
+      fun t ctx ->
+        let u, v = cable_of t 0 in
+        Routing.note_suspect ctx u v;
+        let u, v = cable_of t 2 in
+        Routing.note_probation ctx u v );
+  ]
+
+let variant_ctx t health =
+  let ctx = Routing.make t in
+  health t ctx;
+  ctx
+
+let outcome f = match f () with row -> Ok row | exception Invalid_argument m -> Error m
+
+(* Bit for bit: equal link ids and equal float bit patterns, in order. *)
+let same_outcome a b =
+  match (a, b) with
+  | Ok a, Ok b ->
+      Array.length a = Array.length b
+      && Array.for_all2
+           (fun (l, f) (l', f') ->
+             l = l' && Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f'))
+           a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show_outcome = function
+  | Error m -> "raises " ^ m
+  | Ok row ->
+      String.concat " "
+        (Array.to_list
+           (Array.map (fun (l, f) -> Printf.sprintf "%d:%Lx" l (Int64.bits_of_float f)) row))
+
+(* Every protocol, every ordered pair, every variant: the row Routing
+   caches equals the model's row bit for bit, or both raise. Each block of
+   8 sources gets a fresh context, which bounds the row cache: a VLB or
+   WLB row on the 4x4x4 torus spans most of its 384 links. *)
+let fractions_match_model () =
+  List.iter
+    (fun (tname, build) ->
+      List.iter
+        (fun (vname, fail, health) ->
+          let t = build () in
+          fail t;
+          let m = M.make (variant_ctx t health) in
+          let n = Topology.vertex_count t in
+          List.iter
+            (fun p ->
+              let ctx = ref (variant_ctx t health) in
+              for src = 0 to n - 1 do
+                if src mod 8 = 0 then ctx := variant_ctx t health;
+                for dst = 0 to n - 1 do
+                  if src <> dst then begin
+                    let got =
+                      outcome (fun () -> U.pairs_to_floats (Routing.fractions !ctx p ~src ~dst))
+                    in
+                    let want = outcome (fun () -> M.fractions m p ~src ~dst) in
+                    if not (same_outcome got want) then
+                      Alcotest.failf "%s, %s, %s %d->%d:\n  got  %s\n  want %s" tname vname
+                        (Routing.protocol_name p) src dst (show_outcome got) (show_outcome want)
+                  end
+                done
+              done)
+            Routing.all_protocols)
+        model_variants)
+    model_topologies
+
+(* Contexts for the walker property, one per (topology, variant), built on
+   first use and shared across cases: sampling mutates nothing but caches. *)
+let walker_ctxs =
+  Array.of_list
+    (List.concat_map
+       (fun (_, build) ->
+         List.map
+           (fun (_, fail, health) ->
+             lazy
+               (let t = build () in
+                fail t;
+                let ctx = variant_ctx t health in
+                (ctx, M.make ctx)))
+           model_variants)
+       model_topologies)
+
+(* The buffer walker returns the model's path, or both raise, and leaves
+   the generator where the model leaves it. *)
+let qcheck_walker_matches_model =
+  QCheck.Test.make ~name:"sampled paths = reference walker, draw for draw" ~count:1000
+    QCheck.(
+      quad (int_bound (Array.length walker_ctxs - 1)) (pair small_nat small_nat) (int_bound 4)
+        int)
+    (fun (which, (a, b), proto, seed) ->
+      let ctx, m = Lazy.force walker_ctxs.(which) in
+      let n = Topology.vertex_count (Routing.topo ctx) in
+      let src = a mod n and dst = b mod n in
+      QCheck.assume (src <> dst);
+      let r1 = Util.Rng.create seed and r2 = Util.Rng.create seed in
+      let run f = match f () with p -> Ok p | exception Invalid_argument e -> Error e in
+      let got, want =
+        match Routing.protocol_of_int proto with
+        | Some p ->
+            ( run (fun () ->
+                  let k = Routing.sample_into ctx r1 p ~src ~dst in
+                  Array.sub (Routing.path_buffer ctx) 0 k),
+              run (fun () -> M.sample_path m r2 p ~src ~dst) )
+        | None ->
+            (* The fifth "protocol" is the TCP baseline's ECMP path. *)
+            ( run (fun () -> Routing.ecmp_path ctx ~flow_id:seed ~src ~dst),
+              run (fun () -> M.ecmp_path m ~flow_id:seed ~src ~dst) )
+      in
+      got = want && Int64.equal (Util.Rng.bits64 r1) (Util.Rng.bits64 r2))
+
+(* A cold row allocates the row and its cache binding, nothing else: 5
+   words per entry for the (link, fraction) pair and its boxed float, and
+   the row array, which OCaml places in the minor heap up to 256 fields
+   and in the major heap beyond. Counted with [Gc.minor_words], the exact
+   counter; the 8x8x8 rows run from 6 to over 600 entries. *)
+let cold_fractions_allocate_only_the_row () =
+  let ctx = Routing.make (Topology.torus [| 8; 8; 8 |]) in
+  (* Warm the scratch and the destination's distances. *)
+  ignore (Routing.fractions ctx Routing.Rps ~src:1 ~dst:0);
+  let expected = ref 0 and calls = ref 0 in
+  let before = Gc.minor_words () in
+  for src = 2 to 511 do
+    let n = Array.length (Routing.fractions ctx Routing.Rps ~src ~dst:0) in
+    expected := !expected + (5 * n) + if n + 1 <= 256 then n + 1 else 0;
+    incr calls
+  done;
+  let extra = (Gc.minor_words () -. before -. float_of_int !expected) /. float_of_int !calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words beyond the row per cold row <= 8 (got %.2f)" extra)
+    true (extra <= 8.0)
+
 let suites =
   [
     ( "routing",
@@ -239,5 +407,8 @@ let suites =
         tc "fraction caching" fractions_cached;
         tc "protocol int roundtrip" protocol_int_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_sampled_path_minimal;
+        tc "fractions = reference model, bit for bit" fractions_match_model;
+        QCheck_alcotest.to_alcotest qcheck_walker_matches_model;
+        tc "cold fractions allocate only the row" cold_fractions_allocate_only_the_row;
       ] );
   ]

@@ -179,6 +179,75 @@ let net_steady_state_zero_alloc () =
   Sim.Net.release_route net fwd;
   Sim.Net.release_route net rev
 
+let net_route_interning_zero_alloc () =
+  (* The same loop, but as the R2C2 sender works: every data packet interns
+     its own route from a reusable path buffer and releases it once sent.
+     With the per-length free lists warm, the pair allocates nothing; free
+     lists kept in a hashtable cost an option box per lookup (4 words per
+     packet). *)
+  let eng, _, net = mk_net () in
+  let buf = [| 0; 1; 9; 9 |] in
+  let rev = Sim.Net.intern_route net [| 1; 0 |] in
+  let remaining = ref 0 in
+  let send_fresh seq =
+    let route = Sim.Net.intern_prefix net buf 2 in
+    Sim.Net.send_data net ~flow:0 ~seq ~last:false ~bytes:1500 ~route;
+    Sim.Net.release_route net route
+  in
+  Sim.Net.on_deliver net (fun pkt ->
+      if Sim.Net.kind net pkt = Sim.Net.code_data then
+        Sim.Net.send_ack net ~flow:0 ~ackno:(Sim.Net.data_seq net pkt) ~bytes:64
+          ~route:rev
+      else if !remaining > 0 then begin
+        decr remaining;
+        send_fresh !remaining
+      end);
+  let run n =
+    remaining := n;
+    send_fresh 0;
+    Sim.Engine.run eng
+  in
+  run 200;
+  let before = Gc.minor_words () in
+  run 2000;
+  let per_pkt = (Gc.minor_words () -. before) /. 4000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per packet ~ 0 (got %.3f)" per_pkt)
+    true (per_pkt < 0.05);
+  Sim.Net.release_route net rev
+
+let sampled_route_zero_alloc proto () =
+  (* The data plane's per-packet routing on the paper's 8x8x8 rack, as
+     R2c2_sim.inject runs it: sample into the context's path buffer,
+     intern the prefix, send, release. Once the distance arrays and the
+     per-length free lists are warm, a packet's route allocates nothing. *)
+  let eng = Sim.Engine.create () in
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let rctx = Routing.make topo in
+  let rng = Util.Rng.create 7 in
+  let draw n =
+    for _ = 1 to n do
+      let src = Util.Rng.int rng 512 in
+      let dst = (src + 1 + Util.Rng.int rng 511) mod 512 in
+      let len = Routing.sample_into rctx rng proto ~src ~dst in
+      let route = Sim.Net.intern_prefix net (Routing.path_buffer rctx) len in
+      Sim.Net.release_route net route
+    done
+  in
+  for dst = 0 to 511 do
+    ignore (Topology.dist_to topo dst)
+  done;
+  draw 5_000;
+  let n = 20_000 in
+  let before = Gc.minor_words () in
+  draw n;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: minor words per sampled route ~ 0 (got %.3f)"
+       (Routing.protocol_name proto) per_call)
+    true (per_call < 0.05)
+
 let net_broadcast_replication_zero_alloc () =
   (* The same contract for broadcast replicas: once every tree of a 4x4x4
      torus is built, a flood is a loop over each tree's CSR FIB — no
@@ -855,6 +924,9 @@ let suites =
         tc "broadcast requires a FIB" net_requires_fib_for_broadcast;
         tc "bad routes rejected" net_rejects_bad_route;
         tc "steady state allocates nothing" net_steady_state_zero_alloc;
+        tc "route interning allocates nothing" net_route_interning_zero_alloc;
+        tc "RPS route sampling allocates nothing" (sampled_route_zero_alloc Routing.Rps);
+        tc "VLB route sampling allocates nothing" (sampled_route_zero_alloc Routing.Vlb);
         tc "broadcast replication allocates nothing" net_broadcast_replication_zero_alloc;
         tc "digest check allocates nothing" digest_check_zero_alloc;
       ] );

@@ -61,18 +61,21 @@
        a `kind` or `hop` field — the pre-arena `Net.packet` layout,
        one heap block per packet), `Array.copy` of anything
        route-named (routes are interned refcounted slices in
-       `Arena.Ints`; copying one re-allocates per packet), and, in
-       `net.ml`, the allocating link and FIB lookups
-       `Topology.find_link` (an option per call) and
-       `Broadcast.children` (a fresh list per call). Use the arena
-       handle API, `Topology.find_link_id` and `Broadcast.fib` instead.
+       `Arena.Ints`; copying one re-allocates per packet), and
+       per-file bans of calls that allocate per packet: in `net.ml`,
+       the link and FIB lookups `Topology.find_link` (an option per
+       call) and `Broadcast.children` (a fresh list per call) and the
+       boxed `Util.Rng.float`; in `r2c2_sim.ml`, `Routing.sample_path`
+       (a vertex array per packet). Use the arena handle API,
+       `Topology.find_link_id`, `Broadcast.fib`, `Util.Rng.below`, and
+       `Routing.sample_into` with `Net.intern_prefix` instead.
 
    Since v3 two further rule families ride on top of this module's
    violation/suppression machinery but are implemented elsewhere
    (DESIGN.md §13):
 
    L1/L2  arena-lifetime rules over `lib/sim` (`Lint_life`): every
-       `intern_route` / `Arena.alloc` handle must reach exactly one
+       `intern_route` / `intern_prefix` / `Arena.alloc` handle must reach exactly one
        release on every path, and must never be touched after it.
    M1–M3  domain-safety rules over the typed tree (`Lint_typed`):
        every toplevel mutable item in `lib/` must be declared in the
@@ -314,14 +317,26 @@ let mentions_route e =
   it.expr it e;
   !found
 
-(* A1 in `net.ml`: lookups that allocate per call, each with the
-   allocation-free replacement the fabric uses. *)
-let a1_net_banned =
-  [
-    ("Topology.find_link", "returns an option per call; use Topology.find_link_id (-1 = not adjacent)");
-    ("Broadcast.children", "builds a fresh list per call; loop over the CSR slice of Broadcast.fib");
-    ("Util.Rng.float", "returns a boxed float under -opaque; use Util.Rng.below");
-  ]
+(* A1 per file: calls that allocate per packet, each with the
+   allocation-free replacement. `net.ml` is the fabric's per-hop path;
+   `r2c2_sim.ml` picks every data packet's route. *)
+let a1_banned_in file =
+  match Filename.basename file with
+  | "net.ml" ->
+      [
+        ( "Topology.find_link",
+          "returns an option per call; use Topology.find_link_id (-1 = not adjacent)" );
+        ( "Broadcast.children",
+          "builds a fresh list per call; loop over the CSR slice of Broadcast.fib" );
+        ("Util.Rng.float", "returns a boxed float under -opaque; use Util.Rng.below");
+      ]
+  | "r2c2_sim.ml" ->
+      [
+        ( "Routing.sample_path",
+          "allocates a vertex array per packet; use Routing.sample_into and intern the \
+           buffer prefix with Net.intern_prefix" );
+      ]
+  | _ -> []
 
 let lint_structure ~tier ~check_u2 ~check_a1 ~a1_banned ~add structure =
   let open Parsetree in
@@ -737,9 +752,7 @@ let scan_source ~file ~tier src =
       (* A1 patrols the packet-rate data plane only: any file under a
          `sim` directory component. *)
       let check_a1 = tier = Lib && in_sim file in
-      let a1_banned =
-        if check_a1 && Filename.basename file = "net.ml" then a1_net_banned else []
-      in
+      let a1_banned = if check_a1 then a1_banned_in file else [] in
       lint_structure ~tier ~check_u2 ~check_a1 ~a1_banned ~add structure;
       if tier <> Relaxed then lint_wire ~add structure;
       Some structure

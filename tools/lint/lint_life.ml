@@ -8,8 +8,9 @@
    pass proves the discipline statically, intraprocedurally, in the same
    symbolic style as the U3 offset walker (parsetree only, no typing):
 
-   L1  a handle minted by `intern_route`/`intern`/`Arena.Ints.of_array` /
-       `Arena.alloc`/`alloc_uninit`/`alloc_pkt` and bound to a variable
+   L1  a handle minted by `intern_route`/`intern`/`intern_prefix` /
+       `Arena.Ints.of_array`/`of_prefix` / `Arena.alloc`/`alloc_uninit` /
+       `alloc_pkt` and bound to a variable
        must reach a release on EVERY path through its binding scope —
        "never released" and "released on only some paths" both flag, as
        does minting a handle and discarding the result outright.
@@ -50,7 +51,7 @@ type kind = Route | Pkt
 let kind_name = function Route -> "route" | Pkt -> "packet"
 
 let alloc_kind = function
-  | "intern_route" | "intern" | "of_array" -> Some Route
+  | "intern_route" | "intern" | "intern_prefix" | "of_array" | "of_prefix" -> Some Route
   | "alloc" | "alloc_uninit" | "alloc_pkt" -> Some Pkt
   | _ -> None
 
