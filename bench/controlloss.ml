@@ -7,8 +7,10 @@
    full-state sync — must bring every node's view back to byte-identical
    allocations: the run exits non-zero if any scenario ends with diverged
    views, an unconverged control plane, a lost flow, or (at loss <= 5%) a
-   reconvergence sample above the bound. Everything is seed-fixed, so the
-   JSON is byte-identical across runs. *)
+   reconvergence sample above the bound, and if the lossless scenario sends
+   any repair traffic. Each scenario also reports its digest hops, the
+   anti-entropy cost. Everything is seed-fixed, so the JSON is
+   byte-identical across runs. *)
 
 let dims = [| 4; 4; 4 |]
 
@@ -27,6 +29,7 @@ type outcome = {
   sync_requests : int;
   syncs : int;
   sync_bytes : int;
+  digest_hops : int;
   dups_absorbed : int;
   divergence_epochs : int;
   reconverge_samples : int list;
@@ -65,6 +68,10 @@ let run_scenario ~size ~name ~loss ~reorder ~dup ~flap () =
     Sim.R2c2_sim.set_control_chaos_at t ~ns:400_000 ~loss:(frac 0.0) ~reorder:(frac 0.0)
       ~dup:(frac 0.0)
   end;
+  let net = Sim.R2c2_sim.net t in
+  let digest_hops = ref 0 in
+  Sim.Net.set_arrive_tap net (fun ~node:_ pkt ->
+      if Sim.Net.kind net pkt = Sim.Net.code_digest then incr digest_hops);
   for i = 0 to h - 1 do
     ignore (Sim.R2c2_sim.start_flow t ~src:i ~dst:((i + shift) mod h) ~size)
   done;
@@ -74,10 +81,11 @@ let run_scenario ~size ~name ~loss ~reorder ~dup ~flap () =
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
   Printf.printf
-    "%-10s %3d flows done, %4d ctrl lost, %3d nacks, %3d rtx, %2d syncs, %2d div epochs (%.1fs)\n%!"
+    "%-10s %3d flows done, %4d ctrl lost, %4d nacks, %3d rtx, %2d syncs, %6d digest hops, %2d div \
+     epochs (%.1fs)\n%!"
     name
     (Sim.Metrics.completed_count r.metrics)
-    r.ctrl_lost r.nacks_sent r.event_retransmits r.syncs_sent r.divergence_epochs wall;
+    r.ctrl_lost r.nacks_sent r.event_retransmits r.syncs_sent !digest_hops r.divergence_epochs wall;
   {
     oname = name;
     loss = Util.Units.to_float loss;
@@ -93,6 +101,7 @@ let run_scenario ~size ~name ~loss ~reorder ~dup ~flap () =
     sync_requests = r.sync_requests;
     syncs = r.syncs_sent;
     sync_bytes = r.sync_bytes;
+    digest_hops = !digest_hops;
     dups_absorbed = r.dup_events_absorbed;
     divergence_epochs = r.divergence_epochs;
     reconverge_samples = r.reconverge_samples;
@@ -142,8 +151,12 @@ let run ~quick () =
             if s > bound then
               fail "%s: reconvergence took %d ns > bound %d ns" o.oname s bound)
           o.reconverge_samples;
-      if o.loss = 0.0 && o.reorder = 0.0 && o.dup = 0.0 && o.divergence_epochs <> 0 then
-        fail "%s: divergence without chaos" o.oname)
+      if o.loss = 0.0 && o.reorder = 0.0 && o.dup = 0.0 then begin
+        if o.divergence_epochs <> 0 then fail "%s: divergence without chaos" o.oname;
+        if o.nacks + o.sync_requests + o.retransmits <> 0 then
+          fail "%s: repair traffic without loss: %d NACKs, %d sync requests, %d replays" o.oname
+            o.nacks o.sync_requests o.retransmits
+      end)
     outcomes;
   let all_samples =
     Array.of_list (List.concat_map (fun o -> o.reconverge_samples) outcomes)
@@ -162,12 +175,12 @@ let run ~quick () =
       \      \"completed\": %d, \"aborted\": %d, \"ctrl_lost\": %d, \"ctrl_reordered\": %d,\n\
       \      \"ctrl_dupped\": %d, \"nacks\": %d, \"event_retransmits\": %d,\n\
       \      \"sync_requests\": %d, \"syncs_sent\": %d, \"sync_bytes\": %d,\n\
-      \      \"dup_events_absorbed\": %d, \"divergence_epochs\": %d,\n\
+      \      \"digest_hops\": %d, \"dup_events_absorbed\": %d, \"divergence_epochs\": %d,\n\
       \      \"reconverge_ns\": [%s], \"terminal_diverged\": %d, \"converged\": %b,\n\
       \      \"loss_ewma\": %.4f, \"effective_headroom\": %.4f }"
       o.oname o.loss o.reorder o.dup o.completed o.aborted o.ctrl_lost o.ctrl_reordered
       o.ctrl_dupped o.nacks o.retransmits o.sync_requests o.syncs o.sync_bytes
-      o.dups_absorbed o.divergence_epochs
+      o.digest_hops o.dups_absorbed o.divergence_epochs
       (String.concat ", " (List.map string_of_int o.reconverge_samples))
       o.terminal_diverged o.converged o.final_loss_ewma o.eff_headroom
   in

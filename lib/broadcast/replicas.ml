@@ -1,7 +1,8 @@
 (* One table for every receive window and believed flow set of a rack, or
    of a single library replica. Pure data structure: timers, packets and
    the origin side ([Rbcast]) stay with the caller. A row is one (replica,
-   origin) pair; its windows are [row * trees] to [row * trees + trees - 1]. *)
+   origin) pair; its windows are [row * trees] to [row * trees + trees - 1],
+   and each window also indexes the set hash of the flows on its tree. *)
 
 type t = {
   replicas : int;
@@ -18,8 +19,8 @@ type t = {
       (* out-of-order events, keyed [seq * windows + window]; a window's
          buffered events all lie in its [next + 1 .. hi] *)
   (* Believed sets, also empty until first use. *)
-  mutable sets : (int, int) Hashtbl.t array;  (* per replica: id -> origin *)
-  mutable hashes : int array;  (* per row: the slice's set hash *)
+  mutable sets : (int, int) Hashtbl.t array;  (* per replica: id -> its window *)
+  mutable hashes : int array;  (* per window: set hash of the flows on its tree *)
   mutable sizes : int array;  (* per row: the slice's size *)
 }
 
@@ -44,7 +45,7 @@ let read col i ~fresh = if Array.length col = 0 then fresh else col.(i)
 let next_expected t w = read t.next w ~fresh:0
 let highest_heard t w = read t.hi w ~fresh:(-1)
 let incarnation t w = read t.inc w ~fresh:0
-let hash t ~replica ~origin = read t.hashes ((replica * t.origins) + origin) ~fresh:0
+let tree_hash t w = read t.hashes w ~fresh:0
 let size t ~replica ~origin = read t.sizes ((replica * t.origins) + origin) ~fresh:0
 let duplicates t = Array.fold_left ( + ) 0 t.dups
 
@@ -85,7 +86,7 @@ let rec drain t w ~deliver =
   | ev ->
       Hashtbl.remove t.buffer (key t w t.next.(w));
       t.next.(w) <- t.next.(w) + 1;
-      deliver ev;
+      deliver w ev;
       drain t w ~deliver
   | exception Not_found -> ()
 
@@ -101,7 +102,7 @@ let receive t w ~seq ev ~deliver =
   end
   else if seq = next then begin
     t.next.(w) <- next + 1;
-    deliver ev;
+    deliver w ev;
     drain t w ~deliver;
     Delivered
   end
@@ -123,14 +124,12 @@ let missing t w =
   if !from >= 0 then out := (!from, upto) :: !out;
   List.rev !out
 
-let row_caught_up t row =
-  let ok = ref true in
-  for w = row * t.trees to ((row + 1) * t.trees) - 1 do
+let caught_up t ~replica ~origin =
+  let base = window t ~replica ~origin ~tree:0 and ok = ref true in
+  for w = base to base + t.trees - 1 do
     if next_expected t w <= highest_heard t w then ok := false
   done;
   !ok
-
-let caught_up t ~replica ~origin = row_caught_up t ((replica * t.origins) + origin)
 
 let arm t w =
   ensure_windows t;
@@ -140,69 +139,83 @@ let disarm t w = if Array.length t.next > 0 then Bytes.set t.armed w '\000'
 
 (* -- believed sets --------------------------------------------------------- *)
 
-let add t ~replica ~origin id =
+let replica_of t w = w / (t.origins * t.trees)
+
+let add t w id =
   if Array.length t.sets = 0 then begin
     t.sets <- Array.init t.replicas (fun _ -> Hashtbl.create (max 32 t.origins));
-    t.hashes <- Array.make (t.replicas * t.origins) 0;
+    t.hashes <- Array.make (windows t) 0;
     t.sizes <- Array.make (t.replicas * t.origins) 0
   end;
-  if not (Hashtbl.mem t.sets.(replica) id) then begin
-    Hashtbl.replace t.sets.(replica) id origin;
-    let row = (replica * t.origins) + origin in
-    t.hashes.(row) <- t.hashes.(row) + id_hash id;
-    t.sizes.(row) <- t.sizes.(row) + 1
+  let set = t.sets.(replica_of t w) in
+  if not (Hashtbl.mem set id) then begin
+    Hashtbl.replace set id w;
+    t.hashes.(w) <- t.hashes.(w) + id_hash id;
+    t.sizes.(w / t.trees) <- t.sizes.(w / t.trees) + 1
   end
 
 let remove t ~replica id =
   if Array.length t.sets > 0 then
     match Hashtbl.find t.sets.(replica) id with
-    | origin ->
+    | w ->
         Hashtbl.remove t.sets.(replica) id;
-        let row = (replica * t.origins) + origin in
-        t.hashes.(row) <- t.hashes.(row) - id_hash id;
-        t.sizes.(row) <- t.sizes.(row) - 1
+        t.hashes.(w) <- t.hashes.(w) - id_hash id;
+        t.sizes.(w / t.trees) <- t.sizes.(w / t.trees) - 1
     | exception Not_found -> ()
 
-let apply t ~replica ~origin ev =
+let apply t w ev =
   if ev >= 0 then
-    if ev land 1 = 0 then add t ~replica ~origin (ev lsr 1) else remove t ~replica (ev lsr 1)
+    if ev land 1 = 0 then add t w (ev lsr 1) else remove t ~replica:(replica_of t w) (ev lsr 1)
 
 let believed t ~replica =
   if Array.length t.sets = 0 then [||]
   else Util.Tbl.sorted_keys ~cmp:Int.compare t.sets.(replica)
 
-let replica_hash t ~replica =
+(* The sum of the tree hashes of windows [first] to [first + n - 1]. *)
+let sum_hashes t first n =
   let h = ref 0 in
-  for origin = 0 to t.origins - 1 do
-    h := !h + hash t ~replica ~origin
-  done;
+  if Array.length t.hashes > 0 then
+    for w = first to first + n - 1 do
+      h := !h + t.hashes.(w)
+    done;
   !h
 
+let hash t ~replica ~origin = sum_hashes t (window t ~replica ~origin ~tree:0) t.trees
+let replica_hash t ~replica = sum_hashes t (replica * t.origins * t.trees) (t.origins * t.trees)
+
 let clear_slice t ~replica ~origin =
+  let row = (replica * t.origins) + origin in
   if size t ~replica ~origin > 0 then begin
     (* Order-independent: drops exactly the origin's members. *)
-    Hashtbl.filter_map_inplace (fun _ o -> if o = origin then None else Some o) t.sets.(replica);
-    t.hashes.((replica * t.origins) + origin) <- 0;
-    t.sizes.((replica * t.origins) + origin) <- 0
+    Hashtbl.filter_map_inplace
+      (fun _ w -> if w / t.trees = row then None else Some w)
+      t.sets.(replica);
+    Array.fill t.hashes (row * t.trees) t.trees 0;
+    t.sizes.(row) <- 0
   end
 
 (* -- anti-entropy and membership ------------------------------------------- *)
 
 type verdict = Synced | Gaps | Diverged
 
+(* Every event of a flow rides one tree, so a window at [last_seq + 1] has
+   applied exactly the events behind the digest's tree hash: a mismatch
+   there is divergence, whatever the origin's other trees carry. *)
 let digest t w ~last_seq ~hash:h =
   ensure_windows t;
   if last_seq > t.hi.(w) then t.hi.(w) <- last_seq;
-  let next = t.next.(w) and row = w / t.trees in
+  let next = t.next.(w) in
   (* A delayed digest hashes a state the replica has already left. *)
   if next <= last_seq then Gaps
-  else if next = last_seq + 1 && h <> read t.hashes row ~fresh:0 && row_caught_up t row then Diverged
+  else if next = last_seq + 1 && h <> tree_hash t w then Diverged
   else Synced
 
 let sync t ~replica ~origin ~ids ~last_seqs ~deliver =
   if Array.length last_seqs <> t.trees then invalid_arg "Replicas.sync: last_seqs";
+  if List.exists (fun (_, tree) -> tree < 0 || tree >= t.trees) ids then
+    invalid_arg "Replicas.sync: tree id out of range";
   clear_slice t ~replica ~origin;
-  List.iter (add t ~replica ~origin) ids;
+  List.iter (fun (id, tree) -> add t (window t ~replica ~origin ~tree) id) ids;
   ensure_windows t;
   Array.iteri
     (fun tree last ->
@@ -232,6 +245,6 @@ let clear t ~replica =
   end;
   if Array.length t.sets > 0 then begin
     Hashtbl.reset t.sets.(replica);
-    Array.fill t.hashes (replica * t.origins) t.origins 0;
+    Array.fill t.hashes (replica * t.origins * t.trees) (t.origins * t.trees) 0;
     Array.fill t.sizes (replica * t.origins) t.origins 0
   end

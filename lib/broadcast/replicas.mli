@@ -2,9 +2,11 @@
     receivers × [origins] sources × [trees] broadcast trees: per-window
     columns (next expected, highest heard, incarnation, repair latch), one
     out-of-order buffer for every window, and each receiver's believed flow
-    set with a commutative hash per (receiver, origin). The packet
-    simulator runs one table for the whole rack; the library's [R2c2.View]
-    is a 1 × 1 × [trees] table. Windows and sets are allocated on first use.
+    set with a commutative hash per (receiver, origin, tree): every event
+    of a flow rides one tree, so each window's hash covers exactly the
+    flows its stream carries. The packet simulator runs one table for the
+    whole rack; the library's [R2c2.View] is a 1 × 1 × [trees] table.
+    Windows and sets are allocated on first use.
 
     Events are ints: [2 * flow] starts (or refreshes) a flow, [2 * flow + 1]
     finishes it, and a negative event names no flow. *)
@@ -34,8 +36,9 @@ type receipt =
   | Duplicate
   | Buffered  (** ahead of a gap: a repair should be scheduled *)
 
-val receive : t -> int -> seq:int -> int -> deliver:(int -> unit) -> receipt
-(** Feed one sequenced event and raise the highest-heard mark to [seq]. *)
+val receive : t -> int -> seq:int -> int -> deliver:(int -> int -> unit) -> receipt
+(** Feed one sequenced event and raise the highest-heard mark to [seq].
+    Each event delivered in order goes to [deliver w ev], [w] its window. *)
 
 val next_expected : t -> int -> int
 val highest_heard : t -> int -> int
@@ -61,18 +64,19 @@ type verdict =
   | Synced  (** also a delayed digest, whose tree the replica has passed *)
   | Gaps  (** sequences up to the digest's [last_seq] are missing *)
   | Diverged
-      (** caught up on every tree and exactly at [last_seq + 1] on this
-          one, yet the slice hashes differently: needs a full sync *)
+      (** exactly at [last_seq + 1], yet the flows on the digest's tree
+          hash differently: needs a full sync *)
 
 val digest : t -> int -> last_seq:int -> hash:int -> verdict
-(** Check an origin's digest; raises the window's highest-heard mark. *)
+(** Check an origin's digest of one tree, whose [hash] covers that tree's
+    live flows; raises the window's highest-heard mark. *)
 
 val sync :
-  t -> replica:int -> origin:int -> ids:int list -> last_seqs:int array ->
-  deliver:(int -> unit) -> unit
-(** Full-state repair: replace the origin's slice with [ids] and
-    fast-forward each tree's window past [last_seqs]; buffered events
-    beyond the sync are newer and still go to [deliver]. *)
+  t -> replica:int -> origin:int -> ids:(int * int) list -> last_seqs:int array ->
+  deliver:(int -> int -> unit) -> unit
+(** Full-state repair: replace the origin's slice with [ids], each
+    [(flow, tree)], and fast-forward each tree's window past [last_seqs];
+    buffered events beyond the sync are newer and still go to [deliver]. *)
 
 val join : t -> replica:int -> origin:int -> inc:int -> [ `Current | `Reset | `Stale ]
 (** The origin announced incarnation [inc]. A newer one resets the
@@ -83,19 +87,26 @@ val clear : t -> replica:int -> unit
 
 (** {2 Believed flow sets} *)
 
-val add : t -> replica:int -> origin:int -> int -> unit
+val add : t -> int -> int -> unit
+(** [add t w id]: believe flow [id], whose events ride window [w]'s tree. *)
+
 val remove : t -> replica:int -> int -> unit
 
-val apply : t -> replica:int -> origin:int -> int -> unit
-(** Fold one event into the believed set. *)
+val apply : t -> int -> int -> unit
+(** [apply t w ev]: fold one event that arrived on window [w] into the
+    believed set. *)
 
 val believed : t -> replica:int -> int array
 (** Every believed flow id, ascending. *)
 
 val size : t -> replica:int -> origin:int -> int
 
+val tree_hash : t -> int -> int
+(** The set hash of the believed flows on one window's tree, which that
+    tree's digests carry. *)
+
 val hash : t -> replica:int -> origin:int -> int
-(** The set hash of the origin's slice, which its digests carry. *)
+(** The set hash of the origin's slice, the sum of its trees' hashes. *)
 
 val replica_hash : t -> replica:int -> int
 (** The set hash of the whole believed set, the sum of its slices'. *)

@@ -37,10 +37,3 @@ let ratio topo ~flows_per_server =
   let c = U.to_float (centralized_event_bytes topo ~flows_per_server) in
   let d = U.to_float (decentralized_event_bytes topo) in
   c /. d
-
-(* Full-state sync answering a divergence: same shape as a rate update —
-   compact header, one entry per live flow — plus a 4-byte last-sequence
-   per broadcast tree so the receiver can fast-forward its windows. *)
-let sync_bytes ~flows ~trees =
-  if flows < 0 || trees < 0 then invalid_arg "Control_traffic.sync_bytes";
-  rate_update_header + (bytes_per_flow_entry * flows) + (4 * trees)

@@ -23,8 +23,3 @@ val centralized_event_bytes :
 val ratio : Topology.t -> flows_per_server:int -> float
 (** centralized / decentralized — the paper reports 6.2x at one flow per
     server and 19.9x at ten. *)
-
-val sync_bytes : flows:int -> trees:int -> int
-(** Wire bytes of one full-state sync repairing a diverged view: the
-    rate-update header, a 4-byte entry per live flow, and a 4-byte
-    last-sequence number per broadcast tree. *)

@@ -131,7 +131,7 @@ let emit_broadcast t f event =
   | Error e -> failwith ("Stack: broadcast encoding failed: " ^ e));
   t.control_bytes <- t.control_bytes + Broadcast.bytes_per_broadcast t.topo;
   (match event with
-  | Wire.Flow_start -> Rbcast.mark_live t.origin f.id
+  | Wire.Flow_start -> Rbcast.mark_live t.origin ~tree:f.tree f.id
   | Wire.Flow_finish -> Rbcast.mark_dead t.origin f.id
   | Wire.Demand_update | Wire.Route_change -> ());
   let seq = Rbcast.send t.origin ~tree:f.tree (pkt, f.id) in
@@ -322,14 +322,13 @@ let matrix_hash t = Int64.of_int (Rbcast.state_hash t.origin)
 
 let emit_digests ?(src = 0) t =
   let epoch = Rbcast.bump_epoch t.origin in
-  let hash = matrix_hash t in
   let ds = ref [] in
   for tree = t.cfg.trees_per_source - 1 downto 0 do
-    let last = Rbcast.last_seq t.origin ~tree in
-    (* A tree that never carried an event has nothing to anti-entropy. *)
-    if last >= 0 then begin
+    if Rbcast.digest_due t.origin ~tree then begin
       t.reliability_bytes <- t.reliability_bytes + (Wire.digest_size * fanout t);
-      ds := { Wire.dsrc = src; dtree = tree; epoch; last_seq = last; state_hash = hash } :: !ds
+      let last_seq = Rbcast.last_seq t.origin ~tree in
+      let state_hash = Int64.of_int (Rbcast.tree_hash t.origin ~tree) in
+      ds := { Wire.dsrc = src; dtree = tree; epoch; last_seq; state_hash } :: !ds
     end
   done;
   (* The whole beacon round travels as one contiguous batch; check it
@@ -341,6 +340,7 @@ let emit_digests ?(src = 0) t =
   !ds
 
 let replay t ~tree ~seq =
+  Rbcast.note_nack t.origin ~tree ~to_seq:seq;
   match Rbcast.replay t.origin ~tree ~seq with
   | None -> None
   | Some (pkt, flow) ->
@@ -352,6 +352,7 @@ let replay t ~tree ~seq =
 
 let replay_range t ~tree ~from_seq ~to_seq =
   if to_seq < from_seq then invalid_arg "Stack.replay_range: empty range";
+  Rbcast.note_nack t.origin ~tree ~to_seq;
   let items = ref [] in
   for seq = to_seq downto from_seq do
     match Rbcast.replay t.origin ~tree ~seq with
@@ -368,8 +369,7 @@ let sync_view t view =
   View.sync view ~flows ~last_seqs;
   t.syncs_sent <- t.syncs_sent + 1;
   t.reliability_bytes <-
-    t.reliability_bytes
-    + Control_traffic.sync_bytes ~flows:(List.length flows) ~trees:t.cfg.trees_per_source
+    t.reliability_bytes + Wire.sync_size ~flows:(List.length flows) ~trees:t.cfg.trees_per_source
 
 let watchdog t views =
   let h = matrix_hash t in
@@ -447,6 +447,8 @@ let notify_failure t =
   let rb = Broadcast.repair_bytes t.bcast in
   ignore (Broadcast.repair_all t.bcast);
   t.control_bytes <- t.control_bytes + (Broadcast.repair_bytes t.bcast - rb);
+  (* Peers cut off until now hear every stream in the next digest round. *)
+  Rbcast.reset_backoff t.origin;
   let fl = flow_array t in
   let dropped = ref [] in
   Array.iter

@@ -143,8 +143,8 @@ val control_bytes_sent : t -> int
     receive window ({!View}) orders its finish after its start. Receivers
     repair gaps by NACKing the origin, which answers from a bounded replay
     log ({!replay}); periodic digests ({!emit_digests}) expose losses the
-    stream cannot (a dropped final packet), and a state-hash mismatch
-    while sequence-caught-up triggers a full-state {!sync_view}. The
+    stream cannot (a dropped final packet), and a tree-hash mismatch at
+    the digest's position triggers a full-state {!sync_view}. The
     overhead of all of this is accounted separately in
     {!reliability_bytes_sent} — {!control_bytes_sent} keeps the paper's
     pinned 16-byte model. *)
@@ -162,8 +162,14 @@ val matrix_hash : t -> int64
 
 val emit_digests : ?src:int -> t -> Wire.digest list
 (** One anti-entropy beacon round: bumps the epoch and returns a digest
-    per tree that has carried at least one event, each stamped with the
-    per-tree last sequence number and the live-set state hash. [src]
+    per due stream, in tree order, each stamped with the tree's last
+    sequence number and the set hash of the open flows on that tree. A
+    tree whose last sequence moved since its previous digest is due at
+    once; a quiet one backs off until it skips {!Rbcast.digest_cap}
+    rounds between digests ({!Rbcast.digest_due}). A NACK answered by
+    {!replay} or {!replay_range} that reaches its tree's last sequence
+    makes the stream due again ({!Rbcast.note_nack}), and {!restart} and
+    {!notify_failure} make every stream due again. [src]
     (default 0) fills the digest's source field. Charged to
     {!reliability_bytes_sent}. *)
 
@@ -184,7 +190,7 @@ val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
 val sync_view : t -> View.t -> unit
 (** Full-state repair of a diverged replica: replaces its believed flow
     set with the authoritative one and fast-forwards its windows. Charged
-    as {!Control_traffic.sync_bytes} to {!reliability_bytes_sent}. *)
+    as {!Wire.sync_size} to {!reliability_bytes_sent}. *)
 
 val watchdog : t -> View.t list -> int
 (** One divergence-watchdog round: compare each replica's

@@ -21,9 +21,9 @@ let event pkt flow =
   | Wire.Flow_finish -> (2 * flow) + 1
   | Wire.Flow_start | Wire.Demand_update | Wire.Route_change -> 2 * flow
 
-let apply_event t ev =
+let apply_event t w ev =
   t.applied <- t.applied + 1;
-  Replicas.apply t.reps ~replica:0 ~origin:0 ev
+  Replicas.apply t.reps w ev
 
 let observe_incarnation t ~inc = Replicas.join t.reps ~replica:0 ~origin:0 ~inc
 
@@ -76,7 +76,7 @@ let caught_up t = Replicas.caught_up t.reps ~replica:0 ~origin:0
 type digest_verdict =
   | Synced
   | Gaps of (int * int) list  (* inclusive missing ranges to NACK *)
-  | Diverged  (* caught up yet hashing differently: needs a full sync *)
+  | Diverged  (* at the digest's position, yet its tree hashes differently *)
 
 let observe_digest t (d : Wire.digest) =
   let w = window t d.Wire.dtree in

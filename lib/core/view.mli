@@ -50,10 +50,11 @@ type digest_verdict =
           NACK to the source should request (then replay via
           {!Stack.replay}) *)
   | Diverged
-      (** sequence-caught-up on every tree, positioned exactly at the
-          digest's [last_seq] on its tree, yet hashing differently from
-          the source's live set: genuine divergence, repair with
-          {!Stack.sync_view} *)
+      (** positioned exactly at the digest's [last_seq] on its tree, yet
+          the believed flows on that tree hash differently from the
+          source's: genuine divergence, repair with {!Stack.sync_view}.
+          Events still missing on other trees do not matter, since every
+          event of a flow rides one tree. *)
 
 val observe_digest : t -> Wire.digest -> digest_verdict
 (** Process one anti-entropy digest from the source. Detects losses the
@@ -62,10 +63,10 @@ val observe_digest : t -> Wire.digest -> digest_verdict
     tree the replica has already moved past, hashes an older state and
     answers [Synced]. *)
 
-val sync : t -> flows:int list -> last_seqs:int array -> unit
-(** Full-state repair: replace the believed flow ids and fast-forward
-    every window past [last_seqs]; events buffered beyond the sync still
-    apply. *)
+val sync : t -> flows:(int * int) list -> last_seqs:int array -> unit
+(** Full-state repair: replace the believed flows, each [(id, tree)], and
+    fast-forward every window past [last_seqs]; events buffered beyond the
+    sync still apply. *)
 
 val matrix_hash : t -> int64
 (** The {!Replicas.id_hash} set hash of the believed live-flow ids. *)

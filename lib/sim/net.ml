@@ -259,8 +259,8 @@ let sync_root t h = fget t h f_p0
 let sync_entries t h =
   let s = fget t h f_p1 in
   let acc = ref [] in
-  for i = slen t s - 1 downto 0 do
-    acc := sget t s i :: !acc
+  for i = (slen t s / 2) - 1 downto 0 do
+    acc := (sget t s (2 * i), sget t s ((2 * i) + 1)) :: !acc
   done;
   !acc
 
@@ -785,7 +785,8 @@ let send_pause t ~node ~cls ~level ~window_kbps ~bytes ~route =
 let send_sync t ~root ~entries ~last_seqs ~bytes ~route =
   (* Ownership of both slices transfers into the packet: the sync
      delivery/drop paths release f_p1/f_p2 when the packet dies. *)
-  let es = intern t (Array.of_list entries) in (* lint: allow L1 — receiver owns: freed with the sync packet *)
+  let flat = Array.of_list (List.concat_map (fun (id, tree) -> [ id; tree ]) entries) in
+  let es = intern t flat in (* lint: allow L1 — receiver owns: freed with the sync packet *)
   let ls = intern t last_seqs in (* lint: allow L1 — receiver owns: freed with the sync packet *)
   send_sr t ~code:code_sync ~bytes ~route ~p0:root ~p1:es ~p2:ls ~p3:0 ~p4:0
     ~p5:0

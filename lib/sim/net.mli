@@ -130,8 +130,9 @@ val pause_class : t -> packet -> int
 val pause_level : t -> packet -> int
 val pause_window : t -> packet -> int
 val sync_root : t -> packet -> int
-val sync_entries : t -> packet -> int list
-(** The origin's live-flow ids (fresh list; sync is rare repair traffic). *)
+val sync_entries : t -> packet -> (int * int) list
+(** The origin's live flows as [(id, tree)] (fresh list; sync is rare
+    repair traffic). *)
 
 val sync_last_seqs : t -> packet -> int array
 (** The origin's per-tree last sequence numbers (fresh array). *)
@@ -174,9 +175,10 @@ val send_nack :
 (** Source-routed retransmission request for an inclusive seq range. *)
 
 val send_sync :
-  t -> root:int -> entries:int list -> last_seqs:int array -> bytes:int -> route:route -> unit
-(** Source-routed full-state repair: [root]'s live-flow ids plus its
-    per-tree last sequence numbers. *)
+  t -> root:int -> entries:(int * int) list -> last_seqs:int array -> bytes:int -> route:route ->
+  unit
+(** Source-routed full-state repair: [root]'s live flows as [(id, tree)]
+    plus its per-tree last sequence numbers. *)
 
 val send_pause :
   t ->

@@ -206,6 +206,12 @@ type fstate = {
           start broadcast picks one *)
 }
 
+(* A replay-log entry: the event and its wire size, and when a NACK last
+   re-flooded it. The stamp is evicted with the entry. *)
+type logged = { bcast_id : int; lbytes : int; mutable replayed_ns : int }
+
+let logged bcast_id bytes = { bcast_id; lbytes = bytes; replayed_ns = min_int }
+
 (* Per-cable gray-failure health estimator state, indexed by the canonical
    directed link id (src < dst); allocated only once a flaky link exists so
    clean runs never touch it. *)
@@ -265,8 +271,7 @@ type t = {
   mutable aborted : int list;  (** newest first *)
   mutable failures : failure list;  (** newest first *)
   (* -- control-plane reliability (reliable_bcast) -- *)
-  origins : (int * int) Rbcast.origin array;
-      (** per source; payload = (bcast_id, wire bytes) for replay *)
+  origins : logged Rbcast.origin array;  (** per source *)
   chaos_on : bool;
   mutable digest_running : bool;
   mutable nacks_sent : int;
@@ -352,18 +357,22 @@ let window t ~node ~root ~tree = Replicas.window t.reps ~replica:node ~origin:ro
    (small negatives). *)
 let bcast_id_join = min_int
 
-let source_view_hash t ~node ~root = Replicas.hash t.reps ~replica:node ~origin:root
+let source_view_hash ?tree t ~node ~root =
+  match tree with
+  | None -> Replicas.hash t.reps ~replica:node ~origin:root
+  | Some tree -> Replicas.tree_hash t.reps (window t ~node ~root ~tree)
 
-(* Apply one flow-event broadcast from [root] at a node: update the node's
-   view of the traffic matrix (Per_node) and the global visibility counter.
-   In reliable mode this runs only on window-accepted deliveries, so each
-   node counts each event exactly once whatever the duplication rate. *)
-let apply_bcast_event t ~node ~root bcast_id =
+(* Apply one flow-event broadcast that reached a node on window [w] — the
+   (node, root, tree) it arrived on: update the node's view of the traffic
+   matrix (Per_node) and the global visibility counter. In reliable mode
+   this runs only on window-accepted deliveries, so each node counts each
+   event exactly once whatever the duplication rate. *)
+let apply_bcast_event t w bcast_id =
   (* Negative ids are batched route-change announcements (§3.4); only flow
      start/finish events update the views. *)
   if t.cfg.control = Per_node && bcast_id >= 0 then begin
     t.epoch_dirty <- true;
-    Replicas.apply t.reps ~replica:node ~origin:root bcast_id
+    Replicas.apply t.reps w bcast_id
   end;
   if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
     let count = Array.unsafe_get t.bcast_seen bcast_id in
@@ -423,11 +432,10 @@ and fire_nack t ~node ~root ~tree w =
         schedule_nack t ~node ~root ~tree w
   end
 
-(* Full-state repair (Per_node): the origin ships its live-flow ids and
-   per-tree last sequence numbers; the requester replaces its per-source
-   view slice and fast-forwards the windows. Counted as repair traffic. *)
-let sync_header_bytes = 16
-
+(* Full-state repair (Per_node): the origin ships its live flows, each with
+   its tree, and per-tree last sequence numbers; the requester replaces its
+   per-source view slice and fast-forwards the windows. Counted as repair
+   traffic, in one packet of at most an MTU. *)
 let send_sync t ~root ~requester =
   if
     t.cfg.control = Per_node && Net.node_up t.net root
@@ -437,7 +445,7 @@ let send_sync t ~root ~requester =
     let entries, last_seqs = Rbcast.snapshot t.origins.(root) in
     let bytes =
       min t.cfg.mtu
-        (sync_header_bytes + (4 * List.length entries) + (4 * t.cfg.trees_per_source))
+        (Wire.sync_size ~flows:(List.length entries) ~trees:t.cfg.trees_per_source)
     in
     t.syncs_sent <- t.syncs_sent + 1;
     t.sync_bytes <- t.sync_bytes + bytes;
@@ -456,7 +464,7 @@ let apply_sync t ~node ~root ~entries ~last_seqs =
   if t.cfg.control = Per_node && Net.node_up t.net node then begin
     t.epoch_dirty <- true;
     Replicas.sync t.reps ~replica:node ~origin:root ~ids:entries ~last_seqs
-      ~deliver:(apply_bcast_event t ~node ~root)
+      ~deliver:(apply_bcast_event t)
   end
 
 (* A JOIN announcement from a restarted node: a newer incarnation re-keys
@@ -547,11 +555,11 @@ let send_flow_broadcast t st event =
       | Wire.Flow_start ->
           if st.btree < 0 then
             st.btree <- Broadcast.choose_tree t.bcast t.root_rng ~src:st.src;
-          Rbcast.mark_live o st.idx
+          Rbcast.mark_live o ~tree:st.btree st.idx
       | Wire.Flow_finish -> Rbcast.mark_dead o st.idx
       | Wire.Demand_update | Wire.Route_change -> ());
       let bytes = Wire.seq_broadcast_size in
-      let seq = Rbcast.send o ~tree:st.btree (bcast_id, bytes) in
+      let seq = Rbcast.send o ~tree:st.btree (logged bcast_id bytes) in
       Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root:st.src
         ~tree:st.btree ~bcast_id ~bytes ()
     end
@@ -806,7 +814,7 @@ let reselect t interval =
       let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:root in
       let seq, inc =
         if reliable t then
-          ( Rbcast.send t.origins.(root) ~tree (bcast_id, bytes),
+          ( Rbcast.send t.origins.(root) ~tree (logged bcast_id bytes),
             Rbcast.incarnation t.origins.(root) )
         else (0, 0)
       in
@@ -821,10 +829,11 @@ let rec reselect_loop t interval () =
 
 (* -- anti-entropy digest loop --------------------------------------------- *)
 
-(* Every alive source beacons [(tree, epoch, last_seq, state hash)] on each
-   tree that has ever carried one of its events. A receiver missing the
-   tail of a burst — even its very last packet, which no gap could reveal —
-   sees [last_seq] ahead of its window and NACKs. *)
+(* Every alive source beacons [(tree, epoch, last_seq, tree hash)] on each
+   due stream: a tree whose last sequence moved since its previous digest,
+   or a quiet one whose backoff ran out ([Rbcast.digest_due]). A receiver
+   missing the tail of a burst — even its very last packet, which no gap
+   could reveal — sees [last_seq] ahead of its window and NACKs. *)
 let digest_round t =
   Array.iteri
     (fun src o ->
@@ -836,11 +845,10 @@ let digest_round t =
         let epoch =
           (Rbcast.incarnation o lsl 32) lor (Rbcast.bump_epoch o land 0xFFFFFFFF)
         in
-        let hash = Rbcast.state_hash o in
         for tree = 0 to t.cfg.trees_per_source - 1 do
-          let last = Rbcast.last_seq o ~tree in
-          if last >= 0 then
-            Net.send_digest_tree t.net ~root:src ~tree ~epoch ~last_seq:last ~hash
+          if Rbcast.digest_due o ~tree then
+            Net.send_digest_tree t.net ~root:src ~tree ~epoch
+              ~last_seq:(Rbcast.last_seq o ~tree) ~hash:(Rbcast.tree_hash o ~tree)
               ~bytes:Wire.digest_size
         done
       end)
@@ -1059,6 +1067,8 @@ let detect t fr apply_overlay =
   apply_overlay ();
   fr.repaired <- Broadcast.repair_all t.bcast;
   t.bcast_target <- Topology.alive_vertex_count t.topo - 1;
+  (* A healed or rejoining node hears every stream in the next digest round. *)
+  Array.iter Rbcast.reset_backoff t.origins;
   (* [t.active] is keyed by flow idx, so this is the old sort-by-idx. *)
   let sts = Array.to_list (Util.Tbl.sorted_values ~cmp:Int.compare t.active) in
   List.iter
@@ -1474,12 +1484,15 @@ let create cfg topo =
           if Replicas.admit t.reps w ~inc:(Net.bcast_inc net pkt) then
             match
               Replicas.receive t.reps w ~seq:(Net.bcast_seq net pkt) bcast_id
-                ~deliver:(apply_bcast_event t ~node ~root)
+                ~deliver:(apply_bcast_event t)
             with
             | Replicas.Delivered | Replicas.Duplicate -> ()
             | Replicas.Buffered -> schedule_nack t ~node ~root ~tree w
         end
-        else apply_bcast_event t ~node ~root:(Net.bcast_root net pkt) bcast_id
+        else
+          apply_bcast_event t
+            (window t ~node ~root:(Net.bcast_root net pkt) ~tree:(Net.bcast_tree net pkt))
+            bcast_id
       end
       else if k = Net.code_digest then begin
         if reliable t then begin
@@ -1544,23 +1557,32 @@ let create cfg topo =
           (* A NACK reached the origin: replay the logged packets onto the
              same tree (duplicates at healthy nodes are absorbed by their
              windows), or fall back to a full-state sync when the range is
-             empty (a sync request) or evicted from the log. *)
+             empty (a sync request) or evicted from the log. A sequence is
+             re-flooded at most once per [nack_delay_ns]: the flood in
+             flight serves every NACK for it inside that window, and a
+             requester it still misses re-NACKs on its own timer. A lost
+             newest event also makes the stream's digests due again
+             ([Rbcast.note_nack]), for whoever lost it and its digests. *)
           let root = Net.nack_root net pkt and tree = Net.nack_tree net pkt in
           let from_seq = Net.nack_from net pkt and to_seq = Net.nack_to net pkt in
           let requester = Net.nack_requester net pkt in
           if reliable t then begin
             if to_seq < from_seq then send_sync t ~root ~requester
             else begin
-              let o = t.origins.(root) in
+              let o = t.origins.(root) and now = Engine.now eng in
+              Rbcast.note_nack o ~tree ~to_seq;
               let evicted = ref false in
               (* Bound the replay burst; the requester re-NACKs for the
                  rest if the range was truly enormous. *)
               for s = from_seq to min to_seq (from_seq + 255) do
                 match Rbcast.replay o ~tree ~seq:s with
-                | Some (bcast_id, bytes) ->
-                    t.event_retransmits <- t.event_retransmits + 1;
-                    Net.send_bcast t.net ~seq:s ~inc:(Rbcast.incarnation o) ~root
-                      ~tree ~bcast_id ~bytes ()
+                | Some e ->
+                    if e.replayed_ns <= now - nack_delay_ns then begin
+                      e.replayed_ns <- now;
+                      t.event_retransmits <- t.event_retransmits + 1;
+                      Net.send_bcast t.net ~seq:s ~inc:(Rbcast.incarnation o) ~root
+                        ~tree ~bcast_id:e.bcast_id ~bytes:e.lbytes ()
+                    end
                 | None -> evicted := true
               done;
               if !evicted then send_sync t ~root ~requester
@@ -1643,8 +1665,11 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
   Hashtbl.replace t.all_states idx st;
   t.epoch_dirty <- true;
   (match on_complete with Some k -> Hashtbl.replace t.on_complete idx k | None -> ());
-  if t.cfg.control = Per_node then Replicas.add t.reps ~replica:src ~origin:src idx;
   send_flow_broadcast t st Wire.Flow_start;
+  (* The start broadcast picked the flow's tree; without the reliable
+     plane no digest reads per-tree hashes, and tree 0 stands in. *)
+  if t.cfg.control = Per_node then
+    Replicas.add t.reps (window t ~node:src ~root:src ~tree:(max 0 st.btree)) idx;
   ensure_loop t;
   inject t st;
   idx
@@ -1669,6 +1694,9 @@ let shed_floor t =
 let pacer_scale t ~node =
   if Array.length t.pacers = 0 then 1.0
   else Congestion.Overload.Pacer.scale t.pacers.(node)
+
+let flow_tree t id =
+  match Hashtbl.find_opt t.all_states id with Some st -> st.btree | None -> -1
 
 let node_view_ids t ~node =
   if t.cfg.control <> Per_node then

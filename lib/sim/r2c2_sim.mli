@@ -327,11 +327,16 @@ val diverged_nodes : t -> int
 val node_view_ids : t -> node:int -> int list
 (** The flow ids in the node's view, ascending (Per_node only). *)
 
-val source_view_hash : t -> node:int -> root:int -> int
+val source_view_hash : ?tree:int -> t -> node:int -> root:int -> int
 (** The {!Replicas.id_hash} set hash of the flows sourced at [root] in the
-    node's view — the value that [root]'s digests are checked against
-    (Per_node; 0 otherwise). Kept in O(1) by every view write; a test
-    observer that changes nothing the simulation can see. *)
+    node's view, or with [tree] of those riding that tree — the value
+    [root]'s digests of [tree] are checked against (Per_node; 0
+    otherwise). Kept in O(1) by every view write; a test observer that
+    changes nothing the simulation can see. *)
+
+val flow_tree : t -> int -> int
+(** The broadcast tree carrying every event of a flow (reliable mode); -1
+    for an unknown flow or one whose events ride no fixed tree. *)
 
 val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
 (** The full rate vector the node computes from its current view — every

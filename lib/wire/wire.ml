@@ -6,6 +6,13 @@ let nack_size = 16
 let join_size = 10
 let snapshot_req_size = 12
 let pause_size = 11
+
+(* A full-state sync: a 16-byte header, then each live flow's 32-bit id
+   with its 8-bit tree, then each tree's 32-bit last sequence number. *)
+let sync_size ~flows ~trees =
+  if flows < 0 || trees < 0 then invalid_arg "Wire.sync_size";
+  16 + (5 * flows) + (4 * trees)
+
 let max_route_hops = 42
 let max_links_per_node = 8
 

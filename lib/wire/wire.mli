@@ -37,6 +37,12 @@ val snapshot_req_size : int
 val pause_size : int
 (** 11 bytes: a backpressure PAUSE from a congested receiver. *)
 
+val sync_size : flows:int -> trees:int -> int
+(** Bytes of a full-state sync repairing a diverged replica: a 16-byte
+    header, 5 bytes per live flow (its 32-bit id and 8-bit tree) and a
+    4-byte last sequence number per broadcast tree. Raises
+    [Invalid_argument] on a negative count. *)
+
 val max_route_hops : int
 (** 42: the 128-bit route field at 3 bits per hop. *)
 
@@ -92,7 +98,10 @@ type digest = {
   dtree : int;  (** broadcast tree the digest covers *)
   epoch : int;  (** anti-entropy round counter *)
   last_seq : int;  (** highest sequence number sent on this tree *)
-  state_hash : int64;  (** hash of the origin's live-flow set *)
+  state_hash : int64;
+      (** set hash of the origin's live flows on this tree: every event of
+          a flow rides one tree, so a replica caught up on [dtree] can
+          compare it exactly *)
 }
 
 type nack = {

@@ -37,7 +37,7 @@ let reliability_dedup_under_loss () =
    as the payload names, event [2 * i] standing for [names.(i)]. *)
 let receive_named r w names ~seq i =
   let run = ref [] in
-  let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun ev -> run := names.(ev / 2) :: !run) in
+  let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun _ ev -> run := names.(ev / 2) :: !run) in
   (v, List.rev !run)
 
 let rbcast_window_orders_and_dedups () =
@@ -259,6 +259,9 @@ let view_caught_up_wrong_set_diverges () =
   R2c2.View.sync view ~flows:[]
     ~last_seqs:(Array.init trees (fun tree -> R2c2.Stack.last_seq st ~tree));
   Alcotest.(check bool) "caught up" true (R2c2.View.caught_up view);
+  (* One round's digests, observed before and after the repair: a second
+     round would skip the quiet streams. *)
+  let digests = R2c2.Stack.emit_digests st in
   let verdicts () =
     List.map
       (fun d ->
@@ -266,7 +269,7 @@ let view_caught_up_wrong_set_diverges () =
         | R2c2.View.Synced -> "synced"
         | R2c2.View.Diverged -> "diverged"
         | R2c2.View.Gaps _ -> "gaps")
-      (R2c2.Stack.emit_digests st)
+      digests
   in
   let before = verdicts () in
   Alcotest.(check bool) "digests seen" true (before <> []);
@@ -275,6 +278,182 @@ let view_caught_up_wrong_set_diverges () =
   R2c2.Stack.sync_view st view;
   Alcotest.(check (list string)) "synced after repair"
     (List.map (fun _ -> "synced") before) (verdicts ())
+
+(* The tree a sequenced broadcast rides, read off the wire. *)
+let tree_of bytes =
+  match Wire.decode_seq_broadcast bytes with
+  | Ok (pkt, _, _) -> pkt.Wire.tree
+  | Error e -> Alcotest.fail ("undecodable broadcast: " ^ e)
+
+let verdict_name = function
+  | R2c2.View.Synced -> "synced"
+  | R2c2.View.Diverged -> "diverged"
+  | R2c2.View.Gaps _ -> "gaps"
+
+(* An event still in flight on one tree says nothing about another: a
+   replica caught up on tree t answers t's digest [Synced] while it misses
+   the newest event of tree t', whose own digest reports the gap. *)
+let view_in_flight_other_tree_is_synced () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  let first = ref (-1) and held = ref [] in
+  R2c2.Stack.on_broadcast_seq st (fun b ->
+      let tree = tree_of b in
+      if !first < 0 then first := tree;
+      if tree = !first then feed view b else held := b :: !held);
+  let opened = ref 0 in
+  while !held = [] do
+    incr opened;
+    if !opened > 64 then Alcotest.fail "every flow rode one tree";
+    ignore (R2c2.Stack.open_flow st ~src:0 ~dst:(1 + (!opened mod 7)))
+  done;
+  let other = tree_of (List.hd !held) in
+  let ds = R2c2.Stack.emit_digests st in
+  let observe tree =
+    match List.find_opt (fun d -> d.Wire.dtree = tree) ds with
+    | Some d -> verdict_name (R2c2.View.observe_digest view d)
+    | None -> "no digest"
+  in
+  (* The caught-up tree first: no digest has exposed the other tree's gap
+     yet, so the replica looks caught up on every tree. *)
+  Alcotest.(check string) "caught-up tree synced" "synced" (observe !first);
+  Alcotest.(check string) "in-flight tree has a gap" "gaps" (observe other);
+  List.iter (feed view) (List.rev !held);
+  Alcotest.(check bool) "hashes agree once delivered" true
+    (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
+
+(* -- digest backoff --------------------------------------------------------- *)
+
+(* The rounds, 1-based, whose digests covered [tree]. *)
+let digest_rounds ~tree rounds =
+  List.concat
+    (List.mapi (fun i ds -> if List.exists (fun d -> d.Wire.dtree = tree) ds then [ i + 1 ] else [])
+       rounds)
+
+let emit_rounds st n = List.init n (fun _ -> R2c2.Stack.emit_digests st)
+
+(* Silent rounds between consecutive digest rounds. *)
+let skips rs =
+  let rec go = function a :: (b :: _ as rest) -> (b - a - 1) :: go rest | [ _ ] | [] -> [] in
+  go rs
+
+(* A stream that moved is digested in the very next round; left quiet it
+   backs off, skipping 1, 2, 4 and then [Rbcast.digest_cap] rounds between
+   digests, and moving again restarts the backoff. *)
+let backoff_moved_stream_digested_quiet_stream_thins () =
+  let st, _ = mk_stack () in
+  let tree = ref (-1) in
+  R2c2.Stack.on_broadcast_seq st (fun b -> tree := tree_of b);
+  let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
+  let tree = !tree in
+  let quiet = emit_rounds st 40 in
+  let rs = digest_rounds ~tree quiet in
+  Alcotest.(check int) "moved stream digested in the next round" 1 (List.hd rs);
+  let cap = Rbcast.digest_cap in
+  Alcotest.(check (list int)) "quiet stream thins out to the cap"
+    [ 1; 2; 4; cap; cap; cap ] (skips rs);
+  List.iter
+    (fun round ->
+      List.iter
+        (fun d ->
+          Alcotest.(check int) "only the stream that carried events" tree d.Wire.dtree;
+          Alcotest.(check int) "digest carries the tree's last seq" 0 d.Wire.last_seq)
+        round)
+    quiet;
+  R2c2.Stack.close_flow st f;
+  match R2c2.Stack.emit_digests st with
+  | [ d ] ->
+      Alcotest.(check int) "moved again: digested at once" tree d.Wire.dtree;
+      Alcotest.(check int) "with the new last seq" 1 d.Wire.last_seq;
+      Alcotest.(check (list int)) "backoff restarted" [ 2 ]
+        (digest_rounds ~tree (emit_rounds st 3))
+  | ds -> Alcotest.failf "expected one digest after the close, got %d" (List.length ds)
+
+(* A replica loses a stream's final event and then the next [k] digests
+   of that stream as well: the first digest it does receive exposes the
+   gap, at most [Rbcast.digest_cap] silent rounds after the last one it
+   missed, and the replay heals it. *)
+let backoff_lost_final_event_repaired_within_cap () =
+  let cap = Rbcast.digest_cap in
+  for k = 0 to 6 do
+    let st, _ = mk_stack () in
+    let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+    let view = R2c2.View.create ~trees () in
+    let deliver = ref true in
+    R2c2.Stack.on_broadcast_seq st (fun b -> if !deliver then feed view b);
+    let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
+    (* Let the stream back off fully before the loss. *)
+    List.iter (List.iter (fun d -> ignore (R2c2.View.observe_digest view d))) (emit_rounds st 25);
+    deliver := false;
+    R2c2.Stack.close_flow st f;
+    Alcotest.(check bool) "final event lost" true
+      (R2c2.View.matrix_hash view <> R2c2.Stack.matrix_hash st);
+    let missed = ref 0 and last_miss = ref 0 and repaired = ref 0 and round = ref 0 in
+    while !repaired = 0 do
+      incr round;
+      if !round > 100 then Alcotest.failf "k = %d: not repaired in 100 rounds" k;
+      List.iter
+        (fun d ->
+          if !missed < k then begin
+            incr missed;
+            last_miss := !round
+          end
+          else
+            match R2c2.View.observe_digest view d with
+            | R2c2.View.Gaps ranges ->
+                List.iter
+                  (fun (a, b) ->
+                    match R2c2.Stack.replay_range st ~tree:d.Wire.dtree ~from_seq:a ~to_seq:b with
+                    | Some batch -> ignore (R2c2.View.apply_batch view batch)
+                    | None -> Alcotest.fail "replay log evicted too early")
+                  ranges;
+                repaired := !round
+            | R2c2.View.Synced | R2c2.View.Diverged -> Alcotest.fail "the loss went unseen")
+        (R2c2.Stack.emit_digests st)
+    done;
+    if !repaired - !last_miss - 1 > cap then
+      Alcotest.failf "k = %d: %d silent rounds before the repair, cap %d" k
+        (!repaired - !last_miss - 1) cap;
+    Alcotest.(check bool) "healed" true (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
+  done
+
+(* A NACK for a stream's newest event reports a loss no later packet will
+   expose: whoever else lost it learns of it only from a digest, so the
+   stream is due in the next round and restarts its backoff. A NACK for an
+   older event leaves the backoff alone. *)
+let backoff_reset_by_nack () =
+  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
+  let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
+  R2c2.Stack.close_flow st f;
+  Alcotest.(check (list int)) "backed off to the cap" [ 1; 3; 6; 11 ]
+    (digest_rounds ~tree:0 (emit_rounds st 12));
+  Alcotest.(check bool) "older event replayed" true
+    (R2c2.Stack.replay_range st ~tree:0 ~from_seq:0 ~to_seq:0 <> None);
+  Alcotest.(check (list int)) "older event: still backing off" []
+    (digest_rounds ~tree:0 (emit_rounds st 4));
+  Alcotest.(check bool) "newest event replayed" true (R2c2.Stack.replay st ~tree:0 ~seq:1 <> None);
+  Alcotest.(check (list int)) "newest event: due at once, then backing off again" [ 1; 3 ]
+    (digest_rounds ~tree:0 (emit_rounds st 4))
+
+(* A restart forgets every backoff: the first stream of the new
+   incarnation is digested in the next round even where the old one had
+   backed off with the same last sequence number. *)
+let backoff_reset_by_restart () =
+  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:3);
+  Alcotest.(check (list int)) "backed off to the cap" [ 1; 3; 6; 11 ]
+    (digest_rounds ~tree:0 (emit_rounds st 12));
+  Alcotest.(check int) "quiet in the next round" 0 (List.length (R2c2.Stack.emit_digests st));
+  ignore (R2c2.Stack.restart st);
+  Alcotest.(check int) "quiet after the restart" 0 (List.length (R2c2.Stack.emit_digests st));
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:3);
+  Alcotest.(check int) "same last seq as before the restart" 0 (R2c2.Stack.last_seq st ~tree:0);
+  match R2c2.Stack.emit_digests st with
+  | [ d ] -> Alcotest.(check int) "new incarnation's stream digested at once" 0 d.Wire.last_seq
+  | ds -> Alcotest.failf "expected one digest after the restart, got %d" (List.length ds)
 
 (* -- Stack: watchdog full-state sync and loss-scaled headroom -------------- *)
 
@@ -441,6 +620,85 @@ let identical_allocations_after_2pct_loss () =
   Alcotest.(check int) "all flows complete" h
     (Sim.Metrics.completed_count (Sim.R2c2_sim.metrics t))
 
+(* Without loss there is nothing to repair: about 200 Poisson flows on the
+   3x3x3 torus, under both control modes, complete with no NACK, no sync
+   request, no sync and no replay — digests only confirm. *)
+let lossless_plane_sends_no_repair_traffic () =
+  let topo = Topology.torus [| 3; 3; 3 |] in
+  let specs =
+    Workload.Flowgen.poisson_pareto ~max_size:400_000 topo (Util.Rng.create 11) ~flows:200
+      ~mean_interarrival_ns:2_000.0
+  in
+  List.iter
+    (fun (name, control) ->
+      let cfg = { (sim_cfg ()) with Sim.R2c2_sim.control } in
+      let r = Sim.R2c2_sim.run cfg topo specs in
+      let open Sim.R2c2_sim in
+      Alcotest.(check int) (name ^ ": all flows complete") (List.length specs)
+        (Sim.Metrics.completed_count r.metrics);
+      Alcotest.(check (list int))
+        (name ^ ": no NACK, sync request, sync or replay")
+        [ 0; 0; 0; 0 ]
+        [ r.nacks_sent; r.sync_requests; r.syncs_sent; r.event_retransmits ])
+    [ ("Per_node", Sim.R2c2_sim.Per_node); ("Global_epoch", Sim.R2c2_sim.Global_epoch) ]
+
+(* One re-flood serves every NACK inside a NACK delay: NACKs for the same
+   sequence from two neighbours 5 us apart cost one replay, and a third,
+   a window later, another. *)
+let nack_replays_coalesce () =
+  let topo = Topology.torus [| 3; 3; 3 |] in
+  let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
+  let tree = Sim.R2c2_sim.flow_tree t (Sim.R2c2_sim.start_flow t ~src:0 ~dst:13 ~size:1_000_000) in
+  let net = Sim.R2c2_sim.net t in
+  let nack ~at requester =
+    Sim.Engine.at (Sim.R2c2_sim.engine t) at (fun () ->
+        let route = Sim.Net.intern_route net [| requester; 0 |] in
+        Sim.Net.send_nack net ~root:0 ~tree ~from_seq:0 ~to_seq:0 ~requester
+          ~bytes:Wire.nack_size ~route;
+        Sim.Net.release_route net route)
+  in
+  nack ~at:10_000 1;
+  nack ~at:15_000 2;
+  nack ~at:40_000 3;
+  Sim.R2c2_sim.run_engine ~until_ns:100_000 t;
+  let r = Sim.R2c2_sim.results t in
+  Alcotest.(check int) "no loss, no NACK of its own" 0 r.Sim.R2c2_sim.nacks_sent;
+  Alcotest.(check int) "two re-floods for three NACKs" 2 r.Sim.R2c2_sim.event_retransmits
+
+(* A detected topology change makes every stream due: in the digest round
+   right after a link failure is detected, every stream that carried an
+   event is digested, while the same round of an unfailed run only
+   digests the streams whose backoff ran out. *)
+let detected_change_resets_backoff () =
+  let digested_after ~fail =
+    let topo = Topology.torus [| 3; 3; 3 |] in
+    let n = Topology.host_count topo in
+    let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
+    (* One long flow keeps the digest loop running; the short ones finish
+       early, and their streams back off. *)
+    let flows =
+      (0, Sim.R2c2_sim.start_flow t ~src:0 ~dst:13 ~size:3_000_000)
+      :: List.init (n - 1) (fun i ->
+             (i + 1, Sim.R2c2_sim.start_flow t ~src:(i + 1) ~dst:((i + 2) mod n) ~size:20_000))
+    in
+    let net = Sim.R2c2_sim.net t and eng = Sim.R2c2_sim.engine t in
+    let seen = Hashtbl.create 64 in
+    Sim.Net.set_arrive_tap net (fun ~node:_ pkt ->
+        let now = Sim.Engine.now eng in
+        if Sim.Net.kind net pkt = Sim.Net.code_digest && now >= 601_000 && now < 651_000 then
+          Hashtbl.replace seen (Sim.Net.digest_root net pkt, Sim.Net.digest_tree net pkt) ());
+    if fail then Sim.R2c2_sim.fail_link_at t ~ns:600_000 1 2;
+    Sim.R2c2_sim.run_engine ~until_ns:700_000 t;
+    let streams =
+      List.sort_uniq compare (List.map (fun (src, id) -> (src, Sim.R2c2_sim.flow_tree t id)) flows)
+    in
+    (List.length streams, List.length (List.filter (Hashtbl.mem seen) streams))
+  in
+  let streams, after_failure = digested_after ~fail:true in
+  Alcotest.(check int) "every stream digested after the detection" streams after_failure;
+  let _, unfailed = digested_after ~fail:false in
+  Alcotest.(check bool) "an unfailed run's round is backed off" true (unfailed < streams)
+
 (* With a replay log too small to answer NACKs, the origin must fall back
    to full-state sync — and the rack still reconverges. *)
 let evicted_replay_falls_back_to_sync () =
@@ -480,15 +738,18 @@ let blackhole_splits_control_and_data () =
    (view cleared, JOIN purge at the peers), a partition and heal, and flows
    aborted because an endpoint died. A second node fails with its state
    kept and later restarts cold, so a restart also clears a non-empty
-   view. Every 50 us, each (node, origin) pair's hash is checked against
-   the origin's flows in [node_view_ids] — down nodes too, since the hash
-   is kept exact for every node. The crash and restarts land on
+   view. Every 50 us, each (node, origin) pair's hash, and each (node,
+   origin, tree) hash, is checked against the origin's flows in
+   [node_view_ids] — down nodes too, since the hashes are kept exact for
+   every node. The crash and restarts land on
    poll instants and were scheduled before those polls, so a poll sees
    each view clear before anything else writes to the view. *)
 let view_hash_cache_coherent () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let n = Topology.vertex_count topo in
-  let t = Sim.R2c2_sim.create (sim_cfg ~loss:0.05 ~reorder:0.05 ~dup:0.05 ()) topo in
+  let cfg = sim_cfg ~loss:0.05 ~reorder:0.05 ~dup:0.05 () in
+  let trees = cfg.Sim.R2c2_sim.trees_per_source in
+  let t = Sim.R2c2_sim.create cfg topo in
   let eng = Sim.R2c2_sim.engine t in
   let src_of = Hashtbl.create 64 in
   let start ~src ~dst ~size =
@@ -509,9 +770,14 @@ let view_hash_cache_coherent () =
       for root = 0 to n - 1 do
         let ids = List.filter (fun id -> Hashtbl.find src_of id = root) view in
         incr checks;
-        let scratch = List.fold_left (fun h id -> h + Replicas.id_hash id) 0 ids in
-        if Sim.R2c2_sim.source_view_hash t ~node ~root <> scratch then
-          stale := (Sim.Engine.now eng, node, root) :: !stale
+        let scratch ids = List.fold_left (fun h id -> h + Replicas.id_hash id) 0 ids in
+        if Sim.R2c2_sim.source_view_hash t ~node ~root <> scratch ids then
+          stale := (Sim.Engine.now eng, node, root) :: !stale;
+        for tree = 0 to trees - 1 do
+          let on_tree = List.filter (fun id -> Sim.R2c2_sim.flow_tree t id = tree) ids in
+          if Sim.R2c2_sim.source_view_hash ~tree t ~node ~root <> scratch on_tree then
+            stale := (Sim.Engine.now eng, node, root) :: !stale
+        done
       done
     done
   in
@@ -566,12 +832,22 @@ let suites =
         tc "view dedups duplicates" view_dedups_duplicates;
         tc "view ignores a stale digest" view_stale_digest_is_not_divergence;
         tc "caught-up view with wrong set diverges" view_caught_up_wrong_set_diverges;
+        tc "in-flight event on another tree is not divergence" view_in_flight_other_tree_is_synced;
+        tc "backoff: moved digested, quiet thins to cap"
+          backoff_moved_stream_digested_quiet_stream_thins;
+        tc "backoff: lost final event repaired within cap"
+          backoff_lost_final_event_repaired_within_cap;
+        tc "backoff: a NACK resets its stream" backoff_reset_by_nack;
+        tc "backoff: restart resets it" backoff_reset_by_restart;
         tc "watchdog repairs diverged view" watchdog_repairs_diverged_view;
         tc "loss EWMA scales headroom" loss_ewma_scales_headroom;
         tc "chaos is seed-deterministic" chaos_is_deterministic;
         tc "reconverges under 5% loss" reconverges_under_5pct_loss;
         tc "duplicates are absorbed" duplicates_are_absorbed;
         tc "identical allocations after 2% loss" identical_allocations_after_2pct_loss;
+        tc "lossless plane sends no repair traffic" lossless_plane_sends_no_repair_traffic;
+        tc "replays coalesce within the NACK delay" nack_replays_coalesce;
+        tc "a detected topology change resets the backoff" detected_change_resets_backoff;
         tc "evicted replay falls back to sync" evicted_replay_falls_back_to_sync;
         tc "blackhole splits control and data" blackhole_splits_control_and_data;
         tc "view-hash cache stays coherent" view_hash_cache_coherent;

@@ -1,7 +1,8 @@
 (* The one replica table behind both control planes ([Replicas]): the JOIN
-   rule, the commutative set hash, and a differential test against the
-   per-window reference model ([Rx_model]) under random interleavings of
-   receives, digests, syncs, incarnation bumps and crash clears. *)
+   rule, the commutative per-tree set hashes, and a differential test
+   against the per-window reference model ([Rx_model]) under random
+   interleavings of receives, digests, syncs, incarnation bumps and crash
+   clears. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -19,7 +20,7 @@ let join_resets_only_on_newer_incarnation () =
   let w1 = Replicas.window r ~replica:0 ~origin:0 ~tree:1 in
   let join inc = join_name (Replicas.join r ~replica:0 ~origin:0 ~inc) in
   let receive w ~seq ev =
-    ignore (Replicas.receive r w ~seq ev ~deliver:(Replicas.apply r ~replica:0 ~origin:0))
+    ignore (Replicas.receive r w ~seq ev ~deliver:(Replicas.apply r))
   in
   let state () =
     ( List.map
@@ -52,23 +53,27 @@ let join_resets_only_on_newer_incarnation () =
 
 (* -- set hash -------------------------------------------------------------- *)
 
-(* Adds and removes in any order, on a 2-replica x 3-origin table and on an
-   origin's live set: every incremental hash equals the from-scratch sum
-   over the final set. Flow ids are origin-disjoint, as in the rack. *)
+(* Adds and removes in any order, on a 2-replica x 3-origin x 2-tree table
+   and on an origin's live set: every incremental hash — per (replica,
+   origin, tree), per (replica, origin), per replica, and the origin's per
+   tree and whole — equals the from-scratch sum over the final set. Flow
+   ids are origin-disjoint and each rides one tree, as in the rack. *)
 let qcheck_set_hash_incremental =
   QCheck.Test.make ~name:"incremental set hash = from-scratch hash" ~count:300
     QCheck.(list (quad (int_bound 1) (int_bound 2) bool (int_bound 30)))
     (fun ops ->
-      let r = Replicas.create ~replicas:2 ~origins:3 ~trees:1 in
-      let o = Rbcast.origin ~trees:1 () in
+      let r = Replicas.create ~replicas:2 ~origins:3 ~trees:2 in
+      let o = Rbcast.origin ~trees:2 () in
+      let tree_of id = id land 1 in
+      let on_tree tree = List.filter (fun id -> tree_of id = tree) in
       let rows = Array.make 6 [] and live = ref [] in
       List.iter
         (fun (replica, origin, add, k) ->
           let id = (origin * 100) + k and row = (replica * 3) + origin in
           let without = List.filter (fun x -> x <> id) in
           if add then begin
-            Replicas.add r ~replica ~origin id;
-            Rbcast.mark_live o id;
+            Replicas.add r (Replicas.window r ~replica ~origin ~tree:(tree_of id)) id;
+            Rbcast.mark_live o ~tree:(tree_of id) id;
             rows.(row) <- id :: without rows.(row);
             live := id :: without !live
           end
@@ -80,6 +85,9 @@ let qcheck_set_hash_incremental =
           end)
         ops;
       let ok = ref (Rbcast.state_hash o = scratch_hash !live) in
+      for tree = 0 to 1 do
+        if Rbcast.tree_hash o ~tree <> scratch_hash (on_tree tree !live) then ok := false
+      done;
       for replica = 0 to 1 do
         let all = ref [] in
         for origin = 0 to 2 do
@@ -88,7 +96,13 @@ let qcheck_set_hash_incremental =
           if
             Replicas.hash r ~replica ~origin <> scratch_hash ids
             || Replicas.size r ~replica ~origin <> List.length ids
-          then ok := false
+          then ok := false;
+          for tree = 0 to 1 do
+            if
+              Replicas.tree_hash r (Replicas.window r ~replica ~origin ~tree)
+              <> scratch_hash (on_tree tree ids)
+            then ok := false
+          done
         done;
         if
           Replicas.replica_hash r ~replica <> scratch_hash !all
@@ -104,20 +118,21 @@ let nr = 2 and no = 2 and nt = 2
 type op =
   | Recv of int * int * int * int * int  (* replica, origin, tree, seq, event *)
   | Admit of int * int * int * int  (* replica, origin, tree, incarnation *)
-  | Digest of int * int * int * int * int list  (* ..., last_seq, origin's live ids *)
-  | Sync of int * int * int list * int list  (* replica, origin, ids, last_seqs *)
+  | Digest of int * int * int * int * int list  (* ..., last_seq, origin's live ids on the tree *)
+  | Sync of int * int * (int * int) list * int list  (* replica, origin, (id, tree)s, last_seqs *)
   | Join of int * int * int  (* replica, origin, incarnation *)
   | Clear of int  (* replica *)
   | Arm of int * int * int
   | Disarm of int * int * int
 
 let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+let pairs l = "[" ^ String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) l) ^ "]"
 
 let show_op = function
   | Recv (r, o, t, s, e) -> Printf.sprintf "Recv(%d,%d,%d,seq %d,ev %d)" r o t s e
   | Admit (r, o, t, i) -> Printf.sprintf "Admit(%d,%d,%d,inc %d)" r o t i
   | Digest (r, o, t, l, ids) -> Printf.sprintf "Digest(%d,%d,%d,last %d,%s)" r o t l (ints ids)
-  | Sync (r, o, ids, ls) -> Printf.sprintf "Sync(%d,%d,%s,%s)" r o (ints ids) (ints ls)
+  | Sync (r, o, ids, ls) -> Printf.sprintf "Sync(%d,%d,%s,%s)" r o (pairs ids) (ints ls)
   | Join (r, o, i) -> Printf.sprintf "Join(%d,%d,inc %d)" r o i
   | Clear r -> Printf.sprintf "Clear %d" r
   | Arm (r, o, t) -> Printf.sprintf "Arm(%d,%d,%d)" r o t
@@ -148,7 +163,8 @@ let gen_op =
         r >>= fun r ->
         o >>= fun o ->
         ids o >>= fun ids ->
-        list_repeat nt (int_range (-1) 7) >|= fun ls -> Sync (r, o, ids, ls) );
+        list_repeat (List.length ids) t >>= fun trees ->
+        list_repeat nt (int_range (-1) 7) >|= fun ls -> Sync (r, o, List.combine ids trees, ls) );
       (1, r >>= fun r -> o >>= fun o -> int_bound 3 >|= fun i -> Join (r, o, i));
       (1, map (fun r -> Clear r) r);
       (1, r >>= fun r -> o >>= fun o -> t >|= fun t -> Arm (r, o, t));
@@ -156,18 +172,28 @@ let gen_op =
     ]
 
 (* The model: one [Rx_model] window plus its highest-heard mark per
-   (replica, origin, tree), and a sorted id list per (replica, origin) —
-   the layout the simulator and the library view each kept before. *)
-type model = { rx : int Rx_model.rx array; hi : int array; sets : int list array }
+   (replica, origin, tree), and per (replica, origin) a list of believed
+   (id, tree) pairs sorted by id — a flow keeps the tree it was first
+   believed on. *)
+type model = { rx : int Rx_model.rx array; hi : int array; sets : (int * int) list array }
 
 let widx ~replica ~origin ~tree = (((replica * no) + origin) * nt) + tree
 let row ~replica ~origin = (replica * no) + origin
+let ids_of set = List.map fst set
+let ids_on set tree = List.filter_map (fun (id, t) -> if t = tree then Some id else None) set
 
-let m_apply m ~replica ~origin ev =
+(* First (id, tree) per id wins, as repeated adds leave a flow's tree. *)
+let m_set pairs =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    (List.fold_left
+       (fun acc (id, t) -> if List.mem_assoc id acc then acc else (id, t) :: acc)
+       [] pairs)
+
+let m_apply m ~replica ~origin ~tree ev =
   if ev >= 0 then begin
     let r = row ~replica ~origin and id = ev / 2 in
-    let rest = List.filter (fun x -> x <> id) m.sets.(r) in
-    m.sets.(r) <- (if ev land 1 = 0 then List.sort Int.compare (id :: rest) else rest)
+    if ev land 1 = 0 then m.sets.(r) <- m_set (m.sets.(r) @ [ (id, tree) ])
+    else m.sets.(r) <- List.filter (fun (x, _) -> x <> id) m.sets.(r)
   end
 
 let m_rekey m w ~inc =
@@ -192,7 +218,7 @@ let m_step m = function
       if seq > m.hi.(w) then m.hi.(w) <- seq;
       match Rx_model.receive m.rx.(w) ~seq ev with
       | Rx_model.Deliver ps ->
-          List.iter (m_apply m ~replica ~origin) ps;
+          List.iter (m_apply m ~replica ~origin ~tree) ps;
           "delivered " ^ ints ps
       | Rx_model.Duplicate -> "duplicate"
       | Rx_model.Buffered -> "buffered")
@@ -207,12 +233,11 @@ let m_step m = function
       if next <= last then "gaps"
       else if
         next = last + 1
-        && List.sort_uniq Int.compare ids <> m.sets.(row ~replica ~origin)
-        && m_caught_up m ~replica ~origin
+        && List.sort_uniq Int.compare ids <> ids_on m.sets.(row ~replica ~origin) tree
       then "diverged"
       else "synced"
   | Sync (replica, origin, ids, last_seqs) ->
-      m.sets.(row ~replica ~origin) <- List.sort_uniq Int.compare ids;
+      m.sets.(row ~replica ~origin) <- m_set ids;
       let run =
         List.concat
           (List.mapi
@@ -220,7 +245,7 @@ let m_step m = function
                let w = widx ~replica ~origin ~tree in
                if last > m.hi.(w) then m.hi.(w) <- last;
                let ps = Rx_model.fast_forward m.rx.(w) ~next:(last + 1) in
-               List.iter (m_apply m ~replica ~origin) ps;
+               List.iter (m_apply m ~replica ~origin ~tree) ps;
                ps)
              last_seqs)
       in
@@ -254,9 +279,9 @@ let m_step m = function
 let r_step t = function
   | Recv (replica, origin, tree, seq, ev) -> (
       let run = ref [] in
-      let deliver e =
+      let deliver w e =
         run := e :: !run;
-        Replicas.apply t ~replica ~origin e
+        Replicas.apply t w e
       in
       match Replicas.receive t (Replicas.window t ~replica ~origin ~tree) ~seq ev ~deliver with
       | Replicas.Delivered -> "delivered " ^ ints (List.rev !run)
@@ -272,9 +297,9 @@ let r_step t = function
       | Replicas.Synced -> "synced")
   | Sync (replica, origin, ids, last_seqs) ->
       let run = ref [] in
-      let deliver e =
+      let deliver w e =
         run := e :: !run;
-        Replicas.apply t ~replica ~origin e
+        Replicas.apply t w e
       in
       Replicas.sync t ~replica ~origin ~ids ~last_seqs:(Array.of_list last_seqs) ~deliver;
       "synced " ^ ints (List.rev !run)
@@ -289,8 +314,9 @@ let r_step t = function
       "disarmed"
 
 (* Everything observable, in one printable line: per window the cursor,
-   highest-heard mark, incarnation and missing ranges; per row the hash,
-   size and caught-up flag; per replica the believed ids; the duplicates. *)
+   highest-heard mark, incarnation, missing ranges and tree hash; per row
+   the hash, size and caught-up flag; per replica the believed ids; the
+   duplicates. *)
 let snapshot_r t =
   let b = Buffer.create 256 in
   for replica = 0 to nr - 1 do
@@ -298,9 +324,10 @@ let snapshot_r t =
       for tree = 0 to nt - 1 do
         let w = Replicas.window t ~replica ~origin ~tree in
         Buffer.add_string b
-          (Printf.sprintf "w%d%d%d:%d,%d,%d,%s " replica origin tree (Replicas.next_expected t w)
+          (Printf.sprintf "w%d%d%d:%d,%d,%d,%s,%d " replica origin tree (Replicas.next_expected t w)
              (Replicas.highest_heard t w) (Replicas.incarnation t w)
-             (String.concat "" (List.map (fun (a, z) -> Printf.sprintf "%d-%d" a z) (Replicas.missing t w))))
+             (String.concat "" (List.map (fun (a, z) -> Printf.sprintf "%d-%d" a z) (Replicas.missing t w)))
+             (Replicas.tree_hash t w))
       done;
       Buffer.add_string b
         (Printf.sprintf "row:%d,%d,%b " (Replicas.hash t ~replica ~origin)
@@ -322,12 +349,13 @@ let snapshot_m m =
         let rx = m.rx.(w) in
         dups := !dups + Rx_model.duplicates rx;
         Buffer.add_string b
-          (Printf.sprintf "w%d%d%d:%d,%d,%d,%s " replica origin tree (Rx_model.next_expected rx)
+          (Printf.sprintf "w%d%d%d:%d,%d,%d,%s,%d " replica origin tree (Rx_model.next_expected rx)
              m.hi.(w) (Rx_model.rx_incarnation rx)
              (String.concat ""
-                (List.map (fun (a, z) -> Printf.sprintf "%d-%d" a z) (Rx_model.missing rx ~upto:m.hi.(w)))))
+                (List.map (fun (a, z) -> Printf.sprintf "%d-%d" a z) (Rx_model.missing rx ~upto:m.hi.(w))))
+             (scratch_hash (ids_on m.sets.(row ~replica ~origin) tree)))
       done;
-      let ids = m.sets.(row ~replica ~origin) in
+      let ids = ids_of m.sets.(row ~replica ~origin) in
       all := ids @ !all;
       Buffer.add_string b
         (Printf.sprintf "row:%d,%d,%b " (scratch_hash ids) (List.length ids)

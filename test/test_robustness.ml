@@ -31,7 +31,7 @@ let stale_window_duplicate_regression () =
   let names = [| "a"; "b"; "c" |] in
   let receive ~seq i =
     let run = ref [] in
-    let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun ev -> run := names.(ev / 2) :: !run) in
+    let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun _ ev -> run := names.(ev / 2) :: !run) in
     (v, List.rev !run)
   in
   ignore (Rbcast.send o ~tree:0 "a");
