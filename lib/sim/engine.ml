@@ -1,33 +1,33 @@
-(* Event pool + pluggable queue. Events are records in parallel arrays
-   addressed by pool id — a tagged event (tag >= 0, two int args, routed
-   through the dispatch handler) never touches the OCaml heap; a closure
-   event stores its thunk in [fns]. The queue holds bare pool ids: a
-   calendar wheel by default (O(1) for the fabric's 100 ns / few-µs event
-   horizon), or the original binary heap for differential testing. Both
-   queues share the (time, insertion order) pop contract, so the choice
-   cannot reorder a simulation. *)
+(* Two kinds of event share one queue. A keyed event is a bare
+   non-negative key handed to the single handler: the queue entry is the
+   whole event, so it never touches the OCaml heap, and one pending byte
+   per key catches a key scheduled twice. A closure event stores its thunk
+   in a pool slot recycled through a free list. The queue holds ints whose
+   low bit tells the kinds apart: [key lsl 1] or [(slot lsl 1) lor 1]. It
+   is a calendar wheel by default (O(1) for the fabric's 100 ns / few-µs
+   event horizon) or the original binary heap for differential testing.
+   Both queues share the (time, insertion order) pop contract, so neither
+   the backend nor the payload encoding can reorder a simulation. *)
 
 type backend = Binary_heap | Calendar
 
 let nop () = ()
-
-let no_dispatch ~tag:_ ~a:_ ~b:_ =
-  invalid_arg "Engine: tagged event fired with no dispatch handler installed"
+let no_handler _ = invalid_arg "Engine: keyed event fired with no handler installed"
 
 type t = {
   mutable now : int;
   backend : backend;
   cal : Util.Calqueue.t;
   heap : int Util.Heap.t;
-  (* Event pool; the free list is chained through [aa]. *)
-  mutable tags : int array;
-  mutable aa : int array;
-  mutable bb : int array;
+  (* Closure pool; the free list is chained through [free_next]. *)
   mutable fns : (unit -> unit) array;
+  mutable free_next : int array;
   mutable free_head : int;
   mutable next_fresh : int;
+  (* '\001' while the key's event is pending. *)
+  mutable keyed : Bytes.t;
   mutable count : int;
-  mutable dispatch : tag:int -> a:int -> b:int -> unit;
+  mutable handler : int -> unit;
 }
 
 let create ?(backend = Calendar) () =
@@ -36,88 +36,97 @@ let create ?(backend = Calendar) () =
     backend;
     cal = Util.Calqueue.create ();
     heap = Util.Heap.create ();
-    tags = Array.make 256 (-1);
-    aa = Array.make 256 (-1);
-    bb = Array.make 256 0;
     fns = Array.make 256 nop;
+    free_next = Array.make 256 (-1);
     free_head = -1;
     next_fresh = 0;
+    keyed = Bytes.make 256 '\000';
     count = 0;
-    dispatch = no_dispatch;
+    handler = no_handler;
   }
 
 let backend t = t.backend
 let now t = t.now
 let pending t = t.count
-let set_dispatch t f = t.dispatch <- f
+let set_handler t f = t.handler <- f
 
-let grow t =
-  let n = Array.length t.tags in
-  let n' = 2 * n in
-  let copy a fill =
-    let a' = Array.make n' fill in
-    Array.blit a 0 a' 0 n;
-    a'
-  in
-  t.tags <- copy t.tags (-1);
-  t.aa <- copy t.aa (-1);
-  t.bb <- copy t.bb 0;
-  t.fns <- copy t.fns nop
+let enqueue t time payload =
+  t.count <- t.count + 1;
+  match t.backend with
+  | Calendar -> Util.Calqueue.add t.cal ~time payload
+  | Binary_heap -> Util.Heap.push t.heap time payload
 
-let schedule t time ~tag ~a ~b fn =
+let grow_pool t =
+  let n = Array.length t.fns in
+  let fns = Array.make (2 * n) nop and free_next = Array.make (2 * n) (-1) in
+  Array.blit t.fns 0 fns 0 n;
+  Array.blit t.free_next 0 free_next 0 n;
+  t.fns <- fns;
+  t.free_next <- free_next
+
+let schedule t time fn =
   let id =
     if t.free_head >= 0 then begin
       let id = t.free_head in
-      t.free_head <- t.aa.(id);
+      t.free_head <- t.free_next.(id);
       id
     end
     else begin
-      if t.next_fresh = Array.length t.tags then grow t;
+      if t.next_fresh = Array.length t.fns then grow_pool t;
       let id = t.next_fresh in
       t.next_fresh <- id + 1;
       id
     end
   in
-  (* [id < length] holds by construction (grow above); unsafe stores skip
-     three bounds checks per event. *)
-  Array.unsafe_set t.tags id tag;
-  Array.unsafe_set t.aa id a;
-  Array.unsafe_set t.bb id b;
-  (* Tagged events leave [fns] at the recycled [nop]: skipping the store
-     skips a caml_modify write barrier per event. *)
-  if tag < 0 then t.fns.(id) <- fn;
-  t.count <- t.count + 1;
-  match t.backend with
-  | Calendar -> Util.Calqueue.add t.cal ~time id
-  | Binary_heap -> Util.Heap.push t.heap time id
+  t.fns.(id) <- fn;
+  enqueue t time ((id lsl 1) lor 1)
 
 let at t time thunk =
   if time < t.now then invalid_arg "Engine.at: time in the past";
-  schedule t time ~tag:(-1) ~a:0 ~b:0 thunk
+  schedule t time thunk
 
 let after t delay thunk =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
-  schedule t (t.now + delay) ~tag:(-1) ~a:0 ~b:0 thunk
+  schedule t (t.now + delay) thunk
 
-let after_tagged t delay ~tag ~a ~b =
-  if delay < 0 then invalid_arg "Engine.after: negative delay";
-  if tag < 0 then invalid_arg "Engine.after_tagged: negative tag";
-  schedule t (t.now + delay) ~tag ~a ~b nop
+let grow_keyed t key =
+  let n = ref (Bytes.length t.keyed) in
+  while key >= !n do
+    n := 2 * !n
+  done;
+  let keyed = Bytes.make !n '\000' in
+  Bytes.blit t.keyed 0 keyed 0 (Bytes.length t.keyed);
+  t.keyed <- keyed
 
-let fire t id =
-  let tag = Array.unsafe_get t.tags id
-  and a = Array.unsafe_get t.aa id
-  and b = Array.unsafe_get t.bb id in
-  (* Recycle before firing so the handler can reuse the slot. *)
-  Array.unsafe_set t.aa id t.free_head;
-  t.free_head <- id;
+let after_key t delay key =
+  if delay < 0 then invalid_arg "Engine.after_key: negative delay";
+  if key < 0 then invalid_arg "Engine.after_key: negative key";
+  if key >= Bytes.length t.keyed then grow_keyed t key;
+  if Bytes.unsafe_get t.keyed key <> '\000' then
+    invalid_arg "Engine.after_key: key already pending";
+  Bytes.unsafe_set t.keyed key '\001';
+  enqueue t (t.now + delay) (key lsl 1)
+
+(* The slot or key is released before the event runs, so the event can
+   schedule its successor under the same key or reuse the slot. *)
+let fire t payload =
   t.count <- t.count - 1;
-  if tag >= 0 then t.dispatch ~tag ~a ~b
+  let x = payload lsr 1 in
+  if payload land 1 = 0 then begin
+    Bytes.unsafe_set t.keyed x '\000';
+    t.handler x
+  end
   else begin
-    let fn = t.fns.(id) in
-    t.fns.(id) <- nop;
+    let fn = t.fns.(x) in
+    t.fns.(x) <- nop;
+    t.free_next.(x) <- t.free_head;
+    t.free_head <- x;
     fn ()
   end
+
+(* Past the deadline the clock moves to it, but never backwards: a
+   deadline before [now] leaves the clock where it is. *)
+let clamp t u = if u > t.now then t.now <- u
 
 (* The Calendar loop drains through the queue's int-returning [pop_until]
    so each event costs one bitmap scan and zero allocation; [u] folds the
@@ -125,16 +134,15 @@ let fire t id =
 let run_calendar t u =
   let continue = ref true in
   while !continue do
-    let id = Util.Calqueue.pop_until t.cal ~until:u in
-    if id >= 0 then begin
+    let p = Util.Calqueue.pop_until t.cal ~until:u in
+    if p >= 0 then begin
       t.now <- Util.Calqueue.popped_time t.cal;
-      fire t id
+      fire t p
     end
     else begin
-      (* [-2]: the next event lies past the deadline — clamp the clock to
-         it, exactly as the heap path does. [-1]: queue empty, clock stays
-         on the last fired event. *)
-      if id = -2 then t.now <- u;
+      (* [-2]: the next event lies past the deadline. [-1]: queue empty,
+         clock stays on the last fired event. *)
+      if p = -2 then clamp t u;
       continue := false
     end
   done
@@ -146,14 +154,14 @@ let run_heap t u =
     | None -> continue := false
     | Some (time, _) ->
         if time > u then begin
-          t.now <- u;
+          clamp t u;
           continue := false
         end
         else begin
           (match Util.Heap.pop t.heap with
-          | Some (time, id) ->
+          | Some (time, p) ->
               t.now <- time;
-              fire t id
+              fire t p
           | None -> assert false)
         end
   done

@@ -3,14 +3,16 @@
     Time is integer nanoseconds. Events scheduled for the same instant fire
     in scheduling order, making runs deterministic — the contract holds
     identically under both backends below, which the differential tests in
-    [test_sim.ml] assert digest-for-digest.
+    [test_sim.ml] assert event for event and digest for digest.
 
-    Events live in a flat pool recycled through a free list; the default
-    {!Calendar} backend stores pending events in a {!Util.Calqueue} (1-ns
-    buckets over a 16384-ns window, {!Util.Heap} overflow beyond it), so
-    scheduling and firing a near-future {e tagged} event allocates nothing.
-    Closure events ([at] / [after]) still cost their closure — the packet
-    hot path uses {!after_tagged} instead. *)
+    An event is either a closure ({!at} / {!after}) or a {e keyed} event
+    ({!after_key}): a non-negative int handed to the one handler installed
+    with {!set_handler}. A keyed event is its queue entry and nothing more,
+    so with the default {!Calendar} backend — a {!Util.Calqueue} of 1-ns
+    buckets over a 16384-ns window, {!Util.Heap} overflow beyond it —
+    scheduling and firing one allocates nothing. The packet fabric keys
+    its two per-hop events by link and by packet ({!Net}). A closure event
+    costs its closure and a slot in a pool recycled through a free list. *)
 
 type t
 
@@ -33,19 +35,23 @@ val at : t -> int -> (unit -> unit) -> unit
 val after : t -> int -> (unit -> unit) -> unit
 (** Schedule a thunk [delay] ns from now. *)
 
-val set_dispatch : t -> (tag:int -> a:int -> b:int -> unit) -> unit
-(** Install the handler for tagged events. One consumer owns the tag
+val set_handler : t -> (int -> unit) -> unit
+(** Install the handler for keyed events. One consumer owns the key
     space — in this simulator, {!Net}. *)
 
-val after_tagged : t -> int -> tag:int -> a:int -> b:int -> unit
-(** Schedule a tagged event [delay] ns from now: at fire time the dispatch
-    handler receives [(tag, a, b)]. No closure is built — with the
-    [Calendar] backend this is the zero-allocation path. [tag] must be
-    [>= 0]; firing without a handler installed raises. *)
+val after_key : t -> int -> int -> unit
+(** [after_key t delay key] schedules keyed event [key] [delay] ns from
+    now; when it fires the handler receives [key]. No closure is built.
+    A key is free again once its event has fired, so the handler may
+    reschedule it. Raises [Invalid_argument] if [key < 0] or if [key] is
+    already pending, on both backends. Firing without a handler
+    installed raises. *)
 
 val run : ?until:int -> t -> unit
-(** Process events in time order until the queue empties or the clock
-    passes [until]. *)
+(** Process events in time order until the queue empties or the next
+    event lies past [until]. In the second case the clock moves forward
+    to [until]; it never moves backwards, so [until] before {!now} fires
+    nothing and leaves the clock alone. *)
 
 val pending : t -> int
-(** Number of scheduled events; for tests. *)
+(** Number of scheduled events, keyed and closure alike. *)

@@ -48,10 +48,6 @@ let code_nack = 4
 let code_sync = 5
 let code_pause = 6
 
-(* Engine tag space, owned by this module via [Engine.set_dispatch]. *)
-let tag_txdone = 0
-let tag_arrive = 1
-
 type chaos = {
   crng : Util.Rng.t;
   mutable loss : float;
@@ -93,7 +89,15 @@ type t = {
   (* Per-packet FIFO link (see the header comment); grown in lockstep with
      the pool. Only meaningful while the packet sits in an output queue. *)
   mutable qnext : int array;
+  (* Per-packet arrival vertex, grown with [qnext]. Only meaningful while
+     the packet's arrival event is pending. *)
+  mutable hop_dst : int array;
   links : link_state array;
+  (* The engine key space this fabric owns: key [l < nlinks] ends the
+     serialization on link [l], key [nlinks + p] is packet [p]'s arrival.
+     A link serializes one packet at a time and a packet has one hop in
+     flight, so neither key can be pending twice. *)
+  nlinks : int;
   (* Link endpoints copied out of [Topology] into flat arrays: the per-hop
      liveness check reads both ends of a link, and an array load beats a
      cross-module accessor call. *)
@@ -176,9 +180,13 @@ let alloc_pkt t =
   let h = Arena.alloc_uninit t.pool in
   if (h + 1) * fields > Bigarray.Array1.dim t.st then begin
     t.st <- Arena.data t.pool;
-    let q = Array.make (Arena.capacity t.pool) (-1) in
-    Array.blit t.qnext 0 q 0 (Array.length t.qnext);
-    t.qnext <- q
+    let grown a =
+      let a' = Array.make (Arena.capacity t.pool) (-1) in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    t.qnext <- grown t.qnext;
+    t.hop_dst <- grown t.hop_dst
   end;
   h
 
@@ -500,6 +508,13 @@ let blackholed_ctrl_bytes t = t.blackholed_ctrl_bytes
 
 (* -- forwarding ----------------------------------------------------------- *)
 
+(* The tree's CSR FIB: one cache-validated fetch per arrival or
+   injection, then a plain loop over the link ids of a vertex's slice. *)
+let fib t ~root ~tree =
+  match t.broadcast with
+  | Some b -> Broadcast.fib b ~src:root ~tree
+  | None -> invalid_arg "Net: broadcast FIB not configured"
+
 (* Forwarding is mutually recursive with arrival: an arriving packet is
    re-enqueued towards its next hop. *)
 let rec start_tx t link_id =
@@ -507,8 +522,7 @@ let rec start_tx t link_id =
   if ls.head < 0 then ls.busy <- false
   else begin
     ls.busy <- true;
-    let tx = tx_time_ns t (meta_bytes (fget t ls.head f_meta)) in
-    Engine.after_tagged t.engine tx ~tag:tag_txdone ~a:link_id ~b:0
+    Engine.after_key t.engine (tx_time_ns t (meta_bytes (fget t ls.head f_meta))) link_id
   end
 
 and tx_done t link_id =
@@ -580,19 +594,19 @@ and propagate t link_id pkt =
             end
             else t.hop_latency_ns
           in
-          Engine.after_tagged t.engine delay ~tag:tag_arrive ~a:dst ~b:pkt;
+          schedule_arrival t delay dst pkt;
           if dupped then begin
             t.ctrl_dupped <- t.ctrl_dupped + 1;
-            let copy = clone_pkt t pkt in
-            Engine.after_tagged t.engine (delay + t.hop_latency_ns) ~tag:tag_arrive
-              ~a:dst ~b:copy
+            schedule_arrival t (delay + t.hop_latency_ns) dst (clone_pkt t pkt)
           end
         end
-    | _ ->
-        Engine.after_tagged t.engine
-          (t.hop_latency_ns + spike_ns)
-          ~tag:tag_arrive ~a:dst ~b:pkt
+    | _ -> schedule_arrival t (t.hop_latency_ns + spike_ns) dst pkt
   end
+
+(* Schedule [pkt]'s arrival at [dst], keyed by the packet. *)
+and schedule_arrival t delay dst pkt =
+  Array.unsafe_set t.hop_dst pkt dst;
+  Engine.after_key t.engine delay (t.nlinks + pkt)
 
 and enqueue_link t link_id pkt =
   if not (phys_link_up t link_id) then blackhole t pkt
@@ -631,10 +645,7 @@ and arrive t node pkt =
       t.bcast_deliver pkt ~node;
       let root = if k = code_bcast then fget t pkt f_p1 else fget t pkt f_p0 in
       let tree = if k = code_bcast then fget t pkt f_p2 else fget t pkt f_p1 in
-      fanout t ~root ~tree ~from:node ~code:k ~bytes:b ~p0:(fget t pkt f_p0)
-        ~p1:(fget t pkt f_p1) ~p2:(fget t pkt f_p2) ~p3:(fget t pkt f_p3)
-        ~p4:(fget t pkt f_p4) ~p5:(fget t pkt f_p5);
-      free_pkt t pkt
+      replicate t pkt ~root ~tree ~from:node
     end
     else begin
       let h = meta_hop m + 1 in
@@ -659,15 +670,29 @@ and arrive t node pkt =
     end
   end
 
-(* Replicate over the tree's CSR slice for [from]: one cache-validated FIB
-   fetch per arrival, then a plain loop over link ids. *)
+(* A relayed copy goes on to its children in FIB order: a fresh copy for
+   each child but the last, which gets the arrived packet itself, so a
+   one-child relay copies nothing and a leaf frees it. Broadcast and
+   digest copies carry the empty route and no slices, so a copy is its
+   eight words. *)
+and replicate t pkt ~root ~tree ~from =
+  let { Broadcast.first; links } = fib t ~root ~tree in
+  let last = first.(from + 1) - 1 in
+  if last < first.(from) then free_pkt t pkt
+  else begin
+    for i = first.(from) to last - 1 do
+      let c = alloc_pkt t in
+      for f = 0 to fields - 1 do
+        fset t c f (fget t pkt f)
+      done;
+      enqueue_link t (Array.unsafe_get links i) c
+    done;
+    enqueue_link t (Array.unsafe_get links last) pkt
+  end
+
+(* Injection at the tree's root: a fresh packet per child. *)
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
-  let b =
-    match t.broadcast with
-    | Some b -> b
-    | None -> invalid_arg "Net: broadcast FIB not configured"
-  in
-  let { Broadcast.first; links } = Broadcast.fib b ~src:root ~tree in
+  let { Broadcast.first; links } = fib t ~root ~tree in
   for i = first.(from) to first.(from + 1) - 1 do
     let h = alloc_pkt t in
     fset t h f_meta (meta_make ~code ~bytes);
@@ -696,6 +721,8 @@ let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link
       st = Arena.data pool;
       sl = Arena.Ints.data slices;
       qnext = Array.make (Arena.capacity pool) (-1);
+      hop_dst = Array.make (Arena.capacity pool) (-1);
+      nlinks = Topology.link_count topo;
       links =
         Array.init (Topology.link_count topo) (fun _ ->
             { head = -1; tail = -1; busy = false; qbytes = 0; max_qbytes = 0 });
@@ -738,10 +765,11 @@ let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link
       arrive_tap = (fun ~node:_ _ -> ());
     }
   in
-  (* The fabric owns the engine's tag space: 0 = tx completion on link [a],
-     1 = arrival of packet [b] at node [a]. *)
-  Engine.set_dispatch engine (fun ~tag ~a ~b ->
-      if tag = tag_txdone then tx_done t a else arrive t a b);
+  Engine.set_handler engine (fun key ->
+      if key < t.nlinks then tx_done t key
+      else
+        let pkt = key - t.nlinks in
+        arrive t (Array.unsafe_get t.hop_dst pkt) pkt);
   t
 
 (* -- injection ------------------------------------------------------------ *)
@@ -814,6 +842,7 @@ let overloaded_links t = t.over_count
 let link_overloaded t ~link_id = Bytes.get t.over link_id = '\001'
 
 let packets_high_water t = Arena.high_water t.pool
+let packets_in_flight t = Arena.live t.pool
 let max_queue_bytes t = Array.map (fun ls -> ls.max_qbytes) t.links
 let drops t = t.drops
 let data_bytes_on_wire t = U.bytes (float_of_int t.data_wire)

@@ -6,7 +6,9 @@
     nodes forward without any per-flow state (paper §3.5).
 
     Broadcast packets carry a [(source, tree)] pair instead of a path and
-    are replicated to the tree children at every node (paper §3.2).
+    are replicated to the tree children at every node (paper §3.2): each
+    child but the last gets a fresh copy and the arrived packet itself
+    moves on to the last one, so a relay with one child copies nothing.
 
     {2 Packet representation}
 
@@ -45,7 +47,10 @@ val create :
 (** [queue_capacity] bounds each output queue in bytes (tail drop);
     default unbounded. [count_control] (default true) includes broadcast
     bytes in the control-traffic counters. Installs the fabric as the
-    engine's tagged-event dispatcher. *)
+    engine's keyed-event handler ({!Engine.set_handler}): the fabric owns
+    the key space, keying the end of a serialization by its link id and
+    a packet's arrival by [link_count + packet], so a hop costs two
+    events and no allocation. *)
 
 val topo : t -> Topology.t
 val engine : t -> Engine.t
@@ -222,6 +227,10 @@ val tx_time_ns : t -> int -> int
 val packets_high_water : t -> int
 (** Peak in-flight packet count — the measured figure behind the pool's
     initial sizing. *)
+
+val packets_in_flight : t -> int
+(** Packets currently queued, serializing or propagating; zero once the
+    engine has drained, whatever was delivered, dropped or replicated. *)
 
 (** {2 Physical failures}
 

@@ -362,18 +362,10 @@ let source_view_hash ?tree t ~node ~root =
   | None -> Replicas.hash t.reps ~replica:node ~origin:root
   | Some tree -> Replicas.tree_hash t.reps (window t ~node ~root ~tree)
 
-(* Apply one flow-event broadcast that reached a node on window [w] — the
-   (node, root, tree) it arrived on: update the node's view of the traffic
-   matrix (Per_node) and the global visibility counter. In reliable mode
-   this runs only on window-accepted deliveries, so each node counts each
-   event exactly once whatever the duplication rate. *)
-let apply_bcast_event t w bcast_id =
-  (* Negative ids are batched route-change announcements (§3.4); only flow
-     start/finish events update the views. *)
-  if t.cfg.control = Per_node && bcast_id >= 0 then begin
-    t.epoch_dirty <- true;
-    Replicas.apply t.reps w bcast_id
-  end;
+(* Count one receipt of a flow-event broadcast towards its global
+   visibility. Negative ids are batched route-change announcements (§3.4);
+   only flow start/finish events are counted. *)
+let count_receipt t bcast_id =
   if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
     let count = Array.unsafe_get t.bcast_seen bcast_id in
     if count >= 0 then begin
@@ -387,6 +379,18 @@ let apply_bcast_event t w bcast_id =
       end
     end
   end
+
+(* Apply one flow-event broadcast that reached a node on window [w] — the
+   (node, root, tree) it arrived on: update the node's view of the traffic
+   matrix (Per_node) and count the receipt. In reliable mode this runs
+   only on window-accepted deliveries, so each node counts each event
+   exactly once whatever the duplication rate. *)
+let apply_bcast_event t w bcast_id =
+  if t.cfg.control = Per_node && bcast_id >= 0 then begin
+    t.epoch_dirty <- true;
+    Replicas.apply t.reps w bcast_id
+  end;
+  count_receipt t bcast_id
 
 (* A NACK with an empty range ([to_seq < from_seq]) is a full-state sync
    request — sent when a node is sequence-caught-up with an origin yet
@@ -1489,10 +1493,11 @@ let create cfg topo =
             | Replicas.Delivered | Replicas.Duplicate -> ()
             | Replicas.Buffered -> schedule_nack t ~node ~root ~tree w
         end
-        else
+        else if cfg.control = Per_node then
           apply_bcast_event t
             (window t ~node ~root:(Net.bcast_root net pkt) ~tree:(Net.bcast_tree net pkt))
             bcast_id
+        else count_receipt t bcast_id
       end
       else if k = Net.code_digest then begin
         if reliable t then begin

@@ -6,7 +6,9 @@
          and sits in bucket (time - win_start);
      I2  every heap entry satisfies time >= win_start + wheel;
      I3  win_start is a multiple of wheel and never decreases;
-     I4  the window advances only when the wheel is empty.
+     I4  the window advances only when the wheel is empty, and only to pop
+         the overflow minimum at once, so win_start never passes a time
+         the caller has not yet drained to.
 
    I1 + I2 make cross-store ties impossible; I4 plus migrating in heap
    order makes migration order-transparent. *)
@@ -131,46 +133,59 @@ let scan t =
   t.cursor <- !n;
   !n
 
-(* Window empty: jump it to the overflow minimum (kept wheel-aligned, I3)
-   and migrate everything now inside it, in heap order. *)
-let advance t =
-  let tmin = Heap.peek_prio t.overflow in
-  if tmin >= 0 then begin
-    t.win_start <- tmin - (tmin mod t.wheel);
-    t.cursor <- 0;
-    let win_end = t.win_start + t.wheel in
-    while
-      let p = Heap.peek_prio t.overflow in
-      p >= 0 && p < win_end
-    do
-      let id = Heap.pop_int t.overflow in
-      bucket_add t (Heap.popped_prio t.overflow - t.win_start) id
-    done
-  end
+(* Window empty: jump it to the overflow minimum [tmin] (kept
+   wheel-aligned, I3) and migrate everything now inside it, in heap order. *)
+let advance t tmin =
+  t.win_start <- tmin - (tmin mod t.wheel);
+  t.cursor <- 0;
+  let win_end = t.win_start + t.wheel in
+  while
+    let p = Heap.peek_prio t.overflow in
+    p >= 0 && p < win_end
+  do
+    let id = Heap.pop_int t.overflow in
+    bucket_add t (Heap.popped_prio t.overflow - t.win_start) id
+  done
 
 (* The fast group is what the engine's hot loop uses: no option, no tuple,
    so draining the queue allocates nothing. [pop_until] is the whole drain
    step in one scan — peek-then-pop would search the bitmap twice. *)
-let pop_until t ~until =
-  if t.in_wheel = 0 then advance t;
-  if t.in_wheel = 0 then -1
+let pop_wheel t ~until =
+  let slot = scan t in
+  let time = t.win_start + slot in
+  t.last_time <- time;
+  if time > until then -2
   else begin
-    let slot = scan t in
-    let time = t.win_start + slot in
-    t.last_time <- time;
-    if time > until then -2
+    let id = Array.unsafe_get t.heads slot in
+    let nx = Array.unsafe_get t.next id in
+    Array.unsafe_set t.heads slot nx;
+    if nx < 0 then begin
+      Array.unsafe_set t.tails slot (-1);
+      let w = slot lsr 5 in
+      Array.unsafe_set t.bits w
+        (Array.unsafe_get t.bits w land lnot (1 lsl (slot land 31)))
+    end;
+    t.in_wheel <- t.in_wheel - 1;
+    id
+  end
+
+(* An empty wheel advances only when the overflow minimum pops now: a
+   window moved past [until] would reject an [add] between [until] and
+   its new start, times the caller may still schedule. Entries added in
+   the meantime beyond the window join the heap behind the older ones,
+   and its insertion-order tie-break keeps the later migration in order. *)
+let pop_until t ~until =
+  if t.in_wheel > 0 then pop_wheel t ~until
+  else begin
+    let tmin = Heap.peek_prio t.overflow in
+    if tmin < 0 then -1
+    else if tmin > until then begin
+      t.last_time <- tmin;
+      -2
+    end
     else begin
-      let id = Array.unsafe_get t.heads slot in
-      let nx = Array.unsafe_get t.next id in
-      Array.unsafe_set t.heads slot nx;
-      if nx < 0 then begin
-        Array.unsafe_set t.tails slot (-1);
-        let w = slot lsr 5 in
-        Array.unsafe_set t.bits w
-          (Array.unsafe_get t.bits w land lnot (1 lsl (slot land 31)))
-      end;
-      t.in_wheel <- t.in_wheel - 1;
-      id
+      advance t tmin;
+      pop_wheel t ~until
     end
   end
 

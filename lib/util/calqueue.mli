@@ -20,7 +20,10 @@
     single timestamp, and appending to its tail preserves insertion order;
     and the window advances only when the wheel is empty, migrating
     now-in-window overflow entries in heap order — (time, insertion) —
-    before any later insertion can append behind them. *)
+    before any later insertion can append behind them. The window moves
+    only to pop the overflow minimum at once, so it never starts past a
+    deadline the caller has drained to: any time from that deadline on
+    stays schedulable. *)
 
 type t
 
@@ -47,9 +50,9 @@ val pop : t -> (int * int) option
 val pop_until : t -> until:int -> int
 (** One drain step in a single bitmap scan: remove the minimum entry and
     return its payload if its time is [<= until]; return [-1] when the
-    queue is empty, or [-2] (leaving the entry in place) when the head's
-    time exceeds [until]. {!popped_time} reports the head's time after
-    both a pop and a [-2]. *)
+    queue is empty, or [-2] (leaving the entry and the window in place)
+    when the head's time exceeds [until]. {!popped_time} reports the
+    head's time after both a pop and a [-2]. *)
 
 val popped_time : t -> int
 (** Time of the entry last removed by {!pop} / {!pop_until}; [-1]

@@ -50,6 +50,159 @@ let engine_rejects_past () =
           Sim.Engine.at eng 5 ignore));
   Sim.Engine.run eng
 
+let backends = [ ("calendar", Sim.Engine.Calendar); ("heap", Sim.Engine.Binary_heap) ]
+
+(* A deadline before the clock fires nothing and leaves the clock where it
+   is. A clock moved back to such a deadline would accept [at] times that
+   have already passed and fire them after later events. *)
+let engine_clock_never_backwards backend () =
+  let eng = Sim.Engine.create ~backend () in
+  let log = ref [] in
+  Sim.Engine.at eng 5_000 (fun () -> log := 5_000 :: !log);
+  Sim.Engine.at eng 50_000 (fun () -> log := 50_000 :: !log);
+  Sim.Engine.run ~until:10_000 eng;
+  Alcotest.(check int) "clock moved to the deadline" 10_000 (Sim.Engine.now eng);
+  Sim.Engine.run ~until:2_000 eng;
+  Alcotest.(check int) "an earlier deadline leaves the clock" 10_000 (Sim.Engine.now eng);
+  Alcotest.check_raises "a passed time stays in the past"
+    (Invalid_argument "Engine.at: time in the past") (fun () -> Sim.Engine.at eng 5_000 ignore);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "each event fired once, in order" [ 5_000; 50_000 ] (List.rev !log)
+
+(* A deadline more than one calendar wheel (16 384 ns) before every
+   pending event must not move the wheel's window past the deadline: the
+   times between the deadline and the next event stay schedulable, as
+   they are on the heap. *)
+let engine_schedules_after_far_deadline backend () =
+  let eng = Sim.Engine.create ~backend () in
+  let log = ref [] in
+  Sim.Engine.at eng 100_000 (fun () -> log := Sim.Engine.now eng :: !log);
+  Sim.Engine.run ~until:1_000 eng;
+  Sim.Engine.at eng 2_000 (fun () -> log := Sim.Engine.now eng :: !log);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "both fire, in time order" [ 2_000; 100_000 ] (List.rev !log)
+
+let engine_keyed_events backend () =
+  let eng = Sim.Engine.create ~backend () in
+  let log = ref [] in
+  Sim.Engine.set_handler eng (fun key ->
+      log := (Sim.Engine.now eng, key) :: !log;
+      (* A fired key is free again: key 3 re-arms itself once. *)
+      if key = 3 && Sim.Engine.now eng < 100 then Sim.Engine.after_key eng 100 3);
+  Sim.Engine.after_key eng 20 3;
+  (* Past the initial pending table, which then grows. *)
+  Sim.Engine.after_key eng 10 5_000;
+  Sim.Engine.after eng 20 (fun () -> log := (Sim.Engine.now eng, -1) :: !log);
+  Sim.Engine.after_key eng 20 4;
+  Alcotest.(check int) "pending counts both kinds" 4 (Sim.Engine.pending eng);
+  Alcotest.check_raises "a pending key is rejected"
+    (Invalid_argument "Engine.after_key: key already pending") (fun () ->
+      Sim.Engine.after_key eng 5 3);
+  Alcotest.check_raises "negative key" (Invalid_argument "Engine.after_key: negative key")
+    (fun () -> Sim.Engine.after_key eng 5 (-1));
+  Alcotest.(check int) "rejections schedule nothing" 4 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list (pair int int)))
+    "keys and closures fire in (time, scheduling order)"
+    [ (10, 5_000); (20, 3); (20, -1); (20, 4); (120, 3) ]
+    (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending eng);
+  let bare = Sim.Engine.create ~backend () in
+  Sim.Engine.after_key bare 0 0;
+  Alcotest.check_raises "no handler"
+    (Invalid_argument "Engine: keyed event fired with no handler installed") (fun () ->
+      Sim.Engine.run bare)
+
+(* Differential property over both backends. A script is a list of steps;
+   a step schedules a batch of events relative to the clock, then runs to
+   a deadline that may lie far ahead, just ahead, or behind the clock.
+   Keyed events draw from 12 keys, so a key is often still pending when it
+   is drawn again; odd keys re-arm themselves twice from the handler, and
+   every third closure schedules a successor, some at the same instant.
+   Each backend's log of fired (time, event) pairs, rejections and clock
+   readings must match the other's, a key must be rejected exactly when
+   it is pending, and the fired times must never decrease. *)
+type step = { events : (bool * int * int) list; deadline : int }
+
+let gen_step =
+  QCheck.Gen.(
+    map2
+      (fun events deadline -> { events; deadline })
+      (list_size (0 -- 10)
+         (triple bool
+            (oneof [ 0 -- 3; 0 -- 2_000; 0 -- 200_000 ])
+            (0 -- 11)))
+      (oneof [ 0 -- 500; 0 -- 50_000; -20_000 -- 0 ]))
+
+let print_step { events; deadline } =
+  let event (keyed, off, key) =
+    if keyed then Printf.sprintf "k%d+%d" key off else Printf.sprintf "c+%d" off
+  in
+  Printf.sprintf "{%s} then %+d" (String.concat ";" (List.map event events)) deadline
+
+type fired = Fired of int * int | Rejected of int * string | Clock of int * int
+
+let run_script backend steps =
+  let eng = Sim.Engine.create ~backend () in
+  let log = ref [] and ok = ref true in
+  let note e = log := e :: !log in
+  let last = ref 0 in
+  let fire ev =
+    let now = Sim.Engine.now eng in
+    if now < !last then ok := false;
+    last := now;
+    note (Fired (now, ev))
+  in
+  let pending = Array.make 12 false and rearms = Array.make 12 0 in
+  Sim.Engine.set_handler eng (fun key ->
+      pending.(key) <- false;
+      fire key;
+      if key land 1 = 1 && rearms.(key) < 2 then begin
+        rearms.(key) <- rearms.(key) + 1;
+        pending.(key) <- true;
+        Sim.Engine.after_key eng (key * 37) key
+      end);
+  let label = ref 0 in
+  let rec closure () =
+    incr label;
+    let id = !label in
+    fun () ->
+      fire (-id);
+      if id mod 3 = 0 then Sim.Engine.after eng (id mod 2) (closure ())
+  in
+  List.iter
+    (fun { events; deadline } ->
+      List.iter
+        (fun (keyed, off, key) ->
+          let now = Sim.Engine.now eng in
+          match
+            if keyed then Sim.Engine.after_key eng off key
+            else Sim.Engine.at eng (now + off) (closure ())
+          with
+          | () ->
+              if keyed then begin
+                if pending.(key) then ok := false;
+                pending.(key) <- true
+              end
+          | exception Invalid_argument msg ->
+              if not (keyed && pending.(key)) then ok := false;
+              note (Rejected (now, msg)))
+        events;
+      Sim.Engine.run ~until:(Sim.Engine.now eng + deadline) eng;
+      note (Clock (Sim.Engine.now eng, Sim.Engine.pending eng)))
+    steps;
+  Sim.Engine.run eng;
+  note (Clock (Sim.Engine.now eng, Sim.Engine.pending eng));
+  (List.rev !log, !ok)
+
+let qcheck_engine_backends_agree =
+  QCheck.Test.make ~name:"engine backends agree on random keyed/closure scripts" ~count:300
+    QCheck.(make ~print:(Print.list print_step) Gen.(list_size (1 -- 12) gen_step))
+    (fun steps ->
+      let cal, cal_ok = run_script Sim.Engine.Calendar steps in
+      let heap, heap_ok = run_script Sim.Engine.Binary_heap steps in
+      cal_ok && heap_ok && cal = heap)
+
 (* -- net ------------------------------------------------------------------ *)
 
 let mk_net ?queue_capacity () =
@@ -325,6 +478,121 @@ let digest_check_zero_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "minor words per digest hop ~ 0 (got %.3f)" per_hop)
     true (per_hop < 0.05)
+
+(* Flood every (root, tree) of a 4x4x4 torus at once. A relay passes the
+   arrived packet itself to its last child, copies it for the others, and
+   a leaf frees it; the trees hold all three kinds of vertex. Without
+   chaos each non-root vertex hears each flood exactly once and the root
+   never does. Under control-plane duplication each duplicate is its own
+   packet with its own arrival key: every vertex still hears every flood,
+   each delivery is a hop or a duplicate, and in both runs no packet is
+   left in the pool. *)
+let net_flood_each_tree_once () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let b = Broadcast.make topo in
+  let trees = Broadcast.trees_per_source b in
+  let kinds = Array.make 3 0 in
+  for root = 0 to 63 do
+    for tree = 0 to trees - 1 do
+      let { Broadcast.first; _ } = Broadcast.fib b ~src:root ~tree in
+      for v = 0 to 63 do
+        let k = min 2 (first.(v + 1) - first.(v)) in
+        kinds.(k) <- kinds.(k) + 1
+      done
+    done
+  done;
+  Alcotest.(check bool) "the trees hold leaves, one-child and branching relays" true
+    (Array.for_all (fun n -> n > 0) kinds);
+  let flood ~dup =
+    let eng = Sim.Engine.create () in
+    let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+    Sim.Net.set_broadcast net b;
+    if dup > 0.0 then
+      Sim.Net.set_control_chaos net ~seed:5 ~loss:U.zero ~reorder:U.zero ~dup:(U.fraction dup);
+    let heard = Array.make (64 * trees * 64) 0 in
+    Sim.Net.on_bcast_deliver net (fun pkt ~node ->
+        let id = Sim.Net.bcast_id net pkt in
+        Alcotest.(check int) "root field intact" (id / trees) (Sim.Net.bcast_root net pkt);
+        Alcotest.(check int) "tree field intact" (id mod trees) (Sim.Net.bcast_tree net pkt);
+        heard.((id * 64) + node) <- heard.((id * 64) + node) + 1);
+    for root = 0 to 63 do
+      for tree = 0 to trees - 1 do
+        Sim.Net.send_bcast net ~root ~tree ~bcast_id:((root * trees) + tree) ~bytes:16 ()
+      done
+    done;
+    Sim.Engine.run eng;
+    Alcotest.(check int) "no packet left in the pool" 0 (Sim.Net.packets_in_flight net);
+    Alcotest.(check int) "every scheduled event fired" 0 (Sim.Engine.pending eng);
+    (net, heard)
+  in
+  let net, heard = flood ~dup:0.0 in
+  Array.iteri
+    (fun i n ->
+      let id = i / 64 and node = i mod 64 in
+      let want = if node = id / trees then 0 else 1 in
+      if n <> want then
+        Alcotest.failf "root %d tree %d: node %d heard %d copies, want %d" (id / trees)
+          (id mod trees) node n want)
+    heard;
+  Alcotest.(check int) "one hop per tree edge" (64 * trees * 63) (Sim.Net.ctrl_hops net);
+  let net, heard = flood ~dup:0.2 in
+  Array.iteri
+    (fun i n ->
+      let id = i / 64 and node = i mod 64 in
+      if node <> id / trees && n < 1 then
+        Alcotest.failf "dup: root %d tree %d: node %d never heard the flood" (id / trees)
+          (id mod trees) node)
+    heard;
+  Alcotest.(check bool) "duplicates injected" true (Sim.Net.ctrl_dupped net > 0);
+  Alcotest.(check int) "each delivery is a hop or a duplicate"
+    (Sim.Net.ctrl_hops net + Sim.Net.ctrl_dupped net)
+    (Array.fold_left ( + ) 0 heard)
+
+(* The regime [bench hotpath] gates, as a unit test: 512 single-hop
+   streams on the 8x8x8 torus with 32 packets in flight each, so over a
+   thousand keyed events (a serialization end per busy link and the
+   arrivals in flight) are pending at once. Each delivery sends the
+   stream's next packet; after a warm-up tranche, a packet costs under
+   0.05 minor words. *)
+let net_many_streams_zero_alloc () =
+  let streams = 512 and window = 32 and warmup = 10 and measured = 100 in
+  let eng = Sim.Engine.create () in
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 100.0) ~hop_latency_ns:100 () in
+  let routes =
+    Array.init streams (fun s ->
+        Sim.Net.intern_route net [| s; s - (s mod 8) + (((s mod 8) + 1) mod 8) |])
+  in
+  let sent = Array.make streams 0 in
+  let send s =
+    Sim.Net.send_data net ~flow:s ~seq:sent.(s) ~last:false ~bytes:1500 ~route:routes.(s);
+    sent.(s) <- sent.(s) + 1
+  in
+  let delivered = ref 0 and pending_max = ref 0 in
+  let w0 = ref 0.0 and w1 = ref 0.0 in
+  Sim.Net.on_deliver net (fun pkt ->
+      incr delivered;
+      if !delivered = streams * warmup then w0 := Gc.minor_words ()
+      else if !delivered = streams * (warmup + measured) then w1 := Gc.minor_words ();
+      pending_max := max !pending_max (Sim.Engine.pending eng);
+      let s = Sim.Net.data_flow net pkt in
+      if sent.(s) < window + warmup + measured then send s);
+  for s = 0 to streams - 1 do
+    for _ = 1 to window do
+      send s
+    done
+  done;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "every packet delivered" (streams * (window + warmup + measured))
+    !delivered;
+  Alcotest.(check bool)
+    (Printf.sprintf "over 1k keyed events pending (max %d)" !pending_max)
+    true (!pending_max >= 1_000);
+  let per_pkt = (!w1 -. !w0) /. float_of_int (streams * measured) in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per packet ~ 0 (got %.3f)" per_pkt)
+    true (per_pkt < 0.05);
+  Array.iter (Sim.Net.release_route net) routes
 
 (* -- metrics --------------------------------------------------------------- *)
 
@@ -912,7 +1180,17 @@ let suites =
         tc "run until" engine_until;
         tc "nested scheduling" engine_nested_scheduling;
         tc "rejects scheduling in the past" engine_rejects_past;
-      ] );
+      ]
+      @ List.concat_map
+          (fun (name, backend) ->
+            [
+              tc ("clock never runs backwards: " ^ name) (engine_clock_never_backwards backend);
+              tc ("schedulable after a far deadline: " ^ name)
+                (engine_schedules_after_far_deadline backend);
+              tc ("keyed events: " ^ name) (engine_keyed_events backend);
+            ])
+          backends
+      @ [ QCheck_alcotest.to_alcotest qcheck_engine_backends_agree ] );
     ( "sim.net",
       [
         tc "source-routed delivery and latency" net_delivers_along_route;
@@ -929,6 +1207,8 @@ let suites =
         tc "VLB route sampling allocates nothing" (sampled_route_zero_alloc Routing.Vlb);
         tc "broadcast replication allocates nothing" net_broadcast_replication_zero_alloc;
         tc "digest check allocates nothing" digest_check_zero_alloc;
+        tc "each flood reaches each vertex once, also with duplicates" net_flood_each_tree_once;
+        tc "many concurrent streams allocate nothing" net_many_streams_zero_alloc;
       ] );
     ( "sim.metrics",
       [
