@@ -26,12 +26,11 @@ let () =
     print_endline
       "usage: main.exe [exp-id] [--paper] [--quick]\n\
        exp-ids: fig2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16\n\
-      \         fig17 fig18 fig19 ablation micro churn chaos graychaos overload control-loss\n\
-      \         hotpath all (default: all)\n\
-       churn writes BENCH_waterfill.json; chaos writes BENCH_failure.json;\n\
-      \ graychaos writes BENCH_graychaos.json; overload writes BENCH_overload.json;\n\
-       control-loss writes BENCH_controlloss.json; --quick runs a smoke-sized\n\
-       variant";
+      \         fig17 fig18 fig19 ablation micro chaos graychaos overload control-loss\n\
+      \         all (default: all)\n\
+       chaos writes BENCH_failure.json; graychaos writes BENCH_graychaos.json;\n\
+       overload writes BENCH_overload.json; control-loss writes\n\
+       BENCH_controlloss.json; --quick runs a smoke-sized variant";
     exit 1
   in
   let args = List.tl (Array.to_list Sys.argv) in
@@ -58,10 +57,8 @@ let () =
   | [ "fig19" ] -> Experiments.fig19 ()
   | [ "ablation" ] -> Experiments.ablations ()
   | [ "micro" ] -> Micro.run ()
-  | [ "churn" ] -> Micro.churn ~quick ()
   | [ "chaos" ] -> Chaos.run ~quick ()
   | [ "graychaos" ] -> Graychaos.run ~quick ()
   | [ "overload" ] -> Overload.run ~quick ()
   | [ "control-loss" ] -> Controlloss.run ~quick ()
-  | [ "hotpath" ] -> Hotpath.run ~quick ()
   | _ -> usage ()

@@ -103,174 +103,6 @@ let tests () =
       test_ga_generation;
     ]
 
-(* -- churn micro-benchmark (writes BENCH_waterfill.json) ------------------
-   Epoch recomputation under flow churn: N flows on the 8x8x8 torus, k% of
-   them replaced per epoch. Compares the seed full-rebuild path (rebuild
-   every waterfill input from the flow table, allocate fresh buffers — what
-   `Stack.recompute` did before the incremental allocator) against
-   `Waterfill.Inc` (patch rows, reuse the arena). Both paths see the same
-   pre-generated churn script and a pre-warmed fraction cache, and their
-   final rates are cross-checked. *)
-
-type cop = Close of int | Open of int * int * int
-
-let churn ?(flows = 512) ?(churn_pct = 10) ~quick () =
-  let n = flows in
-  let epochs = if quick then 3 else 40 in
-  let clean_iters_seed = if quick then 3 else 40 in
-  let clean_iters_inc = if quick then 100 else 20_000 in
-  let trials = if quick then 1 else 5 in
-  let topo = Lazy.force topo in
-  let ctx = Routing.make topo in
-  let h = Topology.host_count topo in
-  let capacities = Array.make (Topology.link_count topo) (Util.Units.byte_rate 1.25) in
-  let headroom = Util.Units.fraction 0.05 in
-  let rng = Util.Rng.create 11 in
-  let next_id = ref 0 in
-  let fresh_flow () =
-    let id = !next_id in
-    incr next_id;
-    let src = Util.Rng.int rng h in
-    let dst = (src + 1 + Util.Rng.int rng (h - 1)) mod h in
-    (id, src, dst)
-  in
-  let init = Array.init n (fun _ -> fresh_flow ()) in
-  let k = max 1 (n * churn_pct / 100) in
-  let live = Array.copy init in
-  let script =
-    Array.init epochs (fun _ ->
-        let ops = ref [] in
-        for _ = 1 to k do
-          let j = Util.Rng.int rng n in
-          let id, _, _ = live.(j) in
-          ops := Close id :: !ops;
-          let nf = fresh_flow () in
-          live.(j) <- nf;
-          let id', s, d = nf in
-          ops := Open (id', s, d) :: !ops
-        done;
-        List.rev !ops)
-  in
-  let warm (_, s, d) = ignore (Routing.fractions ctx Routing.Rps ~src:s ~dst:d) in
-  Array.iter warm init;
-  Array.iter
-    (List.iter (function Open (id, s, d) -> warm (id, s, d) | Close _ -> ()))
-    script;
-  (* The pre-incremental recompute: flow-table fold, sort, per-flow struct
-     rebuild, allocation of every waterfill buffer. *)
-  let seed_epoch world =
-    (* The raw fold IS the measured legacy path; the sort below fixes the
-       order before anything consumes it. *)
-    (* lint: allow D3 — legacy recompute path under measurement; sorted below *)
-    let fl = Hashtbl.fold (fun id (s, d) acc -> (id, s, d) :: acc) world [] in
-    let fl = List.sort (fun (a, _, _) (b, _, _) -> compare a b) fl in
-    let wf =
-      Array.map
-        (fun (id, s, d) ->
-          Congestion.Waterfill.flow ~id (Routing.fractions ctx Routing.Rps ~src:s ~dst:d))
-        (Array.of_list fl)
-    in
-    (fl, Congestion.Waterfill.allocate ~headroom ~capacities wf)
-  in
-  let apply_seed world = function
-    | Close id -> Hashtbl.remove world id
-    | Open (id, s, d) -> Hashtbl.replace world id (s, d)
-  in
-  let apply_inc inc = function
-    | Close id -> Congestion.Waterfill.Inc.remove_flow inc ~id
-    | Open (id, s, d) ->
-        Congestion.Waterfill.Inc.add_flow inc ~id (Routing.fractions ctx Routing.Rps ~src:s ~dst:d)
-  in
-  let seed_clean = ref infinity
-  and seed_churn = ref infinity
-  and inc_clean = ref infinity
-  and inc_churn = ref infinity
-  and max_delta = ref 0.0 in
-  for _trial = 1 to trials do
-    let world = Hashtbl.create (4 * n) in
-    Array.iter (fun (id, s, d) -> Hashtbl.replace world id (s, d)) init;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to clean_iters_seed do
-      ignore (seed_epoch world)
-    done;
-    let t1 = Unix.gettimeofday () in
-    seed_clean := Float.min !seed_clean ((t1 -. t0) /. float_of_int clean_iters_seed);
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun ops ->
-        List.iter (apply_seed world) ops;
-        ignore (seed_epoch world))
-      script;
-    let t1 = Unix.gettimeofday () in
-    seed_churn := Float.min !seed_churn ((t1 -. t0) /. float_of_int epochs);
-    let inc = Congestion.Waterfill.Inc.create ~headroom ~capacities () in
-    Array.iter
-      (fun (id, s, d) ->
-        Congestion.Waterfill.Inc.add_flow inc ~id (Routing.fractions ctx Routing.Rps ~src:s ~dst:d))
-      init;
-    Congestion.Waterfill.Inc.allocate inc;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to clean_iters_inc do
-      Congestion.Waterfill.Inc.allocate inc
-    done;
-    let t1 = Unix.gettimeofday () in
-    inc_clean := Float.min !inc_clean ((t1 -. t0) /. float_of_int clean_iters_inc);
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun ops ->
-        List.iter (apply_inc inc) ops;
-        Congestion.Waterfill.Inc.allocate inc)
-      script;
-    let t1 = Unix.gettimeofday () in
-    inc_churn := Float.min !inc_churn ((t1 -. t0) /. float_of_int epochs);
-    (* Differential check: both paths must agree on the final rates. *)
-    let fl, rates = seed_epoch world in
-    List.iteri
-      (fun i (id, _, _) ->
-        let d =
-          abs_float
-            ((rates.(i) : Util.Units.byte_rate :> float)
-            -. (Congestion.Waterfill.Inc.rate inc ~id : Util.Units.byte_rate :> float))
-        in
-        if d > !max_delta then max_delta := d)
-      fl
-  done;
-  if !max_delta > 1e-6 then
-    failwith (Printf.sprintf "churn bench: rates diverged by %g" !max_delta);
-  let ns x = x *. 1e9 in
-  (* clean epochs can be below timer resolution; floor at 1 ns to keep the
-     JSON finite *)
-  inc_clean := Float.max !inc_clean 1e-9;
-  let clean_speedup = !seed_clean /. !inc_clean in
-  let churn_speedup = !seed_churn /. !inc_churn in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"waterfill-churn\",\n\
-      \  \"topology\": \"torus-8x8x8\",\n\
-      \  \"flows\": %d,\n\
-      \  \"churn_pct\": %d,\n\
-      \  \"epochs\": %d,\n\
-      \  \"trials\": %d,\n\
-      \  \"seed_clean_ns_per_epoch\": %.0f,\n\
-      \  \"inc_clean_ns_per_epoch\": %.0f,\n\
-      \  \"clean_speedup\": %.1f,\n\
-      \  \"seed_churn_ns_per_epoch\": %.0f,\n\
-      \  \"inc_churn_ns_per_epoch\": %.0f,\n\
-      \  \"churn_speedup\": %.1f,\n\
-      \  \"max_rate_delta\": %g\n\
-       }\n"
-      n churn_pct epochs trials (ns !seed_clean) (ns !inc_clean) clean_speedup
-      (ns !seed_churn) (ns !inc_churn) churn_speedup !max_delta
-  in
-  let oc = open_out "BENCH_waterfill.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  Printf.printf "clean epoch: %.0f ns -> %.0f ns (%.1fx); %d%% churn: %.0f ns -> %.0f ns (%.1fx)\n"
-    (ns !seed_clean) (ns !inc_clean) clean_speedup churn_pct (ns !seed_churn) (ns !inc_churn)
-    churn_speedup
-
 let run () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in

@@ -88,6 +88,16 @@ let bump_epoch o =
   o.epoch <- o.epoch + 1;
   o.epoch
 
+(* A digest has no spare payload word, so its epoch word carries the
+   incarnation too; only incarnations are ever compared. *)
+let epoch_bits = 16
+
+let pack_epoch ~inc ~epoch =
+  if inc < 0 || inc lsr epoch_bits <> 0 then invalid_arg "Rbcast.pack_epoch: incarnation";
+  (inc lsl epoch_bits) lor (epoch land ((1 lsl epoch_bits) - 1))
+
+let unpack_inc word = word lsr epoch_bits
+
 (* A moved stream is digested in the round at hand and restarts its
    backoff; a quiet one then skips 1, 2, 4 and then [digest_cap] rounds
    between digests. *)

@@ -55,6 +55,17 @@ val state_hash : 'a origin -> int
 val bump_epoch : 'a origin -> int
 (** Open an anti-entropy round: advance and return the epoch counter. *)
 
+val pack_epoch : inc:int -> epoch:int -> int
+(** A digest's 32-bit epoch word ({!Wire.digest}): the incarnation [inc]
+    in the upper 16 bits over the low 16 bits of the round counter
+    [epoch], which may wrap, since nothing orders rounds. With [inc] = 0 it
+    is [epoch] for the first 65,535 rounds. Receivers do order
+    incarnations ({!Replicas.admit}), which bounds an origin to 65,535
+    restarts: raises [Invalid_argument] unless [0 <= inc < 65536]. *)
+
+val unpack_inc : int -> int
+(** The incarnation a {!pack_epoch} word carries. *)
+
 val digest_cap : int
 (** 8: the most rounds a quiet stream skips between two digests. *)
 

@@ -321,7 +321,9 @@ let last_seq t ~tree = Rbcast.last_seq t.origin ~tree
 let matrix_hash t = Int64.of_int (Rbcast.state_hash t.origin)
 
 let emit_digests ?(src = 0) t =
-  let epoch = Rbcast.bump_epoch t.origin in
+  let epoch =
+    Rbcast.pack_epoch ~inc:(Rbcast.incarnation t.origin) ~epoch:(Rbcast.bump_epoch t.origin)
+  in
   let ds = ref [] in
   for tree = t.cfg.trees_per_source - 1 downto 0 do
     if Rbcast.digest_due t.origin ~tree then begin
@@ -354,7 +356,9 @@ let replay_range t ~tree ~from_seq ~to_seq =
   if to_seq < from_seq then invalid_arg "Stack.replay_range: empty range";
   Rbcast.note_nack t.origin ~tree ~to_seq;
   let items = ref [] in
-  for seq = to_seq downto from_seq do
+  (* Nothing past the newest sequence was ever sent, and the wire allows
+     any 32-bit [to_seq]. *)
+  for seq = min to_seq (Rbcast.last_seq t.origin ~tree) downto from_seq do
     match Rbcast.replay t.origin ~tree ~seq with
     | None -> ()  (* evicted: the requester falls back to a full sync *)
     | Some (pkt, flow) ->

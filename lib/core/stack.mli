@@ -170,7 +170,9 @@ val emit_digests : ?src:int -> t -> Wire.digest list
     {!replay} or {!replay_range} that reaches its tree's last sequence
     makes the stream due again ({!Rbcast.note_nack}), and {!restart} and
     {!notify_failure} make every stream due again. [src]
-    (default 0) fills the digest's source field. Charged to
+    (default 0) fills the digest's source field. The epoch field carries
+    the round and the origin's {!incarnation} ({!Rbcast.pack_epoch}), so a
+    {!View} ignores a digest sent before a {!restart}. Charged to
     {!reliability_bytes_sent}. *)
 
 val replay : t -> tree:int -> seq:int -> bytes option
@@ -185,7 +187,10 @@ val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
     evicted from the replay log; [None] when nothing in the range survives
     (the requester then needs a full {!sync_view}). Feed the result to
     {!View.apply_batch}. Each replayed event is charged and counted exactly
-    as {!replay} would. Raises [Invalid_argument] on [to_seq < from_seq]. *)
+    as {!replay} would. The walk stops at the tree's {!last_seq}: later
+    sequences were never sent, so a range running past it (the wire allows
+    any 32-bit [to_seq]) costs no more than one ending there. Raises
+    [Invalid_argument] on [to_seq < from_seq]. *)
 
 val sync_view : t -> View.t -> unit
 (** Full-state repair of a diverged replica: replaces its believed flow

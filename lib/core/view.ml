@@ -80,13 +80,17 @@ type digest_verdict =
 
 let observe_digest t (d : Wire.digest) =
   let w = window t d.Wire.dtree in
-  (* The wire carries the 63-bit set hash sign-extended to 64 bits. *)
-  match
-    Replicas.digest t.reps w ~last_seq:d.Wire.last_seq ~hash:(Int64.to_int d.Wire.state_hash)
-  with
-  | Replicas.Gaps -> Gaps (Replicas.missing t.reps w)
-  | Replicas.Synced -> Synced
-  | Replicas.Diverged -> Diverged
+  (* A digest from before the source's restart describes streams the
+     source no longer has. *)
+  if not (Replicas.admit t.reps w ~inc:(Rbcast.unpack_inc d.Wire.epoch)) then Synced
+  else
+    (* The wire carries the 63-bit set hash sign-extended to 64 bits. *)
+    match
+      Replicas.digest t.reps w ~last_seq:d.Wire.last_seq ~hash:(Int64.to_int d.Wire.state_hash)
+    with
+    | Replicas.Gaps -> Gaps (Replicas.missing t.reps w)
+    | Replicas.Synced -> Synced
+    | Replicas.Diverged -> Diverged
 
 let sync t ~flows ~last_seqs =
   Replicas.sync t.reps ~replica:0 ~origin:0 ~ids:flows ~last_seqs ~deliver:(apply_event t)

@@ -113,7 +113,6 @@ type t = {
   mutable q_low : int;
   over : Bytes.t;  (* per directed link: '\001' while overloaded *)
   mutable over_count : int;
-  count_control : bool;
   bits_per_ns : float;
   (* One-entry serialization-time memo: traffic is dominated by a single
      packet size, so the float divide + ceil runs once per size change,
@@ -637,9 +636,7 @@ and arrive t node pkt =
     let m = fget t pkt f_meta in
     let k = meta_kind m in
     let b = meta_bytes m in
-    if k >= code_bcast then begin
-      if t.count_control then t.control_wire <- t.control_wire + b
-    end
+    if k >= code_bcast then t.control_wire <- t.control_wire + b
     else t.data_wire <- t.data_wire + b;
     if k = code_bcast || k = code_digest then begin
       t.bcast_deliver pkt ~node;
@@ -706,8 +703,7 @@ and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
     enqueue_link t (Array.unsafe_get links i) h
   done
 
-let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link_gbps
-    ~hop_latency_ns () =
+let create engine topo ?(queue_capacity = max_int) ~link_gbps ~hop_latency_ns () =
   let link_gbps = (link_gbps : U.gbps :> float) in
   if link_gbps <= 0.0 then invalid_arg "Net.create: link_gbps";
   let pool = Arena.create ~capacity:1024 ~width:fields () in
@@ -733,7 +729,6 @@ let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link
       q_low = 0;
       over = Bytes.make (Topology.link_count topo) '\000';
       over_count = 0;
-      count_control;
       bits_per_ns = link_gbps;
       tx_memo_bytes = -1;
       tx_memo_ns = 0;

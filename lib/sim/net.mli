@@ -39,14 +39,12 @@ val create :
   Engine.t ->
   Topology.t ->
   ?queue_capacity:int ->
-  ?count_control:bool ->
   link_gbps:Util.Units.gbps ->
   hop_latency_ns:int ->
   unit ->
   t
 (** [queue_capacity] bounds each output queue in bytes (tail drop);
-    default unbounded. [count_control] (default true) includes broadcast
-    bytes in the control-traffic counters. Installs the fabric as the
+    default unbounded. Installs the fabric as the
     engine's keyed-event handler ({!Engine.set_handler}): the fabric owns
     the key space, keying the end of a serialization by its link id and
     a packet's arrival by [link_count + packet], so a hop costs two

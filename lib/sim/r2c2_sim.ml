@@ -4,11 +4,8 @@ module U = Util.Units
 
 type config = {
   link_gbps : U.gbps;
-  hop_latency_ns : int;
   headroom : U.fraction;
   recompute_interval_ns : int;
-  mtu : int;
-  trees_per_source : int;
   real_broadcast : bool;
   queue_capacity : int;
   control : control;
@@ -33,10 +30,9 @@ type config = {
       (** master switch for admission shedding and PAUSE backpressure *)
   slos : (int * int) list;
       (** (priority class, FCT bound ns) promises fed to {!Metrics.set_slo} *)
-  reserve_priority : int;
-      (** waterfill class reserve applies to classes >= this priority *)
   class_reserve : U.fraction;
-      (** link-capacity fraction withheld from the low classes; 0 = off *)
+      (** link-capacity fraction withheld from classes >= [reserve_priority];
+          0 = off *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] is the production O(1)
           wheel, [Binary_heap] the reference for differential tests *)
@@ -45,6 +41,14 @@ type config = {
 
 (* Protocol constants: every caller runs with the same value, so they are
    not config fields. *)
+
+(* Wire bytes per data packet, header included; per-hop latency; broadcast
+   trees per source; the lowest priority class the waterfill class reserve
+   withholds capacity from. *)
+let mtu = 1500
+let hop_latency_ns = 100
+let trees_per_source = 4
+let reserve_priority = 1
 
 (* Per-packet retransmission: the timeout multiplies by [rtx_backoff] per
    attempt up to [rtx_cap_ns]; a packet re-sent [rtx_max_retries] times
@@ -87,11 +91,8 @@ let pause_min_scale = 0.05
 let default_config =
   {
     link_gbps = U.gbps 10.0;
-    hop_latency_ns = 100;
     headroom = U.fraction 0.05;
     recompute_interval_ns = 500_000;
-    mtu = 1500;
-    trees_per_source = 4;
     real_broadcast = true;
     queue_capacity = max_int;
     control = Global_epoch;
@@ -107,7 +108,6 @@ let default_config =
     queue_low_watermark = 0;
     overload_control = false;
     slos = [];
-    reserve_priority = 1;
     class_reserve = U.fraction 0.0;
     engine_backend = Engine.Calendar;
     seed = 1;
@@ -349,7 +349,7 @@ let flow_done_sending t st =
 
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
-let win_key t ~root ~tree = (root * t.cfg.trees_per_source) + tree
+let win_key ~root ~tree = (root * trees_per_source) + tree
 let window t ~node ~root ~tree = Replicas.window t.reps ~replica:node ~origin:root ~tree
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
@@ -404,7 +404,7 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
     else t.nacks_sent <- t.nacks_sent + 1;
     let route =
       Net.intern_route t.net
-        (Routing.ecmp_path t.rctx ~flow_id:(win_key t ~root ~tree) ~src:node
+        (Routing.ecmp_path t.rctx ~flow_id:(win_key ~root ~tree) ~src:node
            ~dst:root)
     in
     Net.send_nack t.net ~root ~tree ~from_seq ~to_seq ~requester:node
@@ -448,8 +448,7 @@ let send_sync t ~root ~requester =
   then begin
     let entries, last_seqs = Rbcast.snapshot t.origins.(root) in
     let bytes =
-      min t.cfg.mtu
-        (Wire.sync_size ~flows:(List.length entries) ~trees:t.cfg.trees_per_source)
+      min mtu (Wire.sync_size ~flows:(List.length entries) ~trees:trees_per_source)
     in
     t.syncs_sent <- t.syncs_sent + 1;
     t.sync_bytes <- t.sync_bytes + bytes;
@@ -487,7 +486,7 @@ let rec inject t st =
   (* A dead sender stops existing: no injections, no rescheduling. The flow
      is aborted when the failure is detected. *)
   if Net.node_up t.net st.src then begin
-    let wire = min t.cfg.mtu (st.remaining + header) in
+    let wire = min mtu (st.remaining + header) in
     let payload = wire - header in
     st.remaining <- st.remaining - payload;
     let last = st.remaining = 0 in
@@ -506,7 +505,7 @@ let rec inject t st =
 and schedule_injection t st =
   st.inject_gen <- st.inject_gen + 1;
   let gen = st.inject_gen in
-  let wire = min t.cfg.mtu (st.remaining + header) in
+  let wire = min mtu (st.remaining + header) in
   (* A host-limited flow never injects above its demand, whatever the
      allocation says. *)
   let pace =
@@ -578,7 +577,7 @@ let send_flow_broadcast t st event =
         let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
         let depth = Broadcast.depth t.bcast ~src:st.src ~tree in
         let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-        Engine.after t.eng (depth * (t.cfg.hop_latency_ns + tx)) (fun () -> mark_visible t st)
+        Engine.after t.eng (depth * (hop_latency_ns + tx)) (fun () -> mark_visible t st)
     | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> ()
   end
 
@@ -812,7 +811,7 @@ let reselect t interval =
     if !changed > 0 && t.cfg.real_broadcast then begin
       (* One batched route-change announcement: 16-byte header plus 5 bytes
          per {flow, protocol} pair, capped at an MTU. *)
-      let bytes = min t.cfg.mtu (Wire.broadcast_size + (5 * !changed)) in
+      let bytes = min mtu (Wire.broadcast_size + (5 * !changed)) in
       let root = sts.(0).src in
       let bcast_id = -t.reselections in
       let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:root in
@@ -842,14 +841,10 @@ let digest_round t =
   Array.iteri
     (fun src o ->
       if Net.node_up t.net src then begin
-        (* The digest has no spare payload word, so the epoch word carries
-           the origin incarnation in its upper half; the anti-entropy epoch
-           itself never nears 2^32 in a simulated run. Incarnation 0 leaves
-           the word bit-identical to the pre-crash-restart format. *)
         let epoch =
-          (Rbcast.incarnation o lsl 32) lor (Rbcast.bump_epoch o land 0xFFFFFFFF)
+          Rbcast.pack_epoch ~inc:(Rbcast.incarnation o) ~epoch:(Rbcast.bump_epoch o)
         in
-        for tree = 0 to t.cfg.trees_per_source - 1 do
+        for tree = 0 to trees_per_source - 1 do
           if Rbcast.digest_due o ~tree then
             Net.send_digest_tree t.net ~root:src ~tree ~epoch
               ~last_seq:(Rbcast.last_seq o ~tree) ~hash:(Rbcast.tree_hash o ~tree)
@@ -869,7 +864,7 @@ let node_caught_up t ~node =
         root <> node && Net.node_up t.net root
         && Topology.reachable t.topo root node
       then begin
-        for tree = 0 to t.cfg.trees_per_source - 1 do
+        for tree = 0 to trees_per_source - 1 do
           if Replicas.next_expected t.reps (window t ~node ~root ~tree) <= Rbcast.last_seq o ~tree
           then ok := false
         done;
@@ -895,7 +890,7 @@ let control_converged t =
    needs to cross the rack diameter. *)
 let detection_delay t =
   let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-  2 * Topology.diameter t.topo * (t.cfg.hop_latency_ns + tx)
+  2 * Topology.diameter t.topo * (hop_latency_ns + tx)
 
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
@@ -1341,7 +1336,6 @@ let unflaky_link_at t ~ns u v =
 let chaos_seed seed = seed + 101
 
 let create cfg topo =
-  if cfg.mtu <= header then invalid_arg "R2c2_sim: mtu must exceed the header size";
   if cfg.control = Per_node && not cfg.real_broadcast then
     invalid_arg "R2c2_sim: Per_node control builds its views from real broadcasts";
   if cfg.reliable_bcast && not cfg.real_broadcast then
@@ -1349,7 +1343,7 @@ let create cfg topo =
   let eng = Engine.create ~backend:cfg.engine_backend () in
   let net =
     Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps
-      ~hop_latency_ns:cfg.hop_latency_ns ()
+      ~hop_latency_ns ()
   in
   let chaos_on =
     U.compare_q cfg.control_loss U.zero > 0
@@ -1359,7 +1353,7 @@ let create cfg topo =
   if chaos_on then
     Net.set_control_chaos net ~seed:(chaos_seed cfg.seed) ~loss:cfg.control_loss
       ~reorder:cfg.control_reorder ~dup:cfg.control_dup;
-  let bcast = Broadcast.make ~trees_per_source:cfg.trees_per_source topo in
+  let bcast = Broadcast.make ~trees_per_source topo in
   Net.set_broadcast net bcast;
   let nverts = Topology.vertex_count topo in
   let cap = U.byte_rate_of_gbps cfg.link_gbps in
@@ -1387,7 +1381,7 @@ let create cfg topo =
       active = Hashtbl.create (max 256 nverts);
       all_states = Hashtbl.create (max 256 nverts);
       nverts;
-      reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:cfg.trees_per_source;
+      reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:trees_per_source;
       bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
@@ -1414,7 +1408,7 @@ let create cfg topo =
       origins =
         (if cfg.reliable_bcast && cfg.real_broadcast then
            Array.init nverts (fun _ ->
-               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:cfg.trees_per_source ())
+               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:trees_per_source ())
          else [||]);
       chaos_on;
       digest_running = false;
@@ -1466,7 +1460,7 @@ let create cfg topo =
   (if U.compare_q cfg.class_reserve U.zero > 0 then
      match t.galloc with
      | Some inc ->
-         Congestion.Waterfill.Inc.set_class_reserve inc ~priority:cfg.reserve_priority
+         Congestion.Waterfill.Inc.set_class_reserve inc ~priority:reserve_priority
            ~reserve:cfg.class_reserve
      | None -> ());
   (* Broadcast copies arriving anywhere bump the receipt counter; once all
@@ -1503,7 +1497,7 @@ let create cfg topo =
         if reliable t then begin
           let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
           let w = window t ~node ~root ~tree in
-          if Replicas.admit t.reps w ~inc:(Net.digest_epoch net pkt lsr 32) then
+          if Replicas.admit t.reps w ~inc:(Rbcast.unpack_inc (Net.digest_epoch net pkt)) then
             match
               Replicas.digest t.reps w ~last_seq:(Net.digest_last_seq net pkt)
                 ~hash:(Net.digest_hash net pkt)

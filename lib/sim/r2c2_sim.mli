@@ -24,11 +24,8 @@ type control =
 
 type config = {
   link_gbps : Util.Units.gbps;
-  hop_latency_ns : int;
   headroom : Util.Units.fraction;
   recompute_interval_ns : int;
-  mtu : int;  (** wire bytes per data packet, header included *)
-  trees_per_source : int;
   real_broadcast : bool;
       (** if false, visibility is modeled as tree-depth latency and no
           broadcast packets enter the fabric *)
@@ -74,11 +71,9 @@ type config = {
   slos : (int * int) list;
       (** per-class SLO promises [(priority, fct_bound_ns)], installed into
           {!Metrics.set_slo} at {!create} *)
-  reserve_priority : int;
-      (** waterfill per-class headroom reservation applies to classes >=
-          this priority *)
   class_reserve : Util.Units.fraction;
-      (** link-capacity fraction withheld from those classes, [0, 1);
+      (** waterfill per-class headroom reservation: the link-capacity
+          fraction withheld from classes >= {!reserve_priority}, [0, 1);
           0 (the default) disables the reservation *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] (the default) is the O(1)
@@ -89,10 +84,10 @@ type config = {
 }
 
 val default_config : config
-(** 10 Gbps, 100 ns hops, 5% headroom, rho = 500 µs, 1500-byte MTU, real
-    broadcasts, unbounded queues, global-epoch control, 50 µs
-    retransmission timeout, seed 1. Reliable broadcast off, digests every
-    100 µs, 64 Ki replay log, no chaos.
+(** 10 Gbps, 5% headroom, rho = 500 µs, real broadcasts, unbounded
+    queues, global-epoch control, 50 µs retransmission timeout, seed 1.
+    Reliable broadcast off, digests every 100 µs, 64 Ki replay log, no
+    chaos.
 
     Fixed for every run: failure detection takes twice the time a
     broadcast packet needs to cross the rack diameter (§3.2 topology
@@ -100,6 +95,15 @@ val default_config : config
     reliable broadcast the waterfill reserves
     [min 0.30 (headroom + 2 * loss EWMA)] instead of the static
     [headroom], so stale views overbook less under loss. *)
+
+val mtu : int  (** 1500: wire bytes per data packet, header included *)
+
+val hop_latency_ns : int  (** 100 ns per fabric hop *)
+
+val trees_per_source : int  (** 4 broadcast trees per source *)
+
+val reserve_priority : int
+(** 1: [class_reserve] is withheld from classes numerically >= this one *)
 
 val rejoin_retry_ns : int
 (** 500 µs: the period between JOIN re-announcements while a restarted

@@ -4,7 +4,7 @@
     fixed-width records addressed by integer handle, recycled through a free
     list. Allocating or freeing touches no OCaml heap, so a steady-state
     alloc/free loop runs at zero minor-words per object — the property the
-    [hotpath] bench and its CI gate assert.
+    data plane's zero-allocation unit tests assert.
 
     Handles are plain ints. The pool detects double frees (and use of a
     handle outside the live range) but {e not} use-after-free through a

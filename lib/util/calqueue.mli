@@ -64,5 +64,4 @@ val is_empty : t -> bool
 
 val overflow_pushes : t -> int
 (** Entries that landed in the overflow heap rather than the wheel over the
-    queue's lifetime; the allocation-per-event telemetry the hotpath bench
-    reports. *)
+    queue's lifetime. *)

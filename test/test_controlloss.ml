@@ -455,6 +455,34 @@ let backoff_reset_by_restart () =
   | [ d ] -> Alcotest.(check int) "new incarnation's stream digested at once" 0 d.Wire.last_seq
   | ds -> Alcotest.failf "expected one digest after the restart, got %d" (List.length ds)
 
+(* A NACK may name any 32-bit [to_seq]; the origin replays up to its newest
+   sequence only, so a range to 2^32 - 1 returns at once with the batch,
+   charges and backoff of one that ends at the newest sequence. *)
+let replay_range_stops_at_last_seq () =
+  let mk () =
+    let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+    let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
+    let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
+    R2c2.Stack.close_flow st f;
+    ignore (emit_rounds st 12);
+    st
+  in
+  let far = mk () and near = mk () in
+  let t0 = Sys.time () in
+  let got = R2c2.Stack.replay_range far ~tree:0 ~from_seq:0 ~to_seq:0xFFFF_FFFF in
+  let cpu = Sys.time () -. t0 in
+  let want = R2c2.Stack.replay_range near ~tree:0 ~from_seq:0 ~to_seq:1 in
+  Alcotest.(check bool) (Printf.sprintf "returned at once (%.3f s)" cpu) true (cpu < 1.0);
+  Alcotest.(check bool) "a two-event batch" true (want <> None);
+  Alcotest.(check bool) "same batch" true (got = want);
+  Alcotest.(check int) "same retransmits" (R2c2.Stack.event_retransmits near)
+    (R2c2.Stack.event_retransmits far);
+  Alcotest.(check int) "same reliability bytes" (R2c2.Stack.reliability_bytes_sent near)
+    (R2c2.Stack.reliability_bytes_sent far);
+  Alcotest.(check (list int)) "same backoff"
+    (digest_rounds ~tree:0 (emit_rounds near 8))
+    (digest_rounds ~tree:0 (emit_rounds far 8))
+
 (* -- Stack: watchdog full-state sync and loss-scaled headroom -------------- *)
 
 let watchdog_repairs_diverged_view () =
@@ -748,7 +776,7 @@ let view_hash_cache_coherent () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let n = Topology.vertex_count topo in
   let cfg = sim_cfg ~loss:0.05 ~reorder:0.05 ~dup:0.05 () in
-  let trees = cfg.Sim.R2c2_sim.trees_per_source in
+  let trees = Sim.R2c2_sim.trees_per_source in
   let t = Sim.R2c2_sim.create cfg topo in
   let eng = Sim.R2c2_sim.engine t in
   let src_of = Hashtbl.create 64 in
@@ -839,6 +867,7 @@ let suites =
           backoff_lost_final_event_repaired_within_cap;
         tc "backoff: a NACK resets its stream" backoff_reset_by_nack;
         tc "backoff: restart resets it" backoff_reset_by_restart;
+        tc "replay range stops at the newest sequence" replay_range_stops_at_last_seq;
         tc "watchdog repairs diverged view" watchdog_repairs_diverged_view;
         tc "loss EWMA scales headroom" loss_ewma_scales_headroom;
         tc "chaos is seed-deterministic" chaos_is_deterministic;

@@ -131,6 +131,60 @@ let view_observe_incarnation () =
   Alcotest.(check bool) "replica tracks the new life" true
     (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
 
+(* A digest sent before a restart and delivered after it describes streams
+   the reborn source no longer has. Taken as current, it would have the
+   replica NACK sequences the new life never sent, a gap no repair
+   closes. *)
+let view_ignores_stale_digest () =
+  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 4; 4 |]) in
+  let view = R2c2.View.create ~trees:1 () in
+  R2c2.Stack.on_broadcast_seq st (fun b -> feed view b);
+  for i = 0 to 9 do
+    ignore (R2c2.Stack.open_flow st ~src:i ~dst:(i + 1))
+  done;
+  let old =
+    match R2c2.Stack.emit_digests st with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "expected one digest, got %d" (List.length ds)
+  in
+  Alcotest.(check int) "the old digest covers ten events" 9 old.Wire.last_seq;
+  let inc =
+    match Wire.decode_join (R2c2.Stack.restart st) with
+    | Ok j -> j.Wire.jinc
+    | Error e -> Alcotest.fail e
+  in
+  (match R2c2.View.observe_incarnation view ~inc with
+  | `Reset -> ()
+  | `Current | `Stale -> Alcotest.fail "a restart must reset the replica");
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:1);
+  (match R2c2.View.observe_digest view old with
+  | R2c2.View.Synced -> ()
+  | R2c2.View.Gaps g -> Alcotest.failf "stale digest taken as current: %d gap(s)" (List.length g)
+  | R2c2.View.Diverged -> Alcotest.fail "stale digest taken as current: diverged");
+  Alcotest.(check bool) "caught up" true (R2c2.View.caught_up view);
+  List.iter
+    (fun d ->
+      match R2c2.View.observe_digest view d with
+      | R2c2.View.Synced -> ()
+      | R2c2.View.Gaps _ | R2c2.View.Diverged -> Alcotest.fail "the new life's digest must agree")
+    (R2c2.Stack.emit_digests st);
+  Alcotest.(check bool) "replica tracks the new life" true
+    (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
+
+(* The digest's epoch word: the incarnation rides above the round, the
+   round alone when the origin never restarted, and the word fits the
+   32-bit wire field. *)
+let digest_epoch_word () =
+  Alcotest.(check int) "incarnation 0 is the round" 41 (Rbcast.pack_epoch ~inc:0 ~epoch:41);
+  Alcotest.(check int) "incarnation survives a wrapped round" 3
+    (Rbcast.unpack_inc (Rbcast.pack_epoch ~inc:3 ~epoch:((1 lsl 40) + 7)));
+  let top = Rbcast.pack_epoch ~inc:0xFFFF ~epoch:max_int in
+  Alcotest.(check int) "largest incarnation" 0xFFFF (Rbcast.unpack_inc top);
+  Alcotest.(check bool) "fits 32 bits" true (top lsr 32 = 0);
+  Alcotest.check_raises "incarnation bound" (Invalid_argument "Rbcast.pack_epoch: incarnation")
+    (fun () -> ignore (Rbcast.pack_epoch ~inc:0x10000 ~epoch:1))
+
 (* -- Routing: quarantine state machine -------------------------------------- *)
 
 let quarantine_state_machine () =
@@ -420,6 +474,8 @@ let suites =
         tc "stale window duplicate regression" stale_window_duplicate_regression;
         tc "stack restart and snapshot request" stack_restart_and_snapshot_request;
         tc "view observes incarnations" view_observe_incarnation;
+        tc "view ignores a digest from before a restart" view_ignores_stale_digest;
+        tc "digest epoch word carries the incarnation" digest_epoch_word;
         tc "quarantine state machine" quarantine_state_machine;
         tc "quarantine demotes spray" quarantine_demotes_spray;
         tc "flaky link quarantined and recovered" flaky_quarantine_and_recovery;

@@ -548,8 +548,8 @@ let net_flood_each_tree_once () =
     (Sim.Net.ctrl_hops net + Sim.Net.ctrl_dupped net)
     (Array.fold_left ( + ) 0 heard)
 
-(* The regime [bench hotpath] gates, as a unit test: 512 single-hop
-   streams on the 8x8x8 torus with 32 packets in flight each, so over a
+(* The data plane's zero-allocation gate: 512 single-hop streams on the
+   8x8x8 torus with 32 packets in flight each, so over a
    thousand keyed events (a serialization end per busy link and the
    arrivals in flight) are pending at once. Each delivery sends the
    stream's next packet; after a warm-up tranche, a packet costs under
