@@ -113,7 +113,7 @@ let run ~quick () =
   let shift = (h / 2) + 3 in
   let detection =
     let tx_16b = 13 (* 16 B at 10 Gbps, rounded up *) in
-    2 * Topology.diameter topo * (Sim.R2c2_sim.hop_latency_ns + tx_16b)
+    2 * Topology.diameter topo * (Topology.hop_latency_ns + tx_16b)
   in
   (* Recovery bound: topology discovery (two broadcast depths) plus one
      rate-recompute interval, with 1 us of event-ordering slack. *)

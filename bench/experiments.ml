@@ -168,7 +168,7 @@ let fig8 ?(flows = 10_000) ?(seed = 5) () =
               for _ = 1 to 3 do
                 let t0 = Unix.gettimeofday () in
                 ignore
-                  (Congestion.Waterfill.allocate ~headroom:(U.fraction 0.05) ~capacities wf);
+                  (Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf);
                 let dt = Unix.gettimeofday () -. t0 in
                 if dt < !best then best := dt
               done;
@@ -248,13 +248,13 @@ type transport_runs = {
 }
 
 let run_transports ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(tau_ns = 1_000.0) ?(seed = 21)
-    ?(headroom = U.fraction 0.05) () =
+    ?(headroom = Topology.headroom) () =
   let topo = Topology.torus dims in
   let rng = Util.Rng.create seed in
   let specs = Workload.Flowgen.poisson_pareto topo rng ~flows ~mean_interarrival_ns:tau_ns in
   let r2c2 = Sim.R2c2_sim.run { Sim.R2c2_sim.default_config with seed; headroom } topo specs in
   let tcp = Sim.Tcp_sim.run { Sim.Tcp_sim.default_config with seed } topo specs in
-  let pfq = Sim.Pfq_sim.run { Sim.Pfq_sim.default_config with seed } topo specs in
+  let pfq = Sim.Pfq_sim.run seed topo specs in
   ( specs,
     {
       r2c2_m = r2c2.Sim.R2c2_sim.metrics;
@@ -421,7 +421,7 @@ let fig18 ?(dims = [| 4; 4; 4 |]) ?(loads = [ 0.125; 0.25; 0.5; 0.75; 1.0 ]) ?(s
      normalized against all-RPS / all-VLB / random (permutation long flows)";
   let topo = Topology.torus dims in
   let ctx = Routing.make topo in
-  let selector = Genetic.Selector.make ctx ~link_gbps:(U.gbps 10.0) in
+  let selector = Genetic.Selector.make ctx ~link_gbps:Topology.link_gbps in
   pr "%-8s %12s %12s %12s %14s\n" "load" "vs RPS" "vs VLB" "vs Random" "adaptive Gbps";
   List.iter
     (fun load ->
@@ -547,7 +547,7 @@ let ablation_search ?(dims = [| 4; 4; 4 |]) ?(load = 0.5) ?(seed = 71) ?(budget 
        load budget);
   let topo = Topology.torus dims in
   let ctx = Routing.make topo in
-  let sel = Genetic.Selector.make ctx ~link_gbps:(U.gbps 10.0) in
+  let sel = Genetic.Selector.make ctx ~link_gbps:Topology.link_gbps in
   let rng0 = Util.Rng.create seed in
   let specs = Workload.Flowgen.permutation_long_flows topo rng0 ~load:(U.fraction load) in
   let flows =
@@ -619,11 +619,11 @@ let ablation_waterfill ?(flows = 800) ?(seed = 73) () =
   in
   let fast =
     time (fun () ->
-        Congestion.Waterfill.allocate ~headroom:(U.fraction 0.05) ~capacities wf)
+        Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf)
   in
   let slow =
     time (fun () ->
-        Congestion.Waterfill.allocate_reference ~headroom:(U.fraction 0.05) ~capacities wf)
+        Congestion.Waterfill.allocate_reference ~headroom:Topology.headroom ~capacities wf)
   in
   pr "%d flows on the 512-node torus:\n" flows;
   pr "  efficient variant: %8.3f ms\n" fast;

@@ -128,7 +128,7 @@ let run ~quick () =
   let shift = (h / 2) + 3 in
   let detection =
     let tx_16b = 13 in
-    2 * Topology.diameter topo * (Sim.R2c2_sim.hop_latency_ns + tx_16b)
+    2 * Topology.diameter topo * (Topology.hop_latency_ns + tx_16b)
   in
   (* Rejoin bound: the restarted node is detected and re-attached within
      one detection delay, announces its JOIN, pulls snapshots, and closes

@@ -29,8 +29,7 @@ let test_waterfill n =
        (let capacities, flows = waterfill_inputs n in
         fun () ->
           ignore
-            (Congestion.Waterfill.allocate ~headroom:(Util.Units.fraction 0.05) ~capacities
-               flows)))
+            (Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities flows)))
 
 let test_fractions proto =
   Test.make
@@ -80,7 +79,7 @@ let test_ga_generation =
     (Staged.stage
        (let topo = Topology.torus [| 4; 4; 4 |] in
         let ctx = Routing.make topo in
-        let selector = Genetic.Selector.make ctx ~link_gbps:(Util.Units.gbps 10.0) in
+        let selector = Genetic.Selector.make ctx ~link_gbps:Topology.link_gbps in
         let rng = Util.Rng.create 9 in
         let specs = Workload.Flowgen.permutation_long_flows topo rng ~load:(Util.Units.fraction 0.5) in
         let flows =

@@ -194,7 +194,7 @@ let simulate_cmd =
         Format.printf "  drops / retx     : %d / %d@." res.Sim.Tcp_sim.drops
           res.Sim.Tcp_sim.retransmits
     | Pfq ->
-        let results = Sim.Pfq_sim.run { Sim.Pfq_sim.default_config with seed } t specs in
+        let results = Sim.Pfq_sim.run seed t specs in
         Format.printf "  completed        : %d / %d flows@." (List.length results) total;
         let fcts =
           Array.of_list
@@ -236,7 +236,10 @@ let simulate_cmd =
     Arg.(value & opt int 0 & info [ "size" ] ~docv:"BYTES" ~doc:"Fixed flow size (0 = Pareto mix).")
   in
   let headroom_arg =
-    Arg.(value & opt float 0.05 & info [ "headroom" ] ~docv:"F" ~doc:"Bandwidth headroom fraction.")
+    Arg.(
+      value
+      & opt float (Topology.headroom :> float)
+      & info [ "headroom" ] ~docv:"F" ~doc:"Bandwidth headroom fraction.")
   in
   let rho_arg =
     Arg.(value & opt float 500.0 & info [ "rho-us" ] ~docv:"US" ~doc:"Rate recomputation interval (µs).")
@@ -288,7 +291,7 @@ let select_cmd =
   let run dims mesh fb clos load seed generations =
     let t = make_topo dims mesh fb clos in
     let ctx = Routing.make t in
-    let sel = Genetic.Selector.make ctx ~link_gbps:(Util.Units.gbps 10.0) in
+    let sel = Genetic.Selector.make ctx ~link_gbps:Topology.link_gbps in
     let rng = Util.Rng.create seed in
     let specs = Workload.Flowgen.permutation_long_flows t rng ~load:(Util.Units.fraction load) in
     let flows =

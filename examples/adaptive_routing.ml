@@ -45,10 +45,7 @@ let () =
   (* Compare with the uniform baselines the paper plots in Fig. 18, under
      the same headroom the stack allocates with. *)
   let ctx = R2c2.Stack.routing stack in
-  let sel =
-    Genetic.Selector.make ~headroom:(R2c2.Stack.config stack).R2c2.Stack.headroom ctx
-      ~link_gbps:(Util.Units.gbps 10.0)
-  in
+  let sel = Genetic.Selector.make ~headroom:Topology.headroom ctx ~link_gbps:Topology.link_gbps in
   let flows =
     Array.of_list (List.map (fun (s : Workload.Flowgen.spec) -> (s.src, s.dst)) specs)
   in

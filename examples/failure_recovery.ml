@@ -20,32 +20,29 @@ let () =
     (String.concat " -> " (Array.to_list (Array.map string_of_int path)));
 
   (* The cable between 1 and 2 fails. Topology discovery (which routing
-     needs anyway) reports it; every node re-broadcasts its flows. *)
-  Format.printf "@.!! link 1 <-> 2 fails@.";
-  let degraded = Topology.remove_link topo 1 2 in
-  let stack' = R2c2.Stack.create degraded in
-  let reannounced = ref 0 in
-  R2c2.Stack.on_broadcast stack' (fun b ->
-      if b.Wire.event = Wire.Flow_start then incr reannounced);
-  (* Rebuild the rack view: the paper's §3.2 — "Upon detecting a failure,
+     needs anyway) reports it, and the stack re-paths its flows and
+     re-broadcasts them: the paper's §3.2 — "Upon detecting a failure,
      nodes broadcast information about all their ongoing flows." *)
-  let g1 = R2c2.Stack.open_flow stack' ~src:0 ~dst:2 in
-  let g2 = R2c2.Stack.open_flow stack' ~src:1 ~dst:2 in
-  R2c2.Stack.handle_failure stack';
+  Format.printf "@.!! link 1 <-> 2 fails@.";
+  Topology.fail_link topo 1 2;
+  let reannounced = ref 0 in
+  R2c2.Stack.on_broadcast stack (fun b ->
+      if b.Wire.event = Wire.Flow_start then incr reannounced);
+  ignore (R2c2.Stack.notify_failure stack);
   Format.printf "re-announced %d ongoing flows over the surviving links@." !reannounced;
 
-  R2c2.Stack.recompute stack';
-  Format.printf "after failure: flow %d at %.2f Gbps, flow %d at %.2f Gbps@." g1
-    (Util.Units.to_float (R2c2.Stack.rate_gbps stack' g1))
-    g2
-    (Util.Units.to_float (R2c2.Stack.rate_gbps stack' g2));
-  let path', _ = R2c2.Stack.sample_packet_route stack' g2 rng in
-  Format.printf "flow %d path after: [%s] (avoids the dead cable)@." g2
+  R2c2.Stack.recompute stack;
+  Format.printf "after failure: flow %d at %.2f Gbps, flow %d at %.2f Gbps@." f1
+    (Util.Units.to_float (R2c2.Stack.rate_gbps stack f1))
+    f2
+    (Util.Units.to_float (R2c2.Stack.rate_gbps stack f2));
+  let path', _ = R2c2.Stack.sample_packet_route stack f2 rng in
+  Format.printf "flow %d path after: [%s] (avoids the dead cable)@." f2
     (String.concat " -> " (Array.to_list (Array.map string_of_int path')));
 
   (* Broadcast trees also avoid the failed link: all 4 per-source trees
      still span the rack. *)
-  let b = R2c2.Stack.broadcast stack' in
+  let b = R2c2.Stack.broadcast stack in
   let spans tree =
     let count = ref 0 in
     let rec walk v =
@@ -53,7 +50,7 @@ let () =
       List.iter walk (Broadcast.children b ~src:1 ~tree v)
     in
     walk 1;
-    !count = Topology.vertex_count degraded
+    !count = Topology.vertex_count topo
   in
   let all = List.for_all spans [ 0; 1; 2; 3 ] in
   Format.printf "all broadcast trees still span the rack: %b@." all

@@ -44,8 +44,10 @@ let () =
      urgent priority band; background replication sits below every band. *)
   Format.printf
     "@.adding a deadline flow (1 MB in 1.5 ms) and background replication:@.";
-  let link_gbps = (R2c2.Stack.config stack).R2c2.Stack.link_gbps in
-  let d = R2c2.Policy.deadline ~size_bytes:1_000_000 ~deadline_ns:1_500_000 ~link_gbps in
+  let d =
+    R2c2.Policy.deadline ~size_bytes:1_000_000 ~deadline_ns:1_500_000
+      ~link_gbps:Topology.link_gbps
+  in
   let rpc = open_with d ~src:9 ~dst:10 in
   let bulk = open_with R2c2.Policy.background ~src:9 ~dst:10 in
   R2c2.Stack.recompute stack;

@@ -23,7 +23,7 @@ type t = {
   mutable repair_bytes : int;
 }
 
-let make ?(trees_per_source = 4) topo =
+let make ?(trees_per_source = Topology.trees_per_source) topo =
   if trees_per_source < 1 then invalid_arg "Broadcast.make: trees_per_source < 1";
   {
     topo;
@@ -33,7 +33,6 @@ let make ?(trees_per_source = 4) topo =
     repair_bytes = 0;
   }
 
-let topo t = t.topo
 let trees_per_source t = t.trees_per_source
 let repairs t = t.repairs
 let repair_bytes t = t.repair_bytes

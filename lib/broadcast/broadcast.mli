@@ -9,14 +9,14 @@
 type t
 
 val make : ?trees_per_source:int -> Topology.t -> t
-(** Build the broadcast FIB machinery (default 4 trees per source). Trees
-    are constructed lazily per source and cached.
+(** Build the broadcast FIB machinery (default
+    {!Topology.trees_per_source} trees per source). Trees are constructed
+    lazily per source and cached.
 
     Every per-tree query below raises [Invalid_argument "Broadcast: src out
     of range"] when [src] is not a vertex and [Invalid_argument "Broadcast:
     tree id out of range"] when [tree] is not in [\[0, trees_per_source)]. *)
 
-val topo : t -> Topology.t
 val trees_per_source : t -> int
 
 val choose_tree : t -> Util.Rng.t -> src:int -> int

@@ -10,15 +10,8 @@
     and the paper's table normalizes it by the network capacity
     [2 * bisection_links / nodes]. *)
 
-val channel_loads : Routing.ctx -> Routing.protocol -> (int * int * float) list -> float array
-(** [channel_loads ctx p flows] with [flows = (src, dst, demand) list]:
-    expected per-link load for unit-capacity links. *)
-
-val saturation_injection : Routing.ctx -> Routing.protocol -> (int * int * float) list -> float
-(** Per-node injection rate (in link-capacity units) at which the most
-    loaded link saturates. *)
-
 val capacity_fraction :
   Routing.ctx -> Routing.protocol -> (int * int * float) list -> Util.Units.fraction
-(** Saturation throughput as a fraction of bisection capacity — directly
+(** [capacity_fraction ctx p flows] with [flows = (src, dst, demand) list]:
+    saturation throughput as a fraction of bisection capacity — directly
     comparable to the Fig. 2 table entries. *)

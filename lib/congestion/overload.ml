@@ -20,20 +20,19 @@
      epoch adds [recovery] back until the scale reaches 1. *)
 
 module Admission = struct
+  let clean_epochs_to_recover = 3
+
   type t = {
     max_priority : int;  (** lowest (numerically highest) class that exists *)
-    clean_epochs_to_recover : int;
     mutable shed_floor : int;
         (** classes with priority >= shed_floor are refused;
             [max_priority + 1] = admit everything *)
     mutable clean_run : int;  (** consecutive clean epochs seen *)
   }
 
-  let create ?(clean_epochs_to_recover = 3) ~max_priority () =
+  let create ~max_priority () =
     if max_priority < 0 then invalid_arg "Overload.Admission: negative max_priority";
-    if clean_epochs_to_recover < 1 then
-      invalid_arg "Overload.Admission: clean_epochs_to_recover < 1";
-    { max_priority; clean_epochs_to_recover; shed_floor = max_priority + 1; clean_run = 0 }
+    { max_priority; shed_floor = max_priority + 1; clean_run = 0 }
 
   let shed_floor t = t.shed_floor
   let shedding t = t.shed_floor <= t.max_priority
@@ -50,7 +49,7 @@ module Admission = struct
     end
     else begin
       t.clean_run <- t.clean_run + 1;
-      if t.clean_run >= t.clean_epochs_to_recover && shedding t then begin
+      if t.clean_run >= clean_epochs_to_recover && shedding t then begin
         t.shed_floor <- t.shed_floor + 1;
         t.clean_run <- 0
       end

@@ -8,17 +8,15 @@
 
 (** Strict-priority load shedding. The shed floor starts above the lowest
     class (admit everything); every overloaded epoch lowers it by one class
-    (lowest priority refused first, class 0 never refused), and only
-    [clean_epochs_to_recover] consecutive clean epochs raise it back — the
-    hysteresis that keeps a queue oscillating around the watermark from
-    flapping admission. *)
+    (lowest priority refused first, class 0 never refused), and only 3
+    consecutive clean epochs raise it back — the hysteresis that keeps a
+    queue oscillating around the watermark from flapping admission. *)
 module Admission : sig
   type t
 
-  val create : ?clean_epochs_to_recover:int -> max_priority:int -> unit -> t
+  val create : max_priority:int -> unit -> t
   (** [max_priority] is the numerically largest (least urgent) class in
-      use; [clean_epochs_to_recover] defaults to 3. Raises
-      [Invalid_argument] on a negative class count or a window < 1. *)
+      use. Raises [Invalid_argument] on a negative class count. *)
 
   val admits : t -> priority:int -> bool
   (** Would a flow of this class be admitted right now? *)

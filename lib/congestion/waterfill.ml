@@ -234,6 +234,9 @@ module Inc = struct
     mutable hkeys : float array;
     mutable hvals : int array;
     mutable hlen : int;
+    hkey : float array;
+        (* one slot: [heap_pop]'s key out-parameter, a float array so the
+           store stays unboxed *)
     mutable prio_counts : int array;  (* counting-sort buffer *)
     mutable dirty : bool;
     mutable computed : bool;
@@ -275,6 +278,7 @@ module Inc = struct
       hkeys = Array.make 64 0.0;
       hvals = Array.make 64 0;
       hlen = 0;
+      hkey = [| 0.0 |];
       prio_counts = Array.make 8 0;
       dirty = false;
       computed = false;
@@ -466,9 +470,7 @@ module Inc = struct
       i := p
     done
 
-  (* Returns the payload, storing the key in [heap_key]; -max_int = empty. *)
-  let heap_key = ref 0.0
-
+  (* Returns the payload, storing the key in [t.hkey.(0)]; min_int = empty. *)
   let heap_pop t =
     if t.hlen = 0 then min_int
     else begin
@@ -495,7 +497,7 @@ module Inc = struct
           end
         done
       end;
-      heap_key := key;
+      t.hkey.(0) <- key;
       v
     end
 
@@ -645,7 +647,7 @@ module Inc = struct
           freeze t.order.(k) 0.0
         done
       else if v >= 0 then begin
-        let l = v and key = !heap_key in
+        let l = v and key = t.hkey.(0) in
         dbg.pops <- dbg.pops + 1;
         let cur = sat_level l in
         if cur = infinity then ()
@@ -662,7 +664,7 @@ module Inc = struct
           done
         end
       end
-      else freeze (-v - 1) !heap_key
+      else freeze (-v - 1) t.hkey.(0)
     done
 
   let compute t =

@@ -9,7 +9,9 @@ let decentralized_event_bytes topo =
 let rate_update_header = 12
 let bytes_per_flow_entry = 4
 
-let centralized_event_bytes ?(controller = 0) topo ~flows_per_server =
+let controller = 0
+
+let centralized_event_bytes topo ~flows_per_server =
   if flows_per_server < 0 then invalid_arg "Control_traffic: negative flows_per_server";
   let h = Topology.host_count topo in
   let dist = Topology.dist_to topo controller in

@@ -14,9 +14,8 @@
 val decentralized_event_bytes : Topology.t -> Util.Units.bytes
 (** Wire bytes per flow event under broadcast. *)
 
-val centralized_event_bytes :
-  ?controller:int -> Topology.t -> flows_per_server:int -> Util.Units.bytes
-(** Wire bytes per flow event with a controller node (default host 0):
+val centralized_event_bytes : Topology.t -> flows_per_server:int -> Util.Units.bytes
+(** Wire bytes per flow event with the controller at host 0:
     event unicast to the controller plus per-source rate-update unicasts,
     each weighted by its hop distance. *)
 

@@ -2,8 +2,6 @@ module U = Util.Units
 
 type directive = { weight : int; priority : int }
 
-let per_flow_fair = { weight = 1; priority = 0 }
-
 let tenant_share ~weight =
   if weight < 1 || weight > 255 then
     invalid_arg "Policy.tenant_share: weight must be in 1..255";
@@ -35,16 +33,3 @@ let background = { weight = 1; priority = deadline_bands }
 
 let meets_deadline ~size_bytes ~deadline_ns ~rate_gbps =
   (rate_gbps : U.gbps :> float) >= (required_gbps ~size_bytes ~deadline_ns :> float) -. 1e-9
-
-(* -- SLO classes ---------------------------------------------------------- *)
-
-type slo_class = { slo_priority : int; latency_bound_ns : int; target_percentile : float }
-
-let slo ~priority ~latency_bound_ns ~target_percentile =
-  if priority < 0 then invalid_arg "Policy.slo: negative priority";
-  if latency_bound_ns <= 0 then invalid_arg "Policy.slo: non-positive latency bound";
-  if target_percentile <= 0.0 || target_percentile > 100.0 then
-    invalid_arg "Policy.slo: target percentile outside (0, 100]";
-  { slo_priority = priority; latency_bound_ns; target_percentile }
-
-let slo_satisfied c ~attainment = attainment *. 100.0 >= c.target_percentile -. 1e-9

@@ -9,9 +9,6 @@
 
 type directive = { weight : int; priority : int }
 
-val per_flow_fair : directive
-(** The default: weight 1, priority 0. *)
-
 val tenant_share : weight:int -> directive
 (** Tenant-based fairness [10, 11, 30]: a tenant buying [weight] units of
     the network has each of its flows carry that weight. Raises on
@@ -31,32 +28,5 @@ val deadline_bands : int
 (** Number of priority bands used by {!deadline}; {!background} sits
     below them. *)
 
-val required_gbps : size_bytes:int -> deadline_ns:int -> Util.Units.gbps
-(** The rate a flow needs to meet its deadline. *)
-
 val meets_deadline :
   size_bytes:int -> deadline_ns:int -> rate_gbps:Util.Units.gbps -> bool
-
-(** {2 Tail-latency SLO classes}
-
-    An SLO class promises a priority band a latency bound at a target
-    percentile ("class 0 finishes within 1 ms at p99"). The overload
-    control plane defends these promises under load beyond rack capacity:
-    admission shedding refuses the lowest classes first and backpressure
-    paces senders down, so the bound of the highest class survives an
-    incast surge. *)
-
-type slo_class = {
-  slo_priority : int;  (** the priority band the promise covers *)
-  latency_bound_ns : int;  (** FCT bound the class is promised *)
-  target_percentile : float;  (** fraction of flows that must meet it, in (0, 100] *)
-}
-
-val slo : priority:int -> latency_bound_ns:int -> target_percentile:float -> slo_class
-(** Validating constructor. Raises [Invalid_argument] on a negative
-    priority, non-positive bound, or a percentile outside (0, 100]. *)
-
-val slo_satisfied : slo_class -> attainment:float -> bool
-(** [attainment] is the measured within-bound fraction in [0, 1] (e.g.
-    {!Sim.Metrics.slo_attainment}); true when it reaches the class's
-    target percentile. *)

@@ -1,21 +1,8 @@
 module U = Util.Units
 
-type config = {
-  link_gbps : U.gbps;
-  headroom : U.fraction;
-  trees_per_source : int;
-  default_protocol : Routing.protocol;
-  selection_choices : Routing.protocol array;
-}
+type config = { trees_per_source : int }
 
-let default_config =
-  {
-    link_gbps = U.gbps 10.0;
-    headroom = U.fraction 0.05;
-    trees_per_source = 4;
-    default_protocol = Routing.Rps;
-    selection_choices = [| Routing.Rps; Routing.Vlb |];
-  }
+let default_config = { trees_per_source = Topology.trees_per_source }
 
 (* Priority classes the admission machinery distinguishes: one above the
    deadline bands plus the scavenger class, matching the simulator's eight
@@ -70,7 +57,7 @@ type t = {
 
 let create ?(config = default_config) ?(seed = 1) topo =
   let capacities =
-    Array.make (Topology.link_count topo) (U.byte_rate_of_gbps config.link_gbps)
+    Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps)
   in
   {
     cfg = config;
@@ -88,9 +75,9 @@ let create ?(config = default_config) ?(seed = 1) topo =
     event_retransmits = 0;
     syncs_sent = 0;
     loss_ewma = 0.0;
-    eff_headroom = (config.headroom :> float);
+    eff_headroom = (Topology.headroom :> float);
     capacities;
-    alloc = Congestion.Waterfill.Inc.create ~headroom:config.headroom ~capacities ();
+    alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities ();
     admission = Congestion.Overload.Admission.create ~max_priority:max_shed_class ();
     shed_flows = 0;
   }
@@ -115,8 +102,8 @@ let pkt_of_flow f event =
     Wire.event;
     bsrc = f.src;
     bdst = f.dst;
-    weight = min 255 f.weight;
-    priority = min 255 f.priority;
+    weight = f.weight;
+    priority = f.priority;
     demand_kbps;
     tree = f.tree;
     rp = f.protocol;
@@ -150,12 +137,19 @@ let find t id =
   | Some f -> f
   | None -> invalid_arg "Stack: unknown flow id"
 
-let open_flow ?(weight = 1) ?(priority = 0) ?protocol t ~src ~dst =
+(* The broadcast carries both in 8-bit fields; checked before a flow
+   touches any state, so a refused open leaves nothing behind. *)
+let check_class ~weight ~priority =
+  if weight < 1 || weight > 255 then invalid_arg "Stack.open_flow: weight outside 1..255";
+  if priority < 0 || priority > 255 then
+    invalid_arg "Stack.open_flow: priority outside 0..255"
+
+let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~dst =
   let h = Topology.host_count t.topo in
   if src = dst then invalid_arg "Stack.open_flow: src = dst";
   if src < 0 || src >= h || dst < 0 || dst >= h then
     invalid_arg "Stack.open_flow: host out of range";
-  if weight < 1 then invalid_arg "Stack.open_flow: weight < 1";
+  check_class ~weight ~priority;
   let id = t.next_id in
   t.next_id <- id + 1;
   let f =
@@ -166,7 +160,7 @@ let open_flow ?(weight = 1) ?(priority = 0) ?protocol t ~src ~dst =
       weight;
       priority;
       tree = Broadcast.choose_tree t.bcast t.rng ~src;
-      protocol = Option.value ~default:t.cfg.default_protocol protocol;
+      protocol;
       demand_gbps = None;
       rate_gbps = U.gbps 0.0;
       demand_estimator = ref None;
@@ -187,15 +181,13 @@ let admits t ~priority = Congestion.Overload.Admission.admits t.admission ~prior
 let shed_floor t = Congestion.Overload.Admission.shed_floor t.admission
 let shed_flows t = t.shed_flows
 
-let try_open_flow ?weight ?(priority = 0) ?protocol t ~src ~dst =
-  if admits t ~priority then Some (open_flow ?weight ~priority ?protocol t ~src ~dst)
+let try_open_flow ?(weight = 1) ?(priority = 0) ?protocol t ~src ~dst =
+  check_class ~weight ~priority;
+  if admits t ~priority then Some (open_flow ~weight ~priority ?protocol t ~src ~dst)
   else begin
     t.shed_flows <- t.shed_flows + 1;
     None
   end
-
-let set_class_reserve t ~priority ~reserve =
-  Congestion.Waterfill.Inc.set_class_reserve t.alloc ~priority ~reserve
 
 let close_flow t id =
   let f = find t id in
@@ -268,27 +260,21 @@ let aggregate_throughput_gbps t =
        (fun _ f acc -> acc +. (f.rate_gbps :> float))
        t.flows 0.0)
 
-let reselect_routing ?pop_size ?mutation ?generations t rng =
+let reselect_routing ?pop_size ?generations t rng =
   let fl = flow_array t in
   if Array.length fl = 0 then 0
   else begin
     let selector =
-      Genetic.Selector.make ~headroom:t.cfg.headroom ~choices:t.cfg.selection_choices t.rctx
-        ~link_gbps:t.cfg.link_gbps
+      Genetic.Selector.make ~headroom:Topology.headroom t.rctx ~link_gbps:Topology.link_gbps
     in
     let flows = Array.map (fun f -> (f.src, f.dst)) fl in
-    (* Flows routed outside the choice set keep their protocol but seed the
-       search from the default choice. *)
-    let in_choices p = Array.exists (fun c -> c = p) t.cfg.selection_choices in
+    (* Flows routed outside {RPS, VLB} keep their protocol but seed the
+       search as RPS. *)
     let init =
-      Array.map
-        (fun f -> if in_choices f.protocol then f.protocol else t.cfg.selection_choices.(0))
-        fl
+      Array.map (fun f -> if f.protocol = Routing.Vlb then Routing.Vlb else Routing.Rps) fl
     in
     let current = Genetic.Selector.aggregate_throughput_gbps selector ~flows init in
-    let best, fit =
-      Genetic.Selector.select ?pop_size ?mutation ?generations selector rng ~flows ~init
-    in
+    let best, fit = Genetic.Selector.select ?pop_size ?generations selector rng ~flows ~init in
     let fit = U.to_float fit and current = U.to_float current in
     if fit > current +. 1e-9 then begin
       let changed = ref 0 in
@@ -341,17 +327,6 @@ let emit_digests ?(src = 0) t =
   | Error e -> failwith ("Stack: digest batch encoding failed: " ^ e));
   !ds
 
-let replay t ~tree ~seq =
-  Rbcast.note_nack t.origin ~tree ~to_seq:seq;
-  match Rbcast.replay t.origin ~tree ~seq with
-  | None -> None
-  | Some (pkt, flow) ->
-      t.event_retransmits <- t.event_retransmits + 1;
-      (* A repair travels the whole tree again: losers downstream of the
-         original loss need it too. *)
-      t.reliability_bytes <- t.reliability_bytes + (Wire.seq_broadcast_size * fanout t);
-      Some (Wire.encode_seq_broadcast pkt ~flow ~seq)
-
 let replay_range t ~tree ~from_seq ~to_seq =
   if to_seq < from_seq then invalid_arg "Stack.replay_range: empty range";
   Rbcast.note_nack t.origin ~tree ~to_seq;
@@ -363,6 +338,8 @@ let replay_range t ~tree ~from_seq ~to_seq =
     | None -> ()  (* evicted: the requester falls back to a full sync *)
     | Some (pkt, flow) ->
         t.event_retransmits <- t.event_retransmits + 1;
+        (* A repair travels the whole tree again: losers downstream of the
+           original loss need it too. *)
         t.reliability_bytes <- t.reliability_bytes + (Wire.seq_broadcast_size * fanout t);
         items := Wire.Item_seq_broadcast (pkt, flow, seq) :: !items
   done;
@@ -424,26 +401,12 @@ let note_control_loss t ~sent ~lost =
   if sent > 0 then begin
     let module L = Congestion.Overload.Loss_headroom in
     t.loss_ewma <- L.ewma t.loss_ewma ~lost ~sent;
-    let eff = L.effective ~headroom:t.cfg.headroom t.loss_ewma in
+    let eff = L.effective ~headroom:Topology.headroom t.loss_ewma in
     if eff <> t.eff_headroom then begin
       t.eff_headroom <- eff;
       Congestion.Waterfill.Inc.set_headroom t.alloc (U.fraction eff)
     end
   end
-
-let handle_failure t =
-  let fl = flow_array t in
-  Array.iter (fun f -> emit_broadcast t f Wire.Flow_start) fl;
-  (* A bare re-announce would lose the demand side of the rack state: peers
-     rebuild the traffic matrix from these broadcasts, so every flow whose
-     demand is known — declared or estimated — re-emits it too. This only
-     rebuilds the view of the flows still in the table; dropping flows with
-     a dead endpoint is [notify_failure]'s job. *)
-  Array.iter
-    (fun f ->
-      if f.demand_gbps <> None || !(f.demand_estimator) <> None then
-        emit_broadcast t f Wire.Demand_update)
-    fl
 
 let notify_failure t =
   (* Tree repair first: the drop and re-announce broadcasts below must ride
@@ -470,5 +433,15 @@ let notify_failure t =
         Congestion.Waterfill.Inc.set_links t.alloc ~id:f.id
           (Routing.fractions t.rctx f.protocol ~src:f.src ~dst:f.dst))
     fl;
-  handle_failure t;
+  (* §3.2: every node re-broadcasts its ongoing flows. A bare re-announce
+     would lose the demand side of the rack state: peers rebuild the
+     traffic matrix from these broadcasts, so every flow whose demand is
+     known — declared or estimated — re-emits it too. *)
+  let fl = flow_array t in
+  Array.iter (fun f -> emit_broadcast t f Wire.Flow_start) fl;
+  Array.iter
+    (fun f ->
+      if f.demand_gbps <> None || !(f.demand_estimator) <> None then
+        emit_broadcast t f Wire.Demand_update)
+    fl;
   List.rev !dropped

@@ -12,18 +12,13 @@
     The packet-level data plane lives in the [sim] library; this module is
     the control plane usable directly by applications and tests. *)
 
-type config = {
-  link_gbps : Util.Units.gbps;
-  headroom : Util.Units.fraction;
-  trees_per_source : int;
-  default_protocol : Routing.protocol;
-  selection_choices : Routing.protocol array;
-      (** protocols the routing re-selection may assign *)
-}
+type config = { trees_per_source : int }
 
 val default_config : config
-(** 10 Gbps links, 5% headroom, 4 broadcast trees per source, RPS default
-    routing, selection between RPS and VLB. *)
+(** {!Topology.trees_per_source} broadcast trees per source. Every stack
+    allocates {!Topology.link_gbps} links with {!Topology.headroom} held
+    back, routes a flow with RPS unless {!open_flow} names a protocol, and
+    re-selects between RPS and VLB. *)
 
 type t
 type flow_id = int
@@ -41,8 +36,9 @@ val on_broadcast : t -> (Wire.broadcast -> unit) -> unit
 
 val open_flow :
   ?weight:int -> ?priority:int -> ?protocol:Routing.protocol -> t -> src:int -> dst:int -> flow_id
-(** Announce a new flow. Raises [Invalid_argument] on [src = dst] or
-    out-of-range hosts. *)
+(** Announce a new flow. Raises [Invalid_argument], before any state
+    changes, on [src = dst], out-of-range hosts, or a [weight] outside
+    1..255 or [priority] outside 0..255 (the broadcast's 8-bit fields). *)
 
 val close_flow : t -> flow_id -> unit
 (** Announce flow termination; unknown ids raise. *)
@@ -76,18 +72,14 @@ val try_open_flow :
   dst:int ->
   flow_id option
 (** {!open_flow} behind the admission gate: [None] (counted in
-    {!shed_flows}) when the class is currently being shed. {!open_flow}
+    {!shed_flows}) when the class is currently being shed. A [weight] or
+    [priority] that {!open_flow} rejects raises before it is gated or
+    counted. {!open_flow}
     itself stays ungated — callers that must not be refused (control
     traffic, re-announcements) keep using it directly. *)
 
 val shed_flows : t -> int
 (** Flows refused by {!try_open_flow} so far. *)
-
-val set_class_reserve : t -> priority:int -> reserve:Util.Units.fraction -> unit
-(** Backpressure headroom: withhold [reserve] of every link's capacity
-    from classes numerically >= [priority] in the rate computation
-    ({!Congestion.Waterfill.Inc.set_class_reserve}), keeping that slice
-    free for the latency-sensitive classes above the threshold. *)
 
 val set_demand : t -> flow_id -> gbps:Util.Units.gbps option -> unit
 (** Declare a host-limited flow's demand ([None] = network-limited);
@@ -120,8 +112,7 @@ val active_flows : t -> (flow_id * int * int * Routing.protocol) list
 val aggregate_throughput_gbps : t -> Util.Units.gbps
 (** Sum of current allocations. *)
 
-val reselect_routing :
-  ?pop_size:int -> ?mutation:float -> ?generations:int -> t -> Util.Rng.t -> int
+val reselect_routing : ?pop_size:int -> ?generations:int -> t -> Util.Rng.t -> int
 (** §3.4: GA over the open flows' routing protocols maximizing aggregate
     throughput; applies (and broadcasts) improved assignments. Returns the
     number of flows whose protocol changed. Call {!recompute} afterwards to
@@ -142,7 +133,7 @@ val control_bytes_sent : t -> int
     events all ride the tree pinned at {!open_flow}, so a peer's per-tree
     receive window ({!View}) orders its finish after its start. Receivers
     repair gaps by NACKing the origin, which answers from a bounded replay
-    log ({!replay}); periodic digests ({!emit_digests}) expose losses the
+    log ({!replay_range}); periodic digests ({!emit_digests}) expose losses the
     stream cannot (a dropped final packet), and a tree-hash mismatch at
     the digest's position triggers a full-state {!sync_view}. The
     overhead of all of this is accounted separately in
@@ -167,27 +158,22 @@ val emit_digests : ?src:int -> t -> Wire.digest list
     tree whose last sequence moved since its previous digest is due at
     once; a quiet one backs off until it skips {!Rbcast.digest_cap}
     rounds between digests ({!Rbcast.digest_due}). A NACK answered by
-    {!replay} or {!replay_range} that reaches its tree's last sequence
-    makes the stream due again ({!Rbcast.note_nack}), and {!restart} and
+    {!replay_range} that reaches its tree's last sequence makes the
+    stream due again ({!Rbcast.note_nack}), and {!restart} and
     {!notify_failure} make every stream due again. [src]
     (default 0) fills the digest's source field. The epoch field carries
     the round and the origin's {!incarnation} ({!Rbcast.pack_epoch}), so a
     {!View} ignores a digest sent before a {!restart}. Charged to
     {!reliability_bytes_sent}. *)
 
-val replay : t -> tree:int -> seq:int -> bytes option
-(** Answer a NACK: the stored event re-encoded with its original sequence
-    number, or [None] if it has been evicted from the replay log (the
-    requester then needs a full {!sync_view}). Charged to
-    {!reliability_bytes_sent} and counted in {!event_retransmits}. *)
-
 val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
 (** Answer a NACK's whole inclusive range as one {!Wire.encode_batch} of
     sequenced events, in ascending order, skipping sequences already
     evicted from the replay log; [None] when nothing in the range survives
     (the requester then needs a full {!sync_view}). Feed the result to
-    {!View.apply_batch}. Each replayed event is charged and counted exactly
-    as {!replay} would. The walk stops at the tree's {!last_seq}: later
+    {!View.apply_batch}. Each replayed event is re-encoded with its
+    original sequence number, charged to {!reliability_bytes_sent} at
+    broadcast fan-out and counted in {!event_retransmits}. The walk stops at the tree's {!last_seq}: later
     sequences were never sent, so a range running past it (the wire allows
     any 32-bit [to_seq]) costs no more than one ending there. Raises
     [Invalid_argument] on [to_seq < from_seq]. *)
@@ -241,15 +227,6 @@ val effective_headroom : t -> Util.Units.fraction
 val syncs_sent : t -> int
 val event_retransmits : t -> int
 
-val handle_failure : t -> unit
-(** §3.2 re-announcement: after a topology-discovery event every node
-    re-broadcasts its ongoing flows; this re-announces every open flow
-    (observable via {!on_broadcast}), then re-emits a demand update for
-    every flow with a declared demand or a live demand estimator. It only
-    rebuilds the view of the flows still open — it does {e not} remove
-    flows whose endpoint died, so on an actual failure call
-    {!notify_failure} (which owns that case) rather than this directly. *)
-
 val notify_failure : t -> flow_id list
 (** Full failure response; call after the topology's down-state changed
     ({!Topology.fail_link} / {!Topology.fail_node}). Repairs broken
@@ -257,6 +234,8 @@ val notify_failure : t -> flow_id list
     {!control_bytes_sent}), closes every open flow whose endpoint is dead
     or unreachable (announced as a flow-finish; their ids are returned in
     ascending order), re-paths the surviving flows over the surviving
-    graph — marking the allocator dirty — and finally runs
-    {!handle_failure}. Call {!recompute} afterwards to reconverge the
-    allocations. *)
+    graph — marking the allocator dirty — and finally makes the §3.2
+    re-announcement: every surviving flow is re-broadcast as a start
+    (observable via {!on_broadcast}), followed by a demand update for
+    every flow with a declared demand or a live demand estimator. Call
+    {!recompute} afterwards to reconverge the allocations. *)

@@ -48,7 +48,7 @@ type digest_verdict =
   | Gaps of (int * int) list
       (** inclusive missing sequence ranges on the digest's tree — what a
           NACK to the source should request (then replay via
-          {!Stack.replay}) *)
+          {!Stack.replay_range}) *)
   | Diverged
       (** positioned exactly at the digest's [last_seq] on its tree, yet
           the believed flows on that tree hash differently from the

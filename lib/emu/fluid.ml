@@ -2,8 +2,6 @@ module U = Util.Units
 
 type config = {
   link_gbps : U.gbps;
-  hop_latency_ns : int;
-  mtu : int;
   headroom : U.fraction;
   recompute_interval_ns : int;
   seed : int;
@@ -11,10 +9,8 @@ type config = {
 
 let default_config =
   {
-    link_gbps = U.gbps 10.0;
-    hop_latency_ns = 100;
-    mtu = 1500;
-    headroom = U.fraction 0.05;
+    link_gbps = Topology.link_gbps;
+    headroom = Topology.headroom;
     recompute_interval_ns = 500_000;
     seed = 1;
   }
@@ -100,13 +96,13 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
         ~priority:spec.priority ~id:idx links
     in
     let hops = Topology.distance topo spec.src spec.dst in
-    let tx = int_of_float (ceil (float_of_int (8 * cfg.mtu) /. link_gbps_f)) in
+    let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
     let st =
       {
         idx;
         spec;
         wf;
-        pipe_ns = hops * (tx + cfg.hop_latency_ns);
+        pipe_ns = hops * (tx + Topology.hop_latency_ns);
         remaining = float_of_int spec.size;
         (* Unscheduled flows transmit at line rate into the headroom. *)
         rate = cap;

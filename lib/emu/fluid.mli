@@ -14,16 +14,15 @@
 
 type config = {
   link_gbps : Util.Units.gbps;
-  hop_latency_ns : int;
-  mtu : int;
   headroom : Util.Units.fraction;
   recompute_interval_ns : int;  (** 0 = recompute on every flow event (the ideal) *)
   seed : int;
 }
 
 val default_config : config
-(** Matches {!Sim.R2c2_sim.default_config}: 10 Gbps, 100 ns, 5% headroom,
-    rho = 500 µs. *)
+(** Matches {!Sim.R2c2_sim.default_config}: the {!Topology} link speed and
+    headroom, rho = 500 µs. Every run uses the {!Topology} hop latency and
+    MTU. *)
 
 type flow_result = {
   spec : Workload.Flowgen.spec;

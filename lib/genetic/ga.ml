@@ -25,8 +25,12 @@ let tournament rng scored =
 
 let sort_desc scored = Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored
 
-let optimize ?(pop_size = 100) ?(mutation = 0.01) ?(elite = 5) ?(generations = 30)
-    ?(patience = 8) ?(seeds = []) rng p ~init =
+(* Per-gene mutation probability and the genotypes each generation keeps
+   unchanged (paper §5.2). *)
+let mutation = 0.01
+let elite = 5
+
+let optimize ?(pop_size = 100) ?(generations = 30) ?(patience = 8) ?(seeds = []) rng p ~init =
   if Array.length init <> p.genes then invalid_arg "Ga.optimize: init length mismatch";
   List.iter
     (fun s -> if Array.length s <> p.genes then invalid_arg "Ga.optimize: seed length mismatch")
@@ -81,7 +85,12 @@ let hill_climb ?(iterations = 500) rng p ~init =
   done;
   (!cur, !cur_fit)
 
-let simulated_annealing ?(iterations = 500) ?(t0 = 1.0) ?(cooling = 0.99) rng p ~init =
+(* Annealing schedule: the starting temperature, cooled geometrically per
+   iteration. *)
+let t0 = 1.0
+let cooling = 0.99
+
+let simulated_annealing ?(iterations = 500) rng p ~init =
   let cur = Array.copy init in
   let cur_fit = ref (p.fitness cur) in
   let best = ref (Array.copy cur) in

@@ -15,8 +15,6 @@ type problem = {
 
 val optimize :
   ?pop_size:int ->
-  ?mutation:float ->
-  ?elite:int ->
   ?generations:int ->
   ?patience:int ->
   ?seeds:int array list ->
@@ -24,7 +22,8 @@ val optimize :
   problem ->
   init:int array ->
   int array * float
-(** Defaults match the paper's §5.2 setup: population 100, mutation 0.01.
+(** Defaults match the paper's §5.2 setup: population 100; every run
+    mutates each gene with probability 0.01 and keeps the 5 fittest.
     [init] seeds the population (the current routing assignment), along
     with any extra [seeds] (e.g. the uniform all-one-protocol assignments,
     which guarantees the result is never worse than those baselines).
@@ -36,7 +35,7 @@ val hill_climb : ?iterations:int -> Util.Rng.t -> problem -> init:int array -> i
 (** Random single-gene moves, accepted when strictly improving. *)
 
 val simulated_annealing :
-  ?iterations:int -> ?t0:float -> ?cooling:float -> Util.Rng.t -> problem ->
-  init:int array -> int array * float
+  ?iterations:int -> Util.Rng.t -> problem -> init:int array -> int array * float
+(** Starts at temperature 1 and cools by a factor of 0.99 per iteration. *)
 
 val random_search : ?iterations:int -> Util.Rng.t -> problem -> int array * float

@@ -13,14 +13,12 @@ type t = {
   capacities : U.byte_rate array;
 }
 
-let make ?(headroom = U.fraction 0.0) ?(choices = [| Routing.Rps; Routing.Vlb |])
-    ?(utility = Aggregate_throughput) ctx ~link_gbps =
-  if Array.length choices = 0 then invalid_arg "Selector.make: no protocol choices";
+let make ?(headroom = U.fraction 0.0) ?(utility = Aggregate_throughput) ctx ~link_gbps =
   let nl = Topology.link_count (Routing.topo ctx) in
   {
     ctx;
     headroom;
-    choices;
+    choices = [| Routing.Rps; Routing.Vlb |];
     utility;
     capacities = Array.make nl (U.byte_rate_of_gbps link_gbps);
   }
@@ -63,7 +61,7 @@ let uniform t ~flows proto = utility_gbps t ~flows (Array.make (Array.length flo
 let random_assignment t rng ~flows =
   Array.init (Array.length flows) (fun _ -> Util.Rng.pick rng t.choices)
 
-let select ?(pop_size = 100) ?(mutation = 0.01) ?(generations = 30) t rng ~flows ~init =
+let select ?(pop_size = 100) ?(generations = 30) t rng ~flows ~init =
   let encode assignment =
     Array.map
       (fun proto ->
@@ -89,7 +87,5 @@ let select ?(pop_size = 100) ?(mutation = 0.01) ?(generations = 30) t rng ~flows
   let seeds =
     List.init (Array.length t.choices) (fun c -> Array.make (Array.length flows) c)
   in
-  let best, fit =
-    Ga.optimize ~pop_size ~mutation ~generations ~seeds rng problem ~init:(encode init)
-  in
+  let best, fit = Ga.optimize ~pop_size ~generations ~seeds rng problem ~init:(encode init) in
   (decode best, U.gbps fit)

@@ -18,13 +18,8 @@ type utility =
 type t
 
 val make :
-  ?headroom:Util.Units.fraction ->
-  ?choices:Routing.protocol array ->
-  ?utility:utility ->
-  Routing.ctx ->
-  link_gbps:Util.Units.gbps ->
-  t
-(** [choices] defaults to [RPS; VLB] — the two protocols the paper's Fig. 18
+  ?headroom:Util.Units.fraction -> ?utility:utility -> Routing.ctx -> link_gbps:Util.Units.gbps -> t
+(** A selector between RPS and VLB, the two protocols the paper's Fig. 18
     experiment selects between; [utility] defaults to
     [Aggregate_throughput]. *)
 
@@ -47,13 +42,12 @@ val random_assignment : t -> Util.Rng.t -> flows:(int * int) array -> Routing.pr
 
 val select :
   ?pop_size:int ->
-  ?mutation:float ->
   ?generations:int ->
   t ->
   Util.Rng.t ->
   flows:(int * int) array ->
   init:Routing.protocol array ->
   Routing.protocol array * Util.Units.gbps
-(** GA search (population 100, mutation 0.01 by default) seeded with the
+(** {!Ga.optimize} search (population 100 by default) seeded with the
     current assignment and the uniform assignments; returns the best
     assignment and its utility. *)

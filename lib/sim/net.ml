@@ -119,7 +119,6 @@ type t = {
      not once per transmission. *)
   mutable tx_memo_bytes : int;
   mutable tx_memo_ns : int;
-  hop_latency_ns : int;
   mutable broadcast : Broadcast.t option;
   mutable deliver : packet -> unit;
   mutable bcast_deliver : packet -> node:int -> unit;
@@ -277,8 +276,6 @@ let sync_last_seqs t h =
 
 (* -- construction --------------------------------------------------------- *)
 
-let topo t = t.topo
-let engine t = t.engine
 let on_deliver t f = t.deliver <- f
 let on_bcast_deliver t f = t.bcast_deliver <- f
 let on_drop t f = t.drop <- f
@@ -390,7 +387,6 @@ let set_arrive_tap t f = t.arrive_tap <- f
 (* -- routes --------------------------------------------------------------- *)
 
 let intern_route t a = intern t a
-let retain_route t r = Arena.Ints.retain t.slices r
 let release_route t r = Arena.Ints.release t.slices r
 
 (* -- physical failures ---------------------------------------------------- *)
@@ -589,17 +585,17 @@ and propagate t link_id pkt =
             +
             if reordered then begin
               t.ctrl_reordered <- t.ctrl_reordered + 1;
-              t.hop_latency_ns * (2 + Util.Rng.int ch.crng 4)
+              Topology.hop_latency_ns * (2 + Util.Rng.int ch.crng 4)
             end
-            else t.hop_latency_ns
+            else Topology.hop_latency_ns
           in
           schedule_arrival t delay dst pkt;
           if dupped then begin
             t.ctrl_dupped <- t.ctrl_dupped + 1;
-            schedule_arrival t (delay + t.hop_latency_ns) dst (clone_pkt t pkt)
+            schedule_arrival t (delay + Topology.hop_latency_ns) dst (clone_pkt t pkt)
           end
         end
-    | _ -> schedule_arrival t (t.hop_latency_ns + spike_ns) dst pkt
+    | _ -> schedule_arrival t (Topology.hop_latency_ns + spike_ns) dst pkt
   end
 
 (* Schedule [pkt]'s arrival at [dst], keyed by the packet. *)
@@ -703,7 +699,7 @@ and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
     enqueue_link t (Array.unsafe_get links i) h
   done
 
-let create engine topo ?(queue_capacity = max_int) ~link_gbps ~hop_latency_ns () =
+let create engine topo ?(queue_capacity = max_int) ~link_gbps () =
   let link_gbps = (link_gbps : U.gbps :> float) in
   if link_gbps <= 0.0 then invalid_arg "Net.create: link_gbps";
   let pool = Arena.create ~capacity:1024 ~width:fields () in
@@ -732,7 +728,6 @@ let create engine topo ?(queue_capacity = max_int) ~link_gbps ~hop_latency_ns ()
       bits_per_ns = link_gbps;
       tx_memo_bytes = -1;
       tx_memo_ns = 0;
-      hop_latency_ns;
       broadcast = None;
       deliver = ignore;
       bcast_deliver = (fun _ ~node:_ -> ());

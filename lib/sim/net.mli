@@ -40,18 +40,14 @@ val create :
   Topology.t ->
   ?queue_capacity:int ->
   link_gbps:Util.Units.gbps ->
-  hop_latency_ns:int ->
   unit ->
   t
 (** [queue_capacity] bounds each output queue in bytes (tail drop);
-    default unbounded. Installs the fabric as the
-    engine's keyed-event handler ({!Engine.set_handler}): the fabric owns
-    the key space, keying the end of a serialization by its link id and
-    a packet's arrival by [link_count + packet], so a hop costs two
-    events and no allocation. *)
-
-val topo : t -> Topology.t
-val engine : t -> Engine.t
+    default unbounded. Every hop takes {!Topology.hop_latency_ns} on top
+    of serialization. Installs the fabric as the engine's keyed-event
+    handler ({!Engine.set_handler}): the fabric owns the key space, keying
+    the end of a serialization by its link id and a packet's arrival by
+    [link_count + packet], so a hop costs two events and no allocation. *)
 
 (** {2 Routes} *)
 
@@ -66,8 +62,6 @@ val intern_prefix : t -> int array -> int -> route
     on [Array.sub buf 0 n] but without the copy: the data plane samples
     each packet's path into {!Routing.path_buffer} and interns it from
     there, allocating nothing per packet. *)
-
-val retain_route : t -> route -> unit
 
 val release_route : t -> route -> unit
 (** Drop one reference; the last release recycles the slice. Raises

@@ -1,15 +1,7 @@
 module U = Util.Units
 
-type config = {
-  link_gbps : U.gbps;
-  hop_latency_ns : int;
-  mtu : int;
-  paths_per_flow : int;
-  seed : int;
-}
-
-let default_config =
-  { link_gbps = U.gbps 10.0; hop_latency_ns = 100; mtu = 1500; paths_per_flow = 8; seed = 1 }
+(* Distinct shortest paths each flow spreads over. *)
+let paths_per_flow = 8
 
 type flow_result = {
   spec : Workload.Flowgen.spec;
@@ -25,11 +17,11 @@ type fstate = {
   mutable rate : float;  (** bytes/ns over all paths *)
 }
 
-let run ?until_ns cfg topo specs =
+let run ?until_ns seed topo specs =
   let rctx = Routing.make topo in
-  let rng = Util.Rng.create cfg.seed in
-  let link_gbps_f = U.to_float cfg.link_gbps in
-  let cap = U.byte_rate_of_gbps cfg.link_gbps in
+  let rng = Util.Rng.create seed in
+  let link_gbps_f = U.to_float Topology.link_gbps in
+  let cap = U.byte_rate_of_gbps Topology.link_gbps in
   let capacities = Array.make (Topology.link_count topo) cap in
   let arrivals =
     ref (List.stable_sort (fun a b -> compare a.Workload.Flowgen.arrival_ns b.arrival_ns) specs)
@@ -56,7 +48,7 @@ let run ?until_ns cfg topo specs =
   let admit spec =
     let open Workload.Flowgen in
     let paths =
-      Routing.sample_paths_distinct rctx rng ~k:cfg.paths_per_flow ~src:spec.src ~dst:spec.dst
+      Routing.sample_paths_distinct rctx rng ~k:paths_per_flow ~src:spec.src ~dst:spec.dst
     in
     let subflows =
       List.map
@@ -64,8 +56,8 @@ let run ?until_ns cfg topo specs =
         paths
     in
     let hops = Topology.distance topo spec.src spec.dst in
-    let tx = int_of_float (ceil (float_of_int (8 * cfg.mtu) /. link_gbps_f)) in
-    let pipe_ns = hops * (tx + cfg.hop_latency_ns) in
+    let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
+    let pipe_ns = hops * (tx + Topology.hop_latency_ns) in
     active :=
       { spec; subflows; pipe_ns; remaining = float_of_int spec.size; rate = 0.0 } :: !active
   in

@@ -4,21 +4,10 @@
     node, which no real rack node could afford. We realize the bound as a
     fluid simulation with {e path-level} max-min allocation recomputed
     instantaneously on every flow event, zero headroom and zero control
-    delay: each flow spreads over up to [paths_per_flow] distinct shortest
-    paths whose rates fill independently, i.e. exactly the freedom that
-    per-flow queuing buys. Completion times additionally include the
+    delay: each flow spreads over up to 8 distinct shortest paths whose
+    rates fill independently, i.e. exactly the freedom that per-flow
+    queuing buys. Completion times additionally include the
     store-and-forward pipeline latency of the flow's path. *)
-
-type config = {
-  link_gbps : Util.Units.gbps;
-  hop_latency_ns : int;
-  mtu : int;
-  paths_per_flow : int;
-  seed : int;
-}
-
-val default_config : config
-(** 10 Gbps, 100 ns hops, 1500-byte MTU, 8 paths per flow. *)
 
 type flow_result = {
   spec : Workload.Flowgen.spec;
@@ -26,5 +15,7 @@ type flow_result = {
   throughput_gbps : Util.Units.gbps;
 }
 
-val run : ?until_ns:int -> config -> Topology.t -> Workload.Flowgen.spec list -> flow_result list
-(** Results for flows that complete before [until_ns] (default: all). *)
+val run : ?until_ns:int -> int -> Topology.t -> Workload.Flowgen.spec list -> flow_result list
+(** [run seed topo specs] on the {!Topology} rack constants, spreading each
+    flow over 8 paths drawn with [seed]. Results for flows that complete
+    before [until_ns] (default: all). *)

@@ -42,12 +42,8 @@ type config = {
 (* Protocol constants: every caller runs with the same value, so they are
    not config fields. *)
 
-(* Wire bytes per data packet, header included; per-hop latency; broadcast
-   trees per source; the lowest priority class the waterfill class reserve
-   withholds capacity from. *)
-let mtu = 1500
-let hop_latency_ns = 100
-let trees_per_source = 4
+(* The lowest priority class the waterfill class reserve withholds
+   capacity from. *)
 let reserve_priority = 1
 
 (* Per-packet retransmission: the timeout multiplies by [rtx_backoff] per
@@ -90,8 +86,8 @@ let pause_min_scale = 0.05
 
 let default_config =
   {
-    link_gbps = U.gbps 10.0;
-    headroom = U.fraction 0.05;
+    link_gbps = Topology.link_gbps;
+    headroom = Topology.headroom;
     recompute_interval_ns = 500_000;
     real_broadcast = true;
     queue_capacity = max_int;
@@ -349,7 +345,7 @@ let flow_done_sending t st =
 
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
-let win_key ~root ~tree = (root * trees_per_source) + tree
+let win_key ~root ~tree = (root * Topology.trees_per_source) + tree
 let window t ~node ~root ~tree = Replicas.window t.reps ~replica:node ~origin:root ~tree
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
@@ -448,7 +444,8 @@ let send_sync t ~root ~requester =
   then begin
     let entries, last_seqs = Rbcast.snapshot t.origins.(root) in
     let bytes =
-      min mtu (Wire.sync_size ~flows:(List.length entries) ~trees:trees_per_source)
+      min Topology.mtu
+        (Wire.sync_size ~flows:(List.length entries) ~trees:Topology.trees_per_source)
     in
     t.syncs_sent <- t.syncs_sent + 1;
     t.sync_bytes <- t.sync_bytes + bytes;
@@ -486,7 +483,7 @@ let rec inject t st =
   (* A dead sender stops existing: no injections, no rescheduling. The flow
      is aborted when the failure is detected. *)
   if Net.node_up t.net st.src then begin
-    let wire = min mtu (st.remaining + header) in
+    let wire = min Topology.mtu (st.remaining + header) in
     let payload = wire - header in
     st.remaining <- st.remaining - payload;
     let last = st.remaining = 0 in
@@ -505,7 +502,7 @@ let rec inject t st =
 and schedule_injection t st =
   st.inject_gen <- st.inject_gen + 1;
   let gen = st.inject_gen in
-  let wire = min mtu (st.remaining + header) in
+  let wire = min Topology.mtu (st.remaining + header) in
   (* A host-limited flow never injects above its demand, whatever the
      allocation says. *)
   let pace =
@@ -577,7 +574,9 @@ let send_flow_broadcast t st event =
         let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
         let depth = Broadcast.depth t.bcast ~src:st.src ~tree in
         let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-        Engine.after t.eng (depth * (hop_latency_ns + tx)) (fun () -> mark_visible t st)
+        Engine.after t.eng
+          (depth * (Topology.hop_latency_ns + tx))
+          (fun () -> mark_visible t st)
     | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> ()
   end
 
@@ -811,7 +810,7 @@ let reselect t interval =
     if !changed > 0 && t.cfg.real_broadcast then begin
       (* One batched route-change announcement: 16-byte header plus 5 bytes
          per {flow, protocol} pair, capped at an MTU. *)
-      let bytes = min mtu (Wire.broadcast_size + (5 * !changed)) in
+      let bytes = min Topology.mtu (Wire.broadcast_size + (5 * !changed)) in
       let root = sts.(0).src in
       let bcast_id = -t.reselections in
       let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:root in
@@ -844,7 +843,7 @@ let digest_round t =
         let epoch =
           Rbcast.pack_epoch ~inc:(Rbcast.incarnation o) ~epoch:(Rbcast.bump_epoch o)
         in
-        for tree = 0 to trees_per_source - 1 do
+        for tree = 0 to Topology.trees_per_source - 1 do
           if Rbcast.digest_due o ~tree then
             Net.send_digest_tree t.net ~root:src ~tree ~epoch
               ~last_seq:(Rbcast.last_seq o ~tree) ~hash:(Rbcast.tree_hash o ~tree)
@@ -864,7 +863,7 @@ let node_caught_up t ~node =
         root <> node && Net.node_up t.net root
         && Topology.reachable t.topo root node
       then begin
-        for tree = 0 to trees_per_source - 1 do
+        for tree = 0 to Topology.trees_per_source - 1 do
           if Replicas.next_expected t.reps (window t ~node ~root ~tree) <= Rbcast.last_seq o ~tree
           then ok := false
         done;
@@ -890,7 +889,7 @@ let control_converged t =
    needs to cross the rack diameter. *)
 let detection_delay t =
   let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-  2 * Topology.diameter t.topo * (hop_latency_ns + tx)
+  2 * Topology.diameter t.topo * (Topology.hop_latency_ns + tx)
 
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
@@ -1126,11 +1125,6 @@ let restore_link_at t ~ns u v =
     (fun () -> Net.restore_link t.net u v)
     (fun () -> Topology.restore_link t.topo u v)
 
-let restore_node_at t ~ns u =
-  schedule_event t ~ns "restore-node"
-    (fun () -> Net.restore_node t.net u)
-    (fun () -> Topology.restore_node t.topo u)
-
 (* -- crash-restart (robustness) -------------------------------------------- *)
 
 (* A crash is a state-losing node failure: besides the physical down-state,
@@ -1342,8 +1336,7 @@ let create cfg topo =
     invalid_arg "R2c2_sim: reliable_bcast needs real broadcasts to protect";
   let eng = Engine.create ~backend:cfg.engine_backend () in
   let net =
-    Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps
-      ~hop_latency_ns ()
+    Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps ()
   in
   let chaos_on =
     U.compare_q cfg.control_loss U.zero > 0
@@ -1353,7 +1346,7 @@ let create cfg topo =
   if chaos_on then
     Net.set_control_chaos net ~seed:(chaos_seed cfg.seed) ~loss:cfg.control_loss
       ~reorder:cfg.control_reorder ~dup:cfg.control_dup;
-  let bcast = Broadcast.make ~trees_per_source topo in
+  let bcast = Broadcast.make topo in
   Net.set_broadcast net bcast;
   let nverts = Topology.vertex_count topo in
   let cap = U.byte_rate_of_gbps cfg.link_gbps in
@@ -1381,7 +1374,7 @@ let create cfg topo =
       active = Hashtbl.create (max 256 nverts);
       all_states = Hashtbl.create (max 256 nverts);
       nverts;
-      reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:trees_per_source;
+      reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:Topology.trees_per_source;
       bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
@@ -1408,7 +1401,7 @@ let create cfg topo =
       origins =
         (if cfg.reliable_bcast && cfg.real_broadcast then
            Array.init nverts (fun _ ->
-               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:trees_per_source ())
+               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:Topology.trees_per_source ())
          else [||]);
       chaos_on;
       digest_running = false;
@@ -1682,7 +1675,6 @@ let set_control_chaos_at t ~ns ~loss ~reorder ~dup =
   Engine.at t.eng ns (fun () ->
       Net.set_control_chaos t.net ~seed:(chaos_seed t.cfg.seed) ~loss ~reorder ~dup)
 
-let loss_ewma t = U.fraction t.loss_ewma
 let effective_headroom t = U.fraction t.eff_headroom
 
 let shed_floor t =
@@ -1770,8 +1762,7 @@ let results t =
 let link_health t u v = Routing.link_health t.rctx u v
 let net t = t.net
 
-let run ?(protocol_of = fun _ _ -> Routing.Rps) ?(demand_of = fun _ _ -> None) ?until_ns cfg
-    topo specs =
+let run ?(demand_of = fun _ _ -> None) ?until_ns cfg topo specs =
   let t = create cfg topo in
   List.iteri
     (fun i spec ->
@@ -1779,7 +1770,6 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?(demand_of = fun _ _ -> None) ?
       Engine.at t.eng spec.arrival_ns (fun () ->
           let id =
             start_flow ~weight:spec.weight ~priority:spec.priority
-              ~protocol:(protocol_of i spec)
               ?demand_gbps:(demand_of i spec) t ~src:spec.src ~dst:spec.dst ~size:spec.size
           in
           (* Batch flow ids must equal list positions. *)

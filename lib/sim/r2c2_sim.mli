@@ -73,7 +73,7 @@ type config = {
           {!Metrics.set_slo} at {!create} *)
   class_reserve : Util.Units.fraction;
       (** waterfill per-class headroom reservation: the link-capacity
-          fraction withheld from classes >= {!reserve_priority}, [0, 1);
+          fraction withheld from classes numerically >= 1, [0, 1);
           0 (the default) disables the reservation *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] (the default) is the O(1)
@@ -84,26 +84,18 @@ type config = {
 }
 
 val default_config : config
-(** 10 Gbps, 5% headroom, rho = 500 µs, real broadcasts, unbounded
-    queues, global-epoch control, 50 µs retransmission timeout, seed 1.
-    Reliable broadcast off, digests every 100 µs, 64 Ki replay log, no
-    chaos.
+(** The {!Topology} link speed and headroom, rho = 500 µs, real
+    broadcasts, unbounded queues, global-epoch control, 50 µs
+    retransmission timeout, seed 1. Reliable broadcast off, digests every
+    100 µs, 64 Ki replay log, no chaos.
 
-    Fixed for every run: failure detection takes twice the time a
+    Fixed for every run: the {!Topology} MTU, hop latency and broadcast
+    trees per source; failure detection takes twice the time a
     broadcast packet needs to cross the rack diameter (§3.2 topology
     discovery); a gap is NACKed (and re-NACKed) every 20 µs; under
     reliable broadcast the waterfill reserves
     [min 0.30 (headroom + 2 * loss EWMA)] instead of the static
     [headroom], so stale views overbook less under loss. *)
-
-val mtu : int  (** 1500: wire bytes per data packet, header included *)
-
-val hop_latency_ns : int  (** 100 ns per fabric hop *)
-
-val trees_per_source : int  (** 4 broadcast trees per source *)
-
-val reserve_priority : int
-(** 1: [class_reserve] is withheld from classes numerically >= this one *)
 
 val rejoin_retry_ns : int
 (** 500 µs: the period between JOIN re-announcements while a restarted
@@ -250,7 +242,6 @@ val fail_node_at : t -> ns:int -> int -> unit
     aborted at detection and reported in [aborted_flows]. *)
 
 val restore_link_at : t -> ns:int -> int -> int -> unit
-val restore_node_at : t -> ns:int -> int -> unit
 (** Restores follow the same discovery path: the fabric heals immediately,
     the control plane re-paths one detection delay later. *)
 
@@ -347,7 +338,6 @@ val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
     flow it believes exists, in ascending id order. Nodes with identical
     views return byte-identical vectors (Per_node only). *)
 
-val loss_ewma : t -> Util.Units.fraction
 val effective_headroom : t -> Util.Units.fraction
 
 (** {2 Overload-control introspection} *)
@@ -364,7 +354,6 @@ val pacer_scale : t -> node:int -> float
 (** {2 Batch API — pre-generated workloads} *)
 
 val run :
-  ?protocol_of:(int -> Workload.Flowgen.spec -> Routing.protocol) ->
   ?demand_of:(int -> Workload.Flowgen.spec -> Util.Units.gbps option) ->
   ?until_ns:int ->
   config ->
@@ -372,8 +361,7 @@ val run :
   Workload.Flowgen.spec list ->
   result
 (** Simulate the flow list (sorted by arrival) to completion (or
-    [until_ns]); flow ids equal list positions. [protocol_of] chooses each
-    flow's routing protocol from its index and spec (default RPS for
-    everything); [demand_of] marks host-limited flows with their maximum
+    [until_ns]); flow ids equal list positions and every flow is routed
+    with RPS. [demand_of] marks host-limited flows with their maximum
     rate in Gbps (§3.3.2) — such a flow never injects above its demand and
     the rate computation hands its unused share to others. *)

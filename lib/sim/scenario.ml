@@ -2,7 +2,6 @@ type event =
   | Crash of int
   | Restart of int
   | Fail_link of int * int
-  | Restore_link of int * int
   | Flaky of {
       u : int;
       v : int;
@@ -20,7 +19,6 @@ type step = { at_ns : int; event : event }
 let crash ~at u = { at_ns = at; event = Crash u }
 let restart ~at u = { at_ns = at; event = Restart u }
 let fail_link ~at u v = { at_ns = at; event = Fail_link (u, v) }
-let restore_link ~at u v = { at_ns = at; event = Restore_link (u, v) }
 
 let flaky ~at ?spike_ns u v ~loss ~spike =
   { at_ns = at; event = Flaky { u; v; loss; spike; spike_ns } }
@@ -88,7 +86,6 @@ let apply st { at_ns = ns; event } =
       Engine.at eng ns (fun () -> Hashtbl.remove st.crashed u);
       R2c2_sim.restart_node_at sim ~ns u
   | Fail_link (u, v) -> R2c2_sim.fail_link_at sim ~ns u v
-  | Restore_link (u, v) -> R2c2_sim.restore_link_at sim ~ns u v
   | Flaky { u; v; loss; spike; spike_ns } ->
       R2c2_sim.flaky_link_at sim ~ns ?spike_ns u v ~loss ~spike
   | Unflaky (u, v) -> R2c2_sim.unflaky_link_at sim ~ns u v

@@ -15,7 +15,6 @@ type event =
   | Crash of int  (** state-losing node failure ({!R2c2_sim.crash_node_at}) *)
   | Restart of int  (** cold restart + rejoin protocol *)
   | Fail_link of int * int
-  | Restore_link of int * int
   | Flaky of {
       u : int;
       v : int;
@@ -40,7 +39,6 @@ type step = { at_ns : int; event : event }
 val crash : at:int -> int -> step
 val restart : at:int -> int -> step
 val fail_link : at:int -> int -> int -> step
-val restore_link : at:int -> int -> int -> step
 
 val flaky :
   at:int ->

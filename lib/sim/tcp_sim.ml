@@ -1,23 +1,13 @@
 type config = {
-  link_gbps : Util.Units.gbps;
-  hop_latency_ns : int;
-  mtu : int;
   queue_capacity : int;
-  init_cwnd : float;
-  rto_min_ns : int;
   seed : int;
 }
 
-let default_config =
-  {
-    link_gbps = Util.Units.gbps 10.0;
-    hop_latency_ns = 100;
-    mtu = 1500;
-    queue_capacity = 64 * 1024;
-    init_cwnd = 10.0;
-    rto_min_ns = 100_000;
-    seed = 1;
-  }
+let default_config = { queue_capacity = 64 * 1024; seed = 1 }
+
+(* Initial congestion window in packets; minimum retransmission timeout. *)
+let init_cwnd = 10.0
+let rto_min_ns = 100_000
 
 type result = {
   metrics : Metrics.t;
@@ -59,11 +49,9 @@ type fstate = {
 }
 
 let run ?until_ns cfg topo specs =
-  if cfg.mtu <= header then invalid_arg "Tcp_sim: mtu must exceed the header size";
   let eng = Engine.create () in
   let net =
-    Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps
-      ~hop_latency_ns:cfg.hop_latency_ns ()
+    Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:Topology.link_gbps ()
   in
   let rctx = Routing.make topo in
   let metrics = Metrics.create () in
@@ -71,7 +59,7 @@ let run ?until_ns cfg topo specs =
      packet path never pays a rehash. *)
   let flows : (int, fstate) Hashtbl.t = Hashtbl.create 256 in
   let retransmits = ref 0 in
-  let full_payload = cfg.mtu - header in
+  let full_payload = Topology.mtu - header in
 
   let payload_of st seq =
     if seq = st.total - 1 then st.size - ((st.total - 1) * st.full_payload)
@@ -135,7 +123,7 @@ let run ?until_ns cfg topo specs =
       st.rttvar <- (0.75 *. st.rttvar) +. (0.25 *. abs_float (st.srtt -. s));
       st.srtt <- (0.875 *. st.srtt) +. (0.125 *. s)
     end;
-    st.rto <- max cfg.rto_min_ns (int_of_float (st.srtt +. (4.0 *. st.rttvar)))
+    st.rto <- max rto_min_ns (int_of_float (st.srtt +. (4.0 *. st.rttvar)))
   in
 
   let try_send st =
@@ -228,7 +216,7 @@ let run ?until_ns cfg topo specs =
               next_new = 0;
               cum = 0;
               dupacks = 0;
-              cwnd = cfg.init_cwnd;
+              cwnd = init_cwnd;
               ssthresh = 1e9;
               in_recovery = false;
               recover = 0;
@@ -236,7 +224,7 @@ let run ?until_ns cfg topo specs =
               rttvar = 0.0;
               timed_seq = -1;
               timed_at = 0;
-              rto = 2 * cfg.rto_min_ns;
+              rto = 2 * rto_min_ns;
               rto_gen = 0;
               rto_armed = false;
               sent_ns = Array.make total (-1);

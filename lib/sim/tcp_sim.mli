@@ -7,17 +7,13 @@
     queues are finite and tail-drop, which is TCP's congestion signal. *)
 
 type config = {
-  link_gbps : Util.Units.gbps;
-  hop_latency_ns : int;
-  mtu : int;  (** wire bytes per data packet, header included *)
   queue_capacity : int;  (** bytes per output queue *)
-  init_cwnd : float;  (** packets *)
-  rto_min_ns : int;
   seed : int;
 }
 
 val default_config : config
-(** 10 Gbps, 100 ns hops, 1500-byte MTU, 64 KB queues, cwnd 10,
+(** 64 KB queues. Fixed for every run: the {!Topology} rack constants
+    (link speed, hop latency, MTU), an initial window of 10 packets and a
     100 µs minimum RTO. *)
 
 type result = {

@@ -1,3 +1,9 @@
+let link_gbps = Util.Units.gbps 10.0
+let hop_latency_ns = 100
+let mtu = 1500
+let headroom = Util.Units.fraction 0.05
+let trees_per_source = 4
+
 type node = int
 type link_id = int
 

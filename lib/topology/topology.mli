@@ -8,6 +8,29 @@
     Torus and mesh topologies are k-ary n-cube style: node identifiers are
     mixed-radix encodings of coordinates, [id = x0 + d0*(x1 + d1*x2 ...)]. *)
 
+(** {2 Rack constants}
+
+    The one rack every engine models (paper §5.2): the packet simulators,
+    the TCP and PFQ baselines and the fluid emulator all read these, so
+    their comparisons hold by construction. *)
+
+val link_gbps : Util.Units.gbps
+(** 10 Gbps per directed link. *)
+
+val hop_latency_ns : int
+(** 100 ns propagation and switching per fabric hop. *)
+
+val mtu : int
+(** 1,500 wire bytes per data packet, header included. *)
+
+val headroom : Util.Units.fraction
+(** 5% of every link's capacity held back from the rate allocation. *)
+
+val trees_per_source : int
+(** 4 broadcast spanning trees per source. *)
+
+(** {2 Graphs} *)
+
 type node = int
 type link_id = int
 

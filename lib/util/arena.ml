@@ -42,12 +42,10 @@ let create ?(capacity = 256) ~width () =
     high_water = 0;
   }
 
-let width t = t.w
 let capacity t = t.cap
 let live t = t.live
 let high_water t = t.high_water
 let data t = t.store
-let base t h = h * t.w
 
 let is_live t h = h >= 0 && h < t.cap && Bytes.unsafe_get t.state h = '\001'
 

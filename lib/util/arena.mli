@@ -18,8 +18,6 @@ val create : ?capacity:int -> width:int -> unit -> t
     initial record count, grown by doubling. Raises [Invalid_argument] if
     [width <= 0]. *)
 
-val width : t -> int
-
 val alloc : t -> int
 (** Pops a free record (all fields zeroed) and returns its handle. *)
 
@@ -38,10 +36,6 @@ val get : t -> int -> int -> int
     bounds: the caller owns handle validity. *)
 
 val set : t -> int -> int -> int -> unit
-
-val base : t -> int -> int
-(** [base pool h] is the index of record [h]'s field 0 inside {!data} —
-    for modules that read fields through {!data} directly. *)
 
 val data : t -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The backing store. Grows (is replaced) when the pool grows, so hot

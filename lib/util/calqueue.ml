@@ -45,8 +45,6 @@ let create ?(wheel = 16384) ?(start = 0) () =
     last_time = -1;
   }
 
-let size t = t.in_wheel + Heap.size t.overflow
-let is_empty t = size t = 0
 let overflow_pushes t = t.overflow_pushes
 
 let grow_next t id =

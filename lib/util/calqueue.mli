@@ -58,10 +58,6 @@ val popped_time : t -> int
 (** Time of the entry last removed by {!pop} / {!pop_until}; [-1]
     before any pop. *)
 
-val size : t -> int
-
-val is_empty : t -> bool
-
 val overflow_pushes : t -> int
 (** Entries that landed in the overflow heap rather than the wheel over the
     queue's lifetime. *)

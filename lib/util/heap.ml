@@ -112,9 +112,3 @@ let pop_int (h : int t) =
   end
 
 let popped_prio h = h.last_prio
-
-let clear h =
-  h.prio <- [||];
-  h.seq <- [||];
-  h.vals <- [||];
-  h.len <- 0

@@ -36,5 +36,3 @@ val pop_int : int t -> int
 val popped_prio : 'a t -> int
 (** Priority of the entry last removed by {!pop} / {!pop_int}; [-1]
     before any removal. *)
-
-val clear : 'a t -> unit

@@ -23,12 +23,14 @@ let percentile xs p = percentile_sorted (sorted_copy xs) p
 
 let median xs = percentile xs 50.0
 
-let cdf ?(points = 50) xs =
+let cdf_points = 50
+
+let cdf xs =
   let ys = sorted_copy xs in
   let n = Array.length ys in
   if n = 0 then []
   else begin
-    let step = max 1 (n / points) in
+    let step = max 1 (n / cdf_points) in
     let acc = ref [] in
     let i = ref (step - 1) in
     while !i < n do

@@ -9,9 +9,10 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val cdf : ?points:int -> float array -> (float * float) list
+val cdf : float array -> (float * float) list
 (** [cdf xs] returns [(value, fraction <= value)] pairs suitable for
-    plotting, downsampled to at most [points] (default 50) entries. *)
+    plotting: every [n / 50]-th sorted value (every value when [n < 100])
+    and the maximum. *)
 
 val stddev : float array -> float
 

@@ -46,9 +46,6 @@ val sync_size : flows:int -> trees:int -> int
 val max_route_hops : int
 (** 42: the 128-bit route field at 3 bits per hop. *)
 
-val max_links_per_node : int
-(** 8: the widest link selector a 3-bit hop can express. *)
-
 type event = Flow_start | Flow_finish | Demand_update | Route_change
 
 type data_header = {
@@ -212,9 +209,9 @@ val decode_batch : bytes -> (batch_item list, string) result
 val route_selectors : Routing.ctx -> int array -> int array
 (** [route_selectors ctx path] converts a vertex path to per-hop 3-bit link
     selectors: at hop [i], the index of the link towards [path.(i+1)] within
-    [Topology.out_links] of [path.(i)]. Raises when a node has more than
-    {!max_links_per_node} links or the path is longer than
-    {!max_route_hops}. *)
+    [Topology.out_links] of [path.(i)]. Raises when a node has more than 8
+    links (the widest selector a 3-bit hop can express) or the path is
+    longer than {!max_route_hops}. *)
 
 val apply_selector : Topology.t -> int -> int -> int
 (** [apply_selector topo node sel] is the neighbor reached from [node] via

@@ -30,12 +30,16 @@ let poisson_arrivals rng ~flows ~mean_interarrival_ns =
       t := !t +. Util.Rng.exponential rng ~mean:mean_interarrival_ns;
       int_of_float !t)
 
-let poisson_pareto ?(shape = 1.05) ?(mean_size = 100_000.0) ?(max_size = 50_000_000)
-    ?(priority = 0) topo rng ~flows ~mean_interarrival_ns =
+(* The §5.2 size distribution: Pareto with shape 1.05 and mean 100 KB. *)
+let pareto_shape = 1.05
+let pareto_mean = 100_000.0
+
+let poisson_pareto ?(max_size = 50_000_000) ?(priority = 0) topo rng ~flows
+    ~mean_interarrival_ns =
   List.map
     (fun arrival_ns ->
       let src, dst = random_pair topo rng in
-      let size = pareto_size rng ~shape ~mean:mean_size ~max_size in
+      let size = pareto_size rng ~shape:pareto_shape ~mean:pareto_mean ~max_size in
       { arrival_ns; src; dst; size; weight = 1; priority })
     (poisson_arrivals rng ~flows ~mean_interarrival_ns)
 
@@ -78,8 +82,11 @@ let permutation_long_flows topo rng ~load =
    which is exactly the surge the overload controller must survive. The
    aggregator set is a fixed permutation prefix; workers are re-drawn per
    round, so the whole workload is a pure function of the RNG. *)
-let partition_aggregate ?(priority = 0) ?(response_size = 20_000) topo rng ~aggregators
-    ~fanout ~rounds ~round_interval_ns =
+(* Bytes each worker answers with. *)
+let response_size = 20_000
+
+let partition_aggregate ?(priority = 0) topo rng ~aggregators ~fanout ~rounds
+    ~round_interval_ns =
   let h = Topology.host_count topo in
   if aggregators < 1 || aggregators > h then
     invalid_arg "Flowgen.partition_aggregate: aggregators out of [1, hosts]";
@@ -88,8 +95,6 @@ let partition_aggregate ?(priority = 0) ?(response_size = 20_000) topo rng ~aggr
   if rounds < 1 then invalid_arg "Flowgen.partition_aggregate: rounds < 1";
   if round_interval_ns < 0 then
     invalid_arg "Flowgen.partition_aggregate: negative round interval";
-  if response_size <= 0 then
-    invalid_arg "Flowgen.partition_aggregate: non-positive response size";
   let aggs = Array.sub (Util.Rng.permutation rng h) 0 aggregators in
   let out = ref [] in
   for r = 0 to rounds - 1 do

@@ -18,8 +18,6 @@ val pareto_size : Util.Rng.t -> shape:float -> mean:float -> max_size:int -> int
 (** One Pareto-distributed flow size in bytes, truncated at [max_size]. *)
 
 val poisson_pareto :
-  ?shape:float ->
-  ?mean_size:float ->
   ?max_size:int ->
   ?priority:int ->
   Topology.t ->
@@ -47,7 +45,6 @@ val permutation_long_flows :
 
 val partition_aggregate :
   ?priority:int ->
-  ?response_size:int ->
   Topology.t ->
   Util.Rng.t ->
   aggregators:int ->
@@ -57,9 +54,9 @@ val partition_aggregate :
   spec list
 (** Partition/aggregate incast: [aggregators] hosts (a fixed random set)
     each fan a request to [fanout] distinct workers every
-    [round_interval_ns], and all workers answer with a [response_size]
-    (default 20 KB) flow {e simultaneously} — [rounds] synchronized
-    response surges converging on each aggregator's ingress links. All
+    [round_interval_ns], and all workers answer with a 20 KB flow
+    {e simultaneously} — [rounds] synchronized response surges converging
+    on each aggregator's ingress links. All
     flows carry [priority] (default 0, the most urgent class). Sorted by
     arrival; deterministic in the RNG. Raises [Invalid_argument] on an
     aggregator count outside [1, hosts], a fanout outside [1, hosts - 1],

@@ -78,64 +78,11 @@ let feed view bytes =
   | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered -> ()
 
 (* Drop a third of the broadcasts on the way to the replica, then let the
-   digest + NACK + replay loop repair it: afterwards the replica's hash and
-   flow set must equal the authority's, even when the drop hit the last
-   packet of the stream (which no later packet could reveal). *)
-let view_nack_repair_heals_all_loss () =
-  let st, _ = mk_stack () in
-  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
-  let view = R2c2.View.create ~trees () in
-  let n = ref 0 in
-  R2c2.Stack.on_broadcast_seq st (fun b ->
-      incr n;
-      if !n mod 3 <> 0 then feed view b);
-  let ids = ref [] in
-  for i = 0 to 5 do
-    ids := R2c2.Stack.open_flow st ~src:(i mod 8) ~dst:((i + 3) mod 8) :: !ids
-  done;
-  (match !ids with
-  | last :: _ -> R2c2.Stack.close_flow st last
-  | [] -> assert false);
-  Alcotest.(check bool) "loss actually diverged the replica" true
-    (R2c2.View.matrix_hash view <> R2c2.Stack.matrix_hash st);
-  (* Anti-entropy: keep running digest rounds until the replica reports no
-     gaps; every gap is NACKed back as a replay of the original bytes. *)
-  let rounds = ref 0 in
-  let rec heal () =
-    incr rounds;
-    if !rounds > 10 then Alcotest.fail "view did not heal within 10 digest rounds";
-    let again = ref false in
-    List.iter
-      (fun d ->
-        match R2c2.View.observe_digest view d with
-        | R2c2.View.Gaps ranges ->
-            again := true;
-            List.iter
-              (fun (lo, hi) ->
-                for seq = lo to hi do
-                  match R2c2.Stack.replay st ~tree:d.Wire.dtree ~seq with
-                  | Some bytes -> feed view bytes
-                  | None -> Alcotest.fail "replay log evicted too early"
-                done)
-              ranges
-        | R2c2.View.Diverged -> Alcotest.fail "caught-up replica cannot hash differently"
-        | R2c2.View.Synced -> ())
-      (R2c2.Stack.emit_digests st);
-    if !again then heal ()
-  in
-  heal ();
-  Alcotest.(check bool) "hashes agree after repair" true
-    (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st);
-  Alcotest.(check (list int)) "flow sets agree"
-    (List.map (fun (id, _) -> id) (R2c2.Stack.allocations st))
-    (R2c2.View.flow_ids view);
-  Alcotest.(check bool) "repairs were charged" true (R2c2.Stack.reliability_bytes_sent st > 0);
-  Alcotest.(check bool) "replays counted" true (R2c2.Stack.event_retransmits st > 0)
-
-(* Same healing loop as above, but every NACKed gap is answered with one
-   replay_range batch instead of per-sequence replays: the batched path
-   must repair the replica identically and charge the same per-event
-   accounting as single replays would. *)
+   digest + NACK + replay loop repair it, answering every NACKed gap with
+   one replay_range batch: afterwards the replica's hash and flow set must
+   equal the authority's, even when the drop hit the last packet of the
+   stream (which no later packet could reveal), and each replayed event is
+   charged and counted once. *)
 let view_batched_repair_heals_all_loss () =
   let st, _ = mk_stack () in
   let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
@@ -423,7 +370,7 @@ let backoff_lost_final_event_repaired_within_cap () =
    stream is due in the next round and restarts its backoff. A NACK for an
    older event leaves the backoff alone. *)
 let backoff_reset_by_nack () =
-  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let config = { R2c2.Stack.trees_per_source = 1 } in
   let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
   let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
   R2c2.Stack.close_flow st f;
@@ -433,7 +380,8 @@ let backoff_reset_by_nack () =
     (R2c2.Stack.replay_range st ~tree:0 ~from_seq:0 ~to_seq:0 <> None);
   Alcotest.(check (list int)) "older event: still backing off" []
     (digest_rounds ~tree:0 (emit_rounds st 4));
-  Alcotest.(check bool) "newest event replayed" true (R2c2.Stack.replay st ~tree:0 ~seq:1 <> None);
+  Alcotest.(check bool) "newest event replayed" true
+    (R2c2.Stack.replay_range st ~tree:0 ~from_seq:1 ~to_seq:1 <> None);
   Alcotest.(check (list int)) "newest event: due at once, then backing off again" [ 1; 3 ]
     (digest_rounds ~tree:0 (emit_rounds st 4))
 
@@ -441,7 +389,7 @@ let backoff_reset_by_nack () =
    incarnation is digested in the next round even where the old one had
    backed off with the same last sequence number. *)
 let backoff_reset_by_restart () =
-  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let config = { R2c2.Stack.trees_per_source = 1 } in
   let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
   ignore (R2c2.Stack.open_flow st ~src:0 ~dst:3);
   Alcotest.(check (list int)) "backed off to the cap" [ 1; 3; 6; 11 ]
@@ -460,7 +408,7 @@ let backoff_reset_by_restart () =
    charges and backoff of one that ends at the newest sequence. *)
 let replay_range_stops_at_last_seq () =
   let mk () =
-    let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+    let config = { R2c2.Stack.trees_per_source = 1 } in
     let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
     let f = R2c2.Stack.open_flow st ~src:0 ~dst:3 in
     R2c2.Stack.close_flow st f;
@@ -512,7 +460,7 @@ let watchdog_repairs_diverged_view () =
 
 let loss_ewma_scales_headroom () =
   let st, _ = mk_stack () in
-  let base = Util.Units.to_float (R2c2.Stack.config st).R2c2.Stack.headroom in
+  let base = Util.Units.to_float Topology.headroom in
   Alcotest.(check (float 1e-9)) "starts at configured headroom" base
     (Util.Units.to_float (R2c2.Stack.effective_headroom st));
   R2c2.Stack.note_control_loss st ~sent:100 ~lost:10;
@@ -776,7 +724,7 @@ let view_hash_cache_coherent () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let n = Topology.vertex_count topo in
   let cfg = sim_cfg ~loss:0.05 ~reorder:0.05 ~dup:0.05 () in
-  let trees = Sim.R2c2_sim.trees_per_source in
+  let trees = Topology.trees_per_source in
   let t = Sim.R2c2_sim.create cfg topo in
   let eng = Sim.R2c2_sim.engine t in
   let src_of = Hashtbl.create 64 in
@@ -855,7 +803,6 @@ let suites =
       [
         tc "reliability dedups on seq under loss" reliability_dedup_under_loss;
         tc "rbcast window orders and dedups" rbcast_window_orders_and_dedups;
-        tc "view NACK repair heals all loss" view_nack_repair_heals_all_loss;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;
         tc "view ignores a stale digest" view_stale_digest_is_not_divergence;

@@ -65,7 +65,7 @@ let selector_ctx = lazy (Routing.make (Topology.torus [| 4; 4; 4 |]))
 module U = Util.Units
 
 let mk_selector ?utility () =
-  Genetic.Selector.make ?utility (Lazy.force selector_ctx) ~link_gbps:(U.gbps 10.0)
+  Genetic.Selector.make ?utility (Lazy.force selector_ctx) ~link_gbps:Topology.link_gbps
 
 let permutation_flows load seed =
   let topo = Routing.topo (Lazy.force selector_ctx) in

@@ -86,7 +86,7 @@ let pfq_beats_single_link_bound () =
   let spec =
     { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 50_000_000; weight = 1; priority = 0 }
   in
-  match Sim.Pfq_sim.run Sim.Pfq_sim.default_config topo [ spec ] with
+  match Sim.Pfq_sim.run 1 topo [ spec ] with
   | [ r ] ->
       let single_link_ns = int_of_float (float_of_int spec.size /. 1.25) in
       Alcotest.(check bool) "faster than one link" true (r.Sim.Pfq_sim.fct_ns < single_link_ns)
@@ -113,10 +113,10 @@ let stack_matches_fluid_rates () =
            Congestion.Waterfill.flow ~id:i (Routing.fractions ctx Routing.Rps ~src:s.src ~dst:s.dst))
          specs)
   in
-  let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
-  let rates =
-    Congestion.Waterfill.allocate ~headroom:(U.fraction 0.05) ~capacities wf
+  let capacities =
+    Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps)
   in
+  let rates = Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf in
   let raw_agg = 8.0 *. Array.fold_left ( +. ) 0.0 (U.floats_of rates) in
   Alcotest.(check (float 0.001)) "same aggregate" raw_agg stack_agg
 

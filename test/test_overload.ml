@@ -58,7 +58,7 @@ let admission_never_sheds_class0 () =
   Alcotest.(check bool) "class 0 always admitted" true (Ov.Admission.admits a ~priority:0)
 
 let admission_hysteresis () =
-  let a = Ov.Admission.create ~clean_epochs_to_recover:3 ~max_priority:7 () in
+  let a = Ov.Admission.create ~max_priority:7 () in
   Ov.Admission.note_epoch a ~overloaded:true;
   Ov.Admission.note_epoch a ~overloaded:true;
   Alcotest.(check int) "two classes shed" 6 (Ov.Admission.shed_floor a);
@@ -112,7 +112,7 @@ let pacer_aimd () =
 let mk_net ?queue_capacity () =
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 4; 4 |] in
-  let net = Sim.Net.create eng topo ?queue_capacity ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let net = Sim.Net.create eng topo ?queue_capacity ~link_gbps:Topology.link_gbps () in
   (eng, topo, net)
 
 let send_data net ~flow ~bytes verts =

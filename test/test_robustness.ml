@@ -136,7 +136,7 @@ let view_observe_incarnation () =
    replica NACK sequences the new life never sent, a gap no repair
    closes. *)
 let view_ignores_stale_digest () =
-  let config = { R2c2.Stack.default_config with R2c2.Stack.trees_per_source = 1 } in
+  let config = { R2c2.Stack.trees_per_source = 1 } in
   let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 4; 4 |]) in
   let view = R2c2.View.create ~trees:1 () in
   R2c2.Stack.on_broadcast_seq st (fun b -> feed view b);

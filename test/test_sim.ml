@@ -208,7 +208,7 @@ let qcheck_engine_backends_agree =
 let mk_net ?queue_capacity () =
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 4; 4 |] in
-  let net = Sim.Net.create eng topo ?queue_capacity ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let net = Sim.Net.create eng topo ?queue_capacity ~link_gbps:Topology.link_gbps () in
   (eng, topo, net)
 
 (* One-shot send through the handle API: intern the route, send, drop the
@@ -376,7 +376,7 @@ let sampled_route_zero_alloc proto () =
      per-length free lists are warm, a packet's route allocates nothing. *)
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 8; 8; 8 |] in
-  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let net = Sim.Net.create eng topo ~link_gbps:Topology.link_gbps () in
   let rctx = Routing.make topo in
   let rng = Util.Rng.create 7 in
   let draw n =
@@ -407,7 +407,7 @@ let net_broadcast_replication_zero_alloc () =
      hashtable probe, child list, closure or link option per hop. *)
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 4; 4; 4 |] in
-  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+  let net = Sim.Net.create eng topo ~link_gbps:Topology.link_gbps () in
   let b = Broadcast.make topo in
   Sim.Net.set_broadcast net b;
   let flood () =
@@ -505,7 +505,7 @@ let net_flood_each_tree_once () =
     (Array.for_all (fun n -> n > 0) kinds);
   let flood ~dup =
     let eng = Sim.Engine.create () in
-    let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 10.0) ~hop_latency_ns:100 () in
+    let net = Sim.Net.create eng topo ~link_gbps:Topology.link_gbps () in
     Sim.Net.set_broadcast net b;
     if dup > 0.0 then
       Sim.Net.set_control_chaos net ~seed:5 ~loss:U.zero ~reorder:U.zero ~dup:(U.fraction dup);
@@ -558,7 +558,7 @@ let net_many_streams_zero_alloc () =
   let streams = 512 and window = 32 and warmup = 10 and measured = 100 in
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 8; 8; 8 |] in
-  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 100.0) ~hop_latency_ns:100 () in
+  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 100.0) () in
   let routes =
     Array.init streams (fun s ->
         Sim.Net.intern_route net [| s; s - (s mod 8) + (((s mod 8) + 1) mod 8) |])
@@ -1042,7 +1042,7 @@ let tcp_single_path_per_flow () =
 let pfq_completes_all () =
   let topo = Topology.torus [| 4; 4 |] in
   let specs = default_specs topo (Util.Rng.create 17) 150 1_000.0 in
-  let results = Sim.Pfq_sim.run Sim.Pfq_sim.default_config topo specs in
+  let results = Sim.Pfq_sim.run 1 topo specs in
   Alcotest.(check int) "all flows complete" 150 (List.length results);
   List.iter
     (fun (r : Sim.Pfq_sim.flow_result) ->
@@ -1057,7 +1057,7 @@ let pfq_single_flow_multipath_beats_line_rate () =
   let specs =
     [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 10_000_000; weight = 1; priority = 0 } ]
   in
-  let results = Sim.Pfq_sim.run Sim.Pfq_sim.default_config topo specs in
+  let results = Sim.Pfq_sim.run 1 topo specs in
   match results with
   | [ r ] ->
       let t = U.to_float r.throughput_gbps in
@@ -1069,7 +1069,7 @@ let pfq_mean_fct_not_worse_than_r2c2 () =
      must not exceed R2C2's by any meaningful margin. *)
   let topo = Topology.torus [| 4; 4 |] in
   let specs = default_specs topo (Util.Rng.create 19) 200 1_000.0 in
-  let pfq = Sim.Pfq_sim.run Sim.Pfq_sim.default_config topo specs in
+  let pfq = Sim.Pfq_sim.run 1 topo specs in
   let r2c2 = Sim.R2c2_sim.run Sim.R2c2_sim.default_config topo specs in
   let pfq_mean =
     Util.Stats.mean
@@ -1088,7 +1088,7 @@ let pfq_identical_flows_fair () =
      equally. *)
   let topo = Topology.torus [| 4; 4 |] in
   let mk src = { Workload.Flowgen.arrival_ns = 0; src; dst = 0; size = 10_000_000; weight = 1; priority = 0 } in
-  let results = Sim.Pfq_sim.run Sim.Pfq_sim.default_config topo [ mk 2; mk 8 ] in
+  let results = Sim.Pfq_sim.run 1 topo [ mk 2; mk 8 ] in
   match results with
   | [ a; b ] ->
       let ta = U.to_float a.Sim.Pfq_sim.throughput_gbps
@@ -1102,7 +1102,7 @@ let pfq_until_cuts_off () =
   let specs =
     [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 100_000_000; weight = 1; priority = 0 } ]
   in
-  let results = Sim.Pfq_sim.run ~until_ns:1_000 Sim.Pfq_sim.default_config topo specs in
+  let results = Sim.Pfq_sim.run ~until_ns:1_000 1 topo specs in
   Alcotest.(check int) "giant flow not done in 1 us" 0 (List.length results)
 
 (* -- reliability --------------------------------------------------------------- *)

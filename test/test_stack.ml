@@ -26,6 +26,36 @@ let open_flow_validation () =
   Alcotest.check_raises "out of range" (Invalid_argument "Stack.open_flow: host out of range")
     (fun () -> ignore (R2c2.Stack.open_flow st ~src:0 ~dst:99))
 
+(* The broadcast carries weight and priority in 8-bit fields. A value it
+   cannot carry is refused before the flow touches any state: no ghost
+   flow in the table or the allocator, so later flows get exactly a fresh
+   stack's rates, and [try_open_flow] raises before it counts a shed. *)
+let open_flow_refuses_unencodable_class () =
+  let st = mk () in
+  let hash = R2c2.Stack.matrix_hash st in
+  Alcotest.check_raises "negative priority"
+    (Invalid_argument "Stack.open_flow: priority outside 0..255") (fun () ->
+      ignore (R2c2.Stack.open_flow ~priority:(-1) st ~src:0 ~dst:5));
+  Alcotest.check_raises "weight wider than 8 bits"
+    (Invalid_argument "Stack.open_flow: weight outside 1..255") (fun () ->
+      ignore (R2c2.Stack.open_flow ~weight:1000 st ~src:0 ~dst:5));
+  Alcotest.(check int) "no flow left behind" 0 (List.length (R2c2.Stack.allocations st));
+  Alcotest.(check bool) "matrix hash unchanged" true (R2c2.Stack.matrix_hash st = hash);
+  let two_flows s =
+    let a = R2c2.Stack.open_flow s ~src:1 ~dst:6 in
+    let b = R2c2.Stack.open_flow s ~src:2 ~dst:6 in
+    R2c2.Stack.recompute s;
+    (rate s a, rate s b)
+  in
+  Alcotest.(check (pair (float 1e-9) (float 1e-9)))
+    "later flows get a fresh stack's rates" (two_flows (mk ())) (two_flows st);
+  R2c2.Stack.note_epoch_load st ~overloaded:true;
+  Alcotest.(check bool) "class 7 is shed" false (R2c2.Stack.admits st ~priority:7);
+  Alcotest.check_raises "try_open_flow checks first"
+    (Invalid_argument "Stack.open_flow: weight outside 1..255") (fun () ->
+      ignore (R2c2.Stack.try_open_flow ~weight:1000 ~priority:7 st ~src:0 ~dst:5));
+  Alcotest.(check int) "no shed counted" 0 (R2c2.Stack.shed_flows st)
+
 let broadcasts_observable () =
   let st = mk () in
   let events = ref [] in
@@ -130,13 +160,15 @@ let sample_packet_route_valid () =
   Alcotest.(check int) "starts at src" 0 path.(0);
   Alcotest.(check int) "ends at dst" 5 path.(Array.length path - 1)
 
+(* On an intact topology [notify_failure] drops nothing and re-announces
+   every open flow. *)
 let failure_reannounces_flows () =
   let st = mk () in
   let _ = R2c2.Stack.open_flow st ~src:0 ~dst:5 in
   let _ = R2c2.Stack.open_flow st ~src:1 ~dst:6 in
   let count = ref 0 in
   R2c2.Stack.on_broadcast st (fun b -> if b.Wire.event = Wire.Flow_start then incr count);
-  R2c2.Stack.handle_failure st;
+  ignore (R2c2.Stack.notify_failure st);
   Alcotest.(check int) "every open flow re-broadcast" 2 !count
 
 (* Regression: a failure re-announce must also re-emit the demand state, or
@@ -158,7 +190,7 @@ let failure_reemits_demand () =
       | Wire.Demand_update -> demand_updates := (b.Wire.bsrc, b.Wire.demand_kbps) :: !demand_updates
       | Wire.Flow_start -> incr starts
       | Wire.Flow_finish | Wire.Route_change -> ());
-  R2c2.Stack.handle_failure st;
+  ignore (R2c2.Stack.notify_failure st);
   Alcotest.(check int) "every open flow re-broadcast" 3 !starts;
   Alcotest.(check int) "demand re-emitted for declared + estimated flows" 2
     (List.length !demand_updates);
@@ -228,7 +260,7 @@ let policy_tenant_weights () =
       ignore (R2c2.Policy.tenant_share ~weight:256))
 
 let policy_deadline_bands () =
-  let link_gbps = U.gbps 10.0 in
+  let link_gbps = Topology.link_gbps in
   (* 1 MB in 1 ms needs 8 Gbps: most urgent band. *)
   let urgent = R2c2.Policy.deadline ~size_bytes:1_000_000 ~deadline_ns:1_000_000 ~link_gbps in
   Alcotest.(check int) "urgent band" 0 urgent.R2c2.Policy.priority;
@@ -240,7 +272,7 @@ let policy_deadline_bands () =
 
 let policy_deadline_monotone () =
   (* Tighter deadlines never get a lower-urgency band. *)
-  let link_gbps = U.gbps 10.0 in
+  let link_gbps = Topology.link_gbps in
   let prev = ref max_int in
   List.iter
     (fun dl ->
@@ -254,7 +286,7 @@ let policy_end_to_end_deadline () =
   (* An urgent flow mapped through the policy module preempts background
      bulk on the same bottleneck and meets its deadline. *)
   let st = mk () in
-  let link_gbps = (R2c2.Stack.config st).R2c2.Stack.link_gbps in
+  let link_gbps = Topology.link_gbps in
   let urgent_d = R2c2.Policy.deadline ~size_bytes:1_000_000 ~deadline_ns:1_200_000 ~link_gbps in
   let urgent =
     R2c2.Stack.open_flow ~weight:urgent_d.R2c2.Policy.weight
@@ -292,6 +324,7 @@ let suites =
       [
         tc "open/close lifecycle" open_close_lifecycle;
         tc "open_flow validation" open_flow_validation;
+        tc "open_flow refuses an unencodable class" open_flow_refuses_unencodable_class;
         tc "broadcasts observable and well-formed" broadcasts_observable;
         tc "set_protocol idempotent" set_protocol_idempotent;
         tc "control bytes accounting" control_bytes_accounting;

@@ -66,7 +66,7 @@ let release_kind = function
    pure operators a handle can flow through as a plain int. *)
 let borrow_names =
   [
-    "retain_route"; "retain"; "get"; "set"; "slen"; "sget"; "fget"; "fset";
+    "retain"; "get"; "set"; "slen"; "sget"; "fget"; "fset";
     "length"; "is_live"; "base"; "width"; "live"; "capacity"; "high_water";
     "ignore"; "min"; "max"; "succ"; "pred"; "abs"; "not";
     "printf"; "eprintf"; "fprintf"; "sprintf";
