@@ -244,7 +244,7 @@ type transport_runs = {
   r2c2_q : int array;
   tcp_m : Sim.Metrics.t;
   tcp_q : int array;
-  pfq : Sim.Pfq_sim.flow_result list;
+  pfq : Emu.Fluid.flow_result list;
 }
 
 let run_transports ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(tau_ns = 1_000.0) ?(seed = 21)
@@ -253,21 +253,21 @@ let run_transports ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(tau_ns = 1_000.0) ?(
   let rng = Util.Rng.create seed in
   let specs = Workload.Flowgen.poisson_pareto topo rng ~flows ~mean_interarrival_ns:tau_ns in
   let r2c2 = Sim.R2c2_sim.run { Sim.R2c2_sim.default_config with seed; headroom } topo specs in
-  let tcp = Sim.Tcp_sim.run { Sim.Tcp_sim.default_config with seed } topo specs in
-  let pfq = Sim.Pfq_sim.run seed topo specs in
+  let tcp = Sim.Tcp_sim.run Sim.Tcp_sim.default_config topo specs in
+  let pfq = Emu.Fluid.run_pfq seed topo specs in
   ( specs,
     {
       r2c2_m = r2c2.Sim.R2c2_sim.metrics;
       r2c2_q = r2c2.Sim.R2c2_sim.max_queue;
       tcp_m = tcp.Sim.Tcp_sim.metrics;
       tcp_q = tcp.Sim.Tcp_sim.max_queue;
-      pfq;
+      pfq = pfq.Emu.Fluid.flows;
     } )
 
 let pfq_fcts_us ?(min_size = 0) ?(max_size = max_int) pfq =
   Array.of_list
     (List.filter_map
-       (fun (r : Sim.Pfq_sim.flow_result) ->
+       (fun (r : Emu.Fluid.flow_result) ->
          let sz = r.spec.Workload.Flowgen.size in
          if sz >= min_size && sz < max_size then Some (float_of_int r.fct_ns /. 1000.0) else None)
        pfq)
@@ -275,9 +275,9 @@ let pfq_fcts_us ?(min_size = 0) ?(max_size = max_int) pfq =
 let pfq_tputs ?(min_size = 0) ?(max_size = max_int) pfq =
   Array.of_list
     (List.filter_map
-       (fun (r : Sim.Pfq_sim.flow_result) ->
+       (fun (r : Emu.Fluid.flow_result) ->
          let sz = r.spec.Workload.Flowgen.size in
-         if sz >= min_size && sz < max_size then Some (U.to_float r.throughput_gbps) else None)
+         if sz >= min_size && sz < max_size then Some (U.to_float r.avg_rate_gbps) else None)
        pfq)
 
 let pp_cdf3 unit a b c =

@@ -46,7 +46,6 @@ let run_case ~quick ~protect ~p999_bound_ns ~name =
       queue_low_watermark = 6_000;
       overload_control = protect;
       slos = [ (0, slo_ns) ];
-      class_reserve = Util.Units.fraction (if protect then 0.2 else 0.0);
       seed = 42;
     }
   in

@@ -143,6 +143,16 @@ let report_queues q =
   Format.printf "  max queue        : median %.1f KB, p99 %.1f KB@."
     (Util.Stats.percentile kb 50.0) (Util.Stats.percentile kb 99.0)
 
+let report_fluid total (res : Emu.Fluid.result) =
+  Format.printf "  completed        : %d / %d flows@." (List.length res.flows) total;
+  pp_band "all  "
+    (Array.of_list
+       (List.map (fun (r : Emu.Fluid.flow_result) -> float_of_int r.fct_ns /. 1000.0) res.flows))
+    (Array.of_list
+       (List.map
+          (fun (r : Emu.Fluid.flow_result) -> Util.Units.to_float r.avg_rate_gbps)
+          res.flows))
+
 let simulate_cmd =
   let run dims mesh fb clos transport flows tau_us size seed headroom rho_us per_node reselect
       trace_file =
@@ -188,23 +198,12 @@ let simulate_cmd =
           Format.printf "  reselections     : %d rounds, %d flows rerouted@."
             res.Sim.R2c2_sim.reselections res.Sim.R2c2_sim.flows_rerouted
     | Tcp ->
-        let res = Sim.Tcp_sim.run { Sim.Tcp_sim.default_config with seed } t specs in
+        let res = Sim.Tcp_sim.run Sim.Tcp_sim.default_config t specs in
         report_metrics total res.Sim.Tcp_sim.metrics;
         report_queues res.Sim.Tcp_sim.max_queue;
         Format.printf "  drops / retx     : %d / %d@." res.Sim.Tcp_sim.drops
           res.Sim.Tcp_sim.retransmits
-    | Pfq ->
-        let results = Sim.Pfq_sim.run seed t specs in
-        Format.printf "  completed        : %d / %d flows@." (List.length results) total;
-        let fcts =
-          Array.of_list
-            (List.map (fun (r : Sim.Pfq_sim.flow_result) -> float_of_int r.fct_ns /. 1000.0) results)
-        in
-        pp_band "all  " fcts
-          (Array.of_list
-             (List.map
-                (fun (r : Sim.Pfq_sim.flow_result) -> Util.Units.to_float r.throughput_gbps)
-                results))
+    | Pfq -> report_fluid total (Emu.Fluid.run_pfq seed t specs)
     | Fluid ->
         let cfg =
           {
@@ -214,20 +213,7 @@ let simulate_cmd =
             recompute_interval_ns = int_of_float (rho_us *. 1000.0);
           }
         in
-        let res = Emu.Fluid.run cfg t specs in
-        Format.printf "  completed        : %d / %d flows@." (List.length res.Emu.Fluid.flows)
-          total;
-        let fcts =
-          Array.of_list
-            (List.map
-               (fun (r : Emu.Fluid.flow_result) -> float_of_int r.fct_ns /. 1000.0)
-               res.Emu.Fluid.flows)
-        in
-        pp_band "all  " fcts
-          (Array.of_list
-             (List.map
-                (fun (r : Emu.Fluid.flow_result) -> Util.Units.to_float r.avg_rate_gbps)
-                res.Emu.Fluid.flows)))
+        report_fluid total (Emu.Fluid.run cfg t specs))
   in
   let transport_arg =
     Arg.(value & opt transport_conv R2c2 & info [ "transport" ] ~docv:"T" ~doc:"r2c2, tcp, pfq or fluid.")

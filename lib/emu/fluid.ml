@@ -27,20 +27,24 @@ type result = {
   recomputes : int;
 }
 
+(* A flow is one or more sub-flows, each water-filled on its own: an R2C2
+   flow has one, over its routing fractions; a PFQ flow has one per path. *)
 type fstate = {
-  idx : int;
   spec : Workload.Flowgen.spec;
-  wf : Congestion.Waterfill.flow;
+  subs : Congestion.Waterfill.flow array;
+  sub_rates : float array;  (** bytes/ns of each sub-flow *)
   pipe_ns : int;
   mutable remaining : float;
-  mutable rate : float;  (** bytes/ns *)
+  mutable rate : float;  (** bytes/ns, the sum of [sub_rates] *)
   mutable scheduled : bool;  (** has been through a recompute epoch *)
 }
 
-let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
-  let rctx = Routing.make topo in
-  let cap = U.to_float (U.byte_rate_of_gbps cfg.link_gbps) in
-  let link_gbps_f = U.to_float cfg.link_gbps in
+(* The event loop both entry points run: [shape idx spec] gives an arriving
+   flow's sub-flows, and [interval_ns] = 0 recomputes on every flow event. *)
+let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
+  let cap = U.to_float (U.byte_rate_of_gbps link_gbps) in
+  let link_gbps_f = U.to_float link_gbps in
+  let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
   let nl = Topology.link_count topo in
   let capacities : U.byte_rate array = U.of_floats (Array.make nl cap) in
   let arrivals =
@@ -54,8 +58,8 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
   let now = ref 0 in
   let horizon = Option.value ~default:max_int until_ns in
   let recomputes = ref 0 in
-  let every_event = cfg.recompute_interval_ns = 0 in
-  let next_epoch = ref (if every_event then max_int else cfg.recompute_interval_ns) in
+  let every_event = interval_ns = 0 in
+  let next_epoch = ref (if every_event then max_int else interval_ns) in
   (* Per-link fluid load (bytes/ns), queue estimate and its peak. *)
   let load = Array.make nl 0.0 in
   let queue = Array.make nl 0.0 in
@@ -65,9 +69,13 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
     Array.fill load 0 nl 0.0;
     List.iter
       (fun st ->
-        Array.iter
-          (fun (l, frac) -> load.(l) <- load.(l) +. (st.rate *. frac))
-          (U.pairs_to_floats st.wf.Congestion.Waterfill.links))
+        Array.iteri
+          (fun j (wf : Congestion.Waterfill.flow) ->
+            let r = st.sub_rates.(j) in
+            Array.iter
+              (fun (l, frac) -> load.(l) <- load.(l) +. (r *. frac))
+              (U.pairs_to_floats wf.links))
+          st.subs)
       !active
   in
 
@@ -77,34 +85,34 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
     (match eligible with
     | [] -> ()
     | _ ->
-        let arr = Array.of_list eligible in
-        let wf = Array.map (fun st -> st.wf) arr in
-        let rates =
-          U.floats_of (Congestion.Waterfill.allocate ~headroom:cfg.headroom ~capacities wf)
-        in
-        Array.iteri (fun i st -> st.rate <- Float.max 1e-9 rates.(i)) arr);
+        let wf = Array.concat (List.map (fun st -> st.subs) eligible) in
+        let rates = U.floats_of (Congestion.Waterfill.allocate ~headroom ~capacities wf) in
+        let k = ref 0 in
+        List.iter
+          (fun st ->
+            let n = Array.length st.sub_rates in
+            for j = 0 to n - 1 do
+              st.sub_rates.(j) <- Float.max 1e-9 rates.(!k + j)
+            done;
+            k := !k + n;
+            (* Summed from the last sub-flow to the first, the order the
+               pinned PFQ results were computed in. *)
+            st.rate <- Array.fold_right (fun r sum -> sum +. r) st.sub_rates 0.0)
+          eligible);
     refresh_load ()
   in
 
-  let admit idx spec =
-    let open Workload.Flowgen in
-    let proto = protocol_of idx spec in
-    let links = Routing.fractions rctx proto ~src:spec.src ~dst:spec.dst in
-    let wf =
-      Congestion.Waterfill.flow
-        ~weight:(float_of_int (max 1 spec.weight))
-        ~priority:spec.priority ~id:idx links
-    in
-    let hops = Topology.distance topo spec.src spec.dst in
-    let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
+  let admit idx (spec : Workload.Flowgen.spec) =
+    let subs = shape idx spec in
+    let n = Array.length subs in
     let st =
       {
-        idx;
         spec;
-        wf;
-        pipe_ns = hops * (tx + Topology.hop_latency_ns);
-        remaining = float_of_int spec.size;
+        subs;
         (* Unscheduled flows transmit at line rate into the headroom. *)
+        sub_rates = Array.make n (cap /. float_of_int n);
+        pipe_ns = Topology.distance topo spec.src spec.dst * (tx + Topology.hop_latency_ns);
+        remaining = float_of_int spec.size;
         rate = cap;
         scheduled = false;
       }
@@ -171,7 +179,7 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
       else begin
         if !now >= !next_epoch then begin
           while !next_epoch <= !now do
-            next_epoch := !next_epoch + cfg.recompute_interval_ns
+            next_epoch := !next_epoch + interval_ns
           done;
           List.iter (fun st -> st.scheduled <- true) !active;
           recompute ~all:false
@@ -184,6 +192,31 @@ let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
     end
   done;
   { flows = List.rev !finished; max_queue_bytes = U.of_floats max_queue; recomputes = !recomputes }
+
+let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
+  let rctx = Routing.make topo in
+  engine ~link_gbps:cfg.link_gbps ~headroom:cfg.headroom ~interval_ns:cfg.recompute_interval_ns
+    ?until_ns topo specs ~shape:(fun idx (spec : Workload.Flowgen.spec) ->
+      [|
+        Congestion.Waterfill.flow
+          ~weight:(float_of_int (max 1 spec.weight))
+          ~priority:spec.priority ~id:idx
+          (Routing.fractions rctx (protocol_of idx spec) ~src:spec.src ~dst:spec.dst);
+      |])
+
+(* Distinct shortest paths a PFQ flow spreads over. *)
+let pfq_paths = 8
+
+let run_pfq ?until_ns seed topo specs =
+  let rctx = Routing.make topo in
+  let rng = Util.Rng.create seed in
+  engine ~link_gbps:Topology.link_gbps ~headroom:(U.fraction 0.0) ~interval_ns:0 ?until_ns topo
+    specs ~shape:(fun idx (spec : Workload.Flowgen.spec) ->
+      Routing.sample_paths_distinct rctx rng ~k:pfq_paths ~src:spec.src ~dst:spec.dst
+      |> List.map (fun p ->
+             Congestion.Waterfill.flow ~id:idx
+               (Array.map (fun l -> (l, U.fraction 1.0)) (Routing.path_links rctx p)))
+      |> Array.of_list)
 
 let rate_error ?protocol_of ?min_lifetime_ns cfg topo specs ~rho_ns =
   let min_lifetime_ns = Option.value ~default:rho_ns min_lifetime_ns in

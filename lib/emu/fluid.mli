@@ -1,4 +1,4 @@
-(** Flow-level fluid emulation of the R2C2 stack.
+(** Flow-level fluid emulation: the repository's one fluid engine.
 
     This is the repository's stand-in for the paper's Maze rack-emulation
     platform (§4.1): an independent second engine that runs the same
@@ -6,11 +6,15 @@
     recomputation, line-rate transmission of not-yet-scheduled flows — but
     integrates flow progress as a fluid instead of moving packets. The
     packet simulator and this emulator are cross-validated against each
-    other (paper Fig. 7).
+    other (paper Fig. 7). The same event loop also computes the idealized
+    per-flow-queue bound (paper §5.2, "PFQ"): see {!run_pfq}.
 
-    Per-link queue depth is estimated by integrating over-subscription:
-    while the fluid load on a link exceeds its capacity the queue grows at
-    the difference, and drains at the spare capacity otherwise. *)
+    A flow is one or more sub-flows that water-fill independently, and its
+    rate is their sum: an R2C2 flow has one sub-flow over its
+    {!Routing.fractions}, a PFQ flow one per path. Per-link queue depth is
+    estimated by integrating over-subscription: while the fluid load on a
+    link exceeds its capacity the queue grows at the difference, and drains
+    at the spare capacity otherwise. *)
 
 type config = {
   link_gbps : Util.Units.gbps;
@@ -44,6 +48,18 @@ val run :
   Topology.t ->
   Workload.Flowgen.spec list ->
   result
+
+val run_pfq : ?until_ns:int -> int -> Topology.t -> Workload.Flowgen.spec list -> result
+(** The paper's idealized per-flow-queue upper bound (§5.2, "PFQ"):
+    per-flow queues with back-pressure at every node, which no real rack
+    node could afford. [run_pfq seed topo specs] spreads each flow over up
+    to 8 distinct shortest paths drawn with [seed], one weight-1 sub-flow
+    per path whose rates fill independently — exactly the freedom that
+    per-flow queuing buys. Rates are recomputed on every flow event, with
+    zero headroom, zero control delay and the {!Topology} link speed.
+    Completion times include the store-and-forward pipeline latency of the
+    flow's path, as in {!run}. Results for flows that complete before
+    [until_ns] (default: all). *)
 
 val rate_error :
   ?protocol_of:(int -> Workload.Flowgen.spec -> Routing.protocol) ->

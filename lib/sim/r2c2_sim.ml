@@ -30,9 +30,6 @@ type config = {
       (** master switch for admission shedding and PAUSE backpressure *)
   slos : (int * int) list;
       (** (priority class, FCT bound ns) promises fed to {!Metrics.set_slo} *)
-  class_reserve : U.fraction;
-      (** link-capacity fraction withheld from classes >= [reserve_priority];
-          0 = off *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] is the production O(1)
           wheel, [Binary_heap] the reference for differential tests *)
@@ -42,16 +39,20 @@ type config = {
 (* Protocol constants: every caller runs with the same value, so they are
    not config fields. *)
 
-(* The lowest priority class the waterfill class reserve withholds
-   capacity from. *)
+(* Under overload control the waterfill withholds [class_reserve] of every
+   link's capacity from classes >= [reserve_priority]. *)
+let class_reserve = U.fraction 0.2
 let reserve_priority = 1
 
-(* Per-packet retransmission: the timeout multiplies by [rtx_backoff] per
-   attempt up to [rtx_cap_ns]; a packet re-sent [rtx_max_retries] times
-   aborts its flow. *)
-let rtx_backoff = 2.0
+(* Per-packet retransmission: the timeout doubles per attempt up to
+   [rtx_cap_ns]; a packet re-sent [rtx_max_retries] times aborts its
+   flow. *)
 let rtx_cap_ns = 1_000_000
 let rtx_max_retries = 30
+
+let rtx_timeout_ns cfg ~attempt =
+  let t = float_of_int cfg.rtx_timeout_ns *. (2.0 ** float_of_int attempt) in
+  min rtx_cap_ns (int_of_float (Float.min t 1e18))
 
 (* Gap detection -> NACK send delay (and between retries). *)
 let nack_delay_ns = 20_000
@@ -104,7 +105,6 @@ let default_config =
     queue_low_watermark = 0;
     overload_control = false;
     slos = [];
-    class_reserve = U.fraction 0.0;
     engine_backend = Engine.Calendar;
     seed = 1;
   }
@@ -220,9 +220,6 @@ type hstate = {
 
 type t = {
   cfg : config;
-  rel_cfg : Reliability.config;
-      (** derived from [cfg] once; building it per retransmission timer
-          allocated a record on the packet-loss path *)
   topo : Topology.t;
   eng : Engine.t;
   net : Net.t;
@@ -951,15 +948,6 @@ let ensure_loop t =
 
 (* -- fault injection and recovery (§3.2) ----------------------------------- *)
 
-let rcfg cfg =
-  {
-    Reliability.packets = 1;
-    rtx_timeout_ns = cfg.rtx_timeout_ns;
-    max_retries = rtx_max_retries;
-    rtx_backoff;
-    rtx_cap_ns;
-  }
-
 let flow_complete t idx = Metrics.complete t.mtrcs (Metrics.find t.mtrcs idx)
 
 (* Dead-endpoint flows cannot recover; they are dropped from the rack state
@@ -984,7 +972,7 @@ let abort_flow t st =
 
 (* The simulator plays the receiver's ARQ with global knowledge: a lost Data
    packet re-arms a per-sequence retransmission timer under the
-   {!Reliability} backoff discipline and is re-sent — same sequence number,
+   [rtx_timeout_ns] backoff and is re-sent — same sequence number,
    freshly sampled path — once it fires. Until the failure is detected the
    fresh path may cross the same dead cable; the backoff rides out exactly
    that window. *)
@@ -994,7 +982,7 @@ let rec arm_retransmit t st ~seq ~bytes ~last =
   else begin
     Hashtbl.replace st.rtx seq (n + 1);
     Engine.after t.eng
-      (Reliability.timeout_ns t.rel_cfg ~attempt:n)
+      (rtx_timeout_ns t.cfg ~attempt:n)
       (fun () -> retransmit t st ~seq ~bytes ~last)
   end
 
@@ -1354,7 +1342,6 @@ let create cfg topo =
   let t =
     {
       cfg;
-      rel_cfg = rcfg cfg;
       topo;
       eng;
       net;
@@ -1450,11 +1437,11 @@ let create cfg topo =
     Net.set_queue_watermarks net ~high:cfg.queue_high_watermark
       ~low:cfg.queue_low_watermark;
   List.iter (fun (priority, bound_ns) -> Metrics.set_slo t.mtrcs ~priority ~bound_ns) cfg.slos;
-  (if U.compare_q cfg.class_reserve U.zero > 0 then
+  (if cfg.overload_control then
      match t.galloc with
      | Some inc ->
          Congestion.Waterfill.Inc.set_class_reserve inc ~priority:reserve_priority
-           ~reserve:cfg.class_reserve
+           ~reserve:class_reserve
      | None -> ());
   (* Broadcast copies arriving anywhere bump the receipt counter; once all
      other vertices have a copy, the flow is globally visible. Per-node
@@ -1604,6 +1591,9 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
     t ~src ~dst ~size =
   if src = dst then invalid_arg "R2c2_sim: flow with src = dst";
   if size <= 0 then invalid_arg "R2c2_sim: non-positive flow size";
+  (* The start broadcast carries weight and priority in one byte each. *)
+  if weight < 1 || weight > 255 then invalid_arg "R2c2_sim: weight outside 1..255";
+  if priority < 0 || priority > 255 then invalid_arg "R2c2_sim: priority outside 0..255";
   let shed =
     match t.admission with
     | Some adm -> not (Congestion.Overload.Admission.admits adm ~priority)
@@ -1629,7 +1619,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
       src;
       dst;
       proto = protocol;
-      weight = float_of_int (max 1 weight);
+      weight = float_of_int weight;
       priority;
       wf_links = Routing.fractions t.rctx protocol ~src ~dst;
       (* Gbps from the caller, wire bytes/ns internally. *)

@@ -60,21 +60,19 @@ type config = {
   queue_low_watermark : int;
       (** hysteresis: the flag clears only once the queue drains to this *)
   overload_control : bool;
-      (** master switch for strict-priority admission shedding and PAUSE
-          backpressure; needs [queue_high_watermark] to be armed to ever
-          see an overloaded epoch. Its constants: a congested receiver
-          emits at most one PAUSE per 50 µs; backpressure covers classes
-          numerically >= 1, so class 0 is never paced; each PAUSE level
-          halves the pacing scale, floored at 0.05, and each clean epoch
-          adds 0.1 back; the shed floor re-admits one class after 3
-          consecutive clean epochs *)
+      (** master switch for strict-priority admission shedding, PAUSE
+          backpressure and the waterfill class reserve; needs
+          [queue_high_watermark] to be armed to ever see an overloaded
+          epoch. Its constants: a congested receiver emits at most one
+          PAUSE per 50 µs; backpressure covers classes numerically >= 1,
+          so class 0 is never paced; each PAUSE level halves the pacing
+          scale, floored at 0.05, and each clean epoch adds 0.1 back; the
+          shed floor re-admits one class after 3 consecutive clean epochs;
+          the waterfill withholds 20% of every link's capacity from
+          classes numerically >= 1 *)
   slos : (int * int) list;
       (** per-class SLO promises [(priority, fct_bound_ns)], installed into
           {!Metrics.set_slo} at {!create} *)
-  class_reserve : Util.Units.fraction;
-      (** waterfill per-class headroom reservation: the link-capacity
-          fraction withheld from classes numerically >= 1, [0, 1);
-          0 (the default) disables the reservation *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] (the default) is the O(1)
           wheel, [Binary_heap] the reference queue kept for differential
@@ -216,7 +214,10 @@ val start_flow :
 (** Open a flow {e at the current simulation time}: broadcasts the start
     event and begins transmitting immediately (§3.3.2). [demand_gbps]
     marks a host-limited flow; [on_complete] fires (with the flow id) when
-    the last byte is delivered. Returns the flow id. *)
+    the last byte is delivered. Returns the flow id. Raises
+    [Invalid_argument] for [src = dst], a non-positive [size], a [weight]
+    outside 1..255 or a [priority] outside 0..255 (the range the start
+    broadcast carries); a refused call consumes no flow id. *)
 
 val run_engine : ?until_ns:int -> t -> unit
 (** Process events until the rack goes idle (or [until_ns]). Can be called
@@ -231,7 +232,8 @@ val run_engine : ?until_ns:int -> t -> unit
     with a dead endpoint are aborted, survivors are re-pathed onto the
     surviving graph and re-announced, and the next rate epoch reconverges
     the allocations. Lost packets are recovered by per-packet
-    retransmission under the {!Reliability} backoff discipline. *)
+    retransmission: the [rtx_timeout_ns] timer doubles per retransmission
+    of the same packet up to 1 ms. *)
 
 val fail_link_at : t -> ns:int -> int -> int -> unit
 (** [fail_link_at t ~ns u v]: the cable between adjacent vertices [u] and

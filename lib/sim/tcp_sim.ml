@@ -1,9 +1,6 @@
-type config = {
-  queue_capacity : int;
-  seed : int;
-}
+type config = { queue_capacity : int }
 
-let default_config = { queue_capacity = 64 * 1024; seed = 1 }
+let default_config = { queue_capacity = 64 * 1024 }
 
 (* Initial congestion window in packets; minimum retransmission timeout. *)
 let init_cwnd = 10.0
@@ -93,7 +90,6 @@ let run ?until_ns cfg topo specs =
     st.rto_gen <- st.rto_gen + 1;
     st.rto_armed <- true;
     let gen = st.rto_gen in
-    if st.rto < 0 then Printf.eprintf "NEG RTO %d srtt=%f rttvar=%f\n" st.rto st.srtt st.rttvar;
     Engine.after eng st.rto (fun () ->
         if gen = st.rto_gen && st.rto_armed && not st.finished then on_rto st)
 

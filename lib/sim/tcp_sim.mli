@@ -6,10 +6,7 @@
     path; receivers send cumulative ACKs along the reverse path. Output
     queues are finite and tail-drop, which is TCP's congestion signal. *)
 
-type config = {
-  queue_capacity : int;  (** bytes per output queue *)
-  seed : int;
-}
+type config = { queue_capacity : int  (** bytes per output queue *) }
 
 val default_config : config
 (** 64 KB queues. Fixed for every run: the {!Topology} rack constants

@@ -6,31 +6,6 @@
 
 let tc name f = Alcotest.test_case name `Quick f
 
-(* -- Reliability (data plane) dedups on sequence number -------------------- *)
-
-(* A retransmission racing a lost ACK delivers the same packet twice; the
-   receiver's per-seq record must absorb it so the delivered count equals
-   the packet count exactly — never more. *)
-let reliability_dedup_under_loss () =
-  let cfg =
-    {
-      Sim.Reliability.packets = 200;
-      rtx_timeout_ns = 10_000;
-      max_retries = 50;
-      rtx_backoff = 2.0;
-      rtx_cap_ns = 200_000;
-    }
-  in
-  let s =
-    Sim.Reliability.run_over_lossy_channel ~seed:3 ~loss:(Util.Units.fraction 0.3) cfg
-      ~rtt_ns:2_000
-  in
-  Alcotest.(check bool) "completed" true s.Sim.Reliability.completed;
-  Alcotest.(check int) "each packet delivered exactly once" cfg.Sim.Reliability.packets
-    s.Sim.Reliability.delivered;
-  Alcotest.(check bool) "retransmissions happened" true
-    (s.Sim.Reliability.transmissions > cfg.Sim.Reliability.packets)
-
 (* -- Rbcast sequencing and Replicas windows -------------------------------- *)
 
 (* Receive one sequenced event at a window; the delivered run comes back
@@ -801,7 +776,6 @@ let suites =
   [
     ( "control-loss",
       [
-        tc "reliability dedups on seq under loss" reliability_dedup_under_loss;
         tc "rbcast window orders and dedups" rbcast_window_orders_and_dedups;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;

@@ -1,5 +1,6 @@
 (* Tests for lib/emu: fluid emulation, cross-validation against the packet
-   simulator (the Fig. 7 methodology), and rate-error analysis. *)
+   simulator (the Fig. 7 methodology), rate-error analysis, the PFQ upper
+   bound, and output pins for the fluid engine. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -128,6 +129,116 @@ let rate_error_grows_with_rho () =
     (Printf.sprintf "error grows with rho (%.4f -> %.4f)" small large)
     true (small <= large +. 1e-6)
 
+(* -- PFQ upper bound ----------------------------------------------------------- *)
+
+let pfq_completes_all () =
+  let topo = Lazy.force torus44 in
+  let specs =
+    Workload.Flowgen.poisson_pareto topo (Util.Rng.create 17) ~flows:150
+      ~mean_interarrival_ns:1_000.0
+  in
+  let results = (Emu.Fluid.run_pfq 1 topo specs).Emu.Fluid.flows in
+  Alcotest.(check int) "all flows complete" 150 (List.length results);
+  List.iter
+    (fun (r : Emu.Fluid.flow_result) ->
+      Alcotest.(check bool) "positive fct" true (r.fct_ns > 0);
+      Alcotest.(check bool) "positive throughput" true ((r.avg_rate_gbps : U.gbps :> float) > 0.0))
+    results
+
+let pfq_single_flow_multipath_beats_line_rate () =
+  (* The ideal baseline can use several paths at once: a lone flow gets
+     more than one link's capacity. *)
+  let topo = Lazy.force torus44 in
+  let specs =
+    [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 10_000_000; weight = 1; priority = 0 } ]
+  in
+  match (Emu.Fluid.run_pfq 1 topo specs).Emu.Fluid.flows with
+  | [ r ] ->
+      let t = U.to_float r.avg_rate_gbps in
+      Alcotest.(check bool) (Printf.sprintf "multipath > 10G (got %.1f)" t) true (t > 10.0)
+  | _ -> Alcotest.fail "expected one result"
+
+let pfq_mean_fct_not_worse_than_r2c2 () =
+  (* PFQ is the idealized upper bound: on the same workload its mean FCT
+     must not exceed R2C2's by any meaningful margin. *)
+  let topo = Lazy.force torus44 in
+  let specs =
+    Workload.Flowgen.poisson_pareto topo (Util.Rng.create 19) ~flows:200
+      ~mean_interarrival_ns:1_000.0
+  in
+  let pfq = (Emu.Fluid.run_pfq 1 topo specs).Emu.Fluid.flows in
+  let r2c2 = Sim.R2c2_sim.run Sim.R2c2_sim.default_config topo specs in
+  let pfq_mean =
+    Util.Stats.mean
+      (Array.of_list
+         (List.map (fun (r : Emu.Fluid.flow_result) -> float_of_int r.fct_ns /. 1000.0) pfq))
+  in
+  let r2c2_mean = Util.Stats.mean (Sim.Metrics.fcts_us r2c2.Sim.R2c2_sim.metrics) in
+  Alcotest.(check bool)
+    (Printf.sprintf "pfq (%.1f us) <= r2c2 (%.1f us) * 1.1" pfq_mean r2c2_mean)
+    true
+    (pfq_mean <= r2c2_mean *. 1.1)
+
+let pfq_identical_flows_fair () =
+  (* Symmetric sources: (2,0) and (0,2) are both two hops from (0,0) with
+     congruent shortest-path sets, so path-level max-min must treat them
+     equally. *)
+  let topo = Lazy.force torus44 in
+  let mk src = { Workload.Flowgen.arrival_ns = 0; src; dst = 0; size = 10_000_000; weight = 1; priority = 0 } in
+  match (Emu.Fluid.run_pfq 1 topo [ mk 2; mk 8 ]).Emu.Fluid.flows with
+  | [ a; b ] ->
+      let ta = U.to_float a.avg_rate_gbps and tb = U.to_float b.avg_rate_gbps in
+      Alcotest.(check bool) (Printf.sprintf "fair (%.2f vs %.2f)" ta tb) true
+        (abs_float (ta -. tb) < 1.0)
+  | _ -> Alcotest.fail "expected two results"
+
+let pfq_until_cuts_off () =
+  let topo = Lazy.force torus44 in
+  let specs =
+    [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 100_000_000; weight = 1; priority = 0 } ]
+  in
+  let r = Emu.Fluid.run_pfq ~until_ns:1_000 1 topo specs in
+  Alcotest.(check int) "giant flow not done in 1 us" 0 (List.length r.Emu.Fluid.flows)
+
+(* -- output pins ------------------------------------------------------------- *)
+
+(* MD5 over every finished flow's identity, FCT and average-rate bits, in
+   result order. *)
+let flows_digest (flows : Emu.Fluid.flow_result list) =
+  let buf = Buffer.create 65_536 in
+  List.iter
+    (fun (f : Emu.Fluid.flow_result) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d %d->%d size=%d fct=%d rate=%Lx\n" f.spec.arrival_ns f.spec.src
+           f.spec.dst f.spec.size f.fct_ns
+           (Int64.bits_of_float (U.to_float f.avg_rate_gbps))))
+    flows;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fluid_engine_pinned () =
+  (* Every R2C2 fluid run and every PFQ run goes through one event loop;
+     these pins hold its output to the bit on a 4x4x4 Pareto workload, for
+     the every-event ideal, the default rho and the PFQ bound. Seed 1 is a
+     draw on which summing a PFQ flow's sub-flow rates first to last moves
+     an FCT, so the PFQ pin also holds the summation order. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let specs =
+    Workload.Flowgen.poisson_pareto topo (Util.Rng.create 1) ~flows:400
+      ~mean_interarrival_ns:1_000.0
+  in
+  let fluid rho =
+    (Emu.Fluid.run { Emu.Fluid.default_config with recompute_interval_ns = rho } topo specs)
+      .Emu.Fluid.flows
+  in
+  let ideal = fluid 0 and batched = fluid Emu.Fluid.default_config.recompute_interval_ns in
+  let pfq = (Emu.Fluid.run_pfq 1 topo specs).Emu.Fluid.flows in
+  List.iter
+    (fun (name, flows) -> Alcotest.(check int) (name ^ ": all complete") 400 (List.length flows))
+    [ ("rho 0", ideal); ("default rho", batched); ("PFQ", pfq) ];
+  Alcotest.(check string) "rho 0" "6b098fd250bc0c5a9f1e4440b97bcf20" (flows_digest ideal);
+  Alcotest.(check string) "default rho" "c3a71e425e5cb9466347c3b677a3e2ae" (flows_digest batched);
+  Alcotest.(check string) "PFQ" "6523dc5a0fa81cc6dc180cd57c00d35c" (flows_digest pfq)
+
 let suites =
   [
     ( "emu.fluid",
@@ -146,4 +257,13 @@ let suites =
         tc "zero against itself" rate_error_zero_at_rho_zero;
         tc "grows with rho (Fig 15)" rate_error_grows_with_rho;
       ] );
+    ( "sim.pfq",
+      [
+        tc "completes all flows" pfq_completes_all;
+        tc "multipath beats line rate" pfq_single_flow_multipath_beats_line_rate;
+        tc "upper bound vs r2c2" pfq_mean_fct_not_worse_than_r2c2;
+        tc "identical flows fair" pfq_identical_flows_fair;
+        tc "until_ns cuts off" pfq_until_cuts_off;
+      ] );
+    ("emu.pins", [ tc "fluid engine output pinned (rho 0, default rho, PFQ)" fluid_engine_pinned ]);
   ]

@@ -86,10 +86,10 @@ let pfq_beats_single_link_bound () =
   let spec =
     { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 50_000_000; weight = 1; priority = 0 }
   in
-  match Sim.Pfq_sim.run 1 topo [ spec ] with
+  match (Emu.Fluid.run_pfq 1 topo [ spec ]).Emu.Fluid.flows with
   | [ r ] ->
       let single_link_ns = int_of_float (float_of_int spec.size /. 1.25) in
-      Alcotest.(check bool) "faster than one link" true (r.Sim.Pfq_sim.fct_ns < single_link_ns)
+      Alcotest.(check bool) "faster than one link" true (r.Emu.Fluid.fct_ns < single_link_ns)
   | _ -> Alcotest.fail "expected one result"
 
 let stack_matches_fluid_rates () =
@@ -214,18 +214,6 @@ let qcheck_r2c2_delivers =
       let res = Sim.R2c2_sim.run Sim.R2c2_sim.default_config topo specs in
       Sim.Metrics.completed_count res.Sim.R2c2_sim.metrics = n)
 
-let qcheck_reliability_completes =
-  QCheck.Test.make ~name:"ARQ completes under any loss < 0.6" ~count:30
-    QCheck.(pair (int_bound 1000) (float_bound_exclusive 0.6))
-    (fun (seed, loss) ->
-      let s =
-        Sim.Reliability.run_over_lossy_channel ~seed ~loss:(U.fraction loss)
-          { Sim.Reliability.packets = 50; rtx_timeout_ns = 5_000; max_retries = 60;
-            rtx_backoff = 1.0; rtx_cap_ns = max_int }
-          ~rtt_ns:1_000
-      in
-      s.Sim.Reliability.completed && s.Sim.Reliability.delivered = 50)
-
 let qcheck_tcp_vs_r2c2_bytes =
   QCheck.Test.make ~name:"TCP and R2C2 deliver identical byte totals" ~count:10
     (QCheck.int_bound 1000) (fun seed ->
@@ -260,7 +248,6 @@ let suites =
         tc "bridged racks carry inter-rack traffic (SS6)" bridged_racks_inter_rack_traffic;
         tc "bridge validation" bridge_validates;
         QCheck_alcotest.to_alcotest qcheck_r2c2_delivers;
-        QCheck_alcotest.to_alcotest qcheck_reliability_completes;
         QCheck_alcotest.to_alcotest qcheck_tcp_vs_r2c2_bytes;
       ] );
   ]

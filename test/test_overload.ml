@@ -419,7 +419,6 @@ let overload_cfg ~on =
     queue_low_watermark = 2_000;
     overload_control = on;
     slos = [ (0, 2_000_000) ];
-    class_reserve = U.fraction (if on then 0.2 else 0.0);
     seed = 11;
   }
 

@@ -1000,6 +1000,48 @@ let dynamic_validates_inputs () =
   Alcotest.check_raises "empty flow" (Invalid_argument "R2c2_sim: non-positive flow size")
     (fun () -> ignore (Sim.R2c2_sim.start_flow sim ~src:1 ~dst:2 ~size:0))
 
+let dynamic_rejects_unsendable_class () =
+  (* The start broadcast carries weight and priority in one byte each, so
+     a class outside 1..255 / 0..255 is refused before it takes a flow id
+     or, under overload control, counts as shed (a fresh controller sheds
+     every class numerically >= 8, so priority 256 would be). *)
+  let topo = Topology.torus [| 4; 4 |] in
+  let cfg = { Sim.R2c2_sim.default_config with overload_control = true } in
+  let sim = Sim.R2c2_sim.create cfg topo in
+  let start ?weight ?priority () =
+    ignore (Sim.R2c2_sim.start_flow ?weight ?priority sim ~src:1 ~dst:0 ~size:1_000)
+  in
+  let weight_err = Invalid_argument "R2c2_sim: weight outside 1..255"
+  and priority_err = Invalid_argument "R2c2_sim: priority outside 0..255" in
+  Alcotest.check_raises "weight 0" weight_err (start ~weight:0);
+  Alcotest.check_raises "weight 256" weight_err (start ~weight:256);
+  Alcotest.check_raises "priority -1" priority_err (start ~priority:(-1));
+  Alcotest.check_raises "priority 256" priority_err (start ~priority:256);
+  Alcotest.(check int) "nothing shed" 0 (Sim.R2c2_sim.results sim).Sim.R2c2_sim.shed_flows;
+  Alcotest.(check int) "no flow id consumed" 0
+    (Sim.R2c2_sim.start_flow ~weight:255 ~priority:255 sim ~src:1 ~dst:0 ~size:1_000)
+
+let r2c2_retransmit_backoff () =
+  (* A 1,000-byte flow is one 1,035-byte packet, which never fits a
+     1,000-byte queue: it is dropped on every attempt. Its timer doubles
+     from 10 us up to the 1 ms cap, and the drop after the 30th
+     retransmission aborts the flow. *)
+  let topo = Topology.torus [| 4; 4 |] in
+  let cfg =
+    { Sim.R2c2_sim.default_config with queue_capacity = 1_000; rtx_timeout_ns = 10_000 }
+  in
+  let sim = Sim.R2c2_sim.create cfg topo in
+  let id = Sim.R2c2_sim.start_flow sim ~src:0 ~dst:5 ~size:1_000 in
+  Sim.R2c2_sim.run_engine sim;
+  let r = Sim.R2c2_sim.results sim in
+  Alcotest.(check int) "dropped on every attempt" 31 r.Sim.R2c2_sim.drops;
+  Alcotest.(check int) "retransmitted up to the limit" 30 r.Sim.R2c2_sim.retransmissions;
+  Alcotest.(check (list int)) "then aborted" [ id ] r.Sim.R2c2_sim.aborted_flows;
+  (* The timeouts sum to 10 + 20 + ... + 640 us plus 23 x 1 ms = 24.27 ms;
+     the engine goes idle at the 500 us recompute tick after that. *)
+  Alcotest.(check int) "idle after the summed timeouts" 24_500_000
+    (Sim.Engine.now (Sim.R2c2_sim.engine sim))
+
 (* -- tcp transport ---------------------------------------------------------- *)
 
 let tcp_delivers_everything () =
@@ -1018,7 +1060,7 @@ let tcp_recovers_from_heavy_loss () =
   (* Tiny queues force drops; TCP must still finish. *)
   let topo = Topology.torus [| 4; 4 |] in
   let specs = default_specs topo (Util.Rng.create 13) 60 200.0 in
-  let cfg = { Sim.Tcp_sim.default_config with queue_capacity = 6_000 } in
+  let cfg = { Sim.Tcp_sim.queue_capacity = 6_000 } in
   let res = Sim.Tcp_sim.run cfg topo specs in
   Alcotest.(check int) "all complete" 60 (Sim.Metrics.completed_count res.Sim.Tcp_sim.metrics);
   Alcotest.(check bool) "loss actually happened" true (res.Sim.Tcp_sim.drops > 0);
@@ -1031,145 +1073,11 @@ let tcp_single_path_per_flow () =
   let specs =
     [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 500_000; weight = 1; priority = 0 } ]
   in
-  let cfg = { Sim.Tcp_sim.default_config with queue_capacity = max_int } in
+  let cfg = { Sim.Tcp_sim.queue_capacity = max_int } in
   let res = Sim.Tcp_sim.run cfg topo specs in
   Alcotest.(check int) "no drops" 0 res.Sim.Tcp_sim.drops;
   let f = Sim.Metrics.find res.Sim.Tcp_sim.metrics 0 in
   Alcotest.(check int) "no reordering on a single path" 0 f.Sim.Metrics.reorder_max
-
-(* -- pfq transport ----------------------------------------------------------- *)
-
-let pfq_completes_all () =
-  let topo = Topology.torus [| 4; 4 |] in
-  let specs = default_specs topo (Util.Rng.create 17) 150 1_000.0 in
-  let results = Sim.Pfq_sim.run 1 topo specs in
-  Alcotest.(check int) "all flows complete" 150 (List.length results);
-  List.iter
-    (fun (r : Sim.Pfq_sim.flow_result) ->
-      Alcotest.(check bool) "positive fct" true (r.fct_ns > 0);
-      Alcotest.(check bool) "positive throughput" true ((r.throughput_gbps : U.gbps :> float) > 0.0))
-    results
-
-let pfq_single_flow_multipath_beats_line_rate () =
-  (* The ideal baseline can use several paths at once: a lone flow gets
-     more than one link's capacity. *)
-  let topo = Topology.torus [| 4; 4 |] in
-  let specs =
-    [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 10_000_000; weight = 1; priority = 0 } ]
-  in
-  let results = Sim.Pfq_sim.run 1 topo specs in
-  match results with
-  | [ r ] ->
-      let t = U.to_float r.throughput_gbps in
-      Alcotest.(check bool) (Printf.sprintf "multipath > 10G (got %.1f)" t) true (t > 10.0)
-  | _ -> Alcotest.fail "expected one result"
-
-let pfq_mean_fct_not_worse_than_r2c2 () =
-  (* PFQ is the idealized upper bound: on the same workload its mean FCT
-     must not exceed R2C2's by any meaningful margin. *)
-  let topo = Topology.torus [| 4; 4 |] in
-  let specs = default_specs topo (Util.Rng.create 19) 200 1_000.0 in
-  let pfq = Sim.Pfq_sim.run 1 topo specs in
-  let r2c2 = Sim.R2c2_sim.run Sim.R2c2_sim.default_config topo specs in
-  let pfq_mean =
-    Util.Stats.mean
-      (Array.of_list
-         (List.map (fun (r : Sim.Pfq_sim.flow_result) -> float_of_int r.fct_ns /. 1000.0) pfq))
-  in
-  let r2c2_mean = Util.Stats.mean (Sim.Metrics.fcts_us r2c2.Sim.R2c2_sim.metrics) in
-  Alcotest.(check bool)
-    (Printf.sprintf "pfq (%.1f us) <= r2c2 (%.1f us) * 1.1" pfq_mean r2c2_mean)
-    true
-    (pfq_mean <= r2c2_mean *. 1.1)
-
-let pfq_identical_flows_fair () =
-  (* Symmetric sources: (2,0) and (0,2) are both two hops from (0,0) with
-     congruent shortest-path sets, so path-level max-min must treat them
-     equally. *)
-  let topo = Topology.torus [| 4; 4 |] in
-  let mk src = { Workload.Flowgen.arrival_ns = 0; src; dst = 0; size = 10_000_000; weight = 1; priority = 0 } in
-  let results = Sim.Pfq_sim.run 1 topo [ mk 2; mk 8 ] in
-  match results with
-  | [ a; b ] ->
-      let ta = U.to_float a.Sim.Pfq_sim.throughput_gbps
-      and tb = U.to_float b.Sim.Pfq_sim.throughput_gbps in
-      Alcotest.(check bool) (Printf.sprintf "fair (%.2f vs %.2f)" ta tb) true
-        (abs_float (ta -. tb) < 1.0)
-  | _ -> Alcotest.fail "expected two results"
-
-let pfq_until_cuts_off () =
-  let topo = Topology.torus [| 4; 4 |] in
-  let specs =
-    [ { Workload.Flowgen.arrival_ns = 0; src = 0; dst = 5; size = 100_000_000; weight = 1; priority = 0 } ]
-  in
-  let results = Sim.Pfq_sim.run ~until_ns:1_000 1 topo specs in
-  Alcotest.(check int) "giant flow not done in 1 us" 0 (List.length results)
-
-(* -- reliability --------------------------------------------------------------- *)
-
-let reliability_lossless () =
-  let s =
-    Sim.Reliability.run_over_lossy_channel ~loss:(U.fraction 0.0)
-      { Sim.Reliability.packets = 50; rtx_timeout_ns = 10_000; max_retries = 5;
-        rtx_backoff = 1.0; rtx_cap_ns = max_int }
-      ~rtt_ns:2_000
-  in
-  Alcotest.(check bool) "completed" true s.Sim.Reliability.completed;
-  Alcotest.(check int) "no retransmissions" 50 s.Sim.Reliability.transmissions
-
-let reliability_with_loss () =
-  let s =
-    Sim.Reliability.run_over_lossy_channel ~loss:(U.fraction 0.3)
-      { Sim.Reliability.packets = 200; rtx_timeout_ns = 10_000; max_retries = 50;
-        rtx_backoff = 1.0; rtx_cap_ns = max_int }
-      ~rtt_ns:2_000
-  in
-  Alcotest.(check bool) "completed despite 30% loss" true s.Sim.Reliability.completed;
-  Alcotest.(check int) "all delivered" 200 s.Sim.Reliability.delivered;
-  Alcotest.(check bool) "needed retransmissions" true (s.Sim.Reliability.transmissions > 200)
-
-let reliability_gives_up () =
-  let s =
-    Sim.Reliability.run_over_lossy_channel ~seed:3 ~loss:(U.fraction 0.95)
-      { Sim.Reliability.packets = 20; rtx_timeout_ns = 1_000; max_retries = 2;
-        rtx_backoff = 1.0; rtx_cap_ns = max_int }
-      ~rtt_ns:2_000
-  in
-  Alcotest.(check bool) "aborts after max retries" false s.Sim.Reliability.completed;
-  Alcotest.(check int) "abort marked" (-1) s.Sim.Reliability.finish_ns
-
-let reliability_backoff_spacing () =
-  (* Every data packet is lost; the per-packet timer must back off
-     exponentially (1000, 2000, 4000, 8000 ns ...) up to the cap. *)
-  let eng = Sim.Engine.create () in
-  let times = ref [] in
-  let result = ref None in
-  Sim.Reliability.transfer eng
-    { Sim.Reliability.packets = 1; rtx_timeout_ns = 1_000; max_retries = 6;
-      rtx_backoff = 2.0; rtx_cap_ns = 10_000 }
-    ~send_data:(fun ~seq:_ ~attempt:_ ->
-      times := Sim.Engine.now eng :: !times;
-      false)
-    ~send_ack:(fun ~seq:_ -> true)
-    ~ack_delay_ns:100 ~data_delay_ns:100
-    (fun s -> result := Some s);
-  Sim.Engine.run eng;
-  let times = Array.of_list (List.rev !times) in
-  Alcotest.(check int) "all attempts made" 7 (Array.length times);
-  let gaps = Array.init (Array.length times - 1) (fun i -> times.(i + 1) - times.(i)) in
-  Array.iteri
-    (fun i g ->
-      if i > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "gap %d no smaller than gap %d" i (i - 1))
-          true
-          (g >= gaps.(i - 1)))
-    gaps;
-  Alcotest.(check bool) "spacing strictly grows before the cap" true (gaps.(1) > gaps.(0));
-  Alcotest.(check int) "spacing capped" 10_000 gaps.(Array.length gaps - 1);
-  match !result with
-  | Some s -> Alcotest.(check bool) "gave up in the end" false s.Sim.Reliability.completed
-  | None -> Alcotest.fail "transfer did not terminate"
 
 let suites =
   [
@@ -1235,6 +1143,9 @@ let suites =
         tc "dynamic API: completion callbacks" dynamic_on_complete_gets_id;
         tc "dynamic API: resumable engine" dynamic_run_engine_resumable;
         tc "dynamic API: input validation" dynamic_validates_inputs;
+        tc "dynamic API: classes the broadcast cannot carry refused"
+          dynamic_rejects_unsendable_class;
+        tc "per-packet retransmission backs off, then aborts" r2c2_retransmit_backoff;
         tc "live routing reselection (SS3.4)" r2c2_live_reselection;
         tc "reselection does not regress" r2c2_reselection_not_worse;
       ] );
@@ -1243,20 +1154,5 @@ let suites =
         tc "delivers every byte" tcp_delivers_everything;
         tc "recovers from heavy loss" tcp_recovers_from_heavy_loss;
         tc "single path implies no reordering" tcp_single_path_per_flow;
-      ] );
-    ( "sim.pfq",
-      [
-        tc "completes all flows" pfq_completes_all;
-        tc "multipath beats line rate" pfq_single_flow_multipath_beats_line_rate;
-        tc "upper bound vs r2c2" pfq_mean_fct_not_worse_than_r2c2;
-        tc "identical flows fair" pfq_identical_flows_fair;
-        tc "until_ns cuts off" pfq_until_cuts_off;
-      ] );
-    ( "sim.reliability",
-      [
-        tc "lossless channel" reliability_lossless;
-        tc "30% loss recovered" reliability_with_loss;
-        tc "gives up after max retries" reliability_gives_up;
-        tc "retry spacing backs off exponentially" reliability_backoff_spacing;
       ] );
   ]
