@@ -10,8 +10,6 @@
 
 let dims = [| 8; 8; 8 |]
 
-type event = Link of int * int * int | Node of int * int | Restore of int * int * int
-
 type outcome = {
   sname : string;
   completed : int;
@@ -53,12 +51,7 @@ let run_scenario ~size ~interval ~name events =
   for i = 0 to h - 1 do
     ignore (Sim.R2c2_sim.start_flow t ~src:i ~dst:((i + shift) mod h) ~size)
   done;
-  List.iter
-    (function
-      | Link (ns, u, v) -> Sim.R2c2_sim.fail_link_at t ~ns u v
-      | Node (ns, u) -> Sim.R2c2_sim.fail_node_at t ~ns u
-      | Restore (ns, u, v) -> Sim.R2c2_sim.restore_link_at t ~ns u v)
-    events;
+  List.iter (fun (ns, fault) -> Sim.R2c2_sim.inject_at t ~ns fault) events;
   let t0 = Unix.gettimeofday () in
   Sim.R2c2_sim.run_engine t;
   let wall = Unix.gettimeofday () -. t0 in
@@ -105,8 +98,8 @@ let percentile sorted p =
   let n = Array.length sorted in
   sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n /. 100.0)) - 1))
 
-let run ~quick () =
-  let size = if quick then 200_000 else 600_000 in
+let run () =
+  let size = 600_000 in
   let interval = 100_000 in
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
@@ -121,20 +114,24 @@ let run ~quick () =
   let kill_ns = 30_000 in
   let baseline = run_scenario ~size ~interval ~name:"baseline" [] in
   let link =
-    run_scenario ~size ~interval ~name:"link-kill" [ Link (kill_ns, 7, cable topo 7) ]
+    run_scenario ~size ~interval ~name:"link-kill"
+      [ (kill_ns, Sim.R2c2_sim.Fail_link (7, cable topo 7)) ]
   in
   let dead = 100 in
-  let node = run_scenario ~size ~interval ~name:"node-kill" [ Node (kill_ns, dead) ] in
-  let soak_kills = if quick then 3 else 5 in
+  let node =
+    run_scenario ~size ~interval ~name:"node-kill" [ (kill_ns, Sim.R2c2_sim.Fail_node dead) ]
+  in
+  let soak_kills = 5 in
   let soak_events =
     List.init soak_kills (fun i ->
         let v = 17 + (i * 97) in
-        Link (kill_ns + (i * 40_000), v, cable topo v))
+        (kill_ns + (i * 40_000), Sim.R2c2_sim.Fail_link (v, cable topo v)))
   in
   let soak =
     let v = 17 in
     run_scenario ~size ~interval ~name:"soak"
-      (soak_events @ [ Restore (kill_ns + (soak_kills * 40_000), v, cable topo v) ])
+      (soak_events
+      @ [ (kill_ns + (soak_kills * 40_000), Sim.R2c2_sim.Restore_link (v, cable topo v)) ])
   in
   let scenarios = [ baseline; link; node; soak ] in
   let failures = ref [] in

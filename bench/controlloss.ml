@@ -64,9 +64,9 @@ let run_scenario ~size ~name ~loss ~reorder ~dup ~flap () =
   if flap then begin
     (* Clean start, a lossy middle, clean tail: the run must reconverge
        after each flip, not merely survive a constant rate. *)
-    Sim.R2c2_sim.set_control_chaos_at t ~ns:60_000 ~loss ~reorder ~dup;
-    Sim.R2c2_sim.set_control_chaos_at t ~ns:400_000 ~loss:(frac 0.0) ~reorder:(frac 0.0)
-      ~dup:(frac 0.0)
+    Sim.R2c2_sim.inject_at t ~ns:60_000 (Control_chaos { loss; reorder; dup });
+    Sim.R2c2_sim.inject_at t ~ns:400_000
+      (Control_chaos { loss = frac 0.0; reorder = frac 0.0; dup = frac 0.0 })
   end;
   let net = Sim.R2c2_sim.net t in
   let digest_hops = ref 0 in
@@ -115,11 +115,11 @@ let percentile sorted p =
   let n = Array.length sorted in
   sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n /. 100.0)) - 1))
 
-let run ~quick () =
-  let size = if quick then 150_000 else 400_000 in
+let run () =
+  let size = 400_000 in
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
-  let sweep = if quick then [ 0.0; 0.02; 0.05 ] else [ 0.0; 0.01; 0.02; 0.05; 0.10 ] in
+  let sweep = [ 0.0; 0.01; 0.02; 0.05; 0.10 ] in
   let outcomes =
     List.map
       (fun loss ->

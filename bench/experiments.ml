@@ -518,26 +518,6 @@ let ablation_broadcast_trees ?(dims = [| 8; 8; 8 |]) () =
       pr "%-16d %14.1f %14.1f %10.2f\n" k mx mean (mx /. mean))
     [ 1; 2; 4; 8 ]
 
-let ablation_broadcast_mode ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(seed = 67) () =
-  heading
-    "Ablation C: real 16-byte broadcast packets in the fabric vs the\n\
-     latency-only visibility model";
-  let topo = Topology.torus dims in
-  let rng = Util.Rng.create seed in
-  let specs = Workload.Flowgen.poisson_pareto topo rng ~flows ~mean_interarrival_ns:1_000.0 in
-  pr "%-16s %12s %12s %16s\n" "broadcast" "p50 FCT us" "p99 FCT us" "ctrl bytes wire";
-  List.iter
-    (fun (name, real) ->
-      let res =
-        Sim.R2c2_sim.run { Sim.R2c2_sim.default_config with seed; real_broadcast = real } topo
-          specs
-      in
-      let fcts = Sim.Metrics.fcts_us res.Sim.R2c2_sim.metrics in
-      pr "%-16s %12.2f %12.2f %16.0f\n" name (Util.Stats.percentile fcts 50.0)
-        (Util.Stats.percentile fcts 99.0)
-        (U.to_float res.Sim.R2c2_sim.control_wire_bytes))
-    [ ("real packets", true); ("latency model", false) ]
-
 let ablation_search ?(dims = [| 4; 4; 4 |]) ?(load = 0.5) ?(seed = 71) ?(budget = 1200) () =
   heading
     (Printf.sprintf
@@ -704,7 +684,6 @@ let ablation_link_speed ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(seed = 89) () =
 let ablations () =
   ablation_control_plane ();
   ablation_broadcast_trees ();
-  ablation_broadcast_mode ();
   ablation_search ();
   ablation_waterfill ();
   ablation_clos ();

@@ -120,8 +120,8 @@ let run_scenario ~size ~interval ~name ~invariants steps =
     snapshot = Buffer.contents buf;
   }
 
-let run ~quick () =
-  let size = if quick then 200_000 else 600_000 in
+let run () =
+  let size = 600_000 in
   let interval = 100_000 in
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
@@ -135,9 +135,8 @@ let run ~quick () =
      the gap through NACK replay. Completion additionally requires being
      sequence-caught-up with *every* origin at a digest instant, so while
      the other 510 flows are still finishing the rejoiner trails the live
-     churn — measured 0.5 ms at smoke size, 1.25 ms at full size. Two
-     retry periods plus ten digest rounds bound both with margin while
-     staying a small fraction of the run. *)
+     churn — measured 1.25 ms. Two retry periods plus ten digest rounds
+     bound it with margin while staying a small fraction of the run. *)
   let digest = 50_000 in
   let rejoin_bound =
     detection + (2 * Sim.R2c2_sim.rejoin_retry_ns) + (10 * digest)
@@ -145,16 +144,24 @@ let run ~quick () =
   let crashed = 100 in
   let gray1 = (7, cable topo 7) in
   let gray2 = (200, cable topo 200) in
+  let flaky (u, v) =
+    Sim.R2c2_sim.Flaky
+      {
+        u;
+        v;
+        loss = Util.Units.fraction 0.25;
+        spike = Util.Units.fraction 0.10;
+        spike_ns = None;
+      }
+  in
   let steps =
     [
-      Sim.Scenario.flaky ~at:20_000 (fst gray1) (snd gray1)
-        ~loss:(Util.Units.fraction 0.25) ~spike:(Util.Units.fraction 0.10);
-      Sim.Scenario.flaky ~at:25_000 (fst gray2) (snd gray2)
-        ~loss:(Util.Units.fraction 0.25) ~spike:(Util.Units.fraction 0.10);
-      Sim.Scenario.crash ~at:30_000 crashed;
-      Sim.Scenario.restart ~at:150_000 crashed;
-      Sim.Scenario.unflaky ~at:400_000 (fst gray1) (snd gray1);
-      Sim.Scenario.unflaky ~at:400_000 (fst gray2) (snd gray2);
+      Sim.Scenario.fault ~at:20_000 (flaky gray1);
+      Sim.Scenario.fault ~at:25_000 (flaky gray2);
+      Sim.Scenario.fault ~at:30_000 (Crash crashed);
+      Sim.Scenario.fault ~at:150_000 (Restart crashed);
+      Sim.Scenario.fault ~at:400_000 (Unflaky (fst gray1, snd gray1));
+      Sim.Scenario.fault ~at:400_000 (Unflaky (fst gray2, snd gray2));
     ]
   in
   let invariants =

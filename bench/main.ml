@@ -24,19 +24,18 @@ let all_experiments ~paper =
 let () =
   let usage () =
     print_endline
-      "usage: main.exe [exp-id] [--paper] [--quick]\n\
+      "usage: main.exe [exp-id] [--paper]\n\
        exp-ids: fig2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16\n\
       \         fig17 fig18 fig19 ablation micro chaos graychaos overload control-loss\n\
       \         all (default: all)\n\
        chaos writes BENCH_failure.json; graychaos writes BENCH_graychaos.json;\n\
        overload writes BENCH_overload.json; control-loss writes\n\
-       BENCH_controlloss.json; --quick runs a smoke-sized variant";
+       BENCH_controlloss.json";
     exit 1
   in
   let args = List.tl (Array.to_list Sys.argv) in
   let paper = List.mem "--paper" args in
-  let quick = List.mem "--quick" args in
-  let args = List.filter (fun a -> a <> "--paper" && a <> "--quick") args in
+  let args = List.filter (fun a -> a <> "--paper") args in
   let dims = [| 8; 8; 8 |] in
   let flows = 2000 in
   match args with
@@ -57,8 +56,8 @@ let () =
   | [ "fig19" ] -> Experiments.fig19 ()
   | [ "ablation" ] -> Experiments.ablations ()
   | [ "micro" ] -> Micro.run ()
-  | [ "chaos" ] -> Chaos.run ~quick ()
-  | [ "graychaos" ] -> Graychaos.run ~quick ()
-  | [ "overload" ] -> Overload.run ~quick ()
-  | [ "control-loss" ] -> Controlloss.run ~quick ()
+  | [ "chaos" ] -> Chaos.run ()
+  | [ "graychaos" ] -> Graychaos.run ()
+  | [ "overload" ] -> Overload.run ()
+  | [ "control-loss" ] -> Controlloss.run ()
   | _ -> usage ()

@@ -36,7 +36,7 @@ type outcome = {
   snapshot : string;  (** byte-exact digest for the determinism check *)
 }
 
-let run_case ~quick ~protect ~p999_bound_ns ~name =
+let run_case ~protect ~p999_bound_ns ~name =
   let topo = Topology.torus dims in
   let cfg =
     {
@@ -45,26 +45,22 @@ let run_case ~quick ~protect ~p999_bound_ns ~name =
       queue_high_watermark = 25_000;
       queue_low_watermark = 6_000;
       overload_control = protect;
-      slos = [ (0, slo_ns) ];
       seed = 42;
     }
   in
   let t = Sim.R2c2_sim.create cfg topo in
+  Sim.Metrics.set_slo (Sim.R2c2_sim.metrics t) ~priority:0 ~bound_ns:slo_ns;
   Sim.Metrics.set_goodput_bucket (Sim.R2c2_sim.metrics t) ~bucket_ns:50_000;
   (* A fresh same-seed RNG per case: both arms and the replay offer the
      byte-identical workload. *)
   let rng = Util.Rng.create 1234 in
   let bg =
-    Workload.Flowgen.poisson_pareto ~priority:3 ~max_size:1_000_000 topo rng
-      ~flows:(if quick then 200 else 500)
+    Workload.Flowgen.poisson_pareto ~priority:3 ~max_size:1_000_000 topo rng ~flows:500
       ~mean_interarrival_ns:3_000.0
   in
   let incast =
-    Workload.Flowgen.partition_aggregate ~priority:0 topo rng
-      ~aggregators:(if quick then 2 else 4)
-      ~fanout:hi_fanout
-      ~rounds:(if quick then 3 else 6)
-      ~round_interval_ns:150_000
+    Workload.Flowgen.partition_aggregate ~priority:0 topo rng ~aggregators:4 ~fanout:hi_fanout
+      ~rounds:6 ~round_interval_ns:150_000
   in
   let steps =
     [ Sim.Scenario.surge ~at:0 bg; Sim.Scenario.surge ~at:100_000 incast ]
@@ -139,13 +135,13 @@ let run_case ~quick ~protect ~p999_bound_ns ~name =
     snapshot = Buffer.contents buf;
   }
 
-let run ~quick () =
+let run () =
   (* p99.9 bound: the SLO plus the worst queueing a protected volley may
      see while the controller converges (measured with margin). *)
   let p999_bound_ns = 4 * slo_ns in
-  let unprot = run_case ~quick ~protect:false ~p999_bound_ns ~name:"unprotected" in
-  let prot = run_case ~quick ~protect:true ~p999_bound_ns ~name:"protected" in
-  let replay = run_case ~quick ~protect:true ~p999_bound_ns ~name:"replay" in
+  let unprot = run_case ~protect:false ~p999_bound_ns ~name:"unprotected" in
+  let prot = run_case ~protect:true ~p999_bound_ns ~name:"protected" in
+  let replay = run_case ~protect:true ~p999_bound_ns ~name:"replay" in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter (fun v -> fail "invariant violated: %s" v) prot.violations;

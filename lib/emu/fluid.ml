@@ -42,6 +42,10 @@ type fstate = {
 (* The event loop both entry points run: [shape idx spec] gives an arriving
    flow's sub-flows, and [interval_ns] = 0 recomputes on every flow event. *)
 let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
+  List.iter
+    (fun (s : Workload.Flowgen.spec) ->
+      Workload.Flowgen.check_flow ~who:"Fluid" topo ~src:s.src ~dst:s.dst ~size:s.size)
+    specs;
   let cap = U.to_float (U.byte_rate_of_gbps link_gbps) in
   let link_gbps_f = U.to_float link_gbps in
   let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
@@ -194,12 +198,16 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
   { flows = List.rev !finished; max_queue_bytes = U.of_floats max_queue; recomputes = !recomputes }
 
 let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
+  List.iter
+    (fun (s : Workload.Flowgen.spec) ->
+      if s.weight < 1 then invalid_arg "Fluid.run: weight below 1")
+    specs;
   let rctx = Routing.make topo in
   engine ~link_gbps:cfg.link_gbps ~headroom:cfg.headroom ~interval_ns:cfg.recompute_interval_ns
     ?until_ns topo specs ~shape:(fun idx (spec : Workload.Flowgen.spec) ->
       [|
         Congestion.Waterfill.flow
-          ~weight:(float_of_int (max 1 spec.weight))
+          ~weight:(float_of_int spec.weight)
           ~priority:spec.priority ~id:idx
           (Routing.fractions rctx (protocol_of idx spec) ~src:spec.src ~dst:spec.dst);
       |])

@@ -48,6 +48,8 @@ val run :
   Topology.t ->
   Workload.Flowgen.spec list ->
   result
+(** Raises [Invalid_argument], before the run starts, for a spec
+    {!Workload.Flowgen.check_flow} refuses or one with a weight below 1. *)
 
 val run_pfq : ?until_ns:int -> int -> Topology.t -> Workload.Flowgen.spec list -> result
 (** The paper's idealized per-flow-queue upper bound (§5.2, "PFQ"):
@@ -59,7 +61,8 @@ val run_pfq : ?until_ns:int -> int -> Topology.t -> Workload.Flowgen.spec list -
     zero headroom, zero control delay and the {!Topology} link speed.
     Completion times include the store-and-forward pipeline latency of the
     flow's path, as in {!run}. Results for flows that complete before
-    [until_ns] (default: all). *)
+    [until_ns] (default: all). Raises [Invalid_argument], before the run
+    starts, for a spec {!Workload.Flowgen.check_flow} refuses. *)
 
 val rate_error :
   ?protocol_of:(int -> Workload.Flowgen.spec -> Routing.protocol) ->

@@ -6,7 +6,6 @@ type config = {
   link_gbps : U.gbps;
   headroom : U.fraction;
   recompute_interval_ns : int;
-  real_broadcast : bool;
   queue_capacity : int;
   control : control;
   reselect_interval_ns : int option;
@@ -28,8 +27,6 @@ type config = {
   queue_low_watermark : int;  (** hysteresis: overload clears only below this *)
   overload_control : bool;
       (** master switch for admission shedding and PAUSE backpressure *)
-  slos : (int * int) list;
-      (** (priority class, FCT bound ns) promises fed to {!Metrics.set_slo} *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] is the production O(1)
           wheel, [Binary_heap] the reference for differential tests *)
@@ -75,22 +72,16 @@ let rejoin_retry_ns = 500_000
 (* Overload control: a congested receiver sends at most one PAUSE per
    [pause_interval_ns]; only classes numerically >= [pause_class] are paced
    and trigger pauses, so higher classes are never slowed by backpressure.
-   Each PAUSE level multiplies the pacing scale by [pause_backoff], floored
-   at [pause_min_scale]; each clean epoch adds [pause_recovery] back. The
-   shed floor relaxes one class after [Overload.Admission]'s default of 3
-   consecutive clean epochs. *)
+   The pacers and the shed floor run with [Overload.Pacer]'s and
+   [Overload.Admission]'s defaults. *)
 let pause_interval_ns = 50_000
 let pause_class = 1
-let pause_backoff = 0.5
-let pause_recovery = 0.1
-let pause_min_scale = 0.05
 
 let default_config =
   {
     link_gbps = Topology.link_gbps;
     headroom = Topology.headroom;
     recompute_interval_ns = 500_000;
-    real_broadcast = true;
     queue_capacity = max_int;
     control = Global_epoch;
     reselect_interval_ns = None;
@@ -104,13 +95,12 @@ let default_config =
     queue_high_watermark = max_int;
     queue_low_watermark = 0;
     overload_control = false;
-    slos = [];
     engine_backend = Engine.Calendar;
     seed = 1;
   }
 
 type failure = {
-  kind : string;  (** "link" | "node" | "restore-link" | "restore-node" *)
+  kind : string;  (** "link" | "node" | "restore-link" | "crash" | "restart" *)
   fail_ns : int;
   detect_ns : int;
   mutable reconverge_ns : int;  (** -1 until the first post-detection rate epoch *)
@@ -138,7 +128,6 @@ type result = {
   aborted_flows : int list;
   failures : failure list;
   tree_repairs : int;
-  tree_repair_bytes : int;
   (* control-plane reliability *)
   ctrl_lost : int;
   ctrl_lost_bytes : int;
@@ -200,6 +189,9 @@ type fstate = {
       (** reliable mode: the tree carrying every event of this flow, so the
           per-(source, tree) window orders finish after start; -1 until the
           start broadcast picks one *)
+  mutable live : bool;  (** neither completed nor aborted *)
+  mutable starts_seen : int;  (** receipts of the latest start broadcast *)
+  mutable on_complete : (int -> unit) option;  (** fired once, at completion *)
 }
 
 (* A replay-log entry: the event and its wire size, and when a NACK last
@@ -230,16 +222,14 @@ type t = {
   mtrcs : Metrics.t;
   cap_bytes_ns : float;  (** link capacity, wire bytes per ns (hot path, raw) *)
   capacities : U.byte_rate array;
-  active : (int, fstate) Hashtbl.t;
-  all_states : (int, fstate) Hashtbl.t;  (** for per-node views that may lag *)
+  mutable flows : fstate option array;
+      (** the flow table, indexed by flow id: ids are handed out in start
+          order, and a shed flow's slot stays [None]. Grown by doubling. *)
+  mutable live_flows : int;  (** flows with [live] set *)
   nverts : int;
   reps : Replicas.t;
       (** every node's receive windows (reliable mode) and, under Per_node,
           its view of the traffic matrix: one (node, origin, tree) table *)
-  mutable bcast_seen : int array;
-      (** receipt counters indexed by bcast id (flow idx * 2 for start,
-          * 2 + 1 for finish); -1 = not tracked. Grown by doubling. *)
-  on_complete : (int, int -> unit) Hashtbl.t;
   mutable next_id : int;
   mutable recomputes : int;
   mutable rate_updates : (int * U.gbps) list;
@@ -310,9 +300,29 @@ let engine t = t.eng
 let metrics t = t.mtrcs
 let topology t = t.topo
 
-(* The reliable machinery only exists when broadcasts are physically
-   simulated; [create] rejects the other combination. *)
-let reliable t = t.cfg.reliable_bcast && t.cfg.real_broadcast
+let find_flow t id = if id >= 0 && id < t.next_id then t.flows.(id) else None
+
+(* Hand out the next flow id, growing the table to hold its slot. *)
+let next_flow_id t =
+  let id = t.next_id in
+  if id = Array.length t.flows then begin
+    let grown = Array.make (2 * id) None in
+    Array.blit t.flows 0 grown 0 id;
+    t.flows <- grown
+  end;
+  t.next_id <- id + 1;
+  id
+
+(* Live flows in id order, which is start order. *)
+let iter_live t f =
+  for id = 0 to t.next_id - 1 do
+    match t.flows.(id) with Some st when st.live -> f st | _ -> ()
+  done
+
+(* A live flow completed or was aborted. *)
+let retire t st =
+  st.live <- false;
+  t.live_flows <- t.live_flows - 1
 
 (* -- epoch dirty tracking -------------------------------------------------- *)
 
@@ -355,23 +365,18 @@ let source_view_hash ?tree t ~node ~root =
   | None -> Replicas.hash t.reps ~replica:node ~origin:root
   | Some tree -> Replicas.tree_hash t.reps (window t ~node ~root ~tree)
 
-(* Count one receipt of a flow-event broadcast towards its global
-   visibility. Negative ids are batched route-change announcements (§3.4);
-   only flow start/finish events are counted. *)
+(* Count one receipt of a live flow's start broadcast towards its global
+   visibility. Odd ids are finish events and negative ids batched
+   route-change announcements (§3.4); neither is counted. *)
 let count_receipt t bcast_id =
-  if bcast_id >= 0 && bcast_id < Array.length t.bcast_seen then begin
-    let count = Array.unsafe_get t.bcast_seen bcast_id in
-    if count >= 0 then begin
-      Array.unsafe_set t.bcast_seen bcast_id (count + 1);
-      (* [>=]: after a node failure the target shrinks to the alive count,
-         and stale pre-failure copies may still arrive. *)
-      if count + 1 >= t.bcast_target && bcast_id land 1 = 0 then begin
-        match Hashtbl.find_opt t.active (bcast_id / 2) with
-        | Some st -> mark_visible t st
-        | None -> ()
-      end
-    end
-  end
+  if bcast_id >= 0 && bcast_id land 1 = 0 then
+    match find_flow t (bcast_id lsr 1) with
+    | Some st when st.live ->
+        st.starts_seen <- st.starts_seen + 1;
+        (* [>=]: after a node failure the target shrinks to the alive count,
+           and stale pre-failure copies may still arrive. *)
+        if st.starts_seen >= t.bcast_target then mark_visible t st
+    | _ -> ()
 
 (* Apply one flow-event broadcast that reached a node on window [w] — the
    (node, root, tree) it arrived on: update the node's view of the traffic
@@ -523,58 +528,34 @@ and schedule_injection t st =
 
 (* -- control plane: broadcast and rate computation ------------------------ *)
 
-(* Start (or restart) counting receipts of a flow-event broadcast. *)
-let track_bcast t bcast_id =
-  let n = Array.length t.bcast_seen in
-  if bcast_id >= n then begin
-    let grown = Array.make (max (bcast_id + 1) (2 * n)) (-1) in
-    Array.blit t.bcast_seen 0 grown 0 n;
-    t.bcast_seen <- grown
-  end;
-  t.bcast_seen.(bcast_id) <- 0
-
 let send_flow_broadcast t st event =
   let bcast_id =
-    (2 * st.idx)
-    +
-    match event with
-    | Wire.Flow_start -> 0
-    | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> 1
-  in
-  if t.cfg.real_broadcast then begin
-    track_bcast t bcast_id;
-    if reliable t then begin
-      (* Every event of a flow rides the tree picked at its start, so the
-         per-(source, tree) window orders the finish after the start at
-         every receiver. *)
-      let o = t.origins.(st.src) in
-      (match event with
-      | Wire.Flow_start ->
-          if st.btree < 0 then
-            st.btree <- Broadcast.choose_tree t.bcast t.root_rng ~src:st.src;
-          Rbcast.mark_live o ~tree:st.btree st.idx
-      | Wire.Flow_finish -> Rbcast.mark_dead o st.idx
-      | Wire.Demand_update | Wire.Route_change -> ());
-      let bytes = Wire.seq_broadcast_size in
-      let seq = Rbcast.send o ~tree:st.btree (logged bcast_id bytes) in
-      Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root:st.src
-        ~tree:st.btree ~bcast_id ~bytes ()
-    end
-    else begin
-      let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
-      Net.send_bcast t.net ~root:st.src ~tree ~bcast_id ~bytes:Wire.broadcast_size ()
-    end
-  end
-  else begin
     match event with
     | Wire.Flow_start ->
-        let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
-        let depth = Broadcast.depth t.bcast ~src:st.src ~tree in
-        let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-        Engine.after t.eng
-          (depth * (Topology.hop_latency_ns + tx))
-          (fun () -> mark_visible t st)
-    | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> ()
+        (* Visibility counts the receipts of this broadcast afresh. *)
+        st.starts_seen <- 0;
+        2 * st.idx
+    | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> (2 * st.idx) + 1
+  in
+  if t.cfg.reliable_bcast then begin
+    (* Every event of a flow rides the tree picked at its start, so the
+       per-(source, tree) window orders the finish after the start at
+       every receiver. *)
+    let o = t.origins.(st.src) in
+    (match event with
+    | Wire.Flow_start ->
+        if st.btree < 0 then st.btree <- Broadcast.choose_tree t.bcast t.root_rng ~src:st.src;
+        Rbcast.mark_live o ~tree:st.btree st.idx
+    | Wire.Flow_finish -> Rbcast.mark_dead o st.idx
+    | Wire.Demand_update | Wire.Route_change -> ());
+    let bytes = Wire.seq_broadcast_size in
+    let seq = Rbcast.send o ~tree:st.btree (logged bcast_id bytes) in
+    Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root:st.src ~tree:st.btree
+      ~bcast_id ~bytes ()
+  end
+  else begin
+    let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
+    Net.send_bcast t.net ~root:st.src ~tree ~bcast_id ~bytes:Wire.broadcast_size ()
   end
 
 let apply_rate t st (r : U.byte_rate) =
@@ -594,20 +575,21 @@ let wf_of st =
 
 (* Water-filling over every flow the node believes exists — its view plus
    [own], flows it sources and so always knows — in ascending id order.
-   Returns those flows and their rates, index for index. *)
+   [own] must be in descending id order. Between a crash and its detection
+   a crashed sender's live flows are missing from its cleared view, and
+   [own] still holds them. Returns the flows and their rates, index for
+   index. *)
 let believed_allocation t ~node ~own =
-  (* Measured: the believed-flow count, = host count once every start
-     broadcast has arrived. *)
   let ids = Replicas.believed t.reps ~replica:node in
-  let view : (int, fstate) Hashtbl.t = Hashtbl.create (max 64 (Array.length ids)) in
-  Array.iter
-    (fun flow ->
-      match Hashtbl.find_opt t.all_states flow with
-      | Some st -> Hashtbl.replace view flow st
-      | None -> ())
-    ids;
-  List.iter (fun st -> Hashtbl.replace view st.idx st) own;
-  let flows = Util.Tbl.sorted_values ~cmp:Int.compare view in
+  (* Merge from the top of both, so the result comes out ascending. *)
+  let rec merge i own acc =
+    match own with
+    | st :: rest when i < 0 || st.idx > ids.(i) -> merge i rest (st :: acc)
+    | st :: rest when st.idx = ids.(i) -> merge (i - 1) rest (st :: acc)
+    | _ when i < 0 -> acc
+    | _ -> merge (i - 1) own (match find_flow t ids.(i) with Some st -> st :: acc | None -> acc)
+  in
+  let flows = Array.of_list (merge (Array.length ids - 1) own []) in
   ( flows,
     Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
       ~capacities:t.capacities (Array.map wf_of flows) )
@@ -619,24 +601,17 @@ let believed_allocation t ~node ~own =
    delivery, completion or reroute happened since the last epoch
    ([epoch_dirty]); a quiet epoch is skipped outright. *)
 let recompute_per_node t =
-  (* Measured: one bucket per distinct still-sending source, bounded by
-     the active-flow count (= host count under the permutation workload). *)
-  let senders : (int, fstate list) Hashtbl.t =
-    Hashtbl.create (max 64 (Hashtbl.length t.active))
-  in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun _ st ->
-      if not st.done_sending then
-        Hashtbl.replace senders st.src
-          (st :: Option.value ~default:[] (Hashtbl.find_opt senders st.src)))
-    t.active;
-  Util.Tbl.iter_sorted ~cmp:Int.compare
+  (* Each node's still-sending flows, newest first. *)
+  let own = Array.make t.nverts [] in
+  iter_live t (fun st -> if not st.done_sending then own.(st.src) <- st :: own.(st.src));
+  Array.iteri
     (fun node own ->
-      (* [own] is never empty, so neither is the believed set. *)
-      let flows, rates = believed_allocation t ~node ~own in
-      t.recomputes <- t.recomputes + 1;
-      Array.iteri (fun i st -> if st.src = node then apply_rate t st rates.(i)) flows)
-    senders
+      if own <> [] then begin
+        let flows, rates = believed_allocation t ~node ~own in
+        t.recomputes <- t.recomputes + 1;
+        Array.iteri (fun i st -> if st.src = node then apply_rate t st rates.(i)) flows
+      end)
+    own
 
 (* Global-epoch approximation: every node would run the same water-filling
    over (nearly) the same visible flow set; run it once per epoch and apply
@@ -650,9 +625,7 @@ let recompute_global t inc =
     t.recomputes <- t.recomputes + 1;
     Inc.allocate inc;
     Inc.iter_rates inc (fun ~id ~rate ->
-        match Hashtbl.find_opt t.active id with
-        | Some st -> apply_rate t st rate
-        | None -> ())
+        match find_flow t id with Some st when st.live -> apply_rate t st rate | _ -> ())
   end
 
 (* Graceful degradation (§3.3): the headroom the waterfill reserves grows
@@ -766,10 +739,8 @@ let recompute t =
 let reselect t interval =
   let now = Engine.now t.eng in
   let eligible = ref [] in
-  Util.Tbl.iter_sorted ~cmp:Int.compare
-    (fun _ st ->
-      if (not st.done_sending) && now - st.started_ns >= interval then eligible := st :: !eligible)
-    t.active;
+  iter_live t (fun st ->
+      if (not st.done_sending) && now - st.started_ns >= interval then eligible := st :: !eligible);
   let sts = Array.of_list !eligible in
   if Array.length sts >= 2 then begin
     t.reselections <- t.reselections + 1;
@@ -804,7 +775,7 @@ let reselect t interval =
           end)
         sts;
     t.flows_rerouted <- t.flows_rerouted + !changed;
-    if !changed > 0 && t.cfg.real_broadcast then begin
+    if !changed > 0 then begin
       (* One batched route-change announcement: 16-byte header plus 5 bytes
          per {flow, protocol} pair, capped at an MTU. *)
       let bytes = min Topology.mtu (Wire.broadcast_size + (5 * !changed)) in
@@ -812,7 +783,7 @@ let reselect t interval =
       let bcast_id = -t.reselections in
       let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:root in
       let seq, inc =
-        if reliable t then
+        if t.cfg.reliable_bcast then
           ( Rbcast.send t.origins.(root) ~tree (logged bcast_id bytes),
             Rbcast.incarnation t.origins.(root) )
         else (0, 0)
@@ -823,7 +794,7 @@ let reselect t interval =
 
 let rec reselect_loop t interval () =
   reselect t interval;
-  if Hashtbl.length t.active > 0 then Engine.after t.eng interval (reselect_loop t interval)
+  if t.live_flows > 0 then Engine.after t.eng interval (reselect_loop t interval)
   else t.reselect_running <- false
 
 (* -- anti-entropy digest loop --------------------------------------------- *)
@@ -914,7 +885,7 @@ let rec digest_loop t () =
   close_reconvergence t;
   check_rejoins t;
   if
-    Hashtbl.length t.active > 0
+    t.live_flows > 0
     || Hashtbl.length t.pending_rejoins > 0
     || not (control_converged t)
   then begin
@@ -927,7 +898,7 @@ let rec digest_loop t () =
    idle; it stops when no flow remains and restarts when one starts. *)
 let rec recompute_loop t () =
   recompute t;
-  if Hashtbl.length t.active > 0 then
+  if t.live_flows > 0 then
     Engine.after t.eng t.cfg.recompute_interval_ns (recompute_loop t)
   else t.loop_running <- false
 
@@ -936,7 +907,7 @@ let ensure_loop t =
     t.loop_running <- true;
     Engine.after t.eng t.cfg.recompute_interval_ns (recompute_loop t)
   end;
-  if reliable t && not t.digest_running then begin
+  if t.cfg.reliable_bcast && not t.digest_running then begin
     t.digest_running <- true;
     Engine.after t.eng t.cfg.digest_interval_ns (digest_loop t)
   end;
@@ -958,16 +929,16 @@ let abort_flow t st =
     t.aborted <- st.idx :: t.aborted;
     st.inject_gen <- st.inject_gen + 1;
     flow_done_sending t st;
-    Hashtbl.remove t.active st.idx;
-    Hashtbl.remove t.on_complete st.idx;
+    retire t st;
+    st.on_complete <- None;
     for node = 0 to t.nverts - 1 do
       Replicas.remove t.reps ~replica:node st.idx
     done;
     (* The origin's advertised live set must drop the flow too, or every
        digest hash would disagree with the views forever. *)
-    if reliable t then Rbcast.mark_dead t.origins.(st.src) st.idx;
+    if t.cfg.reliable_bcast then Rbcast.mark_dead t.origins.(st.src) st.idx;
     t.epoch_dirty <- true;
-    if Hashtbl.length t.active = 0 then stamp_reconvergence t
+    if t.live_flows = 0 then stamp_reconvergence t
   end
 
 (* The simulator plays the receiver's ARQ with global knowledge: a lost Data
@@ -1004,9 +975,9 @@ and retransmit t st ~seq ~bytes ~last =
 
 let handle_loss t pkt =
   if Net.kind t.net pkt = Net.code_data then begin
-    let flow = Net.data_flow t.net pkt in
-    match Hashtbl.find_opt t.all_states flow with
-    | Some st when (not st.failed) && not (flow_complete t flow) ->
+    let id = Net.data_flow t.net pkt in
+    match find_flow t id with
+    | Some st when (not st.failed) && not (flow_complete t id) ->
         arm_retransmit t st ~seq:(Net.data_seq t.net pkt)
           ~bytes:(Net.bytes t.net pkt) ~last:(Net.data_last t.net pkt)
     | _ -> ()
@@ -1017,7 +988,7 @@ let handle_loss t pkt =
    PAUSE (rate-limited per receiver) to the packet's source, covering
    [pause_class] and every class below it. Higher classes are never
    paused — their latency is what the backpressure is protecting. *)
-let maybe_send_pause t pkt ~flow =
+let maybe_send_pause t pkt ~id =
   if t.overload_on && Net.overloaded_links t.net > 0 then begin
     let dst = Net.route_last t.net pkt in
     let now = Engine.now t.eng in
@@ -1025,7 +996,7 @@ let maybe_send_pause t pkt ~flow =
       let len = Net.route_length t.net pkt in
       let l = Topology.find_link_id t.topo (Net.route_at t.net pkt (len - 2)) dst in
       if l >= 0 && Net.link_overloaded t.net ~link_id:l then
-        match Hashtbl.find_opt t.all_states flow with
+        match find_flow t id with
         | Some st
           when st.priority >= pause_class
                && st.src <> dst && Net.node_up t.net st.src
@@ -1055,10 +1026,7 @@ let detect t fr apply_overlay =
   t.bcast_target <- Topology.alive_vertex_count t.topo - 1;
   (* A healed or rejoining node hears every stream in the next digest round. *)
   Array.iter Rbcast.reset_backoff t.origins;
-  (* [t.active] is keyed by flow idx, so this is the old sort-by-idx. *)
-  let sts = Array.to_list (Util.Tbl.sorted_values ~cmp:Int.compare t.active) in
-  List.iter
-    (fun st ->
+  iter_live t (fun st ->
       if not (Topology.reachable t.topo st.src st.dst) then begin
         abort_flow t st;
         fr.aborted <- fr.aborted + 1
@@ -1071,12 +1039,12 @@ let detect t fr apply_overlay =
             Congestion.Waterfill.Inc.set_links inc ~id:st.idx st.wf_links
         | _ -> ());
         if not st.done_sending then send_flow_broadcast t st Wire.Flow_start
-      end)
-    sts;
-  if Hashtbl.length t.active = 0 then fr.reconverge_ns <- Engine.now t.eng
-  else ensure_loop t
+      end);
+  if t.live_flows = 0 then fr.reconverge_ns <- Engine.now t.eng else ensure_loop t
 
-let schedule_event t ~ns kind phys overlay =
+(* The physical event happens at [ns]; one detection delay later [detect]
+   applies [overlay] and reacts, then [detected] runs. *)
+let schedule_event ?(detected = ignore) t ~ns kind phys overlay =
   Engine.at t.eng ns (fun () ->
       phys ();
       let fr =
@@ -1092,51 +1060,32 @@ let schedule_event t ~ns kind phys overlay =
       t.failures <- fr :: t.failures;
       Engine.after t.eng (detection_delay t) (fun () ->
           detect t fr overlay;
+          detected ();
           (* The rack may have gone quiet before this event was detected
              (e.g. a partition healing after every flow completed); the
              periodic loops must come back so anti-entropy can repair the
              views of whoever was cut off. *)
           ensure_loop t))
 
-let fail_link_at t ~ns u v =
-  schedule_event t ~ns "link"
-    (fun () -> Net.fail_link t.net u v)
-    (fun () -> Topology.fail_link t.topo u v)
-
-let fail_node_at t ~ns u =
-  schedule_event t ~ns "node"
-    (fun () -> Net.fail_node t.net u)
-    (fun () -> Topology.fail_node t.topo u)
-
-let restore_link_at t ~ns u v =
-  schedule_event t ~ns "restore-link"
-    (fun () -> Net.restore_link t.net u v)
-    (fun () -> Topology.restore_link t.topo u v)
-
 (* -- crash-restart (robustness) -------------------------------------------- *)
 
 (* A crash is a state-losing node failure: besides the physical down-state,
    the node's receive windows, traffic-matrix view and per-flow sender soft
    state (pacing timers, retransmission history) are destroyed — unlike
-   {!fail_node_at}, which models an outage that preserves state. *)
-let crash_node_at t ~ns u =
-  schedule_event t ~ns "crash"
-    (fun () ->
-      Net.fail_node t.net u;
-      Replicas.clear t.reps ~replica:u;
-      Util.Tbl.iter_sorted ~cmp:Int.compare
-        (fun _ st ->
-          if st.src = u then begin
-            (* Invalidate the pacing timer and forget retransmission
-               attempts: nothing of the sender survives the crash. *)
-            st.inject_gen <- st.inject_gen + 1;
-            Hashtbl.reset st.rtx
-          end)
-        t.active)
-    (fun () -> Topology.fail_node t.topo u)
+   [Fail_node], which models an outage that preserves state. *)
+let crash t u =
+  Net.fail_node t.net u;
+  Replicas.clear t.reps ~replica:u;
+  iter_live t (fun st ->
+      if st.src = u then begin
+        (* Invalidate the pacing timer and forget retransmission attempts:
+           nothing of the sender survives the crash. *)
+        st.inject_gen <- st.inject_gen + 1;
+        Hashtbl.reset st.rtx
+      end)
 
 let send_snapshot_reqs t u =
-  if reliable t then
+  if t.cfg.reliable_bcast then
     Array.iteri
       (fun root _ ->
         if
@@ -1167,13 +1116,10 @@ let send_snapshot_reqs t u =
 let rec announce_join t u =
   if Net.node_up t.net u && Hashtbl.mem t.pending_rejoins u then begin
     t.joins_sent <- t.joins_sent + 1;
-    if t.cfg.real_broadcast then begin
-      let inc = if reliable t then Rbcast.incarnation t.origins.(u) else 0 in
-      Net.send_bcast t.net ~inc ~root:u ~tree:0 ~bcast_id:bcast_id_join
-        ~bytes:Wire.join_size ()
-    end;
+    let inc = if t.cfg.reliable_bcast then Rbcast.incarnation t.origins.(u) else 0 in
+    Net.send_bcast t.net ~inc ~root:u ~tree:0 ~bcast_id:bcast_id_join ~bytes:Wire.join_size ();
     send_snapshot_reqs t u;
-    if reliable t then
+    if t.cfg.reliable_bcast then
       Engine.after t.eng rejoin_retry_ns (fun () -> announce_join t u)
     else begin
       (* Without the reliable machinery there is no catch-up to await: the
@@ -1188,27 +1134,11 @@ let rec announce_join t u =
    windows, no view — then runs the rejoin protocol. The JOIN waits for the
    restore's detection instant, when the broadcast trees have been repaired
    around the revived node and the routing overlay can reach it again. *)
-let restart_node_at t ~ns u =
-  Engine.at t.eng ns (fun () ->
-      Net.restore_node t.net u;
-      Replicas.clear t.reps ~replica:u;
-      if reliable t then ignore (Rbcast.restart t.origins.(u));
-      Hashtbl.replace t.pending_rejoins u ns;
-      let fr =
-        {
-          kind = "restart";
-          fail_ns = ns;
-          detect_ns = ns + detection_delay t;
-          reconverge_ns = -1;
-          aborted = 0;
-          repaired = 0;
-        }
-      in
-      t.failures <- fr :: t.failures;
-      Engine.after t.eng (detection_delay t) (fun () ->
-          detect t fr (fun () -> Topology.restore_node t.topo u);
-          announce_join t u;
-          ensure_loop t))
+let restart t ~ns u =
+  Net.restore_node t.net u;
+  Replicas.clear t.reps ~replica:u;
+  if t.cfg.reliable_bcast then ignore (Rbcast.restart t.origins.(u));
+  Hashtbl.replace t.pending_rejoins u ns
 
 (* -- gray failures: flaky links and the health estimator ------------------- *)
 
@@ -1290,7 +1220,7 @@ let rec health_loop t () =
   | None -> t.health_running <- false
   | Some h ->
       let demoted = health_tick t h in
-      if demoted || Hashtbl.length t.active > 0 then
+      if demoted || t.live_flows > 0 then
         Engine.after t.eng health_interval_ns (health_loop t)
       else t.health_running <- false
 
@@ -1303,25 +1233,81 @@ let ensure_health_loop t =
     Engine.after t.eng health_interval_ns (health_loop t)
   end
 
-let flaky_link_at t ~ns ?spike_ns u v ~loss ~spike =
-  Engine.at t.eng ns (fun () ->
-      Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed)
-        ~spike_ns:(Option.value ~default:flaky_spike_ns spike_ns)
-        u v ~loss ~spike;
-      ensure_health_loop t)
+(* -- the fault vocabulary ---------------------------------------------------- *)
 
-let unflaky_link_at t ~ns u v =
-  Engine.at t.eng ns (fun () -> Net.clear_flaky_link t.net u v)
-
-(* -- construction ---------------------------------------------------------- *)
+type fault =
+  | Fail_link of int * int
+  | Restore_link of int * int
+  | Fail_node of int
+  | Crash of int
+  | Restart of int
+  | Flaky of { u : int; v : int; loss : U.fraction; spike : U.fraction; spike_ns : int option }
+  | Unflaky of int * int
+  | Control_chaos of { loss : U.fraction; reorder : U.fraction; dup : U.fraction }
 
 let chaos_seed seed = seed + 101
 
+(* Everything the event would reject when it fires, checked before it is
+   scheduled: the cable must exist, the node must be a vertex, and each
+   rate must be a probability in [0, 1), as [Net] requires. *)
+let check_fault t fault =
+  let fail what = invalid_arg ("R2c2_sim.inject_at: " ^ what) in
+  let cable u v = if Topology.find_link t.topo u v = None then fail "vertices not adjacent" in
+  let node u = if u < 0 || u >= t.nverts then fail "node out of range" in
+  let rate what (r : U.fraction) =
+    let r = (r :> float) in
+    if r < 0.0 || r >= 1.0 then fail (what ^ " outside [0, 1)")
+  in
+  match fault with
+  | Fail_link (u, v) | Restore_link (u, v) | Unflaky (u, v) -> cable u v
+  | Fail_node u | Crash u | Restart u -> node u
+  | Flaky { u; v; loss; spike; spike_ns } ->
+      cable u v;
+      rate "loss" loss;
+      rate "spike" spike;
+      if Option.value ~default:0 spike_ns < 0 then fail "negative spike_ns"
+  | Control_chaos { loss; reorder; dup } ->
+      rate "loss" loss;
+      rate "reorder" reorder;
+      rate "dup" dup
+
+let inject_at t ~ns fault =
+  check_fault t fault;
+  match fault with
+  | Fail_link (u, v) ->
+      schedule_event t ~ns "link"
+        (fun () -> Net.fail_link t.net u v)
+        (fun () -> Topology.fail_link t.topo u v)
+  | Restore_link (u, v) ->
+      schedule_event t ~ns "restore-link"
+        (fun () -> Net.restore_link t.net u v)
+        (fun () -> Topology.restore_link t.topo u v)
+  | Fail_node u ->
+      schedule_event t ~ns "node"
+        (fun () -> Net.fail_node t.net u)
+        (fun () -> Topology.fail_node t.topo u)
+  | Crash u ->
+      schedule_event t ~ns "crash" (fun () -> crash t u) (fun () -> Topology.fail_node t.topo u)
+  | Restart u ->
+      schedule_event t ~ns "restart"
+        ~detected:(fun () -> announce_join t u)
+        (fun () -> restart t ~ns u)
+        (fun () -> Topology.restore_node t.topo u)
+  | Flaky { u; v; loss; spike; spike_ns } ->
+      Engine.at t.eng ns (fun () ->
+          Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed)
+            ~spike_ns:(Option.value ~default:flaky_spike_ns spike_ns)
+            u v ~loss ~spike;
+          ensure_health_loop t)
+  | Unflaky (u, v) -> Engine.at t.eng ns (fun () -> Net.clear_flaky_link t.net u v)
+  | Control_chaos { loss; reorder; dup } ->
+      (* The chaos RNG continues across retunes. *)
+      Engine.at t.eng ns (fun () ->
+          Net.set_control_chaos t.net ~seed:(chaos_seed t.cfg.seed) ~loss ~reorder ~dup)
+
+(* -- construction ---------------------------------------------------------- *)
+
 let create cfg topo =
-  if cfg.control = Per_node && not cfg.real_broadcast then
-    invalid_arg "R2c2_sim: Per_node control builds its views from real broadcasts";
-  if cfg.reliable_bcast && not cfg.real_broadcast then
-    invalid_arg "R2c2_sim: reliable_bcast needs real broadcasts to protect";
   let eng = Engine.create ~backend:cfg.engine_backend () in
   let net =
     Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps ()
@@ -1352,18 +1338,10 @@ let create cfg topo =
       mtrcs = Metrics.create ();
       cap_bytes_ns = U.to_float cap;
       capacities;
-      (* Pre-sized to measured steady-state populations (permutation
-         workload, one flow per host): [active]/[all_states] and each
-         node's view hold one entry per host (27 on the 3x3x3 test torus,
-         512 on the 8x8x8 bench torus). Sizing from [nverts] keeps the
-         packet-path lookups resize-free at every scale. [bcast_seen] holds
-         two ids per flow (start + finish) and grows with the flow count. *)
-      active = Hashtbl.create (max 256 nverts);
-      all_states = Hashtbl.create (max 256 nverts);
+      flows = Array.make (max 256 nverts) None;
+      live_flows = 0;
       nverts;
       reps = Replicas.create ~replicas:nverts ~origins:nverts ~trees:Topology.trees_per_source;
-      bcast_seen = Array.make (max 256 (2 * nverts)) (-1);
-      on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
       recomputes = 0;
       rate_updates = [];
@@ -1386,7 +1364,7 @@ let create cfg topo =
       aborted = [];
       failures = [];
       origins =
-        (if cfg.reliable_bcast && cfg.real_broadcast then
+        (if cfg.reliable_bcast then
            Array.init nverts (fun _ ->
                Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:Topology.trees_per_source ())
          else [||]);
@@ -1418,9 +1396,7 @@ let create cfg topo =
          else None);
       pacers =
         (if cfg.overload_control then
-           Array.init nverts (fun _ ->
-               Congestion.Overload.Pacer.create ~backoff:pause_backoff
-                 ~recovery:pause_recovery ~min_scale:pause_min_scale ())
+           Array.init nverts (fun _ -> Congestion.Overload.Pacer.create ())
          else [||]);
       pause_cls = (if cfg.overload_control then Array.make nverts max_int else [||]);
       last_pause =
@@ -1436,7 +1412,6 @@ let create cfg topo =
   if cfg.queue_high_watermark < max_int then
     Net.set_queue_watermarks net ~high:cfg.queue_high_watermark
       ~low:cfg.queue_low_watermark;
-  List.iter (fun (priority, bound_ns) -> Metrics.set_slo t.mtrcs ~priority ~bound_ns) cfg.slos;
   (if cfg.overload_control then
      match t.galloc with
      | Some inc ->
@@ -1456,7 +1431,7 @@ let create cfg topo =
         if bcast_id = bcast_id_join then
           handle_join t ~node ~joiner:(Net.bcast_root net pkt)
             ~inc:(Net.bcast_inc net pkt)
-        else if reliable t then begin
+        else if cfg.reliable_bcast then begin
           let root = Net.bcast_root net pkt and tree = Net.bcast_tree net pkt in
           let w = window t ~node ~root ~tree in
           if Replicas.admit t.reps w ~inc:(Net.bcast_inc net pkt) then
@@ -1474,7 +1449,7 @@ let create cfg topo =
         else count_receipt t bcast_id
       end
       else if k = Net.code_digest then begin
-        if reliable t then begin
+        if cfg.reliable_bcast then begin
           let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
           let w = window t ~node ~root ~tree in
           if Replicas.admit t.reps w ~inc:(Rbcast.unpack_inc (Net.digest_epoch net pkt)) then
@@ -1504,33 +1479,29 @@ let create cfg topo =
   Net.on_deliver net (fun pkt ->
       let k = Net.kind net pkt in
       if k = Net.code_data then begin
-          let flow = Net.data_flow net pkt and seq = Net.data_seq net pkt in
+          let id = Net.data_flow net pkt and seq = Net.data_seq net pkt in
           let payload = Net.bytes net pkt - header in
           t.delivered_payload <- t.delivered_payload + payload;
-          maybe_send_pause t pkt ~flow;
-          let finished =
-            Metrics.record_delivery t.mtrcs ~id:flow ~seq ~payload ~now:(Engine.now eng)
-          in
-          if finished then begin
-            (match Hashtbl.find_opt t.active flow with
-            | Some st ->
-                Hashtbl.remove t.active flow;
+          maybe_send_pause t pkt ~id;
+          if Metrics.record_delivery t.mtrcs ~id ~seq ~payload ~now:(Engine.now eng) then
+            match find_flow t id with
+            | Some st when st.live ->
+                retire t st;
                 t.epoch_dirty <- true;
                 (* With nothing left to allocate, a detected failure is
                    trivially reconverged — the periodic loop is about to
                    stop and would never stamp it. *)
-                if Hashtbl.length t.active = 0 then stamp_reconvergence t;
+                if t.live_flows = 0 then stamp_reconvergence t;
                 (* The finish broadcast never reaches its own root, but the
                    sender knows its flow ended. *)
-                if cfg.control = Per_node then Replicas.remove t.reps ~replica:st.src flow;
-                send_flow_broadcast t st Wire.Flow_finish
-            | None -> ());
-            match Hashtbl.find_opt t.on_complete flow with
-            | Some k ->
-                Hashtbl.remove t.on_complete flow;
-                k flow
-            | None -> ()
-          end
+                if cfg.control = Per_node then Replicas.remove t.reps ~replica:st.src id;
+                send_flow_broadcast t st Wire.Flow_finish;
+                Option.iter
+                  (fun k ->
+                    st.on_complete <- None;
+                    k id)
+                  st.on_complete
+            | _ -> ()
       end
       else if k = Net.code_nack then begin
           (* A NACK reached the origin: replay the logged packets onto the
@@ -1545,7 +1516,7 @@ let create cfg topo =
           let root = Net.nack_root net pkt and tree = Net.nack_tree net pkt in
           let from_seq = Net.nack_from net pkt and to_seq = Net.nack_to net pkt in
           let requester = Net.nack_requester net pkt in
-          if reliable t then begin
+          if cfg.reliable_bcast then begin
             if to_seq < from_seq then send_sync t ~root ~requester
             else begin
               let o = t.origins.(root) and now = Engine.now eng in
@@ -1569,7 +1540,7 @@ let create cfg topo =
           end
       end
       else if k = Net.code_sync then begin
-          if reliable t then begin
+          if cfg.reliable_bcast then begin
             let node = Net.route_last net pkt in
             apply_sync t ~node ~root:(Net.sync_root net pkt)
               ~entries:(Net.sync_entries net pkt)
@@ -1589,8 +1560,7 @@ let create cfg topo =
 
 let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_gbps ?on_complete
     t ~src ~dst ~size =
-  if src = dst then invalid_arg "R2c2_sim: flow with src = dst";
-  if size <= 0 then invalid_arg "R2c2_sim: non-positive flow size";
+  Workload.Flowgen.check_flow ~who:"R2c2_sim" t.topo ~src ~dst ~size;
   (* The start broadcast carries weight and priority in one byte each. *)
   if weight < 1 || weight > 255 then invalid_arg "R2c2_sim: weight outside 1..255";
   if priority < 0 || priority > 255 then invalid_arg "R2c2_sim: priority outside 0..255";
@@ -1603,15 +1573,13 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
     (* Refused at admission: the flow consumes an id but injects nothing —
        its would-be payload is accounted to the shed counters, so the
        byte-conservation ledger still balances exactly. *)
-    let idx = t.next_id in
-    t.next_id <- idx + 1;
+    let idx = next_flow_id t in
     t.shed_flows <- t.shed_flows + 1;
     t.shed_payload <- t.shed_payload + size;
     idx
   end
   else begin
-  let idx = t.next_id in
-  t.next_id <- idx + 1;
+  let idx = next_flow_id t in
   Metrics.add_flow ~priority t.mtrcs ~id:idx ~src ~dst ~size ~arrival_ns:(Engine.now t.eng);
   let st =
     {
@@ -1641,12 +1609,14 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
          retransmission timers land here, a handful per flow *)
       failed = false;
       btree = -1;
+      live = true;
+      starts_seen = 0;
+      on_complete;
     }
   in
-  Hashtbl.replace t.active idx st;
-  Hashtbl.replace t.all_states idx st;
+  t.flows.(idx) <- Some st;
+  t.live_flows <- t.live_flows + 1;
   t.epoch_dirty <- true;
-  (match on_complete with Some k -> Hashtbl.replace t.on_complete idx k | None -> ());
   send_flow_broadcast t st Wire.Flow_start;
   (* The start broadcast picked the flow's tree; without the reliable
      plane no digest reads per-tree hashes, and tree 0 stands in. *)
@@ -1661,10 +1631,6 @@ let run_engine ?until_ns t = Engine.run ?until:until_ns t.eng
 
 (* -- reliability accessors (tests, benches) -------------------------------- *)
 
-let set_control_chaos_at t ~ns ~loss ~reorder ~dup =
-  Engine.at t.eng ns (fun () ->
-      Net.set_control_chaos t.net ~seed:(chaos_seed t.cfg.seed) ~loss ~reorder ~dup)
-
 let effective_headroom t = U.fraction t.eff_headroom
 
 let shed_floor t =
@@ -1676,8 +1642,7 @@ let pacer_scale t ~node =
   if Array.length t.pacers = 0 then 1.0
   else Congestion.Overload.Pacer.scale t.pacers.(node)
 
-let flow_tree t id =
-  match Hashtbl.find_opt t.all_states id with Some st -> st.btree | None -> -1
+let flow_tree t id = match find_flow t id with Some st -> st.btree | None -> -1
 
 let node_view_ids t ~node =
   if t.cfg.control <> Per_node then
@@ -1715,7 +1680,6 @@ let results t =
     aborted_flows = List.rev t.aborted;
     failures = List.rev t.failures;
     tree_repairs = Broadcast.repairs t.bcast;
-    tree_repair_bytes = Broadcast.repair_bytes t.bcast;
     ctrl_lost = Net.ctrl_lost t.net;
     ctrl_lost_bytes = Net.ctrl_lost_bytes t.net;
     ctrl_reordered = Net.ctrl_reordered t.net;

@@ -26,9 +26,6 @@ type config = {
   link_gbps : Util.Units.gbps;
   headroom : Util.Units.fraction;
   recompute_interval_ns : int;
-  real_broadcast : bool;
-      (** if false, visibility is modeled as tree-depth latency and no
-          broadcast packets enter the fabric *)
   queue_capacity : int;  (** bytes per output queue; [max_int] = unbounded *)
   control : control;
   reselect_interval_ns : int option;
@@ -44,8 +41,7 @@ type config = {
           per-(source, tree) sequence number, receivers run windows with
           NACK-based repair from the origin's replay log, and sources
           beacon periodic anti-entropy digests whose state hash triggers a
-          full-state sync on genuine divergence. Requires
-          [real_broadcast] *)
+          full-state sync on genuine divergence *)
   digest_interval_ns : int;  (** anti-entropy beacon period per source *)
   bcast_log_cap : int;  (** origin replay-log depth per tree *)
   control_loss : Util.Units.fraction;
@@ -70,9 +66,6 @@ type config = {
           shed floor re-admits one class after 3 consecutive clean epochs;
           the waterfill withholds 20% of every link's capacity from
           classes numerically >= 1 *)
-  slos : (int * int) list;
-      (** per-class SLO promises [(priority, fct_bound_ns)], installed into
-          {!Metrics.set_slo} at {!create} *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] (the default) is the O(1)
           wheel, [Binary_heap] the reference queue kept for differential
@@ -82,8 +75,8 @@ type config = {
 }
 
 val default_config : config
-(** The {!Topology} link speed and headroom, rho = 500 µs, real
-    broadcasts, unbounded queues, global-epoch control, 50 µs
+(** The {!Topology} link speed and headroom, rho = 500 µs, unbounded
+    queues, global-epoch control, 50 µs
     retransmission timeout, seed 1. Reliable broadcast off, digests every
     100 µs, 64 Ki replay log, no chaos.
 
@@ -101,8 +94,8 @@ val rejoin_retry_ns : int
 
 type failure = {
   kind : string;
-      (** ["link"], ["node"], ["restore-link"], ["restore-node"],
-          ["crash"], ["restart"] *)
+      (** ["link"], ["node"], ["restore-link"], ["crash"] or ["restart"],
+          after the {!fault} that made it *)
   fail_ns : int;  (** when the physical event happened *)
   detect_ns : int;  (** when topology discovery surfaced it *)
   mutable reconverge_ns : int;
@@ -138,7 +131,6 @@ type result = {
           ascending; they count as neither completed nor in-flight *)
   failures : failure list;  (** chronological fault-injection records *)
   tree_repairs : int;  (** broadcast trees rebuilt over the whole run *)
-  tree_repair_bytes : int;  (** control bytes those rebuilds cost *)
   ctrl_lost : int;  (** control packets destroyed by chaos injection *)
   ctrl_lost_bytes : int;
   ctrl_reordered : int;  (** control packets given extra per-hop delay *)
@@ -214,78 +206,80 @@ val start_flow :
 (** Open a flow {e at the current simulation time}: broadcasts the start
     event and begins transmitting immediately (§3.3.2). [demand_gbps]
     marks a host-limited flow; [on_complete] fires (with the flow id) when
-    the last byte is delivered. Returns the flow id. Raises
-    [Invalid_argument] for [src = dst], a non-positive [size], a [weight]
-    outside 1..255 or a [priority] outside 0..255 (the range the start
-    broadcast carries); a refused call consumes no flow id. *)
+    the last byte is delivered, and never for a flow a failure aborts.
+    Returns the flow id. Raises [Invalid_argument] when
+    {!Workload.Flowgen.check_flow} does (an endpoint that is not a host,
+    [src = dst], a non-positive [size]), for a [weight] outside 1..255 or
+    a [priority] outside 0..255 (the range the start broadcast carries); a
+    refused call consumes no flow id. *)
 
 val run_engine : ?until_ns:int -> t -> unit
 (** Process events until the rack goes idle (or [until_ns]). Can be called
     repeatedly as more flows are scripted. *)
 
-(** {2 Fault injection (§3.2)}
+(** {2 Fault injection (§3.2)} *)
 
-    Each of these schedules a physical event at simulation time [ns]: the
-    fabric state flips immediately (in-flight packets on a dead cable are
-    blackholed, senders keep using stale paths), and one detection delay
-    later the control plane reacts — broadcast trees are repaired, flows
-    with a dead endpoint are aborted, survivors are re-pathed onto the
-    surviving graph and re-announced, and the next rate epoch reconverges
-    the allocations. Lost packets are recovered by per-packet
+type fault =
+  | Fail_link of int * int
+      (** the cable between two adjacent vertices dies, both directions *)
+  | Restore_link of int * int  (** the cable comes back *)
+  | Fail_node of int
+      (** the vertex and all its cables die, keeping its state; flows to or
+          from it are aborted at detection and reported in [aborted_flows] *)
+  | Crash of int
+      (** a state-losing node failure: receive windows, traffic-matrix view
+          and sender soft state are wiped at the crash instant *)
+  | Restart of int
+      (** the node comes back {e cold} and runs the rejoin protocol: a JOIN
+          broadcast carrying a bumped origin incarnation (every receiver
+          still on an older one re-keys its windows for that root and drops
+          its pre-crash flows), plus per-origin snapshot requests over the
+          anti-entropy full-state sync path. The JOIN is re-announced every
+          {!rejoin_retry_ns} until the node is sequence-caught-up with
+          every reachable origin, at which point {!Metrics.note_rejoin}
+          stamps it. *)
+  | Flaky of {
+      u : int;
+      v : int;
+      loss : Util.Units.fraction;
+      spike : Util.Units.fraction;
+      spike_ns : int option;  (** extra latency of a spike; default 2 µs *)
+    }
+      (** a gray failure: the cable stays up but loses a [loss] share of
+          its traversals and spikes the latency of a [spike] share *)
+  | Unflaky of int * int  (** the cable is clean again *)
+  | Control_chaos of {
+      loss : Util.Units.fraction;
+      reorder : Util.Units.fraction;
+      dup : Util.Units.fraction;
+    }
+      (** retune the per-hop control-packet chaos rates (e.g. start
+          lossless, degrade, recover); the chaos RNG continues across
+          retunes, so runs stay seed-deterministic *)
+
+val inject_at : t -> ns:int -> fault -> unit
+(** Schedule [fault] at simulation time [ns]. Raises [Invalid_argument],
+    before anything is scheduled, for a cable between vertices that are
+    not adjacent, a node that is not a vertex, a rate outside [[0, 1)], a
+    negative [spike_ns], or an [ns] in the past.
+
+    For the link and node faults the fabric state flips at [ns]
+    (in-flight packets on a dead cable are blackholed, senders keep using
+    stale paths), and one detection delay later the control plane reacts:
+    broadcast trees are repaired, flows with a dead endpoint are aborted,
+    survivors are re-pathed onto the surviving graph and re-announced, and
+    the next rate epoch reconverges the allocations. Each of them leaves a
+    {!failure} record. Lost packets are recovered by per-packet
     retransmission: the [rtx_timeout_ns] timer doubles per retransmission
-    of the same packet up to 1 ms. *)
+    of the same packet up to 1 ms.
 
-val fail_link_at : t -> ns:int -> int -> int -> unit
-(** [fail_link_at t ~ns u v]: the cable between adjacent vertices [u] and
-    [v] dies (both directions) at time [ns]. *)
-
-val fail_node_at : t -> ns:int -> int -> unit
-(** The node and all its cables die at time [ns]; flows to or from it are
-    aborted at detection and reported in [aborted_flows]. *)
-
-val restore_link_at : t -> ns:int -> int -> int -> unit
-(** Restores follow the same discovery path: the fabric heals immediately,
-    the control plane re-paths one detection delay later. *)
-
-(** {2 Crash–restart}
-
-    Unlike {!fail_node_at}, which preserves the node's state across the
-    outage, a {e crash} destroys it: receive windows, traffic-matrix view
-    and sender soft state are wiped at the crash instant. A later
-    {!restart_node_at} brings the node back {e cold} and runs the rejoin
-    protocol — a JOIN broadcast carrying a bumped origin incarnation (every
-    receiver still on an older one re-keys its windows for that root and
-    drops its pre-crash flows), plus per-origin snapshot requests over the
-    anti-entropy full-state sync path. The rejoin is re-announced every
-    {!rejoin_retry_ns} until the node is sequence-caught-up with every
-    reachable origin, at which point {!Metrics.note_rejoin} stamps it. *)
-
-val crash_node_at : t -> ns:int -> int -> unit
-val restart_node_at : t -> ns:int -> int -> unit
-
-(** {2 Gray failures}
-
-    A flaky cable stays up but intermittently loses packets and spikes its
-    latency. A per-neighbor EWMA health estimator (ticking every 50 µs
-    once a flaky link exists, weight 0.3 on the newest interval) feeds the
-    {!Routing} quarantine state machine, which {e demotes} — rather than
-    deletes — suspect cables whose loss estimate exceeds 2% from spraying
-    fractions and VLB waypoint choice, with probation-based unquarantine
-    (500 µs dwell in quarantine, and again in probation). *)
-
-val flaky_link_at :
-  t ->
-  ns:int ->
-  ?spike_ns:int ->
-  int ->
-  int ->
-  loss:Util.Units.fraction ->
-  spike:Util.Units.fraction ->
-  unit
-(** [flaky_link_at t ~ns u v ~loss ~spike] flags the cable between adjacent
-    [u] and [v] at time [ns]; [spike_ns] defaults to 2 µs. *)
-
-val unflaky_link_at : t -> ns:int -> int -> int -> unit
+    A flaky cable is watched by a per-neighbor EWMA health estimator
+    (ticking every 50 µs once a flaky link exists, weight 0.3 on the
+    newest interval). It feeds the {!Routing} quarantine state machine,
+    which {e demotes} — rather than deletes — suspect cables whose loss
+    estimate exceeds 2% from spraying fractions and VLB waypoint choice,
+    with probation-based unquarantine (500 µs dwell in quarantine, and
+    again in probation). *)
 
 val link_health : t -> int -> int -> Routing.health
 (** Current quarantine state of the cable, for monitors and tests. *)
@@ -301,17 +295,6 @@ val results : t -> result
 
     Accessors used by the loss-sweep bench and the reconvergence tests;
     all of them are pure observers. *)
-
-val set_control_chaos_at :
-  t ->
-  ns:int ->
-  loss:Util.Units.fraction ->
-  reorder:Util.Units.fraction ->
-  dup:Util.Units.fraction ->
-  unit
-(** Schedule a mid-run retune of the control-chaos rates at simulation time
-    [ns] (e.g. start lossless, degrade, recover). The chaos RNG continues
-    across retunes, so runs stay seed-deterministic. *)
 
 val control_converged : t -> bool
 (** Every alive node is sequence-caught-up with every reachable origin and

@@ -1,29 +1,12 @@
 type event =
-  | Crash of int
-  | Restart of int
-  | Fail_link of int * int
-  | Flaky of {
-      u : int;
-      v : int;
-      loss : Util.Units.fraction;
-      spike : Util.Units.fraction;
-      spike_ns : int option;
-    }
-  | Unflaky of int * int
+  | Fault of R2c2_sim.fault
   | Partition of int list
   | Heal of int list
   | Surge of Workload.Flowgen.spec list
 
 type step = { at_ns : int; event : event }
 
-let crash ~at u = { at_ns = at; event = Crash u }
-let restart ~at u = { at_ns = at; event = Restart u }
-let fail_link ~at u v = { at_ns = at; event = Fail_link (u, v) }
-
-let flaky ~at ?spike_ns u v ~loss ~spike =
-  { at_ns = at; event = Flaky { u; v; loss; spike; spike_ns } }
-
-let unflaky ~at u v = { at_ns = at; event = Unflaky (u, v) }
+let fault ~at f = { at_ns = at; event = Fault f }
 let partition ~at group = { at_ns = at; event = Partition group }
 let heal ~at group = { at_ns = at; event = Heal group }
 let surge ~at specs = { at_ns = at; event = Surge specs }
@@ -48,7 +31,7 @@ type state = {
   on_violation : string -> unit;
   mutable checks : int;
   mutable violations : string list;  (* newest first *)
-  crashed : (int, unit) Hashtbl.t;  (* scenario's own truth for the tap *)
+  crashed : (int, unit) Hashtbl.t;  (* crashed or failed; the tap's truth *)
   mutable diverged_since : int;  (* -1 = views currently consistent *)
   mutable staleness_reported : bool;  (* one violation per stretch *)
   mutable worst_staleness : int;
@@ -75,27 +58,26 @@ let apply st { at_ns = ns; event } =
   let sim = st.sim in
   let eng = R2c2_sim.engine sim in
   match event with
-  | Crash u ->
+  | Fault ((R2c2_sim.Crash u | R2c2_sim.Fail_node u) as f) ->
       (* Physical death first, the monitor mark right after at the same
          instant — an arrival scheduled for this exact ns is not blamed. *)
-      R2c2_sim.crash_node_at sim ~ns u;
+      R2c2_sim.inject_at sim ~ns f;
       Engine.at eng ns (fun () -> Hashtbl.replace st.crashed u ())
-  | Restart u ->
+  | Fault (R2c2_sim.Restart u as f) ->
       (* Unmark before revival so the node's first legitimate arrivals
          are not blamed either. *)
       Engine.at eng ns (fun () -> Hashtbl.remove st.crashed u);
-      R2c2_sim.restart_node_at sim ~ns u
-  | Fail_link (u, v) -> R2c2_sim.fail_link_at sim ~ns u v
-  | Flaky { u; v; loss; spike; spike_ns } ->
-      R2c2_sim.flaky_link_at sim ~ns ?spike_ns u v ~loss ~spike
-  | Unflaky (u, v) -> R2c2_sim.unflaky_link_at sim ~ns u v
+      R2c2_sim.inject_at sim ~ns f
+  | Fault
+      ((R2c2_sim.Fail_link _ | Restore_link _ | Flaky _ | Unflaky _ | Control_chaos _) as f) ->
+      R2c2_sim.inject_at sim ~ns f
   | Partition group ->
       List.iter
-        (fun (u, v) -> R2c2_sim.fail_link_at sim ~ns u v)
+        (fun (u, v) -> R2c2_sim.inject_at sim ~ns (R2c2_sim.Fail_link (u, v)))
         (cut_cables (R2c2_sim.topology sim) group)
   | Heal group ->
       List.iter
-        (fun (u, v) -> R2c2_sim.restore_link_at sim ~ns u v)
+        (fun (u, v) -> R2c2_sim.inject_at sim ~ns (R2c2_sim.Restore_link (u, v)))
         (cut_cables (R2c2_sim.topology sim) group)
   | Surge specs ->
       (* A flow burst (e.g. one partition/aggregate incast volley); each

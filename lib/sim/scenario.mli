@@ -1,28 +1,18 @@
 (** Declarative chaos scenarios with invariant monitors.
 
-    A scenario is a timeline of fault-injection events — crashes,
-    restarts, binary and gray link failures, partitions — composed as
-    data and executed against a {!R2c2_sim.t}, while {e invariant
-    monitors} watch the run and fail it loudly the moment the stack
-    violates one of its correctness properties. The robustness test
-    suite and the graychaos bench are both written in this DSL.
+    A scenario is a timeline of events — every {!R2c2_sim.fault}, plus
+    partitions, heals and flow surges — composed as data and executed
+    against a {!R2c2_sim.t}, while {e invariant monitors} watch the run
+    and fail it loudly the moment the stack violates one of its
+    correctness properties. The robustness test suite and the graychaos
+    bench are both written in this DSL.
 
     Determinism: a scenario adds no RNG draws of its own, so a given
     (config seed, timeline) pair replays the exact same run — including
     under both engine backends. *)
 
 type event =
-  | Crash of int  (** state-losing node failure ({!R2c2_sim.crash_node_at}) *)
-  | Restart of int  (** cold restart + rejoin protocol *)
-  | Fail_link of int * int
-  | Flaky of {
-      u : int;
-      v : int;
-      loss : Util.Units.fraction;
-      spike : Util.Units.fraction;
-      spike_ns : int option;
-    }  (** gray failure: flag the cable as intermittently lossy/slow *)
-  | Unflaky of int * int
+  | Fault of R2c2_sim.fault  (** {!R2c2_sim.inject_at} at the step instant *)
   | Partition of int list
       (** cut every cable between the vertex set and the rest of the rack *)
   | Heal of int list  (** restore the cables a [Partition] of the set cut *)
@@ -36,20 +26,7 @@ type step = { at_ns : int; event : event }
 
 (** {2 Timeline constructors} *)
 
-val crash : at:int -> int -> step
-val restart : at:int -> int -> step
-val fail_link : at:int -> int -> int -> step
-
-val flaky :
-  at:int ->
-  ?spike_ns:int ->
-  int ->
-  int ->
-  loss:Util.Units.fraction ->
-  spike:Util.Units.fraction ->
-  step
-
-val unflaky : at:int -> int -> int -> step
+val fault : at:int -> R2c2_sim.fault -> step
 val partition : at:int -> int list -> step
 val heal : at:int -> int list -> step
 val surge : at:int -> Workload.Flowgen.spec list -> step
@@ -62,7 +39,8 @@ type invariant =
           [injected = delivered + dropped + blackholed] *)
   | No_crashed_traversal
       (** continuous check (fabric arrival tap): no packet is ever
-          observed arriving at — hence traversing — a crashed node *)
+          observed arriving at — hence traversing — a node that a [Crash]
+          or [Fail_node] took down and no [Restart] revived *)
   | Reconverge_within of { max_ns : int }
       (** end check: every fault-injection record reconverged (the rate
           allocation reflects the new topology) within [max_ns] of its
@@ -99,7 +77,8 @@ val run :
   report
 (** Schedule every step of the timeline, install the monitors, drive the
     simulation to completion and run the end-of-run checks. Steps may be
-    given in any order; same-instant events apply in list order.
+    given in any order; same-instant events apply in list order. A fault
+    {!R2c2_sim.inject_at} rejects raises here, before the run starts.
 
     [on_violation] fires at the moment a violation is detected, default
     [failwith] — a violated invariant kills the run loudly unless the

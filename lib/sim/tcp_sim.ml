@@ -46,6 +46,10 @@ type fstate = {
 }
 
 let run ?until_ns cfg topo specs =
+  List.iter
+    (fun (s : Workload.Flowgen.spec) ->
+      Workload.Flowgen.check_flow ~who:"Tcp_sim" topo ~src:s.src ~dst:s.dst ~size:s.size)
+    specs;
   let eng = Engine.create () in
   let net =
     Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:Topology.link_gbps ()
@@ -194,7 +198,6 @@ let run ?until_ns cfg topo specs =
   List.iteri
     (fun idx spec ->
       let open Workload.Flowgen in
-      if spec.src = spec.dst then invalid_arg "Tcp_sim: flow with src = dst";
       Metrics.add_flow metrics ~id:idx ~src:spec.src ~dst:spec.dst ~size:spec.size
         ~arrival_ns:spec.arrival_ns;
       Engine.at eng spec.arrival_ns (fun () ->

@@ -22,3 +22,5 @@ type result = {
 }
 
 val run : ?until_ns:int -> config -> Topology.t -> Workload.Flowgen.spec list -> result
+(** Raises [Invalid_argument], before the run starts, for a spec
+    {!Workload.Flowgen.check_flow} refuses. *)

@@ -501,22 +501,6 @@ let tree_depth parent ~root =
   done;
   !m
 
-(* -- failures ----------------------------------------------------------- *)
-
-let remove_link t u v =
-  (match find_link t u v with
-  | None -> invalid_arg "Topology.remove_link: vertices not adjacent"
-  | Some _ -> ());
-  let edges = ref [] in
-  for x = 0 to t.nverts - 1 do
-    Array.iter
-      (fun (y, _) ->
-        (* Keep each cable once (x < y) and drop the failed one. *)
-        if x < y && not ((x = u && y = v) || (x = v && y = u)) then edges := (x, y) :: !edges)
-      t.out.(x)
-  done;
-  build ~kind:t.kind ~hosts:t.hosts ~nverts:t.nverts (List.rev !edges)
-
 let pp ppf t =
   let pp_dims ppf dims =
     Format.pp_print_list

@@ -197,9 +197,4 @@ val bridge : t -> t -> cables:(node * node) list -> t
     [b]-vertex (pre-renumbering). The result is a [Custom] composite:
     coordinate-based routing falls back to generic shortest paths. *)
 
-val remove_link : t -> node -> node -> t
-(** Topology with the (bidirectional) cable between two adjacent vertices
-    removed; used for failure experiments. Distances are recomputed by BFS.
-    Raises [Invalid_argument] if the vertices are not adjacent. *)
-
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,12 @@ type spec = {
   priority : int;
 }
 
+let check_flow ~who topo ~src ~dst ~size =
+  let h = Topology.host_count topo in
+  if src < 0 || src >= h || dst < 0 || dst >= h then invalid_arg (who ^ ": endpoint is not a host");
+  if src = dst then invalid_arg (who ^ ": flow with src = dst");
+  if size <= 0 then invalid_arg (who ^ ": non-positive flow size")
+
 let pareto_size rng ~shape ~mean ~max_size =
   (* Pareto mean = shape * scale / (shape - 1); invert for the scale. *)
   if shape <= 1.0 then invalid_arg "Flowgen.pareto_size: shape must exceed 1";

@@ -14,6 +14,12 @@ type spec = {
   priority : int;  (** 0 is highest *)
 }
 
+val check_flow : who:string -> Topology.t -> src:int -> dst:int -> size:int -> unit
+(** The flow every engine can run: both endpoints are hosts, they differ,
+    and [size] is positive. Raises [Invalid_argument], its message prefixed
+    with [who], otherwise. Each engine calls it before a flow changes any
+    state. *)
+
 val pareto_size : Util.Rng.t -> shape:float -> mean:float -> max_size:int -> int
 (** One Pareto-distributed flow size in bytes, truncated at [max_size]. *)
 

@@ -546,8 +546,13 @@ let identical_allocations_after_2pct_loss () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ~loss:0.02 ()) topo in
   (* Lossy for the first 600 us, clean afterwards. *)
-  Sim.R2c2_sim.set_control_chaos_at t ~ns:600_000 ~loss:(Util.Units.fraction 0.0) ~reorder:(Util.Units.fraction 0.0)
-    ~dup:(Util.Units.fraction 0.0);
+  Sim.R2c2_sim.inject_at t ~ns:600_000
+    (Control_chaos
+       {
+         loss = Util.Units.fraction 0.0;
+         reorder = Util.Units.fraction 0.0;
+         dup = Util.Units.fraction 0.0;
+       });
   permutation t topo ~size:3_000_000;
   Sim.R2c2_sim.run_engine ~until_ns:1_500_000 t;
   let h = Topology.host_count topo in
@@ -638,7 +643,7 @@ let detected_change_resets_backoff () =
         let now = Sim.Engine.now eng in
         if Sim.Net.kind net pkt = Sim.Net.code_digest && now >= 601_000 && now < 651_000 then
           Hashtbl.replace seen (Sim.Net.digest_root net pkt, Sim.Net.digest_tree net pkt) ());
-    if fail then Sim.R2c2_sim.fail_link_at t ~ns:600_000 1 2;
+    if fail then Sim.R2c2_sim.inject_at t ~ns:600_000 (Fail_link (1, 2));
     Sim.R2c2_sim.run_engine ~until_ns:700_000 t;
     let streams =
       List.sort_uniq compare (List.map (fun (src, id) -> (src, Sim.R2c2_sim.flow_tree t id)) flows)
@@ -673,7 +678,7 @@ let blackhole_splits_control_and_data () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
   permutation t topo ~size:200_000;
-  Sim.R2c2_sim.fail_node_at t ~ns:100_000 13;
+  Sim.R2c2_sim.inject_at t ~ns:100_000 (Fail_node 13);
   Sim.R2c2_sim.run_engine t;
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
@@ -738,14 +743,14 @@ let view_hash_cache_coherent () =
     if Sim.Engine.now eng < horizon then Sim.Engine.after eng 50_000 poll
   in
   Sim.Engine.at eng 50_000 poll;
-  Sim.R2c2_sim.fail_node_at t ~ns:200_000 22;
+  Sim.R2c2_sim.inject_at t ~ns:200_000 (Fail_node 22);
   let steps =
     [
-      Sim.Scenario.crash ~at:100_000 13;
+      Sim.Scenario.fault ~at:100_000 (Crash 13);
       Sim.Scenario.partition ~at:150_000 [ 0 ];
       Sim.Scenario.heal ~at:350_000 [ 0 ];
-      Sim.Scenario.restart ~at:400_000 13;
-      Sim.Scenario.restart ~at:500_000 22;
+      Sim.Scenario.fault ~at:400_000 (Restart 13);
+      Sim.Scenario.fault ~at:500_000 (Restart 22);
     ]
   in
   (* Bounded: a stale hash can make digests request syncs forever, which

@@ -85,7 +85,7 @@ let permutation_sim ?(cfg = Sim.R2c2_sim.default_config) ?(size = 200_000) () =
 
 let link_kill_zero_lost_flows () =
   let t = permutation_sim () in
-  Sim.R2c2_sim.fail_link_at t ~ns:50_000 0 1;
+  Sim.R2c2_sim.inject_at t ~ns:50_000 (Fail_link (0, 1));
   Sim.R2c2_sim.run_engine t;
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
@@ -107,7 +107,7 @@ let link_kill_zero_lost_flows () =
 
 let node_kill_aborts_only_dead_endpoints () =
   let t = permutation_sim () in
-  Sim.R2c2_sim.fail_node_at t ~ns:50_000 3;
+  Sim.R2c2_sim.inject_at t ~ns:50_000 (Fail_node 3);
   Sim.R2c2_sim.run_engine t;
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
@@ -123,10 +123,64 @@ let node_kill_aborts_only_dead_endpoints () =
       Alcotest.(check bool) "reconverged" true (fr.reconverge_ns >= fr.detect_ns)
   | l -> Alcotest.failf "expected one failure record, got %d" (List.length l))
 
+(* A fault the simulator could not apply is refused when it is injected,
+   not when it fires mid-run; nothing of it is scheduled. *)
+let inject_rejects_bad_faults () =
+  let t = permutation_sim () in
+  let rejects name msg fault =
+    Alcotest.check_raises name (Invalid_argument ("R2c2_sim.inject_at: " ^ msg)) (fun () ->
+        Sim.R2c2_sim.inject_at t ~ns:1_000 fault)
+  in
+  let frac = Util.Units.fraction in
+  let flaky ?spike_ns ~loss ~spike () =
+    Sim.R2c2_sim.Flaky { u = 0; v = 1; loss = frac loss; spike = frac spike; spike_ns }
+  in
+  let chaos ~loss ~dup =
+    Sim.R2c2_sim.Control_chaos { loss = frac loss; reorder = frac 0.0; dup = frac dup }
+  in
+  rejects "fail a non-adjacent cable" "vertices not adjacent" (Fail_link (0, 5));
+  rejects "restore a non-adjacent cable" "vertices not adjacent" (Restore_link (0, 5));
+  rejects "flaky non-adjacent cable" "vertices not adjacent"
+    (Flaky { u = 0; v = 5; loss = frac 0.1; spike = frac 0.0; spike_ns = None });
+  rejects "unflaky non-adjacent cable" "vertices not adjacent" (Unflaky (0, 5));
+  rejects "crash node 99" "node out of range" (Crash 99);
+  rejects "fail node 16" "node out of range" (Fail_node 16);
+  rejects "restart node -1" "node out of range" (Restart (-1));
+  rejects "flaky loss 1" "loss outside [0, 1)" (flaky ~loss:1.0 ~spike:0.0 ());
+  rejects "flaky spike -0.1" "spike outside [0, 1)" (flaky ~loss:0.1 ~spike:(-0.1) ());
+  rejects "negative spike_ns" "negative spike_ns" (flaky ~spike_ns:(-1) ~loss:0.1 ~spike:0.1 ());
+  rejects "chaos loss 1" "loss outside [0, 1)" (chaos ~loss:1.0 ~dup:0.0);
+  rejects "chaos dup -0.1" "dup outside [0, 1)" (chaos ~loss:0.0 ~dup:(-0.1));
+  Sim.R2c2_sim.run_engine t;
+  let r = Sim.R2c2_sim.results t in
+  let open Sim.R2c2_sim in
+  Alcotest.(check int) "every flow completes" 16 (Sim.Metrics.completed_count r.metrics);
+  Alcotest.(check int) "no failure record" 0 (List.length r.failures)
+
+(* The completion callback fires exactly once for each flow that
+   completes, and never for a flow a failure aborts. *)
+let callbacks_fire_once_and_never_when_aborted () =
+  let topo = Topology.torus [| 4; 4 |] in
+  let t = Sim.R2c2_sim.create { Sim.R2c2_sim.default_config with seed = 11 } topo in
+  let fired = Array.make 16 0 in
+  for i = 0 to 15 do
+    ignore
+      (Sim.R2c2_sim.start_flow t ~src:i ~dst:((i + 5) mod 16) ~size:400_000
+         ~on_complete:(fun id -> fired.(id) <- fired.(id) + 1))
+  done;
+  Sim.R2c2_sim.inject_at t ~ns:50_000 (Fail_node 3);
+  Sim.R2c2_sim.run_engine t;
+  Alcotest.(check (list int)) "aborted" [ 3; 14 ] (Sim.R2c2_sim.results t).aborted_flows;
+  Array.iteri
+    (fun id n ->
+      let expected = if id = 3 || id = 14 then 0 else 1 in
+      Alcotest.(check int) (Printf.sprintf "flow %d callbacks" id) expected n)
+    fired
+
 let failure_run_deterministic () =
   let run () =
     let t = permutation_sim () in
-    Sim.R2c2_sim.fail_link_at t ~ns:50_000 0 1;
+    Sim.R2c2_sim.inject_at t ~ns:50_000 (Fail_link (0, 1));
     Sim.R2c2_sim.run_engine t;
     let r = Sim.R2c2_sim.results t in
     let open Sim.R2c2_sim in
@@ -153,7 +207,6 @@ let overload_conserves_bytes () =
     {
       Sim.R2c2_sim.default_config with
       queue_capacity = 6_000;
-      real_broadcast = false;
       seed = 5;
     }
   in
@@ -219,6 +272,8 @@ let suites =
         tc "link kill loses no flow" link_kill_zero_lost_flows;
         tc "node kill aborts only dead endpoints" node_kill_aborts_only_dead_endpoints;
         tc "failure runs are deterministic" failure_run_deterministic;
+        tc "a bad fault is refused when injected" inject_rejects_bad_faults;
+        tc "completion callbacks skip aborted flows" callbacks_fire_once_and_never_when_aborted;
         tc "overload conserves every byte" overload_conserves_bytes;
         tc "goodput series accounts all bytes" goodput_series_accounts_all_bytes;
       ] );

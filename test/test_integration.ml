@@ -56,8 +56,10 @@ let mesh_tcp_completes () =
     (Sim.Metrics.completed_count res.Sim.Tcp_sim.metrics)
 
 let degraded_topology_r2c2 () =
-  (* Fail a cable, rebuild the fabric, and run traffic across it. *)
-  let topo = Topology.remove_link (Topology.torus [| 4; 4 |]) 0 1 in
+  (* Fail a cable on the down-state overlay and run traffic across the
+     degraded rack. *)
+  let topo = Topology.torus [| 4; 4 |] in
+  Topology.fail_link topo 0 1;
   let specs = specs_on topo 11 100 1_000.0 in
   let res = Sim.R2c2_sim.run Sim.R2c2_sim.default_config topo specs in
   Alcotest.(check int) "all complete after failure" 100
@@ -121,7 +123,8 @@ let stack_matches_fluid_rates () =
   Alcotest.(check (float 0.001)) "same aggregate" raw_agg stack_agg
 
 let broadcast_after_failure_spans () =
-  let topo = Topology.remove_link (Topology.torus [| 4; 4; 4 |]) 0 1 in
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  Topology.fail_link topo 0 1;
   let b = Broadcast.make topo in
   for tree = 0 to 3 do
     let count = ref 0 in
@@ -205,6 +208,24 @@ let bridge_validates () =
     (Invalid_argument "Topology.bridge: switched (Clos) racks cannot be bridged directly")
     (fun () -> ignore (Topology.bridge clos clos ~cables:[ (0, 0) ]))
 
+(* The TCP and fluid engines refuse a spec they cannot run before the run
+   starts: a 4x4 torus has no vertex 16, and a fluid flow's weight is its
+   share of a bottleneck, so it is at least 1. *)
+let engines_refuse_bad_specs () =
+  let topo = Topology.torus [| 4; 4 |] in
+  let spec ?(dst = 16) ?(weight = 1) () =
+    { Workload.Flowgen.arrival_ns = 0; src = 0; dst; size = 1_000; weight; priority = 0 }
+  in
+  let no_host who = Invalid_argument (who ^ ": endpoint is not a host") in
+  Alcotest.check_raises "tcp" (no_host "Tcp_sim") (fun () ->
+      ignore (Sim.Tcp_sim.run Sim.Tcp_sim.default_config topo [ spec () ]));
+  Alcotest.check_raises "fluid" (no_host "Fluid") (fun () ->
+      ignore (Emu.Fluid.run Emu.Fluid.default_config topo [ spec () ]));
+  Alcotest.check_raises "pfq" (no_host "Fluid") (fun () ->
+      ignore (Emu.Fluid.run_pfq 1 topo [ spec () ]));
+  Alcotest.check_raises "fluid weight 0" (Invalid_argument "Fluid.run: weight below 1")
+    (fun () -> ignore (Emu.Fluid.run Emu.Fluid.default_config topo [ spec ~dst:5 ~weight:0 () ]))
+
 let qcheck_r2c2_delivers =
   QCheck.Test.make ~name:"R2C2 sim delivers every byte (random workloads)" ~count:15
     QCheck.(pair (int_bound 1000) (1 -- 40))
@@ -247,6 +268,7 @@ let suites =
         tc "hypercube broadcast spans" hypercube_broadcast_spans;
         tc "bridged racks carry inter-rack traffic (SS6)" bridged_racks_inter_rack_traffic;
         tc "bridge validation" bridge_validates;
+        tc "TCP and fluid engines refuse bad specs" engines_refuse_bad_specs;
         QCheck_alcotest.to_alcotest qcheck_r2c2_delivers;
         QCheck_alcotest.to_alcotest qcheck_tcp_vs_r2c2_bytes;
       ] );

@@ -418,13 +418,13 @@ let overload_cfg ~on =
     queue_high_watermark = (if on then 10_000 else max_int);
     queue_low_watermark = 2_000;
     overload_control = on;
-    slos = [ (0, 2_000_000) ];
     seed = 11;
   }
 
 let mk_overload_sim ~on =
   let topo = Topology.torus [| 3; 3 |] in
   let t = Sim.R2c2_sim.create (overload_cfg ~on) topo in
+  Sim.Metrics.set_slo (Sim.R2c2_sim.metrics t) ~priority:0 ~bound_ns:2_000_000;
   let rng = Util.Rng.create 5 in
   let bg =
     Workload.Flowgen.poisson_pareto ~priority:3 ~max_size:300_000 topo rng ~flows:60

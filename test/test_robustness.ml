@@ -267,9 +267,9 @@ let flaky_quarantine_and_recovery () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
   permutation t topo ~size:400_000;
-  Sim.R2c2_sim.flaky_link_at t ~ns:20_000 1 2 ~loss:(U.fraction 0.3)
-    ~spike:(U.fraction 0.2);
-  Sim.R2c2_sim.unflaky_link_at t ~ns:700_000 1 2;
+  Sim.R2c2_sim.inject_at t ~ns:20_000
+    (Flaky { u = 1; v = 2; loss = U.fraction 0.3; spike = U.fraction 0.2; spike_ns = None });
+  Sim.R2c2_sim.inject_at t ~ns:700_000 (Unflaky (1, 2));
   Sim.R2c2_sim.run_engine t;
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
@@ -292,8 +292,8 @@ let crash_restart_rejoins () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
   permutation t topo ~size:200_000;
-  Sim.R2c2_sim.crash_node_at t ~ns:100_000 13;
-  Sim.R2c2_sim.restart_node_at t ~ns:400_000 13;
+  Sim.R2c2_sim.inject_at t ~ns:100_000 (Crash 13);
+  Sim.R2c2_sim.inject_at t ~ns:400_000 (Restart 13);
   Sim.R2c2_sim.run_engine t;
   let r = Sim.R2c2_sim.results t in
   let open Sim.R2c2_sim in
@@ -367,7 +367,7 @@ let scenario_reports_violations () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
   permutation t topo ~size:120_000;
-  let steps = [ Sim.Scenario.fail_link ~at:50_000 0 1 ] in
+  let steps = [ Sim.Scenario.fault ~at:50_000 (Fail_link (0, 1)) ] in
   (* A zero reconvergence bound is unsatisfiable: detection always precedes
      the next rate epoch. The monitor must both call the hook and return
      the violation in the report. *)
@@ -388,12 +388,44 @@ let scenario_default_hook_fails_loudly () =
   let topo = Topology.torus [| 3; 3; 3 |] in
   let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
   permutation t topo ~size:120_000;
-  let steps = [ Sim.Scenario.fail_link ~at:50_000 0 1 ] in
+  let steps = [ Sim.Scenario.fault ~at:50_000 (Fail_link (0, 1)) ] in
   match
     Sim.Scenario.run ~invariants:[ Sim.Scenario.Reconverge_within { max_ns = 0 } ] t steps
   with
   | _ -> Alcotest.fail "unsatisfiable invariant must kill the run"
   | exception Failure _ -> ()
+
+(* A timeline that needs every part of the fault vocabulary: a cable fails
+   and comes back, a node fails keeping its state, and the control plane
+   turns lossy mid-run and clean again — with every monitor armed. *)
+let scenario_fault_vocabulary () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
+  permutation t topo ~size:200_000;
+  let chaos loss =
+    Sim.R2c2_sim.Control_chaos
+      { loss = U.fraction loss; reorder = U.fraction 0.0; dup = U.fraction 0.0 }
+  in
+  let steps =
+    [
+      Sim.Scenario.fault ~at:40_000 (Fail_link (1, 2));
+      Sim.Scenario.fault ~at:60_000 (chaos 0.02);
+      Sim.Scenario.fault ~at:100_000 (Fail_node 21);
+      Sim.Scenario.fault ~at:250_000 (Restore_link (1, 2));
+      Sim.Scenario.fault ~at:400_000 (chaos 0.0);
+    ]
+  in
+  let report = Sim.Scenario.run ~invariants:all_invariants t steps in
+  let r = Sim.R2c2_sim.results t in
+  let open Sim.R2c2_sim in
+  Alcotest.(check (list string)) "no violations" [] report.Sim.Scenario.violations;
+  Alcotest.(check bool) "the lossy stretch lost control packets" true (r.ctrl_lost > 0);
+  Alcotest.(check int) "three failure records" 3 (List.length r.failures);
+  Alcotest.(check bool) "the node failure aborted flows" true (r.aborted_flows <> []);
+  Alcotest.(check int) "every flow not aborted completes"
+    (Topology.host_count topo - List.length r.aborted_flows)
+    (Sim.Metrics.completed_count r.metrics);
+  Alcotest.(check bool) "control plane converged" true (Sim.R2c2_sim.control_converged t)
 
 (* The graychaos composition — one node crash-restart plus two flaky
    cables — with every invariant armed. Returns a byte-exact snapshot for
@@ -408,14 +440,18 @@ let graychaos_scenario ?(backend = Sim.Engine.Calendar) () =
     Sim.Engine.at (Sim.R2c2_sim.engine t) (i * 3_000) (fun () ->
         ignore (Sim.R2c2_sim.start_flow t ~src ~dst ~size:200_000))
   done;
+  let flaky u v =
+    Sim.R2c2_sim.Flaky
+      { u; v; loss = U.fraction 0.25; spike = U.fraction 0.1; spike_ns = None }
+  in
   let steps =
     [
-      Sim.Scenario.flaky ~at:50_000 1 2 ~loss:(U.fraction 0.25) ~spike:(U.fraction 0.1);
-      Sim.Scenario.flaky ~at:60_000 4 5 ~loss:(U.fraction 0.25) ~spike:(U.fraction 0.1);
-      Sim.Scenario.crash ~at:100_000 13;
-      Sim.Scenario.restart ~at:400_000 13;
-      Sim.Scenario.unflaky ~at:700_000 1 2;
-      Sim.Scenario.unflaky ~at:700_000 4 5;
+      Sim.Scenario.fault ~at:50_000 (flaky 1 2);
+      Sim.Scenario.fault ~at:60_000 (flaky 4 5);
+      Sim.Scenario.fault ~at:100_000 (Crash 13);
+      Sim.Scenario.fault ~at:400_000 (Restart 13);
+      Sim.Scenario.fault ~at:700_000 (Unflaky (1, 2));
+      Sim.Scenario.fault ~at:700_000 (Unflaky (4, 5));
     ]
   in
   let report = Sim.Scenario.run ~invariants:all_invariants t steps in
@@ -484,6 +520,7 @@ let suites =
         tc "scenario: partition heals" scenario_partition_heals;
         tc "scenario: violations reported" scenario_reports_violations;
         tc "scenario: default hook fails loudly" scenario_default_hook_fails_loudly;
+        tc "scenario: link, node and control-chaos faults" scenario_fault_vocabulary;
         tc "graychaos invariants hold" graychaos_invariants_hold;
         tc "graychaos deterministic" graychaos_deterministic;
         tc "graychaos backend differential" graychaos_backend_differential;

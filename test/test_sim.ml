@@ -802,15 +802,6 @@ let r2c2_broadcast_overhead_counted () =
   Alcotest.(check (float 1.0)) "control wire bytes" (float_of_int (50 * 2 * 15 * 16))
     (U.to_float res.Sim.R2c2_sim.control_wire_bytes)
 
-let r2c2_latency_model_broadcast () =
-  let topo = Topology.torus [| 4; 4 |] in
-  let specs = default_specs topo (Util.Rng.create 9) 60 1_000.0 in
-  let cfg = { Sim.R2c2_sim.default_config with real_broadcast = false } in
-  let res = Sim.R2c2_sim.run cfg topo specs in
-  Alcotest.(check int) "all complete" 60 (Sim.Metrics.completed_count res.Sim.R2c2_sim.metrics);
-  Alcotest.(check (float 1e-9)) "no control bytes on wire" 0.0
-    (U.to_float res.Sim.R2c2_sim.control_wire_bytes)
-
 let r2c2_respects_weights () =
   let topo = Topology.torus [| 4; 4 |] in
   let specs =
@@ -844,19 +835,6 @@ let r2c2_per_node_control () =
     (Printf.sprintf "mean FCT within 30%% (%.1f vs %.1f us)" m_g m_p)
     true
     (abs_float (m_g -. m_p) /. Float.max m_g m_p < 0.3)
-
-let r2c2_per_node_needs_real_broadcast () =
-  let topo = Topology.torus [| 4; 4 |] in
-  let cfg =
-    {
-      Sim.R2c2_sim.default_config with
-      control = Sim.R2c2_sim.Per_node;
-      real_broadcast = false;
-    }
-  in
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "R2c2_sim: Per_node control builds its views from real broadcasts")
-    (fun () -> ignore (Sim.R2c2_sim.run cfg topo []))
 
 let r2c2_per_node_long_flows_fair () =
   (* Two long flows from different senders: each sender computes its own
@@ -998,7 +976,21 @@ let dynamic_validates_inputs () =
   Alcotest.check_raises "self flow" (Invalid_argument "R2c2_sim: flow with src = dst")
     (fun () -> ignore (Sim.R2c2_sim.start_flow sim ~src:1 ~dst:1 ~size:100));
   Alcotest.check_raises "empty flow" (Invalid_argument "R2c2_sim: non-positive flow size")
-    (fun () -> ignore (Sim.R2c2_sim.start_flow sim ~src:1 ~dst:2 ~size:0))
+    (fun () -> ignore (Sim.R2c2_sim.start_flow sim ~src:1 ~dst:2 ~size:0));
+  (* A 4x4 torus has no vertex 16. The refused call takes no flow id and
+     leaves no Metrics record behind. *)
+  let not_host = Invalid_argument "R2c2_sim: endpoint is not a host" in
+  Alcotest.check_raises "no such vertex" not_host (fun () ->
+      ignore (Sim.R2c2_sim.start_flow sim ~src:0 ~dst:16 ~size:100));
+  Alcotest.(check int) "no flow id consumed" 0
+    (Sim.R2c2_sim.start_flow sim ~src:0 ~dst:1 ~size:100);
+  Alcotest.(check int) "one Metrics record" 1
+    (List.length (Sim.Metrics.all (Sim.R2c2_sim.metrics sim)));
+  (* On a folded Clos the vertices past the 16 hosts are switches. *)
+  let clos = Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:4 in
+  let sim = Sim.R2c2_sim.create Sim.R2c2_sim.default_config clos in
+  Alcotest.check_raises "switch endpoint" not_host (fun () ->
+      ignore (Sim.R2c2_sim.start_flow sim ~src:0 ~dst:16 ~size:100))
 
 let dynamic_rejects_unsendable_class () =
   (* The start broadcast carries weight and priority in one byte each, so
@@ -1133,10 +1125,8 @@ let suites =
         tc "fair split after recompute" r2c2_rate_limited_after_epoch;
         tc "clean epochs skipped by dirty tracking" r2c2_clean_epochs_skipped;
         tc "broadcast bytes accounted" r2c2_broadcast_overhead_counted;
-        tc "latency-model broadcast mode" r2c2_latency_model_broadcast;
         tc "weights respected end-to-end" r2c2_respects_weights;
         tc "per-node control completes and matches" r2c2_per_node_control;
-        tc "per-node requires real broadcasts" r2c2_per_node_needs_real_broadcast;
         tc "per-node control is fair" r2c2_per_node_long_flows_fair;
         tc "host-limited flow frees its share" r2c2_host_limited_flow;
         tc "dynamic API: chained request/response" dynamic_chained_flows;

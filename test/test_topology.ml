@@ -151,20 +151,25 @@ let tree_depth_torus () =
   let parent = Topology.shortest_path_tree t ~root:0 ~variant:0 in
   Alcotest.(check int) "depth = diameter" 12 (Topology.tree_depth parent ~root:0)
 
+(* A cable is removed by failing it on the down-state overlay; a fresh
+   torus, since the overlay mutates it. *)
 let remove_link_reroutes () =
-  let t = Lazy.force torus44 in
-  let t' = Topology.remove_link t 0 1 in
-  Alcotest.(check (option int)) "link gone" None (Topology.find_link t' 0 1);
-  Alcotest.(check (option int)) "reverse gone" None (Topology.find_link t' 1 0);
+  let t = Topology.torus [| 4; 4 |] in
+  Topology.fail_link t 0 1;
+  let alive u v = Topology.link_alive t (Option.get (Topology.find_link t u v)) in
+  Alcotest.(check bool) "link gone" false (alive 0 1);
+  Alcotest.(check bool) "reverse gone" false (alive 1 0);
   (* Still connected: the shortest detour on a 2D torus is 3 hops (no
      single vertex is adjacent to both endpoints). *)
-  Alcotest.(check int) "rerouted distance" 3 (Topology.distance t' 0 1);
-  Alcotest.(check int) "original untouched" 1 (Topology.distance t 0 1)
+  Alcotest.(check int) "rerouted distance" 3 (Topology.distance t 0 1);
+  Topology.restore_link t 0 1;
+  Alcotest.(check int) "restored distance" 1 (Topology.distance t 0 1)
 
 let remove_link_rejects_non_adjacent () =
-  let t = Lazy.force torus44 in
-  Alcotest.check_raises "non-adjacent" (Invalid_argument "Topology.remove_link: vertices not adjacent")
-    (fun () -> ignore (Topology.remove_link t 0 10))
+  let t = Topology.torus [| 4; 4 |] in
+  let err = Invalid_argument "Topology: vertices not adjacent" in
+  Alcotest.check_raises "fail non-adjacent" err (fun () -> Topology.fail_link t 0 10);
+  Alcotest.check_raises "restore non-adjacent" err (fun () -> Topology.restore_link t 0 10)
 
 let hypercube_structure () =
   let t = Topology.hypercube 4 in
