@@ -3,10 +3,12 @@ let channel_loads ctx p flows =
   let load = Array.make (Topology.link_count t) 0.0 in
   List.iter
     (fun (src, dst, demand) ->
-      if src <> dst && demand > 0.0 then
-        Array.iter
-          (fun (l, frac) -> load.(l) <- load.(l) +. (demand *. frac))
-          (Util.Units.pairs_to_floats (Routing.fractions ctx p ~src ~dst)))
+      if src <> dst && demand > 0.0 then begin
+        let { Routing.links; fracs; _ } = Routing.fractions ctx p ~src ~dst in
+        Array.iteri
+          (fun j l -> load.(l) <- load.(l) +. (demand *. (fracs.(j) :> float)))
+          links
+      end)
     flows;
   load
 

@@ -9,28 +9,28 @@ type flow = {
   weight : float;
   priority : int;
   demand : U.byte_rate option;
-  links : (int * U.fraction) array;
+  row : Routing.row;
 }
 
-let flow ?(weight = 1.0) ?(priority = 0) ?demand ~id links =
-  { id; weight; priority; demand; links }
+let flow ?(weight = 1.0) ?(priority = 0) ?demand ~id row = { id; weight; priority; demand; row }
 
 let eps = 1e-9
 
-let validate flows capacities =
-  Array.iter
-    (fun f ->
-      if f.weight <= 0.0 then invalid_arg "Waterfill: non-positive weight";
-      (match f.demand with
-      | Some d when (d : U.byte_rate :> float) < 0.0 -> invalid_arg "Waterfill: negative demand"
-      | _ -> ());
-      Array.iter
-        (fun (l, frac) ->
-          if (frac : U.fraction :> float) <= 0.0 then invalid_arg "Waterfill: non-positive fraction";
-          if l < 0 || l >= Array.length capacities then
-            invalid_arg "Waterfill: link id out of range")
-        f.links)
-    flows
+(* A row was validated where it was built; all that is left to check is
+   O(1): that its links exist here. *)
+let check_row ~nl (row : Routing.row) =
+  if row.bound > nl then invalid_arg "Waterfill: link id out of range"
+
+let check_flow ~nl ~weight ~demand row =
+  if weight <= 0.0 then invalid_arg "Waterfill: non-positive weight";
+  (match demand with
+  | Some d when (d : U.byte_rate :> float) < 0.0 -> invalid_arg "Waterfill: negative demand"
+  | _ -> ());
+  check_row ~nl row
+
+(* [f l frac] over a row's entries, in row order. *)
+let iter_row f (row : Routing.row) =
+  Array.iteri (fun j l -> f l (row.fracs.(j) : U.fraction :> float)) row.links
 
 (* One priority round of progressive filling over [indices], mutating
    [remaining] capacity and writing into [rates]. *)
@@ -43,11 +43,11 @@ let fill_round ~remaining ~rates flows indices =
   List.iter
     (fun i ->
       let f = flows.(i) in
-      Array.iter
-        (fun (l, frac) ->
-          wsum.(l) <- wsum.(l) +. (f.weight *. (frac : U.fraction :> float));
+      iter_row
+        (fun l frac ->
+          wsum.(l) <- wsum.(l) +. (f.weight *. frac);
           on_link.(l) <- i :: on_link.(l))
-        f.links)
+        f.row)
     indices;
   let active = ref (List.length indices) in
   let t = ref 0.0 in
@@ -100,10 +100,9 @@ let fill_round ~remaining ~rates flows indices =
                 frozen.(i) <- true;
                 rates.(i) <- flows.(i).weight *. !t;
                 decr active;
-                Array.iter
-                  (fun (l', frac) ->
-                    wsum.(l') <- wsum.(l') -. (flows.(i).weight *. (frac : U.fraction :> float)))
-                  flows.(i).links
+                iter_row
+                  (fun l' frac -> wsum.(l') <- wsum.(l') -. (flows.(i).weight *. frac))
+                  flows.(i).row
               end)
             on_link.(l);
           remaining.(l) <- 0.0
@@ -118,10 +117,9 @@ let fill_round ~remaining ~rates flows indices =
                 frozen.(i) <- true;
                 rates.(i) <- flows.(i).weight *. lvl;
                 decr active;
-                Array.iter
-                  (fun (l', frac) ->
-                    wsum.(l') <- wsum.(l') -. (flows.(i).weight *. (frac : U.fraction :> float)))
-                  flows.(i).links
+                iter_row
+                  (fun l' frac -> wsum.(l') <- wsum.(l') -. (flows.(i).weight *. frac))
+                  flows.(i).row
               end
             | _ -> ())
         indices
@@ -148,7 +146,9 @@ let headroom_raw = function
 let allocate_reference ?headroom ~capacities flows =
   let headroom = headroom_raw headroom in
   let capacities = U.floats_of capacities in
-  validate flows capacities;
+  Array.iter
+    (fun f -> check_flow ~nl:(Array.length capacities) ~weight:f.weight ~demand:f.demand f.row)
+    flows;
   let rates = Array.make (Array.length flows) 0.0 in
   let remaining = Array.map (fun c -> c *. (1.0 -. headroom)) capacities in
   List.iter (fun idx -> fill_round ~remaining ~rates flows idx) (by_priority flows);
@@ -177,24 +177,20 @@ let link_utilization ~capacities flows rates =
   let rates = U.floats_of rates in
   let load = Array.make (Array.length capacities) 0.0 in
   Array.iteri
-    (fun i f ->
-      Array.iter
-        (fun (l, frac) -> load.(l) <- load.(l) +. (rates.(i) *. (frac : U.fraction :> float)))
-        f.links)
+    (fun i f -> iter_row (fun l frac -> load.(l) <- load.(l) +. (rates.(i) *. frac)) f.row)
     flows;
   U.of_floats
     (Array.mapi (fun l x -> if capacities.(l) > 0.0 then x /. capacities.(l) else 0.0) load)
 
 (* -- incremental allocator (control-plane hot path) ---------------------- *)
 
-(* Epoch recomputation state that lives across calls. Flows are rows of a
-   CSR (compressed sparse row) layout: per-row metadata in flat arrays plus
-   one shared (link id, fraction) pool indexed by [foff]/[flen]. Flow
+(* Epoch recomputation state that lives across calls. Each flow is a row
+   of flat per-row arrays, and its link fractions are the caller's
+   [Routing.row], held by reference: the allocator never copies or writes
+   one. Flow
    open/close/demand/reroute events patch rows and mark the state dirty; a
    clean [allocate] is O(1) and a dirty one reuses every buffer, so the
-   steady-state recompute allocates nothing on the hot path. Link storage is
-   append-only with swap-removed rows leaving garbage; the pool is repacked
-   when more than half of it is dead. *)
+   steady-state recompute allocates nothing on the hot path. *)
 module Inc = struct
   type t = {
     capacities : float array;
@@ -204,20 +200,16 @@ module Inc = struct
        kept free for the classes above the threshold. 0.0 = disabled. *)
     mutable reserve_prio : int;
     mutable reserve_frac : float;
-    row_of : (int, int) Hashtbl.t;  (* flow id -> row *)
-    (* CSR rows: rows 0..nrows-1 are live, swap-remove keeps them dense. *)
+    (* flow id -> row: open addressing over a power-of-two table at most
+       half full, -1 = empty; a slot's id is its row's [fid] *)
+    mutable slots : int array;
+    (* rows 0..nrows-1 are live, swap-remove keeps them dense *)
     mutable nrows : int;
     mutable fid : int array;
     mutable fweight : float array;
     mutable fprio : int array;
     mutable fdemand : float array;  (* nan = network-limited *)
-    mutable foff : int array;
-    mutable flen : int array;
-    (* shared link pool *)
-    mutable lnk_id : int array;
-    mutable lnk_frac : float array;
-    mutable lnk_used : int;  (* append watermark *)
-    mutable lnk_live : int;  (* sum of flen over live rows *)
+    mutable frow : Routing.row array;  (* shared, never written *)
     (* arena: waterfill working buffers, reused across epochs *)
     mutable rates : float array;  (* per row; survives swap-remove *)
     mutable frozen : bool array;  (* per row *)
@@ -252,18 +244,13 @@ module Inc = struct
       headroom;
       reserve_prio = 0;
       reserve_frac = 0.0;
-      row_of = Hashtbl.create 64;
+      slots = Array.make (2 * cap0) (-1);
       nrows = 0;
       fid = Array.make cap0 0;
       fweight = Array.make cap0 0.0;
       fprio = Array.make cap0 0;
       fdemand = Array.make cap0 Float.nan;
-      foff = Array.make cap0 0;
-      flen = Array.make cap0 0;
-      lnk_id = Array.make 64 0;
-      lnk_frac = Array.make 64 0.0;
-      lnk_used = 0;
-      lnk_live = 0;
+      frow = Array.make cap0 (Routing.row ~links:[||] ~fracs:[||]);
       rates = Array.make cap0 0.0;
       frozen = Array.make cap0 false;
       order = Array.make cap0 0;
@@ -308,13 +295,47 @@ module Inc = struct
       t.dirty <- true
     end
 
-  let mem t ~id = Hashtbl.mem t.row_of id
+  (* The slot holding [id]'s row, or the empty slot that ends its probe
+     run. Ids are callers' counters, so [id land mask] lays a window of
+     live ids out without collisions. *)
+  let find_slot t id =
+    let mask = Array.length t.slots - 1 in
+    let s = ref (id land mask) in
+    while t.slots.(!s) >= 0 && t.fid.(t.slots.(!s)) <> id do
+      s := (!s + 1) land mask
+    done;
+    !s
 
-  let row t id =
-    match Hashtbl.find_opt t.row_of id with
-    | Some r -> r
-    | None -> invalid_arg "Waterfill.Inc: unknown flow id"
+  let mem t ~id = t.slots.(find_slot t id) >= 0
 
+  let row_of t id =
+    let r = t.slots.(find_slot t id) in
+    if r < 0 then invalid_arg "Waterfill.Inc: unknown flow id";
+    r
+
+  (* Point the slot of row [r]'s id at [r]. *)
+  let bind t r = t.slots.(find_slot t t.fid.(r)) <- r
+
+  (* Empty [id]'s slot, then walk the rest of its probe run and move back
+     every entry whose home slot does not lie between the hole and itself,
+     so no lookup stops early at the hole. *)
+  let unbind t id =
+    let mask = Array.length t.slots - 1 in
+    let hole = ref (find_slot t id) in
+    t.slots.(!hole) <- -1;
+    let s = ref ((!hole + 1) land mask) in
+    while t.slots.(!s) >= 0 do
+      let home = t.fid.(t.slots.(!s)) land mask in
+      if (!s - home) land mask >= (!s - !hole) land mask then begin
+        t.slots.(!hole) <- t.slots.(!s);
+        t.slots.(!s) <- -1;
+        hole := !s
+      end;
+      s := (!s + 1) land mask
+    done
+
+  (* Doubles every per-row array, and the id table with them, which keeps
+     it at most half full. *)
   let grow_rows t =
     let n = Array.length t.fid in
     let gi a = Array.append a (Array.make n 0) in
@@ -323,103 +344,51 @@ module Inc = struct
     t.fweight <- gf t.fweight;
     t.fprio <- gi t.fprio;
     t.fdemand <- Array.append t.fdemand (Array.make n Float.nan);
-    t.foff <- gi t.foff;
-    t.flen <- gi t.flen;
+    t.frow <- Array.append t.frow (Array.make n t.frow.(0));
     t.rates <- gf t.rates;
     t.frozen <- Array.append t.frozen (Array.make n false);
     t.order <- gi t.order;
-    t.round_of <- gi t.round_of
+    t.round_of <- gi t.round_of;
+    t.slots <- Array.make (4 * n) (-1);
+    for r = 0 to t.nrows - 1 do
+      bind t r
+    done
 
-  (* Make room for [n] more pool entries: repack live rows into fresh
-     arrays, dropping the garbage left by removed/relinked rows. Amortized
-     over churn; never reached by a steady-state epoch. *)
-  let ensure_links t n =
-    if t.lnk_used + n > Array.length t.lnk_id then begin
-      let cap = max (Array.length t.lnk_id) (max 64 (2 * (t.lnk_live + n))) in
-      let id' = Array.make cap 0 and frac' = Array.make cap 0.0 in
-      let pos = ref 0 in
-      for r = 0 to t.nrows - 1 do
-        let off = t.foff.(r) and len = t.flen.(r) in
-        (* rows emptied by set_links/add_flow may carry a stale offset *)
-        if len > 0 then begin
-          Array.blit t.lnk_id off id' !pos len;
-          Array.blit t.lnk_frac off frac' !pos len
-        end;
-        t.foff.(r) <- !pos;
-        pos := !pos + len
-      done;
-      t.lnk_id <- id';
-      t.lnk_frac <- frac';
-      t.lnk_used <- !pos
-    end
-
-  let validate_links t links =
-    let nl = Array.length t.capacities in
-    Array.iter
-      (fun (l, frac) ->
-        if (frac : U.fraction :> float) <= 0.0 then
-          invalid_arg "Waterfill: non-positive fraction";
-        if l < 0 || l >= nl then invalid_arg "Waterfill: link id out of range")
-      links
-
-  let write_links t r links =
-    let n = Array.length links in
-    ensure_links t n;
-    t.foff.(r) <- t.lnk_used;
-    Array.iteri
-      (fun j (l, frac) ->
-        t.lnk_id.(t.lnk_used + j) <- l;
-        t.lnk_frac.(t.lnk_used + j) <- (frac : U.fraction :> float))
-      links;
-    t.flen.(r) <- n;
-    t.lnk_used <- t.lnk_used + n;
-    t.lnk_live <- t.lnk_live + n
-
-  let add_flow ?(weight = 1.0) ?(priority = 0) ?demand t ~id links =
-    if weight <= 0.0 then invalid_arg "Waterfill: non-positive weight";
-    (match demand with
-    | Some d when (d : U.byte_rate :> float) < 0.0 ->
-        invalid_arg "Waterfill: negative demand"
-    | _ -> ());
-    validate_links t links;
-    if Hashtbl.mem t.row_of id then invalid_arg "Waterfill.Inc: duplicate flow id";
+  let add_flow ?(weight = 1.0) ?(priority = 0) ?demand t ~id row =
+    check_flow ~nl:(Array.length t.capacities) ~weight ~demand row;
+    if mem t ~id then invalid_arg "Waterfill.Inc: duplicate flow id";
     if t.nrows = Array.length t.fid then grow_rows t;
     let r = t.nrows in
     t.nrows <- r + 1;
     t.fid.(r) <- id;
+    bind t r;
     t.fweight.(r) <- weight;
     t.fprio.(r) <- priority;
     t.fdemand.(r) <- (match demand with Some d -> (d : U.byte_rate :> float) | None -> Float.nan);
+    t.frow.(r) <- row;
     t.rates.(r) <- 0.0;
-    t.flen.(r) <- 0;
-    write_links t r links;
-    Hashtbl.replace t.row_of id r;
     t.dirty <- true
 
   let remove_flow t ~id =
-    let r = row t id in
-    t.lnk_live <- t.lnk_live - t.flen.(r);
+    let r = row_of t id in
+    unbind t id;
     let last = t.nrows - 1 in
     if r <> last then begin
       t.fid.(r) <- t.fid.(last);
       t.fweight.(r) <- t.fweight.(last);
       t.fprio.(r) <- t.fprio.(last);
       t.fdemand.(r) <- t.fdemand.(last);
-      t.foff.(r) <- t.foff.(last);
-      t.flen.(r) <- t.flen.(last);
+      t.frow.(r) <- t.frow.(last);
       t.rates.(r) <- t.rates.(last);
-      Hashtbl.replace t.row_of t.fid.(r) r
+      bind t r
     end;
     t.nrows <- last;
-    Hashtbl.remove t.row_of id;
     t.dirty <- true
 
   let set_demand t ~id demand =
-    let r = row t id in
+    let r = row_of t id in
     let d = match demand with Some d -> (d : U.byte_rate :> float) | None -> Float.nan in
-    (match demand with
-    | Some d when (d : U.byte_rate :> float) < 0.0 -> invalid_arg "Waterfill: negative demand"
-    | _ -> ());
+    if d < 0.0 then invalid_arg "Waterfill: negative demand";
     let cur = t.fdemand.(r) in
     let unchanged = (Float.is_nan d && Float.is_nan cur) || d = cur in
     if not unchanged then begin
@@ -427,26 +396,10 @@ module Inc = struct
       t.dirty <- true
     end
 
-  let set_links t ~id links =
-    validate_links t links;
-    let r = row t id in
-    let n = Array.length links in
-    if n <= t.flen.(r) then begin
-      (* Fits in place; the tail of the old row becomes garbage. *)
-      let off = t.foff.(r) in
-      Array.iteri
-        (fun j (l, frac) ->
-          t.lnk_id.(off + j) <- l;
-          t.lnk_frac.(off + j) <- (frac : U.fraction :> float))
-        links;
-      t.lnk_live <- t.lnk_live - t.flen.(r) + n;
-      t.flen.(r) <- n
-    end
-    else begin
-      t.lnk_live <- t.lnk_live - t.flen.(r);
-      t.flen.(r) <- 0;
-      write_links t r links
-    end;
+  let set_links t ~id row =
+    check_row ~nl:(Array.length t.capacities) row;
+    let r = row_of t id in
+    t.frow.(r) <- row;
     t.dirty <- true
 
   (* -- heap: float keys, int payloads, buffers reused across epochs -- *)
@@ -559,8 +512,9 @@ module Inc = struct
     let nl = Array.length t.capacities in
     Array.fill t.link_fill 0 nl 0;
     for r = 0 to t.nrows - 1 do
-      for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-        let l = t.lnk_id.(j) in
+      let links = t.frow.(r).links in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
         t.link_fill.(l) <- t.link_fill.(l) + 1
       done
     done;
@@ -573,8 +527,9 @@ module Inc = struct
     if Array.length t.link_rows < !acc then t.link_rows <- Array.make (2 * !acc) 0;
     Array.blit t.link_start 0 t.link_fill 0 nl;
     for r = 0 to t.nrows - 1 do
-      for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-        let l = t.lnk_id.(j) in
+      let links = t.frow.(r).links in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
         t.link_rows.(t.link_fill.(l)) <- r;
         t.link_fill.(l) <- t.link_fill.(l) + 1
       done
@@ -608,15 +563,17 @@ module Inc = struct
     in
     for k = lo to hi - 1 do
       let r = t.order.(k) in
-      for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-        let l = t.lnk_id.(j) in
-        t.wsum.(l) <- t.wsum.(l) +. (t.fweight.(r) *. t.lnk_frac.(j))
+      let { Routing.links; fracs; _ } = t.frow.(r) in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
+        t.wsum.(l) <- t.wsum.(l) +. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float))
       done
     done;
     for k = lo to hi - 1 do
       let r = t.order.(k) in
-      for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-        let l = t.lnk_id.(j) in
+      let links = t.frow.(r).links in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
         if not t.queued.(l) then begin
           t.queued.(l) <- true;
           dbg.push <- dbg.push + 1;
@@ -632,10 +589,12 @@ module Inc = struct
         t.frozen.(r) <- true;
         t.rates.(r) <- t.fweight.(r) *. lvl;
         decr active;
-        for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-          let l = t.lnk_id.(j) in
+        let { Routing.links; fracs; _ } = t.frow.(r) in
+        for j = 0 to Array.length links - 1 do
+          let l = links.(j) in
           settle l lvl;
-          t.wsum.(l) <- Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. t.lnk_frac.(j)))
+          t.wsum.(l) <-
+            Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float)))
         done
       end
     in
@@ -711,7 +670,7 @@ module Inc = struct
       t.computed <- true
     end
 
-  let rate t ~id = U.byte_rate t.rates.(row t id)
+  let rate t ~id = U.byte_rate t.rates.(row_of t id)
 
   let iter_rates t f =
     for r = 0 to t.nrows - 1 do
@@ -726,7 +685,7 @@ let allocate ?headroom ~capacities flows =
   let inc = Inc.create ?headroom ~capacities () in
   Array.iteri
     (fun i f ->
-      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.links)
+      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.row)
     flows;
   Inc.allocate inc;
   U.of_floats (Array.sub inc.Inc.rates 0 (Array.length flows))

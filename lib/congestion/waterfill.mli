@@ -1,8 +1,10 @@
 (** Weighted max-min rate allocation by progressive filling (paper §3.3).
 
-    Every flow comes with its per-link rate fractions (from
-    {!Routing.fractions}): a flow sending at rate [r] loads link [l] with
-    [r *. frac]. The allocator raises the fill level of all flows of the
+    Every flow comes with its link-fraction row ({!Routing.row}, usually
+    from {!Routing.fractions}): a flow sending at rate [r] loads link [l]
+    with [r *. frac]. Rows are immutable and shared: a flow, {!allocate}
+    and {!Inc} hold them by reference and never copy or write them. The
+    allocator raises the fill level of all flows of the
     highest priority at equal weighted pace, freezing flows as links
     saturate or demands are met, then repeats for the next priority level
     with the leftover capacity (§3.3.2, "Beyond per-flow fairness").
@@ -19,17 +21,11 @@ type flow = {
   weight : float;  (** allocation weight, > 0 *)
   priority : int;  (** 0 is served first *)
   demand : Util.Units.byte_rate option;  (** rate cap for host-limited flows *)
-  links : (int * Util.Units.fraction) array;
-      (** (link id, fraction), fractions > 0 *)
+  row : Routing.row;  (** the flow's link fractions, held by reference *)
 }
 
 val flow :
-  ?weight:float ->
-  ?priority:int ->
-  ?demand:Util.Units.byte_rate ->
-  id:int ->
-  (int * Util.Units.fraction) array ->
-  flow
+  ?weight:float -> ?priority:int -> ?demand:Util.Units.byte_rate -> id:int -> Routing.row -> flow
 (** Convenience constructor; weight defaults to 1, priority to 0. *)
 
 val allocate :
@@ -40,7 +36,9 @@ val allocate :
 (** [allocate ~capacities flows] returns the rate of each flow, indexed as
     the input array. [capacities.(l)] is link [l]'s capacity in bytes/ns.
     [headroom] (default 0) is the capacity fraction left unallocated.
-    Raises [Invalid_argument] on non-positive weights or fractions.
+    Raises [Invalid_argument] on a non-positive weight, a negative demand
+    or a row with a link beyond [capacities] (the row itself was checked
+    where it was built).
 
     This is the paper's "efficient variant of the water-filling algorithm"
     (§4.2), run as {!Inc} on a fresh state with each flow keyed by its
@@ -69,10 +67,11 @@ val link_utilization :
 
 (** Incremental epoch recomputation (§3.3.4).
 
-    [Inc.t] keeps the allocator's inputs — flow rows in a flat CSR layout —
-    and all water-filling working buffers alive across epochs. Flow
-    open/close/demand/reroute events patch single rows and mark the state
-    dirty; {!Inc.allocate} on a clean state returns the cached rates in
+    [Inc.t] keeps the allocator's inputs — per-flow metadata in flat
+    arrays, each flow's {!Routing.row} by reference — and all
+    water-filling working buffers alive across epochs. Flow
+    open/close/demand/reroute events patch single entries and mark the
+    state dirty; {!Inc.allocate} on a clean state returns the cached rates in
     O(1), and on a dirty state recomputes with every buffer reused, so a
     steady-state recompute performs no per-epoch array or list allocation.
     Results are property-tested against {!allocate_reference}. *)
@@ -93,10 +92,13 @@ module Inc : sig
     ?demand:Util.Units.byte_rate ->
     t ->
     id:int ->
-    (int * Util.Units.fraction) array ->
+    Routing.row ->
     unit
-  (** Open a flow. [id] must be fresh; links are validated like {!allocate}
-      inputs. Raises [Invalid_argument] otherwise. *)
+  (** Open a flow. [id] must be fresh, and the row's links must exist
+      ([bound] at most the link count); checked in O(1), like {!allocate}
+      inputs. Raises [Invalid_argument] otherwise. Once the per-flow
+      arrays have grown, opening a flow with default [weight], [priority]
+      and [demand] allocates nothing. *)
 
   val remove_flow : t -> id:int -> unit
   (** Close a flow; unknown ids raise. *)
@@ -105,8 +107,8 @@ module Inc : sig
   (** Update a flow's demand cap ([None] = network-limited). Setting the
       value it already has keeps the state clean. *)
 
-  val set_links : t -> id:int -> (int * Util.Units.fraction) array -> unit
-  (** Replace a flow's link fractions after a routing change. *)
+  val set_links : t -> id:int -> Routing.row -> unit
+  (** Replace a flow's row after a routing change: one reference swap. *)
 
   val allocate : t -> unit
   (** Recompute rates if any event arrived since the last call; otherwise a

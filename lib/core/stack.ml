@@ -150,6 +150,9 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
   if src < 0 || src >= h || dst < 0 || dst >= h then
     invalid_arg "Stack.open_flow: host out of range";
   check_class ~weight ~priority;
+  (* Fetched before the flow takes an id: an unreachable [dst] raises here,
+     with nothing changed. *)
+  let row = Routing.fractions t.rctx protocol ~src ~dst in
   let id = t.next_id in
   t.next_id <- id + 1;
   let f =
@@ -167,8 +170,7 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
     }
   in
   Hashtbl.replace t.flows id f;
-  Congestion.Waterfill.Inc.add_flow ~weight:(float_of_int weight) ~priority t.alloc ~id
-    (Routing.fractions t.rctx f.protocol ~src ~dst);
+  Congestion.Waterfill.Inc.add_flow ~weight:(float_of_int weight) ~priority t.alloc ~id row;
   emit_broadcast t f Wire.Flow_start;
   id
 
@@ -204,9 +206,9 @@ let set_demand t id ~gbps =
 let set_protocol t id proto =
   let f = find t id in
   if f.protocol <> proto then begin
+    let row = Routing.fractions t.rctx proto ~src:f.src ~dst:f.dst in
     f.protocol <- proto;
-    Congestion.Waterfill.Inc.set_links t.alloc ~id
-      (Routing.fractions t.rctx proto ~src:f.src ~dst:f.dst);
+    Congestion.Waterfill.Inc.set_links t.alloc ~id row;
     emit_broadcast t f Wire.Route_change
   end
 

@@ -37,8 +37,10 @@ val on_broadcast : t -> (Wire.broadcast -> unit) -> unit
 val open_flow :
   ?weight:int -> ?priority:int -> ?protocol:Routing.protocol -> t -> src:int -> dst:int -> flow_id
 (** Announce a new flow. Raises [Invalid_argument], before any state
-    changes, on [src = dst], out-of-range hosts, or a [weight] outside
-    1..255 or [priority] outside 0..255 (the broadcast's 8-bit fields). *)
+    changes, on [src = dst], out-of-range hosts, a [weight] outside
+    1..255 or [priority] outside 0..255 (the broadcast's 8-bit fields), or
+    a [dst] that [src] cannot reach ({!Routing.fractions}); a refused open
+    consumes no flow id. *)
 
 val close_flow : t -> flow_id -> unit
 (** Announce flow termination; unknown ids raise. *)
@@ -86,7 +88,9 @@ val set_demand : t -> flow_id -> gbps:Util.Units.gbps option -> unit
     broadcast as a demand update. *)
 
 val set_protocol : t -> flow_id -> Routing.protocol -> unit
-(** Re-route a flow; broadcast as a route change. *)
+(** Re-route a flow; broadcast as a route change. Raises
+    [Invalid_argument], before any state changes, on an unknown id or
+    when the flow's [dst] is unreachable under the new protocol. *)
 
 val observe_sender_queue :
   t -> flow_id -> queued_bytes:Util.Units.bytes -> period_ns:int -> unit

@@ -76,9 +76,10 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
         Array.iteri
           (fun j (wf : Congestion.Waterfill.flow) ->
             let r = st.sub_rates.(j) in
-            Array.iter
-              (fun (l, frac) -> load.(l) <- load.(l) +. (r *. frac))
-              (U.pairs_to_floats wf.links))
+            let { Routing.links; fracs; _ } = wf.row in
+            for k = 0 to Array.length links - 1 do
+              load.(links.(k)) <- load.(links.(k)) +. (r *. (fracs.(k) :> float))
+            done)
           st.subs)
       !active
   in
@@ -222,8 +223,9 @@ let run_pfq ?until_ns seed topo specs =
     specs ~shape:(fun idx (spec : Workload.Flowgen.spec) ->
       Routing.sample_paths_distinct rctx rng ~k:pfq_paths ~src:spec.src ~dst:spec.dst
       |> List.map (fun p ->
+             let links = Routing.path_links rctx p in
              Congestion.Waterfill.flow ~id:idx
-               (Array.map (fun l -> (l, U.fraction 1.0)) (Routing.path_links rctx p)))
+               (Routing.row ~links ~fracs:(Array.make (Array.length links) (U.fraction 1.0))))
       |> Array.of_list)
 
 let rate_error ?protocol_of ?min_lifetime_ns cfg topo specs ~rho_ns =

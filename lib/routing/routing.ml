@@ -31,10 +31,28 @@ let hweight = function
   | Probation -> probation_weight
   | Quarantined -> quarantine_weight
 
+(* A link-fraction row (§3.3): two unboxed arrays, so the GC has no
+   pointer to scan in it. Built and validated once, then shared by
+   reference and never written. *)
+type row = { links : int array; fracs : Util.Units.fraction array; bound : int }
+
+let make_row links (fracs : float array) =
+  let bound = ref 0 in
+  for j = 0 to Array.length links - 1 do
+    let l = links.(j) in
+    if l < 0 then invalid_arg "Routing.row: negative link id";
+    if not (fracs.(j) > 0.0) then invalid_arg "Routing.row: non-positive fraction";
+    if l >= !bound then bound := l + 1
+  done;
+  { links; fracs = Util.Units.of_floats fracs; bound = !bound }
+
+let row ~links ~fracs =
+  if Array.length links <> Array.length fracs then invalid_arg "Routing.row: length mismatch";
+  make_row (Array.copy links) (Array.copy (Util.Units.floats_of fracs))
+
 type ctx = {
   topo : Topology.t;
-  frac_cache : (int, (int * float) array) Hashtbl.t;
-      (* key = (protocol, src, dst) packed; sparse link fractions *)
+  frac_cache : (int, row) Hashtbl.t;  (* key = (protocol, src, dst) packed *)
   vlb_a : (int, float array) Hashtbl.t;  (* per source: sum over waypoints of minimal fractions *)
   vlb_b : (int, float array) Hashtbl.t;  (* per destination *)
   wlb_dist : (int, float array) Hashtbl.t;  (* per (src,dst): waypoint prefix weights *)
@@ -551,7 +569,7 @@ let min_fractions_uncached ctx sc ~src ~dst =
 let min_fractions ctx sc ~src ~dst =
   min_fractions_uncached ctx sc ~src ~dst;
   let t = ctx.topo in
-  let row = Array.make sc.ntouched (0, 0.0) in
+  let links = Array.make sc.ntouched 0 and fracs = Array.create_float sc.ntouched in
   let k = ref 0 in
   for u = 0 to Topology.vertex_count t - 1 do
     if sc.seen.(u) = sc.dp_stamp then begin
@@ -559,13 +577,14 @@ let min_fractions ctx sc ~src ~dst =
       for i = 0 to Array.length out - 1 do
         let l = snd out.(i) in
         if sc.share_seen.(l) = sc.dp_stamp then begin
-          row.(!k) <- (l, sc.share.(l));
+          links.(!k) <- l;
+          fracs.(!k) <- sc.share.(l);
           incr k
         end
       done
     end
   done;
-  row
+  make_row links fracs
 
 (* A row composed from several parts (DOR's paths plus its detour, WLB's
    waypoint phases) accumulates per link in [sc.acc], each link starting
@@ -595,15 +614,16 @@ let acc_row sc ~above =
   for l = 0 to m - 1 do
     if kept l then incr k
   done;
-  let row = Array.make !k (0, 0.0) in
+  let links = Array.make !k 0 and fracs = Array.create_float !k in
   let k = ref 0 in
   for l = 0 to m - 1 do
     if kept l then begin
-      row.(!k) <- (l, sc.acc.(l));
+      links.(!k) <- l;
+      fracs.(!k) <- sc.acc.(l);
       incr k
     end
   done;
-  row
+  make_row links fracs
 
 let dor_fractions ctx sc ~src ~dst =
   acc_reset sc;
@@ -662,21 +682,12 @@ let vlb_fractions ctx sc ~src ~dst =
   let h = float_of_int !valid in
   let a = vlb_sum ctx sc ctx.vlb_a src ~outbound:true in
   let b = vlb_sum ctx sc ctx.vlb_b dst ~outbound:false in
-  let m = Array.length a in
-  let k = ref 0 in
-  for l = 0 to m - 1 do
-    if (a.(l) +. b.(l)) /. h > 1e-12 then incr k
+  (* Each link's first part is [0.0 +.] a non-negative sum: the sum itself. *)
+  acc_reset sc;
+  for l = 0 to Array.length a - 1 do
+    acc_add sc l ((a.(l) +. b.(l)) /. h)
   done;
-  let row = Array.make !k (0, 0.0) in
-  let k = ref 0 in
-  for l = 0 to m - 1 do
-    let x = (a.(l) +. b.(l)) /. h in
-    if x > 1e-12 then begin
-      row.(!k) <- (l, x);
-      incr k
-    end
-  done;
-  row
+  acc_row sc ~above:1e-12
 
 let wlb_fractions ctx sc ~src ~dst =
   let t = ctx.topo in
@@ -701,7 +712,7 @@ let wlb_fractions ctx sc ~src ~dst =
   done;
   acc_row sc ~above:1e-12
 
-let fractions_raw ctx p ~src ~dst =
+let fractions ctx p ~src ~dst =
   if src = dst then invalid_arg "Routing.fractions: src = dst";
   sync ctx;
   let key = pack ctx p ~src ~dst in
@@ -718,6 +729,3 @@ let fractions_raw ctx p ~src ~dst =
       in
       Hashtbl.replace ctx.frac_cache key f;
       f
-
-let fractions ctx p ~src ~dst =
-  Util.Units.pairs_of_floats (fractions_raw ctx p ~src ~dst)

@@ -13,8 +13,8 @@
     Besides per-packet path sampling (data plane), the module computes a
     flow's {e link fractions}: the expected fraction of the flow's rate
     crossing each directed link, which is what the paper's flow-level rate
-    computation consumes (§3.3). Fraction computation is cached per
-    (protocol, src, dst) inside a {!ctx}.
+    computation consumes (§3.3). Each (protocol, src, dst) {!row} is built
+    once and cached inside a {!ctx}.
 
     Both kernels run on working memory the context allocates on first
     use, so a sampled path and a fresh fraction row allocate only their
@@ -74,13 +74,33 @@ val sample_paths_distinct : ctx -> Util.Rng.t -> k:int -> src:int -> dst:int -> 
 
 (** {2 Control plane: link fractions} *)
 
-val fractions :
-  ctx -> protocol -> src:int -> dst:int -> (int * Util.Units.fraction) array
-(** [fractions ctx p ~src ~dst] lists [(link_id, f)] with [f] the expected
-    rate fraction of a [src]->[dst] flow under protocol [p] on that link;
-    entries with zero fraction are omitted. For minimal protocols the
-    fractions out of [src] sum to 1; for VLB/WLB a link can carry both
-    phases so per-link fractions may exceed shortest-path values. *)
+type row = private {
+  links : int array;  (** link ids *)
+  fracs : Util.Units.fraction array;  (** [fracs.(j)] is link [links.(j)]'s share, > 0 *)
+  bound : int;  (** one past the largest link id; 0 for an empty row *)
+}
+(** A flow's link-fraction row: a flow sending at rate [r] puts
+    [r *. fracs.(j)] on link [links.(j)]. Both arrays are unboxed and of
+    equal length. A row is immutable: it is validated once, where it is
+    built, then shared by reference by the {!fractions} cache and by every
+    flow and allocator that holds it, and never written. Rows from
+    {!fractions} list their links in ascending id order; a hand-built
+    {!val-row} keeps the order it was given. *)
+
+val row : links:int array -> fracs:Util.Units.fraction array -> row
+(** A hand-built row (a path's links, say), entries in the order given;
+    both arrays are copied. Raises [Invalid_argument] on arrays of
+    different lengths, a negative link id or a fraction that is not
+    positive. *)
+
+val fractions : ctx -> protocol -> src:int -> dst:int -> row
+(** [fractions ctx p ~src ~dst] is the row of a [src]->[dst] flow under
+    protocol [p]: every link with a non-zero expected rate fraction. For
+    minimal protocols the fractions out of [src] sum to 1; for VLB/WLB a
+    link can carry both phases so per-link fractions may exceed
+    shortest-path values. Built on the first call for its key and the
+    same physical row afterwards, until a topology or health change
+    flushes the cache. *)
 
 val wlb_beta : float
 (** Path-length bias of WLB: waypoint [w] is drawn with probability

@@ -173,7 +173,7 @@ type fstate = {
   mutable proto : Routing.protocol;
   weight : float;
   priority : int;
-  mutable wf_links : (int * U.fraction) array;
+  mutable wf_links : Routing.row;
   demand : U.byte_rate option;  (** host cap, wire bytes per ns *)
   started_ns : int;
   mutable remaining : int;  (** payload bytes not yet injected *)
@@ -1579,6 +1579,9 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
     idx
   end
   else begin
+  (* Fetched before the flow takes an id: an unreachable [dst] raises here,
+     with nothing changed. *)
+  let wf_links = Routing.fractions t.rctx protocol ~src ~dst in
   let idx = next_flow_id t in
   Metrics.add_flow ~priority t.mtrcs ~id:idx ~src ~dst ~size ~arrival_ns:(Engine.now t.eng);
   let st =
@@ -1589,7 +1592,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
       proto = protocol;
       weight = float_of_int weight;
       priority;
-      wf_links = Routing.fractions t.rctx protocol ~src ~dst;
+      wf_links;
       (* Gbps from the caller, wire bytes/ns internally. *)
       demand = Option.map U.byte_rate_of_gbps demand_gbps;
       started_ns = Engine.now t.eng;

@@ -210,8 +210,10 @@ val start_flow :
     Returns the flow id. Raises [Invalid_argument] when
     {!Workload.Flowgen.check_flow} does (an endpoint that is not a host,
     [src = dst], a non-positive [size]), for a [weight] outside 1..255 or
-    a [priority] outside 0..255 (the range the start broadcast carries); a
-    refused call consumes no flow id. *)
+    a [priority] outside 0..255 (the range the start broadcast carries),
+    and for a [dst] that [src] cannot reach ({!Routing.fractions}); a
+    refused call consumes no flow id. A flow the admission gate sheds
+    takes an id and is never routed. *)
 
 val run_engine : ?until_ns:int -> t -> unit
 (** Process events until the rack goes idle (or [until_ns]). Can be called

@@ -66,5 +66,3 @@ let tick_succ (t : ticks) : ticks = t + 1
    the same representation; no element is touched. *)
 let floats_of (a : 'u t array) : float array = a
 let of_floats (a : float array) : 'u t array = a
-let pairs_to_floats (a : (int * 'u t) array) : (int * float) array = a
-let pairs_of_floats (a : (int * float) array) : (int * 'u t) array = a

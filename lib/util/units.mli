@@ -157,16 +157,14 @@ val compare_q : 'u t -> 'u t -> int
 
 val tick_succ : ticks -> ticks
 
-(** {2 Zero-copy array and pair views}
+(** {2 Zero-copy array views}
 
     Inside this module a ['u t array] {e is} a [float array], so these
     are aliases, not copies — mutating one view mutates the other. They
     exist so boundary code can hand a typed array to unwrapped internal
     math (or bless a freshly computed one) without a per-element pass.
-    Blessing ([of_floats], [pairs_of_floats]) asserts the unit of every
-    element; keep it at module boundaries. *)
+    Blessing ([of_floats]) asserts the unit of every element; keep it at
+    module boundaries. *)
 
 val floats_of : 'u t array -> float array
 val of_floats : float array -> 'u t array
-val pairs_to_floats : (int * 'u t) array -> (int * float) array
-val pairs_of_floats : (int * float) array -> (int * 'u t) array

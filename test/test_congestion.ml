@@ -8,10 +8,13 @@ module U = Util.Units
 (* The tests state their instances in raw numbers; these shims wrap the
    units at the boundary (and unwrap the resulting rates) so the known
    answers below stay plain floats. *)
+let row links =
+  Routing.row ~links:(Array.map fst links) ~fracs:(U.of_floats (Array.map snd links))
+
 let wf ?weight ?priority ?demand ~id links =
   Congestion.Waterfill.flow ?weight ?priority
     ?demand:(Option.map U.byte_rate demand)
-    ~id (U.pairs_of_floats links)
+    ~id (row links)
 
 let allocate ?headroom ~capacities flows =
   U.floats_of
@@ -141,7 +144,9 @@ let headroom_checked_before_flows () =
            [| wf ~weight:0.0 ~id:0 [| (0, 1.0) |] |]));
   Alcotest.check_raises "negative demand" (Invalid_argument "Waterfill: negative demand")
     (fun () -> ignore (allocate ~capacities:[| 1.0 |] [| wf ~demand:(-1.0) ~id:0 [||] |]));
-  Alcotest.check_raises "zero fraction" (Invalid_argument "Waterfill: non-positive fraction")
+  (* A bad fraction is refused where the row is built, before any
+     allocator sees it. *)
+  Alcotest.check_raises "zero fraction" (Invalid_argument "Routing.row: non-positive fraction")
     (fun () -> ignore (allocate ~capacities:[| 1.0 |] [| wf ~id:0 [| (0, 0.0) |] |]))
 
 (* Random instances for the property tests. *)
@@ -206,10 +211,10 @@ let qcheck_max_min_property =
       let load = Array.make (Array.length caps) 0.0 in
       Array.iteri
         (fun i f ->
-          Array.iter
-            (fun (l, frac) ->
-              load.(l) <- load.(l) +. (rates.(i) *. (frac : U.fraction :> float)))
-            f.Congestion.Waterfill.links)
+          let { Routing.links; fracs; _ } = f.Congestion.Waterfill.row in
+          Array.iteri
+            (fun j l -> load.(l) <- load.(l) +. (rates.(i) *. (fracs.(j) : U.fraction :> float)))
+            links)
         flows;
       Array.for_all2
         (fun f r ->
@@ -219,9 +224,7 @@ let qcheck_max_min_property =
             | None -> false
           in
           let some_link_tight =
-            Array.exists
-              (fun (l, _) -> load.(l) >= caps.(l) -. 1e-6)
-              f.Congestion.Waterfill.links
+            Array.exists (fun l -> load.(l) >= caps.(l) -. 1e-6) f.Congestion.Waterfill.row.links
           in
           demand_met || some_link_tight || f.Congestion.Waterfill.priority > 0)
         flows rates)

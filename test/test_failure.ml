@@ -264,6 +264,52 @@ let stack_notify_survives_link_failure () =
   R2c2.Stack.recompute st;
   Alcotest.(check bool) "flow re-pathed and reallocated" true ((R2c2.Stack.rate_gbps st a : Util.Units.gbps :> float) > 0.0)
 
+(* A start towards a host the failure cut off is refused before the flow
+   takes an id: the next start gets the id it would have had, and the run
+   records only the flow that went ahead. *)
+let unreachable_start_takes_no_id () =
+  let t = Sim.R2c2_sim.create Sim.R2c2_sim.default_config (Topology.torus [| 4; 4 |]) in
+  Sim.R2c2_sim.inject_at t ~ns:0 (Fail_node 5);
+  Sim.R2c2_sim.run_engine ~until_ns:100_000 t;
+  Alcotest.check_raises "unreachable" (Invalid_argument "Routing: destination unreachable")
+    (fun () -> ignore (Sim.R2c2_sim.start_flow t ~src:0 ~dst:5 ~size:10_000));
+  Alcotest.(check int) "next start takes id 0" 0
+    (Sim.R2c2_sim.start_flow t ~src:0 ~dst:1 ~size:10_000);
+  Sim.R2c2_sim.run_engine t;
+  let m = (Sim.R2c2_sim.results t).metrics in
+  Alcotest.(check int) "one flow recorded" 1 (List.length (Sim.Metrics.all m));
+  Alcotest.(check int) "and it completed" 1 (Sim.Metrics.completed_count m)
+
+(* The same for the library: an open towards an unreachable host raises
+   with nothing changed. *)
+let stack_unreachable_open_takes_no_id () =
+  let st = R2c2.Stack.create ~seed:3 (Topology.torus [| 4; 4 |]) in
+  Topology.fail_node (R2c2.Stack.topology st) 5;
+  ignore (R2c2.Stack.notify_failure st);
+  Alcotest.check_raises "unreachable" (Invalid_argument "Routing: destination unreachable")
+    (fun () -> ignore (R2c2.Stack.open_flow st ~src:0 ~dst:5));
+  Alcotest.(check int) "no flow left behind" 0 (List.length (R2c2.Stack.active_flows st));
+  let id = R2c2.Stack.open_flow st ~src:0 ~dst:1 in
+  Alcotest.(check int) "next open takes id 0" 0 id;
+  R2c2.Stack.close_flow st id;
+  Alcotest.(check int) "and closes" 0 (List.length (R2c2.Stack.active_flows st))
+
+(* A re-route the new protocol cannot carry is refused before the flow,
+   its allocator row or the control plane changes. *)
+let stack_refused_reroute_changes_nothing () =
+  let st = R2c2.Stack.create ~seed:3 (Topology.torus [| 4; 4 |]) in
+  let a = R2c2.Stack.open_flow st ~src:0 ~dst:5 in
+  let sent = ref 0 in
+  R2c2.Stack.on_broadcast st (fun _ -> incr sent);
+  let bytes = R2c2.Stack.control_bytes_sent st in
+  Topology.fail_node (R2c2.Stack.topology st) 5;
+  Alcotest.check_raises "unreachable" (Invalid_argument "Routing: destination unreachable")
+    (fun () -> R2c2.Stack.set_protocol st a Routing.Vlb);
+  Alcotest.(check (list string)) "still routed by RPS" [ "RPS" ]
+    (List.map (fun (_, _, _, p) -> Routing.protocol_name p) (R2c2.Stack.active_flows st));
+  Alcotest.(check int) "no route change announced" 0 !sent;
+  Alcotest.(check int) "no control bytes" bytes (R2c2.Stack.control_bytes_sent st)
+
 let suites =
   [
     ("failure.topology", single_link_cases);
@@ -276,10 +322,13 @@ let suites =
         tc "completion callbacks skip aborted flows" callbacks_fire_once_and_never_when_aborted;
         tc "overload conserves every byte" overload_conserves_bytes;
         tc "goodput series accounts all bytes" goodput_series_accounts_all_bytes;
+        tc "a start to an unreachable host takes no id" unreachable_start_takes_no_id;
       ] );
     ( "failure.stack",
       [
         tc "notify_failure drops dead endpoints" stack_notify_drops_dead_endpoints;
         tc "notify_failure re-paths around a dead link" stack_notify_survives_link_failure;
+        tc "an open to an unreachable host takes no id" stack_unreachable_open_takes_no_id;
+        tc "a refused re-route changes nothing" stack_refused_reroute_changes_nothing;
       ] );
   ]

@@ -1,14 +1,15 @@
 (* Tests for the incremental allocator (Waterfill.Inc): differential
    property tests against the reference progressive-filling oracle on
-   randomized churn sequences, clean-epoch O(1) behaviour via the debug
-   counters, and the per-call counter-reset contract. *)
+   randomized churn sequences, the shared-row contract, clean-epoch O(1)
+   behaviour via the debug counters, and the per-call counter-reset
+   contract. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
 module U = Util.Units
 
 (* Wrap/unwrap shims so the scenarios below stay in raw numbers. *)
-let lk = U.pairs_of_floats
+let lk links = Routing.row ~links:(Array.map fst links) ~fracs:(U.of_floats (Array.map snd links))
 let caps = U.of_floats
 let inc_rate inc ~id = U.to_float (Congestion.Waterfill.Inc.rate inc ~id)
 
@@ -16,9 +17,8 @@ let inc_rate inc ~id = U.to_float (Congestion.Waterfill.Inc.rate inc ~id)
    scratch for the oracle on every epoch. *)
 type mirror = {
   mutable next_id : int;
-  mutable live :
-    (int * float * int * U.byte_rate option * (int * U.fraction) array) list;
-      (* id, weight, priority, demand, links *)
+  mutable live : (int * float * int * U.byte_rate option * Routing.row) list;
+      (* id, weight, priority, demand, row *)
 }
 
 let protocols = [| Routing.Rps; Routing.Dor; Routing.Vlb; Routing.Wlb |]
@@ -32,7 +32,9 @@ let random_links ctx rng =
 let random_demand rng =
   if Util.Rng.bool rng then Some (U.byte_rate (Util.Rng.float rng 2.0)) else None
 
-let apply_random_op ctx rng inc m =
+(* One random flow event; [links ()] draws the row of an opened or
+   rerouted flow. *)
+let apply_random_op ~links rng inc m =
   let n = List.length m.live in
   match Util.Rng.int rng (if n = 0 then 1 else 4) with
   | 0 ->
@@ -42,7 +44,7 @@ let apply_random_op ctx rng inc m =
       let weight = 0.5 +. Util.Rng.float rng 2.5 in
       let priority = Util.Rng.int rng 3 in
       let demand = random_demand rng in
-      let links = random_links ctx rng in
+      let links = links () in
       Congestion.Waterfill.Inc.add_flow ~weight ~priority ?demand inc ~id links;
       m.live <- (id, weight, priority, demand, links) :: m.live
   | 1 ->
@@ -60,7 +62,7 @@ let apply_random_op ctx rng inc m =
   | _ ->
       (* reroute *)
       let id, w, p, d, _ = List.nth m.live (Util.Rng.int rng n) in
-      let links = random_links ctx rng in
+      let links = links () in
       Congestion.Waterfill.Inc.set_links inc ~id links;
       m.live <-
         List.map (fun ((i, _, _, _, _) as f) -> if i = id then (id, w, p, d, links) else f) m.live
@@ -100,7 +102,7 @@ let inc_matches_reference_on_churn () =
     for _epoch = 1 to epochs do
       let ops = 1 + Util.Rng.int rng 8 in
       for _op = 1 to ops do
-        apply_random_op ctx rng inc m
+        apply_random_op ~links:(fun () -> random_links ctx rng) rng inc m
       done;
       check_against_reference ~headroom ~capacities inc m
     done
@@ -109,9 +111,8 @@ let inc_matches_reference_on_churn () =
 (* Epoch recomputation under flow churn at rack scale: 512 RPS flows on the
    8x8x8 torus, 10% of them replaced per epoch for 40 epochs (seed 11).
    After every epoch the incremental rates must equal the reference
-   oracle's within 1e-6. Removals swap the last row into the hole and
-   openings grow, and now and then repack, the link pool, so a row left
-   with a stale offset shows up here. *)
+   oracle's within 1e-6. Removals swap the last row into the hole, so a
+   row left pointing at the wrong flow shows up here. *)
 let inc_matches_reference_under_rack_churn () =
   let module W = Congestion.Waterfill in
   let topo = Topology.torus [| 8; 8; 8 |] in
@@ -131,14 +132,14 @@ let inc_matches_reference_under_rack_churn () =
   let n = 512 in
   let live = Array.init n (fun _ -> fresh ()) in
   let inc = W.Inc.create ~headroom ~capacities () in
-  Array.iter (fun (f : W.flow) -> W.Inc.add_flow inc ~id:f.id f.links) live;
+  Array.iter (fun (f : W.flow) -> W.Inc.add_flow inc ~id:f.id f.row) live;
   for epoch = 0 to 40 do
     if epoch > 0 then
       for _ = 1 to n / 10 do
         let j = Util.Rng.int rng n in
         W.Inc.remove_flow inc ~id:live.(j).id;
         live.(j) <- fresh ();
-        W.Inc.add_flow inc ~id:live.(j).id live.(j).links
+        W.Inc.add_flow inc ~id:live.(j).id live.(j).row
       done;
     W.Inc.allocate inc;
     let expected = U.floats_of (W.allocate_reference ~headroom ~capacities live) in
@@ -225,13 +226,90 @@ let inc_input_validation () =
     (fun () -> Congestion.Waterfill.Inc.add_flow ~weight:0.0 inc ~id:0 (lk [| (0, 1.0) |]));
   Alcotest.check_raises "bad link" (Invalid_argument "Waterfill: link id out of range")
     (fun () -> Congestion.Waterfill.Inc.add_flow inc ~id:0 (lk [| (3, 1.0) |]));
-  Alcotest.check_raises "bad fraction" (Invalid_argument "Waterfill: non-positive fraction")
+  (* A row is validated where it is built, so a bad fraction or a negative
+     link id never reaches the allocator; [add_flow] checks only that the
+     row's links exist here. *)
+  Alcotest.check_raises "bad fraction" (Invalid_argument "Routing.row: non-positive fraction")
     (fun () -> Congestion.Waterfill.Inc.add_flow inc ~id:0 (lk [| (0, 0.0) |]));
+  Alcotest.check_raises "negative link" (Invalid_argument "Routing.row: negative link id")
+    (fun () -> Congestion.Waterfill.Inc.add_flow inc ~id:0 (lk [| (-1, 1.0) |]));
+  Alcotest.check_raises "bad link on reroute" (Invalid_argument "Waterfill: link id out of range")
+    (fun () ->
+      Congestion.Waterfill.Inc.add_flow inc ~id:1 (lk [| (0, 1.0) |]);
+      Congestion.Waterfill.Inc.set_links inc ~id:1 (lk [| (3, 1.0) |]));
   Alcotest.check_raises "bad headroom" (Invalid_argument "Waterfill: headroom out of range")
     (fun () ->
       ignore
         (Congestion.Waterfill.Inc.create ~headroom:(U.fraction 1.0)
            ~capacities:(caps [| 1.0 |]) ()))
+
+(* The shared-row contract: two allocators take their rows from one 8x8x8
+   routing context, so every row they hold is the context's cached row,
+   shared by reference. Under random open, close, demand and reroute churn
+   each allocator must match the reference oracle after every epoch, and at
+   the end every row must still be bit-identical to the same key's row
+   built in a fresh context: no allocator wrote a shared row. *)
+let allocators_share_rows () =
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let ctx = Routing.make topo in
+  let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
+  let headroom = U.fraction 0.05 in
+  let rng = Util.Rng.create 23 in
+  (* Few keys, so the two allocators hold the same rows many times over. *)
+  let keys =
+    Array.init 48 (fun i ->
+        let src = Util.Rng.int rng 512 in
+        let dst = (src + 1 + Util.Rng.int rng 511) mod 512 in
+        ((if i mod 3 = 0 then Routing.Dor else Routing.Rps), src, dst))
+  in
+  let fetch ctx (p, src, dst) = Routing.fractions ctx p ~src ~dst in
+  let links () = fetch ctx keys.(Util.Rng.int rng (Array.length keys)) in
+  let allocs =
+    Array.init 2 (fun _ ->
+        (Congestion.Waterfill.Inc.create ~headroom ~capacities (), { next_id = 0; live = [] }))
+  in
+  for _epoch = 1 to 25 do
+    Array.iter
+      (fun (inc, m) ->
+        for _op = 1 to 12 do
+          apply_random_op ~links rng inc m
+        done;
+        check_against_reference ~headroom ~capacities inc m)
+      allocs
+  done;
+  let fresh = Routing.make topo in
+  Array.iter
+    (fun ((_, src, dst) as key) ->
+      let shared = fetch ctx key and rebuilt = fetch fresh key in
+      let bits (x : U.fraction) = Int64.bits_of_float (x :> float) in
+      if shared.links <> rebuilt.links || Array.map bits shared.fracs <> Array.map bits rebuilt.fracs
+      then Alcotest.failf "row %d->%d was written" src dst)
+    keys
+
+(* Holding a row by reference makes opening a flow allocation-free: once
+   the per-flow arrays and the id table have grown, [add_flow] of a cached
+   row allocates no minor word. *)
+let add_flow_allocates_nothing () =
+  let module W = Congestion.Waterfill in
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let ctx = Routing.make topo in
+  let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
+  let inc = W.Inc.create ~capacities () in
+  let n = 64 in
+  let rows = Array.init n (fun i -> Routing.fractions ctx Routing.Rps ~src:(i + 1) ~dst:0) in
+  for id = 0 to n - 1 do
+    W.Inc.add_flow inc ~id rows.(id)
+  done;
+  for id = 0 to n - 1 do
+    W.Inc.remove_flow inc ~id
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    W.Inc.add_flow inc ~id:(n + i) rows.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words of 64 warm opens" 0.0 words;
+  Alcotest.(check int) "all open" n (W.Inc.live_flows inc)
 
 let suites =
   [
@@ -242,6 +320,8 @@ let suites =
           inc_matches_reference_under_rack_churn;
         tc "clean epoch performs zero heap operations" clean_epoch_zero_heap_ops;
         tc "debug counters reset per allocate call" counters_reset_per_allocate;
+        tc "two allocators share rows and never write them" allocators_share_rows;
+        tc "warm add_flow of a cached row allocates nothing" add_flow_allocates_nothing;
         tc "dirty tracking across open/close" dirty_tracking_lifecycle;
         tc "input validation" inc_input_validation;
       ] );

@@ -16,13 +16,14 @@ let clos_fraction_conservation () =
   for _ = 1 to 20 do
     let src = Util.Rng.int rng 16 and dst = Util.Rng.int rng 16 in
     if src <> dst then begin
-      let fr = U.pairs_to_floats (Routing.fractions ctx Routing.Rps ~src ~dst) in
+      let { Routing.links; fracs; _ } = Routing.fractions ctx Routing.Rps ~src ~dst in
       let net = Array.make (Topology.vertex_count topo) 0.0 in
-      Array.iter
-        (fun (l, f) ->
+      Array.iteri
+        (fun j l ->
+          let f = U.to_float fracs.(j) in
           net.(Topology.link_src topo l) <- net.(Topology.link_src topo l) +. f;
           net.(Topology.link_dst topo l) <- net.(Topology.link_dst topo l) -. f)
-        fr;
+        links;
       Alcotest.(check (float 1e-6)) "src emits 1" 1.0 net.(src);
       Alcotest.(check (float 1e-6)) "dst absorbs 1" (-1.0) net.(dst)
     end

@@ -479,8 +479,15 @@ let units_reject_dimension_swap () =
          "let _ = Congestion.Waterfill.allocate ~capacities:[| Util.Units.bytes 1.25 |] [||]");
     Alcotest.(check bool) "raw float capacities rejected" false
       (typechecks "let _ = Congestion.Waterfill.allocate ~capacities:[| 1.25 |] [||]");
+    let flow demand =
+      Printf.sprintf
+        "let _ = Congestion.Waterfill.flow ~demand:(%s 0.5) ~id:0 (Routing.row ~links:[||] \
+         ~fracs:[||])"
+        demand
+    in
+    Alcotest.(check bool) "byte-rate demand compiles" true (typechecks (flow "Util.Units.byte_rate"));
     Alcotest.(check bool) "fraction-for-rate demand rejected" false
-      (typechecks "let _ = Congestion.Waterfill.flow ~demand:(Util.Units.fraction 0.5) ~id:0 [||]")
+      (typechecks (flow "Util.Units.fraction"))
   end
 
 (* -- revert guard: the exact code this PR scrubbed ------------------------ *)

@@ -310,7 +310,7 @@ let class_reserve_withholds_slice () =
      slice of every link free so a class-0 burst finds instant headroom
      instead of a link the background filled wall to wall. *)
   let capacities = [| U.byte_rate 10.0 |] in
-  let links = [| (0, U.fraction 1.0) |] in
+  let links = Routing.row ~links:[| 0 |] ~fracs:[| U.fraction 1.0 |] in
   let rate_of ~priority ~reserve =
     let inc = Congestion.Waterfill.Inc.create ~capacities () in
     Congestion.Waterfill.Inc.set_class_reserve inc ~priority:1 ~reserve:(U.fraction reserve);

@@ -5,8 +5,10 @@ let tc name f = Alcotest.test_case name `Quick f
 
 module U = Util.Units
 
-(* Unwrap a fractions table for the raw-number flow algebra below. *)
-let fractions ctx proto ~src ~dst = U.pairs_to_floats (Routing.fractions ctx proto ~src ~dst)
+(* A row as raw (link, fraction) pairs, for the flow algebra below. *)
+let pairs (r : Routing.row) = Array.mapi (fun j l -> (l, (r.fracs.(j) : U.fraction :> float))) r.links
+
+let fractions ctx proto ~src ~dst = pairs (Routing.fractions ctx proto ~src ~dst)
 
 let torus44 = lazy (Routing.make (Topology.torus [| 4; 4 |]))
 let torus444 = lazy (Routing.make (Topology.torus [| 4; 4; 4 |]))
@@ -307,7 +309,7 @@ let fractions_match_model () =
                 for dst = 0 to n - 1 do
                   if src <> dst then begin
                     let got =
-                      outcome (fun () -> U.pairs_to_floats (Routing.fractions !ctx p ~src ~dst))
+                      outcome (fun () -> pairs (Routing.fractions !ctx p ~src ~dst))
                     in
                     let want = outcome (fun () -> M.fractions m p ~src ~dst) in
                     if not (same_outcome got want) then
@@ -364,9 +366,9 @@ let qcheck_walker_matches_model =
       in
       got = want && Int64.equal (Util.Rng.bits64 r1) (Util.Rng.bits64 r2))
 
-(* A cold row allocates the row and its cache binding, nothing else: 5
-   words per entry for the (link, fraction) pair and its boxed float, and
-   the row array, which OCaml places in the minor heap up to 256 fields
+(* A cold row allocates its two flat arrays and at most 8 more words: its
+   record and its cache binding. OCaml places an array of up to 256
+   fields in the minor heap, so each array costs n + 1 minor words there,
    and in the major heap beyond. Counted with [Gc.minor_words], the exact
    counter; the 8x8x8 rows run from 6 to over 600 entries. *)
 let cold_fractions_allocate_only_the_row () =
@@ -376,8 +378,8 @@ let cold_fractions_allocate_only_the_row () =
   let expected = ref 0 and calls = ref 0 in
   let before = Gc.minor_words () in
   for src = 2 to 511 do
-    let n = Array.length (Routing.fractions ctx Routing.Rps ~src ~dst:0) in
-    expected := !expected + (5 * n) + if n + 1 <= 256 then n + 1 else 0;
+    let n = Array.length (Routing.fractions ctx Routing.Rps ~src ~dst:0).links in
+    expected := !expected + if n <= 256 then 2 * (n + 1) else 0;
     incr calls
   done;
   let extra = (Gc.minor_words () -. before -. float_of_int !expected) /. float_of_int !calls in
