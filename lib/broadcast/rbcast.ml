@@ -9,8 +9,10 @@ type 'a origin = {
   trees : int;
   log_cap : int;
   next : int array;  (* per tree: next sequence number to assign *)
-  logs : (int, 'a) Hashtbl.t array;  (* per tree: seq -> payload replay log *)
-  live : (int, int) Hashtbl.t;  (* authoritative live set: flow id -> its tree *)
+  logs : 'a array array;
+      (* per tree: the replay log, a ring holding [seq] at [seq mod length];
+         it doubles up to [log_cap], so it is empty before the first send *)
+  live : int Util.Itbl.t;  (* authoritative live set: flow id -> its tree *)
   hashes : int array;  (* per tree: [Replicas] set hash of the tree's live flows *)
   digested : int array;  (* per tree: last_seq its latest digest carried; -1 = none *)
   skip : int array;  (* per tree: rounds a quiet stream skips after its latest digest *)
@@ -28,8 +30,8 @@ let origin ?(log_cap = 65536) ~trees () =
     trees;
     log_cap;
     next = Array.make trees 0;
-    logs = Array.init trees (fun _ -> Hashtbl.create 16);
-    live = Hashtbl.create 16;
+    logs = Array.make trees [||];
+    live = Util.Itbl.create 16;
     hashes = Array.make trees 0;
     digested = Array.make trees (-1);
     skip = Array.make trees 1;
@@ -45,10 +47,19 @@ let send o ~tree payload =
   check_tree o tree;
   let seq = o.next.(tree) in
   o.next.(tree) <- seq + 1;
-  Hashtbl.replace o.logs.(tree) seq payload;
-  (* Dense sequence space: evicting [seq - cap] on every send bounds the
-     log at [cap] entries without a scan. *)
-  if seq >= o.log_cap then Hashtbl.remove o.logs.(tree) (seq - o.log_cap);
+  let ring = o.logs.(tree) in
+  let n = Array.length ring in
+  (* Dense sequence space: until the ring reaches [log_cap] nothing was
+     overwritten and [seq] sits at [seq], so growing copies it as is. It
+     grows by copying: [Array.make] of a major-heap ring filled with the
+     young [payload] would force a minor collection. *)
+  if seq = n && n < o.log_cap then
+    o.logs.(tree) <-
+      (if n = 0 then Array.make (min o.log_cap 16) payload
+       else if 2 * n <= o.log_cap then Array.append ring ring
+       else Array.append ring (Array.sub ring 0 (o.log_cap - n)));
+  let ring = o.logs.(tree) in
+  ring.(seq mod Array.length ring) <- payload;
   seq
 
 let last_seq o ~tree =
@@ -57,25 +68,27 @@ let last_seq o ~tree =
 
 let replay o ~tree ~seq =
   check_tree o tree;
-  Hashtbl.find_opt o.logs.(tree) seq
+  let next = o.next.(tree) in
+  if seq < 0 || seq >= next || seq < next - o.log_cap then None
+  else Some o.logs.(tree).(seq mod Array.length o.logs.(tree))
 
 let mark_live o ~tree id =
   check_tree o tree;
-  if not (Hashtbl.mem o.live id) then begin
-    Hashtbl.replace o.live id tree;
+  if not (Util.Itbl.mem o.live id) then begin
+    Util.Itbl.replace o.live id tree;
     o.hashes.(tree) <- o.hashes.(tree) + Replicas.id_hash id
   end
 
 let mark_dead o id =
-  match Hashtbl.find o.live id with
+  match Util.Itbl.find o.live id with
   | tree ->
-      Hashtbl.remove o.live id;
+      Util.Itbl.remove o.live id;
       o.hashes.(tree) <- o.hashes.(tree) - Replicas.id_hash id
   | exception Not_found -> ()
 
 let snapshot o =
   ( List.rev
-      (Util.Tbl.fold_sorted ~cmp:Int.compare (fun id tree acc -> (id, tree) :: acc) o.live []),
+      (Util.Itbl.fold_sorted (fun id tree acc -> (id, tree) :: acc) o.live []),
     Array.map (fun n -> n - 1) o.next )
 
 let tree_hash o ~tree =
@@ -128,8 +141,8 @@ let reset_backoff o = Array.fill o.digested 0 o.trees (-1)
    windows key their invalidation on ([Replicas.admit]). *)
 let restart o =
   Array.fill o.next 0 o.trees 0;
-  Array.iter Hashtbl.reset o.logs;
-  Hashtbl.reset o.live;
+  Array.fill o.logs 0 o.trees [||];
+  Util.Itbl.reset o.live;
   Array.fill o.hashes 0 o.trees 0;
   reset_backoff o;
   o.epoch <- o.epoch + 1;

@@ -15,11 +15,11 @@ type t = {
   mutable inc : int array;  (* origin incarnation the window is keyed to *)
   mutable armed : Bytes.t;  (* the caller's repair-timer latch *)
   mutable dups : int array;  (* per replica: duplicates absorbed *)
-  buffer : (int, int) Hashtbl.t;
+  buffer : int Util.Itbl.t;
       (* out-of-order events, keyed [seq * windows + window]; a window's
          buffered events all lie in its [next + 1 .. hi] *)
   (* Believed sets, also empty until first use. *)
-  mutable sets : (int, int) Hashtbl.t array;  (* per replica: id -> its window *)
+  mutable sets : int Util.Itbl.t array;  (* per replica: id -> its window *)
   mutable hashes : int array;  (* per window: set hash of the flows on its tree *)
   mutable sizes : int array;  (* per row: the slice's size *)
 }
@@ -27,14 +27,9 @@ type t = {
 let create ~replicas ~origins ~trees =
   if replicas < 1 || origins < 1 || trees < 1 then invalid_arg "Replicas.create";
   { replicas; origins; trees; next = [||]; hi = [||]; inc = [||]; armed = Bytes.empty;
-    dups = [||]; buffer = Hashtbl.create 16; sets = [||]; hashes = [||]; sizes = [||] }
+    dups = [||]; buffer = Util.Itbl.create 16; sets = [||]; hashes = [||]; sizes = [||] }
 
-(* SplitMix64's finalizer, with its constants cut to 63 bits. *)
-let id_hash id =
-  let z = id + 0x1E3779B97F4A7C15 in
-  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-  z lxor (z lsr 31)
+let id_hash = Util.Itbl.hash
 
 let windows t = t.replicas * t.origins * t.trees
 let window t ~replica ~origin ~tree = (((replica * t.origins) + origin) * t.trees) + tree
@@ -63,7 +58,7 @@ let ensure_windows t =
 
 let drop_buffered t w ~below =
   for s = t.next.(w) + 1 to min (below - 1) t.hi.(w) do
-    Hashtbl.remove t.buffer (key t w s)
+    Util.Itbl.remove t.buffer (key t w s)
   done
 
 let reset t w ~inc =
@@ -81,21 +76,25 @@ let admit t w ~inc =
 
 type receipt = Delivered | Duplicate | Buffered
 
+(* Buffered events all lie in [next + 1 .. hi], so a window whose highest
+   heard is at most its next expected has none and skips the buffer. *)
 let rec drain t w ~deliver =
-  match Hashtbl.find t.buffer (key t w t.next.(w)) with
-  | ev ->
-      Hashtbl.remove t.buffer (key t w t.next.(w));
-      t.next.(w) <- t.next.(w) + 1;
-      deliver w ev;
-      drain t w ~deliver
-  | exception Not_found -> ()
+  let s = t.next.(w) in
+  if s <= t.hi.(w) then
+    match Util.Itbl.find t.buffer (key t w s) with
+    | ev ->
+        Util.Itbl.remove t.buffer (key t w s);
+        t.next.(w) <- s + 1;
+        deliver w ev;
+        drain t w ~deliver
+    | exception Not_found -> ()
 
 let receive t w ~seq ev ~deliver =
   if seq < 0 then invalid_arg "Replicas.receive: negative seq";
   ensure_windows t;
-  if seq > t.hi.(w) then t.hi.(w) <- seq;
-  let next = t.next.(w) in
-  if seq < next || Hashtbl.mem t.buffer (key t w seq) then begin
+  let next = t.next.(w) and hi = t.hi.(w) in
+  if seq > hi then t.hi.(w) <- seq;
+  if seq < next || (seq > next && seq <= hi && Util.Itbl.mem t.buffer (key t w seq)) then begin
     let r = w / (t.origins * t.trees) in
     t.dups.(r) <- t.dups.(r) + 1;
     Duplicate
@@ -107,7 +106,7 @@ let receive t w ~seq ev ~deliver =
     Delivered
   end
   else begin
-    Hashtbl.replace t.buffer (key t w seq) ev;
+    Util.Itbl.replace t.buffer (key t w seq) ev;
     Buffered
   end
 
@@ -115,7 +114,7 @@ let missing t w =
   let upto = highest_heard t w in
   let out = ref [] and from = ref (-1) in
   for s = next_expected t w to upto do
-    if Hashtbl.mem t.buffer (key t w s) then begin
+    if Util.Itbl.mem t.buffer (key t w s) then begin
       if !from >= 0 then out := (!from, s - 1) :: !out;
       from := -1
     end
@@ -143,22 +142,22 @@ let replica_of t w = w / (t.origins * t.trees)
 
 let add t w id =
   if Array.length t.sets = 0 then begin
-    t.sets <- Array.init t.replicas (fun _ -> Hashtbl.create (max 32 t.origins));
+    t.sets <- Array.init t.replicas (fun _ -> Util.Itbl.create (max 32 t.origins));
     t.hashes <- Array.make (windows t) 0;
     t.sizes <- Array.make (t.replicas * t.origins) 0
   end;
   let set = t.sets.(replica_of t w) in
-  if not (Hashtbl.mem set id) then begin
-    Hashtbl.replace set id w;
+  if not (Util.Itbl.mem set id) then begin
+    Util.Itbl.replace set id w;
     t.hashes.(w) <- t.hashes.(w) + id_hash id;
     t.sizes.(w / t.trees) <- t.sizes.(w / t.trees) + 1
   end
 
 let remove t ~replica id =
   if Array.length t.sets > 0 then
-    match Hashtbl.find t.sets.(replica) id with
+    match Util.Itbl.find t.sets.(replica) id with
     | w ->
-        Hashtbl.remove t.sets.(replica) id;
+        Util.Itbl.remove t.sets.(replica) id;
         t.hashes.(w) <- t.hashes.(w) - id_hash id;
         t.sizes.(w / t.trees) <- t.sizes.(w / t.trees) - 1
     | exception Not_found -> ()
@@ -169,7 +168,7 @@ let apply t w ev =
 
 let believed t ~replica =
   if Array.length t.sets = 0 then [||]
-  else Util.Tbl.sorted_keys ~cmp:Int.compare t.sets.(replica)
+  else Util.Itbl.sorted_keys t.sets.(replica)
 
 (* The sum of the tree hashes of windows [first] to [first + n - 1]. *)
 let sum_hashes t first n =
@@ -187,7 +186,7 @@ let clear_slice t ~replica ~origin =
   let row = (replica * t.origins) + origin in
   if size t ~replica ~origin > 0 then begin
     (* Order-independent: drops exactly the origin's members. *)
-    Hashtbl.filter_map_inplace
+    Util.Itbl.filter_map_inplace
       (fun _ w -> if w / t.trees = row then None else Some w)
       t.sets.(replica);
     Array.fill t.hashes (row * t.trees) t.trees 0;
@@ -244,7 +243,7 @@ let clear t ~replica =
     t.dups.(replica) <- 0
   end;
   if Array.length t.sets > 0 then begin
-    Hashtbl.reset t.sets.(replica);
+    Util.Itbl.reset t.sets.(replica);
     Array.fill t.hashes (replica * t.origins * t.trees) (t.origins * t.trees) 0;
     Array.fill t.sizes (replica * t.origins) t.origins 0
   end

@@ -127,14 +127,13 @@ let fill_round ~remaining ~rates flows indices =
   done
 
 let by_priority flows =
-  let by_prio = Hashtbl.create 4 in
+  let by_prio = Util.Itbl.create 4 in
   Array.iteri
     (fun i f ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_prio f.priority) in
-      Hashtbl.replace by_prio f.priority (i :: cur))
+      let cur = Option.value ~default:[] (Util.Itbl.find_opt by_prio f.priority) in
+      Util.Itbl.replace by_prio f.priority (i :: cur))
     flows;
-  let prios = Util.Tbl.sorted_keys ~cmp:Int.compare by_prio in
-  List.map (fun p -> List.rev (Hashtbl.find by_prio p)) (Array.to_list prios)
+  Array.to_list (Array.map List.rev (Util.Itbl.sorted_values by_prio))
 
 let headroom_raw = function
   | Some h ->
@@ -296,11 +295,14 @@ module Inc = struct
     end
 
   (* The slot holding [id]'s row, or the empty slot that ends its probe
-     run. Ids are callers' counters, so [id land mask] lays a window of
-     live ids out without collisions. *)
+     run. Probes start at the mixed id: a window of contiguous live ids
+     laid out at [id land mask] would be one probe run, and [unbind]
+     would walk all of it. *)
+  let home_slot t id = Util.Itbl.hash id land (Array.length t.slots - 1)
+
   let find_slot t id =
     let mask = Array.length t.slots - 1 in
-    let s = ref (id land mask) in
+    let s = ref (home_slot t id) in
     while t.slots.(!s) >= 0 && t.fid.(t.slots.(!s)) <> id do
       s := (!s + 1) land mask
     done;
@@ -325,7 +327,7 @@ module Inc = struct
     t.slots.(!hole) <- -1;
     let s = ref ((!hole + 1) land mask) in
     while t.slots.(!s) >= 0 do
-      let home = t.fid.(t.slots.(!s)) land mask in
+      let home = home_slot t t.fid.(t.slots.(!s)) in
       if (!s - home) land mask >= (!s - !hole) land mask then begin
         t.slots.(!hole) <- t.slots.(!s);
         t.slots.(!s) <- -1;

@@ -32,7 +32,7 @@ type t = {
   rctx : Routing.ctx;
   bcast : Broadcast.t;
   rng : Util.Rng.t;
-  flows : (flow_id, flow) Hashtbl.t;
+  flows : flow Util.Itbl.t;
   mutable next_id : flow_id;
   mutable observers : (Wire.broadcast -> unit) list;
   mutable seq_observers : (bytes -> unit) list;
@@ -65,7 +65,7 @@ let create ?(config = default_config) ?(seed = 1) topo =
     rctx = Routing.make topo;
     bcast = Broadcast.make ~trees_per_source:config.trees_per_source topo;
     rng = Util.Rng.create seed;
-    flows = Hashtbl.create 64;
+    flows = Util.Itbl.create 64;
     next_id = 0;
     observers = [];
     seq_observers = [];
@@ -133,7 +133,7 @@ let emit_broadcast t f event =
   List.iter (fun obs -> obs wire) t.seq_observers
 
 let find t id =
-  match Hashtbl.find_opt t.flows id with
+  match Util.Itbl.find_opt t.flows id with
   | Some f -> f
   | None -> invalid_arg "Stack: unknown flow id"
 
@@ -169,7 +169,7 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
       demand_estimator = ref None;
     }
   in
-  Hashtbl.replace t.flows id f;
+  Util.Itbl.replace t.flows id f;
   Congestion.Waterfill.Inc.add_flow ~weight:(float_of_int weight) ~priority t.alloc ~id row;
   emit_broadcast t f Wire.Flow_start;
   id
@@ -193,7 +193,7 @@ let try_open_flow ?(weight = 1) ?(priority = 0) ?protocol t ~src ~dst =
 
 let close_flow t id =
   let f = find t id in
-  Hashtbl.remove t.flows id;
+  Util.Itbl.remove t.flows id;
   Congestion.Waterfill.Inc.remove_flow t.alloc ~id;
   emit_broadcast t f Wire.Flow_finish
 
@@ -228,7 +228,7 @@ let observe_sender_queue t id ~queued_bytes ~period_ns =
   if U.compare_q alloc U.zero > 0 && Congestion.Demand.is_host_limited est ~allocation:alloc
   then set_demand t id ~gbps:(Some (U.gbps_of_byte_rate (Congestion.Demand.estimate est)))
 
-let flow_array t = Util.Tbl.sorted_values ~cmp:Int.compare t.flows
+let flow_array t = Util.Itbl.sorted_values t.flows
 
 let recompute t =
   (* Flow open/close/demand/reroute events have already patched [t.alloc];
@@ -236,7 +236,7 @@ let recompute t =
   if Congestion.Waterfill.Inc.is_dirty t.alloc then begin
     Congestion.Waterfill.Inc.allocate t.alloc;
     Congestion.Waterfill.Inc.iter_rates t.alloc (fun ~id ~rate ->
-        match Hashtbl.find_opt t.flows id with
+        match Util.Itbl.find_opt t.flows id with
         | Some f -> f.rate_gbps <- U.gbps_of_byte_rate rate
         | None -> ())
   end
@@ -244,23 +244,16 @@ let recompute t =
 let rate_gbps t id = (find t id).rate_gbps
 
 let allocations t =
-  List.rev
-    (Util.Tbl.fold_sorted ~cmp:Int.compare
-       (fun id f acc -> (id, f.rate_gbps) :: acc)
-       t.flows [])
+  List.rev (Util.Itbl.fold_sorted (fun id f acc -> (id, f.rate_gbps) :: acc) t.flows [])
 
 let active_flows t =
   List.rev
-    (Util.Tbl.fold_sorted ~cmp:Int.compare
-       (fun id f acc -> (id, f.src, f.dst, f.protocol) :: acc)
-       t.flows [])
+    (Util.Itbl.fold_sorted (fun id f acc -> (id, f.src, f.dst, f.protocol) :: acc) t.flows [])
 
 let aggregate_throughput_gbps t =
   (* Summing in flow-id order keeps the float total identical on every node. *)
   U.gbps
-    (Util.Tbl.fold_sorted ~cmp:Int.compare
-       (fun _ f acc -> acc +. (f.rate_gbps :> float))
-       t.flows 0.0)
+    (Util.Itbl.fold_sorted (fun _ f acc -> acc +. (f.rate_gbps :> float)) t.flows 0.0)
 
 let reselect_routing ?pop_size ?generations t rng =
   let fl = flow_array t in
@@ -375,7 +368,7 @@ let restart ?(src = 0) t =
      zero. The returned JOIN is what peers need to void their replicas. *)
   Array.iter
     (fun f ->
-      Hashtbl.remove t.flows f.id;
+      Util.Itbl.remove t.flows f.id;
       Congestion.Waterfill.Inc.remove_flow t.alloc ~id:f.id)
     (flow_array t);
   let inc = Rbcast.restart t.origin in
@@ -424,7 +417,7 @@ let notify_failure t =
     (fun f ->
       if not (Topology.reachable t.topo f.src f.dst) then begin
         dropped := f.id :: !dropped;
-        Hashtbl.remove t.flows f.id;
+        Util.Itbl.remove t.flows f.id;
         Congestion.Waterfill.Inc.remove_flow t.alloc ~id:f.id;
         emit_broadcast t f Wire.Flow_finish
       end

@@ -47,13 +47,14 @@ let utility_gbps t ~flows assignment =
   | Tenant_tail tenants ->
       if Array.length tenants <> Array.length flows then
         invalid_arg "Selector: tenant map length mismatch";
-      let totals = Hashtbl.create 8 in
+      let totals = Util.Itbl.create 8 in
       Array.iteri
         (fun i r ->
           let tnt = tenants.(i) in
-          Hashtbl.replace totals tnt (r +. Option.value ~default:0.0 (Hashtbl.find_opt totals tnt)))
+          Util.Itbl.replace totals tnt
+            (r +. Option.value ~default:0.0 (Util.Itbl.find_opt totals tnt)))
         rates;
-      let worst = Util.Tbl.fold_sorted ~cmp:Int.compare (fun _ v acc -> Float.min v acc) totals infinity in
+      let worst = Util.Itbl.fold_sorted (fun _ v acc -> Float.min v acc) totals infinity in
       if worst = infinity then U.gbps 0.0 else U.gbps (8.0 *. worst)
 
 let uniform t ~flows proto = utility_gbps t ~flows (Array.make (Array.length flows) proto)

@@ -52,12 +52,12 @@ let row ~links ~fracs =
 
 type ctx = {
   topo : Topology.t;
-  frac_cache : (int, row) Hashtbl.t;  (* key = (protocol, src, dst) packed *)
-  vlb_a : (int, float array) Hashtbl.t;  (* per source: sum over waypoints of minimal fractions *)
-  vlb_b : (int, float array) Hashtbl.t;  (* per destination *)
-  wlb_dist : (int, float array) Hashtbl.t;  (* per (src,dst): waypoint prefix weights *)
+  frac_cache : row Util.Itbl.t;  (* key = (protocol, src, dst) packed *)
+  vlb_a : float array Util.Itbl.t;  (* per source: sum over waypoints of minimal fractions *)
+  vlb_b : float array Util.Itbl.t;  (* per destination *)
+  wlb_dist : float array Util.Itbl.t;  (* per (src,dst): waypoint prefix weights *)
   mutable cache_version : int;  (* combined stamp the caches were built against *)
-  quar : (int, health) Hashtbl.t;  (* per directed link; absent = Healthy *)
+  quar : health Util.Itbl.t;  (* per directed link; absent = Healthy *)
   mutable demoted : int;  (* directed links currently not Healthy *)
   mutable quar_version : int;  (* bumped on every health transition *)
   mutable scratch : scratch option;  (* allocated on first use *)
@@ -88,12 +88,12 @@ and scratch = {
 let make topo =
   {
     topo;
-    frac_cache = Hashtbl.create 1024;
-    vlb_a = Hashtbl.create 64;
-    vlb_b = Hashtbl.create 64;
-    wlb_dist = Hashtbl.create 256;
+    frac_cache = Util.Itbl.create 1024;
+    vlb_a = Util.Itbl.create 64;
+    vlb_b = Util.Itbl.create 64;
+    wlb_dist = Util.Itbl.create 256;
     cache_version = Topology.version topo;
-    quar = Hashtbl.create 16;
+    quar = Util.Itbl.create 16;
     demoted = 0;
     quar_version = 0;
     scratch = None;
@@ -138,10 +138,10 @@ let scratch ctx =
 let sync ctx =
   let v = Topology.version ctx.topo + ctx.quar_version in
   if v <> ctx.cache_version then begin
-    Hashtbl.reset ctx.frac_cache;
-    Hashtbl.reset ctx.vlb_a;
-    Hashtbl.reset ctx.vlb_b;
-    Hashtbl.reset ctx.wlb_dist;
+    Util.Itbl.reset ctx.frac_cache;
+    Util.Itbl.reset ctx.vlb_a;
+    Util.Itbl.reset ctx.vlb_b;
+    Util.Itbl.reset ctx.wlb_dist;
     ctx.cache_version <- v
   end
 
@@ -150,7 +150,7 @@ let topo ctx = ctx.topo
 (* -- link-health state machine ------------------------------------------ *)
 
 let link_weight ctx l =
-  match Hashtbl.find_opt ctx.quar l with None -> 1.0 | Some h -> hweight h
+  match Util.Itbl.find_opt ctx.quar l with None -> 1.0 | Some h -> hweight h
 
 let quar_cable ctx u v =
   match (Topology.find_link ctx.topo u v, Topology.find_link ctx.topo v u) with
@@ -161,16 +161,16 @@ let set_health ctx u v h =
   let a, b = quar_cable ctx u v in
   let set l =
     let cur =
-      match Hashtbl.find_opt ctx.quar l with None -> Healthy | Some x -> x
+      match Util.Itbl.find_opt ctx.quar l with None -> Healthy | Some x -> x
     in
     if hrank cur <> hrank h then begin
       (match h with
       | Healthy ->
-          Hashtbl.remove ctx.quar l;
+          Util.Itbl.remove ctx.quar l;
           ctx.demoted <- ctx.demoted - 1
       | Probation | Quarantined ->
           if hrank cur = 0 then ctx.demoted <- ctx.demoted + 1;
-          Hashtbl.replace ctx.quar l h);
+          Util.Itbl.replace ctx.quar l h);
       ctx.quar_version <- ctx.quar_version + 1
     end
   in
@@ -183,7 +183,7 @@ let note_recovered ctx u v = set_health ctx u v Healthy
 
 let link_health ctx u v =
   let a, _ = quar_cable ctx u v in
-  match Hashtbl.find_opt ctx.quar a with None -> Healthy | Some h -> h
+  match Util.Itbl.find_opt ctx.quar a with None -> Healthy | Some h -> h
 
 let demoted_links ctx = ctx.demoted
 
@@ -194,7 +194,7 @@ let node_shadowed ctx w =
   ctx.demoted > 0
   && Array.exists
        (fun (_, l) ->
-         match Hashtbl.find_opt ctx.quar l with
+         match Util.Itbl.find_opt ctx.quar l with
          | Some Quarantined -> true
          | Some (Healthy | Probation) | None -> false)
        (Topology.out_links ctx.topo w)
@@ -361,7 +361,7 @@ let dor_paths_weighted ctx sc ~src ~dst =
 
 let wlb_waypoint_weights ctx ~src ~dst =
   let key = (src * Topology.vertex_count ctx.topo) + dst in
-  match Hashtbl.find_opt ctx.wlb_dist key with
+  match Util.Itbl.find_opt ctx.wlb_dist key with
   | Some w -> w
   | None ->
       let t = ctx.topo in
@@ -387,7 +387,7 @@ let wlb_waypoint_weights ctx ~src ~dst =
         acc := !acc +. weights.(i);
         prefix.(i) <- !acc
       done;
-      Hashtbl.replace ctx.wlb_dist key prefix;
+      Util.Itbl.replace ctx.wlb_dist key prefix;
       prefix
 
 let sample_prefix rng prefix =
@@ -644,7 +644,7 @@ let dor_fractions ctx sc ~src ~dst =
 (* VLB's per-endpoint sums over every waypoint's minimal fractions: phase
    1 out of [v] when [outbound], phase 2 into [v] otherwise. *)
 let vlb_sum ctx sc table v ~outbound =
-  match Hashtbl.find_opt table v with
+  match Util.Itbl.find_opt table v with
   | Some a -> a
   | None ->
       let t = ctx.topo in
@@ -659,7 +659,7 @@ let vlb_sum ctx sc table v ~outbound =
           done
         end
       done;
-      Hashtbl.replace table v dense;
+      Util.Itbl.replace table v dense;
       dense
 
 let vlb_fractions ctx sc ~src ~dst =
@@ -716,7 +716,7 @@ let fractions ctx p ~src ~dst =
   if src = dst then invalid_arg "Routing.fractions: src = dst";
   sync ctx;
   let key = pack ctx p ~src ~dst in
-  match Hashtbl.find_opt ctx.frac_cache key with
+  match Util.Itbl.find_opt ctx.frac_cache key with
   | Some f -> f
   | None ->
       let sc = scratch ctx in
@@ -727,5 +727,5 @@ let fractions ctx p ~src ~dst =
         | Vlb -> vlb_fractions ctx sc ~src ~dst
         | Wlb -> wlb_fractions ctx sc ~src ~dst
       in
-      Hashtbl.replace ctx.frac_cache key f;
+      Util.Itbl.replace ctx.frac_cache key f;
       f

@@ -10,7 +10,7 @@ type flow = {
   mutable finish_ns : int;
   mutable next_seq : int;
   mutable reorder_max : int;
-  ooo : (int, int) Hashtbl.t;
+  ooo : int Util.Itbl.t;
 }
 
 (* -- allocation-free log-bucketed latency histogram ----------------------- *)
@@ -105,10 +105,10 @@ let hist_percentile h p =
 let max_class = 8
 
 type t = {
-  flows : (int, flow) Hashtbl.t;
+  flows : flow Util.Itbl.t;
   mutable completed : int;
   mutable bucket_ns : int;  (* goodput histogram bucket width; 0 = disabled *)
-  buckets : (int, int) Hashtbl.t;  (* bucket index -> accepted payload bytes *)
+  buckets : int Util.Itbl.t;  (* bucket index -> accepted payload bytes *)
   mutable rejoins : (int * int * int) list;  (* (node, restart_ns, caught_up_ns), newest first *)
   fct_hist : hist array;  (* per-class FCT histograms, always recorded *)
   slo_bound_ns : int array;  (* 0 = no SLO declared for the class *)
@@ -118,10 +118,10 @@ type t = {
 
 let create () =
   {
-    flows = Hashtbl.create 256;
+    flows = Util.Itbl.create 256;
     completed = 0;
     bucket_ns = 0;
-    buckets = Hashtbl.create 64;
+    buckets = Util.Itbl.create 64;
     rejoins = [];
     fct_hist = Array.init max_class (fun _ -> hist_create ());
     slo_bound_ns = Array.make max_class 0;
@@ -163,11 +163,11 @@ let set_goodput_bucket t ~bucket_ns =
 let goodput_series t =
   Array.map
     (fun (i, b) -> (i * t.bucket_ns, b))
-    (Util.Tbl.sorted_bindings ~cmp:Int.compare t.buckets)
+    (Util.Itbl.sorted_bindings t.buckets)
 
 let add_flow ?(priority = 0) t ~id ~src ~dst ~size ~arrival_ns =
-  if Hashtbl.mem t.flows id then invalid_arg "Metrics.add_flow: duplicate id";
-  Hashtbl.replace t.flows id
+  if Util.Itbl.mem t.flows id then invalid_arg "Metrics.add_flow: duplicate id";
+  Util.Itbl.replace t.flows id
     {
       id;
       src;
@@ -180,11 +180,11 @@ let add_flow ?(priority = 0) t ~id ~src ~dst ~size ~arrival_ns =
       finish_ns = -1;
       next_seq = 0;
       reorder_max = 0;
-      ooo = Hashtbl.create 8;
+      ooo = Util.Itbl.create 8;
     }
 
 let find t id =
-  match Hashtbl.find_opt t.flows id with
+  match Util.Itbl.find_opt t.flows id with
   | Some f -> f
   | None -> invalid_arg "Metrics: unknown flow"
 
@@ -195,13 +195,13 @@ let note_first_tx t ~id ~now =
 let record_delivery t ~id ~seq ~payload ~now =
   let f = find t id in
   if f.finish_ns >= 0 then false
-  else if seq < f.next_seq || Hashtbl.mem f.ooo seq then false (* duplicate *)
+  else if seq < f.next_seq || Util.Itbl.mem f.ooo seq then false (* duplicate *)
   else begin
     if t.bucket_ns > 0 then begin
       (* Goodput counts every newly accepted payload byte, in-order or not. *)
       let i = now / t.bucket_ns in
-      let cur = Option.value ~default:0 (Hashtbl.find_opt t.buckets i) in
-      Hashtbl.replace t.buckets i (cur + payload)
+      let cur = Option.value ~default:0 (Util.Itbl.find_opt t.buckets i) in
+      Util.Itbl.replace t.buckets i (cur + payload)
     end;
     if seq = f.next_seq then begin
       f.delivered <- f.delivered + payload;
@@ -209,17 +209,17 @@ let record_delivery t ~id ~seq ~payload ~now =
       (* Drain any contiguous out-of-order suffix. *)
       let continue = ref true in
       while !continue do
-        match Hashtbl.find_opt f.ooo f.next_seq with
+        match Util.Itbl.find_opt f.ooo f.next_seq with
         | Some p ->
-            Hashtbl.remove f.ooo f.next_seq;
+            Util.Itbl.remove f.ooo f.next_seq;
             f.delivered <- f.delivered + p;
             f.next_seq <- f.next_seq + 1
         | None -> continue := false
       done
     end
     else begin
-      Hashtbl.replace f.ooo seq payload;
-      if Hashtbl.length f.ooo > f.reorder_max then f.reorder_max <- Hashtbl.length f.ooo
+      Util.Itbl.replace f.ooo seq payload;
+      if Util.Itbl.length f.ooo > f.reorder_max then f.reorder_max <- Util.Itbl.length f.ooo
     end;
     if f.delivered >= f.size && f.finish_ns < 0 then begin
       f.finish_ns <- now;
@@ -239,7 +239,7 @@ let complete _t f = f.finish_ns >= 0
 let completed_count t = t.completed
 (* Sorted by flow id so every derived series (and any JSON report built
    from it) is byte-stable across runs. *)
-let all t = Array.to_list (Util.Tbl.sorted_values ~cmp:Int.compare t.flows)
+let all t = Array.to_list (Util.Itbl.sorted_values t.flows)
 
 let fct_ns f =
   if f.finish_ns < 0 then invalid_arg "Metrics.fct_ns: incomplete flow";

@@ -13,7 +13,7 @@ type flow = {
   mutable finish_ns : int;  (** -1 until complete *)
   mutable next_seq : int;  (** receiver's next in-order sequence *)
   mutable reorder_max : int;  (** peak out-of-order buffer, packets *)
-  ooo : (int, int) Hashtbl.t;  (** seq -> payload of out-of-order packets *)
+  ooo : int Util.Itbl.t;  (** seq -> payload of out-of-order packets *)
 }
 
 type t

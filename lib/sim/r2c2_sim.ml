@@ -183,7 +183,7 @@ type fstate = {
   mutable inject_gen : int;
   mutable visible : bool;  (** start broadcast reached every node *)
   mutable done_sending : bool;
-  rtx : (int, int) Hashtbl.t;  (** seq -> retransmission attempts so far *)
+  rtx : int Util.Itbl.t;  (** seq -> retransmission attempts so far *)
   mutable failed : bool;  (** aborted: endpoint died or retries exhausted *)
   mutable btree : int;
       (** reliable mode: the tree carrying every event of this flow, so the
@@ -272,7 +272,7 @@ type t = {
   mutable prev_ctrl_hops : int;
   mutable prev_ctrl_lost : int;
   (* -- crash-restart rejoin -- *)
-  pending_rejoins : (int, int) Hashtbl.t;  (* node -> restart ns *)
+  pending_rejoins : int Util.Itbl.t;  (* node -> restart ns *)
   mutable joins_sent : int;
   (* -- gray-failure health estimation -- *)
   mutable health : hstate option;
@@ -652,15 +652,15 @@ let update_loss_ewma t =
 let diverged_nodes t =
   if t.cfg.control <> Per_node then 0
   else begin
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let counts = Util.Itbl.create 8 in
     for node = 0 to t.nverts - 1 do
       if Net.node_up t.net node then begin
         let h = Replicas.replica_hash t.reps ~replica:node in
-        Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
+        Util.Itbl.replace counts h (1 + Option.value ~default:0 (Util.Itbl.find_opt counts h))
       end
     done;
     let modal = ref 0 and total = ref 0 in
-    Util.Tbl.iter_sorted ~cmp:Int.compare
+    Util.Itbl.iter_sorted
       (fun _ n ->
         total := !total + n;
         if n > !modal then modal := n)
@@ -862,7 +862,7 @@ let detection_delay t =
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
 let check_rejoins t =
-  if Hashtbl.length t.pending_rejoins > 0 then begin
+  if Util.Itbl.length t.pending_rejoins > 0 then begin
     let now = Engine.now t.eng in
     Array.iter
       (fun node ->
@@ -871,14 +871,14 @@ let check_rejoins t =
            unreachable and the catch-up check would pass vacuously —
            stamping a zero-length rejoin before the JOIN even went out. *)
         if
-          now >= Hashtbl.find t.pending_rejoins node + detection_delay t
+          now >= Util.Itbl.find t.pending_rejoins node + detection_delay t
           && Net.node_up t.net node && node_caught_up t ~node
         then begin
-          let start = Hashtbl.find t.pending_rejoins node in
-          Hashtbl.remove t.pending_rejoins node;
+          let start = Util.Itbl.find t.pending_rejoins node in
+          Util.Itbl.remove t.pending_rejoins node;
           Metrics.note_rejoin t.mtrcs ~node ~start ~finish:now
         end)
-      (Util.Tbl.sorted_keys ~cmp:Int.compare t.pending_rejoins)
+      (Util.Itbl.sorted_keys t.pending_rejoins)
   end
 
 let rec digest_loop t () =
@@ -886,7 +886,7 @@ let rec digest_loop t () =
   check_rejoins t;
   if
     t.live_flows > 0
-    || Hashtbl.length t.pending_rejoins > 0
+    || Util.Itbl.length t.pending_rejoins > 0
     || not (control_converged t)
   then begin
     digest_round t;
@@ -948,10 +948,10 @@ let abort_flow t st =
    fresh path may cross the same dead cable; the backoff rides out exactly
    that window. *)
 let rec arm_retransmit t st ~seq ~bytes ~last =
-  let n = Option.value ~default:0 (Hashtbl.find_opt st.rtx seq) in
+  let n = Option.value ~default:0 (Util.Itbl.find_opt st.rtx seq) in
   if n >= rtx_max_retries then abort_flow t st
   else begin
-    Hashtbl.replace st.rtx seq (n + 1);
+    Util.Itbl.replace st.rtx seq (n + 1);
     Engine.after t.eng
       (rtx_timeout_ns t.cfg ~attempt:n)
       (fun () -> retransmit t st ~seq ~bytes ~last)
@@ -1081,7 +1081,7 @@ let crash t u =
         (* Invalidate the pacing timer and forget retransmission attempts:
            nothing of the sender survives the crash. *)
         st.inject_gen <- st.inject_gen + 1;
-        Hashtbl.reset st.rtx
+        Util.Itbl.reset st.rtx
       end)
 
 let send_snapshot_reqs t u =
@@ -1114,7 +1114,7 @@ let send_snapshot_reqs t u =
    [rejoin_retry_ns] until the node has caught up, so a lost JOIN or
    snapshot cannot strand the rejoin. *)
 let rec announce_join t u =
-  if Net.node_up t.net u && Hashtbl.mem t.pending_rejoins u then begin
+  if Net.node_up t.net u && Util.Itbl.mem t.pending_rejoins u then begin
     t.joins_sent <- t.joins_sent + 1;
     let inc = if t.cfg.reliable_bcast then Rbcast.incarnation t.origins.(u) else 0 in
     Net.send_bcast t.net ~inc ~root:u ~tree:0 ~bcast_id:bcast_id_join ~bytes:Wire.join_size ();
@@ -1124,8 +1124,8 @@ let rec announce_join t u =
     else begin
       (* Without the reliable machinery there is no catch-up to await: the
          rejoin completes at the announcement. *)
-      let start = Hashtbl.find t.pending_rejoins u in
-      Hashtbl.remove t.pending_rejoins u;
+      let start = Util.Itbl.find t.pending_rejoins u in
+      Util.Itbl.remove t.pending_rejoins u;
       Metrics.note_rejoin t.mtrcs ~node:u ~start ~finish:(Engine.now t.eng)
     end
   end
@@ -1138,7 +1138,7 @@ let restart t ~ns u =
   Net.restore_node t.net u;
   Replicas.clear t.reps ~replica:u;
   if t.cfg.reliable_bcast then ignore (Rbcast.restart t.origins.(u));
-  Hashtbl.replace t.pending_rejoins u ns
+  Util.Itbl.replace t.pending_rejoins u ns
 
 (* -- gray failures: flaky links and the health estimator ------------------- *)
 
@@ -1382,7 +1382,7 @@ let create cfg topo =
       eff_headroom = (cfg.headroom : U.fraction :> float);
       prev_ctrl_hops = 0;
       prev_ctrl_lost = 0;
-      pending_rejoins = Hashtbl.create 4;
+      pending_rejoins = Util.Itbl.create 4;
       joins_sent = 0;
       health = None;
       health_running = false;
@@ -1607,7 +1607,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
       inject_gen = 0;
       visible = false;
       done_sending = false;
-      rtx = Hashtbl.create 8;
+      rtx = Util.Itbl.create 8;
       (* measured: empty on loss-free runs; only tail-drop/failure
          retransmission timers land here, a handful per flow *)
       failed = false;
@@ -1707,7 +1707,7 @@ let results t =
     recoveries = t.recoveries;
     joins_sent = t.joins_sent;
     rejoins = Metrics.rejoin_samples t.mtrcs;
-    rejoins_pending = Hashtbl.length t.pending_rejoins;
+    rejoins_pending = Util.Itbl.length t.pending_rejoins;
     shed_flows = t.shed_flows;
     shed_payload = t.shed_payload;
     pauses_sent = t.pauses_sent;

@@ -31,7 +31,7 @@ type state = {
   on_violation : string -> unit;
   mutable checks : int;
   mutable violations : string list;  (* newest first *)
-  crashed : (int, unit) Hashtbl.t;  (* crashed or failed; the tap's truth *)
+  crashed : unit Util.Itbl.t;  (* crashed or failed; the tap's truth *)
   mutable diverged_since : int;  (* -1 = views currently consistent *)
   mutable staleness_reported : bool;  (* one violation per stretch *)
   mutable worst_staleness : int;
@@ -44,14 +44,14 @@ let violate st msg =
 (* The cables a partition of [group] cuts: every cable with exactly one
    endpoint inside the set, each once, in deterministic order. *)
 let cut_cables topo group =
-  let inside = Hashtbl.create 16 in
-  List.iter (fun u -> Hashtbl.replace inside u ()) group;
+  let inside = Util.Itbl.create 16 in
+  List.iter (fun u -> Util.Itbl.replace inside u ()) group;
   List.concat_map
     (fun u ->
       Array.to_list
         (Array.map fst (Topology.out_links topo u))
       |> List.filter_map (fun v ->
-             if Hashtbl.mem inside v then None else Some (u, v)))
+             if Util.Itbl.mem inside v then None else Some (u, v)))
     (List.sort_uniq Int.compare group)
 
 let apply st { at_ns = ns; event } =
@@ -62,11 +62,11 @@ let apply st { at_ns = ns; event } =
       (* Physical death first, the monitor mark right after at the same
          instant — an arrival scheduled for this exact ns is not blamed. *)
       R2c2_sim.inject_at sim ~ns f;
-      Engine.at eng ns (fun () -> Hashtbl.replace st.crashed u ())
+      Engine.at eng ns (fun () -> Util.Itbl.replace st.crashed u ())
   | Fault (R2c2_sim.Restart u as f) ->
       (* Unmark before revival so the node's first legitimate arrivals
          are not blamed either. *)
-      Engine.at eng ns (fun () -> Hashtbl.remove st.crashed u);
+      Engine.at eng ns (fun () -> Util.Itbl.remove st.crashed u);
       R2c2_sim.inject_at sim ~ns f
   | Fault
       ((R2c2_sim.Fail_link _ | Restore_link _ | Flaky _ | Unflaky _ | Control_chaos _) as f) ->
@@ -96,7 +96,7 @@ let install_tap st =
   let eng = R2c2_sim.engine st.sim in
   Net.set_arrive_tap net (fun ~node _pkt ->
       st.checks <- st.checks + 1;
-      if Hashtbl.mem st.crashed node then
+      if Util.Itbl.mem st.crashed node then
         violate st
           (Printf.sprintf "packet traversed crashed node %d at %d ns" node
              (Engine.now eng)))
@@ -215,7 +215,7 @@ let run ?on_violation ?until_ns ~invariants sim steps =
       on_violation;
       checks = 0;
       violations = [];
-      crashed = Hashtbl.create 8;
+      crashed = Util.Itbl.create 8;
       diverged_since = -1;
       staleness_reported = false;
       worst_staleness = 0;

@@ -58,7 +58,7 @@ let run ?until_ns cfg topo specs =
   let metrics = Metrics.create () in
   (* Pre-sized past the largest experiment (60-240 flows measured) so the
      packet path never pays a rehash. *)
-  let flows : (int, fstate) Hashtbl.t = Hashtbl.create 256 in
+  let flows : fstate Util.Itbl.t = Util.Itbl.create 256 in
   let retransmits = ref 0 in
   let full_payload = Topology.mtu - header in
 
@@ -186,14 +186,14 @@ let run ?until_ns cfg topo specs =
       if k = Net.code_data then begin
         let flow = Net.data_flow net pkt in
         let seq = Net.data_seq net pkt in
-        let st = Hashtbl.find flows flow in
+        let st = Util.Itbl.find flows flow in
         let payload = Net.bytes net pkt - header in
         ignore (Metrics.record_delivery metrics ~id:flow ~seq ~payload ~now:(Engine.now eng));
         let rcv_next = (Metrics.find metrics flow).Metrics.next_seq in
         Net.send_ack net ~flow ~ackno:rcv_next ~bytes:ack_bytes ~route:st.rpath
       end
       else if k = Net.code_ack then
-        on_ack (Hashtbl.find flows (Net.ack_flow net pkt)) (Net.ack_ackno net pkt));
+        on_ack (Util.Itbl.find flows (Net.ack_flow net pkt)) (Net.ack_ackno net pkt));
 
   List.iteri
     (fun idx spec ->
@@ -231,7 +231,7 @@ let run ?until_ns cfg topo specs =
               finished = false;
             }
           in
-          Hashtbl.replace flows idx st;
+          Util.Itbl.replace flows idx st;
           try_send st))
     specs;
 

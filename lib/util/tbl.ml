@@ -23,9 +23,6 @@ let sorted_bindings ~cmp t =
 let sorted_keys ~cmp t =
   Array.map fst (sorted_bindings ~cmp t)
 
-let sorted_values ~cmp t =
-  Array.map snd (sorted_bindings ~cmp t)
-
 (* Drop-in replacements for [Hashtbl.iter]/[Hashtbl.fold]: same argument
    order, plus the key comparator. *)
 

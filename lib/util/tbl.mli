@@ -7,6 +7,7 @@
     inserted in different orders walk them differently. r2c2-lint rule D3
     therefore bans raw table iteration under [lib/]; call sites go
     through this module, which fixes the order by sorting on the key.
+    Int-keyed tables in [lib/] are {!Itbl}, whose only iteration is sorted.
 
     This interface is the {e sealed} D3 escape hatch: the one raw
     [Hashtbl.fold] in the implementation (annotated with the repo's only
@@ -22,7 +23,6 @@ val sorted_bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) a
     shadowing order (most recent first). *)
 
 val sorted_keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k array
-val sorted_values : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'v array
 
 val iter_sorted : cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** Drop-in replacement for [Hashtbl.iter], plus the key comparator. *)

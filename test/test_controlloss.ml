@@ -41,6 +41,50 @@ let rbcast_window_orders_and_dedups () =
   | (Replicas.Buffered | Replicas.Duplicate), _ -> Alcotest.fail "seq 2 must deliver");
   Alcotest.(check (option string)) "origin replays" (Some "b") (Rbcast.replay o ~tree:0 ~seq:1)
 
+(* The replay ring against the Hashtbl log it replaced: [seq] logged,
+   [seq - log_cap] evicted, on every send; a restart empties it. *)
+let qcheck_replay_ring_matches_log =
+  let caps = [| 1; 5; 16; 100; 65536 |] in
+  QCheck.Test.make ~name:"replay ring = the Hashtbl log, last log_cap seqs exactly" ~count:60
+    QCheck.(pair (int_bound 4) (int_bound 1_000_000))
+    (fun (ci, seed) ->
+      let cap = caps.(ci) and rng = Util.Rng.create seed in
+      let o = Rbcast.origin ~log_cap:cap ~trees:2 () in
+      let logs = Array.init 2 (fun _ -> Hashtbl.create 16) and next = Array.make 2 0 in
+      let payload = ref 0 in
+      let send tree =
+        incr payload;
+        let seq = Rbcast.send o ~tree !payload in
+        Hashtbl.replace logs.(tree) seq !payload;
+        if seq >= cap then Hashtbl.remove logs.(tree) (seq - cap);
+        next.(tree) <- seq + 1
+      in
+      let burst () =
+        for _ = 1 to Util.Rng.int rng ((2 * min cap 70_000) + 40) do
+          send (Util.Rng.int rng 2)
+        done
+      in
+      burst ();
+      if Util.Rng.bool rng then begin
+        ignore (Rbcast.restart o);
+        Array.iter Hashtbl.reset logs;
+        Array.fill next 0 2 0;
+        burst ()
+      end;
+      List.for_all
+        (fun tree ->
+          let kept = ref 0 and ok = ref true in
+          for seq = -2 to next.(tree) + 2 do
+            let got = Rbcast.replay o ~tree ~seq in
+            if got <> Hashtbl.find_opt logs.(tree) seq then ok := false;
+            if got <> None then begin
+              incr kept;
+              if seq < next.(tree) - cap then ok := false
+            end
+          done;
+          !ok && !kept = min cap next.(tree))
+        [ 0; 1 ])
+
 (* -- View: replica repair from the sequenced stream ------------------------ *)
 
 let mk_stack () =
@@ -782,6 +826,7 @@ let suites =
     ( "control-loss",
       [
         tc "rbcast window orders and dedups" rbcast_window_orders_and_dedups;
+        QCheck_alcotest.to_alcotest qcheck_replay_ring_matches_log;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;
         tc "view ignores a stale digest" view_stale_digest_is_not_divergence;

@@ -311,6 +311,25 @@ let add_flow_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words of 64 warm opens" 0.0 words;
   Alcotest.(check int) "all open" n (W.Inc.live_flows inc)
 
+(* Contiguous live ids, as R2c2_sim's global allocator keys flows: probes
+   starting at [id land mask] would lay them out as one probe run, and
+   every delete's backward shift would walk all of it. *)
+let contiguous_ids_close_fast () =
+  let module W = Congestion.Waterfill in
+  let n = 30_000 in
+  let row = lk [| (0, 1.0) |] in
+  let inc = W.Inc.create ~capacities:(caps [| 1.25 |]) () in
+  for id = 0 to n - 1 do
+    W.Inc.add_flow inc ~id row
+  done;
+  let t0 = Sys.time () in
+  for id = 0 to n - 1 do
+    W.Inc.remove_flow inc ~id
+  done;
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "30,000 closes in %.3f s" cpu) true (cpu < 0.2);
+  Alcotest.(check int) "all closed" 0 (W.Inc.live_flows inc)
+
 let suites =
   [
     ( "incremental",
@@ -322,6 +341,7 @@ let suites =
         tc "debug counters reset per allocate call" counters_reset_per_allocate;
         tc "two allocators share rows and never write them" allocators_share_rows;
         tc "warm add_flow of a cached row allocates nothing" add_flow_allocates_nothing;
+        tc "closing contiguous ids stays O(1) each" contiguous_ids_close_fast;
         tc "dirty tracking across open/close" dirty_tracking_lifecycle;
         tc "input validation" inc_input_validation;
       ] );

@@ -20,6 +20,11 @@ let rules_of r = List.map (fun v -> v.Lint_core.rule) r.Lint_core.violations
 let check_rules ?in_lib name expected src =
   Alcotest.(check (list string)) name expected (rules_of (lint ?in_lib src))
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* -- D1: ambient PRNG ----------------------------------------------------- *)
 
 let d1_random_banned () =
@@ -58,6 +63,16 @@ let d3_raw_iteration_banned_in_lib () =
   check_rules "first-class reference flagged" [ "D3" ] "let h = Hashtbl.iter";
   check_rules "open Hashtbl flagged" [ "D3" ] "open Hashtbl\nlet n t = length t"
 
+let d3_hint_names_itbl () =
+  (* Int keys have their own table, whose only iteration is sorted. *)
+  match (lint "let f tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []").violations with
+  | [ v ] ->
+      Alcotest.(check bool) "int keys: Util.Itbl" true
+        (contains v.message "Util.Itbl.fold_sorted for int keys");
+      Alcotest.(check bool) "other keys: Util.Tbl" true
+        (contains v.message "Util.Tbl.fold_sorted ~cmp")
+  | vs -> Alcotest.failf "expected one D3, got %d violations" (List.length vs)
+
 let d3_sorted_and_bench_ok () =
   check_rules "Util.Tbl is the sanctioned iteration" []
     (String.concat "\n"
@@ -65,6 +80,8 @@ let d3_sorted_and_bench_ok () =
          "let f tbl = Util.Tbl.fold_sorted ~cmp:Int.compare (fun k v acc -> (k, v) :: acc) tbl []";
          "let g tbl = Util.Tbl.iter_sorted ~cmp:Int.compare (fun _ _ -> ()) tbl";
          "let h tbl = Util.Tbl.sorted_keys ~cmp:Int.compare tbl";
+         "let i tbl = Util.Itbl.fold_sorted (fun k v acc -> (k, v) :: acc) tbl []";
+         "let j tbl = Util.Itbl.filter_map_inplace (fun _ v -> Some v) tbl";
        ]);
   check_rules "point lookups untouched" []
     "let f tbl k = Hashtbl.find_opt tbl k\nlet g tbl k v = Hashtbl.replace tbl k v";
@@ -546,11 +563,6 @@ let with_fixture_tree f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let driver_json_and_exit_code () =
   with_fixture_tree (fun dir ->
       let config =
@@ -731,6 +743,7 @@ let suites =
         tc "D2: bench may time itself" d2_allowed_in_bench;
         tc "D3: raw Hashtbl iteration banned in lib" d3_raw_iteration_banned_in_lib;
         tc "D3: Util.Tbl / lookups / bench ok" d3_sorted_and_bench_ok;
+        tc "D3: the hint names Util.Itbl for int keys" d3_hint_names_itbl;
         tc "tiers: Relaxed runs D-rules only" relaxed_tier_d_rules_only;
         tc "tiers: root basename mapping" tier_of_root_mapping;
         tc "S1: Obj.magic and catch-all try" s1_flagged;

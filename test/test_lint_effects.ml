@@ -214,6 +214,54 @@ let e1_missing_key_is_named () =
     (contains (List.hd e1).message "(key");
   ignore e1
 
+(* Writes through lib/'s int-keyed table reach the region behind it. *)
+let itbl_writes_reported () =
+  let res =
+    E.analyze ~roots:[ "Fix." ] ~init_spans:[] ~registry:(registry (shard_reg ~key:true))
+      [
+        Test_lint_typed.type_util_unit ~name:"Fix"
+          (String.concat "\n"
+             [
+               "type cell = { mutable v : int }";
+               "let shards : cell Util.Itbl.t = Util.Itbl.create 8";
+               "let handle x = Util.Itbl.replace shards 0 { v = x }";
+               "let keyed ~node x = Util.Itbl.replace shards node { v = x }";
+               "let through ~node x = (Util.Itbl.find shards node).v <- x";
+               "let through_any x = (Util.Itbl.find shards 0).v <- x";
+               "let drop () = Util.Itbl.filter_map_inplace (fun _ c -> Some c) shards";
+             ]);
+      ]
+  in
+  let e1 = by_rule "E1" res in
+  Alcotest.(check (list int)) "unkeyed replace, find-through and filter fire" [ 3; 6; 7 ]
+    (List.sort Int.compare (List.map (fun v -> v.Lint_core.line) e1));
+  (match List.find_opt (fun c -> c.E.c_item = "Fix.shards") res.cut_set with
+  | Some c ->
+      Alcotest.(check bool) "the keyed find-through is a witnessed write" true
+        (List.mem "Fix.through" c.c_writers)
+  | None -> Alcotest.fail "Fix.shards missing from the cut-set");
+  let owner =
+    String.concat "\n"
+      [
+        "module Owner = struct";
+        "  let cfg : int Util.Itbl.t = Util.Itbl.create 8";
+        "  let set x = Util.Itbl.replace cfg 0 x";
+        "end";
+        "module Other = struct";
+        "  let clobber () = Util.Itbl.remove Owner.cfg 0";
+        "end";
+      ]
+  in
+  let res =
+    E.analyze ~init_spans:[]
+      ~registry:(registry "((item Fix.Owner.cfg) (class shared_readonly) (why \"frozen\"))")
+      [ Test_lint_typed.type_util_unit ~name:"Fix" owner ]
+  in
+  let e2 = by_rule "E2" res in
+  check_count "the foreign remove fires" 1 e2;
+  Alcotest.(check bool) "blames the clobberer" true
+    (contains (List.hd e2).message "Fix.Other.clobber")
+
 let shared_fixture =
   String.concat "\n"
     [
@@ -369,6 +417,7 @@ let suites =
         tc "E1 transitive + unreachable" e1_transitive_and_unreachable;
         tc "E1 missing (key …)" e1_missing_key_is_named;
         tc "E2 foreign write fires" e2_foreign_write_fires;
+        tc "E1/E2 see writes through Util.Itbl" itbl_writes_reported;
         tc "E2 init span exempts" e2_init_span_exempts;
         tc "E2 module init is foreign" e2_module_init_is_foreign_too;
         tc "E3 float fold over region" e3_float_fold_over_region_fires;

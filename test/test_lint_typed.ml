@@ -31,6 +31,14 @@ let type_unit ~name src =
   in
   { Lint_typed.u_name = name; u_file = file; u_str = tstr }
 
+(* A fixture naming lib/'s own [Util.Itbl] is typed against the compiled
+   util library, as lib/ code is; forcing [fixture_env] resets the load
+   path, so the directory goes in after it. *)
+let type_util_unit ~name src =
+  ignore (Lazy.force fixture_env);
+  Load_path.add_dir "../lib/util/.util.objs/byte";
+  type_unit ~name src
+
 let registry src = Lint_typed.load_registry_src ~file:"ownership.sexp" src
 let empty_registry = { Lint_typed.reg_file = "ownership.sexp"; entries = [] }
 
@@ -127,6 +135,17 @@ let m3_respects_registration () =
     (List.filter
        (fun (i, c) -> i.Lint_typed.i_name = "Fix.hits" && c = Some "domain_local")
        res.inventory)
+
+let m3_inventories_itbl () =
+  (* [Hashtbl.Make]'s [t] is abstract: no fixpoint can see that it is
+     mutable, so the builtin list has to name it. *)
+  let res =
+    Lint_typed.analyze ~registry:empty_registry
+      [ type_util_unit ~name:"Fix" "let live : int Util.Itbl.t = Util.Itbl.create 8" ]
+  in
+  let m3 = by_rule "M3" res in
+  check_count "a toplevel Util.Itbl.t flags" 1 m3;
+  Alcotest.(check bool) "names the item" true (contains (List.hd m3).message "Fix.live")
 
 let functions_and_factories_exempt () =
   let res =
@@ -225,6 +244,24 @@ let m2_stdlib_iterators_exempt () =
   in
   check_count "immediate stdlib iterators are exempt" 0 (by_rule "M2" res)
 
+let m2_itbl_iterators_exempt () =
+  let res =
+    Lint_typed.analyze
+      ~registry:(registry shard_tbl_registry)
+      [
+        type_util_unit ~name:"Fix"
+          (String.concat "\n"
+             [
+               "let tbl : int Util.Itbl.t = Util.Itbl.create 8";
+               "let copy src = Util.Itbl.iter_sorted (fun k v -> Util.Itbl.replace tbl k v) src";
+               "let run () = ignore (Domain.spawn (fun () -> Util.Itbl.reset tbl))";
+             ]);
+      ]
+  in
+  let m2 = by_rule "M2" res in
+  check_count "only the spawned closure flags" 1 m2;
+  Alcotest.(check int) "on the spawn line" 3 (List.hd m2).line
+
 let m2_own_submodules_exempt () =
   let res =
     analyze
@@ -262,11 +299,13 @@ let suites =
         tc "M3: fixpoint sees through aliases" m3_sees_through_aliases;
         tc "M3: submodule scoping resolves both spellings" m3_scopes_submodules;
         tc "M3: registered items are quiet" m3_respects_registration;
+        tc "M3: a toplevel Util.Itbl.t is inventoried" m3_inventories_itbl;
         tc "M3: functions and factories are exempt" functions_and_factories_exempt;
         tc "M3: refs captured on a definition spine flag" captured_spine_flags;
         tc "M1: duplicate / stale / class / why hygiene" m1_hygiene;
         tc "M2: Domain.spawn over shard state flags" m2_domain_spawn_flags;
         tc "M2: stdlib iterators are exempt" m2_stdlib_iterators_exempt;
+        tc "M2: Util.Itbl iterators are exempt" m2_itbl_iterators_exempt;
         tc "M2: own submodules are exempt" m2_own_submodules_exempt;
         tc "M2: non-capturing closures are quiet" m2_ignores_noncapturing_closures;
       ] );

@@ -375,6 +375,78 @@ let qcheck_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* -- int-keyed table ------------------------------------------------------- *)
+
+type itbl_op = Replace of int * int | Remove of int | Find of int | Mem of int | Filter | Reset
+
+let itbl_op_print = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Filter -> "filter"
+  | Reset -> "reset"
+
+(* Small keys, and Replicas' buffer keys [seq * 16384 + w], which share
+   their low bits. *)
+let itbl_ops =
+  let open QCheck.Gen in
+  let key =
+    oneof [ int_bound 64; map2 (fun seq w -> (seq * 16384) + w) (int_bound 300) (int_bound 7) ]
+  in
+  list_size (int_bound 500)
+    (frequency
+       [
+         (8, map2 (fun k v -> Replace (k, v)) key (int_bound 1000));
+         (4, map (fun k -> Remove k) key);
+         (4, map (fun k -> Find k) key);
+         (2, map (fun k -> Mem k) key);
+         (1, return Filter);
+         (1, return Reset);
+       ])
+
+let qcheck_itbl_matches_hashtbl =
+  QCheck.Test.make ~name:"Itbl = Hashtbl model, sorted views included" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list itbl_op_print) itbl_ops)
+    (fun ops ->
+      let t = Util.Itbl.create 4 and m = Hashtbl.create 4 in
+      let keep k v = if (k + v) land 1 = 0 then None else Some (v + 1) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Util.Itbl.replace t k v;
+              Hashtbl.replace m k v;
+              true
+          | Remove k ->
+              Util.Itbl.remove t k;
+              Hashtbl.remove m k;
+              true
+          | Find k ->
+              Util.Itbl.find_opt t k = Hashtbl.find_opt m k
+              && (match Util.Itbl.find t k with v -> Some v | exception Not_found -> None)
+                 = Hashtbl.find_opt m k
+          | Mem k -> Util.Itbl.mem t k = Hashtbl.mem m k
+          | Filter ->
+              Util.Itbl.filter_map_inplace keep t;
+              Hashtbl.filter_map_inplace keep m;
+              true
+          | Reset ->
+              Util.Itbl.reset t;
+              Hashtbl.reset m;
+              true)
+          && Util.Itbl.length t = Hashtbl.length m)
+        ops
+      &&
+      let want = Util.Tbl.sorted_bindings ~cmp:Int.compare m in
+      let walked = ref [] in
+      Util.Itbl.iter_sorted (fun k v -> walked := (k, v) :: !walked) t;
+      Util.Itbl.sorted_bindings t = want
+      && Util.Itbl.sorted_keys t = Array.map fst want
+      && Util.Itbl.sorted_values t = Array.map snd want
+      && Array.of_list (List.rev !walked) = want
+      && Util.Itbl.fold_sorted (fun k v acc -> (k, v) :: acc) t [] = List.rev (Array.to_list want))
+
 (* -- units ---------------------------------------------------------------- *)
 
 module U = Util.Units
@@ -622,6 +694,7 @@ let suites =
         tc "interleaved push/pop" heap_interleaved;
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
       ] );
+    ("util.itbl", [ QCheck_alcotest.to_alcotest qcheck_itbl_matches_hashtbl ]);
     ( "util.arena",
       [
         QCheck_alcotest.to_alcotest qcheck_arena_roundtrip;

@@ -15,9 +15,10 @@
        itself.
    D3  raw `Hashtbl.iter` / `Hashtbl.fold` — hash order depends on
        insertion history, so two rack nodes holding the same bindings
-       can walk them differently; use `Util.Tbl` (`sorted_keys` /
-       `sorted_bindings` / `fold_sorted` / …), which fixes the order by
-       key. Enforced in `lib/` and, since v3, in `bench/` and `test/`
+       can walk them differently; use `Util.Itbl` for int keys (its only
+       iteration is sorted) and `Util.Tbl` (`sorted_keys` /
+       `sorted_bindings` / `fold_sorted` / …) for others, which fix the
+       order by key. Enforced in `lib/` and, since v3, in `bench/` and `test/`
        too (a bench or test that walks a table in hash order can mask a
        rack-divergence bug in the code under test).
    S1  `Obj.magic`, and catch-all `try … with _ ->` handlers that
@@ -268,11 +269,12 @@ let check_path ~check_d2 ~check_d3 add path loc =
          "'%s' reads the host clock/environment; lib/ results must be a function of the seed"
          path);
   if check_d3 && (p = "Hashtbl.iter" || p = "Hashtbl.fold") then
+    let sorted = if p = "Hashtbl.iter" then "iter_sorted" else "fold_sorted" in
     add "D3" loc
       (Printf.sprintf
-         "raw '%s' iterates in hash order (a rack-divergence hazard); use Util.Tbl.%s ~cmp:…"
-         path
-         (if p = "Hashtbl.iter" then "iter_sorted" else "fold_sorted"))
+         "raw '%s' iterates in hash order (a rack-divergence hazard); use Util.Itbl.%s for \
+          int keys, Util.Tbl.%s ~cmp:… for others"
+         path sorted sorted)
 
 (* U1: the canonical unit table — labeled arguments that carry a physical
    quantity in the public API, with the constructor a raw literal must be

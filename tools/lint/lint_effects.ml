@@ -15,8 +15,8 @@
         analysis);
      2. a node's *direct* effects are the registry regions its body
         reads or writes (`:=`, `<-` on mutable fields, and the stdlib
-        mutator table: Hashtbl / Array / Bytes / Buffer / Queue /
-        Atomic / …), with lambda bodies walked inline;
+        mutator table: Hashtbl / Util.Itbl / Array / Bytes / Buffer /
+        Queue / Atomic / …), with lambda bodies walked inline;
      3. a worklist fixpoint propagates effects over the edges to a
         transitive summary per function.
 
@@ -176,6 +176,9 @@ let mutators =
     ("Hashtbl.replace", (0, Some 1)); ("Hashtbl.add", (0, Some 1));
     ("Hashtbl.remove", (0, Some 1)); ("Hashtbl.reset", (0, None));
     ("Hashtbl.clear", (0, None)); ("Hashtbl.filter_map_inplace", (1, None));
+    ("Util.Itbl.replace", (0, Some 1)); ("Util.Itbl.add", (0, Some 1));
+    ("Util.Itbl.remove", (0, Some 1)); ("Util.Itbl.reset", (0, None));
+    ("Util.Itbl.clear", (0, None)); ("Util.Itbl.filter_map_inplace", (1, None));
     ("Array.set", (0, Some 1)); ("Array.unsafe_set", (0, Some 1));
     ("Array.fill", (0, None)); ("Array.blit", (2, None));
     ("Bytes.set", (0, Some 1)); ("Bytes.unsafe_set", (0, Some 1));
@@ -201,6 +204,7 @@ let accessors =
   [
     ("!", (0, None));
     ("Hashtbl.find", (0, Some 1)); ("Hashtbl.find_opt", (0, Some 1));
+    ("Util.Itbl.find", (0, Some 1)); ("Util.Itbl.find_opt", (0, Some 1));
     ("Array.get", (0, Some 1)); ("Array.unsafe_get", (0, Some 1));
   ]
 

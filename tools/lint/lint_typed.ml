@@ -23,9 +23,9 @@
        defining module: passing a lambda that touches shard state to a
        foreign module's function is exactly the future `Domain.spawn`
        hazard (the callee may stash the closure and run it on another
-       domain). Calls into `Stdlib` and `Util.Tbl` are exempt — their
-       higher-order functions are immediate iterators — as are calls to
-       modules defined inside the same compilation unit. `Domain` and
+       domain). Calls into `Stdlib`, `Util.Tbl` and `Util.Itbl` are
+       exempt — their higher-order functions are immediate iterators —
+       as are calls to modules defined inside the same compilation unit. `Domain` and
        `Thread` are NOT exempt despite living in the stdlib: handing
        them a closure is the hazard itself.
    M3  unregistered toplevel mutable state is banned outright: every
@@ -44,7 +44,7 @@
 
    Inventory = every toplevel value binding in `lib/` whose type
    *mentions* a mutable type: a builtin mutable head (`ref`, `array`,
-   `bytes`, `Hashtbl.t`, `Buffer.t`, `Queue.t`, `Atomic.t`, Bigarray,
+   `bytes`, `Hashtbl.t`, `Util.Itbl.t`, `Buffer.t`, `Queue.t`, `Atomic.t`, Bigarray,
    …) or a locally-declared type that is mutable by the transitive
    fixpoint (a record with a `mutable` field, or any type whose
    manifest / fields / constructor arguments reach one). Function
@@ -348,6 +348,8 @@ let builtin_mutable =
   [
     "ref"; "array"; "bytes"; "floatarray";
     "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t"; "Atomic.t"; "Mutex.t"; "Condition.t";
+    (* [Hashtbl.Make]'s [t] is abstract, so the fixpoint cannot see it *)
+    "Util.Itbl.t";
     "Bigarray.Array1.t"; "Bigarray.Array2.t"; "Bigarray.Array3.t"; "Bigarray.Genarray.t";
     "Ephemeron.K1.t"; "Weak.t"; "Dynarray.t";
   ]
@@ -633,7 +635,8 @@ let m2_scan ~shard_items unit_ =
       !hits
     in
     (* Foreign callee: a dotted path whose root is neither Stdlib, nor a
-       submodule of this unit, nor the sanctioned Util.Tbl iterators.
+       submodule of this unit, nor the sanctioned Util.Tbl / Util.Itbl
+       iterators.
        Bare local functions keep the closure in-module. The Stdlib
        exemption is judged on the raw (unstripped) path root — its
        higher-order functions are immediate iterators — except Domain
@@ -652,7 +655,7 @@ let m2_scan ~shard_items unit_ =
             match String.split_on_char '.' full with r :: _ -> r | [] -> ""
           in
           (raw_root <> "Stdlib" || root = "Domain" || root = "Thread")
-          && not (starts_with ~prefix:"Util.Tbl." full)
+          && not (starts_with ~prefix:"Util.Tbl." full || starts_with ~prefix:"Util.Itbl." full)
           && not (SSet.mem root own)
     in
     let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
