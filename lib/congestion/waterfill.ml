@@ -213,21 +213,20 @@ module Inc = struct
     mutable rates : float array;  (* per row; survives swap-remove *)
     mutable frozen : bool array;  (* per row *)
     mutable order : int array;  (* rows sorted by (priority, insertion) *)
-    mutable round_of : int array;  (* per row: rank of its priority *)
-    remaining : float array;  (* per link *)
+    (* per link; between rounds [wsum], [last_t] and [link_end] are 0 *)
+    remaining : float array;
     wsum : float array;
     last_t : float array;
-    queued : bool array;
-    link_start : int array;  (* transpose row starts, nl + 1 *)
-    link_fill : int array;
-    mutable link_rows : int array;  (* link -> rows, rebuilt in place *)
+    link_start : int array;  (* where the link's rows of this round start *)
+    link_end : int array;  (* minus their count, then the fill cursor *)
+    mutable link_rows : int array;  (* the round's link -> rows lists *)
     (* min-heap with int payload: link l => l, demand of row r => -(r+1) *)
     mutable hkeys : float array;
     mutable hvals : int array;
     mutable hlen : int;
-    hkey : float array;
-        (* one slot: [heap_pop]'s key out-parameter, a float array so the
-           store stays unboxed *)
+    lvl : float array;
+        (* one slot: the fill level passed into and out of the round's
+           helpers, a float array so it crosses a call unboxed *)
     mutable prio_counts : int array;  (* counting-sort buffer *)
     mutable dirty : bool;
     mutable computed : bool;
@@ -253,18 +252,16 @@ module Inc = struct
       rates = Array.make cap0 0.0;
       frozen = Array.make cap0 false;
       order = Array.make cap0 0;
-      round_of = Array.make cap0 0;
       remaining = Array.make nl 0.0;
       wsum = Array.make nl 0.0;
       last_t = Array.make nl 0.0;
-      queued = Array.make nl false;
-      link_start = Array.make (nl + 1) 0;
-      link_fill = Array.make (max nl 1) 0;
+      link_start = Array.make nl 0;
+      link_end = Array.make nl 0;
       link_rows = Array.make 64 0;
       hkeys = Array.make 64 0.0;
       hvals = Array.make 64 0;
       hlen = 0;
-      hkey = [| 0.0 |];
+      lvl = [| 0.0 |];
       prio_counts = Array.make 8 0;
       dirty = false;
       computed = false;
@@ -350,7 +347,6 @@ module Inc = struct
     t.rates <- gf t.rates;
     t.frozen <- Array.append t.frozen (Array.make n false);
     t.order <- gi t.order;
-    t.round_of <- gi t.round_of;
     t.slots <- Array.make (4 * n) (-1);
     for r = 0 to t.nrows - 1 do
       bind t r
@@ -406,7 +402,9 @@ module Inc = struct
 
   (* -- heap: float keys, int payloads, buffers reused across epochs -- *)
 
-  let heap_push t key v =
+  (* Pushes [v] keyed by [t.lvl.(0)]. *)
+  let heap_push t v =
+    let key = t.lvl.(0) in
     if t.hlen = Array.length t.hkeys then begin
       t.hkeys <- Array.append t.hkeys (Array.make t.hlen 0.0);
       t.hvals <- Array.append t.hvals (Array.make t.hlen 0)
@@ -425,7 +423,7 @@ module Inc = struct
       i := p
     done
 
-  (* Returns the payload, storing the key in [t.hkey.(0)]; min_int = empty. *)
+  (* Returns the payload, storing the key in [t.lvl.(0)]; min_int = empty. *)
   let heap_pop t =
     if t.hlen = 0 then min_int
     else begin
@@ -452,13 +450,13 @@ module Inc = struct
           end
         done
       end;
-      t.hkey.(0) <- key;
+      t.lvl.(0) <- key;
       v
     end
 
-  (* Stable counting sort of live rows by priority into [order]; also
-     assigns [round_of] (the rank of each row's priority). Falls back to a
-     comparison sort if the priority range is degenerate. *)
+  (* Stable counting sort of live rows by priority into [order], so each
+     round's rows lie in ascending row order. Falls back to a comparison
+     sort if the priority range is degenerate. *)
   let sort_rounds t =
     let nf = t.nrows in
     let pmin = ref max_int and pmax = ref min_int in
@@ -497,45 +495,40 @@ module Inc = struct
           if c <> 0 then c else compare a b)
         tmp;
       Array.blit tmp 0 t.order 0 nf
-    end;
-    let round = ref (-1) in
-    let prev = ref min_int in
-    for k = 0 to nf - 1 do
-      let r = t.order.(k) in
-      if t.fprio.(r) <> !prev then begin
-        incr round;
-        prev := t.fprio.(r)
-      end;
-      t.round_of.(r) <- !round
-    done
+    end
 
-  (* Rebuild the link -> rows transpose in place (counting pass + fill). *)
-  let build_transpose t =
-    let nl = Array.length t.capacities in
-    Array.fill t.link_fill 0 nl 0;
-    for r = 0 to t.nrows - 1 do
-      let links = t.frow.(r).links in
+  (* The round's helpers are inlined: they run once per heap event or
+     incidence, where a call costs about as much as their bodies. *)
+
+  (* Link [l]'s saturation level, into [t.lvl.(0)]. *)
+  let[@inline] sat_level t l =
+    t.lvl.(0) <-
+      (if t.wsum.(l) > eps then t.last_t.(l) +. (t.remaining.(l) /. t.wsum.(l)) else infinity)
+
+  (* Drains link [l] up to the level in [t.lvl.(0)]. *)
+  let[@inline] settle t l =
+    let lvl = t.lvl.(0) in
+    if lvl > t.last_t.(l) then begin
+      t.remaining.(l) <- Float.max 0.0 (t.remaining.(l) -. (t.wsum.(l) *. (lvl -. t.last_t.(l))));
+      t.last_t.(l) <- lvl
+    end
+
+  (* Freezes row [r] at the level in [t.lvl.(0)] and takes its load off
+     its links; false if it was frozen already. *)
+  let[@inline] freeze t r =
+    let fresh = not t.frozen.(r) in
+    if fresh then begin
+      t.frozen.(r) <- true;
+      t.rates.(r) <- t.fweight.(r) *. t.lvl.(0);
+      let { Routing.links; fracs; _ } = t.frow.(r) in
       for j = 0 to Array.length links - 1 do
         let l = links.(j) in
-        t.link_fill.(l) <- t.link_fill.(l) + 1
+        settle t l;
+        t.wsum.(l) <-
+          Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float)))
       done
-    done;
-    let acc = ref 0 in
-    for l = 0 to nl - 1 do
-      t.link_start.(l) <- !acc;
-      acc := !acc + t.link_fill.(l)
-    done;
-    t.link_start.(nl) <- !acc;
-    if Array.length t.link_rows < !acc then t.link_rows <- Array.make (2 * !acc) 0;
-    Array.blit t.link_start 0 t.link_fill 0 nl;
-    for r = 0 to t.nrows - 1 do
-      let links = t.frow.(r).links in
-      for j = 0 to Array.length links - 1 do
-        let l = links.(j) in
-        t.link_rows.(t.link_fill.(l)) <- r;
-        t.link_fill.(l) <- t.link_fill.(l) + 1
-      done
-    done
+    end;
+    fresh
 
   (* One priority round over order[lo..hi), event-driven (§4.2): a heap
      orders link saturations and demand caps by fill level. Each link keeps
@@ -544,88 +537,89 @@ module Inc = struct
      stop loading the link). On pop the true level is recomputed: if it
      moved, the entry is re-inserted at the new key; otherwise the link
      saturates and its flows freeze. Keeping the heap at O(links) entries
-     keeps every sift in cache. The transpose spans all rounds, so the
-     saturation scan skips rows of other rounds ([round_of]); earlier
-     rounds are frozen, later ones not yet filling. *)
-  let round_inc t ~round lo hi =
-    let nl = Array.length t.capacities in
-    Array.fill t.wsum 0 nl 0.0;
-    Array.fill t.last_t 0 nl 0.0;
-    Array.fill t.queued 0 nl false;
-    t.hlen <- 0;
-    let settle l lvl =
-      if lvl > t.last_t.(l) then begin
-        t.remaining.(l) <-
-          Float.max 0.0 (t.remaining.(l) -. (t.wsum.(l) *. (lvl -. t.last_t.(l))));
-        t.last_t.(l) <- lvl
-      end
-    in
-    let sat_level l =
-      if t.wsum.(l) > eps then t.last_t.(l) +. (t.remaining.(l) /. t.wsum.(l)) else infinity
-    in
+     keeps every sift in cache. All per-link work covers only the links
+     the round's rows touch: their link -> rows lists are laid out in
+     [link_rows] from those rows alone, and only they are reset at the
+     end. *)
+  let round_inc t lo hi =
+    (* Pass 1: load sums, and each touched link's row count, negated. *)
+    let n = ref 0 in
     for k = lo to hi - 1 do
       let r = t.order.(k) in
       let { Routing.links; fracs; _ } = t.frow.(r) in
       for j = 0 to Array.length links - 1 do
         let l = links.(j) in
-        t.wsum.(l) <- t.wsum.(l) +. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float))
-      done
+        t.wsum.(l) <- t.wsum.(l) +. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float));
+        t.link_end.(l) <- t.link_end.(l) - 1
+      done;
+      n := !n + Array.length links
     done;
+    if Array.length t.link_rows < !n then t.link_rows <- Array.make (2 * !n) 0;
+    (* Pass 2: a link's first visit places its list and pushes it; each
+       list fills in ascending row order, and each row's demand follows
+       its links into the heap. *)
+    t.hlen <- 0;
+    let next = ref 0 in
     for k = lo to hi - 1 do
       let r = t.order.(k) in
       let links = t.frow.(r).links in
       for j = 0 to Array.length links - 1 do
         let l = links.(j) in
-        if not t.queued.(l) then begin
-          t.queued.(l) <- true;
+        if t.link_end.(l) < 0 then begin
+          t.link_start.(l) <- !next;
+          next := !next - t.link_end.(l);
+          t.link_end.(l) <- t.link_start.(l);
           dbg.push <- dbg.push + 1;
-          heap_push t (sat_level l) l
-        end
+          sat_level t l;
+          heap_push t l
+        end;
+        t.link_rows.(t.link_end.(l)) <- r;
+        t.link_end.(l) <- t.link_end.(l) + 1
       done;
-      if not (Float.is_nan t.fdemand.(r)) then
-        heap_push t (t.fdemand.(r) /. t.fweight.(r)) (-(r + 1))
+      if not (Float.is_nan t.fdemand.(r)) then begin
+        t.lvl.(0) <- t.fdemand.(r) /. t.fweight.(r);
+        heap_push t (-(r + 1))
+      end
     done;
     let active = ref (hi - lo) in
-    let freeze r lvl =
-      if not t.frozen.(r) then begin
-        t.frozen.(r) <- true;
-        t.rates.(r) <- t.fweight.(r) *. lvl;
-        decr active;
-        let { Routing.links; fracs; _ } = t.frow.(r) in
-        for j = 0 to Array.length links - 1 do
-          let l = links.(j) in
-          settle l lvl;
-          t.wsum.(l) <-
-            Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. (fracs.(j) : U.fraction :> float)))
-        done
-      end
-    in
     while !active > 0 do
       let v = heap_pop t in
-      if v = min_int then
+      if v = min_int then begin
         (* No constraining event left: link-less flows get 0. *)
+        t.lvl.(0) <- 0.0;
         for k = lo to hi - 1 do
-          freeze t.order.(k) 0.0
+          if freeze t t.order.(k) then decr active
         done
+      end
       else if v >= 0 then begin
-        let l = v and key = t.hkey.(0) in
+        let l = v and key = t.lvl.(0) in
         dbg.pops <- dbg.pops + 1;
-        let cur = sat_level l in
+        sat_level t l;
+        let cur = t.lvl.(0) in
         if cur = infinity then ()
         else if cur > key +. (1e-12 *. (1.0 +. abs_float key)) then begin
           dbg.push <- dbg.push + 1;
-          heap_push t cur l
+          heap_push t l
         end
         else begin
           dbg.valid <- dbg.valid + 1;
-          settle l cur;
-          for p = t.link_start.(l) to t.link_start.(l + 1) - 1 do
-            let r = t.link_rows.(p) in
-            if t.round_of.(r) = round then freeze r cur
+          settle t l;
+          for p = t.link_start.(l) to t.link_end.(l) - 1 do
+            if freeze t t.link_rows.(p) then decr active
           done
         end
       end
-      else freeze (-v - 1) t.hkey.(0)
+      else if freeze t (-v - 1) (* a demand cap, at the popped key *) then decr active
+    done;
+    (* Only the round's links were written: reset them for the next one. *)
+    for k = lo to hi - 1 do
+      let links = t.frow.(t.order.(k)).links in
+      for j = 0 to Array.length links - 1 do
+        let l = links.(j) in
+        t.wsum.(l) <- 0.0;
+        t.last_t.(l) <- 0.0;
+        t.link_end.(l) <- 0
+      done
     done
 
   let compute t =
@@ -638,9 +632,7 @@ module Inc = struct
       Array.fill t.rates 0 nf 0.0;
       Array.fill t.frozen 0 nf false;
       sort_rounds t;
-      build_transpose t;
       let k0 = ref 0 in
-      let round = ref 0 in
       let reserved = ref false in
       while !k0 < nf do
         let p = t.fprio.(t.order.(!k0)) in
@@ -658,8 +650,7 @@ module Inc = struct
         while !k1 < nf && t.fprio.(t.order.(!k1)) = p do
           incr k1
         done;
-        round_inc t ~round:!round !k0 !k1;
-        incr round;
+        round_inc t !k0 !k1;
         k0 := !k1
       done
     end

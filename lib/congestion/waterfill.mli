@@ -73,8 +73,8 @@ val link_utilization :
     open/close/demand/reroute events patch single entries and mark the
     state dirty; {!Inc.allocate} on a clean state returns the cached rates in
     O(1), and on a dirty state recomputes with every buffer reused, so a
-    steady-state recompute performs no per-epoch array or list allocation.
-    Results are property-tested against {!allocate_reference}. *)
+    steady-state recompute allocates nothing. Results are property-tested
+    against {!allocate_reference}. *)
 module Inc : sig
   type t
 

@@ -236,9 +236,7 @@ let recompute t =
   if Congestion.Waterfill.Inc.is_dirty t.alloc then begin
     Congestion.Waterfill.Inc.allocate t.alloc;
     Congestion.Waterfill.Inc.iter_rates t.alloc (fun ~id ~rate ->
-        match Util.Itbl.find_opt t.flows id with
-        | Some f -> f.rate_gbps <- U.gbps_of_byte_rate rate
-        | None -> ())
+        (Util.Itbl.find t.flows id).rate_gbps <- U.gbps_of_byte_rate rate)
   end
 
 let rate_gbps t id = (find t id).rate_gbps

@@ -1,8 +1,9 @@
 (* Tests for the incremental allocator (Waterfill.Inc): differential
    property tests against the reference progressive-filling oracle on
-   randomized churn sequences, the shared-row contract, clean-epoch O(1)
-   behaviour via the debug counters, and the per-call counter-reset
-   contract. *)
+   randomized churn sequences, bit for bit against Waterfill_model, the
+   shared-row contract, clean-epoch O(1) behaviour via the debug counters,
+   allocation-free warm opens and recomputes, and the per-call
+   counter-reset contract. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -311,6 +312,116 @@ let add_flow_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words of 64 warm opens" 0.0 words;
   Alcotest.(check int) "all open" n (W.Inc.live_flows inc)
 
+(* Bit for bit against Waterfill_model, the recompute over a full
+   transpose with per-round resets. Random churn drives both through the
+   same calls: opens, closes, demand changes, reroutes, headroom and class
+   reserve changes, over 1-3 priorities and rows of every protocol. Weights
+   and demands come from small sets, so heap keys tie and the order of
+   pushes and freezes shows in the float bits. After every epoch each rate
+   must carry the model's bits, and [Waterfill.dbg] the model's counts (a
+   clean [allocate] leaves them as the last recompute set them). *)
+let matches_model_bit_for_bit () =
+  let module W = Congestion.Waterfill in
+  let module M = Waterfill_model in
+  let pick rng a = a.(Util.Rng.int rng (Array.length a)) in
+  let weights = [| 1.0; 1.0; 2.0; 0.5 |] in
+  let draw_demand rng =
+    if Util.Rng.bool rng then None
+    else Some (U.byte_rate (pick rng [| 0.05; 0.1; 0.2; 0.25; 0.5; Util.Rng.float rng 0.6 |]))
+  in
+  List.iter
+    (fun (name, dims, seed, sequences, opened, epochs) ->
+      let topo = Topology.torus dims in
+      let ctx = Routing.make topo in
+      let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
+      let rng = Util.Rng.create seed in
+      for sequence = 1 to sequences do
+        let prios = 1 + Util.Rng.int rng 3 in
+        let headroom = U.fraction 0.05 in
+        let inc = W.Inc.create ~headroom ~capacities () in
+        let m = M.create ~headroom ~capacities in
+        let live = ref [] and next_id = ref 0 in
+        let open_flow () =
+          let id = !next_id in
+          incr next_id;
+          let weight = pick rng weights and priority = Util.Rng.int rng prios in
+          let demand = draw_demand rng and row = random_links ctx rng in
+          W.Inc.add_flow ~weight ~priority ?demand inc ~id row;
+          M.add_flow ~weight ~priority ?demand m ~id row;
+          live := id :: !live
+        in
+        let some_live () = List.nth !live (Util.Rng.int rng (List.length !live)) in
+        for _ = 1 to opened do
+          open_flow ()
+        done;
+        for epoch = 1 to epochs do
+          for _ = 1 to 1 + Util.Rng.int rng 8 do
+            match Util.Rng.int rng 8 with
+            | 0 | 1 | 2 -> open_flow ()
+            | 3 when !live <> [] ->
+                let id = some_live () in
+                W.Inc.remove_flow inc ~id;
+                M.remove_flow m ~id;
+                live := List.filter (( <> ) id) !live
+            | 4 when !live <> [] ->
+                let id = some_live () and d = draw_demand rng in
+                W.Inc.set_demand inc ~id d;
+                M.set_demand m ~id d
+            | 5 when !live <> [] ->
+                let id = some_live () and row = random_links ctx rng in
+                W.Inc.set_links inc ~id row;
+                M.set_links m ~id row
+            | 6 ->
+                let h = U.fraction (pick rng [| 0.0; 0.05; 0.1; 0.2 |]) in
+                W.Inc.set_headroom inc h;
+                M.set_headroom m h
+            | 7 ->
+                let priority = Util.Rng.int rng prios in
+                let reserve = U.fraction (pick rng [| 0.0; 0.1; 0.25 |]) in
+                W.Inc.set_class_reserve inc ~priority ~reserve;
+                M.set_class_reserve m ~priority ~reserve
+            | _ -> ()
+          done;
+          W.Inc.allocate inc;
+          let want = M.allocate m in
+          let at = Printf.sprintf "%s, sequence %d, epoch %d" name sequence epoch in
+          List.iter
+            (fun id ->
+              let got = inc_rate inc ~id and rate = M.rate m ~id in
+              if Int64.bits_of_float got <> Int64.bits_of_float rate then
+                Alcotest.failf "%s: flow %d rate %h, model %h" at id got rate)
+            !live;
+          if (W.dbg.push, W.dbg.pops, W.dbg.valid) <> (want.push, want.pops, want.valid) then
+            Alcotest.failf "%s: push/pops/valid %d/%d/%d, model %d/%d/%d" at W.dbg.push W.dbg.pops
+              W.dbg.valid want.push want.pops want.valid
+        done
+      done)
+    [ ("4x4", [| 4; 4 |], 26, 150, 4, 10); ("8x8x8", [| 8; 8; 8 |], 27, 4, 30, 15) ]
+
+(* A dirty recompute on a warm state reuses every buffer and passes fill
+   levels through a float array slot, never as a boxed float argument:
+   after one flow closes and another opens, [allocate] allocates no minor
+   word. *)
+let warm_recompute_allocates_nothing () =
+  let module W = Congestion.Waterfill in
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let ctx = Routing.make topo in
+  let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
+  let inc = W.Inc.create ~headroom:(U.fraction 0.05) ~capacities () in
+  let n = 64 in
+  let rows = Array.init (n + 1) (fun i -> Routing.fractions ctx Routing.Rps ~src:(i + 1) ~dst:0) in
+  for id = 0 to n - 1 do
+    W.Inc.add_flow ~priority:(id mod 2) inc ~id rows.(id)
+  done;
+  W.Inc.allocate inc;
+  W.Inc.remove_flow inc ~id:5;
+  W.Inc.add_flow ~priority:1 inc ~id:n rows.(n);
+  let before = Gc.minor_words () in
+  W.Inc.allocate inc;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "recomputed" true (W.dbg.push > 0 && not (W.Inc.is_dirty inc));
+  Alcotest.(check (float 0.0)) "minor words of a warm dirty recompute" 0.0 words
+
 (* Contiguous live ids, as R2c2_sim's global allocator keys flows: probes
    starting at [id land mask] would lay them out as one probe run, and
    every delete's backward shift would walk all of it. *)
@@ -337,10 +448,12 @@ let suites =
         tc "matches reference across 200 churn sequences" inc_matches_reference_on_churn;
         tc "matches reference under 10% churn of 512 flows on 8x8x8"
           inc_matches_reference_under_rack_churn;
+        tc "matches the full-transpose model bit for bit on 4x4 and 8x8x8" matches_model_bit_for_bit;
         tc "clean epoch performs zero heap operations" clean_epoch_zero_heap_ops;
         tc "debug counters reset per allocate call" counters_reset_per_allocate;
         tc "two allocators share rows and never write them" allocators_share_rows;
         tc "warm add_flow of a cached row allocates nothing" add_flow_allocates_nothing;
+        tc "a warm dirty recompute allocates nothing" warm_recompute_allocates_nothing;
         tc "closing contiguous ids stays O(1) each" contiguous_ids_close_fast;
         tc "dirty tracking across open/close" dirty_tracking_lifecycle;
         tc "input validation" inc_input_validation;
