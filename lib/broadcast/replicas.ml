@@ -31,6 +31,11 @@ let create ~replicas ~origins ~trees =
 
 let id_hash = Util.Itbl.hash
 
+let event e flow =
+  match e with
+  | Wire.Flow_finish -> (2 * flow) + 1
+  | Wire.Flow_start | Wire.Demand_update | Wire.Route_change -> 2 * flow
+
 let windows t = t.replicas * t.origins * t.trees
 let window t ~replica ~origin ~tree = (((replica * t.origins) + origin) * t.trees) + tree
 let key t w seq = (seq * windows t) + w

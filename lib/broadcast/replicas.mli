@@ -8,12 +8,17 @@
     whole rack; the library's [R2c2.View] is a 1 × 1 × [trees] table.
     Windows and sets are allocated on first use.
 
-    Events are ints: [2 * flow] starts (or refreshes) a flow, [2 * flow + 1]
-    finishes it, and a negative event names no flow. *)
+    Events are the ints {!event} makes of flow events; a negative event
+    names no flow. *)
 
 type t
 
 val create : replicas:int -> origins:int -> trees:int -> t
+
+val event : Wire.event -> int -> int
+(** [event e flow]: [2 * flow + 1] finishes the flow; [2 * flow] starts or
+    refreshes it, for a start, a demand update or a route change alike,
+    since each carries the whole flow record. *)
 
 val id_hash : int -> int
 (** A set hashes to the sum, mod 2{^63}, of [id_hash] over its members

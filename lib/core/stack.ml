@@ -4,11 +4,6 @@ type config = { trees_per_source : int }
 
 let default_config = { trees_per_source = Topology.trees_per_source }
 
-(* Priority classes the admission machinery distinguishes: one above the
-   deadline bands plus the scavenger class, matching the simulator's eight
-   tracked SLO classes. *)
-let max_shed_class = 7
-
 type flow_id = int
 
 type flow = {
@@ -22,7 +17,6 @@ type flow = {
          sequence window at each receiver orders finish after start *)
   mutable protocol : Routing.protocol;
   mutable demand_gbps : U.gbps option;
-  mutable rate_gbps : U.gbps;
   demand_estimator : Congestion.Demand.t option ref;
 }
 
@@ -48,11 +42,8 @@ type t = {
   capacities : U.byte_rate array;
   alloc : Congestion.Waterfill.Inc.t;
       (* incremental epoch state: patched on every flow event, so a
-         recompute with no intervening event is O(1) *)
-  admission : Congestion.Overload.Admission.t;
-      (* strict-priority shedding; inert until {!note_epoch_load} reports
-         an overloaded epoch *)
-  mutable shed_flows : int;
+         recompute with no intervening event is O(1); every rate is read
+         from it *)
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
@@ -78,8 +69,6 @@ let create ?(config = default_config) ?(seed = 1) topo =
     eff_headroom = (Topology.headroom :> float);
     capacities;
     alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities ();
-    admission = Congestion.Overload.Admission.create ~max_priority:max_shed_class ();
-    shed_flows = 0;
   }
 
 let topology t = t.topo
@@ -137,19 +126,16 @@ let find t id =
   | Some f -> f
   | None -> invalid_arg "Stack: unknown flow id"
 
-(* The broadcast carries both in 8-bit fields; checked before a flow
-   touches any state, so a refused open leaves nothing behind. *)
-let check_class ~weight ~priority =
-  if weight < 1 || weight > 255 then invalid_arg "Stack.open_flow: weight outside 1..255";
-  if priority < 0 || priority > 255 then
-    invalid_arg "Stack.open_flow: priority outside 0..255"
-
 let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~dst =
   let h = Topology.host_count t.topo in
   if src = dst then invalid_arg "Stack.open_flow: src = dst";
   if src < 0 || src >= h || dst < 0 || dst >= h then
     invalid_arg "Stack.open_flow: host out of range";
-  check_class ~weight ~priority;
+  (* The broadcast carries both in 8-bit fields; checked before the flow
+     touches any state, so a refused open leaves nothing behind. *)
+  if weight < 1 || weight > 255 then invalid_arg "Stack.open_flow: weight outside 1..255";
+  if priority < 0 || priority > 255 then
+    invalid_arg "Stack.open_flow: priority outside 0..255";
   (* Fetched before the flow takes an id: an unreachable [dst] raises here,
      with nothing changed. *)
   let row = Routing.fractions t.rctx protocol ~src ~dst in
@@ -165,7 +151,6 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
       tree = Broadcast.choose_tree t.bcast t.rng ~src;
       protocol;
       demand_gbps = None;
-      rate_gbps = U.gbps 0.0;
       demand_estimator = ref None;
     }
   in
@@ -173,23 +158,6 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
   Congestion.Waterfill.Inc.add_flow ~weight:(float_of_int weight) ~priority t.alloc ~id row;
   emit_broadcast t f Wire.Flow_start;
   id
-
-(* -- overload admission ---------------------------------------------------- *)
-
-let note_epoch_load t ~overloaded =
-  Congestion.Overload.Admission.note_epoch t.admission ~overloaded
-
-let admits t ~priority = Congestion.Overload.Admission.admits t.admission ~priority
-let shed_floor t = Congestion.Overload.Admission.shed_floor t.admission
-let shed_flows t = t.shed_flows
-
-let try_open_flow ?(weight = 1) ?(priority = 0) ?protocol t ~src ~dst =
-  check_class ~weight ~priority;
-  if admits t ~priority then Some (open_flow ~weight ~priority ?protocol t ~src ~dst)
-  else begin
-    t.shed_flows <- t.shed_flows + 1;
-    None
-  end
 
 let close_flow t id =
   let f = find t id in
@@ -222,27 +190,21 @@ let observe_sender_queue t id ~queued_bytes ~period_ns =
         f.demand_estimator := Some e;
         e
   in
-  (* Rates are tracked in Gbps; the estimator works in bytes/ns. *)
-  Congestion.Demand.observe est ~rate:(U.byte_rate_of_gbps f.rate_gbps) ~queued_bytes;
-  let alloc = U.byte_rate_of_gbps f.rate_gbps in
+  let alloc = Congestion.Waterfill.Inc.rate t.alloc ~id in
+  Congestion.Demand.observe est ~rate:alloc ~queued_bytes;
   if U.compare_q alloc U.zero > 0 && Congestion.Demand.is_host_limited est ~allocation:alloc
   then set_demand t id ~gbps:(Some (U.gbps_of_byte_rate (Congestion.Demand.estimate est)))
 
 let flow_array t = Util.Itbl.sorted_values t.flows
 
-let recompute t =
-  (* Flow open/close/demand/reroute events have already patched [t.alloc];
-     an epoch with no event since the last one is a no-op. *)
-  if Congestion.Waterfill.Inc.is_dirty t.alloc then begin
-    Congestion.Waterfill.Inc.allocate t.alloc;
-    Congestion.Waterfill.Inc.iter_rates t.alloc (fun ~id ~rate ->
-        (Util.Itbl.find t.flows id).rate_gbps <- U.gbps_of_byte_rate rate)
-  end
+(* Flow open/close/demand/reroute events have already patched [t.alloc];
+   an epoch with no event since the last one is a no-op. *)
+let recompute t = Congestion.Waterfill.Inc.allocate t.alloc
 
-let rate_gbps t id = (find t id).rate_gbps
+let rate_gbps t id = U.gbps_of_byte_rate (Congestion.Waterfill.Inc.rate t.alloc ~id)
 
 let allocations t =
-  List.rev (Util.Itbl.fold_sorted (fun id f acc -> (id, f.rate_gbps) :: acc) t.flows [])
+  List.rev (Util.Itbl.fold_sorted (fun id _ acc -> (id, rate_gbps t id) :: acc) t.flows [])
 
 let active_flows t =
   List.rev
@@ -251,7 +213,7 @@ let active_flows t =
 let aggregate_throughput_gbps t =
   (* Summing in flow-id order keeps the float total identical on every node. *)
   U.gbps
-    (Util.Itbl.fold_sorted (fun _ f acc -> acc +. (f.rate_gbps :> float)) t.flows 0.0)
+    (Util.Itbl.fold_sorted (fun id _ acc -> acc +. (rate_gbps t id :> float)) t.flows 0.0)
 
 let reselect_routing ?pop_size ?generations t rng =
   let fl = flow_array t in
@@ -344,18 +306,6 @@ let sync_view t view =
   t.syncs_sent <- t.syncs_sent + 1;
   t.reliability_bytes <-
     t.reliability_bytes + Wire.sync_size ~flows:(List.length flows) ~trees:t.cfg.trees_per_source
-
-let watchdog t views =
-  let h = matrix_hash t in
-  let repaired = ref 0 in
-  List.iter
-    (fun v ->
-      if View.matrix_hash v <> h then begin
-        sync_view t v;
-        incr repaired
-      end)
-    views;
-  !repaired
 
 let incarnation t = Rbcast.incarnation t.origin
 

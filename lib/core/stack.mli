@@ -45,44 +45,6 @@ val open_flow :
 val close_flow : t -> flow_id -> unit
 (** Announce flow termination; unknown ids raise. *)
 
-(** {2 Overload admission control}
-
-    Strict-priority load shedding ({!Congestion.Overload.Admission}): feed
-    each rate epoch's overload verdict — e.g. whether any link queue sat
-    above its watermark ({!Sim.Net.overloaded_links} in simulation, switch
-    telemetry on hardware) — into {!note_epoch_load}; every overloaded
-    epoch lowers the shed floor one class (lowest priority refused first,
-    class 0 never refused) and 3 consecutive clean epochs raise it
-    back. *)
-
-val note_epoch_load : t -> overloaded:bool -> unit
-(** One rate epoch's overload verdict. *)
-
-val admits : t -> priority:int -> bool
-(** Would a flow of this class be admitted right now? *)
-
-val shed_floor : t -> int
-(** Classes with [priority >= shed_floor] are refused; 8 when nothing is
-    shed. *)
-
-val try_open_flow :
-  ?weight:int ->
-  ?priority:int ->
-  ?protocol:Routing.protocol ->
-  t ->
-  src:int ->
-  dst:int ->
-  flow_id option
-(** {!open_flow} behind the admission gate: [None] (counted in
-    {!shed_flows}) when the class is currently being shed. A [weight] or
-    [priority] that {!open_flow} rejects raises before it is gated or
-    counted. {!open_flow}
-    itself stays ungated — callers that must not be refused (control
-    traffic, re-announcements) keep using it directly. *)
-
-val shed_flows : t -> int
-(** Flows refused by {!try_open_flow} so far. *)
-
 val set_demand : t -> flow_id -> gbps:Util.Units.gbps option -> unit
 (** Declare a host-limited flow's demand ([None] = network-limited);
     broadcast as a demand update. *)
@@ -102,13 +64,15 @@ val recompute : t -> unit
 (** One rate-computation round over the current traffic matrix. The epoch
     state is maintained incrementally ({!Congestion.Waterfill.Inc}): flow
     events patch it as they happen, so a recompute with no intervening
-    event is O(1) and a dirty one reuses all allocator buffers. *)
+    event is O(1) and a dirty one reuses all allocator buffers, allocating
+    nothing. *)
 
 val rate_gbps : t -> flow_id -> Util.Units.gbps
-(** Allocation from the last {!recompute}; 0 before any recompute. *)
+(** The flow's allocation from the last {!recompute}, read from the
+    allocator; 0 for a flow opened since. Unknown ids raise. *)
 
 val allocations : t -> (flow_id * Util.Units.gbps) list
-(** All current allocations, in Gbps. *)
+(** All current allocations, in Gbps, read like {!rate_gbps}. *)
 
 val active_flows : t -> (flow_id * int * int * Routing.protocol) list
 (** (id, src, dst, protocol) of open flows. *)
@@ -183,14 +147,10 @@ val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
     [Invalid_argument] on [to_seq < from_seq]. *)
 
 val sync_view : t -> View.t -> unit
-(** Full-state repair of a diverged replica: replaces its believed flow
-    set with the authoritative one and fast-forwards its windows. Charged
-    as {!Wire.sync_size} to {!reliability_bytes_sent}. *)
-
-val watchdog : t -> View.t list -> int
-(** One divergence-watchdog round: compare each replica's
-    {!View.matrix_hash} against {!matrix_hash} and {!sync_view} the
-    diverged ones. Returns how many needed repair. *)
+(** Full-state repair of a diverged replica — one whose
+    {!View.matrix_hash} differs from {!matrix_hash}: replaces its believed
+    flow set with the authoritative one and fast-forwards its windows.
+    Charged as {!Wire.sync_size} to {!reliability_bytes_sent}. *)
 
 val incarnation : t -> int
 (** The origin's crash–restart incarnation, 0 for a stack that never

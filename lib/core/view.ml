@@ -14,13 +14,6 @@ let window t tree =
   if tree < 0 || tree >= t.trees then invalid_arg "View: tree id out of range";
   Replicas.window t.reps ~replica:0 ~origin:0 ~tree
 
-(* Every event carries the full flow record, so a start, a demand update
-   and a route change each (re)materialize the flow. *)
-let event pkt flow =
-  match pkt.Wire.event with
-  | Wire.Flow_finish -> (2 * flow) + 1
-  | Wire.Flow_start | Wire.Demand_update | Wire.Route_change -> 2 * flow
-
 let apply_event t w ev =
   t.applied <- t.applied + 1;
   Replicas.apply t.reps w ev
@@ -38,7 +31,8 @@ let apply_seq t pkt flow seq =
   if tree < 0 || tree >= t.trees then Malformed "tree id out of range"
   else begin
     let before = t.applied in
-    match Replicas.receive t.reps (window t tree) ~seq (event pkt flow) ~deliver:(apply_event t) with
+    let ev = Replicas.event pkt.Wire.event flow in
+    match Replicas.receive t.reps (window t tree) ~seq ev ~deliver:(apply_event t) with
     | Replicas.Delivered -> Applied (t.applied - before)
     | Replicas.Duplicate -> Duplicate
     | Replicas.Buffered -> Buffered

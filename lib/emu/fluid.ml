@@ -27,6 +27,10 @@ type result = {
   recomputes : int;
 }
 
+(* [Float.max 0.0 x] bit for bit — [+0.0] for every [x <= 0], [x] itself
+   for a NaN — without its two [caml_signbit] calls on the clamped path. *)
+let[@inline] clamp0 x = if x <= 0.0 then 0.0 else x
+
 (* A flow is one or more sub-flows, each water-filled on its own: an R2C2
    flow has one, over its routing fractions; a PFQ flow has one per path. *)
 type fstate = {
@@ -142,11 +146,11 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
       running := false
     else begin
       let dt = float_of_int (t_next - !now) in
-      List.iter (fun st -> st.remaining <- Float.max 0.0 (st.remaining -. (st.rate *. dt))) !active;
+      List.iter (fun st -> st.remaining <- clamp0 (st.remaining -. (st.rate *. dt))) !active;
       (* Integrate the queue estimate under the (constant) loads. *)
       for l = 0 to nl - 1 do
         let delta = (load.(l) -. cap) *. dt in
-        queue.(l) <- Float.max 0.0 (queue.(l) +. delta);
+        queue.(l) <- clamp0 (queue.(l) +. delta);
         if queue.(l) > max_queue.(l) then max_queue.(l) <- queue.(l)
       done;
       now := t_next;

@@ -234,10 +234,9 @@ type t = {
   mutable recomputes : int;
   mutable rate_updates : (int * U.gbps) list;
   mutable rate_update_count : int;
-  mutable loop_running : bool;
+  mutable loops : int;  (** one bit per periodic loop now scheduled *)
   mutable reselections : int;
   mutable flows_rerouted : int;
-  mutable reselect_running : bool;
   galloc : Congestion.Waterfill.Inc.t option;
       (** Global_epoch: incremental allocator mirroring the visible,
           still-sending flow set; clean epochs are skipped in O(1) *)
@@ -256,7 +255,6 @@ type t = {
   (* -- control-plane reliability (reliable_bcast) -- *)
   origins : logged Rbcast.origin array;  (** per source *)
   chaos_on : bool;
-  mutable digest_running : bool;
   mutable nacks_sent : int;
   mutable event_retransmits : int;
   mutable sync_requests : int;
@@ -276,7 +274,6 @@ type t = {
   mutable joins_sent : int;
   (* -- gray-failure health estimation -- *)
   mutable health : hstate option;
-  mutable health_running : bool;
   mutable quarantines : int;
   mutable probations : int;
   mutable recoveries : int;
@@ -319,11 +316,6 @@ let iter_live t f =
     match t.flows.(id) with Some st when st.live -> f st | _ -> ()
   done
 
-(* A live flow completed or was aborted. *)
-let retire t st =
-  st.live <- false;
-  t.live_flows <- t.live_flows - 1
-
 (* -- epoch dirty tracking -------------------------------------------------- *)
 
 (* Every event that can change the next rate computation funnels through
@@ -349,6 +341,35 @@ let flow_done_sending t st =
         Congestion.Waterfill.Inc.remove_flow inc ~id:st.idx
     | _ -> ()
   end
+
+(* Re-path a flow under [proto] over the current graph; its allocator row
+   follows. *)
+let reroute t st proto =
+  st.proto <- proto;
+  st.wf_links <- Routing.fractions t.rctx proto ~src:st.src ~dst:st.dst;
+  t.epoch_dirty <- true;
+  match t.galloc with
+  | Some inc when Congestion.Waterfill.Inc.mem inc ~id:st.idx ->
+      Congestion.Waterfill.Inc.set_links inc ~id:st.idx st.wf_links
+  | _ -> ()
+
+(* After a rate epoch executes, every allocation reflects all events known
+   so far — including any detected failure: that is the reconvergence
+   instant the recovery metrics report. *)
+let stamp_reconvergence t =
+  let now = Engine.now t.eng in
+  List.iter
+    (fun fr -> if fr.reconverge_ns < 0 && fr.detect_ns <= now then fr.reconverge_ns <- now)
+    t.failures
+
+(* A live flow completed or was aborted: the next epoch allocates without
+   it. With none left, a detected failure is trivially reconverged — the
+   periodic loop is about to stop and would never stamp it. *)
+let retire t st =
+  st.live <- false;
+  t.live_flows <- t.live_flows - 1;
+  t.epoch_dirty <- true;
+  if t.live_flows = 0 then stamp_reconvergence t
 
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
@@ -390,21 +411,24 @@ let apply_bcast_event t w bcast_id =
   end;
   count_receipt t bcast_id
 
+(* Both ends of a control conversation are up and connected. *)
+let connected t a b = Net.node_up t.net a && Net.node_up t.net b && Topology.reachable t.topo a b
+
+(* A unicast control packet (NACK, sync, snapshot request, PAUSE) rides the
+   ECMP shortest path that [key] picks, so one conversation keeps to one
+   path. The sender takes its own reference to the route; the caller
+   releases this one once it has sent. *)
+let ctrl_route t ~key ~src ~dst =
+  Net.intern_route t.net (Routing.ecmp_path t.rctx ~flow_id:key ~src ~dst)
+
 (* A NACK with an empty range ([to_seq < from_seq]) is a full-state sync
    request — sent when a node is sequence-caught-up with an origin yet
    hashes to a different live-flow set. *)
 let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
-  if
-    Net.node_up t.net node && Net.node_up t.net root
-    && Topology.reachable t.topo node root
-  then begin
+  if connected t node root then begin
     if to_seq < from_seq then t.sync_requests <- t.sync_requests + 1
     else t.nacks_sent <- t.nacks_sent + 1;
-    let route =
-      Net.intern_route t.net
-        (Routing.ecmp_path t.rctx ~flow_id:(win_key ~root ~tree) ~src:node
-           ~dst:root)
-    in
+    let route = ctrl_route t ~key:(win_key ~root ~tree) ~src:node ~dst:root in
     Net.send_nack t.net ~root ~tree ~from_seq ~to_seq ~requester:node
       ~bytes:Wire.nack_size ~route;
     Net.release_route t.net route
@@ -420,10 +444,7 @@ let rec schedule_nack t ~node ~root ~tree w =
 
 and fire_nack t ~node ~root ~tree w =
   Replicas.disarm t.reps w;
-  if
-    Net.node_up t.net node && Net.node_up t.net root
-    && Topology.reachable t.topo node root
-  then begin
+  if connected t node root then begin
     match Replicas.missing t.reps w with
     | [] -> ()
     | gaps ->
@@ -439,11 +460,7 @@ and fire_nack t ~node ~root ~tree w =
    per-source view slice and fast-forwards the windows. Counted as repair
    traffic, in one packet of at most an MTU. *)
 let send_sync t ~root ~requester =
-  if
-    t.cfg.control = Per_node && Net.node_up t.net root
-    && Net.node_up t.net requester
-    && Topology.reachable t.topo root requester
-  then begin
+  if t.cfg.control = Per_node && connected t root requester then begin
     let entries, last_seqs = Rbcast.snapshot t.origins.(root) in
     let bytes =
       min Topology.mtu
@@ -451,11 +468,7 @@ let send_sync t ~root ~requester =
     in
     t.syncs_sent <- t.syncs_sent + 1;
     t.sync_bytes <- t.sync_bytes + bytes;
-    let route =
-      Net.intern_route t.net
-        (Routing.ecmp_path t.rctx ~flow_id:(root + (131 * requester)) ~src:root
-           ~dst:requester)
-    in
+    let route = ctrl_route t ~key:(root + (131 * requester)) ~src:root ~dst:requester in
     Net.send_sync t.net ~root ~entries ~last_seqs ~bytes ~route;
     Net.release_route t.net route
   end
@@ -528,15 +541,20 @@ and schedule_injection t st =
 
 (* -- control plane: broadcast and rate computation ------------------------ *)
 
+(* Flood one control event from [root] down [tree]. The reliable plane
+   sequences it on the origin's stream and logs it for NACK replay. *)
+let flood t ~root ~tree ~bcast_id ~bytes =
+  if t.cfg.reliable_bcast then begin
+    let o = t.origins.(root) in
+    let seq = Rbcast.send o ~tree (logged bcast_id bytes) in
+    Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root ~tree ~bcast_id ~bytes ()
+  end
+  else Net.send_bcast t.net ~root ~tree ~bcast_id ~bytes ()
+
 let send_flow_broadcast t st event =
-  let bcast_id =
-    match event with
-    | Wire.Flow_start ->
-        (* Visibility counts the receipts of this broadcast afresh. *)
-        st.starts_seen <- 0;
-        2 * st.idx
-    | Wire.Flow_finish | Wire.Demand_update | Wire.Route_change -> (2 * st.idx) + 1
-  in
+  (* Visibility counts the receipts of a start broadcast afresh. *)
+  if event = Wire.Flow_start then st.starts_seen <- 0;
+  let bcast_id = Replicas.event event st.idx in
   if t.cfg.reliable_bcast then begin
     (* Every event of a flow rides the tree picked at its start, so the
        per-(source, tree) window orders the finish after the start at
@@ -548,15 +566,11 @@ let send_flow_broadcast t st event =
         Rbcast.mark_live o ~tree:st.btree st.idx
     | Wire.Flow_finish -> Rbcast.mark_dead o st.idx
     | Wire.Demand_update | Wire.Route_change -> ());
-    let bytes = Wire.seq_broadcast_size in
-    let seq = Rbcast.send o ~tree:st.btree (logged bcast_id bytes) in
-    Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root:st.src ~tree:st.btree
-      ~bcast_id ~bytes ()
+    flood t ~root:st.src ~tree:st.btree ~bcast_id ~bytes:Wire.seq_broadcast_size
   end
-  else begin
+  else
     let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
-    Net.send_bcast t.net ~root:st.src ~tree ~bcast_id ~bytes:Wire.broadcast_size ()
-  end
+    flood t ~root:st.src ~tree ~bcast_id ~bytes:Wire.broadcast_size
 
 let apply_rate t st (r : U.byte_rate) =
   let r = Float.max (0.001 *. t.cap_bytes_ns) (r : U.byte_rate :> float) in
@@ -695,15 +709,6 @@ let close_reconvergence t =
     t.diverged_since <- -1
   end
 
-(* After a rate epoch executes, every allocation reflects all events known
-   so far — including any detected failure: that is the reconvergence
-   instant the recovery metrics report. *)
-let stamp_reconvergence t =
-  let now = Engine.now t.eng in
-  List.iter
-    (fun fr -> if fr.reconverge_ns < 0 && fr.detect_ns <= now then fr.reconverge_ns <- now)
-    t.failures
-
 (* One overload-controller tick per rate epoch: the watermark verdict
    drives the admission shed floor, and a clean epoch lets every pacer
    recover additively. *)
@@ -765,13 +770,7 @@ let reselect t interval =
         (fun i st ->
           if assignment.(i) <> st.proto then begin
             incr changed;
-            st.proto <- assignment.(i);
-            st.wf_links <- Routing.fractions t.rctx assignment.(i) ~src:st.src ~dst:st.dst;
-            t.epoch_dirty <- true;
-            match t.galloc with
-            | Some inc when Congestion.Waterfill.Inc.mem inc ~id:st.idx ->
-                Congestion.Waterfill.Inc.set_links inc ~id:st.idx st.wf_links
-            | _ -> ()
+            reroute t st assignment.(i)
           end)
         sts;
     t.flows_rerouted <- t.flows_rerouted + !changed;
@@ -780,24 +779,12 @@ let reselect t interval =
          per {flow, protocol} pair, capped at an MTU. *)
       let bytes = min Topology.mtu (Wire.broadcast_size + (5 * !changed)) in
       let root = sts.(0).src in
-      let bcast_id = -t.reselections in
       let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:root in
-      let seq, inc =
-        if t.cfg.reliable_bcast then
-          ( Rbcast.send t.origins.(root) ~tree (logged bcast_id bytes),
-            Rbcast.incarnation t.origins.(root) )
-        else (0, 0)
-      in
-      Net.send_bcast t.net ~seq ~inc ~root ~tree ~bcast_id ~bytes ()
+      flood t ~root ~tree ~bcast_id:(-t.reselections) ~bytes
     end
   end
 
-let rec reselect_loop t interval () =
-  reselect t interval;
-  if t.live_flows > 0 then Engine.after t.eng interval (reselect_loop t interval)
-  else t.reselect_running <- false
-
-(* -- anti-entropy digest loop --------------------------------------------- *)
+(* -- anti-entropy beacons and rejoin catch-up ----------------------------- *)
 
 (* Every alive source beacons [(tree, epoch, last_seq, tree hash)] on each
    due stream: a tree whose last sequence moved since its previous digest,
@@ -827,10 +814,7 @@ let node_caught_up t ~node =
   let ok = ref true in
   Array.iteri
     (fun root o ->
-      if
-        root <> node && Net.node_up t.net root
-        && Topology.reachable t.topo root node
-      then begin
+      if root <> node && connected t root node then begin
         for tree = 0 to Topology.trees_per_source - 1 do
           if Replicas.next_expected t.reps (window t ~node ~root ~tree) <= Rbcast.last_seq o ~tree
           then ok := false
@@ -881,284 +865,7 @@ let check_rejoins t =
       (Util.Itbl.sorted_keys t.pending_rejoins)
   end
 
-let rec digest_loop t () =
-  close_reconvergence t;
-  check_rejoins t;
-  if
-    t.live_flows > 0
-    || Util.Itbl.length t.pending_rejoins > 0
-    || not (control_converged t)
-  then begin
-    digest_round t;
-    Engine.after t.eng t.cfg.digest_interval_ns (digest_loop t)
-  end
-  else t.digest_running <- false
-
-(* The periodic loop must not keep the event queue alive once the rack is
-   idle; it stops when no flow remains and restarts when one starts. *)
-let rec recompute_loop t () =
-  recompute t;
-  if t.live_flows > 0 then
-    Engine.after t.eng t.cfg.recompute_interval_ns (recompute_loop t)
-  else t.loop_running <- false
-
-let ensure_loop t =
-  if not t.loop_running then begin
-    t.loop_running <- true;
-    Engine.after t.eng t.cfg.recompute_interval_ns (recompute_loop t)
-  end;
-  if t.cfg.reliable_bcast && not t.digest_running then begin
-    t.digest_running <- true;
-    Engine.after t.eng t.cfg.digest_interval_ns (digest_loop t)
-  end;
-  match t.cfg.reselect_interval_ns with
-  | Some interval when not t.reselect_running ->
-      t.reselect_running <- true;
-      Engine.after t.eng interval (reselect_loop t interval)
-  | _ -> ()
-
-(* -- fault injection and recovery (§3.2) ----------------------------------- *)
-
-let flow_complete t idx = Metrics.complete t.mtrcs (Metrics.find t.mtrcs idx)
-
-(* Dead-endpoint flows cannot recover; they are dropped from the rack state
-   entirely (active set, allocator, per-node views) and reported. *)
-let abort_flow t st =
-  if not st.failed then begin
-    st.failed <- true;
-    t.aborted <- st.idx :: t.aborted;
-    st.inject_gen <- st.inject_gen + 1;
-    flow_done_sending t st;
-    retire t st;
-    st.on_complete <- None;
-    for node = 0 to t.nverts - 1 do
-      Replicas.remove t.reps ~replica:node st.idx
-    done;
-    (* The origin's advertised live set must drop the flow too, or every
-       digest hash would disagree with the views forever. *)
-    if t.cfg.reliable_bcast then Rbcast.mark_dead t.origins.(st.src) st.idx;
-    t.epoch_dirty <- true;
-    if t.live_flows = 0 then stamp_reconvergence t
-  end
-
-(* The simulator plays the receiver's ARQ with global knowledge: a lost Data
-   packet re-arms a per-sequence retransmission timer under the
-   [rtx_timeout_ns] backoff and is re-sent — same sequence number,
-   freshly sampled path — once it fires. Until the failure is detected the
-   fresh path may cross the same dead cable; the backoff rides out exactly
-   that window. *)
-let rec arm_retransmit t st ~seq ~bytes ~last =
-  let n = Option.value ~default:0 (Util.Itbl.find_opt st.rtx seq) in
-  if n >= rtx_max_retries then abort_flow t st
-  else begin
-    Util.Itbl.replace st.rtx seq (n + 1);
-    Engine.after t.eng
-      (rtx_timeout_ns t.cfg ~attempt:n)
-      (fun () -> retransmit t st ~seq ~bytes ~last)
-  end
-
-and retransmit t st ~seq ~bytes ~last =
-  if (not st.failed) && (not (flow_complete t st.idx)) && Net.node_up t.net st.src then begin
-    if Topology.reachable t.topo st.src st.dst then begin
-      t.retransmissions <- t.retransmissions + 1;
-      t.injected_payload <- t.injected_payload + (bytes - header);
-      let n = Routing.sample_into t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
-      let route = Net.intern_prefix t.net (Routing.path_buffer t.rctx) n in
-      Net.send_data t.net ~flow:st.idx ~seq ~last ~bytes ~route;
-      Net.release_route t.net route
-    end
-    else
-      (* Partitioned for now: wait out another timeout (the detection
-         handler aborts the flow if the endpoint is truly gone). *)
-      arm_retransmit t st ~seq ~bytes ~last
-  end
-
-let handle_loss t pkt =
-  if Net.kind t.net pkt = Net.code_data then begin
-    let id = Net.data_flow t.net pkt in
-    match find_flow t id with
-    | Some st when (not st.failed) && not (flow_complete t id) ->
-        arm_retransmit t st ~seq:(Net.data_seq t.net pkt)
-          ~bytes:(Net.bytes t.net pkt) ~last:(Net.data_last t.net pkt)
-    | _ -> ()
-  end
-
-(* A congested receiver paces senders down: when a delivered data packet's
-   final-hop link is above the high watermark, the receiver returns one
-   PAUSE (rate-limited per receiver) to the packet's source, covering
-   [pause_class] and every class below it. Higher classes are never
-   paused — their latency is what the backpressure is protecting. *)
-let maybe_send_pause t pkt ~id =
-  if t.overload_on && Net.overloaded_links t.net > 0 then begin
-    let dst = Net.route_last t.net pkt in
-    let now = Engine.now t.eng in
-    if now - t.last_pause.(dst) >= pause_interval_ns then begin
-      let len = Net.route_length t.net pkt in
-      let l = Topology.find_link_id t.topo (Net.route_at t.net pkt (len - 2)) dst in
-      if l >= 0 && Net.link_overloaded t.net ~link_id:l then
-        match find_flow t id with
-        | Some st
-          when st.priority >= pause_class
-               && st.src <> dst && Net.node_up t.net st.src
-               && Topology.reachable t.topo dst st.src ->
-            t.last_pause.(dst) <- now;
-            t.pauses_sent <- t.pauses_sent + 1;
-            let route =
-              Net.intern_route t.net
-                (Routing.ecmp_path t.rctx ~flow_id:(dst + (131 * st.src))
-                   ~src:dst ~dst:st.src)
-            in
-            Net.send_pause t.net ~node:st.src ~cls:pause_class ~level:1
-              ~window_kbps:0 ~bytes:Wire.pause_size ~route;
-            Net.release_route t.net route
-        | _ -> ()
-    end
-  end
-
-(* Runs one detection delay after the physical event: flips the
-   control-plane overlay, repairs broadcast trees, drops flows whose
-   endpoint died, and re-paths + re-announces the survivors (§3.2: every
-   node re-broadcasts its ongoing flows after a discovery event). The next
-   rate epoch then stamps reconvergence. *)
-let detect t fr apply_overlay =
-  apply_overlay ();
-  fr.repaired <- Broadcast.repair_all t.bcast;
-  t.bcast_target <- Topology.alive_vertex_count t.topo - 1;
-  (* A healed or rejoining node hears every stream in the next digest round. *)
-  Array.iter Rbcast.reset_backoff t.origins;
-  iter_live t (fun st ->
-      if not (Topology.reachable t.topo st.src st.dst) then begin
-        abort_flow t st;
-        fr.aborted <- fr.aborted + 1
-      end
-      else begin
-        st.wf_links <- Routing.fractions t.rctx st.proto ~src:st.src ~dst:st.dst;
-        t.epoch_dirty <- true;
-        (match t.galloc with
-        | Some inc when Congestion.Waterfill.Inc.mem inc ~id:st.idx ->
-            Congestion.Waterfill.Inc.set_links inc ~id:st.idx st.wf_links
-        | _ -> ());
-        if not st.done_sending then send_flow_broadcast t st Wire.Flow_start
-      end);
-  if t.live_flows = 0 then fr.reconverge_ns <- Engine.now t.eng else ensure_loop t
-
-(* The physical event happens at [ns]; one detection delay later [detect]
-   applies [overlay] and reacts, then [detected] runs. *)
-let schedule_event ?(detected = ignore) t ~ns kind phys overlay =
-  Engine.at t.eng ns (fun () ->
-      phys ();
-      let fr =
-        {
-          kind;
-          fail_ns = ns;
-          detect_ns = ns + detection_delay t;
-          reconverge_ns = -1;
-          aborted = 0;
-          repaired = 0;
-        }
-      in
-      t.failures <- fr :: t.failures;
-      Engine.after t.eng (detection_delay t) (fun () ->
-          detect t fr overlay;
-          detected ();
-          (* The rack may have gone quiet before this event was detected
-             (e.g. a partition healing after every flow completed); the
-             periodic loops must come back so anti-entropy can repair the
-             views of whoever was cut off. *)
-          ensure_loop t))
-
-(* -- crash-restart (robustness) -------------------------------------------- *)
-
-(* A crash is a state-losing node failure: besides the physical down-state,
-   the node's receive windows, traffic-matrix view and per-flow sender soft
-   state (pacing timers, retransmission history) are destroyed — unlike
-   [Fail_node], which models an outage that preserves state. *)
-let crash t u =
-  Net.fail_node t.net u;
-  Replicas.clear t.reps ~replica:u;
-  iter_live t (fun st ->
-      if st.src = u then begin
-        (* Invalidate the pacing timer and forget retransmission attempts:
-           nothing of the sender survives the crash. *)
-        st.inject_gen <- st.inject_gen + 1;
-        Util.Itbl.reset st.rtx
-      end)
-
-let send_snapshot_reqs t u =
-  if t.cfg.reliable_bcast then
-    Array.iteri
-      (fun root _ ->
-        if
-          root <> u && Net.node_up t.net root
-          && Topology.reachable t.topo u root
-        then begin
-          (* An empty-range NACK is the wire-level snapshot request
-             ([Wire.snapshot_req]): the origin answers with a full-state
-             sync — the rejoin catch-up reuses the anti-entropy repair
-             path wholesale. *)
-          t.sync_requests <- t.sync_requests + 1;
-          let route =
-            Net.intern_route t.net
-              (Routing.ecmp_path t.rctx ~flow_id:(root + (131 * u)) ~src:u
-                 ~dst:root)
-          in
-          Net.send_nack t.net ~root ~tree:0 ~from_seq:0 ~to_seq:(-1)
-            ~requester:u ~bytes:Wire.snapshot_req_size ~route;
-          Net.release_route t.net route
-        end)
-      t.origins
-
-(* Announce the rejoin: a JOIN broadcast carrying the fresh incarnation
-   (receivers wipe their windows for this root and drop its pre-crash
-   flows), plus one snapshot request per alive origin. Re-announced every
-   [rejoin_retry_ns] until the node has caught up, so a lost JOIN or
-   snapshot cannot strand the rejoin. *)
-let rec announce_join t u =
-  if Net.node_up t.net u && Util.Itbl.mem t.pending_rejoins u then begin
-    t.joins_sent <- t.joins_sent + 1;
-    let inc = if t.cfg.reliable_bcast then Rbcast.incarnation t.origins.(u) else 0 in
-    Net.send_bcast t.net ~inc ~root:u ~tree:0 ~bcast_id:bcast_id_join ~bytes:Wire.join_size ();
-    send_snapshot_reqs t u;
-    if t.cfg.reliable_bcast then
-      Engine.after t.eng rejoin_retry_ns (fun () -> announce_join t u)
-    else begin
-      (* Without the reliable machinery there is no catch-up to await: the
-         rejoin completes at the announcement. *)
-      let start = Util.Itbl.find t.pending_rejoins u in
-      Util.Itbl.remove t.pending_rejoins u;
-      Metrics.note_rejoin t.mtrcs ~node:u ~start ~finish:(Engine.now t.eng)
-    end
-  end
-
-(* The node comes back {e cold}: fresh origin incarnation, no receive
-   windows, no view — then runs the rejoin protocol. The JOIN waits for the
-   restore's detection instant, when the broadcast trees have been repaired
-   around the revived node and the routing overlay can reach it again. *)
-let restart t ~ns u =
-  Net.restore_node t.net u;
-  Replicas.clear t.reps ~replica:u;
-  if t.cfg.reliable_bcast then ignore (Rbcast.restart t.origins.(u));
-  Util.Itbl.replace t.pending_rejoins u ns
-
-(* -- gray failures: flaky links and the health estimator ------------------- *)
-
-let flaky_seed seed = seed + 211
-
-let get_health t =
-  match t.health with
-  | Some h -> h
-  | None ->
-      let n = Topology.link_count t.topo in
-      let h =
-        {
-          ewma = Array.make n 0.0;
-          prev_tx = Array.make n 0;
-          prev_lost = Array.make n 0;
-          since = Array.make n 0;
-        }
-      in
-      t.health <- Some h;
-      h
+(* -- gray failures: the health estimator ------------------------------------ *)
 
 (* One estimator tick: fold the last interval's per-cable flaky-loss rate
    into an EWMA and drive the {!Routing} quarantine state machine. An
@@ -1215,23 +922,277 @@ let health_tick t h =
   done;
   !demoted
 
-let rec health_loop t () =
-  match t.health with
-  | None -> t.health_running <- false
-  | Some h ->
-      let demoted = health_tick t h in
-      if demoted || t.live_flows > 0 then
-        Engine.after t.eng health_interval_ns (health_loop t)
-      else t.health_running <- false
+(* -- periodic loops --------------------------------------------------------- *)
 
-(* Started when the first flaky link is flagged — a clean run never runs a
-   single tick, so its event stream is untouched. *)
-let ensure_health_loop t =
-  ignore (get_health t);
-  if not t.health_running then begin
-    t.health_running <- true;
-    Engine.after t.eng health_interval_ns (health_loop t)
+(* The rate epoch, the anti-entropy beacon, §3.4 reselection and the
+   gray-failure health estimator each run while they have work, so an idle
+   rack leaves the event queue empty; [ensure] restarts a stopped loop.
+   [t.loops] has one bit per running loop. *)
+type loop = Recompute | Digest | Reselect | Health
+
+let bit = function Recompute -> 1 | Digest -> 2 | Reselect -> 4 | Health -> 8
+
+let period t = function
+  | Recompute -> t.cfg.recompute_interval_ns
+  | Digest -> t.cfg.digest_interval_ns
+  | Reselect -> Option.value ~default:0 t.cfg.reselect_interval_ns
+  | Health -> health_interval_ns
+
+(* One round; true while the loop has work left. The beacon outlives the
+   last flow until every rejoin and every view has caught up. *)
+let round t loop =
+  match loop with
+  | Recompute ->
+      recompute t;
+      t.live_flows > 0
+  | Digest ->
+      close_reconvergence t;
+      check_rejoins t;
+      let busy =
+        t.live_flows > 0 || Util.Itbl.length t.pending_rejoins > 0 || not (control_converged t)
+      in
+      if busy then digest_round t;
+      busy
+  | Reselect ->
+      reselect t (period t Reselect);
+      t.live_flows > 0
+  | Health -> (
+      match t.health with Some h -> health_tick t h || t.live_flows > 0 | None -> false)
+
+(* A started loop reschedules one closure, made when it starts. *)
+let ensure t loop =
+  if t.loops land bit loop = 0 then begin
+    t.loops <- t.loops lor bit loop;
+    let rec tick () =
+      if round t loop then Engine.after t.eng (period t loop) tick
+      else t.loops <- t.loops land lnot (bit loop)
+    in
+    Engine.after t.eng (period t loop) tick
   end
+
+(* The loops a flow needs, (re)started with every new flow and at every
+   detected fault. *)
+let ensure_loops t =
+  ensure t Recompute;
+  if t.cfg.reliable_bcast then ensure t Digest;
+  if Option.is_some t.cfg.reselect_interval_ns then ensure t Reselect
+
+(* The health estimator starts when the first flaky link is flagged — a
+   clean run never runs a single tick, so its event stream is untouched. *)
+let start_health t =
+  if Option.is_none t.health then begin
+    let n = Topology.link_count t.topo in
+    t.health <-
+      Some
+        {
+          ewma = Array.make n 0.0;
+          prev_tx = Array.make n 0;
+          prev_lost = Array.make n 0;
+          since = Array.make n 0;
+        }
+  end;
+  ensure t Health
+
+(* -- fault injection and recovery (§3.2) ----------------------------------- *)
+
+(* Dead-endpoint flows cannot recover; they are dropped from the rack state
+   entirely (active set, allocator, per-node views) and reported. *)
+let abort_flow t st =
+  if not st.failed then begin
+    st.failed <- true;
+    t.aborted <- st.idx :: t.aborted;
+    st.inject_gen <- st.inject_gen + 1;
+    flow_done_sending t st;
+    retire t st;
+    st.on_complete <- None;
+    for node = 0 to t.nverts - 1 do
+      Replicas.remove t.reps ~replica:node st.idx
+    done;
+    (* The origin's advertised live set must drop the flow too, or every
+       digest hash would disagree with the views forever. *)
+    if t.cfg.reliable_bcast then Rbcast.mark_dead t.origins.(st.src) st.idx
+  end
+
+(* The simulator plays the receiver's ARQ with global knowledge: a lost Data
+   packet re-arms a per-sequence retransmission timer under the
+   [rtx_timeout_ns] backoff and is re-sent — same sequence number,
+   freshly sampled path — once it fires. Until the failure is detected the
+   fresh path may cross the same dead cable; the backoff rides out exactly
+   that window. *)
+let rec arm_retransmit t st ~seq ~bytes ~last =
+  let n = Option.value ~default:0 (Util.Itbl.find_opt st.rtx seq) in
+  if n >= rtx_max_retries then abort_flow t st
+  else begin
+    Util.Itbl.replace st.rtx seq (n + 1);
+    Engine.after t.eng
+      (rtx_timeout_ns t.cfg ~attempt:n)
+      (fun () -> retransmit t st ~seq ~bytes ~last)
+  end
+
+and retransmit t st ~seq ~bytes ~last =
+  if st.live && Net.node_up t.net st.src then begin
+    if Topology.reachable t.topo st.src st.dst then begin
+      t.retransmissions <- t.retransmissions + 1;
+      t.injected_payload <- t.injected_payload + (bytes - header);
+      let n = Routing.sample_into t.rctx t.rng st.proto ~src:st.src ~dst:st.dst in
+      let route = Net.intern_prefix t.net (Routing.path_buffer t.rctx) n in
+      Net.send_data t.net ~flow:st.idx ~seq ~last ~bytes ~route;
+      Net.release_route t.net route
+    end
+    else
+      (* Partitioned for now: wait out another timeout (the detection
+         handler aborts the flow if the endpoint is truly gone). *)
+      arm_retransmit t st ~seq ~bytes ~last
+  end
+
+let handle_loss t pkt =
+  if Net.kind t.net pkt = Net.code_data then begin
+    let id = Net.data_flow t.net pkt in
+    match find_flow t id with
+    | Some st when st.live ->
+        arm_retransmit t st ~seq:(Net.data_seq t.net pkt)
+          ~bytes:(Net.bytes t.net pkt) ~last:(Net.data_last t.net pkt)
+    | _ -> ()
+  end
+
+(* A congested receiver paces senders down: when a delivered data packet's
+   final-hop link is above the high watermark, the receiver returns one
+   PAUSE (rate-limited per receiver) to the packet's source, covering
+   [pause_class] and every class below it. Higher classes are never
+   paused — their latency is what the backpressure is protecting. *)
+let maybe_send_pause t pkt ~id =
+  if t.overload_on && Net.overloaded_links t.net > 0 then begin
+    let dst = Net.route_last t.net pkt in
+    let now = Engine.now t.eng in
+    if now - t.last_pause.(dst) >= pause_interval_ns then begin
+      let len = Net.route_length t.net pkt in
+      let l = Topology.find_link_id t.topo (Net.route_at t.net pkt (len - 2)) dst in
+      if l >= 0 && Net.link_overloaded t.net ~link_id:l then
+        match find_flow t id with
+        | Some st
+          when st.priority >= pause_class && st.src <> dst && connected t dst st.src ->
+            t.last_pause.(dst) <- now;
+            t.pauses_sent <- t.pauses_sent + 1;
+            let route = ctrl_route t ~key:(dst + (131 * st.src)) ~src:dst ~dst:st.src in
+            Net.send_pause t.net ~node:st.src ~cls:pause_class ~level:1
+              ~window_kbps:0 ~bytes:Wire.pause_size ~route;
+            Net.release_route t.net route
+        | _ -> ()
+    end
+  end
+
+(* Runs one detection delay after the physical event: flips the
+   control-plane overlay, repairs broadcast trees, drops flows whose
+   endpoint died, and re-paths + re-announces the survivors (§3.2: every
+   node re-broadcasts its ongoing flows after a discovery event). The next
+   rate epoch then stamps reconvergence. *)
+let detect t fr apply_overlay =
+  apply_overlay ();
+  fr.repaired <- Broadcast.repair_all t.bcast;
+  t.bcast_target <- Topology.alive_vertex_count t.topo - 1;
+  (* A healed or rejoining node hears every stream in the next digest round. *)
+  Array.iter Rbcast.reset_backoff t.origins;
+  iter_live t (fun st ->
+      if not (Topology.reachable t.topo st.src st.dst) then begin
+        abort_flow t st;
+        fr.aborted <- fr.aborted + 1
+      end
+      else begin
+        reroute t st st.proto;
+        if not st.done_sending then send_flow_broadcast t st Wire.Flow_start
+      end);
+  if t.live_flows = 0 then fr.reconverge_ns <- Engine.now t.eng else ensure_loops t
+
+(* The physical event happens at [ns]; one detection delay later [detect]
+   applies [overlay] and reacts, then [detected] runs. *)
+let schedule_event ?(detected = ignore) t ~ns kind phys overlay =
+  Engine.at t.eng ns (fun () ->
+      phys ();
+      let fr =
+        {
+          kind;
+          fail_ns = ns;
+          detect_ns = ns + detection_delay t;
+          reconverge_ns = -1;
+          aborted = 0;
+          repaired = 0;
+        }
+      in
+      t.failures <- fr :: t.failures;
+      Engine.after t.eng (detection_delay t) (fun () ->
+          detect t fr overlay;
+          detected ();
+          (* The rack may have gone quiet before this event was detected
+             (e.g. a partition healing after every flow completed); the
+             periodic loops must come back so anti-entropy can repair the
+             views of whoever was cut off. *)
+          ensure_loops t))
+
+(* -- crash-restart (robustness) -------------------------------------------- *)
+
+(* A crash is a state-losing node failure: besides the physical down-state,
+   the node's receive windows, traffic-matrix view and per-flow sender soft
+   state (pacing timers, retransmission history) are destroyed — unlike
+   [Fail_node], which models an outage that preserves state. *)
+let crash t u =
+  Net.fail_node t.net u;
+  Replicas.clear t.reps ~replica:u;
+  iter_live t (fun st ->
+      if st.src = u then begin
+        (* Invalidate the pacing timer and forget retransmission attempts:
+           nothing of the sender survives the crash. *)
+        st.inject_gen <- st.inject_gen + 1;
+        Util.Itbl.reset st.rtx
+      end)
+
+let send_snapshot_reqs t u =
+  if t.cfg.reliable_bcast then
+    Array.iteri
+      (fun root _ ->
+        if root <> u && connected t u root then begin
+          (* An empty-range NACK is the wire-level snapshot request
+             ([Wire.snapshot_req]): the origin answers with a full-state
+             sync — the rejoin catch-up reuses the anti-entropy repair
+             path wholesale. *)
+          t.sync_requests <- t.sync_requests + 1;
+          let route = ctrl_route t ~key:(root + (131 * u)) ~src:u ~dst:root in
+          Net.send_nack t.net ~root ~tree:0 ~from_seq:0 ~to_seq:(-1)
+            ~requester:u ~bytes:Wire.snapshot_req_size ~route;
+          Net.release_route t.net route
+        end)
+      t.origins
+
+(* Announce the rejoin: a JOIN broadcast carrying the fresh incarnation
+   (receivers wipe their windows for this root and drop its pre-crash
+   flows), plus one snapshot request per alive origin. Re-announced every
+   [rejoin_retry_ns] until the node has caught up, so a lost JOIN or
+   snapshot cannot strand the rejoin. *)
+let rec announce_join t u =
+  if Net.node_up t.net u && Util.Itbl.mem t.pending_rejoins u then begin
+    t.joins_sent <- t.joins_sent + 1;
+    let inc = if t.cfg.reliable_bcast then Rbcast.incarnation t.origins.(u) else 0 in
+    Net.send_bcast t.net ~inc ~root:u ~tree:0 ~bcast_id:bcast_id_join ~bytes:Wire.join_size ();
+    send_snapshot_reqs t u;
+    if t.cfg.reliable_bcast then
+      Engine.after t.eng rejoin_retry_ns (fun () -> announce_join t u)
+    else begin
+      (* Without the reliable machinery there is no catch-up to await: the
+         rejoin completes at the announcement. *)
+      let start = Util.Itbl.find t.pending_rejoins u in
+      Util.Itbl.remove t.pending_rejoins u;
+      Metrics.note_rejoin t.mtrcs ~node:u ~start ~finish:(Engine.now t.eng)
+    end
+  end
+
+(* The node comes back {e cold}: fresh origin incarnation, no receive
+   windows, no view — then runs the rejoin protocol. The JOIN waits for the
+   restore's detection instant, when the broadcast trees have been repaired
+   around the revived node and the routing overlay can reach it again. *)
+let restart t ~ns u =
+  Net.restore_node t.net u;
+  Replicas.clear t.reps ~replica:u;
+  if t.cfg.reliable_bcast then ignore (Rbcast.restart t.origins.(u));
+  Util.Itbl.replace t.pending_rejoins u ns
 
 (* -- the fault vocabulary ---------------------------------------------------- *)
 
@@ -1246,6 +1207,7 @@ type fault =
   | Control_chaos of { loss : U.fraction; reorder : U.fraction; dup : U.fraction }
 
 let chaos_seed seed = seed + 101
+let flaky_seed seed = seed + 211
 
 (* Everything the event would reject when it fires, checked before it is
    scheduled: the cable must exist, the node must be a vertex, and each
@@ -1298,7 +1260,7 @@ let inject_at t ~ns fault =
           Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed)
             ~spike_ns:(Option.value ~default:flaky_spike_ns spike_ns)
             u v ~loss ~spike;
-          ensure_health_loop t)
+          start_health t)
   | Unflaky (u, v) -> Engine.at t.eng ns (fun () -> Net.clear_flaky_link t.net u v)
   | Control_chaos { loss; reorder; dup } ->
       (* The chaos RNG continues across retunes. *)
@@ -1346,10 +1308,9 @@ let create cfg topo =
       recomputes = 0;
       rate_updates = [];
       rate_update_count = 0;
-      loop_running = false;
+      loops = 0;
       reselections = 0;
       flows_rerouted = 0;
-      reselect_running = false;
       galloc =
         (if cfg.control = Global_epoch then
            Some (Congestion.Waterfill.Inc.create ~headroom:cfg.headroom ~capacities ())
@@ -1369,7 +1330,6 @@ let create cfg topo =
                Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:Topology.trees_per_source ())
          else [||]);
       chaos_on;
-      digest_running = false;
       nacks_sent = 0;
       event_retransmits = 0;
       sync_requests = 0;
@@ -1385,7 +1345,6 @@ let create cfg topo =
       pending_rejoins = Util.Itbl.create 4;
       joins_sent = 0;
       health = None;
-      health_running = false;
       quarantines = 0;
       probations = 0;
       recoveries = 0;
@@ -1487,11 +1446,6 @@ let create cfg topo =
             match find_flow t id with
             | Some st when st.live ->
                 retire t st;
-                t.epoch_dirty <- true;
-                (* With nothing left to allocate, a detected failure is
-                   trivially reconverged — the periodic loop is about to
-                   stop and would never stamp it. *)
-                if t.live_flows = 0 then stamp_reconvergence t;
                 (* The finish broadcast never reaches its own root, but the
                    sender knows its flow ended. *)
                 if cfg.control = Per_node then Replicas.remove t.reps ~replica:st.src id;
@@ -1625,7 +1579,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
      plane no digest reads per-tree hashes, and tree 0 stands in. *)
   if t.cfg.control = Per_node then
     Replicas.add t.reps (window t ~node:src ~root:src ~tree:(max 0 st.btree)) idx;
-  ensure_loop t;
+  ensure_loops t;
   inject t st;
   idx
   end

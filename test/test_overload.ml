@@ -381,34 +381,6 @@ let partition_aggregate_validates () =
         (Workload.Flowgen.partition_aggregate topo rng ~aggregators:1 ~fanout:3 ~rounds:0
            ~round_interval_ns:0))
 
-(* -- stack admission gate ------------------------------------------------- *)
-
-let stack_try_open_flow () =
-  let topo = Topology.torus [| 3; 3 |] in
-  let s = R2c2.Stack.create topo in
-  Alcotest.(check int) "floor starts open" 8 (R2c2.Stack.shed_floor s);
-  (match R2c2.Stack.try_open_flow s ~priority:7 ~src:0 ~dst:1 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "admitted class refused");
-  R2c2.Stack.note_epoch_load s ~overloaded:true;
-  R2c2.Stack.note_epoch_load s ~overloaded:true;
-  Alcotest.(check bool) "class 6 now refused" false (R2c2.Stack.admits s ~priority:6);
-  (match R2c2.Stack.try_open_flow s ~priority:6 ~src:0 ~dst:2 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "shed class admitted");
-  Alcotest.(check int) "refusals counted" 1 (R2c2.Stack.shed_flows s);
-  (* The ungated path still works for shed classes, and class 0 always
-     passes the gate. *)
-  ignore (R2c2.Stack.open_flow s ~priority:6 ~src:0 ~dst:2);
-  (match R2c2.Stack.try_open_flow s ~priority:0 ~src:0 ~dst:3 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "class 0 refused");
-  (* Recovery: default 3 clean epochs re-admit one class. *)
-  for _ = 1 to 3 do
-    R2c2.Stack.note_epoch_load s ~overloaded:false
-  done;
-  Alcotest.(check bool) "class 6 re-admitted" true (R2c2.Stack.admits s ~priority:6)
-
 (* -- simulator: shedding and pacing under incast -------------------------- *)
 
 let overload_cfg ~on =
@@ -534,7 +506,6 @@ let suites =
         tc "partition/aggregate shape" partition_aggregate_shape;
         tc "partition/aggregate validation" partition_aggregate_validates;
       ] );
-    ("overload.stack", [ tc "try_open_flow gate" stack_try_open_flow ]);
     ( "overload.sim",
       [
         tc "sheds and paces under incast" sim_sheds_and_paces_under_incast;

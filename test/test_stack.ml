@@ -29,7 +29,7 @@ let open_flow_validation () =
 (* The broadcast carries weight and priority in 8-bit fields. A value it
    cannot carry is refused before the flow touches any state: no ghost
    flow in the table or the allocator, so later flows get exactly a fresh
-   stack's rates, and [try_open_flow] raises before it counts a shed. *)
+   stack's rates. *)
 let open_flow_refuses_unencodable_class () =
   let st = mk () in
   let hash = R2c2.Stack.matrix_hash st in
@@ -48,13 +48,7 @@ let open_flow_refuses_unencodable_class () =
     (rate s a, rate s b)
   in
   Alcotest.(check (pair (float 1e-9) (float 1e-9)))
-    "later flows get a fresh stack's rates" (two_flows (mk ())) (two_flows st);
-  R2c2.Stack.note_epoch_load st ~overloaded:true;
-  Alcotest.(check bool) "class 7 is shed" false (R2c2.Stack.admits st ~priority:7);
-  Alcotest.check_raises "try_open_flow checks first"
-    (Invalid_argument "Stack.open_flow: weight outside 1..255") (fun () ->
-      ignore (R2c2.Stack.try_open_flow ~weight:1000 ~priority:7 st ~src:0 ~dst:5));
-  Alcotest.(check int) "no shed counted" 0 (R2c2.Stack.shed_flows st)
+    "later flows get a fresh stack's rates" (two_flows (mk ())) (two_flows st)
 
 let broadcasts_observable () =
   let st = mk () in
@@ -249,6 +243,21 @@ let incremental_matches_fresh_stack () =
         (rate fresh id') (rate churned id))
     pairs
 
+(* Flow events only patch the allocator and a recompute is the allocator's
+   own pass, so once its buffers have grown a dirty epoch allocates
+   nothing. *)
+let warm_recompute_allocates_nothing () =
+  let st = R2c2.Stack.create ~seed:3 (Topology.torus [| 8; 8; 8 |]) in
+  let flows = Array.init 64 (fun i -> R2c2.Stack.open_flow st ~src:(i + 1) ~dst:0) in
+  R2c2.Stack.recompute st;
+  R2c2.Stack.close_flow st flows.(5);
+  ignore (R2c2.Stack.open_flow st ~src:65 ~dst:0);
+  let before = Gc.minor_words () in
+  R2c2.Stack.recompute st;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "recomputed" true (Congestion.Waterfill.dbg.push > 0);
+  Alcotest.(check (float 0.0)) "minor words of a warm dirty recompute" 0.0 words
+
 (* -- policy mapping (SS3.3.2) -------------------------------------------------- *)
 
 let policy_tenant_weights () =
@@ -337,6 +346,7 @@ let suites =
         tc "failure handling re-announces flows" failure_reannounces_flows;
         tc "failure handling re-emits demand state" failure_reemits_demand;
         tc "incremental epochs match a fresh stack" incremental_matches_fresh_stack;
+        tc "a warm dirty recompute allocates nothing" warm_recompute_allocates_nothing;
       ] );
     ( "policy",
       [
