@@ -104,10 +104,7 @@ let run () =
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
   let shift = (h / 2) + 3 in
-  let detection =
-    let tx_16b = 13 (* 16 B at 10 Gbps, rounded up *) in
-    2 * Topology.diameter topo * (Topology.hop_latency_ns + tx_16b)
-  in
+  let detection = Sim.R2c2_sim.(detection_delay default_config topo) in
   (* Recovery bound: topology discovery (two broadcast depths) plus one
      rate-recompute interval, with 1 us of event-ordering slack. *)
   let bound = detection + interval + 1_000 in

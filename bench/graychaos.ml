@@ -126,10 +126,7 @@ let run () =
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
   let shift = (h / 2) + 3 in
-  let detection =
-    let tx_16b = 13 in
-    2 * Topology.diameter topo * (Topology.hop_latency_ns + tx_16b)
-  in
+  let detection = Sim.R2c2_sim.(detection_delay default_config topo) in
   (* Rejoin bound: the restarted node is detected and re-attached within
      one detection delay, announces its JOIN, pulls snapshots, and closes
      the gap through NACK replay. Completion additionally requires being

@@ -30,7 +30,7 @@ let () =
       if b.Wire.event = Wire.Route_change then
         changes := (b.Wire.bsrc, b.Wire.bdst, b.Wire.rp) :: !changes);
 
-  let changed = R2c2.Stack.reselect_routing ~generations:20 stack (Util.Rng.create 11) in
+  let changed = R2c2.Stack.reselect_routing stack (Util.Rng.create 11) in
   R2c2.Stack.recompute stack;
   let after = Util.Units.to_float (R2c2.Stack.aggregate_throughput_gbps stack) in
 

@@ -105,9 +105,8 @@ let build_fib topo parent ~root =
 let build_tree t ~src ~tree =
   let parent = Topology.shortest_path_tree t.topo ~root:src ~variant:tree in
   let fib = build_fib t.topo parent ~root:src in
-  let depth = Topology.tree_depth parent ~root:src in
   let hops = tree_hops parent ~root:src in
-  { parent; fib; depth; hops; version = Topology.version t.topo }
+  { parent; fib; depth = Array.fold_left max 0 hops; hops; version = Topology.version t.topo }
 
 let slot t ~src ~tree =
   if src < 0 || src >= Topology.vertex_count t.topo then invalid_arg "Broadcast: src out of range";

@@ -383,6 +383,11 @@ module Inc = struct
     t.nrows <- last;
     t.dirty <- true
 
+  let clear t =
+    Array.fill t.slots 0 (Array.length t.slots) (-1);
+    t.nrows <- 0;
+    t.dirty <- true
+
   let set_demand t ~id demand =
     let r = row_of t id in
     let d = match demand with Some d -> (d : U.byte_rate :> float) | None -> Float.nan in

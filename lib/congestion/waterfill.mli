@@ -103,6 +103,11 @@ module Inc : sig
   val remove_flow : t -> id:int -> unit
   (** Close a flow; unknown ids raise. *)
 
+  val clear : t -> unit
+  (** Close every flow, keeping the buffers, the headroom and the class
+      reserve. Refilled by the same {!add_flow} calls, the state computes
+      bit for bit the rates of a fresh state with the same settings. *)
+
   val set_demand : t -> id:int -> Util.Units.byte_rate option -> unit
   (** Update a flow's demand cap ([None] = network-limited). Setting the
       value it already has keeps the state clean. *)

@@ -215,7 +215,7 @@ let aggregate_throughput_gbps t =
   U.gbps
     (Util.Itbl.fold_sorted (fun id _ acc -> acc +. (rate_gbps t id :> float)) t.flows 0.0)
 
-let reselect_routing ?pop_size ?generations t rng =
+let reselect_routing t rng =
   let fl = flow_array t in
   if Array.length fl = 0 then 0
   else begin
@@ -223,26 +223,19 @@ let reselect_routing ?pop_size ?generations t rng =
       Genetic.Selector.make ~headroom:Topology.headroom t.rctx ~link_gbps:Topology.link_gbps
     in
     let flows = Array.map (fun f -> (f.src, f.dst)) fl in
-    (* Flows routed outside {RPS, VLB} keep their protocol but seed the
-       search as RPS. *)
-    let init =
-      Array.map (fun f -> if f.protocol = Routing.Vlb then Routing.Vlb else Routing.Rps) fl
-    in
-    let current = Genetic.Selector.aggregate_throughput_gbps selector ~flows init in
-    let best, fit = Genetic.Selector.select ?pop_size ?generations selector rng ~flows ~init in
-    let fit = U.to_float fit and current = U.to_float current in
-    if fit > current +. 1e-9 then begin
-      let changed = ref 0 in
-      Array.iteri
-        (fun i f ->
-          if f.protocol <> best.(i) then begin
-            incr changed;
-            set_protocol t f.id best.(i)
-          end)
-        fl;
-      !changed
-    end
-    else 0
+    let current = Array.map (fun f -> f.protocol) fl in
+    match Genetic.Selector.reselect selector rng ~flows ~current with
+    | Some best ->
+        let changed = ref 0 in
+        Array.iteri
+          (fun i f ->
+            if f.protocol <> best.(i) then begin
+              incr changed;
+              set_protocol t f.id best.(i)
+            end)
+          fl;
+        !changed
+    | None -> 0
   end
 
 let sample_packet_route t id rng =

@@ -6,8 +6,9 @@
     {!on_broadcast} and counted in {!control_bytes_sent}), tracks the
     global traffic matrix, computes weighted max-min allocations with
     headroom on {!recompute}, estimates demand for host-limited flows, and
-    periodically re-selects routing protocols for long flows to maximize
-    aggregate throughput.
+    re-selects routing protocols for long flows by §3.4's one rule,
+    {!Genetic.Selector.reselect}, which the simulator applies too: move
+    flows only if that raises aggregate throughput by more than 1%.
 
     The packet-level data plane lives in the [sim] library; this module is
     the control plane usable directly by applications and tests. *)
@@ -80,11 +81,13 @@ val active_flows : t -> (flow_id * int * int * Routing.protocol) list
 val aggregate_throughput_gbps : t -> Util.Units.gbps
 (** Sum of current allocations. *)
 
-val reselect_routing : ?pop_size:int -> ?generations:int -> t -> Util.Rng.t -> int
-(** §3.4: GA over the open flows' routing protocols maximizing aggregate
-    throughput; applies (and broadcasts) improved assignments. Returns the
-    number of flows whose protocol changed. Call {!recompute} afterwards to
-    refresh allocations. *)
+val reselect_routing : t -> Util.Rng.t -> int
+(** §3.4: {!Genetic.Selector.reselect} over the open flows' routing
+    protocols, with the selector's default GA budget: the GA's assignment
+    is applied (and each change broadcast) only if it beats the current
+    aggregate throughput by more than 1%. Returns the number of flows
+    whose protocol changed. Call {!recompute} afterwards to refresh
+    allocations. *)
 
 val sample_packet_route : t -> flow_id -> Util.Rng.t -> int array * int array
 (** Data plane helper: one packet's vertex path under the flow's current

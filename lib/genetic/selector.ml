@@ -1,25 +1,18 @@
-type utility =
-  | Aggregate_throughput
-  | Tail_throughput
-  | Tenant_tail of int array
-
 module U = Util.Units
 
 type t = {
   ctx : Routing.ctx;
   headroom : U.fraction;
   choices : Routing.protocol array;
-  utility : utility;
   capacities : U.byte_rate array;
 }
 
-let make ?(headroom = U.fraction 0.0) ?(utility = Aggregate_throughput) ctx ~link_gbps =
+let make ?(headroom = U.fraction 0.0) ctx ~link_gbps =
   let nl = Topology.link_count (Routing.topo ctx) in
   {
     ctx;
     headroom;
     choices = [| Routing.Rps; Routing.Vlb |];
-    utility;
     capacities = Array.make nl (U.byte_rate_of_gbps link_gbps);
   }
 
@@ -37,27 +30,8 @@ let rates_of t ~flows assignment =
 let aggregate_throughput_gbps t ~flows assignment =
   U.gbps (8.0 *. Array.fold_left ( +. ) 0.0 (rates_of t ~flows assignment))
 
-let utility_gbps t ~flows assignment =
-  let rates = rates_of t ~flows assignment in
-  match t.utility with
-  | Aggregate_throughput -> U.gbps (8.0 *. Array.fold_left ( +. ) 0.0 rates)
-  | Tail_throughput ->
-      if Array.length rates = 0 then U.gbps 0.0
-      else U.gbps (8.0 *. Array.fold_left Float.min rates.(0) rates)
-  | Tenant_tail tenants ->
-      if Array.length tenants <> Array.length flows then
-        invalid_arg "Selector: tenant map length mismatch";
-      let totals = Util.Itbl.create 8 in
-      Array.iteri
-        (fun i r ->
-          let tnt = tenants.(i) in
-          Util.Itbl.replace totals tnt
-            (r +. Option.value ~default:0.0 (Util.Itbl.find_opt totals tnt)))
-        rates;
-      let worst = Util.Itbl.fold_sorted (fun _ v acc -> Float.min v acc) totals infinity in
-      if worst = infinity then U.gbps 0.0 else U.gbps (8.0 *. worst)
-
-let uniform t ~flows proto = utility_gbps t ~flows (Array.make (Array.length flows) proto)
+let uniform t ~flows proto =
+  aggregate_throughput_gbps t ~flows (Array.make (Array.length flows) proto)
 
 let random_assignment t rng ~flows =
   Array.init (Array.length flows) (fun _ -> Util.Rng.pick rng t.choices)
@@ -80,7 +54,7 @@ let select ?(pop_size = 100) ?(generations = 30) t rng ~flows ~init =
     {
       Ga.genes = Array.length flows;
       choices = Array.length t.choices;
-      fitness = (fun genes -> U.to_float (utility_gbps t ~flows (decode genes)));
+      fitness = (fun genes -> U.to_float (aggregate_throughput_gbps t ~flows (decode genes)));
     }
   in
   (* Seed the uniform single-protocol assignments so the search can never
@@ -90,3 +64,11 @@ let select ?(pop_size = 100) ?(generations = 30) t rng ~flows ~init =
   in
   let best, fit = Ga.optimize ~pop_size ~generations ~seeds rng problem ~init:(encode init) in
   (decode best, U.gbps fit)
+
+(* §3.4: re-route only "if a significant improvement is possible" — near
+   ties would otherwise make flows flap between protocols. *)
+let reselect ?pop_size ?generations t rng ~flows ~current =
+  let init = Array.map (fun p -> if p = Routing.Vlb then Routing.Vlb else Routing.Rps) current in
+  let before = U.to_float (aggregate_throughput_gbps t ~flows init) in
+  let assignment, best = select ?pop_size ?generations t rng ~flows ~init in
+  if U.to_float best > before *. 1.01 then Some assignment else None

@@ -1,42 +1,27 @@
-(** Per-flow routing-protocol selection maximizing rack utility (paper
-    §3.4, evaluated in Fig. 18).
+(** Per-flow routing-protocol selection maximizing the rack's aggregate
+    throughput (paper §3.4, evaluated in Fig. 18).
 
-    §3.4: "Example utility metrics include the rack's aggregate throughput
-    or the tail throughput, as measured across tenants or even across jobs
-    and application tasks." All three are provided; the selector encodes
-    one gene per flow and searches protocol assignments with the genetic
-    algorithm, seeding the uniform single-protocol assignments so the
-    result is never below those baselines. *)
-
-type utility =
-  | Aggregate_throughput  (** sum of allocated rates *)
-  | Tail_throughput  (** minimum allocated flow rate *)
-  | Tenant_tail of int array
-      (** minimum over tenants of the tenant's summed rate; the array maps
-          each flow index to its tenant *)
+    The selector encodes one gene per flow and searches protocol
+    assignments with the genetic algorithm, seeding the uniform
+    single-protocol assignments so the result is never below those
+    baselines. {!reselect} is §3.4's rerouting rule, the one both the
+    simulator and the library stack apply: move flows only if the search
+    beats the current assignment by more than 1%. *)
 
 type t
 
-val make :
-  ?headroom:Util.Units.fraction -> ?utility:utility -> Routing.ctx -> link_gbps:Util.Units.gbps -> t
+val make : ?headroom:Util.Units.fraction -> Routing.ctx -> link_gbps:Util.Units.gbps -> t
 (** A selector between RPS and VLB, the two protocols the paper's Fig. 18
-    experiment selects between; [utility] defaults to
-    [Aggregate_throughput]. *)
+    experiment selects between. *)
 
 val aggregate_throughput_gbps :
   t -> flows:(int * int) array -> Routing.protocol array -> Util.Units.gbps
-(** Sum of allocated rates under one assignment, regardless of the
-    configured utility. *)
-
-val utility_gbps :
-  t -> flows:(int * int) array -> Routing.protocol array -> Util.Units.gbps
-(** The configured utility of one assignment for the given (src, dst)
-    flows. Raises [Invalid_argument] if a [Tenant_tail] map has the wrong
-    length. *)
+(** Sum of allocated rates under one assignment for the given (src, dst)
+    flows. Raises [Invalid_argument] on an assignment of another length. *)
 
 val uniform : t -> flows:(int * int) array -> Routing.protocol -> Util.Units.gbps
-(** Utility when every flow uses the same protocol (the RPS/VLB
-    baselines). *)
+(** Aggregate throughput when every flow uses the same protocol (the
+    RPS/VLB baselines). *)
 
 val random_assignment : t -> Util.Rng.t -> flows:(int * int) array -> Routing.protocol array
 
@@ -48,6 +33,21 @@ val select :
   flows:(int * int) array ->
   init:Routing.protocol array ->
   Routing.protocol array * Util.Units.gbps
-(** {!Ga.optimize} search (population 100 by default) seeded with the
-    current assignment and the uniform assignments; returns the best
-    assignment and its utility. *)
+(** {!Ga.optimize} search (population 100 and 30 generations by default)
+    seeded with the current assignment and the uniform assignments;
+    returns the best assignment and its aggregate throughput. *)
+
+val reselect :
+  ?pop_size:int ->
+  ?generations:int ->
+  t ->
+  Util.Rng.t ->
+  flows:(int * int) array ->
+  current:Routing.protocol array ->
+  Routing.protocol array option
+(** §3.4's rerouting decision for flows now routed with [current]: a
+    protocol outside RPS and VLB seeds the search as RPS, {!select} runs
+    with the given budget, and its assignment is returned only if it beats
+    the seeded assignment's aggregate throughput by more than 1% ("only if
+    a significant improvement is possible"); [None] keeps every flow where
+    it is. *)

@@ -1,6 +1,7 @@
 type control = Global_epoch | Per_node
 
 module U = Util.Units
+module Inc = Congestion.Waterfill.Inc
 
 type config = {
   link_gbps : U.gbps;
@@ -184,7 +185,6 @@ type fstate = {
   mutable visible : bool;  (** start broadcast reached every node *)
   mutable done_sending : bool;
   rtx : int Util.Itbl.t;  (** seq -> retransmission attempts so far *)
-  mutable failed : bool;  (** aborted: endpoint died or retries exhausted *)
   mutable btree : int;
       (** reliable mode: the tree carrying every event of this flow, so the
           per-(source, tree) window orders finish after start; -1 until the
@@ -221,7 +221,6 @@ type t = {
   root_rng : Util.Rng.t;
   mtrcs : Metrics.t;
   cap_bytes_ns : float;  (** link capacity, wire bytes per ns (hot path, raw) *)
-  capacities : U.byte_rate array;
   mutable flows : fstate option array;
       (** the flow table, indexed by flow id: ids are handed out in start
           order, and a shed flow's slot stays [None]. Grown by doubling. *)
@@ -237,9 +236,11 @@ type t = {
   mutable loops : int;  (** one bit per periodic loop now scheduled *)
   mutable reselections : int;
   mutable flows_rerouted : int;
-  galloc : Congestion.Waterfill.Inc.t option;
-      (** Global_epoch: incremental allocator mirroring the visible,
-          still-sending flow set; clean epochs are skipped in O(1) *)
+  alloc : Inc.t;
+      (** the one water-filler, with the run's headroom and class reserve.
+          Global_epoch feeds it the visible, still-sending flow set as
+          events arrive, so a clean epoch is skipped in O(1); Per_node
+          refills it with each sender's believed flows *)
   mutable epoch_dirty : bool;
       (** Per_node: any view/flow event since the last epoch; a clean epoch
           leaves every node's rates untouched and is skipped *)
@@ -321,25 +322,25 @@ let iter_live t f =
 (* Every event that can change the next rate computation funnels through
    these: the flow set (visibility, completion), demands and routes. *)
 
+let add_to_alloc t st =
+  Inc.add_flow ~weight:st.weight ~priority:st.priority ?demand:st.demand t.alloc ~id:st.idx
+    st.wf_links
+
+(* Global_epoch only: whether [st] is in the incrementally fed allocator. *)
+let fed t st = t.cfg.control = Global_epoch && Inc.mem t.alloc ~id:st.idx
+
 let mark_visible t st =
   if not st.visible then begin
     st.visible <- true;
     t.epoch_dirty <- true;
-    match t.galloc with
-    | Some inc when not st.done_sending ->
-        Congestion.Waterfill.Inc.add_flow ~weight:st.weight ~priority:st.priority
-          ?demand:st.demand inc ~id:st.idx st.wf_links
-    | _ -> ()
+    if t.cfg.control = Global_epoch && not st.done_sending then add_to_alloc t st
   end
 
 let flow_done_sending t st =
   if not st.done_sending then begin
     st.done_sending <- true;
     t.epoch_dirty <- true;
-    match t.galloc with
-    | Some inc when Congestion.Waterfill.Inc.mem inc ~id:st.idx ->
-        Congestion.Waterfill.Inc.remove_flow inc ~id:st.idx
-    | _ -> ()
+    if fed t st then Inc.remove_flow t.alloc ~id:st.idx
   end
 
 (* Re-path a flow under [proto] over the current graph; its allocator row
@@ -348,10 +349,7 @@ let reroute t st proto =
   st.proto <- proto;
   st.wf_links <- Routing.fractions t.rctx proto ~src:st.src ~dst:st.dst;
   t.epoch_dirty <- true;
-  match t.galloc with
-  | Some inc when Congestion.Waterfill.Inc.mem inc ~id:st.idx ->
-      Congestion.Waterfill.Inc.set_links inc ~id:st.idx st.wf_links
-  | _ -> ()
+  if fed t st then Inc.set_links t.alloc ~id:st.idx st.wf_links
 
 (* After a rate epoch executes, every allocation reflects all events known
    so far — including any detected failure: that is the reconvergence
@@ -583,16 +581,12 @@ let apply_rate t st (r : U.byte_rate) =
     t.rate_updates <- (Engine.now t.eng, U.gbps (r *. 8.0)) :: t.rate_updates
   end
 
-let wf_of st =
-  Congestion.Waterfill.flow ~weight:st.weight ~priority:st.priority ?demand:st.demand ~id:st.idx
-    st.wf_links
-
 (* Water-filling over every flow the node believes exists — its view plus
    [own], flows it sources and so always knows — in ascending id order.
    [own] must be in descending id order. Between a crash and its detection
    a crashed sender's live flows are missing from its cleared view, and
-   [own] still holds them. Returns the flows and their rates, index for
-   index. *)
+   [own] still holds them. Refills the allocator with those flows and
+   returns them; their rates are read from it. *)
 let believed_allocation t ~node ~own =
   let ids = Replicas.believed t.reps ~replica:node in
   (* Merge from the top of both, so the result comes out ascending. *)
@@ -603,10 +597,11 @@ let believed_allocation t ~node ~own =
     | _ when i < 0 -> acc
     | _ -> merge (i - 1) own (match find_flow t ids.(i) with Some st -> st :: acc | None -> acc)
   in
-  let flows = Array.of_list (merge (Array.length ids - 1) own []) in
-  ( flows,
-    Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
-      ~capacities:t.capacities (Array.map wf_of flows) )
+  let flows = merge (Array.length ids - 1) own [] in
+  Inc.clear t.alloc;
+  List.iter (add_to_alloc t) flows;
+  Inc.allocate t.alloc;
+  flows
 
 (* Per-node control (§3.3, the paper's actual design): every sender runs
    water-filling over its own broadcast-built view of the traffic matrix
@@ -621,9 +616,11 @@ let recompute_per_node t =
   Array.iteri
     (fun node own ->
       if own <> [] then begin
-        let flows, rates = believed_allocation t ~node ~own in
+        let flows = believed_allocation t ~node ~own in
         t.recomputes <- t.recomputes + 1;
-        Array.iteri (fun i st -> if st.src = node then apply_rate t st rates.(i)) flows
+        List.iter
+          (fun st -> if st.src = node then apply_rate t st (Inc.rate t.alloc ~id:st.idx))
+          flows
       end)
     own
 
@@ -633,12 +630,11 @@ let recompute_per_node t =
    Per_node. The incremental allocator is kept in sync by the visibility /
    completion / reroute events, so an epoch with no event returns the
    cached rates in O(1) and applies nothing. *)
-let recompute_global t inc =
-  let open Congestion.Waterfill in
-  if Inc.live_flows inc > 0 && Inc.is_dirty inc then begin
+let recompute_global t =
+  if Inc.live_flows t.alloc > 0 && Inc.is_dirty t.alloc then begin
     t.recomputes <- t.recomputes + 1;
-    Inc.allocate inc;
-    Inc.iter_rates inc (fun ~id ~rate ->
+    Inc.allocate t.alloc;
+    Inc.iter_rates t.alloc (fun ~id ~rate ->
         match find_flow t id with Some st when st.live -> apply_rate t st rate | _ -> ())
   end
 
@@ -655,9 +651,7 @@ let update_loss_ewma t =
     let module L = Congestion.Overload.Loss_headroom in
     if dh > 0 then t.loss_ewma <- L.ewma t.loss_ewma ~lost:dl ~sent:dh;
     t.eff_headroom <- L.effective ~headroom:t.cfg.headroom t.loss_ewma;
-    match t.galloc with
-    | Some inc -> Congestion.Waterfill.Inc.set_headroom inc (U.fraction t.eff_headroom)
-    | None -> ()
+    Inc.set_headroom t.alloc (U.fraction t.eff_headroom)
   end
 
 (* -- view-divergence watchdog --------------------------------------------- *)
@@ -725,10 +719,9 @@ let overload_tick t =
 let recompute t =
   overload_tick t;
   update_loss_ewma t;
-  (match (t.cfg.control, t.galloc) with
-  | Global_epoch, Some inc -> recompute_global t inc
-  | Global_epoch, None -> assert false
-  | Per_node, _ ->
+  (match t.cfg.control with
+  | Global_epoch -> recompute_global t
+  | Per_node ->
       if t.epoch_dirty then begin
         t.epoch_dirty <- false;
         recompute_per_node t
@@ -753,26 +746,20 @@ let reselect t interval =
       Genetic.Selector.make ~headroom:t.cfg.headroom t.rctx ~link_gbps:t.cfg.link_gbps
     in
     let flows = Array.map (fun st -> (st.src, st.dst)) sts in
-    let init = Array.map (fun st -> st.proto) sts in
-    (* Flows currently on protocols outside {RPS, VLB} seed as RPS. *)
-    let init =
-      Array.map (fun p -> if p = Routing.Vlb then Routing.Vlb else Routing.Rps) init
-    in
-    let current = Genetic.Selector.utility_gbps selector ~flows init in
-    let assignment, best =
-      Genetic.Selector.select ~pop_size:24 ~generations:6 selector t.rng ~flows ~init
-    in
-    (* §3.4: re-route only "if a significant improvement is possible" —
-       near-ties would otherwise make flows flap between protocols. *)
+    let current = Array.map (fun st -> st.proto) sts in
     let changed = ref 0 in
-    if (best : U.gbps :> float) > (current : U.gbps :> float) *. 1.01 then
-      Array.iteri
-        (fun i st ->
-          if assignment.(i) <> st.proto then begin
-            incr changed;
-            reroute t st assignment.(i)
-          end)
-        sts;
+    (match
+       Genetic.Selector.reselect ~pop_size:24 ~generations:6 selector t.rng ~flows ~current
+     with
+    | Some assignment ->
+        Array.iteri
+          (fun i st ->
+            if assignment.(i) <> st.proto then begin
+              incr changed;
+              reroute t st assignment.(i)
+            end)
+          sts
+    | None -> ());
     t.flows_rerouted <- t.flows_rerouted + !changed;
     if !changed > 0 then begin
       (* One batched route-change announcement: 16-byte header plus 5 bytes
@@ -838,10 +825,12 @@ let control_converged t =
   !ok
 
 (* Failure -> topology-discovery latency: twice the time a broadcast packet
-   needs to cross the rack diameter. *)
-let detection_delay t =
-  let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-  2 * Topology.diameter t.topo * (Topology.hop_latency_ns + tx)
+   needs to cross the rack diameter, serialized at every hop as [Net]
+   does. *)
+let detection_delay cfg topo =
+  let bits = U.bits_of_bytes (U.bytes (float_of_int Wire.broadcast_size)) in
+  let tx = U.to_float (U.fill_time ~amount:bits ~rate:cfg.link_gbps) in
+  2 * Topology.diameter topo * (Topology.hop_latency_ns + int_of_float (ceil tx))
 
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
@@ -855,7 +844,7 @@ let check_rejoins t =
            unreachable and the catch-up check would pass vacuously —
            stamping a zero-length rejoin before the JOIN even went out. *)
         if
-          now >= Util.Itbl.find t.pending_rejoins node + detection_delay t
+          now >= Util.Itbl.find t.pending_rejoins node + detection_delay t.cfg t.topo
           && Net.node_up t.net node && node_caught_up t ~node
         then begin
           let start = Util.Itbl.find t.pending_rejoins node in
@@ -998,8 +987,7 @@ let start_health t =
 (* Dead-endpoint flows cannot recover; they are dropped from the rack state
    entirely (active set, allocator, per-node views) and reported. *)
 let abort_flow t st =
-  if not st.failed then begin
-    st.failed <- true;
+  if st.live then begin
     t.aborted <- st.idx :: t.aborted;
     st.inject_gen <- st.inject_gen + 1;
     flow_done_sending t st;
@@ -1112,14 +1100,14 @@ let schedule_event ?(detected = ignore) t ~ns kind phys overlay =
         {
           kind;
           fail_ns = ns;
-          detect_ns = ns + detection_delay t;
+          detect_ns = ns + detection_delay t.cfg t.topo;
           reconverge_ns = -1;
           aborted = 0;
           repaired = 0;
         }
       in
       t.failures <- fr :: t.failures;
-      Engine.after t.eng (detection_delay t) (fun () ->
+      Engine.after t.eng (detection_delay t.cfg t.topo) (fun () ->
           detect t fr overlay;
           detected ();
           (* The rack may have gone quiet before this event was detected
@@ -1286,7 +1274,11 @@ let create cfg topo =
   Net.set_broadcast net bcast;
   let nverts = Topology.vertex_count topo in
   let cap = U.byte_rate_of_gbps cfg.link_gbps in
-  let capacities = Array.make (Topology.link_count topo) cap in
+  let alloc =
+    Inc.create ~headroom:cfg.headroom ~capacities:(Array.make (Topology.link_count topo) cap) ()
+  in
+  if cfg.overload_control then
+    Inc.set_class_reserve alloc ~priority:reserve_priority ~reserve:class_reserve;
   let t =
     {
       cfg;
@@ -1299,7 +1291,6 @@ let create cfg topo =
       root_rng = Util.Rng.create (cfg.seed + 7);
       mtrcs = Metrics.create ();
       cap_bytes_ns = U.to_float cap;
-      capacities;
       flows = Array.make (max 256 nverts) None;
       live_flows = 0;
       nverts;
@@ -1311,10 +1302,7 @@ let create cfg topo =
       loops = 0;
       reselections = 0;
       flows_rerouted = 0;
-      galloc =
-        (if cfg.control = Global_epoch then
-           Some (Congestion.Waterfill.Inc.create ~headroom:cfg.headroom ~capacities ())
-         else None);
+      alloc;
       epoch_dirty = false;
       bcast_target = nverts - 1;
       injected_payload = 0;
@@ -1371,12 +1359,6 @@ let create cfg topo =
   if cfg.queue_high_watermark < max_int then
     Net.set_queue_watermarks net ~high:cfg.queue_high_watermark
       ~low:cfg.queue_low_watermark;
-  (if cfg.overload_control then
-     match t.galloc with
-     | Some inc ->
-         Congestion.Waterfill.Inc.set_class_reserve inc ~priority:reserve_priority
-           ~reserve:class_reserve
-     | None -> ());
   (* Broadcast copies arriving anywhere bump the receipt counter; once all
      other vertices have a copy, the flow is globally visible. Per-node
      views learn flow starts/finishes from the same deliveries. In reliable
@@ -1564,7 +1546,6 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
       rtx = Util.Itbl.create 8;
       (* measured: empty on loss-free runs; only tail-drop/failure
          retransmission timers land here, a handful per flow *)
-      failed = false;
       btree = -1;
       live = true;
       starts_seen = 0;
@@ -1613,8 +1594,9 @@ let node_view_ids t ~node =
 let node_allocations t ~node =
   if t.cfg.control <> Per_node then
     invalid_arg "R2c2_sim.node_allocations: Per_node control only";
-  let flows, rates = believed_allocation t ~node ~own:[] in
-  Array.mapi (fun i st -> (st.idx, rates.(i))) flows
+  believed_allocation t ~node ~own:[]
+  |> List.map (fun st -> (st.idx, Inc.rate t.alloc ~id:st.idx))
+  |> Array.of_list
 
 let results t =
   {

@@ -81,16 +81,19 @@ val default_config : config
     100 µs, 64 Ki replay log, no chaos.
 
     Fixed for every run: the {!Topology} MTU, hop latency and broadcast
-    trees per source; failure detection takes twice the time a
-    broadcast packet needs to cross the rack diameter (§3.2 topology
-    discovery); a gap is NACKed (and re-NACKed) every 20 µs; under
-    reliable broadcast the waterfill reserves
-    [min 0.30 (headroom + 2 * loss EWMA)] instead of the static
-    [headroom], so stale views overbook less under loss. *)
+    trees per source; failure detection takes {!detection_delay}; a gap
+    is NACKed (and re-NACKed) every 20 µs; under reliable broadcast the
+    waterfill reserves [min 0.30 (headroom + 2 * loss EWMA)] instead of
+    the static [headroom], so stale views overbook less under loss. *)
 
 val rejoin_retry_ns : int
 (** 500 µs: the period between JOIN re-announcements while a restarted
     node is still catching up. *)
+
+val detection_delay : config -> Topology.t -> int
+(** The failure-detection delay in ns (§3.2 topology discovery): twice the
+    time a 16-byte broadcast packet needs to cross the rack diameter at
+    [link_gbps]. A fault is detected this long after it happens. *)
 
 type failure = {
   kind : string;

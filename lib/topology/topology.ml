@@ -483,24 +483,6 @@ let tree_children parent ~root =
   done;
   children
 
-let tree_depth parent ~root =
-  let n = Array.length parent in
-  let depth = Array.make n (-1) in
-  depth.(root) <- 0;
-  let rec depth_of v =
-    if depth.(v) >= 0 then depth.(v)
-    else begin
-      let d = depth_of parent.(v) + 1 in
-      depth.(v) <- d;
-      d
-    end
-  in
-  let m = ref 0 in
-  for v = 0 to n - 1 do
-    if parent.(v) >= 0 then m := max !m (depth_of v)
-  done;
-  !m
-
 let pp ppf t =
   let pp_dims ppf dims =
     Format.pp_print_list

@@ -185,9 +185,6 @@ val tree_children : int array -> root:node -> node list array
 (** Children adjacency of a parent array as produced by
     {!shortest_path_tree}. *)
 
-val tree_depth : int array -> root:node -> int
-(** Maximum root-to-leaf hop count of a parent-array tree. *)
-
 val bridge : t -> t -> cables:(node * node) list -> t
 (** [bridge a b ~cables] composes two racks into one fabric by adding
     direct cables — the switchless inter-rack interconnect sketched in the

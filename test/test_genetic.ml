@@ -64,8 +64,7 @@ let selector_ctx = lazy (Routing.make (Topology.torus [| 4; 4; 4 |]))
 
 module U = Util.Units
 
-let mk_selector ?utility () =
-  Genetic.Selector.make ?utility (Lazy.force selector_ctx) ~link_gbps:Topology.link_gbps
+let mk_selector () = Genetic.Selector.make (Lazy.force selector_ctx) ~link_gbps:Topology.link_gbps
 
 let permutation_flows load seed =
   let topo = Routing.topo (Lazy.force selector_ctx) in
@@ -120,47 +119,6 @@ let selector_low_load_prefers_nonminimal_sometimes () =
     (Printf.sprintf "adaptive %.2f > rps %.2f" adaptive rps)
     true (adaptive >= rps)
 
-let selector_tail_utility () =
-  (* Tail utility optimizes the worst flow; must also never fall below the
-     uniform baselines under the same metric. *)
-  let sel = mk_selector ~utility:Genetic.Selector.Tail_throughput () in
-  let flows = permutation_flows 0.5 41 in
-  let rng = Util.Rng.create 43 in
-  let init = Array.make (Array.length flows) Routing.Rps in
-  let rps = U.to_float (Genetic.Selector.uniform sel ~flows Routing.Rps) in
-  let vlb = U.to_float (Genetic.Selector.uniform sel ~flows Routing.Vlb) in
-  let _, best_q = Genetic.Selector.select ~pop_size:30 ~generations:8 sel rng ~flows ~init in
-  let best = U.to_float best_q in
-  Alcotest.(check bool)
-    (Printf.sprintf "tail %.2f >= max(%.2f, %.2f)" best rps vlb)
-    true
-    (best >= Float.max rps vlb -. 1e-6);
-  (* Tail <= aggregate / flows for any assignment. *)
-  let agg = U.to_float (Genetic.Selector.aggregate_throughput_gbps sel ~flows init) in
-  let tail = U.to_float (Genetic.Selector.utility_gbps sel ~flows init) in
-  Alcotest.(check bool) "tail below mean" true
-    (tail <= (agg /. float_of_int (Array.length flows)) +. 1e-6)
-
-let selector_tenant_tail () =
-  let flows = permutation_flows 0.5 47 in
-  let n = Array.length flows in
-  let tenants = Array.init n (fun i -> i mod 2) in
-  let sel = mk_selector ~utility:(Genetic.Selector.Tenant_tail tenants) () in
-  let assignment = Array.make n Routing.Rps in
-  let per_flow_sel = mk_selector ~utility:Genetic.Selector.Aggregate_throughput () in
-  let agg = U.to_float (Genetic.Selector.aggregate_throughput_gbps per_flow_sel ~flows assignment) in
-  let tenant_tail = U.to_float (Genetic.Selector.utility_gbps sel ~flows assignment) in
-  (* The worse tenant holds at most half the aggregate. *)
-  Alcotest.(check bool) "tenant tail <= aggregate/2" true (tenant_tail <= (agg /. 2.0) +. 1e-6);
-  Alcotest.(check bool) "positive" true (tenant_tail > 0.0)
-
-let selector_tenant_tail_validates () =
-  let flows = permutation_flows 0.25 53 in
-  let sel = mk_selector ~utility:(Genetic.Selector.Tenant_tail [| 0 |]) () in
-  Alcotest.check_raises "bad tenant map"
-    (Invalid_argument "Selector: tenant map length mismatch") (fun () ->
-      ignore (Genetic.Selector.utility_gbps sel ~flows (Array.make (Array.length flows) Routing.Rps)))
-
 let selector_rejects_bad_lengths () =
   let sel = mk_selector () in
   let flows = permutation_flows 0.25 37 in
@@ -185,8 +143,5 @@ let suites =
         tc "adaptive >= best uniform baseline (Fig 18)" selector_beats_or_matches_baselines;
         tc "low load benefits from flexibility" selector_low_load_prefers_nonminimal_sometimes;
         tc "rejects bad assignment lengths" selector_rejects_bad_lengths;
-        tc "tail-throughput utility (SS3.4)" selector_tail_utility;
-        tc "tenant-tail utility (SS3.4)" selector_tenant_tail;
-        tc "tenant map validated" selector_tenant_tail_validates;
       ] );
   ]

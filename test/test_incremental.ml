@@ -244,6 +244,55 @@ let inc_input_validation () =
         (Congestion.Waterfill.Inc.create ~headroom:(U.fraction 1.0)
            ~capacities:(caps [| 1.0 |]) ()))
 
+(* Per-node control refills one allocator for every sender: after [clear]
+   and the same [add_flow] calls it must return exactly what a fresh state
+   with the same settings returns, whatever the previous fill left in its
+   buffers. Without a class reserve, that fresh state is what
+   {!Waterfill.allocate} runs. *)
+let cleared_inc_matches_fresh () =
+  let module W = Congestion.Waterfill in
+  let topo = Topology.torus [| 4; 4 |] in
+  let ctx = Routing.make topo in
+  let rng = Util.Rng.create 61 in
+  let capacities =
+    Array.init (Topology.link_count topo) (fun _ -> U.byte_rate (0.5 +. Util.Rng.float rng 1.0))
+  in
+  let reused = W.Inc.create ~capacities () in
+  let bits = Int64.bits_of_float in
+  for _trial = 1 to 200 do
+    let headroom = U.fraction (Util.Rng.float rng 0.3) in
+    let reserve = if Util.Rng.bool rng then 0.0 else Util.Rng.float rng 0.4 in
+    let reserve_priority = Util.Rng.int rng 3 in
+    let fresh = W.Inc.create ~headroom ~capacities () in
+    W.Inc.set_headroom reused headroom;
+    W.Inc.clear reused;
+    let base = Util.Rng.int rng 1_000 in
+    let flows =
+      Array.init (Util.Rng.int rng 40) (fun i ->
+          let weight = 0.5 +. Util.Rng.float rng 2.5 and priority = Util.Rng.int rng 3 in
+          let demand = random_demand rng in
+          W.flow ~weight ~priority ?demand ~id:(base + (3 * i)) (random_links ctx rng))
+    in
+    List.iter
+      (fun inc ->
+        W.Inc.set_class_reserve inc ~priority:reserve_priority ~reserve:(U.fraction reserve);
+        Array.iter
+          (fun (f : W.flow) ->
+            W.Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:f.id
+              f.row)
+          flows;
+        W.Inc.allocate inc)
+      [ fresh; reused ];
+    let oneshot = U.floats_of (W.allocate ~headroom ~capacities flows) in
+    Array.iteri
+      (fun i (f : W.flow) ->
+        let got = bits (inc_rate reused ~id:f.id) in
+        Alcotest.(check int64) (Printf.sprintf "flow %d" f.id) (bits (inc_rate fresh ~id:f.id)) got;
+        if reserve = 0.0 then
+          Alcotest.(check int64) (Printf.sprintf "flow %d, allocate" f.id) (bits oneshot.(i)) got)
+      flows
+  done
+
 (* The shared-row contract: two allocators take their rows from one 8x8x8
    routing context, so every row they hold is the context's cached row,
    shared by reference. Under random open, close, demand and reroute churn
@@ -451,6 +500,7 @@ let suites =
         tc "matches the full-transpose model bit for bit on 4x4 and 8x8x8" matches_model_bit_for_bit;
         tc "clean epoch performs zero heap operations" clean_epoch_zero_heap_ops;
         tc "debug counters reset per allocate call" counters_reset_per_allocate;
+        tc "a cleared and refilled Inc matches a fresh allocate bit for bit" cleared_inc_matches_fresh;
         tc "two allocators share rows and never write them" allocators_share_rows;
         tc "warm add_flow of a cached row allocates nothing" add_flow_allocates_nothing;
         tc "a warm dirty recompute allocates nothing" warm_recompute_allocates_nothing;

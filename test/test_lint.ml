@@ -691,6 +691,23 @@ let cmt_preflight_diagnoses () =
       Alcotest.(check bool) "fresh tree passes" true
         (Lint_typed.cmt_root_problem ~cmt_root:dir = None))
 
+(* The lint rule walks build directories while dune still renames and
+   deletes artifacts in them: an entry listed by [Sys.readdir] may be gone
+   when the walk checks it. A dangling symlink is such an entry. *)
+let walk_skips_vanished_entries () =
+  let dir = "lint_fixture_walk" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let kept = Filename.concat dir "kept.ml" and gone = Filename.concat dir "gone.ml" in
+  close_out (open_out kept);
+  Unix.symlink "no_such_target.ml" gone;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove [ kept; gone ];
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check (list string)) "the vanished entry is skipped" [ kept ]
+        (Lint_core.ml_files_under dir))
+
 (* -- whole-tree gate ------------------------------------------------------ *)
 
 let repo_tree_is_clean () =
@@ -787,6 +804,7 @@ let suites =
         tc "driver: .mli stale allow reported" driver_mli_stale_allow;
         tc "init spans: windows parsed" init_spans_windows;
         tc "driver: cmt-root pre-flight diagnoses" cmt_preflight_diagnoses;
+        tc "walk skips entries that vanished" walk_skips_vanished_entries;
         tc "repo tree is lint-clean" repo_tree_is_clean;
       ] );
   ]

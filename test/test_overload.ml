@@ -457,6 +457,22 @@ let sim_overload_default_off () =
     (List.length bg + List.length incast)
     (Sim.Metrics.completed_count r.metrics)
 
+let sim_class_reserve_both_modes () =
+  (* The reserve belongs to the simulator's one allocator, so it holds in
+     both control modes: a lone class-1 flow to a neighbour gets its one
+     link less the 5% headroom and the 20% slice kept for class 0. *)
+  let rate control =
+    let cfg = { (overload_cfg ~on:true) with control } in
+    let t = Sim.R2c2_sim.create cfg (Topology.torus [| 4; 4 |]) in
+    ignore (Sim.R2c2_sim.start_flow ~priority:1 t ~src:0 ~dst:1 ~size:10_000_000);
+    Sim.R2c2_sim.run_engine ~until_ns:100_000 t;
+    match List.rev (Sim.R2c2_sim.results t).rate_updates with
+    | (_, gbps) :: _ -> U.to_float gbps
+    | [] -> Alcotest.fail "no rate epoch ran"
+  in
+  check_float "Global_epoch" 7.5 (rate Sim.R2c2_sim.Global_epoch);
+  check_float "Per_node" 7.5 (rate Sim.R2c2_sim.Per_node)
+
 let scenario_slo_invariant_fires () =
   (* An unattainable bound must trip both latency monitors. *)
   let t, bg, _ = mk_overload_sim ~on:false in
@@ -510,6 +526,7 @@ let suites =
       [
         tc "sheds and paces under incast" sim_sheds_and_paces_under_incast;
         tc "default-off is inert" sim_overload_default_off;
+        tc "Per_node honours the class reserve" sim_class_reserve_both_modes;
         tc "slo invariants fire" scenario_slo_invariant_fires;
       ] );
   ]

@@ -137,7 +137,7 @@ let reselect_improves_throughput () =
     specs;
   R2c2.Stack.recompute st;
   let before = U.to_float (R2c2.Stack.aggregate_throughput_gbps st) in
-  let changed = R2c2.Stack.reselect_routing ~pop_size:30 ~generations:8 st (Util.Rng.create 9) in
+  let changed = R2c2.Stack.reselect_routing st (Util.Rng.create 9) in
   R2c2.Stack.recompute st;
   let after = U.to_float (R2c2.Stack.aggregate_throughput_gbps st) in
   Alcotest.(check bool)

@@ -146,11 +146,6 @@ let tree_children_sizes () =
   let total = Array.fold_left (fun acc c -> acc + List.length c) 0 children in
   Alcotest.(check int) "n-1 edges" 15 total
 
-let tree_depth_torus () =
-  let t = Lazy.force torus888 in
-  let parent = Topology.shortest_path_tree t ~root:0 ~variant:0 in
-  Alcotest.(check int) "depth = diameter" 12 (Topology.tree_depth parent ~root:0)
-
 (* A cable is removed by failing it on the down-state overlay; a fresh
    torus, since the overlay mutates it. *)
 let remove_link_reroutes () =
@@ -252,7 +247,6 @@ let suites =
         tc "spanning tree is shortest-path" spanning_tree_is_shortest;
         tc "tree variants differ" tree_variants_differ;
         tc "tree children count" tree_children_sizes;
-        tc "tree depth equals diameter" tree_depth_torus;
         tc "remove_link reroutes" remove_link_reroutes;
         tc "remove_link validates" remove_link_rejects_non_adjacent;
         tc "hypercube structure" hypercube_structure;

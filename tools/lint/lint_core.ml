@@ -850,16 +850,19 @@ let lint_file ~in_lib file = lint_source ~file ~in_lib (read_file file)
 
 (* -- tree walking -------------------------------------------------------- *)
 
+(* An entry that is gone by the time it is checked is skipped: a build
+   running next to the walk renames and deletes its artifacts, and a
+   dangling symlink looks the same. *)
 let rec files_under ~suffix path =
-  if Sys.is_directory path then begin
-    let entries = Sys.readdir path in
-    Array.sort String.compare entries (* Sys.readdir order is unspecified *);
-    Array.fold_left
-      (fun acc e -> acc @ files_under ~suffix (Filename.concat path e))
-      [] entries
-  end
-  else if Filename.check_suffix path suffix then [ path ]
-  else []
+  match Sys.is_directory path with
+  | exception Sys_error _ -> []
+  | true ->
+      let entries = try Sys.readdir path with Sys_error _ -> [||] in
+      Array.sort String.compare entries (* Sys.readdir order is unspecified *);
+      Array.fold_left
+        (fun acc e -> acc @ files_under ~suffix (Filename.concat path e))
+        [] entries
+  | false -> if Filename.check_suffix path suffix then [ path ] else []
 
 let ml_files_under = files_under ~suffix:".ml"
 let mli_files_under = files_under ~suffix:".mli"
