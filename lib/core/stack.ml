@@ -17,7 +17,7 @@ type flow = {
          sequence window at each receiver orders finish after start *)
   mutable protocol : Routing.protocol;
   mutable demand_gbps : U.gbps option;
-  demand_estimator : Congestion.Demand.t option ref;
+  mutable demand_estimator : Congestion.Demand.t option;
 }
 
 type t = {
@@ -38,18 +38,13 @@ type t = {
   mutable event_retransmits : int;
   mutable syncs_sent : int;
   mutable loss_ewma : float;  (* raw EWMA state; exposed as a fraction *)
-  mutable eff_headroom : float;  (* raw; exposed/applied as a fraction *)
-  capacities : U.byte_rate array;
   alloc : Congestion.Waterfill.Inc.t;
       (* incremental epoch state: patched on every flow event, so a
-         recompute with no intervening event is O(1); every rate is read
-         from it *)
+         recompute with no intervening event is O(1); every rate and the
+         loss-scaled headroom are read from it *)
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
-  let capacities =
-    Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps)
-  in
   {
     cfg = config;
     topo;
@@ -66,9 +61,11 @@ let create ?(config = default_config) ?(seed = 1) topo =
     event_retransmits = 0;
     syncs_sent = 0;
     loss_ewma = 0.0;
-    eff_headroom = (Topology.headroom :> float);
-    capacities;
-    alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities ();
+    alloc =
+      Congestion.Waterfill.Inc.create ~headroom:Topology.headroom
+        ~capacities:
+          (Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps))
+        ();
   }
 
 let topology t = t.topo
@@ -151,7 +148,7 @@ let open_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) t ~src ~ds
       tree = Broadcast.choose_tree t.bcast t.rng ~src;
       protocol;
       demand_gbps = None;
-      demand_estimator = ref None;
+      demand_estimator = None;
     }
   in
   Util.Itbl.replace t.flows id f;
@@ -183,11 +180,11 @@ let set_protocol t id proto =
 let observe_sender_queue t id ~queued_bytes ~period_ns =
   let f = find t id in
   let est =
-    match !(f.demand_estimator) with
+    match f.demand_estimator with
     | Some e -> e
     | None ->
         let e = Congestion.Demand.create ~period_ns () in
-        f.demand_estimator := Some e;
+        f.demand_estimator <- Some e;
         e
   in
   let alloc = Congestion.Waterfill.Inc.rate t.alloc ~id in
@@ -246,7 +243,7 @@ let sample_packet_route t id rng =
 let control_bytes_sent t = t.control_bytes
 let reliability_bytes_sent t = t.reliability_bytes
 let loss_ewma t = U.fraction t.loss_ewma
-let effective_headroom t = U.fraction t.eff_headroom
+let effective_headroom t = Congestion.Waterfill.Inc.headroom t.alloc
 let syncs_sent t = t.syncs_sent
 let event_retransmits t = t.event_retransmits
 let last_seq t ~tree = Rbcast.last_seq t.origin ~tree
@@ -337,11 +334,8 @@ let note_control_loss t ~sent ~lost =
   if sent > 0 then begin
     let module L = Congestion.Overload.Loss_headroom in
     t.loss_ewma <- L.ewma t.loss_ewma ~lost ~sent;
-    let eff = L.effective ~headroom:Topology.headroom t.loss_ewma in
-    if eff <> t.eff_headroom then begin
-      t.eff_headroom <- eff;
-      Congestion.Waterfill.Inc.set_headroom t.alloc (U.fraction eff)
-    end
+    Congestion.Waterfill.Inc.set_headroom t.alloc
+      (U.fraction (L.effective ~headroom:Topology.headroom t.loss_ewma))
   end
 
 let notify_failure t =
@@ -377,7 +371,7 @@ let notify_failure t =
   Array.iter (fun f -> emit_broadcast t f Wire.Flow_start) fl;
   Array.iter
     (fun f ->
-      if f.demand_gbps <> None || !(f.demand_estimator) <> None then
+      if f.demand_gbps <> None || f.demand_estimator <> None then
         emit_broadcast t f Wire.Demand_update)
     fl;
   List.rev !dropped

@@ -1,34 +1,37 @@
 module U = Util.Units
+module Inc = Congestion.Waterfill.Inc
 
 type t = {
   ctx : Routing.ctx;
-  headroom : U.fraction;
   choices : Routing.protocol array;
-  capacities : U.byte_rate array;
+  alloc : Inc.t;  (* refilled by every evaluation *)
 }
 
 let make ?(headroom = U.fraction 0.0) ctx ~link_gbps =
   let nl = Topology.link_count (Routing.topo ctx) in
   {
     ctx;
-    headroom;
     choices = [| Routing.Rps; Routing.Vlb |];
-    capacities = Array.make nl (U.byte_rate_of_gbps link_gbps);
+    alloc = Inc.create ~headroom ~capacities:(Array.make nl (U.byte_rate_of_gbps link_gbps)) ();
   }
 
-let rates_of t ~flows assignment =
-  if Array.length assignment <> Array.length flows then
-    invalid_arg "Selector: assignment length mismatch";
-  let wf =
-    Array.mapi
-      (fun i (src, dst) ->
-        Congestion.Waterfill.flow ~id:i (Routing.fractions t.ctx assignment.(i) ~src ~dst))
-      flows
-  in
-  U.floats_of (Congestion.Waterfill.allocate ~headroom:t.headroom ~capacities:t.capacities wf)
-
+(* One allocator for every evaluation: a cleared and refilled [Inc]
+   computes a fresh [Waterfill.allocate]'s rates bit for bit, and flow [i]
+   is slot [i] of [flows]. *)
 let aggregate_throughput_gbps t ~flows assignment =
-  U.gbps (8.0 *. Array.fold_left ( +. ) 0.0 (rates_of t ~flows assignment))
+  let n = Array.length flows in
+  if Array.length assignment <> n then invalid_arg "Selector: assignment length mismatch";
+  Inc.clear t.alloc;
+  Array.iteri
+    (fun i (src, dst) ->
+      Inc.add_flow t.alloc ~id:i (Routing.fractions t.ctx assignment.(i) ~src ~dst))
+    flows;
+  Inc.allocate t.alloc;
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. (Inc.rate t.alloc ~id:i :> float)
+  done;
+  U.gbps (8.0 *. !sum)
 
 let uniform t ~flows proto =
   aggregate_throughput_gbps t ~flows (Array.make (Array.length flows) proto)

@@ -12,12 +12,16 @@ type t
 
 val make : ?headroom:Util.Units.fraction -> Routing.ctx -> link_gbps:Util.Units.gbps -> t
 (** A selector between RPS and VLB, the two protocols the paper's Fig. 18
-    experiment selects between. *)
+    experiment selects between. It owns one {!Congestion.Waterfill.Inc}
+    that every evaluation clears and refills, so one selector serves one
+    caller at a time. *)
 
 val aggregate_throughput_gbps :
   t -> flows:(int * int) array -> Routing.protocol array -> Util.Units.gbps
 (** Sum of allocated rates under one assignment for the given (src, dst)
-    flows. Raises [Invalid_argument] on an assignment of another length. *)
+    flows, in slot order: bit for bit 8 × the sum of a fresh
+    {!Congestion.Waterfill.allocate}'s rates. Raises [Invalid_argument] on
+    an assignment of another length. *)
 
 val uniform : t -> flows:(int * int) array -> Routing.protocol -> Util.Units.gbps
 (** Aggregate throughput when every flow uses the same protocol (the

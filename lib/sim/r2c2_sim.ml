@@ -267,7 +267,6 @@ type t = {
   mutable reconverge_samples : int list;  (** newest first *)
   (* -- graceful degradation -- *)
   mutable loss_ewma : float;
-  mutable eff_headroom : float;
   mutable prev_ctrl_hops : int;
   mutable prev_ctrl_lost : int;
   (* -- crash-restart rejoin -- *)
@@ -650,8 +649,7 @@ let update_loss_ewma t =
     t.prev_ctrl_lost <- lost;
     let module L = Congestion.Overload.Loss_headroom in
     if dh > 0 then t.loss_ewma <- L.ewma t.loss_ewma ~lost:dl ~sent:dh;
-    t.eff_headroom <- L.effective ~headroom:t.cfg.headroom t.loss_ewma;
-    Inc.set_headroom t.alloc (U.fraction t.eff_headroom)
+    Inc.set_headroom t.alloc (U.fraction (L.effective ~headroom:t.cfg.headroom t.loss_ewma))
   end
 
 (* -- view-divergence watchdog --------------------------------------------- *)
@@ -1327,7 +1325,6 @@ let create cfg topo =
       diverged_since = -1;
       reconverge_samples = [];
       loss_ewma = 0.0;
-      eff_headroom = (cfg.headroom : U.fraction :> float);
       prev_ctrl_hops = 0;
       prev_ctrl_lost = 0;
       pending_rejoins = Util.Itbl.create 4;
@@ -1569,7 +1566,7 @@ let run_engine ?until_ns t = Engine.run ?until:until_ns t.eng
 
 (* -- reliability accessors (tests, benches) -------------------------------- *)
 
-let effective_headroom t = U.fraction t.eff_headroom
+let effective_headroom t = Inc.headroom t.alloc
 
 let shed_floor t =
   match t.admission with
@@ -1635,7 +1632,7 @@ let results t =
     reconverge_samples = List.rev t.reconverge_samples;
     terminal_diverged = diverged_nodes t;
     loss_ewma = U.fraction t.loss_ewma;
-    effective_headroom = U.fraction t.eff_headroom;
+    effective_headroom = Inc.headroom t.alloc;
     flaky_lost = Net.flaky_lost t.net;
     flaky_lost_bytes = Net.flaky_lost_bytes t.net;
     quarantines = t.quarantines;

@@ -4,8 +4,8 @@
     partitions, heals and flow surges — composed as data and executed
     against a {!R2c2_sim.t}, while {e invariant monitors} watch the run
     and fail it loudly the moment the stack violates one of its
-    correctness properties. The robustness test suite and the graychaos
-    bench are both written in this DSL.
+    correctness properties. The robustness test suite and the four
+    robustness benches are written in this DSL.
 
     Determinism: a scenario adds no RNG draws of its own, so a given
     (config seed, timeline) pair replays the exact same run — including

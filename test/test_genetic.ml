@@ -126,6 +126,42 @@ let selector_rejects_bad_lengths () =
     (Invalid_argument "Selector: assignment length mismatch") (fun () ->
       ignore (Genetic.Selector.aggregate_throughput_gbps sel ~flows [| Routing.Rps |]))
 
+let selector_reuses_one_allocator () =
+  (* One selector refills one allocator per evaluation; each reading must
+     be bit for bit 8 x the slot-order sum of a fresh Waterfill.allocate,
+     across assignments and flow sets of different sizes. *)
+  let ctx = Routing.make (Topology.torus [| 8; 8; 8 |]) in
+  let topo = Routing.topo ctx in
+  let sel = Genetic.Selector.make ctx ~link_gbps:Topology.link_gbps in
+  let capacities =
+    Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps)
+  in
+  let rng = Util.Rng.create 41 in
+  let flow_sets =
+    List.map
+      (fun load ->
+        Workload.Flowgen.permutation_long_flows topo rng ~load:(U.fraction load)
+        |> List.map (fun (s : Workload.Flowgen.spec) -> (s.src, s.dst))
+        |> Array.of_list)
+      [ 0.25; 0.125 ]
+  in
+  for trial = 0 to 5 do
+    let flows = List.nth flow_sets (trial mod 2) in
+    let assignment = Genetic.Selector.random_assignment sel rng ~flows in
+    let fresh =
+      Congestion.Waterfill.allocate ~capacities
+        (Array.mapi
+           (fun i (src, dst) ->
+             Congestion.Waterfill.flow ~id:i (Routing.fractions ctx assignment.(i) ~src ~dst))
+           flows)
+    in
+    let expected = 8.0 *. Array.fold_left (fun acc r -> acc +. U.to_float r) 0.0 fresh in
+    let got = U.to_float (Genetic.Selector.aggregate_throughput_gbps sel ~flows assignment) in
+    Alcotest.(check int64)
+      (Printf.sprintf "evaluation %d (%d flows)" trial (Array.length flows))
+      (Int64.bits_of_float expected) (Int64.bits_of_float got)
+  done
+
 let suites =
   [
     ( "genetic.ga",
@@ -143,5 +179,7 @@ let suites =
         tc "adaptive >= best uniform baseline (Fig 18)" selector_beats_or_matches_baselines;
         tc "low load benefits from flexibility" selector_low_load_prefers_nonminimal_sometimes;
         tc "rejects bad assignment lengths" selector_rejects_bad_lengths;
+        tc "one allocator per selector = fresh allocate, bit for bit"
+          selector_reuses_one_allocator;
       ] );
   ]
