@@ -14,11 +14,12 @@ let size = 600_000
 let interval = 100_000
 let digest = 50_000
 
-(* Global-epoch control at the paper's 512-node scale (a per-node
-   waterfill for all 512 views every rate epoch is minutes of wall clock;
-   the Per_node rejoin path runs at test scale in test_robustness.ml).
-   Reliable broadcast is on: the crash-restart rejoin protocol rides the
-   digest / NACK / replay machinery. *)
+(* Global-epoch control at the paper's 512-node scale. Per_node costs 2 to
+   3 times its wall clock here, mostly in the believed sets (every flow
+   event updates 511 replicas); the per-node allocator is about 1% of such
+   a run. The Per_node rejoin path runs at test scale in
+   test_robustness.ml. Reliable broadcast is on: the crash-restart rejoin
+   protocol rides the digest / NACK / replay machinery. *)
 let scenario ?invariants ~name steps =
   let cfg =
     {

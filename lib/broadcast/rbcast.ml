@@ -66,19 +66,6 @@ let last_seq o ~tree =
   check_tree o tree;
   o.next.(tree) - 1
 
-let replay o ~tree ~seq =
-  check_tree o tree;
-  let next = o.next.(tree) in
-  if seq < 0 || seq >= next || seq < next - o.log_cap then None
-  else Some o.logs.(tree).(seq mod Array.length o.logs.(tree))
-
-let mark_live o ~tree id =
-  check_tree o tree;
-  if not (Util.Itbl.mem o.live id) then begin
-    Util.Itbl.replace o.live id tree;
-    o.hashes.(tree) <- o.hashes.(tree) + Replicas.id_hash id
-  end
-
 let mark_dead o id =
   match Util.Itbl.find o.live id with
   | tree ->
@@ -86,58 +73,67 @@ let mark_dead o id =
       o.hashes.(tree) <- o.hashes.(tree) - Replicas.id_hash id
   | exception Not_found -> ()
 
+let announce o ~tree ~flow event payload =
+  check_tree o tree;
+  (match event with
+  | Wire.Flow_start ->
+      if not (Util.Itbl.mem o.live flow) then begin
+        Util.Itbl.replace o.live flow tree;
+        o.hashes.(tree) <- o.hashes.(tree) + Replicas.id_hash flow
+      end
+  | Wire.Flow_finish -> mark_dead o flow
+  | Wire.Demand_update | Wire.Route_change -> ());
+  send o ~tree payload
+
 let snapshot o =
   ( List.rev
       (Util.Itbl.fold_sorted (fun id tree acc -> (id, tree) :: acc) o.live []),
     Array.map (fun n -> n - 1) o.next )
 
-let tree_hash o ~tree =
-  check_tree o tree;
-  o.hashes.(tree)
-
 let state_hash o = Array.fold_left ( + ) 0 o.hashes
-
-let bump_epoch o =
-  o.epoch <- o.epoch + 1;
-  o.epoch
-
-(* A digest has no spare payload word, so its epoch word carries the
-   incarnation too; only incarnations are ever compared. *)
-let epoch_bits = 16
-
-let pack_epoch ~inc ~epoch =
-  if inc < 0 || inc lsr epoch_bits <> 0 then invalid_arg "Rbcast.pack_epoch: incarnation";
-  (inc lsl epoch_bits) lor (epoch land ((1 lsl epoch_bits) - 1))
-
-let unpack_inc word = word lsr epoch_bits
 
 (* A moved stream is digested in the round at hand and restarts its
    backoff; a quiet one then skips 1, 2, 4 and then [digest_cap] rounds
    between digests. *)
-let digest_due o ~tree =
-  check_tree o tree;
-  let last = o.next.(tree) - 1 in
-  let moved = last <> o.digested.(tree) in
-  let due = last >= 0 && (moved || o.epoch >= o.due.(tree)) in
-  if due then begin
-    o.skip.(tree) <- (if moved then 1 else min digest_cap (2 * o.skip.(tree)));
-    o.digested.(tree) <- last;
-    o.due.(tree) <- o.epoch + o.skip.(tree) + 1
-  end;
-  due
+let digest_round o f =
+  o.epoch <- o.epoch + 1;
+  let epoch = Wire.pack_epoch ~inc:o.inc ~epoch:o.epoch in
+  for tree = 0 to o.trees - 1 do
+    let last = o.next.(tree) - 1 in
+    let moved = last <> o.digested.(tree) in
+    if last >= 0 && (moved || o.epoch >= o.due.(tree)) then begin
+      o.skip.(tree) <- (if moved then 1 else min digest_cap (2 * o.skip.(tree)));
+      o.digested.(tree) <- last;
+      o.due.(tree) <- o.epoch + o.skip.(tree) + 1;
+      f ~epoch ~tree ~last_seq:last ~hash:o.hashes.(tree)
+    end
+  done
 
-(* Forgetting what a stream's latest digest carried makes it count as
-   moved in the next round. *)
-let note_nack o ~tree ~to_seq =
+let nack_bound = 256
+
+(* The ring holds exactly the sequences [max 0 (next - log_cap)] to
+   [next - 1]; the bounded range is [from_seq] to [upto]. A NACK for the
+   newest event forgets what the stream's latest digest carried, which
+   makes it count as moved in the next round. *)
+let replay_range o ~tree ~from_seq ~to_seq f =
   check_tree o tree;
-  if to_seq >= o.next.(tree) - 1 then o.digested.(tree) <- -1
+  if to_seq < from_seq then invalid_arg "Rbcast.replay_range: empty range";
+  let next = o.next.(tree) in
+  if to_seq >= next - 1 then o.digested.(tree) <- -1;
+  let upto = min to_seq (from_seq + nack_bound - 1) in
+  let first = max from_seq (max 0 (next - o.log_cap)) and last = min upto (next - 1) in
+  for seq = first to last do
+    let ring = o.logs.(tree) in
+    f seq ring.(seq mod Array.length ring)
+  done;
+  first > from_seq || last < upto
 
 let reset_backoff o = Array.fill o.digested 0 o.trees (-1)
 
 (* Crash-restart: the node lost every bit of its soft state, so the origin
    comes back cold — empty logs, sequence spaces at 0, no live flows —
    under a fresh incarnation. The incarnation, not the anti-entropy epoch
-   (which [bump_epoch] advances every digest round), is what receive
+   (which every [digest_round] advances), is what receive
    windows key their invalidation on ([Replicas.admit]). *)
 let restart o =
   Array.fill o.next 0 o.trees 0;

@@ -6,9 +6,11 @@
     origin stamps each broadcast with a per-(source, tree) monotonic
     sequence number, keeps a bounded replay log for answering NACKs, and
     maintains the authoritative live-flow set, one set hash per tree, whose
-    hashes ride in anti-entropy digests. It also decides which streams a
-    digest round covers ({!digest_due}). The receiving side — windows, gap
-    detection, dedup, digest verdicts — is {!Replicas}.
+    hashes ride in anti-entropy digests. Each of the origin's jobs is one
+    call: sequence a flow event ({!announce}), run a digest round
+    ({!digest_round}) and answer a NACK ({!replay_range}). The receiving
+    side — windows, gap detection, dedup, digest verdicts — is
+    {!Replicas}.
 
     Everything here is pure data structure: timers, packet transport and
     topology stay with the caller, so the same code backs the packet
@@ -28,62 +30,57 @@ val send : 'a origin -> tree:int -> 'a -> int
 (** Assign the next sequence number on [tree], log the payload for
     retransmission, and return the sequence number to put on the wire. *)
 
+val announce : 'a origin -> tree:int -> flow:int -> Wire.event -> 'a -> int
+(** Sequence one event of [flow] on [tree], the tree the flow started on:
+    a start marks the flow live on [tree] and a finish marks it dead, and
+    then the payload is sequenced as by {!send}. Every event of a flow
+    rides one tree, so each tree's set hash covers exactly the flows its
+    stream carries. *)
+
 val last_seq : 'a origin -> tree:int -> int
 (** Highest sequence number assigned on [tree]; -1 if none yet. *)
 
-val replay : 'a origin -> tree:int -> seq:int -> 'a option
-(** Look up a logged packet for NACK retransmission; [None] once evicted. *)
-
-val mark_live : 'a origin -> tree:int -> int -> unit
-(** Record a flow id as live at this origin (sent with its start event).
-    Every event of a flow rides the [tree] it started on. *)
-
 val mark_dead : 'a origin -> int -> unit
-(** Remove a flow id (sent with its finish event). *)
+(** Remove a flow id from the live set without an event, for a flow that
+    is aborted rather than finished. *)
 
 val snapshot : 'a origin -> (int * int) list * int array
 (** A full-state sync's payload: the live flows as [(id, tree)], ascending
     by id, and each tree's {!last_seq}. *)
 
-val tree_hash : 'a origin -> tree:int -> int
-(** The {!Replicas.id_hash} set hash of the live flows on [tree], kept in
-    O(1) by {!mark_live} and {!mark_dead} — what [tree]'s digests carry. *)
-
 val state_hash : 'a origin -> int
-(** The set hash of the whole live set: the sum of the {!tree_hash}es. *)
-
-val bump_epoch : 'a origin -> int
-(** Open an anti-entropy round: advance and return the epoch counter. *)
-
-val pack_epoch : inc:int -> epoch:int -> int
-(** A digest's 32-bit epoch word ({!Wire.digest}): the incarnation [inc]
-    in the upper 16 bits over the low 16 bits of the round counter
-    [epoch], which may wrap, since nothing orders rounds. With [inc] = 0 it
-    is [epoch] for the first 65,535 rounds. Receivers do order
-    incarnations ({!Replicas.admit}), which bounds an origin to 65,535
-    restarts: raises [Invalid_argument] unless [0 <= inc < 65536]. *)
-
-val unpack_inc : int -> int
-(** The incarnation a {!pack_epoch} word carries. *)
+(** The {!Replicas.id_hash} set hash of the whole live set: the sum of the
+    per-tree hashes that digests carry, kept in O(1) per event. *)
 
 val digest_cap : int
 (** 8: the most rounds a quiet stream skips between two digests. *)
 
-val digest_due : 'a origin -> tree:int -> bool
-(** Whether [tree]'s stream gets a digest in the round {!bump_epoch} just
-    opened; a [true] answer records that digest, so ask once per tree per
-    round. A tree that never carried an event is never due. A stream whose
-    {!last_seq} moved since its latest digest is due at once; a quiet one
-    then skips 1, 2, 4 and then {!digest_cap} rounds between digests, so a
-    lost final event is still exposed within the cap, and {!note_nack}
-    makes it due again. *)
+val digest_round :
+  'a origin -> (epoch:int -> tree:int -> last_seq:int -> hash:int -> unit) -> unit
+(** Open an anti-entropy round and call [f ~epoch ~tree ~last_seq ~hash]
+    once per due stream, in ascending tree order, with what its digest
+    carries: the round's {!Wire.pack_epoch} word (the {!incarnation} over
+    the round counter), the tree's {!last_seq} and the set hash of its
+    live flows. A tree that never carried an event is never due. A stream
+    whose {!last_seq} moved since its latest digest is due at once; a
+    quiet one then skips 1, 2, 4 and then {!digest_cap} rounds between
+    digests, so a lost final event is still exposed within the cap. *)
 
-val note_nack : 'a origin -> tree:int -> to_seq:int -> unit
-(** A NACK for [tree]'s stream, up to sequence [to_seq], reached the
-    origin. When it reaches the stream's {!last_seq}, the lost event is one
-    no later packet exposes: other receivers that lost it learn of the loss
-    only from a digest, so the stream is due in the next round and restarts
-    its backoff. *)
+val nack_bound : int
+(** 256: the most sequences one NACK is answered with. A requester still
+    missing the rest of a larger range NACKs it again. *)
+
+val replay_range :
+  'a origin -> tree:int -> from_seq:int -> to_seq:int -> (int -> 'a -> unit) -> bool
+(** Answer a NACK for [tree]'s inclusive range: call [f seq payload] for
+    every logged sequence from [from_seq] to [to_seq], in ascending order,
+    at most {!nack_bound} of them and none past {!last_seq} (the wire
+    allows any 32-bit [to_seq]). Returns [true] when a sequence of that
+    bounded range cannot be replayed, being evicted from the log or never
+    sent: the requester then needs a full-state sync. A NACK that reaches
+    the stream's {!last_seq} reports a loss no later packet exposes, so the
+    stream is due in the next {!digest_round} and restarts its backoff.
+    Raises [Invalid_argument] on [to_seq < from_seq]. *)
 
 val reset_backoff : 'a origin -> unit
 (** Make every stream that has carried an event due in the next round —

@@ -205,14 +205,19 @@ type verdict = Synced | Gaps | Diverged
 (* Every event of a flow rides one tree, so a window at [last_seq + 1] has
    applied exactly the events behind the digest's tree hash: a mismatch
    there is divergence, whatever the origin's other trees carry. *)
-let digest t w ~last_seq ~hash:h =
-  ensure_windows t;
-  if last_seq > t.hi.(w) then t.hi.(w) <- last_seq;
-  let next = t.next.(w) in
-  (* A delayed digest hashes a state the replica has already left. *)
-  if next <= last_seq then Gaps
-  else if next = last_seq + 1 && h <> tree_hash t w then Diverged
-  else Synced
+let observe_digest t w ~epoch ~last_seq ~hash:h =
+  (* A digest from before the origin's restart describes streams the
+     origin no longer has. *)
+  if not (admit t w ~inc:(Wire.unpack_inc epoch)) then Synced
+  else begin
+    ensure_windows t;
+    if last_seq > t.hi.(w) then t.hi.(w) <- last_seq;
+    let next = t.next.(w) in
+    (* A delayed digest hashes a state the replica has already left. *)
+    if next <= last_seq then Gaps
+    else if next = last_seq + 1 && h <> tree_hash t w then Diverged
+    else Synced
+  end
 
 let sync t ~replica ~origin ~ids ~last_seqs ~deliver =
   if Array.length last_seqs <> t.trees then invalid_arg "Replicas.sync: last_seqs";

@@ -72,9 +72,13 @@ type verdict =
       (** exactly at [last_seq + 1], yet the flows on the digest's tree
           hash differently: needs a full sync *)
 
-val digest : t -> int -> last_seq:int -> hash:int -> verdict
-(** Check an origin's digest of one tree, whose [hash] covers that tree's
-    live flows; raises the window's highest-heard mark. *)
+val observe_digest : t -> int -> epoch:int -> last_seq:int -> hash:int -> verdict
+(** [observe_digest t w ~epoch ~last_seq ~hash] checks an origin's digest
+    of window [w]'s tree, whose [hash] covers that tree's live flows,
+    behind the incarnation guard: {!admit} the incarnation its [epoch] word
+    carries ({!Wire.unpack_inc}), so a newer one resets the window first
+    and an older one, sent before the origin restarted, answers [Synced].
+    Raises the window's highest-heard mark to [last_seq]. *)
 
 val sync :
   t -> replica:int -> origin:int -> ids:(int * int) list -> last_seqs:int array ->

@@ -17,7 +17,10 @@
    - [Pacer] holds one sender's multiplicative-decrease /
      additive-increase rate scale: each PAUSE level received multiplies
      the scale by [backoff]^level (clamped at [min_scale]); every clean
-     epoch adds [recovery] back until the scale reaches 1. *)
+     epoch adds [recovery] back until the scale reaches 1.
+
+   [Loss_headroom] is the third shared piece: one step of the control-loss
+   estimate, which retunes the allocator's headroom. *)
 
 module Admission = struct
   let clean_epochs_to_recover = 3
@@ -54,28 +57,16 @@ module Admission = struct
         t.clean_run <- 0
       end
     end
-
-  let reset t =
-    t.shed_floor <- t.max_priority + 1;
-    t.clean_run <- 0
 end
 
 module Pacer = struct
-  type t = {
-    backoff : float;  (** multiplicative decrease per PAUSE level, in (0, 1) *)
-    recovery : float;  (** additive increase per clean epoch, > 0 *)
-    min_scale : float;  (** floor so a paused sender keeps probing, in (0, 1] *)
-    mutable scale : float;  (** current pacing multiplier, [min_scale, 1] *)
-  }
+  let backoff = 0.5  (* multiplicative decrease per PAUSE level *)
+  let recovery = 0.1  (* additive increase per clean epoch *)
+  let min_scale = 0.05  (* floor, so a paused sender keeps probing *)
 
-  let create ?(backoff = 0.5) ?(recovery = 0.1) ?(min_scale = 0.05) () =
-    if not (backoff > 0.0 && backoff < 1.0) then
-      invalid_arg "Overload.Pacer: backoff outside (0, 1)";
-    if not (recovery > 0.0) then invalid_arg "Overload.Pacer: non-positive recovery";
-    if not (min_scale > 0.0 && min_scale <= 1.0) then
-      invalid_arg "Overload.Pacer: min_scale outside (0, 1]";
-    { backoff; recovery; min_scale; scale = 1.0 }
+  type t = { mutable scale : float  (** current pacing multiplier, [min_scale, 1] *) }
 
+  let create () = { scale = 1.0 }
   let scale t = t.scale
 
   (* PAUSE level n: back off n halvings at once (exponential in the level,
@@ -84,20 +75,23 @@ module Pacer = struct
     if level < 0 then invalid_arg "Overload.Pacer: negative pause level";
     let s = ref t.scale in
     for _ = 1 to level do
-      s := !s *. t.backoff
+      s := !s *. backoff
     done;
-    t.scale <- Float.max t.min_scale !s
+    t.scale <- Float.max min_scale !s
 
-  let note_clean_epoch t = t.scale <- Float.min 1.0 (t.scale +. t.recovery)
-  let reset t = t.scale <- 1.0
+  let note_clean_epoch t = t.scale <- Float.min 1.0 (t.scale +. recovery)
 end
 
 module Loss_headroom = struct
   let cap = Util.Units.fraction 0.30
   let gain = 2.0
 
-  let ewma e ~lost ~sent = (0.8 *. e) +. (0.2 *. (float_of_int lost /. float_of_int sent))
-
-  let effective ~headroom e =
-    Float.min (cap :> float) ((headroom : Util.Units.fraction :> float) +. (gain *. e))
+  let step inc ~headroom e ~lost ~sent =
+    let e =
+      if sent > 0 then (0.8 *. e) +. (0.2 *. (float_of_int lost /. float_of_int sent)) else e
+    in
+    Waterfill.Inc.set_headroom inc
+      (Util.Units.fraction
+         (Float.min (cap :> float) ((headroom : Util.Units.fraction :> float) +. (gain *. e))));
+    e
 end

@@ -29,22 +29,18 @@ module Admission : sig
 
   val note_epoch : t -> overloaded:bool -> unit
   (** Feed one rate epoch's overload verdict. *)
-
-  val reset : t -> unit
 end
 
 (** One sender's AIMD rate scale: PAUSE level [n] multiplies the scale by
-    [backoff]^n (floored at [min_scale]); each clean epoch adds [recovery]
-    back until the scale returns to 1. *)
+    0.5{^n}, floored at 0.05 so a paused sender keeps probing; each clean
+    epoch adds 0.1 back until the scale returns to 1. *)
 module Pacer : sig
   type t
 
-  val create : ?backoff:float -> ?recovery:float -> ?min_scale:float -> unit -> t
-  (** Defaults: backoff 0.5, recovery 0.1/epoch, min_scale 0.05. Raises
-      [Invalid_argument] outside (0,1) / positive / (0,1] respectively. *)
+  val create : unit -> t
 
   val scale : t -> float
-  (** Current pacing multiplier in [[min_scale, 1]]. *)
+  (** Current pacing multiplier in [[0.05, 1]]. *)
 
   val note_pause : t -> level:int -> unit
   (** Apply a received PAUSE. Raises [Invalid_argument] on a negative
@@ -52,7 +48,6 @@ module Pacer : sig
       through {!note_clean_epoch}). *)
 
   val note_clean_epoch : t -> unit
-  val reset : t -> unit
 end
 
 (** Graceful degradation under control-packet loss, for both control
@@ -62,8 +57,10 @@ end
 module Loss_headroom : sig
   val cap : Util.Units.fraction  (** 0.30 *)
 
-  val ewma : float -> lost:int -> sent:int -> float
-  (** The estimate after an interval that lost [lost] of [sent > 0]. *)
-
-  val effective : headroom:Util.Units.fraction -> float -> float
+  val step :
+    Waterfill.Inc.t -> headroom:Util.Units.fraction -> float -> lost:int -> sent:int -> float
+  (** [step inc ~headroom e ~lost ~sent]: the estimate after an interval
+      that lost [lost] of [sent] control packets ([e] itself when
+      [sent = 0]), with [inc]'s headroom retuned to
+      [min cap (headroom + 2 * estimate)]. *)
 end

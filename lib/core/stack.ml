@@ -103,11 +103,7 @@ let emit_broadcast t f event =
   | Ok p -> assert (p = pkt)
   | Error e -> failwith ("Stack: broadcast encoding failed: " ^ e));
   t.control_bytes <- t.control_bytes + Broadcast.bytes_per_broadcast t.topo;
-  (match event with
-  | Wire.Flow_start -> Rbcast.mark_live t.origin ~tree:f.tree f.id
-  | Wire.Flow_finish -> Rbcast.mark_dead t.origin f.id
-  | Wire.Demand_update | Wire.Route_change -> ());
-  let seq = Rbcast.send t.origin ~tree:f.tree (pkt, f.id) in
+  let seq = Rbcast.announce t.origin ~tree:f.tree ~flow:f.id event (pkt, f.id) in
   let wire = Wire.encode_seq_broadcast pkt ~flow:f.id ~seq in
   (match Wire.decode_seq_broadcast wire with
   | Ok (p, fl, sq) -> assert (p = pkt && fl = f.id && sq = seq)
@@ -252,43 +248,32 @@ let last_seq t ~tree = Rbcast.last_seq t.origin ~tree
 let matrix_hash t = Int64.of_int (Rbcast.state_hash t.origin)
 
 let emit_digests ?(src = 0) t =
-  let epoch =
-    Rbcast.pack_epoch ~inc:(Rbcast.incarnation t.origin) ~epoch:(Rbcast.bump_epoch t.origin)
-  in
   let ds = ref [] in
-  for tree = t.cfg.trees_per_source - 1 downto 0 do
-    if Rbcast.digest_due t.origin ~tree then begin
+  Rbcast.digest_round t.origin (fun ~epoch ~tree ~last_seq ~hash ->
       t.reliability_bytes <- t.reliability_bytes + (Wire.digest_size * fanout t);
-      let last_seq = Rbcast.last_seq t.origin ~tree in
-      let state_hash = Int64.of_int (Rbcast.tree_hash t.origin ~tree) in
-      ds := { Wire.dsrc = src; dtree = tree; epoch; last_seq; state_hash } :: !ds
-    end
-  done;
+      ds :=
+        { Wire.dsrc = src; dtree = tree; epoch; last_seq; state_hash = Int64.of_int hash } :: !ds);
+  let ds = List.rev !ds in
   (* The whole beacon round travels as one contiguous batch; check it
      round-trips once instead of re-encoding each digest separately. *)
-  let items = List.map (fun d -> Wire.Item_digest d) !ds in
+  let items = List.map (fun d -> Wire.Item_digest d) ds in
   (match Wire.decode_batch (Wire.encode_batch items) with
   | Ok got -> assert (got = items)
   | Error e -> failwith ("Stack: digest batch encoding failed: " ^ e));
-  !ds
+  ds
 
 let replay_range t ~tree ~from_seq ~to_seq =
-  if to_seq < from_seq then invalid_arg "Stack.replay_range: empty range";
-  Rbcast.note_nack t.origin ~tree ~to_seq;
   let items = ref [] in
-  (* Nothing past the newest sequence was ever sent, and the wire allows
-     any 32-bit [to_seq]. *)
-  for seq = min to_seq (Rbcast.last_seq t.origin ~tree) downto from_seq do
-    match Rbcast.replay t.origin ~tree ~seq with
-    | None -> ()  (* evicted: the requester falls back to a full sync *)
-    | Some (pkt, flow) ->
-        t.event_retransmits <- t.event_retransmits + 1;
-        (* A repair travels the whole tree again: losers downstream of the
-           original loss need it too. *)
-        t.reliability_bytes <- t.reliability_bytes + (Wire.seq_broadcast_size * fanout t);
-        items := Wire.Item_seq_broadcast (pkt, flow, seq) :: !items
-  done;
-  if !items = [] then None else Some (Wire.encode_batch !items)
+  (* An evicted sequence is skipped: the requester that still misses it
+     falls back to a full sync. *)
+  ignore
+    (Rbcast.replay_range t.origin ~tree ~from_seq ~to_seq (fun seq (pkt, flow) ->
+         t.event_retransmits <- t.event_retransmits + 1;
+         (* A repair travels the whole tree again: losers downstream of the
+            original loss need it too. *)
+         t.reliability_bytes <- t.reliability_bytes + (Wire.seq_broadcast_size * fanout t);
+         items := Wire.Item_seq_broadcast (pkt, flow, seq) :: !items));
+  if !items = [] then None else Some (Wire.encode_batch (List.rev !items))
 
 let sync_view t view =
   let flows, last_seqs = Rbcast.snapshot t.origin in
@@ -331,12 +316,9 @@ let snapshot_request ?(requester = 0) t ~root =
 
 let note_control_loss t ~sent ~lost =
   if sent < 0 || lost < 0 || lost > sent then invalid_arg "Stack.note_control_loss";
-  if sent > 0 then begin
-    let module L = Congestion.Overload.Loss_headroom in
-    t.loss_ewma <- L.ewma t.loss_ewma ~lost ~sent;
-    Congestion.Waterfill.Inc.set_headroom t.alloc
-      (U.fraction (L.effective ~headroom:Topology.headroom t.loss_ewma))
-  end
+  t.loss_ewma <-
+    Congestion.Overload.Loss_headroom.step t.alloc ~headroom:Topology.headroom t.loss_ewma
+      ~lost ~sent
 
 let notify_failure t =
   (* Tree repair first: the drop and re-announce broadcasts below must ride

@@ -125,29 +125,33 @@ val matrix_hash : t -> int64
 val emit_digests : ?src:int -> t -> Wire.digest list
 (** One anti-entropy beacon round: bumps the epoch and returns a digest
     per due stream, in tree order, each stamped with the tree's last
-    sequence number and the set hash of the open flows on that tree. A
-    tree whose last sequence moved since its previous digest is due at
-    once; a quiet one backs off until it skips {!Rbcast.digest_cap}
-    rounds between digests ({!Rbcast.digest_due}). A NACK answered by
-    {!replay_range} that reaches its tree's last sequence makes the
-    stream due again ({!Rbcast.note_nack}), and {!restart} and
+    sequence number and the set hash of the open flows on that tree
+    ({!Rbcast.digest_round}, the simulator's round too). A tree whose
+    last sequence moved since its previous digest is due at once; a
+    quiet one backs off until it skips {!Rbcast.digest_cap} rounds
+    between digests. A NACK answered by {!replay_range} that reaches its
+    tree's last sequence makes the stream due again, and {!restart} and
     {!notify_failure} make every stream due again. [src]
     (default 0) fills the digest's source field. The epoch field carries
-    the round and the origin's {!incarnation} ({!Rbcast.pack_epoch}), so a
+    the round and the origin's {!incarnation} ({!Wire.pack_epoch}), so a
     {!View} ignores a digest sent before a {!restart}. Charged to
     {!reliability_bytes_sent}. *)
 
 val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
-(** Answer a NACK's whole inclusive range as one {!Wire.encode_batch} of
-    sequenced events, in ascending order, skipping sequences already
-    evicted from the replay log; [None] when nothing in the range survives
-    (the requester then needs a full {!sync_view}). Feed the result to
-    {!View.apply_batch}. Each replayed event is re-encoded with its
-    original sequence number, charged to {!reliability_bytes_sent} at
-    broadcast fan-out and counted in {!event_retransmits}. The walk stops at the tree's {!last_seq}: later
-    sequences were never sent, so a range running past it (the wire allows
-    any 32-bit [to_seq]) costs no more than one ending there. Raises
-    [Invalid_argument] on [to_seq < from_seq]. *)
+(** Answer a NACK's inclusive range as one {!Wire.encode_batch} of
+    sequenced events, in ascending order: at most {!Rbcast.nack_bound}
+    (256) sequences from [from_seq], the bound the simulator's origins
+    answer with too, so a requester missing more NACKs the rest again.
+    The walk ({!Rbcast.replay_range}) stops at the tree's {!last_seq}:
+    later sequences were never sent, so a range running past it (the wire
+    allows any 32-bit [to_seq]) costs no more than one ending there.
+    Sequences already evicted from the replay log are skipped; [None]
+    when nothing in the range survives (the requester then needs a full
+    {!sync_view}). Feed the result to {!View.apply_batch}. Each replayed
+    event is re-encoded with its original sequence number, charged to
+    {!reliability_bytes_sent} at broadcast fan-out and counted in
+    {!event_retransmits}. Raises [Invalid_argument] on
+    [to_seq < from_seq]. *)
 
 val sync_view : t -> View.t -> unit
 (** Full-state repair of a diverged replica — one whose
@@ -175,9 +179,9 @@ val snapshot_request : ?requester:int -> t -> root:int -> bytes
 
 val note_control_loss : t -> sent:int -> lost:int -> unit
 (** Feed one observation interval of control-transport statistics into the
-    loss EWMA ({!Congestion.Overload.Loss_headroom}); updates
-    {!effective_headroom} and the allocator so the next {!recompute}
-    reserves more under loss. Raises [Invalid_argument] unless
+    loss EWMA ({!Congestion.Overload.Loss_headroom.step}, the simulator's
+    step too); updates {!effective_headroom} and the allocator so the next
+    {!recompute} reserves more under loss. Raises [Invalid_argument] unless
     [0 <= lost <= sent]. *)
 
 val reliability_bytes_sent : t -> int

@@ -62,9 +62,9 @@ val observe_digest : t -> Wire.digest -> digest_verdict
     dropped and no later packet exposes the gap. A delayed digest, whose
     tree the replica has already moved past, hashes an older state and
     answers [Synced]; so does one stamped with an older incarnation than
-    the replica's ({!Rbcast.unpack_inc} of its epoch field), sent before
+    the replica's ({!Wire.unpack_inc} of its epoch field), sent before
     the source restarted. A newer incarnation re-keys the digest's tree
-    window first ({!Replicas.admit}). *)
+    window first. The verdict is {!Replicas.observe_digest}'s. *)
 
 val sync : t -> flows:(int * int) list -> last_seqs:int array -> unit
 (** Full-state repair: replace the believed flows, each [(id, tree)], and

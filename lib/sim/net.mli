@@ -211,9 +211,6 @@ val send_digest_tree :
 (** Inject a periodic anti-entropy beacon at its root, tree-forwarded like
     a broadcast. *)
 
-val tx_time_ns : t -> int -> int
-(** Serialization time of a packet of the given byte size. *)
-
 (** {2 Pool telemetry} *)
 
 val packets_high_water : t -> int

@@ -74,7 +74,7 @@ let rejoin_retry_ns = 500_000
    [pause_interval_ns]; only classes numerically >= [pause_class] are paced
    and trigger pauses, so higher classes are never slowed by backpressure.
    The pacers and the shed floor run with [Overload.Pacer]'s and
-   [Overload.Admission]'s defaults. *)
+   [Overload.Admission]'s constants. *)
 let pause_interval_ns = 50_000
 let pause_class = 1
 
@@ -278,7 +278,6 @@ type t = {
   mutable probations : int;
   mutable recoveries : int;
   (* -- overload control (admission shedding + PAUSE backpressure) -- *)
-  overload_on : bool;  (** copy of [cfg.overload_control] for the hot paths *)
   admission : Congestion.Overload.Admission.t option;
   pacers : Congestion.Overload.Pacer.t array;  (** per sender node *)
   pause_cls : int array;
@@ -526,7 +525,7 @@ and schedule_injection t st =
      classes down by the AIMD pacer, floored like {!apply_rate} so a flow
      always trickles and can finish. *)
   let pace =
-    if t.overload_on && st.priority >= t.pause_cls.(st.src) then
+    if t.cfg.overload_control && st.priority >= t.pause_cls.(st.src) then
       Float.max (0.001 *. t.cap_bytes_ns)
         (pace *. Congestion.Overload.Pacer.scale t.pacers.(st.src))
     else pace
@@ -556,14 +555,12 @@ let send_flow_broadcast t st event =
     (* Every event of a flow rides the tree picked at its start, so the
        per-(source, tree) window orders the finish after the start at
        every receiver. *)
-    let o = t.origins.(st.src) in
-    (match event with
-    | Wire.Flow_start ->
-        if st.btree < 0 then st.btree <- Broadcast.choose_tree t.bcast t.root_rng ~src:st.src;
-        Rbcast.mark_live o ~tree:st.btree st.idx
-    | Wire.Flow_finish -> Rbcast.mark_dead o st.idx
-    | Wire.Demand_update | Wire.Route_change -> ());
-    flood t ~root:st.src ~tree:st.btree ~bcast_id ~bytes:Wire.seq_broadcast_size
+    if event = Wire.Flow_start && st.btree < 0 then
+      st.btree <- Broadcast.choose_tree t.bcast t.root_rng ~src:st.src;
+    let o = t.origins.(st.src) and bytes = Wire.seq_broadcast_size in
+    let seq = Rbcast.announce o ~tree:st.btree ~flow:st.idx event (logged bcast_id bytes) in
+    Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation o) ~root:st.src ~tree:st.btree ~bcast_id
+      ~bytes ()
   end
   else
     let tree = Broadcast.choose_tree t.bcast t.root_rng ~src:st.src in
@@ -647,9 +644,9 @@ let update_loss_ewma t =
     let dh = hops - t.prev_ctrl_hops and dl = lost - t.prev_ctrl_lost in
     t.prev_ctrl_hops <- hops;
     t.prev_ctrl_lost <- lost;
-    let module L = Congestion.Overload.Loss_headroom in
-    if dh > 0 then t.loss_ewma <- L.ewma t.loss_ewma ~lost:dl ~sent:dh;
-    Inc.set_headroom t.alloc (U.fraction (L.effective ~headroom:t.cfg.headroom t.loss_ewma))
+    t.loss_ewma <-
+      Congestion.Overload.Loss_headroom.step t.alloc ~headroom:t.cfg.headroom t.loss_ewma
+        ~lost:dl ~sent:dh
   end
 
 (* -- view-divergence watchdog --------------------------------------------- *)
@@ -773,22 +770,21 @@ let reselect t interval =
 
 (* Every alive source beacons [(tree, epoch, last_seq, tree hash)] on each
    due stream: a tree whose last sequence moved since its previous digest,
-   or a quiet one whose backoff ran out ([Rbcast.digest_due]). A receiver
+   or a quiet one whose backoff ran out ([Rbcast.digest_round]). A receiver
    missing the tail of a burst — even its very last packet, which no gap
    could reveal — sees [last_seq] ahead of its window and NACKs. *)
 let digest_round t =
+  (* One send closure per round, not one per origin: [root] names the
+     origin whose round it serves. *)
+  let root = ref 0 in
+  let send ~epoch ~tree ~last_seq ~hash =
+    Net.send_digest_tree t.net ~root:!root ~tree ~epoch ~last_seq ~hash ~bytes:Wire.digest_size
+  in
   Array.iteri
     (fun src o ->
       if Net.node_up t.net src then begin
-        let epoch =
-          Rbcast.pack_epoch ~inc:(Rbcast.incarnation o) ~epoch:(Rbcast.bump_epoch o)
-        in
-        for tree = 0 to Topology.trees_per_source - 1 do
-          if Rbcast.digest_due o ~tree then
-            Net.send_digest_tree t.net ~root:src ~tree ~epoch
-              ~last_seq:(Rbcast.last_seq o ~tree) ~hash:(Rbcast.tree_hash o ~tree)
-              ~bytes:Wire.digest_size
-        done
+        root := src;
+        Rbcast.digest_round o send
       end)
     t.origins
 
@@ -1047,7 +1043,7 @@ let handle_loss t pkt =
    [pause_class] and every class below it. Higher classes are never
    paused — their latency is what the backpressure is protecting. *)
 let maybe_send_pause t pkt ~id =
-  if t.overload_on && Net.overloaded_links t.net > 0 then begin
+  if t.cfg.overload_control && Net.overloaded_links t.net > 0 then begin
     let dst = Net.route_last t.net pkt in
     let now = Engine.now t.eng in
     if now - t.last_pause.(dst) >= pause_interval_ns then begin
@@ -1333,7 +1329,6 @@ let create cfg topo =
       quarantines = 0;
       probations = 0;
       recoveries = 0;
-      overload_on = cfg.overload_control;
       admission =
         (if cfg.overload_control then
            Some (Congestion.Overload.Admission.create ~max_priority:(Metrics.max_class - 1) ())
@@ -1390,17 +1385,16 @@ let create cfg topo =
         if cfg.reliable_bcast then begin
           let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
           let w = window t ~node ~root ~tree in
-          if Replicas.admit t.reps w ~inc:(Rbcast.unpack_inc (Net.digest_epoch net pkt)) then
-            match
-              Replicas.digest t.reps w ~last_seq:(Net.digest_last_seq net pkt)
-                ~hash:(Net.digest_hash net pkt)
-            with
-            | Replicas.Gaps -> schedule_nack t ~node ~root ~tree w
-            | Replicas.Diverged when cfg.control = Per_node ->
-                (* Genuine divergence, e.g. a repair evicted from the replay
-                   log: ask for a full-state sync. *)
-                send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
-            | Replicas.Diverged | Replicas.Synced -> ()
+          match
+            Replicas.observe_digest t.reps w ~epoch:(Net.digest_epoch net pkt)
+              ~last_seq:(Net.digest_last_seq net pkt) ~hash:(Net.digest_hash net pkt)
+          with
+          | Replicas.Gaps -> schedule_nack t ~node ~root ~tree w
+          | Replicas.Diverged when cfg.control = Per_node ->
+              (* Genuine divergence, e.g. a repair evicted from the replay
+                 log: ask for a full-state sync. *)
+              send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
+          | Replicas.Diverged | Replicas.Synced -> ()
         end
       end);
   (* Lost Data packets — queue tail drops and failure blackholes alike —
@@ -1414,6 +1408,20 @@ let create cfg topo =
       if Net.kind net pkt = Net.code_data then
         t.blackholed_payload <- t.blackholed_payload + (Net.bytes net pkt - header);
       handle_loss t pkt);
+  (* Re-flood one sequence of the NACKed stream [nacked_root, nacked_tree],
+     at most once per [nack_delay_ns]. Made once, so that answering a NACK
+     allocates nothing. *)
+  let nacked_root = ref 0 and nacked_tree = ref 0 in
+  let replay seq e =
+    let now = Engine.now eng in
+    if e.replayed_ns <= now - nack_delay_ns then begin
+      e.replayed_ns <- now;
+      t.event_retransmits <- t.event_retransmits + 1;
+      let root = !nacked_root in
+      Net.send_bcast t.net ~seq ~inc:(Rbcast.incarnation t.origins.(root)) ~root
+        ~tree:!nacked_tree ~bcast_id:e.bcast_id ~bytes:e.lbytes ()
+    end
+  in
   Net.on_deliver net (fun pkt ->
       let k = Net.kind net pkt in
       if k = Net.code_data then begin
@@ -1440,35 +1448,21 @@ let create cfg topo =
           (* A NACK reached the origin: replay the logged packets onto the
              same tree (duplicates at healthy nodes are absorbed by their
              windows), or fall back to a full-state sync when the range is
-             empty (a sync request) or evicted from the log. A sequence is
-             re-flooded at most once per [nack_delay_ns]: the flood in
-             flight serves every NACK for it inside that window, and a
-             requester it still misses re-NACKs on its own timer. A lost
-             newest event also makes the stream's digests due again
-             ([Rbcast.note_nack]), for whoever lost it and its digests. *)
+             empty (a sync request) or cannot be replayed in full
+             ([Rbcast.replay_range]). A sequence is re-flooded at most once
+             per [nack_delay_ns]: the flood in flight serves every NACK for
+             it inside that window, and a requester it still misses
+             re-NACKs on its own timer. *)
           let root = Net.nack_root net pkt and tree = Net.nack_tree net pkt in
           let from_seq = Net.nack_from net pkt and to_seq = Net.nack_to net pkt in
           let requester = Net.nack_requester net pkt in
           if cfg.reliable_bcast then begin
             if to_seq < from_seq then send_sync t ~root ~requester
             else begin
-              let o = t.origins.(root) and now = Engine.now eng in
-              Rbcast.note_nack o ~tree ~to_seq;
-              let evicted = ref false in
-              (* Bound the replay burst; the requester re-NACKs for the
-                 rest if the range was truly enormous. *)
-              for s = from_seq to min to_seq (from_seq + 255) do
-                match Rbcast.replay o ~tree ~seq:s with
-                | Some e ->
-                    if e.replayed_ns <= now - nack_delay_ns then begin
-                      e.replayed_ns <- now;
-                      t.event_retransmits <- t.event_retransmits + 1;
-                      Net.send_bcast t.net ~seq:s ~inc:(Rbcast.incarnation o) ~root
-                        ~tree ~bcast_id:e.bcast_id ~bytes:e.lbytes ()
-                    end
-                | None -> evicted := true
-              done;
-              if !evicted then send_sync t ~root ~requester
+              nacked_root := root;
+              nacked_tree := tree;
+              if Rbcast.replay_range t.origins.(root) ~tree ~from_seq ~to_seq replay then
+                send_sync t ~root ~requester
             end
           end
       end
@@ -1481,7 +1475,7 @@ let create cfg topo =
           end
       end
       else if k = Net.code_pause then begin
-          if t.overload_on then begin
+          if t.cfg.overload_control then begin
             let node = Net.pause_node net pkt in
             t.pauses_received <- t.pauses_received + 1;
             t.pause_cls.(node) <- Net.pause_class net pkt;

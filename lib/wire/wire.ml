@@ -411,6 +411,16 @@ let decode_digest b =
   if Bytes.length b <> digest_size then Error "digest must be 22 bytes"
   else decode_digest_at b ~off:0
 
+(* A digest has no spare payload word, so its epoch word carries the
+   incarnation too; only incarnations are ever compared. *)
+let epoch_bits = 16
+
+let pack_epoch ~inc ~epoch =
+  if inc < 0 || inc lsr epoch_bits <> 0 then invalid_arg "Wire.pack_epoch: incarnation";
+  (inc lsl epoch_bits) lor (epoch land ((1 lsl epoch_bits) - 1))
+
+let unpack_inc word = word lsr epoch_bits
+
 (* -- NACK ------------------------------------------------------------------ *)
 
 let noff_src = 1

@@ -93,7 +93,7 @@ val decode_broadcast : bytes -> (broadcast, string) result
 type digest = {
   dsrc : int;  (** origin node *)
   dtree : int;  (** broadcast tree the digest covers *)
-  epoch : int;  (** anti-entropy round counter *)
+  epoch : int;  (** the origin's incarnation and round: {!pack_epoch} *)
   last_seq : int;  (** highest sequence number sent on this tree *)
   state_hash : int64;
       (** set hash of the origin's live flows on this tree: every event of
@@ -118,6 +118,17 @@ val decode_seq_broadcast : bytes -> (broadcast * int * int, string) result
 
 val encode_digest : digest -> bytes
 val decode_digest : bytes -> (digest, string) result
+
+val pack_epoch : inc:int -> epoch:int -> int
+(** A digest's 32-bit epoch word: the incarnation [inc] in the upper 16
+    bits over the low 16 bits of the round counter [epoch], which may wrap,
+    since nothing orders rounds. With [inc] = 0 it is [epoch] for the first
+    65,535 rounds. Receivers do order incarnations ({!Replicas.admit}),
+    which bounds an origin to 65,535 restarts: raises [Invalid_argument]
+    unless [0 <= inc < 65536]. *)
+
+val unpack_inc : int -> int
+(** The incarnation a {!pack_epoch} word carries. *)
 
 val encode_nack : nack -> bytes
 (** Raises [Invalid_argument] on an empty range ([nto < nfrom]). *)

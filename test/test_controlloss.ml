@@ -15,6 +15,13 @@ let receive_named r w names ~seq i =
   let v = Replicas.receive r w ~seq (2 * i) ~deliver:(fun _ ev -> run := names.(ev / 2) :: !run) in
   (v, List.rev !run)
 
+(* A NACK for [from_seq .. to_seq]: the replayed [(seq, payload)]s in
+   order, and whether the origin flagged a sequence it cannot replay. *)
+let replay_all o ~tree ~from_seq ~to_seq =
+  let got = ref [] in
+  let lost = Rbcast.replay_range o ~tree ~from_seq ~to_seq (fun seq p -> got := (seq, p) :: !got) in
+  (List.rev !got, lost)
+
 let rbcast_window_orders_and_dedups () =
   let o = Rbcast.origin ~trees:2 () in
   let s0 = Rbcast.send o ~tree:0 "a" in
@@ -39,10 +46,13 @@ let rbcast_window_orders_and_dedups () =
   (match receive ~seq:2 2 with
   | Replicas.Delivered, ps -> Alcotest.(check (list string)) "tail" [ "c" ] ps
   | (Replicas.Buffered | Replicas.Duplicate), _ -> Alcotest.fail "seq 2 must deliver");
-  Alcotest.(check (option string)) "origin replays" (Some "b") (Rbcast.replay o ~tree:0 ~seq:1)
+  Alcotest.(check (pair (list (pair int string)) bool)) "origin replays" ([ (1, "b") ], false)
+    (replay_all o ~tree:0 ~from_seq:1 ~to_seq:1)
 
 (* The replay ring against the Hashtbl log it replaced: [seq] logged,
-   [seq - log_cap] evicted, on every send; a restart empties it. *)
+   [seq - log_cap] evicted, on every send; a restart empties it. A
+   one-sequence NACK replays exactly the logged payload, and flags exactly
+   the sequences the log does not hold. *)
 let qcheck_replay_ring_matches_log =
   let caps = [| 1; 5; 16; 100; 65536 |] in
   QCheck.Test.make ~name:"replay ring = the Hashtbl log, last log_cap seqs exactly" ~count:60
@@ -75,7 +85,12 @@ let qcheck_replay_ring_matches_log =
         (fun tree ->
           let kept = ref 0 and ok = ref true in
           for seq = -2 to next.(tree) + 2 do
-            let got = Rbcast.replay o ~tree ~seq in
+            let got =
+              match replay_all o ~tree ~from_seq:seq ~to_seq:seq with
+              | [ (s, p) ], false when s = seq -> Some p
+              | [], true -> None
+              | _ -> ok := false; None
+            in
             if got <> Hashtbl.find_opt logs.(tree) seq then ok := false;
             if got <> None then begin
               incr kept;
@@ -166,7 +181,7 @@ let view_batched_repair_heals_all_loss () =
     (List.map (fun (id, _) -> id) (R2c2.Stack.allocations st))
     (R2c2.View.flow_ids view);
   Alcotest.check_raises "empty range raises"
-    (Invalid_argument "Stack.replay_range: empty range") (fun () ->
+    (Invalid_argument "Rbcast.replay_range: empty range") (fun () ->
       ignore (R2c2.Stack.replay_range st ~tree:0 ~from_seq:5 ~to_seq:4))
 
 let view_dedups_duplicates () =
@@ -449,6 +464,67 @@ let replay_range_stops_at_last_seq () =
   Alcotest.(check (list int)) "same backoff"
     (digest_rounds ~tree:0 (emit_rounds near 8))
     (digest_rounds ~tree:0 (emit_rounds far 8))
+
+(* One NACK is answered with at most [Rbcast.nack_bound] = 256 events,
+   however large its range: a 300-sequence gap gets the first 256, and the
+   requester NACKs the other 44 again. *)
+let replay_range_answers_at_most_the_bound () =
+  let config = { R2c2.Stack.trees_per_source = 1 } in
+  let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
+  for _ = 1 to 150 do
+    R2c2.Stack.close_flow st (R2c2.Stack.open_flow st ~src:0 ~dst:3)
+  done;
+  Alcotest.(check int) "a 300-event stream" 299 (R2c2.Stack.last_seq st ~tree:0);
+  let seqs from_seq to_seq =
+    match R2c2.Stack.replay_range st ~tree:0 ~from_seq ~to_seq with
+    | None -> []
+    | Some batch -> (
+        match Wire.decode_batch batch with
+        | Ok items ->
+            List.map
+              (function
+                | Wire.Item_seq_broadcast (_, _, seq) -> seq
+                | Wire.Item_broadcast _ | Wire.Item_digest _ | Wire.Item_nack _ ->
+                    Alcotest.fail "a repair batch carries sequenced events only")
+              items
+        | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check int) "the bound" 256 Rbcast.nack_bound;
+  Alcotest.(check (list int)) "the first 256 of a 300-sequence gap" (List.init 256 Fun.id)
+    (seqs 0 299);
+  Alcotest.(check int) "256 retransmits" 256 (R2c2.Stack.event_retransmits st);
+  Alcotest.(check (list int)) "the re-NACKed rest" (List.init 44 (fun i -> 256 + i))
+    (seqs 256 299)
+
+(* [Rbcast.replay_range] flags a range it cannot answer in full, the two
+   cases where the simulator falls back to a sync: a sequence evicted from
+   the log, and one past the newest. A range longer than the bound is cut
+   to it and, when the cut range is all logged, not flagged. *)
+let rbcast_replay_range_flags_unreplayable () =
+  let o = Rbcast.origin ~log_cap:1 ~trees:1 () in
+  ignore (Rbcast.send o ~tree:0 "a");
+  ignore (Rbcast.send o ~tree:0 "b");
+  let check msg want (from_seq, to_seq) =
+    Alcotest.(check (pair (list (pair int string)) bool)) msg want
+      (replay_all o ~tree:0 ~from_seq ~to_seq)
+  in
+  check "evicted sequence flagged" ([ (1, "b") ], true) (0, 1);
+  check "logged sequence" ([ (1, "b") ], false) (1, 1);
+  check "past the newest flagged" ([ (1, "b") ], true) (1, 5);
+  check "nothing logged in range" ([], true) (2, 0xFFFF_FFFF);
+  let o = Rbcast.origin ~trees:1 () in
+  for i = 0 to 299 do
+    ignore (Rbcast.send o ~tree:0 (string_of_int i))
+  done;
+  let got, lost = replay_all o ~tree:0 ~from_seq:0 ~to_seq:0xFFFF_FFFF in
+  Alcotest.(check (list int)) "cut to the bound" (List.init 256 Fun.id) (List.map fst got);
+  Alcotest.(check bool) "a logged cut range is not flagged" false lost;
+  let got, lost = replay_all o ~tree:0 ~from_seq:100 ~to_seq:0xFFFF_FFFF in
+  Alcotest.(check (list int)) "up to the newest" (List.init 200 (fun i -> 100 + i))
+    (List.map fst got);
+  Alcotest.(check bool) "a cut range past the newest is flagged" true lost;
+  Alcotest.check_raises "empty range" (Invalid_argument "Rbcast.replay_range: empty range")
+    (fun () -> ignore (replay_all o ~tree:0 ~from_seq:5 ~to_seq:4))
 
 (* -- Stack: watchdog full-state sync and loss-scaled headroom -------------- *)
 
@@ -846,6 +922,9 @@ let suites =
         tc "backoff: a NACK resets its stream" backoff_reset_by_nack;
         tc "backoff: restart resets it" backoff_reset_by_restart;
         tc "replay range stops at the newest sequence" replay_range_stops_at_last_seq;
+        tc "replay range answers at most the NACK bound" replay_range_answers_at_most_the_bound;
+        tc "rbcast replay range flags what it cannot replay"
+          rbcast_replay_range_flags_unreplayable;
         tc "watchdog repairs diverged view" watchdog_repairs_diverged_view;
         tc "loss EWMA scales headroom" loss_ewma_scales_headroom;
         tc "chaos is seed-deterministic" chaos_is_deterministic;

@@ -56,8 +56,9 @@ let join_resets_only_on_newer_incarnation () =
 (* Adds and removes in any order, on a 2-replica x 3-origin x 2-tree table
    and on an origin's live set: every incremental hash — per (replica,
    origin, tree), per (replica, origin), per replica, and the origin's per
-   tree and whole — equals the from-scratch sum over the final set. Flow
-   ids are origin-disjoint and each rides one tree, as in the rack. *)
+   tree (as its digests carry it) and whole — equals the from-scratch sum
+   over the final set. Flow ids are origin-disjoint and each rides one
+   tree, as in the rack. *)
 let qcheck_set_hash_incremental =
   QCheck.Test.make ~name:"incremental set hash = from-scratch hash" ~count:300
     QCheck.(list (quad (int_bound 1) (int_bound 2) bool (int_bound 30)))
@@ -73,20 +74,24 @@ let qcheck_set_hash_incremental =
           let without = List.filter (fun x -> x <> id) in
           if add then begin
             Replicas.add r (Replicas.window r ~replica ~origin ~tree:(tree_of id)) id;
-            Rbcast.mark_live o ~tree:(tree_of id) id;
+            ignore (Rbcast.announce o ~tree:(tree_of id) ~flow:id Wire.Flow_start ());
             rows.(row) <- id :: without rows.(row);
             live := id :: without !live
           end
           else begin
             Replicas.remove r ~replica id;
-            Rbcast.mark_dead o id;
+            ignore (Rbcast.announce o ~tree:(tree_of id) ~flow:id Wire.Flow_finish ());
             rows.(row) <- without rows.(row);
             live := without !live
           end)
         ops;
       let ok = ref (Rbcast.state_hash o = scratch_hash !live) in
+      (* Every tree that carried an event is due in the first round, and
+         one that never did hashes the empty set. *)
+      let digested = Array.make 2 0 in
+      Rbcast.digest_round o (fun ~epoch:_ ~tree ~last_seq:_ ~hash -> digested.(tree) <- hash);
       for tree = 0 to 1 do
-        if Rbcast.tree_hash o ~tree <> scratch_hash (on_tree tree !live) then ok := false
+        if digested.(tree) <> scratch_hash (on_tree tree !live) then ok := false
       done;
       for replica = 0 to 1 do
         let all = ref [] in
@@ -118,7 +123,8 @@ let nr = 2 and no = 2 and nt = 2
 type op =
   | Recv of int * int * int * int * int  (* replica, origin, tree, seq, event *)
   | Admit of int * int * int * int  (* replica, origin, tree, incarnation *)
-  | Digest of int * int * int * int * int list  (* ..., last_seq, origin's live ids on the tree *)
+  | Digest of int * int * int * int * int * int list
+      (* ..., incarnation, last_seq, origin's live ids on the tree *)
   | Sync of int * int * (int * int) list * int list  (* replica, origin, (id, tree)s, last_seqs *)
   | Join of int * int * int  (* replica, origin, incarnation *)
   | Clear of int  (* replica *)
@@ -131,7 +137,8 @@ let pairs l = "[" ^ String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%
 let show_op = function
   | Recv (r, o, t, s, e) -> Printf.sprintf "Recv(%d,%d,%d,seq %d,ev %d)" r o t s e
   | Admit (r, o, t, i) -> Printf.sprintf "Admit(%d,%d,%d,inc %d)" r o t i
-  | Digest (r, o, t, l, ids) -> Printf.sprintf "Digest(%d,%d,%d,last %d,%s)" r o t l (ints ids)
+  | Digest (r, o, t, i, l, ids) ->
+      Printf.sprintf "Digest(%d,%d,%d,inc %d,last %d,%s)" r o t i l (ints ids)
   | Sync (r, o, ids, ls) -> Printf.sprintf "Sync(%d,%d,%s,%s)" r o (pairs ids) (ints ls)
   | Join (r, o, i) -> Printf.sprintf "Join(%d,%d,inc %d)" r o i
   | Clear r -> Printf.sprintf "Clear %d" r
@@ -158,7 +165,8 @@ let gen_op =
         r >>= fun r ->
         o >>= fun o ->
         t >>= fun t ->
-        int_range (-1) 7 >>= fun l -> ids o >|= fun ids -> Digest (r, o, t, l, ids) );
+        int_bound 3 >>= fun i ->
+        int_range (-1) 7 >>= fun l -> ids o >|= fun ids -> Digest (r, o, t, i, l, ids) );
       ( 2,
         r >>= fun r ->
         o >>= fun o ->
@@ -226,16 +234,21 @@ let m_step m = function
       let w = widx ~replica ~origin ~tree in
       ignore (m_rekey m w ~inc);
       string_of_bool (Rx_model.ensure_epoch m.rx.(w) ~epoch:inc)
-  | Digest (replica, origin, tree, last, ids) ->
+  | Digest (replica, origin, tree, inc, last, ids) ->
       let w = widx ~replica ~origin ~tree in
-      if last > m.hi.(w) then m.hi.(w) <- last;
-      let next = Rx_model.next_expected m.rx.(w) in
-      if next <= last then "gaps"
-      else if
-        next = last + 1
-        && List.sort_uniq Int.compare ids <> ids_on m.sets.(row ~replica ~origin) tree
-      then "diverged"
-      else "synced"
+      ignore (m_rekey m w ~inc);
+      (* A digest from an older incarnation is stale. *)
+      if not (Rx_model.ensure_epoch m.rx.(w) ~epoch:inc) then "synced"
+      else begin
+        if last > m.hi.(w) then m.hi.(w) <- last;
+        let next = Rx_model.next_expected m.rx.(w) in
+        if next <= last then "gaps"
+        else if
+          next = last + 1
+          && List.sort_uniq Int.compare ids <> ids_on m.sets.(row ~replica ~origin) tree
+        then "diverged"
+        else "synced"
+      end
   | Sync (replica, origin, ids, last_seqs) ->
       m.sets.(row ~replica ~origin) <- m_set ids;
       let run =
@@ -289,9 +302,12 @@ let r_step t = function
       | Replicas.Buffered -> "buffered")
   | Admit (replica, origin, tree, inc) ->
       string_of_bool (Replicas.admit t (Replicas.window t ~replica ~origin ~tree) ~inc)
-  | Digest (replica, origin, tree, last_seq, ids) -> (
+  | Digest (replica, origin, tree, inc, last_seq, ids) -> (
       let hash = scratch_hash (List.sort_uniq Int.compare ids) in
-      match Replicas.digest t (Replicas.window t ~replica ~origin ~tree) ~last_seq ~hash with
+      let epoch = Wire.pack_epoch ~inc ~epoch:0 in
+      match
+        Replicas.observe_digest t (Replicas.window t ~replica ~origin ~tree) ~epoch ~last_seq ~hash
+      with
       | Replicas.Gaps -> "gaps"
       | Replicas.Diverged -> "diverged"
       | Replicas.Synced -> "synced")

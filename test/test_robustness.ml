@@ -176,14 +176,23 @@ let view_ignores_stale_digest () =
    round alone when the origin never restarted, and the word fits the
    32-bit wire field. *)
 let digest_epoch_word () =
-  Alcotest.(check int) "incarnation 0 is the round" 41 (Rbcast.pack_epoch ~inc:0 ~epoch:41);
+  Alcotest.(check int) "incarnation 0 is the round" 41 (Wire.pack_epoch ~inc:0 ~epoch:41);
   Alcotest.(check int) "incarnation survives a wrapped round" 3
-    (Rbcast.unpack_inc (Rbcast.pack_epoch ~inc:3 ~epoch:((1 lsl 40) + 7)));
-  let top = Rbcast.pack_epoch ~inc:0xFFFF ~epoch:max_int in
-  Alcotest.(check int) "largest incarnation" 0xFFFF (Rbcast.unpack_inc top);
+    (Wire.unpack_inc (Wire.pack_epoch ~inc:3 ~epoch:((1 lsl 40) + 7)));
+  let top = Wire.pack_epoch ~inc:0xFFFF ~epoch:max_int in
+  Alcotest.(check int) "largest incarnation" 0xFFFF (Wire.unpack_inc top);
   Alcotest.(check bool) "fits 32 bits" true (top lsr 32 = 0);
-  Alcotest.check_raises "incarnation bound" (Invalid_argument "Rbcast.pack_epoch: incarnation")
-    (fun () -> ignore (Rbcast.pack_epoch ~inc:0x10000 ~epoch:1))
+  Alcotest.check_raises "incarnation bound" (Invalid_argument "Wire.pack_epoch: incarnation")
+    (fun () -> ignore (Wire.pack_epoch ~inc:0x10000 ~epoch:1));
+  (* A digest round stamps each digest with this word. *)
+  let o = Rbcast.origin ~trees:1 () in
+  ignore (Rbcast.send o ~tree:0 "a");
+  ignore (Rbcast.restart o);
+  ignore (Rbcast.send o ~tree:0 "b");
+  let words = ref [] in
+  Rbcast.digest_round o (fun ~epoch ~tree:_ ~last_seq:_ ~hash:_ -> words := epoch :: !words);
+  Alcotest.(check (list int)) "round 2 of incarnation 1" [ Wire.pack_epoch ~inc:1 ~epoch:2 ]
+    !words
 
 (* -- Routing: quarantine state machine -------------------------------------- *)
 
