@@ -1,24 +1,20 @@
-(* A tree's broadcast FIB in CSR form: the children of [v] are reached over
-   the link ids [links.(first.(v)) .. links.(first.(v + 1) - 1)], in
-   ascending child order. Replicating a packet is then a loop over an int
-   slice — no list, closure or link lookup per hop. *)
-type fib = {
-  first : int array;
-  links : int array;
-}
+(* A tree is cached as its FIB alone ({!Topology.tree}): the children of
+   [v] are reached over the link ids in [v]'s slot, so replicating a
+   packet is a loop over a slice of 32-bit entries — no list, closure or
+   link lookup per hop. Everything else a tree answers (parents, hops,
+   depth, edges, validity) is derived from the FIB on demand, off the
+   packet path. *)
+type fib = Topology.tree
 
-type tree = {
-  parent : int array;
+type cached = {
   fib : fib;
-  depth : int;
-  hops : int array;
   mutable version : int;  (* Topology.version the tree was last validated against *)
 }
 
 type t = {
   topo : Topology.t;
   trees_per_source : int;
-  cache : tree option array;  (* index = src * trees_per_source + tree id *)
+  cache : cached option array;  (* index = src * trees_per_source + tree id *)
   mutable repairs : int;
   mutable repair_bytes : int;
 }
@@ -37,76 +33,39 @@ let trees_per_source t = t.trees_per_source
 let repairs t = t.repairs
 let repair_bytes t = t.repair_bytes
 
-let tree_hops parent ~root =
-  let n = Array.length parent in
-  let hops = Array.make n (-1) in
-  hops.(root) <- 0;
-  let rec hop v = if hops.(v) >= 0 then hops.(v) else begin
-      let h = hop parent.(v) + 1 in
-      hops.(v) <- h;
-      h
-    end
-  in
-  for v = 0 to n - 1 do
-    if parent.(v) >= 0 then ignore (hop v)
-  done;
-  hops
+(* The FIB's edge count: its link entries run from [n + 1] to the end of
+   the last vertex's slot. *)
+let edge_count topo fib =
+  let n = Topology.vertex_count topo in
+  Topology.tree_entry fib n - (n + 1)
 
 (* A tree is valid when every alive vertex reachable from the source is
    covered by an alive tree edge. Checking edges locally suffices: a broken
    chain higher up surfaces as a dead (or missing) edge at the first alive,
-   reachable vertex below the break. *)
-let check_tree t ~src parent =
-  let topo = t.topo in
-  if not (Topology.node_alive topo src) then false
-  else begin
+   reachable vertex below the break. Each vertex is the far end of at most
+   one FIB link, so counting the alive links into reachable vertices
+   against the reachable vertices themselves decides it. *)
+let check_tree topo ~src fib =
+  Topology.node_alive topo src
+  && begin
     let d = Topology.dist_to topo src in
-    let ok = ref true in
-    let n = Array.length parent in
+    let n = Topology.vertex_count topo in
+    let needed = ref 0 and covered = ref 0 in
     for v = 0 to n - 1 do
-      if !ok && v <> src && Topology.node_alive topo v && d.(v) < max_int then begin
-        let p = parent.(v) in
-        if p < 0 then ok := false
-        else begin
-          let l = Topology.find_link_id topo p v in
-          if l < 0 || not (Topology.link_alive topo l) then ok := false
-        end
-      end
+      if v <> src && Topology.node_alive topo v && d.(v) < max_int then incr needed
     done;
-    !ok
+    for i = n + 1 to Topology.tree_entry fib n - 1 do
+      let l = Topology.tree_entry fib i in
+      if Topology.link_alive topo l && d.(Topology.link_dst topo l) < max_int then incr covered
+    done;
+    !covered = !needed
   end
 
-(* Counting sort of the tree edges by parent. [first.(p)] first counts
-   [p]'s children, then after the prefix sum marks the end of its slot;
-   placing children in descending order while decrementing it leaves each
-   slot ascending and [first.(p)] at the slot's start. *)
-let build_fib topo parent ~root =
-  let n = Array.length parent in
-  let first = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let p = parent.(v) in
-    if v <> root && p >= 0 then first.(p) <- first.(p) + 1
-  done;
-  for v = 1 to n do
-    first.(v) <- first.(v) + first.(v - 1)
-  done;
-  let links = Array.make first.(n) 0 in
-  for v = n - 1 downto 0 do
-    let p = parent.(v) in
-    if v <> root && p >= 0 then begin
-      let l = Topology.find_link_id topo p v in
-      if l < 0 then invalid_arg "Broadcast: tree edge is not a link";
-      first.(p) <- first.(p) - 1;
-      links.(first.(p)) <- l
-    end
-  done;
-  { first; links }
-
 let build_tree t ~src ~tree =
-  let parent = Topology.shortest_path_tree t.topo ~root:src ~variant:tree in
-  let fib = build_fib t.topo parent ~root:src in
-  let hops = tree_hops parent ~root:src in
-  { parent; fib; depth = Array.fold_left max 0 hops; hops; version = Topology.version t.topo }
+  {
+    fib = Topology.shortest_path_tree t.topo ~root:src ~variant:tree;
+    version = Topology.version t.topo;
+  }
 
 let slot t ~src ~tree =
   if src < 0 || src >= Topology.vertex_count t.topo then invalid_arg "Broadcast: src out of range";
@@ -118,7 +77,7 @@ let get_tree t ~src ~tree =
   let v = Topology.version t.topo in
   match t.cache.(key) with
   | Some tr when tr.version = v -> tr
-  | Some tr when check_tree t ~src tr.parent ->
+  | Some tr when check_tree t.topo ~src tr.fib ->
       (* Survived the failure untouched; just re-stamp. *)
       tr.version <- v;
       tr
@@ -127,7 +86,7 @@ let get_tree t ~src ~tree =
          the FIB re-announcement (one broadcast-sized update per edge). *)
       let tr = build_tree t ~src ~tree in
       t.repairs <- t.repairs + 1;
-      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * Array.length tr.fib.links);
+      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * edge_count t.topo tr.fib);
       t.cache.(key) <- Some tr;
       tr
   | None ->
@@ -137,7 +96,7 @@ let get_tree t ~src ~tree =
 
 let tree_valid t ~src ~tree =
   match t.cache.(slot t ~src ~tree) with
-  | Some tr -> tr.version = Topology.version t.topo || check_tree t ~src tr.parent
+  | Some tr -> tr.version = Topology.version t.topo || check_tree t.topo ~src tr.fib
   | None -> Topology.node_alive t.topo src
 
 let repair_all t =
@@ -155,17 +114,45 @@ let choose_tree t rng ~src:_ = Util.Rng.int rng t.trees_per_source
 let fib t ~src ~tree = (get_tree t ~src ~tree).fib
 
 let children t ~src ~tree v =
-  let { first; links } = fib t ~src ~tree in
-  List.init (first.(v + 1) - first.(v)) (fun i -> Topology.link_dst t.topo links.(first.(v) + i))
+  let fib = fib t ~src ~tree in
+  let lo = Topology.tree_entry fib v in
+  List.init
+    (Topology.tree_entry fib (v + 1) - lo)
+    (fun i -> Topology.link_dst t.topo (Topology.tree_entry fib (lo + i)))
 
-let parent t ~src ~tree v = (get_tree t ~src ~tree).parent.(v)
-let depth t ~src ~tree = (get_tree t ~src ~tree).depth
-let delivery_hops t ~src ~tree = (get_tree t ~src ~tree).hops
+(* The parent array: the near end of each FIB link, written at its far
+   end; the source is its own parent while it is alive. *)
+let parents t ~src ~tree =
+  let fib = fib t ~src ~tree in
+  let n = Topology.vertex_count t.topo in
+  let parent = Array.make n (-1) in
+  if Topology.node_alive t.topo src then parent.(src) <- src;
+  for i = n + 1 to Topology.tree_entry fib n - 1 do
+    let l = Topology.tree_entry fib i in
+    parent.(Topology.link_dst t.topo l) <- Topology.link_src t.topo l
+  done;
+  parent
+
+let parent t ~src ~tree v = (parents t ~src ~tree).(v)
+
+let delivery_hops t ~src ~tree =
+  let fib = fib t ~src ~tree in
+  let hops = Array.make (Topology.vertex_count t.topo) (-1) in
+  let rec down v h =
+    hops.(v) <- h;
+    for i = Topology.tree_entry fib v to Topology.tree_entry fib (v + 1) - 1 do
+      down (Topology.link_dst t.topo (Topology.tree_entry fib i)) (h + 1)
+    done
+  in
+  down src 0;
+  hops
+
+let depth t ~src ~tree = Array.fold_left max 0 (delivery_hops t ~src ~tree)
 
 let edges t ~src ~tree =
-  let tr = get_tree t ~src ~tree in
+  let parent = parents t ~src ~tree in
   let acc = ref [] in
-  Array.iteri (fun v p -> if v <> src && p >= 0 then acc := (p, v) :: !acc) tr.parent;
+  Array.iteri (fun v p -> if v <> src && p >= 0 then acc := (p, v) :: !acc) parent;
   List.rev !acc
 
 (* -- overhead model ------------------------------------------------------ *)

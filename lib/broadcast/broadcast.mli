@@ -46,37 +46,40 @@ val repair_bytes : t -> int
 (** Cumulative control traffic charged for repairs: one broadcast-sized FIB
     update per edge of each rebuilt tree. *)
 
-type fib = private {
-  first : int array;  (** [vertex_count + 1] offsets into [links] *)
-  links : int array;  (** child link ids, grouped by parent vertex *)
-}
-(** A tree's broadcast FIB in compressed-sparse-row form: vertex [v]
-    forwards a [(src, tree)] packet over the links
-    [links.(first.(v)) .. links.(first.(v + 1) - 1)], in ascending order of
-    the child at their far end. Built once per tree; the arrays must not be
-    mutated. *)
+type fib = Topology.tree
+(** A tree's broadcast FIB, the only form in which a tree is kept: its
+    {!Topology.tree}, where vertex [v]'s slot lists the links over which
+    [v] forwards a [(src, tree)] packet, in ascending order of the child
+    at their far end. 32-bit entries, one per vertex boundary and one per
+    edge: 8 bytes per vertex of a spanning tree (4 KB on 512 vertices).
+    Built once per tree; its bytes must not be mutated. *)
 
 val fib : t -> src:int -> tree:int -> fib
 (** The (re-validated) FIB of a tree — the allocation-free form of
     {!children} that packet replication loops over. *)
 
+(** The queries below are derived from the FIB on each call: O(vertices)
+    time and a fresh result, for callers off the packet path. *)
+
 val children : t -> src:int -> tree:int -> int -> int list
 (** FIB lookup: nodes to which a vertex forwards a [(src, tree)] broadcast
-    packet, in ascending order (a fresh list derived from {!fib}). *)
+    packet, in ascending order. *)
 
 val parent : t -> src:int -> tree:int -> int -> int
-(** Parent of a vertex in the tree ([src] is its own parent). *)
+(** Parent of a vertex in the tree ([src] is its own parent while alive;
+    [-1] for a vertex the tree does not reach). *)
 
 val depth : t -> src:int -> tree:int -> int
 (** Maximum hop count from the source to any vertex — the broadcast time in
     hops. *)
 
 val edges : t -> src:int -> tree:int -> (int * int) list
-(** Tree edges as (parent, child) pairs; [Topology.vertex_count - 1] of
-    them. *)
+(** Tree edges as (parent, child) pairs in ascending child order;
+    [Topology.vertex_count - 1] of them. *)
 
 val delivery_hops : t -> src:int -> tree:int -> int array
-(** Per-vertex hop distance from the source along the tree. *)
+(** Per-vertex hop distance from the source along the tree ([-1] where the
+    tree does not reach). *)
 
 (** {2 Overhead model (paper §3.2 and Fig. 9)} *)
 

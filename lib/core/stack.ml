@@ -263,17 +263,23 @@ let emit_digests ?(src = 0) t =
   ds
 
 let replay_range t ~tree ~from_seq ~to_seq =
-  let items = ref [] in
-  (* An evicted sequence is skipped: the requester that still misses it
-     falls back to a full sync. *)
+  let items = ref [] and first = ref (-1) in
   ignore
     (Rbcast.replay_range t.origin ~tree ~from_seq ~to_seq (fun seq (pkt, flow) ->
-         t.event_retransmits <- t.event_retransmits + 1;
-         (* A repair travels the whole tree again: losers downstream of the
-            original loss need it too. *)
-         t.reliability_bytes <- t.reliability_bytes + (Wire.seq_broadcast_size * fanout t);
+         if !first < 0 then first := seq;
          items := Wire.Item_seq_broadcast (pkt, flow, seq) :: !items));
-  if !items = [] then None else Some (Wire.encode_batch (List.rev !items))
+  (* The walk starts at the oldest logged sequence of the range: one
+     after [from_seq] means [from_seq] was evicted, and the requester
+     needs a full sync, not a partial batch. *)
+  if !first <> from_seq then None
+  else begin
+    let n = List.length !items in
+    t.event_retransmits <- t.event_retransmits + n;
+    (* A repair travels the whole tree again: losers downstream of the
+       original loss need it too. *)
+    t.reliability_bytes <- t.reliability_bytes + (n * Wire.seq_broadcast_size * fanout t);
+    Some (Wire.encode_batch (List.rev !items))
+  end
 
 let sync_view t view =
   let flows, last_seqs = Rbcast.snapshot t.origin in

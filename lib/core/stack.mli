@@ -145,13 +145,14 @@ val replay_range : t -> tree:int -> from_seq:int -> to_seq:int -> bytes option
     The walk ({!Rbcast.replay_range}) stops at the tree's {!last_seq}:
     later sequences were never sent, so a range running past it (the wire
     allows any 32-bit [to_seq]) costs no more than one ending there.
-    Sequences already evicted from the replay log are skipped; [None]
-    when nothing in the range survives (the requester then needs a full
-    {!sync_view}). Feed the result to {!View.apply_batch}. Each replayed
-    event is re-encoded with its original sequence number, charged to
-    {!reliability_bytes_sent} at broadcast fan-out and counted in
-    {!event_retransmits}. Raises [Invalid_argument] on
-    [to_seq < from_seq]. *)
+    [None] when [from_seq] is no longer in the replay log (evicted, so the
+    bounded range cannot be answered in full) or was never sent: the
+    requester then needs a full {!sync_view} at once, as a simulated
+    origin answers it, and nothing is charged. Otherwise feed the result
+    to {!View.apply_batch}. Each replayed event is re-encoded with its
+    original sequence number, charged to {!reliability_bytes_sent} at
+    broadcast fan-out and counted in {!event_retransmits}. Raises
+    [Invalid_argument] on [to_seq < from_seq]. *)
 
 val sync_view : t -> View.t -> unit
 (** Full-state repair of a diverged replica — one whose

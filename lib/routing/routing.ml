@@ -72,6 +72,7 @@ and scratch = {
   seen : int array;  (* per vertex: [dp_stamp] of the DP that reached it *)
   queue : int array;  (* DAG vertices, layer by layer, in discovery order *)
   mutable qtail : int;
+  dag_bits : int array;  (* DAG vertices as a bitmap, 32 per word; empty between calls *)
   mutable dp_stamp : int;
   share : float array;  (* per link: mass the last DP put on it *)
   share_seen : int array;  (* per link: [dp_stamp] of the DP that set [share] *)
@@ -115,6 +116,7 @@ let scratch ctx =
           seen = Array.make n 0;
           queue = Array.make n 0;
           qtail = 0;
+          dag_bits = Array.make ((n + 31) / 32) 0;
           dp_stamp = 0;
           share = Array.make m 0.0;
           share_seen = Array.make m 0;
@@ -563,26 +565,38 @@ let min_fractions_uncached ctx sc ~src ~dst =
   done
 
 (* The last DP's row, sorted by link id without a sort: links are numbered
-   source-major in port order ({!Topology.link_count}), so visiting the
-   DAG's vertices by id, and each one's links in port order, lists them
-   ascending. Allocates the row only. *)
+   source-major ({!Topology.link_count}), so visiting the DAG's vertices
+   by id, and each one's consecutive link ids in order, lists them
+   ascending. The DAG's vertices are the DP's queue, put in id order
+   through a bitmap that is emptied as it is read. Allocates the row
+   only. *)
 let min_fractions ctx sc ~src ~dst =
   min_fractions_uncached ctx sc ~src ~dst;
-  let t = ctx.topo in
+  let t = ctx.topo and bits = sc.dag_bits and stamp = sc.dp_stamp in
+  for j = 0 to sc.qtail - 1 do
+    let u = sc.queue.(j) in
+    bits.(u lsr 5) <- bits.(u lsr 5) lor (1 lsl (u land 31))
+  done;
   let links = Array.make sc.ntouched 0 and fracs = Array.create_float sc.ntouched in
   let k = ref 0 in
-  for u = 0 to Topology.vertex_count t - 1 do
-    if sc.seen.(u) = sc.dp_stamp then begin
-      let out = Topology.out_links t u in
-      for i = 0 to Array.length out - 1 do
-        let l = snd out.(i) in
-        if sc.share_seen.(l) = sc.dp_stamp then begin
-          links.(!k) <- l;
-          fracs.(!k) <- sc.share.(l);
-          incr k
-        end
-      done
-    end
+  for w = 0 to Array.length bits - 1 do
+    let word = ref bits.(w) and u = ref (w lsl 5) in
+    bits.(w) <- 0;
+    while !word <> 0 do
+      if !word land 1 <> 0 then begin
+        let out = Topology.out_links t !u in
+        let base = snd out.(0) in
+        for l = base to base + Array.length out - 1 do
+          if sc.share_seen.(l) = stamp then begin
+            links.(!k) <- l;
+            fracs.(!k) <- sc.share.(l);
+            incr k
+          end
+        done
+      end;
+      word := !word lsr 1;
+      incr u
+    done
   done;
   make_row links fracs
 

@@ -504,11 +504,17 @@ let blackholed_ctrl_bytes t = t.blackholed_ctrl_bytes
 (* -- forwarding ----------------------------------------------------------- *)
 
 (* The tree's CSR FIB: one cache-validated fetch per arrival or
-   injection, then a plain loop over the link ids of a vertex's slice. *)
+   injection, then a plain loop over the link ids of a vertex's slot. *)
 let fib t ~root ~tree =
   match t.broadcast with
   | Some b -> Broadcast.fib b ~src:root ~tree
   | None -> invalid_arg "Net: broadcast FIB not configured"
+
+(* {!Topology.tree_entry}, read in place: under -opaque a call to it
+   would not be inlined, and a FIB read is the per-hop work of a
+   broadcast. *)
+let[@inline] fib_entry (fib : Broadcast.fib) i =
+  Int32.to_int (Bytes.get_int32_le (fib :> Bytes.t) (4 * i))
 
 (* Forwarding is mutually recursive with arrival: an arriving packet is
    re-enqueued towards its next hop. *)
@@ -669,24 +675,24 @@ and arrive t node pkt =
    digest copies carry the empty route and no slices, so a copy is its
    eight words. *)
 and replicate t pkt ~root ~tree ~from =
-  let { Broadcast.first; links } = fib t ~root ~tree in
-  let last = first.(from + 1) - 1 in
-  if last < first.(from) then free_pkt t pkt
+  let fib = fib t ~root ~tree in
+  let first = fib_entry fib from and last = fib_entry fib (from + 1) - 1 in
+  if last < first then free_pkt t pkt
   else begin
-    for i = first.(from) to last - 1 do
+    for i = first to last - 1 do
       let c = alloc_pkt t in
       for f = 0 to fields - 1 do
         fset t c f (fget t pkt f)
       done;
-      enqueue_link t (Array.unsafe_get links i) c
+      enqueue_link t (fib_entry fib i) c
     done;
-    enqueue_link t (Array.unsafe_get links last) pkt
+    enqueue_link t (fib_entry fib last) pkt
   end
 
 (* Injection at the tree's root: a fresh packet per child. *)
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
-  let { Broadcast.first; links } = fib t ~root ~tree in
-  for i = first.(from) to first.(from + 1) - 1 do
+  let fib = fib t ~root ~tree in
+  for i = fib_entry fib from to fib_entry fib (from + 1) - 1 do
     let h = alloc_pkt t in
     fset t h f_meta (meta_make ~code ~bytes);
     fset t h f_route Arena.Ints.empty;
@@ -696,7 +702,7 @@ and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
     fset t h f_p3 p3;
     fset t h f_p4 p4;
     fset t h f_p5 p5;
-    enqueue_link t (Array.unsafe_get links i) h
+    enqueue_link t (fib_entry fib i) h
   done
 
 let create engine topo ?(queue_capacity = max_int) ~link_gbps () =

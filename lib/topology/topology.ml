@@ -35,6 +35,9 @@ type t = {
   link_failed : bool array;
   node_up : bool array;
   mutable version : int;
+  (* Breadth-first search queue, shared by every search on this graph so
+     that a search allocates nothing but its output. *)
+  queue : int array;
 }
 
 (* -- construction ------------------------------------------------------- *)
@@ -78,6 +81,7 @@ let build ~kind ~hosts ~nverts edges =
     link_failed = Array.make (Array.length lsrc) false;
     node_up = Array.make nverts true;
     version = 0;
+    queue = Array.make nverts 0;
   }
 
 let effective_dims dims =
@@ -329,18 +333,22 @@ let of_coords t c =
 let bfs t src =
   let dist = Array.make t.nverts max_int in
   if t.node_up.(src) then begin
+    let q = t.queue in
     dist.(src) <- 0;
-    let q = Queue.create () in
-    Queue.add src q;
-    while not (Queue.is_empty q) do
-      let u = Queue.take q in
-      Array.iter
-        (fun (v, l) ->
-          if dist.(v) = max_int && link_alive t l then begin
-            dist.(v) <- dist.(u) + 1;
-            Queue.add v q
-          end)
-        t.out.(u)
+    q.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = q.(!head) in
+      incr head;
+      let out = t.out.(u) in
+      for i = 0 to Array.length out - 1 do
+        let v, l = out.(i) in
+        if dist.(v) = max_int && link_alive t l then begin
+          dist.(v) <- dist.(u) + 1;
+          q.(!tail) <- v;
+          incr tail
+        end
+      done
     done
   end;
   dist
@@ -452,36 +460,71 @@ let bisection_links t =
 
 (* -- spanning trees ----------------------------------------------------- *)
 
+type tree = Bytes.t
+
+let[@inline] tree_entry tr i = Int32.to_int (Bytes.get_int32_le tr (4 * i))
+let[@inline] set_entry tr i x = Bytes.set_int32_le tr (4 * i) (Int32.of_int x)
+
+(* The tree is written straight from the search. Until the search ends,
+   entry [v] of the offset block is -1 while [v] is unreached and then
+   its child count; the children of each vertex join the queue
+   back to back, in the order the vertices leave it. A prefix sum turns
+   the counts into offsets, and one more walk of the queue hands each
+   vertex its children, sorted into its slot by child id as they are
+   inserted. *)
 let shortest_path_tree t ~root ~variant =
-  let parent = Array.make t.nverts (-1) in
+  let n = t.nverts and q = t.queue in
+  let tr = Bytes.make (8 * n) '\xff' in
+  let tail = ref 0 in
   if t.node_up.(root) then begin
-    parent.(root) <- root;
-    let q = Queue.create () in
-    Queue.add root q;
-    while not (Queue.is_empty q) do
-      let u = Queue.take q in
-      let hops = t.out.(u) in
-      let deg = Array.length hops in
+    set_entry tr root 0;
+    q.(0) <- root;
+    tail := 1;
+    let head = ref 0 in
+    while !head < !tail do
+      let u = q.(!head) in
+      incr head;
+      let out = t.out.(u) in
+      let deg = Array.length out in
+      (* Rotate exploration order so different variants attach vertices to
+         different shortest-path parents. *)
+      let rot = (variant + u) mod deg in
+      let before = !tail in
       for i = 0 to deg - 1 do
-        (* Rotate exploration order so different variants attach vertices to
-           different shortest-path parents. *)
-        let v, l = hops.((i + variant + u) mod deg) in
-        if parent.(v) < 0 && link_alive t l then begin
-          parent.(v) <- u;
-          Queue.add v q
+        let j = rot + i in
+        let v, l = out.(if j < deg then j else j - deg) in
+        if tree_entry tr v < 0 && link_alive t l then begin
+          set_entry tr v 0;
+          q.(!tail) <- v;
+          incr tail
         end
-      done
+      done;
+      set_entry tr u (!tail - before)
     done
   end;
-  parent
-
-let tree_children parent ~root =
-  let n = Array.length parent in
-  let children = Array.make n [] in
-  for v = n - 1 downto 0 do
-    if v <> root && parent.(v) >= 0 then children.(parent.(v)) <- v :: children.(parent.(v))
+  let off = ref (n + 1) in
+  for v = 0 to n - 1 do
+    let count = tree_entry tr v in
+    set_entry tr v !off;
+    if count > 0 then off := !off + count
   done;
-  children
+  set_entry tr n !off;
+  let next = ref 1 in
+  for i = 0 to !tail - 1 do
+    let u = q.(i) in
+    let lo = tree_entry tr u in
+    for k = lo to tree_entry tr (u + 1) - 1 do
+      let v = q.(!next) in
+      incr next;
+      let j = ref k in
+      while !j > lo && t.ldst.(tree_entry tr (!j - 1)) > v do
+        set_entry tr !j (tree_entry tr (!j - 1));
+        decr j
+      done;
+      set_entry tr !j (find_link_id t u v)
+    done
+  done;
+  if !off = 2 * n then tr else Bytes.sub tr 0 (4 * !off)
 
 let pp ppf t =
   let pp_dims ppf dims =

@@ -149,7 +149,7 @@ val dist_to : t -> node -> int array
 (** [dist_to t dst] is the array of shortest-path distances from every
     vertex to [dst], over alive links and nodes only ([max_int] marks
     unreachable). Computed once per destination and cached; fail/restore
-    invalidates affected entries. *)
+    invalidates affected entries. A cold call allocates the array only. *)
 
 val productive_hops : t -> node -> dst:node -> (node * link_id) array
 (** Next hops of [node] lying on some shortest path to [dst] over alive
@@ -174,16 +174,26 @@ val bisection_links : t -> int
     along the largest dimension for torus/mesh, the leaf-spine stage for
     Clos). *)
 
-val shortest_path_tree : t -> root:node -> variant:int -> int array
-(** [shortest_path_tree t ~root ~variant] is a spanning tree of all alive,
-    reachable vertices given as a parent array ([parent.(root) = root];
-    dead or unreachable vertices keep [-1]); every tree path from the root
-    is a shortest path. Different [variant] values rotate the neighbor
-    exploration order, producing (generally) different trees. *)
+type tree = private Bytes.t
+(** A spanning tree as the child links of each vertex, in
+    compressed-sparse-row form: [n + 1 + e] entries for [n] vertices and
+    [e] tree edges in one byte block, entry [i] being the little-endian
+    32-bit int at byte [4 * i] ({!tree_entry}). Entries [0 .. n] are
+    offsets into the same entry space: vertex [v]'s child links are the
+    entries [tree_entry tr v .. tree_entry tr (v + 1) - 1], in ascending
+    order of the child at their far end ({!find_link_id} of the tree
+    edge). A spanning tree of all [n] vertices takes [8 * n] bytes. *)
 
-val tree_children : int array -> root:node -> node list array
-(** Children adjacency of a parent array as produced by
-    {!shortest_path_tree}. *)
+val tree_entry : tree -> int -> int
+(** [tree_entry tr i] is entry [i] of [tr]. *)
+
+val shortest_path_tree : t -> root:node -> variant:int -> tree
+(** [shortest_path_tree t ~root ~variant] is a spanning tree of all alive
+    vertices reachable from [root] over alive links (none when [root] is
+    dead); every tree path from the root is a shortest path. Different
+    [variant] values rotate the neighbor exploration order, producing
+    (generally) different trees. Allocates the tree only (and a trimmed
+    copy when some vertex is unreached). *)
 
 val bridge : t -> t -> cables:(node * node) list -> t
 (** [bridge a b ~cables] composes two racks into one fabric by adding

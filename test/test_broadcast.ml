@@ -129,31 +129,51 @@ let out_of_range_rejected () =
       ignore (Broadcast.tree_valid b ~src:0 ~tree:(-1)))
 
 (* Differential check of the CSR FIB on every builder and every (src,
-   tree): [children] must equal [Topology.tree_children] of the tree's
-   parent array, and flooding over the FIB's link ids must cross only
-   alive links out of the forwarding vertex and reach every alive vertex
-   reachable from [src] exactly once. Repeated after a cable failure
-   (rebuilds) and its restore (re-validation of stamped trees). *)
-let check_all_trees name topo b =
+   tree) against [Tree_model], the parent-array cache it replaced: each
+   vertex's FIB slot must list the model's children in ascending order,
+   over the links [Topology.find_link_id] names, and the derived parent,
+   hops and edges must be the model's. Flooding over the FIB's link ids
+   must leave each forwarding vertex, reach every alive vertex reachable
+   from [src] exactly once over alive links, and hold a dead link only
+   towards a vertex out of reach (a tree that lost only such vertices
+   stays valid). *)
+let check_all_trees name topo b m =
   let n = Topology.vertex_count topo in
   for src = 0 to n - 1 do
     for tree = 0 to Broadcast.trees_per_source b - 1 do
       let ctx = Printf.sprintf "%s src %d tree %d" name src tree in
-      let parent = Array.init n (Broadcast.parent b ~src ~tree) in
-      let expected = Topology.tree_children parent ~root:src in
+      let parent = Tree_model.parent_array m ~src ~tree in
+      let expected = Tree_model.tree_children parent ~root:src in
+      let fib = Broadcast.fib b ~src ~tree in
       for v = 0 to n - 1 do
         Alcotest.(check (list int)) (ctx ^ ": children") expected.(v)
-          (Broadcast.children b ~src ~tree v)
+          (Broadcast.children b ~src ~tree v);
+        Alcotest.(check (list int)) (ctx ^ ": links")
+          (List.map (Topology.find_link_id topo v) expected.(v))
+          (List.init
+             (Topology.tree_entry fib (v + 1) - Topology.tree_entry fib v)
+             (fun i -> Topology.tree_entry fib (Topology.tree_entry fib v + i)))
       done;
-      let { Broadcast.first; links } = Broadcast.fib b ~src ~tree in
+      Alcotest.(check (array int)) (ctx ^ ": parents") parent
+        (Array.init n (Broadcast.parent b ~src ~tree));
+      Alcotest.(check (array int)) (ctx ^ ": hops") (Tree_model.hops parent ~root:src)
+        (Broadcast.delivery_hops b ~src ~tree);
+      Alcotest.(check (list (pair int int))) (ctx ^ ": edges")
+        (List.filter_map
+           (fun v -> if v <> src && parent.(v) >= 0 then Some (parent.(v), v) else None)
+           (List.init n Fun.id))
+        (Broadcast.edges b ~src ~tree);
       let visits = Array.make n 0 in
       let rec flood v =
         visits.(v) <- visits.(v) + 1;
-        for i = first.(v) to first.(v + 1) - 1 do
-          let l = links.(i) in
+        for i = Topology.tree_entry fib v to Topology.tree_entry fib (v + 1) - 1 do
+          let l = Topology.tree_entry fib i in
+          let c = Topology.link_dst topo l in
           Alcotest.(check int) (ctx ^ ": link leaves the forwarder") v (Topology.link_src topo l);
-          Alcotest.(check bool) (ctx ^ ": link alive") true (Topology.link_alive topo l);
-          flood (Topology.link_dst topo l)
+          if Topology.link_alive topo l then flood c
+          else
+            Alcotest.(check bool) (ctx ^ ": dead link leads out of reach") false
+              (Topology.reachable topo src c)
         done
       in
       if Topology.node_alive topo src then flood src;
@@ -164,26 +184,79 @@ let check_all_trees name topo b =
     done
   done
 
+(* [Broadcast.tree_valid] against the model's edge-by-edge check, then one
+   [repair_all] on both sides: the same trees must be rebuilt. *)
+let check_repair name topo b m =
+  let n = Topology.vertex_count topo in
+  for src = 0 to n - 1 do
+    for tree = 0 to Broadcast.trees_per_source b - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s src %d tree %d: tree_valid" name src tree)
+        (Tree_model.tree_valid m ~src ~tree) (Broadcast.tree_valid b ~src ~tree)
+    done
+  done;
+  let rebuilt = Broadcast.repair_all b in
+  let before = m.Tree_model.repairs in
+  for src = 0 to n - 1 do
+    for tree = 0 to Broadcast.trees_per_source b - 1 do
+      ignore (Tree_model.parent_array m ~src ~tree)
+    done
+  done;
+  Alcotest.(check int) (name ^ ": trees rebuilt") (m.Tree_model.repairs - before) rebuilt;
+  check_all_trees name topo b m
+
 let fib_matches_tree_children_everywhere () =
   List.iter
-    (fun (name, topo) ->
+    (fun (name, topo, node) ->
       let b = Broadcast.make topo in
-      check_all_trees name topo b;
+      let m = Tree_model.make ~trees:(Broadcast.trees_per_source b) topo in
+      check_all_trees name topo b m;
       let n = Topology.vertex_count topo in
       let u = n - 1 in
       let v, _ = (Topology.out_links topo u).(0) in
       Topology.fail_link topo u v;
-      check_all_trees (name ^ " (cable down)") topo b;
+      check_repair (name ^ " (cable down)") topo b m;
       Alcotest.(check bool) (name ^ ": failure rebuilt some tree") true (Broadcast.repairs b > 0);
+      Topology.fail_node topo node;
+      check_repair (name ^ " (cable and node down)") topo b m;
+      Topology.restore_node topo node;
       Topology.restore_link topo u v;
-      check_all_trees (name ^ " (restored)") topo b)
+      check_repair (name ^ " (restored)") topo b m;
+      Alcotest.(check int) (name ^ ": repairs") m.Tree_model.repairs (Broadcast.repairs b))
     [
-      ("torus", Topology.torus [| 4; 4; 4 |]);
-      ("mesh", Topology.mesh [| 3; 4 |]);
-      ("clos", Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:3);
-      ("hypercube", Topology.hypercube 4);
-      ("flattened butterfly", Topology.flattened_butterfly 4);
+      ("torus", Topology.torus [| 4; 4; 4 |], 21);
+      ("mesh", Topology.mesh [| 3; 4 |], 5);
+      ("6-cube", Topology.hypercube 6, 42);
+      (* Leaf 0: its three servers lose the rack. *)
+      ("clos", Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:3, 12);
+      ("flattened butterfly", Topology.flattened_butterfly 4, 6);
+      (* The one cable's rack-a end: the two racks part. *)
+      ( "bridged racks",
+        Topology.bridge (Topology.torus [| 3; 3 |]) (Topology.mesh [| 2; 3 |]) ~cables:[ (4, 1) ],
+        4 );
     ]
+
+(* Every tree of the 8x8x8 rack is kept as its FIB alone: 4 bytes per
+   vertex boundary and per edge, 4 KB and a few words of cache per tree,
+   so all 2,048 hold less than 9 MB. Measured as the growth of the live
+   heap. *)
+let trees_8x8x8_fit_in_9mb () =
+  let topo = Lazy.force torus888 in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let b = Broadcast.make topo in
+  for src = 0 to Topology.vertex_count topo - 1 do
+    for tree = 0 to Broadcast.trees_per_source b - 1 do
+      ignore (Broadcast.fib b ~src ~tree)
+    done
+  done;
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  let mb = float_of_int ((live1 - live0) * (Sys.word_size / 8)) /. 1e6 in
+  Alcotest.(check bool) (Printf.sprintf "2,048 trees hold %.2f MB <= 9 MB" mb) true (mb <= 9.0);
+  Alcotest.(check int) "one tree is 4 KB, a padding word and a header" 4112
+    (Obj.reachable_words (Obj.repr (Broadcast.fib b ~src:0 ~tree:0)) * (Sys.word_size / 8));
+  ignore (Sys.opaque_identity b)
 
 let qcheck_tree_spans =
   QCheck.Test.make ~name:"every (src, tree) FIB spans the rack" ~count:50
@@ -217,6 +290,7 @@ let suites =
         tc "greater diameter, lower overhead (Fig 9)" greater_diameter_lower_overhead;
         tc "out-of-range src or tree rejected" out_of_range_rejected;
         tc "CSR FIB matches tree_children on every builder" fib_matches_tree_children_everywhere;
+        tc "2,048 trees of 8x8x8 hold at most 9 MB" trees_8x8x8_fit_in_9mb;
         QCheck_alcotest.to_alcotest qcheck_tree_spans;
       ] );
   ]

@@ -496,6 +496,40 @@ let replay_range_answers_at_most_the_bound () =
   Alcotest.(check (list int)) "the re-NACKed rest" (List.init 44 (fun i -> 256 + i))
     (seqs 256 299)
 
+(* A NACK whose bounded range reaches below the replay log gets [None],
+   not the logged tail of the range: the requester needs a sync at once,
+   as a simulated origin answers it. 66,000 events on one tree leave the
+   newest 65,536 (464 .. 65,999) in the log; a refused NACK is charged
+   nothing. *)
+let replay_range_refuses_evicted_ranges () =
+  let config = { R2c2.Stack.trees_per_source = 1 } in
+  let st = R2c2.Stack.create ~config ~seed:5 (Topology.torus [| 2; 2; 2 |]) in
+  for _ = 1 to 33_000 do
+    R2c2.Stack.close_flow st (R2c2.Stack.open_flow st ~src:0 ~dst:3)
+  done;
+  Alcotest.(check int) "a 66,000-event stream" 65_999 (R2c2.Stack.last_seq st ~tree:0);
+  let bytes = R2c2.Stack.reliability_bytes_sent st in
+  Alcotest.(check bool) "300 .. 65,999: 300 .. 463 evicted" true
+    (R2c2.Stack.replay_range st ~tree:0 ~from_seq:300 ~to_seq:65_999 = None);
+  Alcotest.(check bool) "463 .. 463: evicted" true
+    (R2c2.Stack.replay_range st ~tree:0 ~from_seq:463 ~to_seq:463 = None);
+  Alcotest.(check int) "no retransmit charged" 0 (R2c2.Stack.event_retransmits st);
+  Alcotest.(check int) "no byte charged" bytes (R2c2.Stack.reliability_bytes_sent st);
+  match R2c2.Stack.replay_range st ~tree:0 ~from_seq:464 ~to_seq:65_999 with
+  | None -> Alcotest.fail "464 .. 65,999 starts at the oldest logged sequence"
+  | Some batch -> (
+      match Wire.decode_batch batch with
+      | Ok items ->
+          Alcotest.(check (list int)) "its first 256 sequences" (List.init 256 (fun i -> 464 + i))
+            (List.map
+               (function
+                 | Wire.Item_seq_broadcast (_, _, seq) -> seq
+                 | Wire.Item_broadcast _ | Wire.Item_digest _ | Wire.Item_nack _ ->
+                     Alcotest.fail "a repair batch carries sequenced events only")
+               items);
+          Alcotest.(check int) "256 retransmits" 256 (R2c2.Stack.event_retransmits st)
+      | Error e -> Alcotest.fail e)
+
 (* [Rbcast.replay_range] flags a range it cannot answer in full, the two
    cases where the simulator falls back to a sync: a sequence evicted from
    the log, and one past the newest. A range longer than the bound is cut
@@ -923,6 +957,7 @@ let suites =
         tc "backoff: restart resets it" backoff_reset_by_restart;
         tc "replay range stops at the newest sequence" replay_range_stops_at_last_seq;
         tc "replay range answers at most the NACK bound" replay_range_answers_at_most_the_bound;
+        tc "replay range refuses a partly evicted range" replay_range_refuses_evicted_ranges;
         tc "rbcast replay range flags what it cannot replay"
           rbcast_replay_range_flags_unreplayable;
         tc "watchdog repairs diverged view" watchdog_repairs_diverged_view;

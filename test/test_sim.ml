@@ -494,9 +494,9 @@ let net_flood_each_tree_once () =
   let kinds = Array.make 3 0 in
   for root = 0 to 63 do
     for tree = 0 to trees - 1 do
-      let { Broadcast.first; _ } = Broadcast.fib b ~src:root ~tree in
+      let fib = Broadcast.fib b ~src:root ~tree in
       for v = 0 to 63 do
-        let k = min 2 (first.(v + 1) - first.(v)) in
+        let k = min 2 (Topology.tree_entry fib (v + 1) - Topology.tree_entry fib v) in
         kinds.(k) <- kinds.(k) + 1
       done
     done

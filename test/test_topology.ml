@@ -119,16 +119,27 @@ let clos_structure () =
   Alcotest.(check int) "cross leaf" 4 (Topology.distance t 0 15);
   Alcotest.(check int) "bisection" 8 (Topology.bisection_links t)
 
+(* The parent of every vertex a CSR tree reaches: the near end of the
+   link into it. *)
+let tree_parents t tr =
+  let n = Topology.vertex_count t in
+  let parent = Array.make n (-1) in
+  for i = n + 1 to Topology.tree_entry tr n - 1 do
+    let l = Topology.tree_entry tr i in
+    parent.(Topology.link_dst t l) <- Topology.link_src t l
+  done;
+  parent
+
 let spanning_tree_is_shortest () =
   let t = Lazy.force torus888 in
   let root = 17 in
   for variant = 0 to 3 do
-    let parent = Topology.shortest_path_tree t ~root ~variant in
-    Alcotest.(check int) "root is own parent" root parent.(root);
+    let parent = tree_parents t (Topology.shortest_path_tree t ~root ~variant) in
+    Alcotest.(check int) "root has no parent" (-1) parent.(root);
     (* Every vertex reached, and tree depth equals BFS distance. *)
     let rec depth v = if v = root then 0 else 1 + depth parent.(v) in
     for v = 0 to Topology.vertex_count t - 1 do
-      Alcotest.(check bool) "reached" true (parent.(v) >= 0);
+      Alcotest.(check bool) "reached" true (v = root || parent.(v) >= 0);
       Alcotest.(check int) "tree path is shortest" (Topology.distance t root v) (depth v)
     done
   done
@@ -137,14 +148,63 @@ let tree_variants_differ () =
   let t = Lazy.force torus888 in
   let p0 = Topology.shortest_path_tree t ~root:0 ~variant:0 in
   let p1 = Topology.shortest_path_tree t ~root:0 ~variant:1 in
-  Alcotest.(check bool) "variants give different trees" true (p0 <> p1)
+  Alcotest.(check bool) "variants give different trees" false
+    (Bytes.equal (p0 :> Bytes.t) (p1 :> Bytes.t))
 
 let tree_children_sizes () =
   let t = Lazy.force torus44 in
-  let parent = Topology.shortest_path_tree t ~root:0 ~variant:0 in
-  let children = Topology.tree_children parent ~root:0 in
-  let total = Array.fold_left (fun acc c -> acc + List.length c) 0 children in
-  Alcotest.(check int) "n-1 edges" 15 total
+  let tr = Topology.shortest_path_tree t ~root:0 ~variant:0 in
+  let total = ref 0 in
+  for v = 0 to 15 do
+    total := !total + (Topology.tree_entry tr (v + 1) - Topology.tree_entry tr v)
+  done;
+  Alcotest.(check int) "n-1 edges" 15 !total;
+  Alcotest.(check int) "17 offsets and 15 links, 4 bytes each" (4 * 32)
+    (Bytes.length (tr :> Bytes.t))
+
+(* Words [f ()] allocates, in the minor and the major heap alike (a block
+   of more than 256 words goes straight to the major heap), less what one
+   reading of the counters costs. The minor count is [Gc.minor_words]:
+   [Gc.counters] reads the current minor-heap chunk an eighth short under
+   OCaml 5.1. *)
+let words_allocated f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let t0 = total () in
+  let t1 = total () in
+  let x = f () in
+  let t2 = total () in
+  (x, t2 -. t1 -. (t1 -. t0))
+
+(* The zero-allocation bound of the searches: on a fresh graph, each cold
+   [dist_to] and each spanning tree allocates its result and nothing else
+   (no queue cell, closure or parent array), on a 64-vertex torus, whose
+   results sit in the minor heap, and on 512 vertices, whose do not. *)
+let cold_searches_allocate_only_their_output () =
+  List.iter
+    (fun dims ->
+      let t = Topology.torus dims in
+      let n = Topology.vertex_count t in
+      let name = Printf.sprintf "%d vertices" n in
+      for dst = 0 to n - 1 do
+        let d, words = words_allocated (fun () -> Topology.dist_to t dst) in
+        Alcotest.(check (float 0.0)) (name ^ ": cold dist_to allocates its array only")
+          (float_of_int (Obj.reachable_words (Obj.repr d))) words
+      done;
+      for root = 0 to n - 1 do
+        let variant = root mod 4 in
+        let tr, words = words_allocated (fun () -> Topology.shortest_path_tree t ~root ~variant) in
+        Alcotest.(check (float 0.0)) (name ^ ": a tree allocates its bytes only")
+          (float_of_int (Obj.reachable_words (Obj.repr tr))) words
+      done;
+      let b = Broadcast.make t in
+      let fib, words = words_allocated (fun () -> Broadcast.fib b ~src:3 ~tree:1) in
+      Alcotest.(check (float 0.0)) (name ^ ": a cold FIB is its tree and a 5-word cache cell")
+        (float_of_int (Obj.reachable_words (Obj.repr fib) + 5))
+        words)
+    [ [| 4; 4; 4 |]; [| 8; 8; 8 |] ]
 
 (* A cable is removed by failing it on the down-state overlay; a fresh
    torus, since the overlay mutates it. *)
@@ -247,6 +307,7 @@ let suites =
         tc "spanning tree is shortest-path" spanning_tree_is_shortest;
         tc "tree variants differ" tree_variants_differ;
         tc "tree children count" tree_children_sizes;
+        tc "cold searches allocate only their output" cold_searches_allocate_only_their_output;
         tc "remove_link reroutes" remove_link_reroutes;
         tc "remove_link validates" remove_link_rejects_non_adjacent;
         tc "hypercube structure" hypercube_structure;
