@@ -95,6 +95,18 @@ let fig7 ?(flows = 300) ?(size = 2_000_000) ?(seed = 11) () =
 
 (* ---------------------------------------------------------------- fig8 *)
 
+(* One recompute of a held water-filler refilled from scratch, as
+   [Emu.Fluid], per-node control and the GA selector run it: clear it,
+   refill it with [flows] keyed by slot, allocate. *)
+let refill_allocate alloc flows =
+  let module Inc = Congestion.Waterfill.Inc in
+  Inc.clear alloc;
+  Array.iteri
+    (fun i (f : Congestion.Waterfill.flow) ->
+      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand alloc ~id:i f.row)
+    flows;
+  Inc.allocate alloc
+
 let fig8 ?(flows = 10_000) ?(seed = 5) () =
   heading
     "Fig 8: 99th-pct CPU overhead of rate recomputation vs interval rho\n\
@@ -108,27 +120,33 @@ let fig8 ?(flows = 10_000) ?(seed = 5) () =
     Workload.Flowgen.poisson_pareto ~max_size:2_000_000 topo rng ~flows
       ~mean_interarrival_ns:1_000.0
   in
-  (* Departure times from a fluid run with the default rho. *)
+  (* Departure times from a fluid run with the default rho, each paired
+     with its flow's arrival by index. *)
   let fluid = Emu.Fluid.run { Emu.Fluid.default_config with seed } topo specs in
   let events =
     List.concat
       [
-        List.map (fun (s : Workload.Flowgen.spec) -> (s.arrival_ns, `A s)) specs;
+        List.mapi (fun i (s : Workload.Flowgen.spec) -> (s.arrival_ns, `A i)) specs;
         List.map
           (fun (f : Emu.Fluid.flow_result) ->
-            (f.spec.Workload.Flowgen.arrival_ns + f.fct_ns, `D f.spec))
+            (f.spec.Workload.Flowgen.arrival_ns + f.fct_ns, `D f.index))
           fluid.Emu.Fluid.flows;
       ]
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   in
   let rctx = Routing.make topo in
   let capacities = Array.make (Topology.link_count topo) (U.byte_rate (10.0 /. 8.0)) in
-  (* Pre-warm the fraction cache: the paper precomputes link weights per
-     {routing protocol, destination} pair (§4.2). *)
-  List.iter
-    (fun (s : Workload.Flowgen.spec) ->
-      ignore (Routing.fractions rctx Routing.Rps ~src:s.src ~dst:s.dst))
-    specs;
+  let alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities () in
+  (* Every flow's row is looked up before timing: the paper precomputes
+     link weights per {routing protocol, destination} pair (§4.2). *)
+  let by_index =
+    Array.of_list
+      (List.mapi
+         (fun id (s : Workload.Flowgen.spec) ->
+           Congestion.Waterfill.flow ~id (Routing.fractions rctx Routing.Rps ~src:s.src ~dst:s.dst))
+         specs)
+  in
+  let arrival = Array.of_list (List.map (fun (s : Workload.Flowgen.spec) -> s.arrival_ns) specs) in
   let horizon = List.fold_left (fun acc (t, _) -> max acc t) 0 events in
   pr "%-12s %10s %10s %12s %12s %8s\n" "rho" "median-ms" "p99-ms" "Xeon-med%" "Xeon-p99%"
     "epochs";
@@ -137,10 +155,8 @@ let fig8 ?(flows = 10_000) ?(seed = 5) () =
       (* Replay: at every epoch boundary allocate over the flows active then
          (batching skips flows that come and go within one epoch, §3.3.2). *)
       let times = ref [] in
-      let active : (int, Workload.Flowgen.spec) Hashtbl.t = Hashtbl.create 512 in
+      let live = Array.make (Array.length by_index) false in
       let next = ref rho_ns in
-      let idgen = ref 0 in
-      let ids : (int * int * int, int list ref) Hashtbl.t = Hashtbl.create 512 in
       List.iter
         (fun (t, ev) ->
           while t > !next && !next <= horizon do
@@ -148,27 +164,20 @@ let fig8 ?(flows = 10_000) ?(seed = 5) () =
                (§3.3.2): flows that come and go within an epoch are absorbed
                by the headroom and never considered. *)
             let cutoff = !next - rho_ns in
-            let wf =
-              Util.Tbl.fold_sorted ~cmp:Int.compare
-                (fun id (s : Workload.Flowgen.spec) acc ->
-                  if s.Workload.Flowgen.arrival_ns <= cutoff then
-                    Congestion.Waterfill.flow ~id
-                      (Routing.fractions rctx Routing.Rps ~src:s.src ~dst:s.dst)
-                    :: acc
-                  else acc)
-                active []
-            in
-            let wf = Array.of_list wf in
+            let wf = ref [] in
+            for i = Array.length by_index - 1 downto 0 do
+              if live.(i) && arrival.(i) <= cutoff then wf := by_index.(i) :: !wf
+            done;
+            let wf = Array.of_list !wf in
             if Array.length wf > 0 then begin
-              (* Allocation is pure; best-of-3 after a GC flush removes
-                 collector and scheduler noise from the wall-clock
-                 measurement (the paper's artifact was C++). *)
+              (* Best-of-3 after a GC flush removes collector and scheduler
+                 noise from the wall-clock measurement (the paper's artifact
+                 was C++). *)
               Gc.full_major ();
               let best = ref infinity in
               for _ = 1 to 3 do
                 let t0 = Unix.gettimeofday () in
-                ignore
-                  (Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf);
+                refill_allocate alloc wf;
                 let dt = Unix.gettimeofday () -. t0 in
                 if dt < !best then best := dt
               done;
@@ -176,21 +185,7 @@ let fig8 ?(flows = 10_000) ?(seed = 5) () =
             end;
             next := !next + rho_ns
           done;
-          match ev with
-          | `A s ->
-              incr idgen;
-              let key = (s.Workload.Flowgen.arrival_ns, s.src, s.dst) in
-              let cur = Option.value ~default:(ref []) (Hashtbl.find_opt ids key) in
-              cur := !idgen :: !cur;
-              Hashtbl.replace ids key cur;
-              Hashtbl.replace active !idgen s
-          | `D s -> (
-              let key = (s.Workload.Flowgen.arrival_ns, s.src, s.dst) in
-              match Hashtbl.find_opt ids key with
-              | Some ({ contents = id :: rest } as cell) ->
-                  cell := rest;
-                  Hashtbl.remove active id
-              | _ -> ()))
+          match ev with `A i -> live.(i) <- true | `D i -> live.(i) <- false)
         events;
       let ts = Array.of_list (List.map (fun s -> s *. 1000.0) !times) in
       if Array.length ts = 0 then pr "%-12s (no epochs)\n" (Printf.sprintf "%dus" (rho_ns / 1000))
@@ -597,10 +592,8 @@ let ablation_waterfill ?(flows = 800) ?(seed = 73) () =
     done;
     !best *. 1000.0
   in
-  let fast =
-    time (fun () ->
-        Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf)
-  in
+  let alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities () in
+  let fast = time (fun () -> refill_allocate alloc wf) in
   let slow =
     time (fun () ->
         Congestion.Waterfill.allocate_reference ~headroom:Topology.headroom ~capacities wf)

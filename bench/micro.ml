@@ -22,14 +22,19 @@ let waterfill_inputs n =
   let capacities = Array.make (Topology.link_count topo) (Util.Units.byte_rate 1.25) in
   (capacities, flows)
 
+(* One recompute of a held allocator: clear, refill keyed by slot,
+   allocate. *)
 let test_waterfill n =
+  let module Inc = Congestion.Waterfill.Inc in
   Test.make
     ~name:(Printf.sprintf "waterfill-%d-flows" n)
     (Staged.stage
        (let capacities, flows = waterfill_inputs n in
+        let alloc = Inc.create ~headroom:Topology.headroom ~capacities () in
         fun () ->
-          ignore
-            (Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities flows)))
+          Inc.clear alloc;
+          Array.iteri (fun i (f : Congestion.Waterfill.flow) -> Inc.add_flow alloc ~id:i f.row) flows;
+          Inc.allocate alloc))
 
 let test_fractions proto =
   Test.make

@@ -161,10 +161,7 @@ let simulate_cmd =
     let tau = tau_us *. 1000.0 in
     let specs =
       match trace_file with
-      | Some path ->
-          List.filter_map
-            (function Workload.Trace.Arrive s -> Some s | Workload.Trace.Depart _ -> None)
-            (Workload.Trace.load path)
+      | Some path -> Workload.Trace.load path
       | None ->
           if size > 0 then
             Workload.Flowgen.fixed_size t rng ~flows ~size ~mean_interarrival_ns:tau
@@ -315,7 +312,7 @@ let trace_cmd =
     let specs =
       Workload.Flowgen.poisson_pareto t rng ~flows ~mean_interarrival_ns:(tau_us *. 1000.0)
     in
-    Workload.Trace.save out (Workload.Trace.of_specs specs);
+    Workload.Trace.save out specs;
     Format.printf "wrote %d arrivals to %s@." flows out
   in
   let out_arg =

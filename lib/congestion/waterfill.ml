@@ -21,8 +21,10 @@ let eps = 1e-9
 let check_row ~nl (row : Routing.row) =
   if row.bound > nl then invalid_arg "Waterfill: link id out of range"
 
-let check_flow ~nl ~weight ~demand row =
+(* Priorities are the broadcast's 8-bit field. *)
+let check_flow ~nl ~weight ~priority ~demand row =
   if weight <= 0.0 then invalid_arg "Waterfill: non-positive weight";
+  if priority < 0 || priority > 255 then invalid_arg "Waterfill: priority outside 0..255";
   (match demand with
   | Some d when (d : U.byte_rate :> float) < 0.0 -> invalid_arg "Waterfill: negative demand"
   | _ -> ());
@@ -146,7 +148,9 @@ let allocate_reference ?headroom ~capacities flows =
   let headroom = headroom_raw headroom in
   let capacities = U.floats_of capacities in
   Array.iter
-    (fun f -> check_flow ~nl:(Array.length capacities) ~weight:f.weight ~demand:f.demand f.row)
+    (fun f ->
+      check_flow ~nl:(Array.length capacities) ~weight:f.weight ~priority:f.priority
+        ~demand:f.demand f.row)
     flows;
   let rates = Array.make (Array.length flows) 0.0 in
   let remaining = Array.map (fun c -> c *. (1.0 -. headroom)) capacities in
@@ -154,8 +158,8 @@ let allocate_reference ?headroom ~capacities flows =
   U.of_floats rates
 
 (* Operation counters for the performance ablation (bench `ablation`).
-   Reset at the top of every allocation so each call reports only its own
-   work. One explicit record — registered domain_local in the lint
+   Reset at the top of every dirty [Inc.allocate] so each call reports
+   only its own work. One explicit record — registered domain_local in the lint
    ownership map (tools/lint/ownership.sexp): sharded domains each keep
    their own copy; the counters are never read across domains. *)
 type debug_counters = {
@@ -227,7 +231,7 @@ module Inc = struct
     lvl : float array;
         (* one slot: the fill level passed into and out of the round's
            helpers, a float array so it crosses a call unboxed *)
-    mutable prio_counts : int array;  (* counting-sort buffer *)
+    prio_counts : int array;  (* counting-sort buffer, one slot per priority *)
     mutable dirty : bool;
     mutable computed : bool;
   }
@@ -262,7 +266,7 @@ module Inc = struct
       hvals = Array.make 64 0;
       hlen = 0;
       lvl = [| 0.0 |];
-      prio_counts = Array.make 8 0;
+      prio_counts = Array.make 256 0;
       dirty = false;
       computed = false;
     }
@@ -353,7 +357,7 @@ module Inc = struct
     done
 
   let add_flow ?(weight = 1.0) ?(priority = 0) ?demand t ~id row =
-    check_flow ~nl:(Array.length t.capacities) ~weight ~demand row;
+    check_flow ~nl:(Array.length t.capacities) ~weight ~priority ~demand row;
     if mem t ~id then invalid_arg "Waterfill.Inc: duplicate flow id";
     if t.nrows = Array.length t.fid then grow_rows t;
     let r = t.nrows in
@@ -460,8 +464,8 @@ module Inc = struct
     end
 
   (* Stable counting sort of live rows by priority into [order], so each
-     round's rows lie in ascending row order. Falls back to a comparison
-     sort if the priority range is degenerate. *)
+     round's rows lie in ascending row order. [add_flow] keeps every
+     priority in 0..255, so the counts fit [prio_counts]. *)
   let sort_rounds t =
     let nf = t.nrows in
     let pmin = ref max_int and pmax = ref min_int in
@@ -470,37 +474,23 @@ module Inc = struct
       if t.fprio.(r) > !pmax then pmax := t.fprio.(r)
     done;
     let range = !pmax - !pmin + 1 in
-    if range <= 4096 then begin
-      if Array.length t.prio_counts < range + 1 then t.prio_counts <- Array.make (2 * range) 0;
-      Array.fill t.prio_counts 0 range 0;
-      for r = 0 to nf - 1 do
-        let p = t.fprio.(r) - !pmin in
-        t.prio_counts.(p) <- t.prio_counts.(p) + 1
-      done;
-      (* exclusive prefix sums = segment starts *)
-      let acc = ref 0 in
-      for p = 0 to range - 1 do
-        let c = t.prio_counts.(p) in
-        t.prio_counts.(p) <- !acc;
-        acc := !acc + c
-      done;
-      for r = 0 to nf - 1 do
-        let p = t.fprio.(r) - !pmin in
-        t.order.(t.prio_counts.(p)) <- r;
-        t.prio_counts.(p) <- t.prio_counts.(p) + 1
-      done
-    end
-    else begin
-      (* Pathological priority spread: pay one comparison sort. *)
-      let tmp = Array.sub t.order 0 nf in
-      Array.iteri (fun k _ -> tmp.(k) <- k) tmp;
-      Array.sort
-        (fun a b ->
-          let c = compare t.fprio.(a) t.fprio.(b) in
-          if c <> 0 then c else compare a b)
-        tmp;
-      Array.blit tmp 0 t.order 0 nf
-    end
+    Array.fill t.prio_counts 0 range 0;
+    for r = 0 to nf - 1 do
+      let p = t.fprio.(r) - !pmin in
+      t.prio_counts.(p) <- t.prio_counts.(p) + 1
+    done;
+    (* exclusive prefix sums = segment starts *)
+    let acc = ref 0 in
+    for p = 0 to range - 1 do
+      let c = t.prio_counts.(p) in
+      t.prio_counts.(p) <- !acc;
+      acc := !acc + c
+    done;
+    for r = 0 to nf - 1 do
+      let p = t.fprio.(r) - !pmin in
+      t.order.(t.prio_counts.(p)) <- r;
+      t.prio_counts.(p) <- t.prio_counts.(p) + 1
+    done
 
   (* The round's helpers are inlined: they run once per heap event or
      incidence, where a call costs about as much as their bodies. *)
@@ -675,15 +665,3 @@ module Inc = struct
       f ~id:t.fid.(r) ~rate:(U.byte_rate t.rates.(r))
     done
 end
-
-(* The efficient variant (§4.2) is {!Inc} run once on a fresh state. Flows
-   are keyed by array slot, since [flow.id] is opaque and may repeat; with
-   no removals, row [i] holds slot [i]. *)
-let allocate ?headroom ~capacities flows =
-  let inc = Inc.create ?headroom ~capacities () in
-  Array.iteri
-    (fun i f ->
-      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.row)
-    flows;
-  Inc.allocate inc;
-  U.of_floats (Array.sub inc.Inc.rates 0 (Array.length flows))

@@ -2,12 +2,16 @@
 
     Every flow comes with its link-fraction row ({!Routing.row}, usually
     from {!Routing.fractions}): a flow sending at rate [r] loads link [l]
-    with [r *. frac]. Rows are immutable and shared: a flow, {!allocate}
-    and {!Inc} hold them by reference and never copy or write them. The
-    allocator raises the fill level of all flows of the
-    highest priority at equal weighted pace, freezing flows as links
-    saturate or demands are met, then repeats for the next priority level
-    with the leftover capacity (§3.3.2, "Beyond per-flow fairness").
+    with [r *. frac]. Rows are immutable and shared: a flow and {!Inc}
+    hold them by reference and never copy or write them. The allocator
+    raises the fill level of all flows of the highest priority at equal
+    weighted pace, freezing flows as links saturate or demands are met,
+    then repeats for the next priority level with the leftover capacity
+    (§3.3.2, "Beyond per-flow fairness").
+
+    {!Inc} is the one water-filler: every caller holds one and patches or
+    refills it, and {!allocate_reference} is the oracle it is tested
+    against.
 
     A [headroom] fraction of every link's capacity is set aside to absorb
     flows that have started but are not yet globally visible (§3.3.2).
@@ -19,7 +23,7 @@
 type flow = {
   id : int;  (** opaque; echoed back in results *)
   weight : float;  (** allocation weight, > 0 *)
-  priority : int;  (** 0 is served first *)
+  priority : int;  (** 0 is served first; at most 255 *)
   demand : Util.Units.byte_rate option;  (** rate cap for host-limited flows *)
   row : Routing.row;  (** the flow's link fractions, held by reference *)
 }
@@ -28,33 +32,22 @@ val flow :
   ?weight:float -> ?priority:int -> ?demand:Util.Units.byte_rate -> id:int -> Routing.row -> flow
 (** Convenience constructor; weight defaults to 1, priority to 0. *)
 
-val allocate :
-  ?headroom:Util.Units.fraction ->
-  capacities:Util.Units.byte_rate array ->
-  flow array ->
-  Util.Units.byte_rate array
-(** [allocate ~capacities flows] returns the rate of each flow, indexed as
-    the input array. [capacities.(l)] is link [l]'s capacity in bytes/ns.
-    [headroom] (default 0) is the capacity fraction left unallocated.
-    Raises [Invalid_argument] on a non-positive weight, a negative demand
-    or a row with a link beyond [capacities] (the row itself was checked
-    where it was built).
-
-    This is the paper's "efficient variant of the water-filling algorithm"
-    (§4.2), run as {!Inc} on a fresh state with each flow keyed by its
-    array slot ([id] may repeat): saturation events are processed from a
-    heap with lazy per-link settlement, so the cost is near-linear in the
-    total number of (flow, link) incidences rather than iterations times
-    links. *)
-
 val allocate_reference :
   ?headroom:Util.Units.fraction ->
   capacities:Util.Units.byte_rate array ->
   flow array ->
   Util.Units.byte_rate array
-(** Textbook progressive filling [12]: raise all rates at equal weighted
+(** [allocate_reference ~capacities flows] returns the rate of each flow,
+    indexed as the input array ([id] may repeat). [capacities.(l)] is link
+    [l]'s capacity in bytes/ns; [headroom] (default 0) is the capacity
+    fraction left unallocated. Raises [Invalid_argument] on a headroom
+    outside [\[0, 1)], a non-positive weight, a priority outside 0..255, a
+    negative demand or a row with a link beyond [capacities] (the row
+    itself was checked where it was built).
+
+    Textbook progressive filling [12]: raise all rates at equal weighted
     pace, scan every link for the next saturation, repeat. Quadratic but
-    obviously correct — the oracle that {!allocate} is property-tested
+    obviously correct — the oracle that {!Inc} is property-tested
     against. *)
 
 val link_utilization :
@@ -65,7 +58,8 @@ val link_utilization :
 (** [link_utilization ~capacities flows rates] is each link's load divided
     by its capacity; for checking feasibility in tests. *)
 
-(** Incremental epoch recomputation (§3.3.4).
+(** Incremental epoch recomputation (§3.3.4): the paper's "efficient
+    variant of the water-filling algorithm" (§4.2).
 
     [Inc.t] keeps the allocator's inputs — per-flow metadata in flat
     arrays, each flow's {!Routing.row} by reference — and all
@@ -73,8 +67,11 @@ val link_utilization :
     open/close/demand/reroute events patch single entries and mark the
     state dirty; {!Inc.allocate} on a clean state returns the cached rates in
     O(1), and on a dirty state recomputes with every buffer reused, so a
-    steady-state recompute allocates nothing. Results are property-tested
-    against {!allocate_reference}. *)
+    steady-state recompute allocates nothing. A recompute processes
+    saturation events from a heap with lazy per-link settlement, so its
+    cost is near-linear in the number of (flow, link) incidences rather
+    than iterations times links. Results are property-tested against
+    {!allocate_reference}. *)
 module Inc : sig
   type t
 
@@ -83,8 +80,8 @@ module Inc : sig
     capacities:Util.Units.byte_rate array ->
     unit ->
     t
-  (** Same [headroom]/[capacities] contract as {!allocate}; capacities are
-      copied and fixed for the lifetime of the state. *)
+  (** Same [headroom]/[capacities] contract as {!allocate_reference};
+      capacities are copied and fixed for the lifetime of the state. *)
 
   val add_flow :
     ?weight:float ->
@@ -94,9 +91,10 @@ module Inc : sig
     id:int ->
     Routing.row ->
     unit
-  (** Open a flow. [id] must be fresh, and the row's links must exist
-      ([bound] at most the link count); checked in O(1), like {!allocate}
-      inputs. Raises [Invalid_argument] otherwise. Once the per-flow
+  (** Open a flow. [id] must be fresh, the row's links must exist ([bound]
+      at most the link count), and the weight, priority and demand must
+      pass {!allocate_reference}'s checks; all checked in O(1). Raises
+      [Invalid_argument] otherwise. Once the per-flow
       arrays have grown, opening a flow with default [weight], [priority]
       and [demand] allocates nothing. *)
 
@@ -165,6 +163,5 @@ type debug_counters = {
 val dbg : debug_counters
 
 val reset_debug_counters : unit -> unit
-(** Zero the three counters; a dirty {!Inc.allocate} (and so every
-    {!allocate}) also resets them on entry so each measurement reports one
-    computation. *)
+(** Zero the three counters; a dirty {!Inc.allocate} also resets them on
+    entry so each measurement reports one computation. *)

@@ -38,6 +38,8 @@ type t = {
   mutable event_retransmits : int;
   mutable syncs_sent : int;
   mutable loss_ewma : float;  (* raw EWMA state; exposed as a fraction *)
+  selector : Genetic.Selector.t Lazy.t;
+      (* §3.4's GA selector, made on the first [reselect_routing] *)
   alloc : Congestion.Waterfill.Inc.t;
       (* incremental epoch state: patched on every flow event, so a
          recompute with no intervening event is O(1); every rate and the
@@ -45,10 +47,11 @@ type t = {
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
+  let rctx = Routing.make topo in
   {
     cfg = config;
     topo;
-    rctx = Routing.make topo;
+    rctx;
     bcast = Broadcast.make ~trees_per_source:config.trees_per_source topo;
     rng = Util.Rng.create seed;
     flows = Util.Itbl.create 64;
@@ -61,6 +64,8 @@ let create ?(config = default_config) ?(seed = 1) topo =
     event_retransmits = 0;
     syncs_sent = 0;
     loss_ewma = 0.0;
+    selector =
+      lazy (Genetic.Selector.make ~headroom:Topology.headroom rctx ~link_gbps:Topology.link_gbps);
     alloc =
       Congestion.Waterfill.Inc.create ~headroom:Topology.headroom
         ~capacities:
@@ -212,12 +217,9 @@ let reselect_routing t rng =
   let fl = flow_array t in
   if Array.length fl = 0 then 0
   else begin
-    let selector =
-      Genetic.Selector.make ~headroom:Topology.headroom t.rctx ~link_gbps:Topology.link_gbps
-    in
     let flows = Array.map (fun f -> (f.src, f.dst)) fl in
     let current = Array.map (fun f -> f.protocol) fl in
-    match Genetic.Selector.reselect selector rng ~flows ~current with
+    match Genetic.Selector.reselect (Lazy.force t.selector) rng ~flows ~current with
     | Some best ->
         let changed = ref 0 in
         Array.iteri

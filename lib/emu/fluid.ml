@@ -1,4 +1,5 @@
 module U = Util.Units
+module Inc = Congestion.Waterfill.Inc
 
 type config = {
   link_gbps : U.gbps;
@@ -16,6 +17,7 @@ let default_config =
   }
 
 type flow_result = {
+  index : int;
   spec : Workload.Flowgen.spec;
   fct_ns : int;
   avg_rate_gbps : U.gbps;
@@ -34,6 +36,7 @@ let[@inline] clamp0 x = if x <= 0.0 then 0.0 else x
 (* A flow is one or more sub-flows, each water-filled on its own: an R2C2
    flow has one, over its routing fractions; a PFQ flow has one per path. *)
 type fstate = {
+  index : int;  (** the flow's position in the input spec list *)
   spec : Workload.Flowgen.spec;
   subs : Congestion.Waterfill.flow array;
   sub_rates : float array;  (** bytes/ns of each sub-flow *)
@@ -54,7 +57,9 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
   let link_gbps_f = U.to_float link_gbps in
   let tx = int_of_float (ceil (float_of_int (8 * Topology.mtu) /. link_gbps_f)) in
   let nl = Topology.link_count topo in
-  let capacities : U.byte_rate array = U.of_floats (Array.make nl cap) in
+  (* The run's one water-filler: every recompute refills it, keyed by slot,
+     which computes a fresh state's rates bit for bit. *)
+  let alloc = Inc.create ~headroom ~capacities:(U.of_floats (Array.make nl cap)) () in
   let arrivals =
     ref
       (List.mapi (fun i s -> (i, s)) specs
@@ -91,23 +96,30 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
   let recompute ~all =
     incr recomputes;
     let eligible = List.filter (fun st -> all || st.scheduled) !active in
-    (match eligible with
-    | [] -> ()
-    | _ ->
-        let wf = Array.concat (List.map (fun st -> st.subs) eligible) in
-        let rates = U.floats_of (Congestion.Waterfill.allocate ~headroom ~capacities wf) in
-        let k = ref 0 in
-        List.iter
-          (fun st ->
-            let n = Array.length st.sub_rates in
-            for j = 0 to n - 1 do
-              st.sub_rates.(j) <- Float.max 1e-9 rates.(!k + j)
-            done;
-            k := !k + n;
-            (* Summed from the last sub-flow to the first, the order the
-               pinned PFQ results were computed in. *)
-            st.rate <- Array.fold_right (fun r sum -> sum +. r) st.sub_rates 0.0)
-          eligible);
+    (* Slots 0.. are the eligible flows' sub-flows, in order. *)
+    Inc.clear alloc;
+    let k = ref 0 in
+    List.iter
+      (fun st ->
+        Array.iter
+          (fun (wf : Congestion.Waterfill.flow) ->
+            Inc.add_flow ~weight:wf.weight ~priority:wf.priority ?demand:wf.demand alloc ~id:!k
+              wf.row;
+            incr k)
+          st.subs)
+      eligible;
+    Inc.allocate alloc;
+    let k = ref 0 in
+    List.iter
+      (fun st ->
+        for j = 0 to Array.length st.sub_rates - 1 do
+          st.sub_rates.(j) <- Float.max 1e-9 (Inc.rate alloc ~id:!k :> float);
+          incr k
+        done;
+        (* Summed from the last sub-flow to the first, the order the
+           pinned PFQ results were computed in. *)
+        st.rate <- Array.fold_right (fun r sum -> sum +. r) st.sub_rates 0.0)
+      eligible;
     refresh_load ()
   in
 
@@ -116,6 +128,7 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
     let n = Array.length subs in
     let st =
       {
+        index = idx;
         spec;
         subs;
         (* Unscheduled flows transmit at line rate into the headroom. *)
@@ -160,6 +173,7 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
           let fct = !now - st.spec.Workload.Flowgen.arrival_ns + st.pipe_ns in
           finished :=
             {
+              index = st.index;
               spec = st.spec;
               fct_ns = fct;
               avg_rate_gbps =
@@ -203,9 +217,11 @@ let engine ~link_gbps ~headroom ~interval_ns ~shape ?until_ns topo specs =
   { flows = List.rev !finished; max_queue_bytes = U.of_floats max_queue; recomputes = !recomputes }
 
 let run ?(protocol_of = fun _ _ -> Routing.Rps) ?until_ns cfg topo specs =
+  (* The flow's broadcast carries weight and priority in one byte each. *)
   List.iter
     (fun (s : Workload.Flowgen.spec) ->
-      if s.weight < 1 then invalid_arg "Fluid.run: weight below 1")
+      if s.weight < 1 || s.weight > 255 then invalid_arg "Fluid.run: weight outside 1..255";
+      if s.priority < 0 || s.priority > 255 then invalid_arg "Fluid.run: priority outside 0..255")
     specs;
   let rctx = Routing.make topo in
   engine ~link_gbps:cfg.link_gbps ~headroom:cfg.headroom ~interval_ns:cfg.recompute_interval_ns
@@ -234,33 +250,24 @@ let run_pfq ?until_ns seed topo specs =
 
 let rate_error ?protocol_of ?min_lifetime_ns cfg topo specs ~rho_ns =
   let min_lifetime_ns = Option.value ~default:rho_ns min_lifetime_ns in
+  (* Each run's results, by flow index; [None] for a flow that did not
+     finish. *)
   let run_with rho =
     let r = run ?protocol_of { cfg with recompute_interval_ns = rho } topo specs in
-    let tbl = Hashtbl.create (List.length r.flows) in
-    List.iter
-      (fun (fr : flow_result) ->
-        Hashtbl.replace tbl
-          (fr.spec.Workload.Flowgen.arrival_ns, fr.spec.src, fr.spec.dst)
-          (U.to_float fr.avg_rate_gbps, fr.fct_ns))
-      r.flows;
-    tbl
+    let by_index = Array.make (List.length specs) None in
+    List.iter (fun (fr : flow_result) -> by_index.(fr.index) <- Some fr) r.flows;
+    by_index
   in
   let ideal = run_with 0 and measured = run_with rho_ns in
-  let cmp_key (a1, s1, d1) (a2, s2, d2) =
-    let c = Int.compare a1 a2 in
-    if c <> 0 then c
-    else
-      let c = Int.compare s1 s2 in
-      if c <> 0 then c else Int.compare d1 d2
-  in
   let errs = ref [] in
-  Util.Tbl.iter_sorted ~cmp:cmp_key
-    (fun key (r0, ideal_fct) ->
-      match Hashtbl.find_opt measured key with
-      | Some (r, _) when r0 > 0.0 && ideal_fct >= min_lifetime_ns ->
+  Array.iteri
+    (fun i ideal_result ->
+      match (ideal_result, measured.(i)) with
+      | Some f0, Some f when U.to_float f0.avg_rate_gbps > 0.0 && f0.fct_ns >= min_lifetime_ns ->
           (* The batched design never rate-limits flows shorter than one
              interval (§3.3.2); like the paper, compare only flows the
              periodic computation actually schedules. *)
+          let r0 = U.to_float f0.avg_rate_gbps and r = U.to_float f.avg_rate_gbps in
           errs := (abs_float (r -. r0) /. r0) :: !errs
       | _ -> ())
     ideal;

@@ -29,6 +29,9 @@ val default_config : config
     MTU. *)
 
 type flow_result = {
+  index : int;
+      (** the flow's position in the input spec list, counted from 0: the
+          key that pairs two runs' results for the same flow *)
   spec : Workload.Flowgen.spec;
   fct_ns : int;
   avg_rate_gbps : Util.Units.gbps;
@@ -49,7 +52,10 @@ val run :
   Workload.Flowgen.spec list ->
   result
 (** Raises [Invalid_argument], before the run starts, for a spec
-    {!Workload.Flowgen.check_flow} refuses or one with a weight below 1. *)
+    {!Workload.Flowgen.check_flow} refuses or one whose weight or priority
+    a flow broadcast could not carry: a weight outside 1..255 or a
+    priority outside 0..255, the bounds {!Sim.R2c2_sim.start_flow}
+    enforces. *)
 
 val run_pfq : ?until_ns:int -> int -> Topology.t -> Workload.Flowgen.spec list -> result
 (** The paper's idealized per-flow-queue upper bound (§5.2, "PFQ"):
@@ -78,4 +84,5 @@ val rate_error :
     ideal completion time is at least [min_lifetime_ns] (default [rho_ns])
     are compared — the batched design never rate-limits shorter flows
     (§3.3.2); pass a fixed value when sweeping [rho_ns] so every point
-    measures the same flow population. *)
+    measures the same flow population. The two runs' results are paired by
+    {!flow_result.index}. *)

@@ -16,8 +16,8 @@ let make ?(headroom = U.fraction 0.0) ctx ~link_gbps =
   }
 
 (* One allocator for every evaluation: a cleared and refilled [Inc]
-   computes a fresh [Waterfill.allocate]'s rates bit for bit, and flow [i]
-   is slot [i] of [flows]. *)
+   computes a fresh [Inc]'s rates bit for bit, and flow [i] is slot [i] of
+   [flows]. *)
 let aggregate_throughput_gbps t ~flows assignment =
   let n = Array.length flows in
   if Array.length assignment <> n then invalid_arg "Selector: assignment length mismatch";

@@ -19,9 +19,9 @@ val make : ?headroom:Util.Units.fraction -> Routing.ctx -> link_gbps:Util.Units.
 val aggregate_throughput_gbps :
   t -> flows:(int * int) array -> Routing.protocol array -> Util.Units.gbps
 (** Sum of allocated rates under one assignment for the given (src, dst)
-    flows, in slot order: bit for bit 8 × the sum of a fresh
-    {!Congestion.Waterfill.allocate}'s rates. Raises [Invalid_argument] on
-    an assignment of another length. *)
+    flows, in slot order: bit for bit 8 × the sum of the rates of a fresh
+    {!Congestion.Waterfill.Inc} that holds flow [i] as id [i]. Raises
+    [Invalid_argument] on an assignment of another length. *)
 
 val uniform : t -> flows:(int * int) array -> Routing.protocol -> Util.Units.gbps
 (** Aggregate throughput when every flow uses the same protocol (the

@@ -154,13 +154,8 @@ let topo ctx = ctx.topo
 let link_weight ctx l =
   match Util.Itbl.find_opt ctx.quar l with None -> 1.0 | Some h -> hweight h
 
-let quar_cable ctx u v =
-  match (Topology.find_link ctx.topo u v, Topology.find_link ctx.topo v u) with
-  | Some a, Some b -> (a, b)
-  | _ -> invalid_arg "Routing: vertices not adjacent"
-
 let set_health ctx u v h =
-  let a, b = quar_cable ctx u v in
+  let a, b = Topology.cable_ids ctx.topo u v in
   let set l =
     let cur =
       match Util.Itbl.find_opt ctx.quar l with None -> Healthy | Some x -> x
@@ -184,7 +179,7 @@ let note_probation ctx u v = set_health ctx u v Probation
 let note_recovered ctx u v = set_health ctx u v Healthy
 
 let link_health ctx u v =
-  let a, _ = quar_cable ctx u v in
+  let a, _ = Topology.cable_ids ctx.topo u v in
   match Util.Itbl.find_opt ctx.quar a with None -> Healthy | Some h -> h
 
 let demoted_links ctx = ctx.demoted

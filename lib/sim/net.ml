@@ -319,12 +319,6 @@ let ctrl_hops t = t.ctrl_hops
 
 (* -- gray failures -------------------------------------------------------- *)
 
-(* Both directed link ids of the cable between [u] and [v]. *)
-let cable_ids t u v =
-  let a = Topology.find_link_id t.topo u v and b = Topology.find_link_id t.topo v u in
-  if a < 0 || b < 0 then invalid_arg "Net: vertices not adjacent";
-  (a, b)
-
 let get_flaky t ~seed =
   match t.flaky with
   | Some fl -> fl
@@ -350,7 +344,7 @@ let set_flaky_link t ~seed ?(spike_ns = 0) u v ~loss ~spike =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Net.set_flaky_link: loss";
   if spike < 0.0 || spike >= 1.0 then invalid_arg "Net.set_flaky_link: spike";
   if spike_ns < 0 then invalid_arg "Net.set_flaky_link: spike_ns";
-  let a, b = cable_ids t u v in
+  let a, b = Topology.cable_ids t.topo u v in
   let fl = get_flaky t ~seed in
   fl.floss.(a) <- loss;
   fl.floss.(b) <- loss;
@@ -365,7 +359,7 @@ let clear_flaky_link t u v =
   match t.flaky with
   | None -> ()
   | Some fl ->
-      let a, b = cable_ids t u v in
+      let a, b = Topology.cable_ids t.topo u v in
       fl.floss.(a) <- 0.0;
       fl.floss.(b) <- 0.0;
       fl.fspike.(a) <- 0.0;
@@ -377,7 +371,7 @@ let flaky_link_stats t u v =
   match t.flaky with
   | None -> (0, 0)
   | Some fl ->
-      let a, b = cable_ids t u v in
+      let a, b = Topology.cable_ids t.topo u v in
       (fl.ftx.(a) + fl.ftx.(b), fl.flost.(a) + fl.flost.(b))
 
 let flaky_lost t = t.flaky_lost
@@ -459,7 +453,7 @@ let purge_link t link_id =
   note_q_shrank t link_id ls
 
 let fail_link t u v =
-  let a, b = cable_ids t u v in
+  let a, b = Topology.cable_ids t.topo u v in
   t.link_up.(a) <- false;
   t.link_up.(b) <- false;
   recompute_link_live t a;
@@ -468,7 +462,7 @@ let fail_link t u v =
   purge_link t b
 
 let restore_link t u v =
-  let a, b = cable_ids t u v in
+  let a, b = Topology.cable_ids t.topo u v in
   t.link_up.(a) <- true;
   t.link_up.(b) <- true;
   recompute_link_live t a;

@@ -236,6 +236,8 @@ type t = {
   mutable loops : int;  (** one bit per periodic loop now scheduled *)
   mutable reselections : int;
   mutable flows_rerouted : int;
+  selector : Genetic.Selector.t Lazy.t;
+      (** §3.4's GA selector, made on the first reselection round *)
   alloc : Inc.t;
       (** the one water-filler, with the run's headroom and class reserve.
           Global_epoch feeds it the visible, still-sending flow set as
@@ -737,14 +739,12 @@ let reselect t interval =
   let sts = Array.of_list !eligible in
   if Array.length sts >= 2 then begin
     t.reselections <- t.reselections + 1;
-    let selector =
-      Genetic.Selector.make ~headroom:t.cfg.headroom t.rctx ~link_gbps:t.cfg.link_gbps
-    in
     let flows = Array.map (fun st -> (st.src, st.dst)) sts in
     let current = Array.map (fun st -> st.proto) sts in
     let changed = ref 0 in
     (match
-       Genetic.Selector.reselect ~pop_size:24 ~generations:6 selector t.rng ~flows ~current
+       Genetic.Selector.reselect ~pop_size:24 ~generations:6 (Lazy.force t.selector) t.rng ~flows
+         ~current
      with
     | Some assignment ->
         Array.iteri
@@ -1266,6 +1266,7 @@ let create cfg topo =
       ~reorder:cfg.control_reorder ~dup:cfg.control_dup;
   let bcast = Broadcast.make topo in
   Net.set_broadcast net bcast;
+  let rctx = Routing.make topo in
   let nverts = Topology.vertex_count topo in
   let cap = U.byte_rate_of_gbps cfg.link_gbps in
   let alloc =
@@ -1280,7 +1281,7 @@ let create cfg topo =
       eng;
       net;
       bcast;
-      rctx = Routing.make topo;
+      rctx;
       rng = Util.Rng.create cfg.seed;
       root_rng = Util.Rng.create (cfg.seed + 7);
       mtrcs = Metrics.create ();
@@ -1296,6 +1297,8 @@ let create cfg topo =
       loops = 0;
       reselections = 0;
       flows_rerouted = 0;
+      selector =
+        lazy (Genetic.Selector.make ~headroom:cfg.headroom rctx ~link_gbps:cfg.link_gbps);
       alloc;
       epoch_dirty = false;
       bcast_target = nverts - 1;

@@ -43,7 +43,9 @@ type t = {
 (* -- construction ------------------------------------------------------- *)
 
 let build ~kind ~hosts ~nverts edges =
-  (* [edges] are undirected cables; materialize two directed links each. *)
+  (* [edges] are undirected cables; materialize two directed links each.
+     A pair of vertices has at most one cable, so that the link id
+     [find_link_id] names for it is the only one. *)
   let adj = Array.make nverts [] in
   List.iter
     (fun (u, v) ->
@@ -60,6 +62,8 @@ let build ~kind ~hosts ~nverts edges =
         Array.of_list
           (List.map
              (fun v ->
+               if link_mat.((u * nverts) + v) >= 0 then
+                 invalid_arg "Topology: cable listed twice";
                let id = !next in
                incr next;
                link_mat.((u * nverts) + v) <- id;
@@ -258,9 +262,9 @@ let alive_vertex_count t =
   !n
 
 let cable_ids t u v =
-  match (find_link t u v, find_link t v u) with
-  | Some a, Some b -> (a, b)
-  | _ -> invalid_arg "Topology: vertices not adjacent"
+  let a = find_link_id t u v and b = find_link_id t v u in
+  if a < 0 || b < 0 then invalid_arg "Topology: vertices not adjacent";
+  (a, b)
 
 (* Cache invalidation is selective: a cached distance array towards [dst]
    is dropped only when the changed element can lie on (failure) or create

@@ -97,6 +97,11 @@ val find_link_id : t -> node -> node -> int
     vertices are not adjacent or either is out of range. The packet hot
     path resolves one link per hop through this. *)
 
+val cable_ids : t -> node -> node -> link_id * link_id
+(** [cable_ids t u v] is the cable between [u] and [v] as its two directed
+    links, [(u -> v, v -> u)]. Raises [Invalid_argument] if the vertices are
+    not adjacent. *)
+
 (** {2 Live down-state}
 
     Links and nodes can be failed at runtime without rebuilding the graph:
@@ -202,6 +207,8 @@ val bridge : t -> t -> cables:(node * node) list -> t
     using any switch"). Vertices of [b] are renumbered by
     [Topology.vertex_count a]; [cables] pairs an [a]-vertex with a
     [b]-vertex (pre-renumbering). The result is a [Custom] composite:
-    coordinate-based routing falls back to generic shortest paths. *)
+    coordinate-based routing falls back to generic shortest paths. Raises
+    [Invalid_argument] when [cables] is empty, names a vertex that is not a
+    host, lists a cable twice, or a rack has switches. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,26 +1,13 @@
-type event = Arrive of Flowgen.spec | Depart of { time_ns : int; flow : int }
-
-type t = event list
-
-let of_specs specs = List.map (fun s -> Arrive s) specs
-
-let time = function Arrive s -> s.Flowgen.arrival_ns | Depart d -> d.time_ns
-
-let events_sorted t = List.stable_sort (fun a b -> compare (time a) (time b)) t
-
-let save path t =
+let save path specs =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       List.iter
-        (fun ev ->
-          match ev with
-          | Arrive s ->
-              Printf.fprintf oc "A %d %d %d %d %d %d\n" s.Flowgen.arrival_ns s.src s.dst s.size
-                s.weight s.priority
-          | Depart d -> Printf.fprintf oc "D %d %d\n" d.time_ns d.flow)
-        t)
+        (fun (s : Flowgen.spec) ->
+          Printf.fprintf oc "A %d %d %d %d %d %d\n" s.arrival_ns s.src s.dst s.size s.weight
+            s.priority)
+        specs)
 
 let load path =
   let ic = open_in path in
@@ -35,16 +22,14 @@ let load path =
              acc :=
                (match String.split_on_char ' ' line with
                | [ "A"; a; s; d; sz; w; p ] ->
-                   Arrive
-                     {
-                       Flowgen.arrival_ns = int_of_string a;
-                       src = int_of_string s;
-                       dst = int_of_string d;
-                       size = int_of_string sz;
-                       weight = int_of_string w;
-                       priority = int_of_string p;
-                     }
-               | [ "D"; tm; f ] -> Depart { time_ns = int_of_string tm; flow = int_of_string f }
+                   {
+                     Flowgen.arrival_ns = int_of_string a;
+                     src = int_of_string s;
+                     dst = int_of_string d;
+                     size = int_of_string sz;
+                     weight = int_of_string w;
+                     priority = int_of_string p;
+                   }
                | _ -> failwith ("Trace.load: malformed line: " ^ line))
                :: !acc
          done
@@ -52,12 +37,3 @@ let load path =
       | End_of_file -> ()
       | Failure _ as e -> raise e);
       List.rev !acc)
-
-let active_at t at =
-  List.fold_left
-    (fun acc ev ->
-      match ev with
-      | Arrive s when s.Flowgen.arrival_ns <= at -> acc + 1
-      | Depart d when d.time_ns <= at -> acc - 1
-      | Arrive _ | Depart _ -> acc)
-    0 t

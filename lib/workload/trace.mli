@@ -1,26 +1,12 @@
-(** Flow-trace recording and replay.
+(** Flow-trace files: a workload's flow arrivals, one per line, so that a
+    workload generated once runs unchanged on the simulator, the emulator
+    and the baselines ([r2c2_cli trace] writes one, [r2c2_cli simulate
+    --trace] replays it). *)
 
-    Fig. 8 replays the flow arrival/departure events of a large simulation
-    into the rate-computation benchmark; traces also make workloads
-    portable across the simulator, the emulator and the benches. *)
+val save : string -> Flowgen.spec list -> unit
+(** Write the specs to a file, one [A arrival_ns src dst size weight
+    priority] line each, in list order. *)
 
-type event = Arrive of Flowgen.spec | Depart of { time_ns : int; flow : int }
-
-type t = event list
-(** Events sorted by time; [Arrive] specs are implicitly numbered 0.. in
-    arrival order, which is what [Depart.flow] refers to. *)
-
-val of_specs : Flowgen.spec list -> t
-(** Arrivals only. *)
-
-val save : string -> t -> unit
-(** Write to a file, one event per line. *)
-
-val load : string -> t
-(** Raises [Failure] on malformed input. *)
-
-val events_sorted : t -> t
-(** Stable sort by timestamp. *)
-
-val active_at : t -> int -> int
-(** Number of flows arrived but not departed at the given time. *)
+val load : string -> Flowgen.spec list
+(** The specs of a file {!save} wrote, in file order. Raises [Failure] on
+    a malformed line. *)

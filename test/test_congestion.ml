@@ -18,7 +18,7 @@ let wf ?weight ?priority ?demand ~id links =
 
 let allocate ?headroom ~capacities flows =
   U.floats_of
-    (Congestion.Waterfill.allocate
+    (Waterfill_model.fresh_rates
        ?headroom:(Option.map U.fraction headroom)
        ~capacities:(U.of_floats capacities) flows)
 
@@ -119,9 +119,20 @@ let invalid_inputs_rejected () =
     (fun () ->
       ignore
         (allocate ~headroom:1.0 ~capacities:[| 1.0 |]
-           [| wf ~id:0 [| (0, 1.0) |] |]))
+           [| wf ~id:0 [| (0, 1.0) |] |]));
+  (* A priority is the broadcast's 8-bit field; both allocators refuse
+     any other. *)
+  List.iter
+    (fun priority ->
+      let flows = [| wf ~priority ~id:0 [| (0, 1.0) |] |] in
+      let err = Invalid_argument "Waterfill: priority outside 0..255" in
+      Alcotest.check_raises (Printf.sprintf "priority %d" priority) err (fun () ->
+          ignore (allocate ~capacities:[| 1.0 |] flows));
+      Alcotest.check_raises (Printf.sprintf "reference, priority %d" priority) err (fun () ->
+          ignore (allocate_reference ~capacities:[| 1.0 |] flows)))
+    [ -1; 256; max_int ]
 
-(* [allocate] keys flows by array slot: [id] is opaque and may repeat. *)
+(* A fresh allocator keyed by array slot: [id] is opaque and may repeat. *)
 let repeated_ids_by_slot () =
   let flows = [| wf ~id:7 [| (0, 1.0) |]; wf ~demand:2.0 ~id:7 [| (0, 1.0) |] |] in
   let rates = allocate ~capacities:[| 10.0 |] flows in
@@ -148,6 +159,25 @@ let headroom_checked_before_flows () =
      allocator sees it. *)
   Alcotest.check_raises "zero fraction" (Invalid_argument "Routing.row: non-positive fraction")
     (fun () -> ignore (allocate ~capacities:[| 1.0 |] [| wf ~id:0 [| (0, 0.0) |] |]))
+
+(* Priorities 0 and 255, the ends of the broadcast's 8-bit field, in one
+   fill: the counting sort spans all 256 classes. *)
+let full_priority_range () =
+  let flows =
+    [|
+      wf ~priority:255 ~id:0 [| (0, 1.0) |];
+      wf ~priority:0 ~demand:4.0 ~id:1 [| (0, 1.0); (1, 1.0) |];
+      wf ~priority:128 ~demand:3.0 ~id:2 [| (1, 1.0) |];
+      wf ~priority:255 ~id:3 [| (0, 1.0); (1, 1.0) |];
+    |]
+  in
+  let got = allocate ~capacities:[| 10.0; 8.0 |] flows in
+  let want = allocate_reference ~capacities:[| 10.0; 8.0 |] flows in
+  Array.iteri
+    (fun i w -> Alcotest.(check (float 1e-9)) (Printf.sprintf "flow %d" i) w got.(i))
+    want;
+  Alcotest.(check (float 1e-9)) "class 255 takes link 1's last unit" 1.0 got.(3);
+  Alcotest.(check (float 1e-9)) "and the rest of link 0" 5.0 got.(0)
 
 (* Random instances for the property tests. *)
 let gen_instance =
@@ -331,6 +361,7 @@ let suites =
         tc "repeated ids allocate by slot" repeated_ids_by_slot;
         tc "link-less flows get 0 or their demand" linkless_flows;
         tc "headroom checked before flows" headroom_checked_before_flows;
+        tc "priorities 0..255 in one fill" full_priority_range;
         QCheck_alcotest.to_alcotest qcheck_capacity_feasible;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference_dense;

@@ -112,6 +112,31 @@ let rate_error_zero_at_rho_zero () =
   Alcotest.(check bool) "no error against itself" true
     (Array.for_all (fun e -> e < 1e-9) errs)
 
+(* Results carry the flow's index, which pairs the two runs of
+   [rate_error] even for flows that share arrival, source and
+   destination. *)
+let results_carry_the_index () =
+  let topo = Lazy.force torus44 in
+  let spec arrival_ns src dst size =
+    { Workload.Flowgen.arrival_ns; src; dst; size; weight = 1; priority = 0 }
+  in
+  let specs =
+    [ spec 0 0 5 100_000; spec 0 0 5 3_000_000; spec 1_000 1 6 50_000; spec 1_000 1 6 50_000 ]
+  in
+  let r = Emu.Fluid.run Emu.Fluid.default_config topo specs in
+  Alcotest.(check (list int)) "every index once" [ 0; 1; 2; 3 ]
+    (List.sort Int.compare (List.map (fun (f : Emu.Fluid.flow_result) -> f.index) r.flows));
+  List.iter
+    (fun (f : Emu.Fluid.flow_result) ->
+      Alcotest.(check bool) (Printf.sprintf "flow %d: its spec" f.index) true
+        (f.spec == List.nth specs f.index))
+    r.flows;
+  let errs =
+    Emu.Fluid.rate_error ~min_lifetime_ns:0 Emu.Fluid.default_config topo specs ~rho_ns:0
+  in
+  Alcotest.(check int) "one error per flow" 4 (Array.length errs);
+  Alcotest.(check bool) "each flow paired with itself" true (Array.for_all (fun e -> e = 0.0) errs)
+
 let rate_error_grows_with_rho () =
   (* Long-lived flows so both intervals schedule them (the batching filter
      drops flows shorter than one interval). *)
@@ -255,6 +280,7 @@ let suites =
     ( "emu.rate_error",
       [
         tc "zero against itself" rate_error_zero_at_rho_zero;
+        tc "results carry the flow's index" results_carry_the_index;
         tc "grows with rho (Fig 15)" rate_error_grows_with_rho;
       ] );
     ( "sim.pfq",

@@ -128,7 +128,7 @@ let selector_rejects_bad_lengths () =
 
 let selector_reuses_one_allocator () =
   (* One selector refills one allocator per evaluation; each reading must
-     be bit for bit 8 x the slot-order sum of a fresh Waterfill.allocate,
+     be bit for bit 8 x the slot-order sum of a fresh allocator's rates,
      across assignments and flow sets of different sizes. *)
   let ctx = Routing.make (Topology.torus [| 8; 8; 8 |]) in
   let topo = Routing.topo ctx in
@@ -149,7 +149,7 @@ let selector_reuses_one_allocator () =
     let flows = List.nth flow_sets (trial mod 2) in
     let assignment = Genetic.Selector.random_assignment sel rng ~flows in
     let fresh =
-      Congestion.Waterfill.allocate ~capacities
+      Waterfill_model.fresh_rates ~capacities
         (Array.mapi
            (fun i (src, dst) ->
              Congestion.Waterfill.flow ~id:i (Routing.fractions ctx assignment.(i) ~src ~dst))

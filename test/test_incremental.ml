@@ -188,10 +188,10 @@ let counters_reset_per_allocate () =
       Congestion.Waterfill.flow ~id:2 (lk [| (0, 1.0) |]);
     |]
   in
-  ignore (Congestion.Waterfill.allocate ~capacities flows);
+  ignore (Waterfill_model.fresh_rates ~capacities flows);
   let first = Congestion.Waterfill.dbg.push in
   Alcotest.(check bool) "pushes counted" true (first > 0);
-  ignore (Congestion.Waterfill.allocate ~capacities flows);
+  ignore (Waterfill_model.fresh_rates ~capacities flows);
   Alcotest.(check int) "identical second measurement" first Congestion.Waterfill.dbg.push
 
 let dirty_tracking_lifecycle () =
@@ -247,8 +247,8 @@ let inc_input_validation () =
 (* Per-node control refills one allocator for every sender: after [clear]
    and the same [add_flow] calls it must return exactly what a fresh state
    with the same settings returns, whatever the previous fill left in its
-   buffers. Without a class reserve, that fresh state is what
-   {!Waterfill.allocate} runs. *)
+   buffers. Without a class reserve, it must also match a fresh state
+   keyed by slot. *)
 let cleared_inc_matches_fresh () =
   let module W = Congestion.Waterfill in
   let topo = Topology.torus [| 4; 4 |] in
@@ -283,13 +283,13 @@ let cleared_inc_matches_fresh () =
           flows;
         W.Inc.allocate inc)
       [ fresh; reused ];
-    let oneshot = U.floats_of (W.allocate ~headroom ~capacities flows) in
+    let oneshot = U.floats_of (Waterfill_model.fresh_rates ~headroom ~capacities flows) in
     Array.iteri
       (fun i (f : W.flow) ->
         let got = bits (inc_rate reused ~id:f.id) in
         Alcotest.(check int64) (Printf.sprintf "flow %d" f.id) (bits (inc_rate fresh ~id:f.id)) got;
         if reserve = 0.0 then
-          Alcotest.(check int64) (Printf.sprintf "flow %d, allocate" f.id) (bits oneshot.(i)) got)
+          Alcotest.(check int64) (Printf.sprintf "flow %d, fresh by slot" f.id) (bits oneshot.(i)) got)
       flows
   done
 

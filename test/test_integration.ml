@@ -119,7 +119,7 @@ let stack_matches_fluid_rates () =
   let capacities =
     Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps)
   in
-  let rates = Congestion.Waterfill.allocate ~headroom:Topology.headroom ~capacities wf in
+  let rates = Waterfill_model.fresh_rates ~headroom:Topology.headroom ~capacities wf in
   let raw_agg = 8.0 *. Array.fold_left ( +. ) 0.0 (U.floats_of rates) in
   Alcotest.(check (float 0.001)) "same aggregate" raw_agg stack_agg
 
@@ -204,18 +204,23 @@ let bridge_validates () =
   Alcotest.check_raises "bad endpoint"
     (Invalid_argument "Topology.bridge: cable endpoint out of host range") (fun () ->
       ignore (Topology.bridge rack rack ~cables:[ (99, 0) ]));
+  (* One cable per pair: a second link for the pair would outlive a
+     [fail_link] of the cable, which fails only the link [find_link_id]
+     names. *)
+  Alcotest.check_raises "cable listed twice" (Invalid_argument "Topology: cable listed twice")
+    (fun () -> ignore (Topology.bridge rack rack ~cables:[ (0, 0); (0, 0) ]));
   let clos = Topology.clos ~leaves:2 ~spines:2 ~servers_per_leaf:2 in
   Alcotest.check_raises "switched racks"
     (Invalid_argument "Topology.bridge: switched (Clos) racks cannot be bridged directly")
     (fun () -> ignore (Topology.bridge clos clos ~cables:[ (0, 0) ]))
 
 (* The TCP and fluid engines refuse a spec they cannot run before the run
-   starts: a 4x4 torus has no vertex 16, and a fluid flow's weight is its
-   share of a bottleneck, so it is at least 1. *)
+   starts: a 4x4 torus has no vertex 16, and a fluid flow's weight and
+   priority must fit the one byte each that its broadcast carries. *)
 let engines_refuse_bad_specs () =
   let topo = Topology.torus [| 4; 4 |] in
-  let spec ?(dst = 16) ?(weight = 1) () =
-    { Workload.Flowgen.arrival_ns = 0; src = 0; dst; size = 1_000; weight; priority = 0 }
+  let spec ?(dst = 16) ?(weight = 1) ?(priority = 0) () =
+    { Workload.Flowgen.arrival_ns = 0; src = 0; dst; size = 1_000; weight; priority }
   in
   let no_host who = Invalid_argument (who ^ ": endpoint is not a host") in
   Alcotest.check_raises "tcp" (no_host "Tcp_sim") (fun () ->
@@ -224,8 +229,20 @@ let engines_refuse_bad_specs () =
       ignore (Emu.Fluid.run Emu.Fluid.default_config topo [ spec () ]));
   Alcotest.check_raises "pfq" (no_host "Fluid") (fun () ->
       ignore (Emu.Fluid.run_pfq 1 topo [ spec () ]));
-  Alcotest.check_raises "fluid weight 0" (Invalid_argument "Fluid.run: weight below 1")
-    (fun () -> ignore (Emu.Fluid.run Emu.Fluid.default_config topo [ spec ~dst:5 ~weight:0 () ]))
+  Alcotest.check_raises "fluid weight 0" (Invalid_argument "Fluid.run: weight outside 1..255")
+    (fun () -> ignore (Emu.Fluid.run Emu.Fluid.default_config topo [ spec ~dst:5 ~weight:0 () ]));
+  let fluid s = Emu.Fluid.run Emu.Fluid.default_config topo [ s ] in
+  Alcotest.check_raises "fluid weight 256" (Invalid_argument "Fluid.run: weight outside 1..255")
+    (fun () -> ignore (fluid (spec ~dst:5 ~weight:256 ())));
+  List.iter
+    (fun priority ->
+      Alcotest.check_raises
+        (Printf.sprintf "fluid priority %d" priority)
+        (Invalid_argument "Fluid.run: priority outside 0..255")
+        (fun () -> ignore (fluid (spec ~dst:5 ~priority ()))))
+    [ -1; 256 ];
+  Alcotest.(check int) "fluid weight and priority 255 run" 1
+    (List.length (fluid (spec ~dst:5 ~weight:255 ~priority:255 ())).Emu.Fluid.flows)
 
 let qcheck_r2c2_delivers =
   QCheck.Test.make ~name:"R2C2 sim delivers every byte (random workloads)" ~count:15

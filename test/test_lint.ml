@@ -490,12 +490,14 @@ let units_reject_dimension_swap () =
   if List.for_all Sys.file_exists obj_dirs then begin
     Alcotest.(check bool) "correctly-typed caller compiles" true
       (typechecks
-         "let _ = Congestion.Waterfill.allocate ~capacities:[| Util.Units.byte_rate 1.25 |] [||]");
+         "let _ = Congestion.Waterfill.allocate_reference ~capacities:[| Util.Units.byte_rate 1.25 \
+          |] [||]");
     Alcotest.(check bool) "bytes-for-rate swap rejected by the compiler" false
       (typechecks
-         "let _ = Congestion.Waterfill.allocate ~capacities:[| Util.Units.bytes 1.25 |] [||]");
+         "let _ = Congestion.Waterfill.allocate_reference ~capacities:[| Util.Units.bytes 1.25 |] \
+          [||]");
     Alcotest.(check bool) "raw float capacities rejected" false
-      (typechecks "let _ = Congestion.Waterfill.allocate ~capacities:[| 1.25 |] [||]");
+      (typechecks "let _ = Congestion.Waterfill.allocate_reference ~capacities:[| 1.25 |] [||]");
     let flow demand =
       Printf.sprintf
         "let _ = Congestion.Waterfill.flow ~demand:(%s 0.5) ~id:0 (Routing.row ~links:[||] \

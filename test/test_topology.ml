@@ -100,7 +100,10 @@ let find_link_consistent () =
   for v = 0 to 15 do
     Array.iter
       (fun (u, l) ->
-        Alcotest.(check (option int)) "find_link finds it" (Some l) (Topology.find_link t v u))
+        Alcotest.(check (option int)) "find_link finds it" (Some l) (Topology.find_link t v u);
+        Alcotest.(check (pair int int)) "cable_ids: both directions"
+          (l, Topology.find_link_id t u v)
+          (Topology.cable_ids t v u))
       (Topology.out_links t v)
   done;
   Alcotest.(check (option int)) "non-adjacent" None (Topology.find_link t 0 10);

@@ -168,24 +168,23 @@ let trace_roundtrip () =
   let topo = Lazy.force torus88 in
   let rng = Util.Rng.create 11 in
   let specs = Workload.Flowgen.poisson_pareto topo rng ~flows:50 ~mean_interarrival_ns:1000.0 in
-  let trace =
-    Workload.Trace.events_sorted
-      (Workload.Trace.of_specs specs @ [ Workload.Trace.Depart { time_ns = 99_999; flow = 3 } ])
-  in
   let path = Filename.temp_file "r2c2" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Workload.Trace.save path trace;
+      Workload.Trace.save path specs;
       let loaded = Workload.Trace.load path in
-      Alcotest.(check bool) "roundtrip" true (loaded = trace))
+      Alcotest.(check bool) "roundtrip" true (loaded = specs))
 
-let trace_active_count () =
-  let mk t = Workload.Trace.Arrive { Workload.Flowgen.arrival_ns = t; src = 0; dst = 1; size = 1; weight = 1; priority = 0 } in
-  let trace = [ mk 10; mk 20; Workload.Trace.Depart { time_ns = 30; flow = 0 }; mk 40 ] in
-  Alcotest.(check int) "at t=25" 2 (Workload.Trace.active_at trace 25);
-  Alcotest.(check int) "at t=35" 1 (Workload.Trace.active_at trace 35);
-  Alcotest.(check int) "at t=45" 2 (Workload.Trace.active_at trace 45)
+(* A trace holds arrivals only: any other line is refused. *)
+let trace_rejects_departures () =
+  let path = Filename.temp_file "r2c2" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc "A 0 0 1 1 1 0\nD 30 0\n");
+      Alcotest.check_raises "departure line" (Failure "Trace.load: malformed line: D 30 0")
+        (fun () -> ignore (Workload.Trace.load path)))
 
 let suites =
   [
@@ -211,5 +210,8 @@ let suites =
         tc "byte-fraction helpers" byte_fraction_helpers;
       ] );
     ( "workload.trace",
-      [ tc "save/load roundtrip" trace_roundtrip; tc "active flow counting" trace_active_count ] );
+      [
+        tc "save/load roundtrip" trace_roundtrip;
+        tc "a departure line is malformed" trace_rejects_departures;
+      ] );
   ]

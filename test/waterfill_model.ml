@@ -256,3 +256,18 @@ let allocate m =
   done;
   Array.blit rates 0 m.rates 0 nf;
   { push = !push; pops = !pops; valid = !valid }
+
+(* -- the fresh-state reference ------------------------------------------ *)
+
+(* A fresh [Inc] run once over [flows], flow [i] keyed by slot [i] ([id]
+   is opaque and may repeat): the rates that refilled and held allocators
+   are checked against, themselves checked against [allocate_reference]. *)
+let fresh_rates ?headroom ~capacities flows =
+  let module W = Congestion.Waterfill in
+  let inc = W.Inc.create ?headroom ~capacities () in
+  Array.iteri
+    (fun i (f : W.flow) ->
+      W.Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.row)
+    flows;
+  W.Inc.allocate inc;
+  Array.init (Array.length flows) (fun i -> W.Inc.rate inc ~id:i)
