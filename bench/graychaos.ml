@@ -14,12 +14,15 @@ let size = 600_000
 let interval = 100_000
 let digest = 50_000
 
-(* Global-epoch control at the paper's 512-node scale. Per_node costs 2 to
-   3 times its wall clock here, mostly in the believed sets (every flow
-   event updates 511 replicas); the per-node allocator is about 1% of such
-   a run. The Per_node rejoin path runs at test scale in
-   test_robustness.ml. Reliable broadcast is on: the crash-restart rejoin
-   protocol rides the digest / NACK / replay machinery. *)
+(* Global-epoch control at the paper's 512-node scale. Per_node costs
+   about twice its wall clock here, and not in the believed sets, whose
+   update is one slot lookup per flow event and replica: with every flow
+   of the permutation live at once and a 100 us epoch, each sender's
+   refill and water-fill of the allocator over the flows it believes is
+   about half of a Per_node run. The Per_node rejoin path runs at test
+   scale in test_robustness.ml. Reliable broadcast is on: the
+   crash-restart rejoin protocol rides the digest / NACK / replay
+   machinery. *)
 let scenario ?invariants ~name steps =
   let cfg =
     {

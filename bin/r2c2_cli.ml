@@ -132,11 +132,25 @@ let pp_band name fcts tputs =
   if Array.length tputs > 0 then
     Format.printf "  %s thruput  : mean %.2f Gbps@." name (Util.Stats.mean tputs)
 
+(* MD5 over every completed flow's (id, FCT ns), in id order: unlike the
+   rounded percentiles, it moves when any one flow's completion does. *)
+let pp_flow_digest fcts =
+  let buf = Buffer.create 65_536 in
+  List.iter
+    (fun (id, fct) -> Buffer.add_string buf (Printf.sprintf "%d %d\n" id fct))
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) fcts);
+  Format.printf "  flow digest      : %s@." (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let report_metrics total (m : Sim.Metrics.t) =
   Format.printf "  completed        : %d / %d flows@." (Sim.Metrics.completed_count m) total;
   pp_band "short" (Sim.Metrics.fcts_us ~max_size:100_000 m) [||];
   pp_band "long " [||] (Util.Units.floats_of (Sim.Metrics.throughputs_gbps ~min_size:1_000_000 m));
-  pp_band "all  " (Sim.Metrics.fcts_us m) (Util.Units.floats_of (Sim.Metrics.throughputs_gbps m))
+  pp_band "all  " (Sim.Metrics.fcts_us m) (Util.Units.floats_of (Sim.Metrics.throughputs_gbps m));
+  pp_flow_digest
+    (List.filter_map
+       (fun (f : Sim.Metrics.flow) ->
+         if Sim.Metrics.complete m f then Some (f.id, Sim.Metrics.fct_ns f) else None)
+       (Sim.Metrics.all m))
 
 let report_queues q =
   let kb = Array.map (fun b -> float_of_int b /. 1024.0) q in
@@ -151,7 +165,8 @@ let report_fluid total (res : Emu.Fluid.result) =
     (Array.of_list
        (List.map
           (fun (r : Emu.Fluid.flow_result) -> Util.Units.to_float r.avg_rate_gbps)
-          res.flows))
+          res.flows));
+  pp_flow_digest (List.map (fun (r : Emu.Fluid.flow_result) -> (r.index, r.fct_ns)) res.flows)
 
 let simulate_cmd =
   let run dims mesh fb clos transport flows tau_us size seed headroom rho_us per_node reselect

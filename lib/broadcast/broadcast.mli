@@ -25,10 +25,14 @@ val choose_tree : t -> Util.Rng.t -> src:int -> int
 (** {2 Failure-aware tree repair}
 
     Cached trees are stamped with {!Topology.version}. After a fail/restore,
-    the next access to a tree re-validates it: a tree crossing a dead link
-    or node (or missing a newly reachable vertex) is rebuilt on the
-    surviving graph and the FIB re-announcement traffic is accounted; trees
-    untouched by the failure are kept as-is. *)
+    the next access to a tree re-validates it with {!tree_valid}: a tree
+    that no longer reaches every alive reachable vertex over alive links
+    (a dead link or node cut some of them off, or a vertex became newly
+    reachable) is rebuilt on the surviving graph and the FIB
+    re-announcement traffic is accounted. Any other tree is kept as it is,
+    including dead links that lead only into dead or cut-off vertices: the
+    copies forwarded over them are lost, and [Net] counts them as
+    blackholed control bytes. *)
 
 val tree_valid : t -> src:int -> tree:int -> bool
 (** Whether the (cached) tree still covers every alive reachable vertex over

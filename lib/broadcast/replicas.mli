@@ -8,6 +8,13 @@
     whole rack; the library's [R2c2.View] is a 1 × 1 × [trees] table.
     Windows and sets are allocated on first use.
 
+    Windows are numbered origin-major, so the receivers of one (origin,
+    tree) stream sit side by side, and the believed sets are stored
+    flow-major: a flow that any receiver believes holds one slot, found by
+    one table lookup, with one word per receiver naming the window it was
+    added on. Once a flow holds a slot, {!add}, {!remove} and {!apply} of
+    it are array writes that allocate nothing.
+
     Events are the ints {!event} makes of flow events; a negative event
     names no flow. *)
 
@@ -29,7 +36,8 @@ val id_hash : int -> int
 (** {2 Receive windows} *)
 
 val window : t -> replica:int -> origin:int -> tree:int -> int
-(** The index of one window: the handle the functions below take. *)
+(** The index of one window, [((origin * trees) + tree) * replicas +
+    replica]: the handle the functions below take. *)
 
 val admit : t -> int -> inc:int -> bool
 (** The incarnation guard for a packet stamped with the origin's [inc]: a
@@ -118,4 +126,5 @@ val hash : t -> replica:int -> origin:int -> int
 (** The set hash of the origin's slice, the sum of its trees' hashes. *)
 
 val replica_hash : t -> replica:int -> int
-(** The set hash of the whole believed set, the sum of its slices'. *)
+(** The set hash of the whole believed set, the sum of its slices', kept
+    as a running total. *)

@@ -5,18 +5,25 @@
    in the rack believes, with the transport between them allowed to lose,
    reorder and duplicate packets. *)
 
-type t = { trees : int; reps : Replicas.t; mutable applied : int }
-
-let create ~trees () =
-  { trees; reps = Replicas.create ~replicas:1 ~origins:1 ~trees; applied = 0 }
-
-let window t tree =
-  if tree < 0 || tree >= t.trees then invalid_arg "View: tree id out of range";
-  Replicas.window t.reps ~replica:0 ~origin:0 ~tree
+type t = {
+  trees : int;
+  reps : Replicas.t;
+  mutable applied : int;
+  deliver : int -> int -> unit;  (* [apply_event] of this view, made once *)
+}
 
 let apply_event t w ev =
   t.applied <- t.applied + 1;
   Replicas.apply t.reps w ev
+
+let create ~trees () =
+  let reps = Replicas.create ~replicas:1 ~origins:1 ~trees in
+  let rec t = { trees; reps; applied = 0; deliver = (fun w ev -> apply_event t w ev) } in
+  t
+
+let window t tree =
+  if tree < 0 || tree >= t.trees then invalid_arg "View: tree id out of range";
+  Replicas.window t.reps ~replica:0 ~origin:0 ~tree
 
 let observe_incarnation t ~inc = Replicas.join t.reps ~replica:0 ~origin:0 ~inc
 
@@ -32,7 +39,7 @@ let apply_seq t pkt flow seq =
   else begin
     let before = t.applied in
     let ev = Replicas.event pkt.Wire.event flow in
-    match Replicas.receive t.reps (window t tree) ~seq ev ~deliver:(apply_event t) with
+    match Replicas.receive t.reps (window t tree) ~seq ev ~deliver:t.deliver with
     | Replicas.Delivered -> Applied (t.applied - before)
     | Replicas.Duplicate -> Duplicate
     | Replicas.Buffered -> Buffered
@@ -84,4 +91,4 @@ let observe_digest t (d : Wire.digest) =
   | Replicas.Diverged -> Diverged
 
 let sync t ~flows ~last_seqs =
-  Replicas.sync t.reps ~replica:0 ~origin:0 ~ids:flows ~last_seqs ~deliver:(apply_event t)
+  Replicas.sync t.reps ~replica:0 ~origin:0 ~ids:flows ~last_seqs ~deliver:t.deliver

@@ -1359,7 +1359,9 @@ let create cfg topo =
      views learn flow starts/finishes from the same deliveries. In reliable
      mode every event first passes the (source, tree) receive window:
      duplicates are absorbed, reordered arrivals buffered, and a gap arms
-     the NACK timer. *)
+     the NACK timer. The window's deliver callback is made once here, not
+     per packet. *)
+  let deliver = apply_bcast_event t in
   Net.on_bcast_deliver net (fun pkt ~node ->
       let k = Net.kind net pkt in
       if k = Net.code_bcast then begin
@@ -1372,8 +1374,7 @@ let create cfg topo =
           let w = window t ~node ~root ~tree in
           if Replicas.admit t.reps w ~inc:(Net.bcast_inc net pkt) then
             match
-              Replicas.receive t.reps w ~seq:(Net.bcast_seq net pkt) bcast_id
-                ~deliver:(apply_bcast_event t)
+              Replicas.receive t.reps w ~seq:(Net.bcast_seq net pkt) bcast_id ~deliver
             with
             | Replicas.Delivered | Replicas.Duplicate -> ()
             | Replicas.Buffered -> schedule_nack t ~node ~root ~tree w

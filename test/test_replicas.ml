@@ -1,8 +1,9 @@
 (* The one replica table behind both control planes ([Replicas]): the JOIN
-   rule, the commutative per-tree set hashes, and a differential test
-   against the per-window reference model ([Rx_model]) under random
-   interleavings of receives, digests, syncs, incarnation bumps and crash
-   clears. *)
+   rule, the commutative per-tree set hashes, the flow-major believed sets
+   (one slot per flow, each replica's own window, allocation-free updates),
+   and a differential test against the per-window reference model
+   ([Rx_model]) under random interleavings of receives, digests, syncs,
+   incarnation bumps and crash clears. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -115,6 +116,92 @@ let qcheck_set_hash_incremental =
         then ok := false
       done;
       !ok)
+
+(* -- flow-major believed sets ------------------------------------------------ *)
+
+(* One flow, believed by three replicas on three different windows: tree 0
+   and tree 1 of origin 0, and tree 0 of origin 1. Each replica's hashes
+   and sizes follow its own window, and dropping the flow at one replica
+   leaves the others as they were. *)
+let one_flow_on_three_windows () =
+  let r = Replicas.create ~replicas:3 ~origins:2 ~trees:2 in
+  let id = 5 and h = Replicas.id_hash 5 in
+  let at = [| (0, 0); (0, 1); (1, 0) |] in
+  let win replica =
+    let origin, tree = at.(replica) in
+    Replicas.window r ~replica ~origin ~tree
+  in
+  let check_replica ~believes replica =
+    let origin, tree = at.(replica) in
+    let name what = Printf.sprintf "replica %d %s" replica what in
+    let own = if believes then h else 0 in
+    for o = 0 to 1 do
+      for t = 0 to 1 do
+        Alcotest.(check int)
+          (name (Printf.sprintf "tree_hash (%d, %d)" o t))
+          (if o = origin && t = tree then own else 0)
+          (Replicas.tree_hash r (Replicas.window r ~replica ~origin:o ~tree:t))
+      done;
+      Alcotest.(check int) (name (Printf.sprintf "hash of origin %d" o))
+        (if o = origin then own else 0) (Replicas.hash r ~replica ~origin:o);
+      Alcotest.(check int) (name (Printf.sprintf "size of origin %d" o))
+        (if o = origin && believes then 1 else 0) (Replicas.size r ~replica ~origin:o)
+    done;
+    Alcotest.(check int) (name "replica_hash") own (Replicas.replica_hash r ~replica);
+    Alcotest.(check (list int)) (name "believed") (if believes then [ id ] else [])
+      (Array.to_list (Replicas.believed r ~replica))
+  in
+  for replica = 0 to 2 do
+    Replicas.add r (win replica) id
+  done;
+  (* A second start on another window keeps the window the flow was added on. *)
+  Replicas.apply r (Replicas.window r ~replica:0 ~origin:1 ~tree:1) (2 * id);
+  List.iter (check_replica ~believes:true) [ 0; 1; 2 ];
+  Replicas.remove r ~replica:1 id;
+  check_replica ~believes:false 1;
+  List.iter (check_replica ~believes:true) [ 0; 2 ];
+  Replicas.apply r (win 0) ((2 * id) + 1);
+  List.iter (check_replica ~believes:false) [ 0; 1 ];
+  check_replica ~believes:true 2;
+  Replicas.apply r (win 2) ((2 * id) + 1);
+  List.iter (check_replica ~believes:false) [ 0; 1; 2 ];
+  (* The freed slot takes the flow back. *)
+  Replicas.add r (win 1) id;
+  check_replica ~believes:true 1;
+  List.iter (check_replica ~believes:false) [ 0; 2 ]
+
+(* Once a flow holds a slot, a start at another replica and a finish are
+   array writes: no minor word. A flow's first add allocates its slot-map
+   binding, the same words whatever the number of replicas. *)
+let flow_events_allocate_nothing () =
+  let first_add_words replicas =
+    let r = Replicas.create ~replicas ~origins:4 ~trees:4 in
+    let w replica = Replicas.window r ~replica ~origin:2 ~tree:3 in
+    (* The first add allocates the set columns. *)
+    Replicas.add r (w 0) 1;
+    let before = Gc.minor_words () in
+    Replicas.add r (w 0) 2;
+    let first = Gc.minor_words () -. before in
+    let before = Gc.minor_words () in
+    for replica = 1 to replicas - 1 do
+      Replicas.apply r (w replica) (2 * 2)
+    done;
+    for replica = 0 to replicas - 1 do
+      Replicas.apply r (w replica) ((2 * 2) + 1)
+    done;
+    let events = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "minor words of %d starts and %d finishes of a slotted flow" (replicas - 1)
+         replicas)
+      0.0 events;
+    Alcotest.(check (list int)) "the finishes freed the flow" [ 1 ]
+      (Array.to_list (Replicas.believed r ~replica:0));
+    first
+  in
+  let w64 = first_add_words 64 and w512 = first_add_words 512 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "a first add costs the same on 64 and 512 replicas (%g words)" w64)
+    w64 w512
 
 (* -- differential test against the per-window model ----------------------- *)
 
@@ -406,12 +493,39 @@ let qcheck_replicas_match_model =
         ops;
       true)
 
+(* [replica_hash] is a running total, not a sum over the replica's
+   strided windows: after every op of a random sequence it equals the sum
+   of the replica's per-origin hashes. *)
+let qcheck_replica_hash_is_sum =
+  QCheck.Test.make ~name:"replica_hash = sum of per-origin hashes" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) gen_op))
+    (fun ops ->
+      let t = Replicas.create ~replicas:nr ~origins:no ~trees:nt in
+      List.for_all
+        (fun op ->
+          ignore (r_step t op);
+          List.for_all
+            (fun replica ->
+              let sum = ref 0 in
+              for origin = 0 to no - 1 do
+                sum := !sum + Replicas.hash t ~replica ~origin
+              done;
+              Replicas.replica_hash t ~replica = !sum)
+            (List.init nr Fun.id))
+        ops)
+
 let suites =
   [
     ( "replicas",
       [
         tc "JOIN resets only on a newer incarnation" join_resets_only_on_newer_incarnation;
+        tc "one flow on three replicas' own windows" one_flow_on_three_windows;
+        tc "flow events of a slotted flow allocate nothing" flow_events_allocate_nothing;
         QCheck_alcotest.to_alcotest qcheck_set_hash_incremental;
         QCheck_alcotest.to_alcotest qcheck_replicas_match_model;
+        QCheck_alcotest.to_alcotest qcheck_replica_hash_is_sum;
       ] );
   ]
