@@ -8,33 +8,15 @@ open Toolkit
 
 let topo = lazy (Topology.torus [| 8; 8; 8 |])
 
-let waterfill_inputs n =
-  let topo = Lazy.force topo in
-  let ctx = Routing.make topo in
-  let rng = Util.Rng.create 3 in
-  let h = Topology.host_count topo in
-  let flows =
-    Array.init n (fun i ->
-        let src = Util.Rng.int rng h in
-        let dst = (src + 1 + Util.Rng.int rng (h - 1)) mod h in
-        Congestion.Waterfill.flow ~id:i (Routing.fractions ctx Routing.Rps ~src ~dst))
-  in
-  let capacities = Array.make (Topology.link_count topo) (Util.Units.byte_rate 1.25) in
-  (capacities, flows)
-
-(* One recompute of a held allocator: clear, refill keyed by slot,
-   allocate. *)
+(* One recompute of a held allocator over random RPS flows (the inputs of
+   ablation E): clear, refill keyed by slot, allocate. *)
 let test_waterfill n =
-  let module Inc = Congestion.Waterfill.Inc in
   Test.make
     ~name:(Printf.sprintf "waterfill-%d-flows" n)
     (Staged.stage
-       (let capacities, flows = waterfill_inputs n in
-        let alloc = Inc.create ~headroom:Topology.headroom ~capacities () in
-        fun () ->
-          Inc.clear alloc;
-          Array.iteri (fun i (f : Congestion.Waterfill.flow) -> Inc.add_flow alloc ~id:i f.row) flows;
-          Inc.allocate alloc))
+       (let capacities, flows = Experiments.waterfill_inputs ~seed:3 n in
+        let alloc = Congestion.Waterfill.Inc.create ~headroom:Topology.headroom ~capacities () in
+        fun () -> Experiments.refill_allocate alloc flows))
 
 let test_fractions proto =
   Test.make
