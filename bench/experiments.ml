@@ -589,8 +589,8 @@ let ablation_live_reselection ?(dims = [| 4; 4; 4 |]) ?(load = 0.5) ?(seed = 83)
     Row (name, [ mean_fct; mean_tput; float_of_int res.flows_rerouted ])
   in
   [ table ~key:("mode", 22)
-      ~title:"Ablation G: live SS3.4 routing reselection inside the packet simulator
-     (long permutation flows; reselection every 300 us vs static RPS)"
+      ~title:"Ablation G: live SS3.4 routing reselection inside the packet simulator\n\
+              (long permutation flows; reselection every 300 us vs static RPS)"
       [ col "mean FCT us" 12 1; col "mean tput Gbps" 14 2; col "reroutes" 12 0 ]
       (List.map row [ ("static all-RPS", None); ("adaptive (GA, 300us)", Some 300_000) ]) ]
 
@@ -605,8 +605,8 @@ let ablation_link_speed ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(seed = 89) () =
     Row (Printf.sprintf "%.0fG" gbps, [ pct (short_fcts m) 99.0; tput; pct q 99.0 ])
   in
   [ table ~key:("link", 10)
-      ~title:"Ablation H: link speed (SS2.1 projects 10-100 Gbps fabrics) — R2C2's
-     probe-free control is rate-agnostic; queues stay in packets, not BDPs"
+      ~title:"Ablation H: link speed (SS2.1 projects 10-100 Gbps fabrics) — R2C2's\n\
+              probe-free control is rate-agnostic; queues stay in packets, not BDPs"
       [ col "p99 FCT us" 14 2; col "long tput Gbps" 14 2; col "q p99 KB" 12 2 ]
       (List.map row [ 10.0; 40.0; 100.0 ]) ]
 
