@@ -438,7 +438,7 @@ let ablation_control_plane ?(dims = [| 6; 6; 6 |]) ?(flows = 600) ?(seed = 61) (
     let res = Sim.R2c2_sim.run { Sim.R2c2_sim.default_config with seed; control } topo specs in
     let wall = Unix.gettimeofday () -. t0 in
     let fcts = Sim.Metrics.fcts_us res.Sim.R2c2_sim.metrics in
-    let q = kb float_of_int res.Sim.R2c2_sim.max_queue in
+    let q = kb float_of_int res.max_queue in
     Row (name, [ pct fcts 50.0; pct fcts 99.0; pct q 99.0; float_of_int res.recomputes; wall ])
   in
   [ table ~key:("control", 14)
@@ -545,13 +545,14 @@ let ablation_waterfill ?(flows = 800) ?(seed = 73) () =
     best_ms 5 (fun () ->
         Congestion.Waterfill.allocate_reference ~headroom:Topology.headroom ~capacities wf)
   in
-  [ table [] []
+  [ table
       ~title:"Ablation E: water-filling implementations — the SS4.2 \"efficient\n\
               variant\" vs textbook progressive filling (identical results, see\n\
               property tests)"
       ~pre:[ Printf.sprintf "%d flows on the 512-node torus:" flows;
              Printf.sprintf "  efficient variant: %8.3f ms" fast;
-             Printf.sprintf "  reference        : %8.3f ms (%.1fx slower)" slow (slow /. fast) ] ]
+             Printf.sprintf "  reference        : %8.3f ms (%.1fx slower)" slow (slow /. fast) ]
+      [] [] ]
 
 let ablation_clos ?(seed = 79) () =
   (* 512 servers, 32-port switches: 32 leaves x 16 servers, 16 spines. *)
@@ -560,7 +561,7 @@ let ablation_clos ?(seed = 79) () =
   let res = Sim.R2c2_sim.run { Sim.R2c2_sim.default_config with seed } clos specs in
   let fcts = Sim.Metrics.fcts_us res.Sim.R2c2_sim.metrics in
   let hosts = Topology.host_count clos in
-  [ table [] []
+  [ table
       ~title:"Ablation F (SS6): R2C2 atop a switched two-level folded Clos — broadcast\n\
               stays cheap at rack scale; congestion control works without multipath"
       ~pre:[ Printf.sprintf "topology: %d servers + %d switches, diameter %d" hosts
@@ -570,7 +571,8 @@ let ablation_clos ?(seed = 79) () =
              Printf.sprintf
                "R2C2 on the Clos: %d/%d flows complete, FCT p50 %.1f us p99 %.1f us, q p99 %.1f KB"
                (Sim.Metrics.completed_count res.Sim.R2c2_sim.metrics) (List.length specs)
-               (pct fcts 50.0) (pct fcts 99.0) (pct (kb float_of_int res.max_queue) 99.0) ] ]
+               (pct fcts 50.0) (pct fcts 99.0) (pct (kb float_of_int res.max_queue) 99.0) ]
+      [] [] ]
 
 let ablation_live_reselection ?(dims = [| 4; 4; 4 |]) ?(load = 0.5) ?(seed = 83) () =
   let topo = Topology.torus dims in
