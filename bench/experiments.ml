@@ -94,20 +94,27 @@ let long_tputs m = U.floats_of (Sim.Metrics.throughputs_gbps ~min_size:long_min 
 let fig2 ?(tries = 40) ?(seed = 7) () =
   let topo = Topology.torus [| 8; 8 |] in
   let ctx = Routing.make topo in
+  (* The patterns and the worst-case search of one protocol share most of
+     their pairs: the figure holds one protocol's rows for its length. *)
+  let held =
+    List.map (fun proto -> (proto, Congestion.Channel_load.held_rows ctx proto))
+      Routing.all_protocols
+  in
   let row name fraction =
-    Row (name, List.map (fun proto -> U.to_float (fraction proto)) Routing.all_protocols)
+    Row (name, List.map (fun (proto, row) -> U.to_float (fraction proto row)) held)
   in
   let pattern p =
     let flows = Workload.Pattern.flows topo p in
-    row (Workload.Pattern.name p) (fun proto ->
-        Congestion.Channel_load.capacity_fraction ctx proto flows)
+    row (Workload.Pattern.name p) (fun proto row ->
+        Congestion.Channel_load.capacity_fraction ~row ctx proto flows)
   in
   let patterns =
     Workload.Pattern.[ Nearest_neighbor; Uniform; Bit_complement; Transpose; Tornado ]
     |> List.map pattern
   in
   let worst =
-    row "worst-case" (fun proto -> snd (Workload.Pattern.adversarial ctx proto ~tries ~seed))
+    row "worst-case" (fun proto row ->
+        snd (Workload.Pattern.adversarial ~row ctx proto ~tries ~seed))
   in
   [ table ~key:("workload", 18)
       ~title:"Fig 2 (table): saturation throughput (fraction of bisection capacity)\n\
@@ -481,12 +488,14 @@ let ablation_search ?(dims = [| 4; 4; 4 |]) ?(load = 0.5) ?(seed = 71) ?(budget 
   let flows = pairs (Workload.Flowgen.permutation_long_flows topo rng0 ~load:(U.fraction load)) in
   let n = Array.length flows in
   let decode g = Array.map (fun c -> if c = 0 then Routing.Rps else Routing.Vlb) g in
+  (* Every heuristic evaluates the same flows: one evaluator builds each
+     flow's two rows once for all of them. *)
+  let ev = Genetic.Selector.evaluator sel ~flows in
   let problem =
     {
       Genetic.Ga.genes = n;
       choices = 2;
-      fitness =
-        (fun g -> U.to_float (Genetic.Selector.aggregate_throughput_gbps sel ~flows (decode g)));
+      fitness = (fun g -> U.to_float (Genetic.Selector.evaluate ev (decode g)));
     }
   in
   let init = Array.make n 0 in

@@ -26,7 +26,9 @@ let test_fractions proto =
         let rng = Util.Rng.create 5 in
         let h = Topology.host_count topo in
         fun () ->
-          (* A fresh context per call so caching does not hide the cost. *)
+          (* A fresh context per call: each row also pays for the
+             ingredients its context caches (VLB's per-endpoint sums, WLB's
+             waypoint weights) and for the context's scratch. *)
           let ctx = Routing.make topo in
           let src = Util.Rng.int rng h in
           let dst = (src + (h / 2)) mod h in

@@ -44,6 +44,7 @@ type t = {
       (* incremental epoch state: patched on every flow event, so a
          recompute with no intervening event is O(1); every rate and the
          loss-scaled headroom are read from it *)
+  event_buf : bytes;  (* each event's 16-byte encoding, for its round-trip check *)
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
@@ -71,6 +72,7 @@ let create ?(config = default_config) ?(seed = 1) topo =
         ~capacities:
           (Array.make (Topology.link_count topo) (U.byte_rate_of_gbps Topology.link_gbps))
         ();
+    event_buf = Bytes.make Wire.broadcast_size '\000';
   }
 
 let topology t = t.topo
@@ -102,16 +104,23 @@ let pkt_of_flow f event =
 
 let emit_broadcast t f event =
   let pkt = pkt_of_flow f event in
-  (* The encoding must round-trip; this exercises the wire format on every
-     control event. *)
-  (match Wire.decode_broadcast (Wire.encode_broadcast pkt) with
-  | Ok p -> assert (p = pkt)
+  (* Both encodings must round-trip, checksum and every field read back
+     where they lie; this exercises the wire formats on every control
+     event. *)
+  Bytes.fill t.event_buf 0 Wire.broadcast_size '\000';
+  Wire.encode_broadcast_at t.event_buf ~off:0 pkt;
+  (match Wire.check_broadcast_at t.event_buf ~off:0 with
+  | Ok () -> assert (Wire.same_broadcast_at t.event_buf ~off:0 pkt)
   | Error e -> failwith ("Stack: broadcast encoding failed: " ^ e));
   t.control_bytes <- t.control_bytes + Broadcast.bytes_per_broadcast t.topo;
   let seq = Rbcast.announce t.origin ~tree:f.tree ~flow:f.id event (pkt, f.id) in
   let wire = Wire.encode_seq_broadcast pkt ~flow:f.id ~seq in
-  (match Wire.decode_seq_broadcast wire with
-  | Ok (p, fl, sq) -> assert (p = pkt && fl = f.id && sq = seq)
+  (match Wire.check_seq_broadcast wire with
+  | Ok () ->
+      assert (
+        Wire.same_broadcast_at wire ~off:0 pkt
+        && Wire.flow_at wire ~off:0 = f.id
+        && Wire.seq_at wire ~off:0 = seq)
   | Error e -> failwith ("Stack: seq broadcast encoding failed: " ^ e));
   t.reliability_bytes <-
     t.reliability_bytes

@@ -33,22 +33,32 @@ type verdict =
   | Buffered  (* ahead of a gap; repair should be requested *)
   | Malformed of string
 
-let apply_seq t pkt flow seq =
-  let tree = pkt.Wire.tree in
+(* An in-order event without buffered successors, the common case,
+   returns this one block. *)
+let applied_one = Applied 1
+
+let receive t ~tree ~seq ev =
   if tree < 0 || tree >= t.trees then Malformed "tree id out of range"
   else begin
     let before = t.applied in
-    let ev = Replicas.event pkt.Wire.event flow in
     match Replicas.receive t.reps (window t tree) ~seq ev ~deliver:t.deliver with
-    | Replicas.Delivered -> Applied (t.applied - before)
+    | Replicas.Delivered ->
+        let n = t.applied - before in
+        if n = 1 then applied_one else Applied n
     | Replicas.Duplicate -> Duplicate
     | Replicas.Buffered -> Buffered
   end
 
+let apply_seq t pkt flow seq =
+  receive t ~tree:pkt.Wire.tree ~seq (Replicas.event pkt.Wire.event flow)
+
+(* Checked and read where it lies: no packet record is decoded. *)
 let apply t bytes =
-  match Wire.decode_seq_broadcast bytes with
+  match Wire.check_seq_broadcast bytes with
   | Error e -> Malformed e
-  | Ok (pkt, flow, seq) -> apply_seq t pkt flow seq
+  | Ok () ->
+      receive t ~tree:(Wire.tree_at bytes ~off:0) ~seq:(Wire.seq_at bytes ~off:0)
+        (Replicas.event (Wire.event_at bytes ~off:0) (Wire.flow_at bytes ~off:0))
 
 let apply_batch t bytes =
   match Wire.decode_batch bytes with

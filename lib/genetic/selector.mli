@@ -21,7 +21,23 @@ val aggregate_throughput_gbps :
 (** Sum of allocated rates under one assignment for the given (src, dst)
     flows, in slot order: bit for bit 8 × the sum of the rates of a fresh
     {!Congestion.Waterfill.Inc} that holds flow [i] as id [i]. Raises
-    [Invalid_argument] on an assignment of another length. *)
+    [Invalid_argument] on an assignment of another length. A one-shot
+    evaluation: it fetches every row afresh, and a caller evaluating one
+    flow set repeatedly holds an {!evaluator} instead. *)
+
+type evaluator
+(** One flow set under evaluation: it fetches flow [i]'s row under a
+    protocol on the first evaluation that needs it and holds it for as
+    long as the evaluator lives, so a search builds each (flow, protocol)
+    row at most once. It evaluates through its selector's allocator, so
+    it serves one caller at a time, and it holds rows built for the
+    topology and link health of their first use. *)
+
+val evaluator : t -> flows:(int * int) array -> evaluator
+
+val evaluate : evaluator -> Routing.protocol array -> Util.Units.gbps
+(** {!aggregate_throughput_gbps} of the evaluator's flows, bit for bit,
+    from the rows it holds. *)
 
 val uniform : t -> flows:(int * int) array -> Routing.protocol -> Util.Units.gbps
 (** Aggregate throughput when every flow uses the same protocol (the
@@ -39,7 +55,8 @@ val select :
   Routing.protocol array * Util.Units.gbps
 (** {!Ga.optimize} search (population 100 and 30 generations by default)
     seeded with the current assignment and the uniform assignments;
-    returns the best assignment and its aggregate throughput. *)
+    returns the best assignment and its aggregate throughput. Every
+    fitness evaluation goes through one {!evaluator} of [flows]. *)
 
 val reselect :
   ?pop_size:int ->
@@ -54,4 +71,5 @@ val reselect :
     with the given budget, and its assignment is returned only if it beats
     the seeded assignment's aggregate throughput by more than 1% ("only if
     a significant improvement is possible"); [None] keeps every flow where
-    it is. *)
+    it is. The seeded assignment's evaluation and the search share one
+    {!evaluator}. *)

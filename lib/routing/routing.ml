@@ -32,8 +32,8 @@ let hweight = function
   | Quarantined -> quarantine_weight
 
 (* A link-fraction row (§3.3): two unboxed arrays, so the GC has no
-   pointer to scan in it. Built and validated once, then shared by
-   reference and never written. *)
+   pointer to scan in it. Built and validated once for its holder, then
+   shared by reference and never written. *)
 type row = { links : int array; fracs : Util.Units.fraction array; bound : int }
 
 let make_row links (fracs : float array) =
@@ -50,9 +50,14 @@ let row ~links ~fracs =
   if Array.length links <> Array.length fracs then invalid_arg "Routing.row: length mismatch";
   make_row (Array.copy links) (Array.copy (Util.Units.floats_of fracs))
 
+(* The context caches what rows are built from, never rows: a row lives
+   as long as the flow or search that holds it, and a long-lived context
+   stays bounded by the rack rather than by the pairs it has seen.
+   Distances per destination live in [Topology]; VLB's per-endpoint sums
+   and WLB's per-pair waypoint weights, which the per-packet sampler reads
+   too, live here. *)
 type ctx = {
   topo : Topology.t;
-  frac_cache : row Util.Itbl.t;  (* key = (protocol, src, dst) packed *)
   vlb_a : float array Util.Itbl.t;  (* per source: sum over waypoints of minimal fractions *)
   vlb_b : float array Util.Itbl.t;  (* per destination *)
   wlb_dist : float array Util.Itbl.t;  (* per (src,dst): waypoint prefix weights *)
@@ -89,7 +94,6 @@ and scratch = {
 let make topo =
   {
     topo;
-    frac_cache = Util.Itbl.create 1024;
     vlb_a = Util.Itbl.create 64;
     vlb_b = Util.Itbl.create 64;
     wlb_dist = Util.Itbl.create 256;
@@ -140,7 +144,6 @@ let scratch ctx =
 let sync ctx =
   let v = Topology.version ctx.topo + ctx.quar_version in
   if v <> ctx.cache_version then begin
-    Util.Itbl.reset ctx.frac_cache;
     Util.Itbl.reset ctx.vlb_a;
     Util.Itbl.reset ctx.vlb_b;
     Util.Itbl.reset ctx.wlb_dist;
@@ -195,10 +198,6 @@ let node_shadowed ctx w =
          | Some Quarantined -> true
          | Some (Healthy | Probation) | None -> false)
        (Topology.out_links ctx.topo w)
-
-let pack ctx p ~src ~dst =
-  let n = Topology.vertex_count ctx.topo in
-  ((protocol_to_int p * n) + src) * n + dst
 
 (* -- path sampling ------------------------------------------------------ *)
 
@@ -511,7 +510,7 @@ let[@inline] deposit sc v l share =
     sc.qtail <- sc.qtail + 1
   end
 
-let min_fractions_uncached ctx sc ~src ~dst =
+let min_dp ctx sc ~src ~dst =
   (* DP over the shortest-path DAG: probability mass splits uniformly over
      productive hops at every vertex (by link weight when any link is
      demoted). Leaves each link's share in [sc.share], for the links
@@ -566,7 +565,7 @@ let min_fractions_uncached ctx sc ~src ~dst =
    through a bitmap that is emptied as it is read. Allocates the row
    only. *)
 let min_fractions ctx sc ~src ~dst =
-  min_fractions_uncached ctx sc ~src ~dst;
+  min_dp ctx sc ~src ~dst;
   let t = ctx.topo and bits = sc.dag_bits and stamp = sc.dp_stamp in
   for j = 0 to sc.qtail - 1 do
     let u = sc.queue.(j) in
@@ -645,7 +644,7 @@ let dor_fractions ctx sc ~src ~dst =
       else dead := !dead +. p)
     (dor_paths_weighted ctx sc ~src ~dst);
   if !dead > 0.0 then begin
-    min_fractions_uncached ctx sc ~src ~dst;
+    min_dp ctx sc ~src ~dst;
     acc_add_dp sc !dead
   end;
   acc_row sc ~above:neg_infinity
@@ -661,7 +660,7 @@ let vlb_sum ctx sc table v ~outbound =
       for w = 0 to Topology.host_count t - 1 do
         let src = if outbound then v else w and dst = if outbound then w else v in
         if w <> v && Topology.reachable t src dst then begin
-          min_fractions_uncached ctx sc ~src ~dst;
+          min_dp ctx sc ~src ~dst;
           for i = 0 to sc.ntouched - 1 do
             let l = sc.touched.(i) in
             dense.(l) <- dense.(l) +. (1.0 *. sc.share.(l))
@@ -708,13 +707,13 @@ let wlb_fractions ctx sc ~src ~dst =
     let weight = (if w = 0 then prefix.(0) else prefix.(w) -. prefix.(w - 1)) /. total in
     if weight > 0.0 then begin
       if w <> src && w <> dst then begin
-        min_fractions_uncached ctx sc ~src ~dst:w;
+        min_dp ctx sc ~src ~dst:w;
         acc_add_dp sc weight;
-        min_fractions_uncached ctx sc ~src:w ~dst;
+        min_dp ctx sc ~src:w ~dst;
         acc_add_dp sc weight
       end
       else begin
-        min_fractions_uncached ctx sc ~src ~dst;
+        min_dp ctx sc ~src ~dst;
         acc_add_dp sc weight
       end
     end
@@ -724,17 +723,9 @@ let wlb_fractions ctx sc ~src ~dst =
 let fractions ctx p ~src ~dst =
   if src = dst then invalid_arg "Routing.fractions: src = dst";
   sync ctx;
-  let key = pack ctx p ~src ~dst in
-  match Util.Itbl.find_opt ctx.frac_cache key with
-  | Some f -> f
-  | None ->
-      let sc = scratch ctx in
-      let f =
-        match p with
-        | Rps -> min_fractions ctx sc ~src ~dst
-        | Dor -> dor_fractions ctx sc ~src ~dst
-        | Vlb -> vlb_fractions ctx sc ~src ~dst
-        | Wlb -> wlb_fractions ctx sc ~src ~dst
-      in
-      Util.Itbl.replace ctx.frac_cache key f;
-      f
+  let sc = scratch ctx in
+  match p with
+  | Rps -> min_fractions ctx sc ~src ~dst
+  | Dor -> dor_fractions ctx sc ~src ~dst
+  | Vlb -> vlb_fractions ctx sc ~src ~dst
+  | Wlb -> wlb_fractions ctx sc ~src ~dst

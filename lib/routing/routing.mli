@@ -13,8 +13,10 @@
     Besides per-packet path sampling (data plane), the module computes a
     flow's {e link fractions}: the expected fraction of the flow's rate
     crossing each directed link, which is what the paper's flow-level rate
-    computation consumes (§3.3). Each (protocol, src, dst) {!row} is built
-    once and cached inside a {!ctx}.
+    computation consumes (§3.3). A {!row} is built on every {!fractions}
+    call and belongs to whoever holds it (a flow, or a search that
+    evaluates the same rows many times); the {!ctx} caches only what rows
+    are built from.
 
     Both kernels run on working memory the context allocates on first
     use, so a sampled path and a fresh fraction row allocate only their
@@ -29,9 +31,14 @@ val protocol_name : protocol -> string
 val pp_protocol : Format.formatter -> protocol -> unit
 
 type ctx
-(** Per-topology routing context holding fraction caches. The caches are
-    stamped with {!Topology.version} and flushed automatically after any
-    fail/restore, so sampled paths never emit a dead link and fractions
+(** Per-topology routing context. It caches what rows and paths are
+    built from, never a row: VLB's per-source and per-destination sums of
+    minimal fractions over every waypoint (a VLB row is then one pass
+    over the links) and WLB's per-pair waypoint weights, which its
+    per-packet sampler reads too; {!Topology} caches distances per
+    destination. The caches are stamped with {!Topology.version} and the
+    link-health version and flushed automatically after any fail/restore
+    or health transition, so sampled paths never emit a dead link and fractions
     reflect the surviving graph: DOR detours over the surviving
     shortest-path DAG when its coordinate path crosses a dead link, VLB
     resamples waypoints that died or were cut off, and WLB gives them zero
@@ -82,8 +89,8 @@ type row = private {
 (** A flow's link-fraction row: a flow sending at rate [r] puts
     [r *. fracs.(j)] on link [links.(j)]. Both arrays are unboxed and of
     equal length. A row is immutable: it is validated once, where it is
-    built, then shared by reference by the {!fractions} cache and by every
-    flow and allocator that holds it, and never written. Rows from
+    built, then shared by reference by every flow, allocator and search
+    that holds it, and never written. Rows from
     {!fractions} list their links in ascending id order; a hand-built
     {!val-row} keeps the order it was given. *)
 
@@ -98,9 +105,10 @@ val fractions : ctx -> protocol -> src:int -> dst:int -> row
     protocol [p]: every link with a non-zero expected rate fraction. For
     minimal protocols the fractions out of [src] sum to 1; for VLB/WLB a
     link can carry both phases so per-link fractions may exceed
-    shortest-path values. Built on the first call for its key and the
-    same physical row afterwards, until a topology or health change
-    flushes the cache. *)
+    shortest-path values. Built afresh on every call from the context's
+    current topology and link health, so repeated calls return equal
+    rows, bit for bit; a caller that evaluates one row many times holds
+    it itself. *)
 
 val wlb_beta : float
 (** Path-length bias of WLB: waypoint [w] is drawn with probability
@@ -117,7 +125,10 @@ val wlb_beta : float
     weights, and VLB/WLB waypoints sitting behind a quarantined cable are
     kept only with the demoted weight. The residual trickle keeps probing
     the link so probation can observe recovery. Health transitions flush
-    the fraction caches exactly like a topology fail/restore. With no
+    the context's caches (VLB's sums, WLB's waypoint weights) exactly like
+    a topology fail/restore, and rows built afterwards see the new
+    weights; a row already held keeps the weights it was built under
+    until its holder fetches a new one. With no
     demoted links every code path — including the RNG draw sequence — is
     the exact pre-quarantine one. *)
 

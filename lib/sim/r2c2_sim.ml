@@ -184,7 +184,9 @@ type fstate = {
   mutable inject_gen : int;
   mutable visible : bool;  (** start broadcast reached every node *)
   mutable done_sending : bool;
-  rtx : int Util.Itbl.t;  (** seq -> retransmission attempts so far *)
+  mutable rtx : int Util.Itbl.t option;
+      (** seq -> retransmission attempts so far; made on the flow's first
+          retransmission, so loss-free flows never hold one *)
   mutable btree : int;
       (** reliable mode: the tree carrying every event of this flow, so the
           per-(source, tree) window orders finish after start; -1 until the
@@ -1002,10 +1004,18 @@ let abort_flow t st =
    fresh path may cross the same dead cable; the backoff rides out exactly
    that window. *)
 let rec arm_retransmit t st ~seq ~bytes ~last =
-  let n = Option.value ~default:0 (Util.Itbl.find_opt st.rtx seq) in
+  let rtx =
+    match st.rtx with
+    | Some rtx -> rtx
+    | None ->
+        let rtx = Util.Itbl.create 8 in
+        st.rtx <- Some rtx;
+        rtx
+  in
+  let n = Option.value ~default:0 (Util.Itbl.find_opt rtx seq) in
   if n >= rtx_max_retries then abort_flow t st
   else begin
-    Util.Itbl.replace st.rtx seq (n + 1);
+    Util.Itbl.replace rtx seq (n + 1);
     Engine.after t.eng
       (rtx_timeout_ns t.cfg ~attempt:n)
       (fun () -> retransmit t st ~seq ~bytes ~last)
@@ -1124,7 +1134,7 @@ let crash t u =
         (* Invalidate the pacing timer and forget retransmission attempts:
            nothing of the sender survives the crash. *)
         st.inject_gen <- st.inject_gen + 1;
-        Util.Itbl.reset st.rtx
+        st.rtx <- None
       end)
 
 let send_snapshot_reqs t u =
@@ -1538,9 +1548,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
       inject_gen = 0;
       visible = false;
       done_sending = false;
-      rtx = Util.Itbl.create 8;
-      (* measured: empty on loss-free runs; only tail-drop/failure
-         retransmission timers land here, a handful per flow *)
+      rtx = None;
       btree = -1;
       live = true;
       starts_seen = 0;

@@ -105,8 +105,9 @@ let get64 b off = Bytes.get_int64_be b off
 
 (* Ones'-complement sum over [off, off + len): word boundaries are relative
    to [off], so an item checksums identically wherever it sits in a batch
-   buffer. *)
-let checksum_sub b off len =
+   buffer. [word_sum] adds the words without folding the carries, which
+   [fold] does once at the end. *)
+let word_sum b off len =
   let fin = off + len in
   let sum = ref 0 in
   let i = ref off in
@@ -115,22 +116,31 @@ let checksum_sub b off len =
     i := !i + 2
   done;
   if len land 1 = 1 then sum := !sum + (get8 b (fin - 1) lsl 8);
+  !sum
+
+let fold sum =
+  let sum = ref sum in
   while !sum lsr 16 <> 0 do
     sum := (!sum land 0xFFFF) + (!sum lsr 16)
   done;
   lnot !sum land 0xFFFF
 
+let checksum_sub b off len = fold (word_sum b off len)
 let checksum b = checksum_sub b 0 (Bytes.length b)
 
-(* Verify an item's checksum in place: zero the stored field, sum the
-   range, restore. The buffer is briefly mutated but always restored
-   before returning. [stored] is read by the caller so the U3 symmetry
-   walk sees the checksum field read back at its written offset. *)
+(* Verify an item's checksum without writing to the buffer, which several
+   readers may share. The encoder summed the range with the checksum
+   field still zero: that is the range's sum less the stored field's
+   share of it, the stored value when the field starts on a word of the
+   item and the value with its bytes swapped when it straddles two.
+   [stored] is read by the caller so the U3 symmetry walk sees the
+   checksum field read back at its written offset. *)
 let verify_sub b ~off ~len ~cksum_off ~stored =
-  put16 b cksum_off 0;
-  let computed = checksum_sub b off len in
-  put16 b cksum_off stored;
-  stored = computed
+  let share =
+    if (cksum_off - off) land 1 = 0 then stored
+    else ((stored land 0xFF) lsl 8) lor (stored lsr 8)
+  in
+  stored = fold (word_sum b off len - share)
 
 (* -- data packets ------------------------------------------------------- *)
 
@@ -184,11 +194,11 @@ let decode_data b =
   if Bytes.length b < data_header_size then Error "short data header"
   else if get8 b off_type <> type_data then Error "not a data packet"
   else begin
-    let stored = get16 b off_cksum in
-    let zeroed = Bytes.copy b in
-    put16 zeroed off_cksum 0;
-    let computed = checksum (Bytes.sub zeroed 0 data_header_size) in
-    if stored <> computed then Error "data checksum mismatch"
+    if
+      not
+        (verify_sub b ~off:0 ~len:data_header_size ~cksum_off:off_cksum
+           ~stored:(get16 b off_cksum))
+    then Error "data checksum mismatch"
     else begin
       let rlen = get8 b off_rlen in
       if rlen > max_route_hops then Error "route length out of range"
@@ -351,6 +361,55 @@ let decode_seq_broadcast_at b ~off =
                 get32 b (off + sboff_flow),
                 get32 b (off + sboff_seq) ))
   end
+
+(* In-place reading of a sequenced broadcast: the check gives the
+   decoder's verdict, error for error and in the decoder's order, without
+   building the packet; the readers then take single fields of a checked
+   item. Nothing here writes to the buffer. The 16-byte format shares the
+   layout through [rp], so [event_at], [tree_at] and [same_broadcast_at]
+   read either. *)
+let check_event_at b ~off ~len ~cksum_off ~short ~mismatch =
+  if off < 0 || off + len > Bytes.length b then Error short
+  else if
+    not (verify_sub b ~off ~len ~cksum_off:(off + cksum_off) ~stored:(get16 b (off + cksum_off)))
+  then Error mismatch
+  else if Option.is_none (event_of_type (get8 b (off + boff_type))) then
+    Error "unknown broadcast type"
+  else if Option.is_none (Routing.protocol_of_int (get8 b (off + boff_rp))) then
+    Error "unknown routing protocol"
+  else Ok ()
+
+let check_broadcast_at b ~off =
+  check_event_at b ~off ~len:broadcast_size ~cksum_off:boff_cksum
+    ~short:"short broadcast packet" ~mismatch:"broadcast checksum mismatch"
+
+let check_seq_broadcast_at b ~off =
+  check_event_at b ~off ~len:seq_broadcast_size ~cksum_off:sboff_cksum
+    ~short:"short sequenced broadcast" ~mismatch:"sequenced broadcast checksum mismatch"
+
+let check_seq_broadcast b =
+  if Bytes.length b <> seq_broadcast_size then
+    Error "sequenced broadcast must be 24 bytes"
+  else check_seq_broadcast_at b ~off:0
+
+let event_at b ~off =
+  match event_of_type (get8 b (off + boff_type)) with
+  | Some e -> e
+  | None -> invalid_arg "Wire.event_at: unknown broadcast type"
+
+let tree_at b ~off = get8 b (off + boff_tree)
+let flow_at b ~off = get32 b (off + sboff_flow)
+let seq_at b ~off = get32 b (off + sboff_seq)
+
+let same_broadcast_at b ~off p =
+  get8 b (off + boff_type) = type_of_event p.event
+  && get16 b (off + boff_src) = p.bsrc
+  && get16 b (off + boff_dst) = p.bdst
+  && get8 b (off + boff_weight) = p.weight
+  && get8 b (off + boff_priority) = p.priority
+  && get32 b (off + boff_demand) = p.demand_kbps
+  && get8 b (off + boff_tree) = p.tree
+  && get8 b (off + boff_rp) = Routing.protocol_to_int p.rp
 
 let encode_seq_broadcast p ~flow ~seq =
   let b = Bytes.make seq_broadcast_size '\000' in

@@ -79,6 +79,17 @@ val decode_data : bytes -> (data_header, string) result
 val encode_broadcast : broadcast -> bytes
 val decode_broadcast : bytes -> (broadcast, string) result
 
+val encode_broadcast_at : bytes -> off:int -> broadcast -> unit
+(** {!encode_broadcast} into [b] at [off], where the 16 bytes must be
+    zero: the pad byte and the checksum field are summed as found. Raises
+    [Invalid_argument] as {!encode_broadcast} does, or when the slice
+    leaves [b]. *)
+
+val check_broadcast_at : bytes -> off:int -> (unit, string) result
+(** The verdict decoding the 16-byte broadcast at [off] would give, error
+    for error (short buffer, checksum, unknown type, unknown protocol),
+    without building the packet or writing to [b]. *)
+
 (** {2 Loss-tolerant control plane (reliable broadcast)}
 
     Three formats let the control plane survive packet loss: the sequenced
@@ -115,6 +126,34 @@ val encode_seq_broadcast : broadcast -> flow:int -> seq:int -> bytes
 
 val decode_seq_broadcast : bytes -> (broadcast * int * int, string) result
 (** Returns [(packet, flow, seq)]. *)
+
+(** {3 In-place reading}
+
+    A receiver that needs a few fields of a sequenced broadcast checks it
+    where it lies and reads them there, without decoding a record. The
+    check gives the decoder's verdict, error for error and in the
+    decoder's order — short buffer, checksum, unknown type, unknown
+    protocol — and neither it nor any reader writes to the buffer, so
+    several receivers may share one. The readers assume a checked item;
+    the 16-byte broadcast shares the layout through [rp], so {!event_at},
+    {!tree_at} and {!same_broadcast_at} read it too. *)
+
+val check_seq_broadcast_at : bytes -> off:int -> (unit, string) result
+(** The verdict of decoding the sequenced broadcast at [off] of a batch
+    or larger buffer. *)
+
+val check_seq_broadcast : bytes -> (unit, string) result
+(** {!decode_seq_broadcast}'s verdict on a whole 24-byte buffer. *)
+
+val event_at : bytes -> off:int -> event
+(** Raises [Invalid_argument] on an unknown type byte (an unchecked item). *)
+
+val tree_at : bytes -> off:int -> int
+val flow_at : bytes -> off:int -> int
+val seq_at : bytes -> off:int -> int
+
+val same_broadcast_at : bytes -> off:int -> broadcast -> bool
+(** Every field of [p] reads back from the item at [off]. *)
 
 val encode_digest : digest -> bytes
 val decode_digest : bytes -> (digest, string) result

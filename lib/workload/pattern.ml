@@ -116,7 +116,7 @@ let structured_adversaries topo =
   | Topology.Flattened_butterfly _ | Topology.Clos _ | Topology.Custom _ -> ());
   !candidates
 
-let adversarial ctx p ~tries ~seed =
+let adversarial ?row ctx p ~tries ~seed =
   let topo = Routing.topo ctx in
   let h = Topology.host_count topo in
   let rng = Util.Rng.create seed in
@@ -124,7 +124,12 @@ let adversarial ctx p ~tries ~seed =
     structured_adversaries topo
     @ List.init tries (fun _ -> of_permutation topo (Util.Rng.permutation rng h))
   in
-  let evaluate fl = Congestion.Channel_load.capacity_fraction ctx p fl in
+  (* Candidates share many (src, dst) pairs: the search holds each pair's
+     row from the first candidate that needs it to its end. *)
+  let row =
+    match row with Some row -> row | None -> Congestion.Channel_load.held_rows ctx p
+  in
+  let evaluate fl = Congestion.Channel_load.capacity_fraction ~row ctx p fl in
   match candidates with
   | [] -> invalid_arg "Pattern.adversarial: no candidate patterns"
   | first :: rest ->

@@ -19,6 +19,7 @@ val flows : Topology.t -> t -> (int * int * float) list
     [Transpose] on unequal dimensions). *)
 
 val adversarial :
+  ?row:(src:int -> dst:int -> Routing.row) ->
   Routing.ctx ->
   Routing.protocol ->
   tries:int ->
@@ -27,4 +28,8 @@ val adversarial :
 (** Worst-case search: evaluates structured adversaries (tornado-like
     shifts, transpose, bit-complement, diagonal shifts) plus [tries] random
     permutations and returns the pattern minimizing the protocol's
-    capacity fraction, with that fraction. *)
+    capacity fraction, with that fraction. [row] fetches each
+    candidate's rows under the protocol; by default the search holds
+    every row it builds until it returns
+    ({!Congestion.Channel_load.held_rows}), and a caller that evaluates
+    the same pairs around it passes its own holder. *)

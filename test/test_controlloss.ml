@@ -203,6 +203,119 @@ let view_dedups_duplicates () =
   Alcotest.(check bool) "views agree" true
     (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
 
+(* A stack's sequenced events as they leave it, newest first. *)
+let capture st =
+  let wires = ref [] in
+  R2c2.Stack.on_broadcast_seq st (fun b -> wires := b :: !wires);
+  fun () -> List.hd !wires
+
+(* The view checks a sequenced event where it lies: every single-bit flip
+   of a valid event is refused, leaves the buffer as it was and changes
+   nothing the view holds; the intact event then applies. *)
+let view_refuses_every_bit_flip () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  let last = capture st in
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:1);
+  feed view (last ());
+  ignore (R2c2.Stack.open_flow st ~src:2 ~dst:3);
+  let wire = last () in
+  let state () =
+    ( R2c2.View.matrix_hash view,
+      R2c2.View.applied view,
+      List.init trees (fun tree -> R2c2.View.next_expected view ~tree) )
+  in
+  let held = state () in
+  for bit = 0 to (8 * Wire.seq_broadcast_size) - 1 do
+    let b = Bytes.copy wire in
+    Bytes.set_uint8 b (bit / 8) (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+    let sent = Bytes.copy b in
+    (match R2c2.View.apply view b with
+    | R2c2.View.Malformed _ -> ()
+    | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered ->
+        Alcotest.failf "bit %d: a flipped event was accepted" bit);
+    if not (Bytes.equal b sent) then Alcotest.failf "bit %d: the check wrote to the buffer" bit;
+    if state () <> held then Alcotest.failf "bit %d: a refused event changed the view" bit
+  done;
+  match R2c2.View.apply view wire with
+  | R2c2.View.Applied 1 -> ()
+  | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered | R2c2.View.Malformed _ ->
+      Alcotest.fail "the intact event applies"
+
+(* Each way a sequenced event can be refused keeps its message, which is
+   the decoder's; where two faults meet, the decoder's order decides. *)
+let view_keeps_error_messages () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  let last = capture st in
+  ignore (R2c2.Stack.open_flow st ~src:0 ~dst:1);
+  let wire = last () in
+  (* Rewrite bytes and reseal: the checksum (offset 22) passes again. *)
+  let sealed edits =
+    let b = Bytes.copy wire in
+    List.iter (fun (off, v) -> Bytes.set_uint8 b off v) edits;
+    Bytes.set_uint16_be b 22 0;
+    Bytes.set_uint16_be b 22 (Wire.checksum b);
+    b
+  in
+  let flipped = Bytes.copy wire in
+  Bytes.set_uint8 flipped 5 (Bytes.get_uint8 flipped 5 lxor 1);
+  let cases =
+    [
+      ("short", Bytes.sub wire 0 23, "sequenced broadcast must be 24 bytes");
+      ("checksum", flipped, "sequenced broadcast checksum mismatch");
+      ("type", sealed [ (0, 9) ], "unknown broadcast type");
+      ("protocol", sealed [ (12, 7) ], "unknown routing protocol");
+      ("type and protocol", sealed [ (0, 0); (12, 4) ], "unknown broadcast type");
+    ]
+  in
+  List.iter
+    (fun (name, b, msg) ->
+      (match Wire.decode_seq_broadcast b with
+      | Error e -> Alcotest.(check string) (name ^ ": the decoder's message") msg e
+      | Ok _ -> Alcotest.failf "%s: the decoder accepts it" name);
+      match R2c2.View.apply view b with
+      | R2c2.View.Malformed e -> Alcotest.(check string) (name ^ ": the view's message") msg e
+      | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered ->
+          Alcotest.failf "%s: the view accepts it" name)
+    cases;
+  match R2c2.View.apply view (sealed [ (11, trees) ]) with
+  | R2c2.View.Malformed e -> Alcotest.(check string) "tree" "tree id out of range" e
+  | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered ->
+      Alcotest.fail "tree: the view accepts it"
+
+(* An in-order event of a flow the view already holds is an array write
+   and one preallocated verdict: no minor word. Counted as the replica
+   table's own allocation test counts. *)
+let view_in_order_event_allocates_nothing () =
+  let st, _ = mk_stack () in
+  let trees = (R2c2.Stack.config st).R2c2.Stack.trees_per_source in
+  let view = R2c2.View.create ~trees () in
+  let last = capture st in
+  let a = R2c2.Stack.open_flow st ~src:0 ~dst:1 in
+  feed view (last ());
+  let b = R2c2.Stack.open_flow st ~src:2 ~dst:3 in
+  feed view (last ());
+  R2c2.Stack.set_demand st a ~gbps:(Some (Util.Units.gbps 5.0));
+  let demand = last () in
+  R2c2.Stack.close_flow st b;
+  let finish = last () in
+  let before = Gc.minor_words () in
+  let v1 = R2c2.View.apply view demand in
+  let v2 = R2c2.View.apply view finish in
+  let words = Gc.minor_words () -. before in
+  List.iter
+    (function
+      | R2c2.View.Applied 1 -> ()
+      | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered | R2c2.View.Malformed _ ->
+          Alcotest.fail "each event applies in order")
+    [ v1; v2 ];
+  Alcotest.(check (float 0.0)) "minor words of a demand update and a finish" 0.0 words;
+  Alcotest.(check bool) "views agree" true
+    (R2c2.View.matrix_hash view = R2c2.Stack.matrix_hash st)
+
 (* A digest delayed past newer events on its tree hashes a state the
    replica has already left behind: that is not divergence, and answering
    [Diverged] would cost a needless full sync. *)
@@ -946,6 +1059,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_replay_ring_matches_log;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;
+        tc "view refuses every bit flip" view_refuses_every_bit_flip;
+        tc "view keeps the decoder's error messages" view_keeps_error_messages;
+        tc "view: an in-order event allocates nothing" view_in_order_event_allocates_nothing;
         tc "view ignores a stale digest" view_stale_digest_is_not_divergence;
         tc "caught-up view with wrong set diverges" view_caught_up_wrong_set_diverges;
         tc "in-flight event on another tree is not divergence" view_in_flight_other_tree_is_synced;

@@ -162,6 +162,56 @@ let selector_reuses_one_allocator () =
       (Int64.bits_of_float expected) (Int64.bits_of_float got)
   done
 
+(* A search holds its rows in one evaluator: repeated evaluations of one
+   flow set read the rows it fetched first, and must give the one-shot
+   evaluation's bits under every protocol; [select] and [reselect] must
+   return what they returned when every evaluation fetched its rows
+   afresh (the pins below were taken that way, on these inputs). *)
+let selector_evaluator_keeps_results () =
+  let ctx = Routing.make (Topology.torus [| 4; 4; 4 |]) in
+  let sel = Genetic.Selector.make ~headroom:Topology.headroom ctx ~link_gbps:Topology.link_gbps in
+  let flows_of load seed =
+    let rng = Util.Rng.create seed in
+    Workload.Flowgen.permutation_long_flows (Routing.topo ctx) rng ~load:(U.fraction load)
+    |> List.map (fun (s : Workload.Flowgen.spec) -> (s.src, s.dst))
+    |> Array.of_list
+  in
+  let bits g = Int64.bits_of_float (U.to_float g) in
+  let show a =
+    String.concat ""
+      (Array.to_list (Array.map (fun p -> String.sub (Routing.protocol_name p) 0 1) a))
+  in
+  let flows = flows_of 0.25 43 in
+  let ev = Genetic.Selector.evaluator sel ~flows in
+  let rng = Util.Rng.create 5 and protocols = Array.of_list Routing.all_protocols in
+  for trial = 0 to 7 do
+    let assignment = Array.map (fun _ -> Util.Rng.pick rng protocols) flows in
+    Alcotest.(check int64)
+      (Printf.sprintf "evaluation %d = one-shot" trial)
+      (bits (Genetic.Selector.aggregate_throughput_gbps sel ~flows assignment))
+      (bits (Genetic.Selector.evaluate ev assignment))
+  done;
+  let init = Array.make (Array.length flows) Routing.Rps in
+  let a, g =
+    Genetic.Selector.select ~pop_size:20 ~generations:8 sel (Util.Rng.create 47) ~flows ~init
+  in
+  Alcotest.(check string) "select assignment" "VRVVVVVVVVVVVVVV" (show a);
+  Alcotest.(check int64) "select throughput" 4643493943284289067L (bits g);
+  let reselect ~flows ~current seed =
+    Option.map show
+      (Genetic.Selector.reselect ~pop_size:20 ~generations:8 sel (Util.Rng.create seed) ~flows
+         ~current)
+  in
+  let cycling = Array.mapi (fun i _ -> List.nth Routing.all_protocols (i mod 4)) flows in
+  Alcotest.(check (option string)) "reselect from all four protocols" (Some "VRVRVVVVVVVVVVVV")
+    (reselect ~flows ~current:cycling 53);
+  let flows2 = flows_of 0.25 59 in
+  Alcotest.(check (option string)) "reselect from all-VLB" (Some "VVRVVVVVVVVVVVVV")
+    (reselect ~flows:flows2 ~current:(Array.make (Array.length flows2) Routing.Vlb) 61);
+  let flows3 = flows_of 1.0 67 in
+  Alcotest.(check (option string)) "reselect keeps all-RPS at full load" None
+    (reselect ~flows:flows3 ~current:(Array.make (Array.length flows3) Routing.Rps) 71)
+
 let suites =
   [
     ( "genetic.ga",
@@ -179,6 +229,7 @@ let suites =
         tc "adaptive >= best uniform baseline (Fig 18)" selector_beats_or_matches_baselines;
         tc "low load benefits from flexibility" selector_low_load_prefers_nonminimal_sometimes;
         tc "rejects bad assignment lengths" selector_rejects_bad_lengths;
+        tc "evaluator keeps select and reselect results" selector_evaluator_keeps_results;
         tc "one allocator per selector = fresh allocate, bit for bit"
           selector_reuses_one_allocator;
       ] );

@@ -1,5 +1,5 @@
 (* Tests for lib/routing: path validity per protocol, link fractions,
-   conservation laws, caching. *)
+   conservation laws, rows rebuilt equal. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -195,11 +195,37 @@ let vlb_fractions_sum_to_expected_hops () =
   done;
   Alcotest.(check (float 1e-6)) "total fraction = expected hops" !expected total
 
-let fractions_cached () =
-  let ctx = Routing.make (Topology.torus [| 4; 4 |]) in
-  let a = Routing.fractions ctx Routing.Rps ~src:0 ~dst:5 in
-  let b = Routing.fractions ctx Routing.Rps ~src:0 ~dst:5 in
-  Alcotest.(check bool) "same physical array (cached)" true (a == b)
+(* No row is cached, so every call builds its row, and builds it from
+   the topology alone: a repeated call on a context whose scratch and
+   ingredient caches other rows have moved since, and a call on a fresh
+   context visiting the pairs in reverse, give the same links, bound and
+   fraction bits under every protocol. The 4-ary 3-cube has DOR ties in
+   every dimension. *)
+let fractions_rebuilt_equal () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let h = Topology.host_count topo in
+  let rng = Util.Rng.create 17 in
+  let keys =
+    List.concat_map
+      (fun p ->
+        List.init 12 (fun _ ->
+            let src = Util.Rng.int rng h in
+            (p, src, (src + 1 + Util.Rng.int rng (h - 1)) mod h)))
+      Routing.all_protocols
+  in
+  let bits ctx (p, src, dst) =
+    let r = Routing.fractions ctx p ~src ~dst in
+    ( Array.to_list r.links,
+      r.bound,
+      Array.to_list (Array.map (fun f -> Int64.bits_of_float (f : U.fraction :> float)) r.fracs) )
+  in
+  let ctx = Routing.make topo in
+  let first = List.map (bits ctx) keys in
+  let again = List.map (bits ctx) keys in
+  let fresh = List.rev (List.map (bits (Routing.make topo)) (List.rev keys)) in
+  let row = Alcotest.(list (triple (list int) int (list int64))) in
+  Alcotest.check row "repeated calls" first again;
+  Alcotest.check row "a fresh context" first fresh
 
 let protocol_int_roundtrip () =
   List.iter
@@ -367,7 +393,7 @@ let qcheck_walker_matches_model =
       got = want && Int64.equal (Util.Rng.bits64 r1) (Util.Rng.bits64 r2))
 
 (* A cold row allocates its two flat arrays and at most 8 more words: its
-   record and its cache binding. OCaml places an array of up to 256
+   record, which is 4 of them. OCaml places an array of up to 256
    fields in the minor heap, so each array costs n + 1 minor words there,
    and in the major heap beyond. Counted with [Gc.minor_words], the exact
    counter; the 8x8x8 rows run from 6 to over 600 entries. *)
@@ -406,7 +432,7 @@ let suites =
         tc "DOR single path without tie" dor_fraction_single_path_no_tie;
         tc "DOR splits half-way ties" dor_fraction_tie_split;
         tc "VLB fractions sum to expected hops" vlb_fractions_sum_to_expected_hops;
-        tc "fraction caching" fractions_cached;
+        tc "fractions rebuilt equal" fractions_rebuilt_equal;
         tc "protocol int roundtrip" protocol_int_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_sampled_path_minimal;
         tc "fractions = reference model, bit for bit" fractions_match_model;

@@ -258,6 +258,31 @@ let warm_recompute_allocates_nothing () =
   Alcotest.(check bool) "recomputed" true (Congestion.Waterfill.dbg.push > 0);
   Alcotest.(check (float 0.0)) "minor words of a warm dirty recompute" 0.0 words
 
+(* A stack keeps a row only while a flow holds it. Once every
+   destination's distances are warm, opening and closing 2,000 flows over
+   distinct pairs of the 8x8x8 torus must leave its routing context the
+   size it was: a context that kept the rows it built would grow by about
+   3.7 KB per pair here. *)
+let routing_state_bounded_by_the_rack () =
+  let topo = Topology.torus [| 8; 8; 8 |] in
+  let st = R2c2.Stack.create ~seed:7 topo in
+  let ctx = R2c2.Stack.routing st in
+  let h = Topology.host_count topo in
+  for dst = 0 to h - 1 do
+    ignore (Routing.fractions ctx Routing.Rps ~src:((dst + 1) mod h) ~dst)
+  done;
+  let before = Obj.reachable_words (Obj.repr ctx) in
+  for i = 0 to 1999 do
+    (* Four offsets from every source: 2,000 distinct pairs. *)
+    let src = i mod h in
+    let f = R2c2.Stack.open_flow st ~src ~dst:((src + 137 + (73 * (i / h))) mod h) in
+    R2c2.Stack.close_flow st f
+  done;
+  let grown = (Obj.reachable_words (Obj.repr ctx) - before) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "routing context grew by %d bytes over 2,000 pairs (at most 4 KB)" grown)
+    true (grown <= 4096)
+
 (* -- policy mapping (SS3.3.2) -------------------------------------------------- *)
 
 let policy_tenant_weights () =
@@ -347,6 +372,7 @@ let suites =
         tc "failure handling re-emits demand state" failure_reemits_demand;
         tc "incremental epochs match a fresh stack" incremental_matches_fresh_stack;
         tc "a warm dirty recompute allocates nothing" warm_recompute_allocates_nothing;
+        tc "routing state bounded by the rack" routing_state_bounded_by_the_rack;
       ] );
     ( "policy",
       [

@@ -383,6 +383,104 @@ let batch_corruption_located () =
         Alcotest.failf "corruption not located: %s" e
   | Ok _ -> Alcotest.fail "corrupted batch item accepted"
 
+(* -- in-place reading ------------------------------------------------------- *)
+
+let verdict_of = function Ok _ -> "ok" | Error e -> e
+
+(* The in-place check gives the decoder's verdict, message for message,
+   for a random event of either format at any offset of a larger buffer
+   (odd ones too: the checksum words are relative to the item) and for
+   every single-bit flip of it; on a valid item the readers return the
+   decoded fields. Neither the check nor the decoder writes to the
+   buffer. *)
+let in_place_check_matches_decoder () =
+  let rng = Util.Rng.create 8191 in
+  let events = [| Wire.Flow_start; Wire.Flow_finish; Wire.Demand_update; Wire.Route_change |] in
+  for i = 0 to 39 do
+    let p =
+      {
+        Wire.event = events.(i mod 4);
+        bsrc = Util.Rng.int rng 0x10000;
+        bdst = Util.Rng.int rng 0x10000;
+        weight = Util.Rng.int rng 256;
+        priority = Util.Rng.int rng 256;
+        demand_kbps = Util.Rng.int rng 0x40000000;
+        tree = Util.Rng.int rng 256;
+        rp = Option.get (Routing.protocol_of_int (Util.Rng.int rng 4));
+      }
+    in
+    let flow = Util.Rng.int rng 0x40000000 and seq = Util.Rng.int rng 0x40000000 in
+    let off = Util.Rng.int rng 9 in
+    let place item =
+      let b = Bytes.make (off + Bytes.length item + 3) '\255' in
+      Bytes.blit item 0 b off (Bytes.length item);
+      b
+    in
+    let item = Wire.encode_seq_broadcast p ~flow ~seq and item16 = Wire.encode_broadcast p in
+    let big = place item and big16 = place item16 in
+    for bit = -1 to (8 * Wire.seq_broadcast_size) - 1 do
+      let flip b base =
+        let b = Bytes.copy b in
+        if bit >= 0 && bit < 8 * (Bytes.length b - base) then
+          Bytes.set_uint8 b (base + (bit / 8))
+            (Bytes.get_uint8 b (base + (bit / 8)) lxor (1 lsl (bit mod 8)));
+        b
+      in
+      let b = flip big off and b16 = flip big16 off in
+      let held = Bytes.copy b and held16 = Bytes.copy b16 in
+      let decoded = Wire.decode_seq_broadcast (Bytes.sub b off Wire.seq_broadcast_size) in
+      Alcotest.(check string)
+        (Printf.sprintf "event %d bit %d: sequenced verdict" i bit)
+        (verdict_of decoded)
+        (verdict_of (Wire.check_seq_broadcast_at b ~off));
+      Alcotest.(check string)
+        (Printf.sprintf "event %d bit %d: 16-byte verdict" i bit)
+        (verdict_of (Wire.decode_broadcast (Bytes.sub b16 off Wire.broadcast_size)))
+        (verdict_of (Wire.check_broadcast_at b16 ~off));
+      (match decoded with
+      | Ok (q, fl, sq) ->
+          Alcotest.(check bool) "readers = decoder" true
+            (Wire.event_at b ~off = q.Wire.event
+            && Wire.tree_at b ~off = q.Wire.tree
+            && Wire.flow_at b ~off = fl
+            && Wire.seq_at b ~off = sq
+            && Wire.same_broadcast_at b ~off q)
+      | Error _ -> ());
+      if not (Bytes.equal b held && Bytes.equal b16 held16) then
+        Alcotest.failf "event %d bit %d: a check wrote to the buffer" i bit
+    done;
+    Alcotest.(check bool) "intact item reads back" true
+      (Wire.same_broadcast_at big ~off p && Wire.same_broadcast_at big16 ~off p);
+    Alcotest.(check string) "one byte short" "short sequenced broadcast"
+      (verdict_of (Wire.check_seq_broadcast_at big ~off:(Bytes.length big - 23)));
+    Alcotest.(check string) "negative offset" "short broadcast packet"
+      (verdict_of (Wire.check_broadcast_at big16 ~off:(-1)))
+  done
+
+(* Every decoder verifies its checksum without writing: a valid and a
+   corrupted buffer of each format, the data header's odd-offset checksum
+   and the PAUSE's among them, read back unchanged. *)
+let decoders_leave_the_buffer () =
+  let rng = Util.Rng.create 31 in
+  let untouched name b decode =
+    List.iter
+      (fun b ->
+        let held = Bytes.copy b in
+        ignore (decode b);
+        if not (Bytes.equal b held) then Alcotest.failf "%s: decoding wrote to the buffer" name)
+      [ b; Wire.corrupt rng b ]
+  in
+  untouched "data" (Wire.encode_data sample_header) Wire.decode_data;
+  untouched "broadcast" (Wire.encode_broadcast sample_bcast) Wire.decode_broadcast;
+  untouched "sequenced" (Wire.encode_seq_broadcast sample_bcast ~flow:7 ~seq:9)
+    Wire.decode_seq_broadcast;
+  untouched "PAUSE"
+    (Wire.encode_pause { Wire.pnode = 3; pclass = 1; plevel = 2; pwindow_kbps = 5000 })
+    Wire.decode_pause;
+  untouched "batch"
+    (Wire.encode_batch batch_items)
+    Wire.decode_batch
+
 let suites =
   [
     ( "wire",
@@ -411,6 +509,8 @@ let suites =
         tc "batch truncation detected" batch_truncation_detected;
         tc "batch unknown code rejected" batch_unknown_code_rejected;
         tc "batch corruption located" batch_corruption_located;
+        tc "in-place check matches the decoder" in_place_check_matches_decoder;
+        tc "decoders leave the buffer as it was" decoders_leave_the_buffer;
         QCheck_alcotest.to_alcotest qcheck_data_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_broadcast_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_join_roundtrip;
