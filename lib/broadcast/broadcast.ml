@@ -1,9 +1,9 @@
 (* A tree is cached as its FIB alone ({!Topology.tree}): the children of
-   [v] are reached over the link ids in [v]'s slot, so replicating a
-   packet is a loop over a slice of 32-bit entries — no list, closure or
-   link lookup per hop. Everything else a tree answers (parents, hops,
-   depth, edges, validity) is derived from the FIB on demand, off the
-   packet path. *)
+   [v] are reached over the links whose bits are set in [v]'s bytes, so
+   replicating a packet is a walk over one byte of a torus vertex — no
+   list, closure or link lookup per hop. Everything else a tree answers
+   (parents, hops, depth, edges, validity) is derived from the FIB on
+   demand, off the packet path. *)
 type fib = Topology.tree
 
 type cached = {
@@ -33,11 +33,16 @@ let trees_per_source t = t.trees_per_source
 let repairs t = t.repairs
 let repair_bytes t = t.repair_bytes
 
-(* The FIB's edge count: its link entries run from [n + 1] to the end of
-   the last vertex's slot. *)
+(* [f] on every (forwarding vertex, link) of the FIB, vertices ascending. *)
+let iter_edges topo fib f =
+  for v = 0 to Topology.vertex_count topo - 1 do
+    Topology.iter_tree_links topo fib v (f v)
+  done
+
 let edge_count topo fib =
-  let n = Topology.vertex_count topo in
-  Topology.tree_entry fib n - (n + 1)
+  let count = ref 0 in
+  iter_edges topo fib (fun _ _ -> incr count);
+  !count
 
 (* A tree is valid when every alive vertex reachable from the source is
    covered by an alive tree edge. Checking edges locally suffices: a broken
@@ -54,10 +59,8 @@ let check_tree topo ~src fib =
     for v = 0 to n - 1 do
       if v <> src && Topology.node_alive topo v && d.(v) < max_int then incr needed
     done;
-    for i = n + 1 to Topology.tree_entry fib n - 1 do
-      let l = Topology.tree_entry fib i in
-      if Topology.link_alive topo l && d.(Topology.link_dst topo l) < max_int then incr covered
-    done;
+    iter_edges topo fib (fun _ l ->
+        if Topology.link_alive topo l && d.(Topology.link_dst topo l) < max_int then incr covered);
     !covered = !needed
   end
 
@@ -114,23 +117,17 @@ let choose_tree t rng ~src:_ = Util.Rng.int rng t.trees_per_source
 let fib t ~src ~tree = (get_tree t ~src ~tree).fib
 
 let children t ~src ~tree v =
-  let fib = fib t ~src ~tree in
-  let lo = Topology.tree_entry fib v in
-  List.init
-    (Topology.tree_entry fib (v + 1) - lo)
-    (fun i -> Topology.link_dst t.topo (Topology.tree_entry fib (lo + i)))
+  let acc = ref [] in
+  Topology.iter_tree_links t.topo (fib t ~src ~tree) v (fun l ->
+      acc := Topology.link_dst t.topo l :: !acc);
+  List.rev !acc
 
-(* The parent array: the near end of each FIB link, written at its far
-   end; the source is its own parent while it is alive. *)
+(* The parent array: the forwarding vertex of each FIB link, written at
+   its far end; the source is its own parent while it is alive. *)
 let parents t ~src ~tree =
-  let fib = fib t ~src ~tree in
-  let n = Topology.vertex_count t.topo in
-  let parent = Array.make n (-1) in
+  let parent = Array.make (Topology.vertex_count t.topo) (-1) in
   if Topology.node_alive t.topo src then parent.(src) <- src;
-  for i = n + 1 to Topology.tree_entry fib n - 1 do
-    let l = Topology.tree_entry fib i in
-    parent.(Topology.link_dst t.topo l) <- Topology.link_src t.topo l
-  done;
+  iter_edges t.topo (fib t ~src ~tree) (fun v l -> parent.(Topology.link_dst t.topo l) <- v);
   parent
 
 let parent t ~src ~tree v = (parents t ~src ~tree).(v)
@@ -140,9 +137,7 @@ let delivery_hops t ~src ~tree =
   let hops = Array.make (Topology.vertex_count t.topo) (-1) in
   let rec down v h =
     hops.(v) <- h;
-    for i = Topology.tree_entry fib v to Topology.tree_entry fib (v + 1) - 1 do
-      down (Topology.link_dst t.topo (Topology.tree_entry fib i)) (h + 1)
-    done
+    Topology.iter_tree_links t.topo fib v (fun l -> down (Topology.link_dst t.topo l) (h + 1))
   in
   down src 0;
   hops

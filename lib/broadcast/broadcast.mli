@@ -52,15 +52,15 @@ val repair_bytes : t -> int
 
 type fib = Topology.tree
 (** A tree's broadcast FIB, the only form in which a tree is kept: its
-    {!Topology.tree}, where vertex [v]'s slot lists the links over which
-    [v] forwards a [(src, tree)] packet, in ascending order of the child
-    at their far end. 32-bit entries, one per vertex boundary and one per
-    edge: 8 bytes per vertex of a spanning tree (4 KB on 512 vertices).
-    Built once per tree; its bytes must not be mutated. *)
+    {!Topology.tree}, where the bits set in vertex [v]'s bytes mark the
+    links over which [v] forwards a [(src, tree)] packet, lowest bit
+    first in ascending order of the child at their far end. One bit per
+    out-link: a byte per vertex of degree at most 8 (512 bytes on an
+    8x8x8 torus). Built once per tree; its bytes must not be mutated. *)
 
 val fib : t -> src:int -> tree:int -> fib
 (** The (re-validated) FIB of a tree — the allocation-free form of
-    {!children} that packet replication loops over. *)
+    {!children} that packet replication walks. *)
 
 (** The queries below are derived from the FIB on each call: O(vertices)
     time and a fresh result, for callers off the packet path. *)

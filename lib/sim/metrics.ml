@@ -10,7 +10,7 @@ type flow = {
   mutable finish_ns : int;
   mutable next_seq : int;
   mutable reorder_max : int;
-  ooo : int Util.Itbl.t;
+  mutable ooo : int Util.Itbl.t option;
 }
 
 (* -- allocation-free log-bucketed latency histogram ----------------------- *)
@@ -180,7 +180,7 @@ let add_flow ?(priority = 0) t ~id ~src ~dst ~size ~arrival_ns =
       finish_ns = -1;
       next_seq = 0;
       reorder_max = 0;
-      ooo = Util.Itbl.create 8;
+      ooo = None;
     }
 
 let find t id =
@@ -192,10 +192,12 @@ let note_first_tx t ~id ~now =
   let f = find t id in
   if f.start_tx_ns < 0 then f.start_tx_ns <- now
 
+let buffered f seq = match f.ooo with Some ooo -> Util.Itbl.mem ooo seq | None -> false
+
 let record_delivery t ~id ~seq ~payload ~now =
   let f = find t id in
   if f.finish_ns >= 0 then false
-  else if seq < f.next_seq || Util.Itbl.mem f.ooo seq then false (* duplicate *)
+  else if seq < f.next_seq || buffered f seq then false (* duplicate *)
   else begin
     if t.bucket_ns > 0 then begin
       (* Goodput counts every newly accepted payload byte, in-order or not. *)
@@ -207,22 +209,34 @@ let record_delivery t ~id ~seq ~payload ~now =
       f.delivered <- f.delivered + payload;
       f.next_seq <- f.next_seq + 1;
       (* Drain any contiguous out-of-order suffix. *)
-      let continue = ref true in
-      while !continue do
-        match Util.Itbl.find_opt f.ooo f.next_seq with
-        | Some p ->
-            Util.Itbl.remove f.ooo f.next_seq;
-            f.delivered <- f.delivered + p;
-            f.next_seq <- f.next_seq + 1
-        | None -> continue := false
-      done
+      match f.ooo with
+      | None -> ()
+      | Some ooo ->
+          let continue = ref true in
+          while !continue do
+            match Util.Itbl.find_opt ooo f.next_seq with
+            | Some p ->
+                Util.Itbl.remove ooo f.next_seq;
+                f.delivered <- f.delivered + p;
+                f.next_seq <- f.next_seq + 1
+            | None -> continue := false
+          done
     end
     else begin
-      Util.Itbl.replace f.ooo seq payload;
-      if Util.Itbl.length f.ooo > f.reorder_max then f.reorder_max <- Util.Itbl.length f.ooo
+      let ooo =
+        match f.ooo with
+        | Some ooo -> ooo
+        | None ->
+            let ooo = Util.Itbl.create 8 in
+            f.ooo <- Some ooo;
+            ooo
+      in
+      Util.Itbl.replace ooo seq payload;
+      if Util.Itbl.length ooo > f.reorder_max then f.reorder_max <- Util.Itbl.length ooo
     end;
     if f.delivered >= f.size && f.finish_ns < 0 then begin
       f.finish_ns <- now;
+      f.ooo <- None;
       t.completed <- t.completed + 1;
       let c = clamp_class f.priority in
       let fct = now - f.arrival_ns in

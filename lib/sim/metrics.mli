@@ -13,7 +13,10 @@ type flow = {
   mutable finish_ns : int;  (** -1 until complete *)
   mutable next_seq : int;  (** receiver's next in-order sequence *)
   mutable reorder_max : int;  (** peak out-of-order buffer, packets *)
-  ooo : int Util.Itbl.t;  (** seq -> payload of out-of-order packets *)
+  mutable ooo : int Util.Itbl.t option;
+      (** seq -> payload of out-of-order packets: made on the flow's first
+          out-of-order packet and dropped at its completion, so a flow
+          delivered in order never holds one *)
 }
 
 type t

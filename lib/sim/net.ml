@@ -6,7 +6,10 @@
    lives in a side array ([qnext]) rather than the record, both to fit the
    line and because eight neighbouring links share a line of their own.
    Routes live in a shared refcounted slice pool: one copy per flow,
-   shared by every packet (retransmits included).
+   shared by every packet (retransmits included). A broadcast carries no
+   route: each relay walks the set bits of its bytes in the tree's FIB,
+   one bit per out-link, and copies the packet once per child but the
+   last.
 
    Hot-path field access goes through local mirrors of the two backing
    Bigarrays ([st], [sl]) so reads compile to single monomorphic loads;
@@ -497,18 +500,27 @@ let blackholed_ctrl_bytes t = t.blackholed_ctrl_bytes
 
 (* -- forwarding ----------------------------------------------------------- *)
 
-(* The tree's CSR FIB: one cache-validated fetch per arrival or
-   injection, then a plain loop over the link ids of a vertex's slot. *)
+(* The tree's FIB: one cache-validated fetch per arrival or injection,
+   then a walk over the set bits of the vertex's bytes. The bits are read
+   in place through the topology's {!Topology.tree_layout}: under -opaque
+   a call to {!Topology.iter_tree_links} would not be inlined, and a FIB
+   read is the per-hop work of a broadcast. *)
 let fib t ~root ~tree =
   match t.broadcast with
-  | Some b -> Broadcast.fib b ~src:root ~tree
+  | Some b -> (Broadcast.fib b ~src:root ~tree :> Bytes.t)
   | None -> invalid_arg "Net: broadcast FIB not configured"
 
-(* {!Topology.tree_entry}, read in place: under -opaque a call to it
-   would not be inlined, and a FIB read is the per-hop work of a
-   broadcast. *)
-let[@inline] fib_entry (fib : Broadcast.fib) i =
-  Int32.to_int (Bytes.get_int32_le (fib :> Bytes.t) (4 * i))
+(* The index of the lowest set bit of each nonzero byte: a vertex's
+   children are visited one set bit at a time, with no branch on the
+   bits in between. *)
+let lowest_bit =
+  String.init 256 (fun b ->
+      let rec low i = if b = 0 || b land (1 lsl i) <> 0 then i else low (i + 1) in
+      Char.chr (low 0))
+
+(* The link of the lowest set bit of byte [y], [bits] nonzero. *)
+let[@inline] child_link (lay : Topology.tree_layout) y bits =
+  Array.unsafe_get lay.slot_link ((8 * y) + Char.code (String.unsafe_get lowest_bit bits))
 
 (* Forwarding is mutually recursive with arrival: an arriving packet is
    re-enqueued towards its next hop. *)
@@ -665,38 +677,48 @@ and arrive t node pkt =
 
 (* A relayed copy goes on to its children in FIB order: a fresh copy for
    each child but the last, which gets the arrived packet itself, so a
-   one-child relay copies nothing and a leaf frees it. Broadcast and
-   digest copies carry the empty route and no slices, so a copy is its
-   eight words. *)
+   one-child relay copies nothing and a leaf frees it. A child is sent
+   its copy once the next set bit is found, and the arrived packet goes
+   to the link still held when the bits run out. Broadcast and digest
+   copies carry the empty route and no slices, so a copy is its eight
+   words. *)
 and replicate t pkt ~root ~tree ~from =
-  let fib = fib t ~root ~tree in
-  let first = fib_entry fib from and last = fib_entry fib (from + 1) - 1 in
-  if last < first then free_pkt t pkt
-  else begin
-    for i = first to last - 1 do
-      let c = alloc_pkt t in
-      for f = 0 to fields - 1 do
-        fset t c f (fget t pkt f)
-      done;
-      enqueue_link t (fib_entry fib i) c
-    done;
-    enqueue_link t (fib_entry fib last) pkt
-  end
+  let fib = fib t ~root ~tree and lay = Topology.tree_layout t.topo in
+  let held = ref (-1) in
+  for y = lay.first_byte.(from) to lay.first_byte.(from + 1) - 1 do
+    let bits = ref (Char.code (Bytes.unsafe_get fib y)) in
+    while !bits <> 0 do
+      if !held >= 0 then begin
+        let c = alloc_pkt t in
+        for f = 0 to fields - 1 do
+          fset t c f (fget t pkt f)
+        done;
+        enqueue_link t !held c
+      end;
+      held := child_link lay y !bits;
+      bits := !bits land (!bits - 1)
+    done
+  done;
+  if !held < 0 then free_pkt t pkt else enqueue_link t !held pkt
 
 (* Injection at the tree's root: a fresh packet per child. *)
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
-  let fib = fib t ~root ~tree in
-  for i = fib_entry fib from to fib_entry fib (from + 1) - 1 do
-    let h = alloc_pkt t in
-    fset t h f_meta (meta_make ~code ~bytes);
-    fset t h f_route Arena.Ints.empty;
-    fset t h f_p0 p0;
-    fset t h f_p1 p1;
-    fset t h f_p2 p2;
-    fset t h f_p3 p3;
-    fset t h f_p4 p4;
-    fset t h f_p5 p5;
-    enqueue_link t (fib_entry fib i) h
+  let fib = fib t ~root ~tree and lay = Topology.tree_layout t.topo in
+  for y = lay.first_byte.(from) to lay.first_byte.(from + 1) - 1 do
+    let bits = ref (Char.code (Bytes.unsafe_get fib y)) in
+    while !bits <> 0 do
+      let h = alloc_pkt t in
+      fset t h f_meta (meta_make ~code ~bytes);
+      fset t h f_route Arena.Ints.empty;
+      fset t h f_p0 p0;
+      fset t h f_p1 p1;
+      fset t h f_p2 p2;
+      fset t h f_p3 p3;
+      fset t h f_p4 p4;
+      fset t h f_p5 p5;
+      enqueue_link t (child_link lay y !bits) h;
+      bits := !bits land (!bits - 1)
+    done
   done
 
 let create engine topo ?(queue_capacity = max_int) ~link_gbps () =

@@ -6,9 +6,12 @@
     nodes forward without any per-flow state (paper §3.5).
 
     Broadcast packets carry a [(source, tree)] pair instead of a path and
-    are replicated to the tree children at every node (paper §3.2): each
-    child but the last gets a fresh copy and the arrived packet itself
-    moves on to the last one, so a relay with one child copies nothing.
+    are replicated to the tree children at every node (paper §3.2). A
+    node reads its children as the set bits of its bytes in the tree's
+    FIB ({!Broadcast.fib}), lowest first, so a leaf costs one byte read:
+    each child but the last gets a fresh copy and the arrived packet
+    itself moves on to the last one, so a relay with one child copies
+    nothing.
 
     {2 Packet representation}
 

@@ -175,6 +175,8 @@ type fstate = {
   weight : float;
   priority : int;
   mutable wf_links : Routing.row;
+      (** the flow's link fractions, shared with the allocator that holds
+          it; under Global_epoch a retired flow holds [no_links] instead *)
   demand : U.byte_rate option;  (** host cap, wire bytes per ns *)
   started_ns : int;
   mutable remaining : int;  (** payload bytes not yet injected *)
@@ -186,7 +188,8 @@ type fstate = {
   mutable done_sending : bool;
   mutable rtx : int Util.Itbl.t option;
       (** seq -> retransmission attempts so far; made on the flow's first
-          retransmission, so loss-free flows never hold one *)
+          retransmission, so loss-free flows never hold one, and dropped
+          when the flow retires *)
   mutable btree : int;
       (** reliable mode: the tree carrying every event of this flow, so the
           per-(source, tree) window orders finish after start; -1 until the
@@ -240,6 +243,8 @@ type t = {
   mutable flows_rerouted : int;
   selector : Genetic.Selector.t Lazy.t;
       (** §3.4's GA selector, made on the first reselection round *)
+  no_links : Routing.row;
+      (** the row of no link, which a retired flow holds under Global_epoch *)
   alloc : Inc.t;
       (** the one water-filler, with the run's headroom and class reserve.
           Global_epoch feeds it the visible, still-sending flow set as
@@ -363,12 +368,23 @@ let stamp_reconvergence t =
     t.failures
 
 (* A live flow completed or was aborted: the next epoch allocates without
-   it. With none left, a detected failure is trivially reconverged — the
-   periodic loop is about to stop and would never stamp it. *)
+   it, and the flow lets go of what only a live flow reads. Its
+   retransmission table goes in both modes: [handle_loss] and
+   [retransmit] act for live flows only. Its row goes under Global_epoch,
+   where [reroute] and the shared allocator see only live flows. Per_node
+   keeps it: a retired flow can re-enter a lagging view through a
+   repaired start event, and an empty row there is not provably inert —
+   its demand still enters the round's heap, where it can reorder ties,
+   and a link-less flow keeps [round_inc]'s pop loop running after every
+   real flow has frozen. With no flow left, a detected failure is
+   trivially reconverged — the periodic loop is about to stop and would
+   never stamp it. *)
 let retire t st =
   st.live <- false;
   t.live_flows <- t.live_flows - 1;
   t.epoch_dirty <- true;
+  st.rtx <- None;
+  if t.cfg.control = Global_epoch then st.wf_links <- t.no_links;
   if t.live_flows = 0 then stamp_reconvergence t
 
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
@@ -1309,6 +1325,7 @@ let create cfg topo =
       flows_rerouted = 0;
       selector =
         lazy (Genetic.Selector.make ~headroom:cfg.headroom rctx ~link_gbps:cfg.link_gbps);
+      no_links = Routing.row ~links:[||] ~fracs:[||];
       alloc;
       epoch_dirty = false;
       bcast_target = nverts - 1;

@@ -38,6 +38,16 @@ type t = {
   (* Breadth-first search queue, shared by every search on this graph so
      that a search allocates nothing but its output. *)
   queue : int array;
+  (* The slots every spanning tree of the graph lays its bits out in;
+     [None] until the first tree is built. *)
+  mutable layout : tree_layout option;
+}
+
+and tree_layout = {
+  first_byte : int array;
+  slot_link : int array;
+  link_slot : int array;
+  reached : Bytes.t;
 }
 
 (* -- construction ------------------------------------------------------- *)
@@ -54,7 +64,6 @@ let build ~kind ~hosts ~nverts edges =
       adj.(v) <- u :: adj.(v))
     edges;
   let link_mat = Array.make (nverts * nverts) (-1) in
-  let lsrc = ref [] and ldst = ref [] in
   let next = ref 0 in
   let out =
     Array.init nverts (fun u ->
@@ -67,25 +76,32 @@ let build ~kind ~hosts ~nverts edges =
                let id = !next in
                incr next;
                link_mat.((u * nverts) + v) <- id;
-               lsrc := u :: !lsrc;
-               ldst := v :: !ldst;
                (v, id))
              neighbors))
   in
-  let lsrc = Array.of_list (List.rev !lsrc) in
+  let lsrc = Array.make !next 0 and ldst = Array.make !next 0 in
+  Array.iteri
+    (fun u hops ->
+      Array.iter
+        (fun (v, id) ->
+          lsrc.(id) <- u;
+          ldst.(id) <- v)
+        hops)
+    out;
   {
     kind;
     hosts;
     nverts;
     out;
     lsrc;
-    ldst = Array.of_list (List.rev !ldst);
+    ldst;
     link_mat;
     dist_cache = Array.make nverts [||];
-    link_failed = Array.make (Array.length lsrc) false;
+    link_failed = Array.make !next false;
     node_up = Array.make nverts true;
     version = 0;
     queue = Array.make nverts 0;
+    layout = None;
   }
 
 let effective_dims dims =
@@ -466,25 +482,56 @@ let bisection_links t =
 
 type tree = Bytes.t
 
-let[@inline] tree_entry tr i = Int32.to_int (Bytes.get_int32_le tr (4 * i))
-let[@inline] set_entry tr i x = Bytes.set_int32_le tr (4 * i) (Int32.of_int x)
+(* Vertex [u]'s slots are its out-links sorted by the vertex at their far
+   end, slot [i] being bit [i land 7] of byte [first_byte.(u) + i / 8]:
+   the order the tree's children are listed in. *)
+let tree_layout t =
+  match t.layout with
+  | Some lay -> lay
+  | None ->
+      let n = t.nverts in
+      let first_byte = Array.make (n + 1) 0 in
+      for u = 0 to n - 1 do
+        first_byte.(u + 1) <- first_byte.(u) + ((Array.length t.out.(u) + 7) / 8)
+      done;
+      let slot_link = Array.make (8 * first_byte.(n)) (-1) in
+      let link_slot = Array.make (Array.length t.ldst) 0 in
+      for u = 0 to n - 1 do
+        let by_far_end = Array.copy t.out.(u) in
+        Array.sort (fun (v, _) (w, _) -> Int.compare v w) by_far_end;
+        Array.iteri
+          (fun i (_, l) ->
+            let s = (8 * first_byte.(u)) + i in
+            slot_link.(s) <- l;
+            link_slot.(l) <- s)
+          by_far_end
+      done;
+      let lay = { first_byte; slot_link; link_slot; reached = Bytes.make n '\000' } in
+      t.layout <- Some lay;
+      lay
 
-(* The tree is written straight from the search. Until the search ends,
-   entry [v] of the offset block is -1 while [v] is unreached and then
-   its child count; the children of each vertex join the queue
-   back to back, in the order the vertices leave it. A prefix sum turns
-   the counts into offsets, and one more walk of the queue hands each
-   vertex its children, sorted into its slot by child id as they are
-   inserted. *)
+let iter_tree_links t tr u f =
+  let lay = tree_layout t in
+  for y = lay.first_byte.(u) to lay.first_byte.(u + 1) - 1 do
+    let bits = ref (Char.code (Bytes.get tr y)) and s = ref (8 * y) in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then f lay.slot_link.(!s);
+      bits := !bits lsr 1;
+      incr s
+    done
+  done
+
+(* The tree is written straight from the search: the link over which a
+   vertex is first reached sets its bit. The marks of the reached
+   vertices are cleared again from the queue, which holds exactly them. *)
 let shortest_path_tree t ~root ~variant =
-  let n = t.nverts and q = t.queue in
-  let tr = Bytes.make (8 * n) '\xff' in
-  let tail = ref 0 in
+  let lay = tree_layout t in
+  let tr = Bytes.make lay.first_byte.(t.nverts) '\000' in
   if t.node_up.(root) then begin
-    set_entry tr root 0;
+    let q = t.queue and reached = lay.reached in
+    Bytes.set reached root '\001';
     q.(0) <- root;
-    tail := 1;
-    let head = ref 0 in
+    let head = ref 0 and tail = ref 1 in
     while !head < !tail do
       let u = q.(!head) in
       incr head;
@@ -493,42 +540,24 @@ let shortest_path_tree t ~root ~variant =
       (* Rotate exploration order so different variants attach vertices to
          different shortest-path parents. *)
       let rot = (variant + u) mod deg in
-      let before = !tail in
       for i = 0 to deg - 1 do
         let j = rot + i in
         let v, l = out.(if j < deg then j else j - deg) in
-        if tree_entry tr v < 0 && link_alive t l then begin
-          set_entry tr v 0;
+        if Bytes.get reached v = '\000' && link_alive t l then begin
+          Bytes.set reached v '\001';
+          let s = lay.link_slot.(l) in
+          let y = s lsr 3 in
+          Bytes.set tr y (Char.unsafe_chr (Char.code (Bytes.get tr y) lor (1 lsl (s land 7))));
           q.(!tail) <- v;
           incr tail
         end
-      done;
-      set_entry tr u (!tail - before)
+      done
+    done;
+    for i = 0 to !tail - 1 do
+      Bytes.set reached q.(i) '\000'
     done
   end;
-  let off = ref (n + 1) in
-  for v = 0 to n - 1 do
-    let count = tree_entry tr v in
-    set_entry tr v !off;
-    if count > 0 then off := !off + count
-  done;
-  set_entry tr n !off;
-  let next = ref 1 in
-  for i = 0 to !tail - 1 do
-    let u = q.(i) in
-    let lo = tree_entry tr u in
-    for k = lo to tree_entry tr (u + 1) - 1 do
-      let v = q.(!next) in
-      incr next;
-      let j = ref k in
-      while !j > lo && t.ldst.(tree_entry tr (!j - 1)) > v do
-        set_entry tr !j (tree_entry tr (!j - 1));
-        decr j
-      done;
-      set_entry tr !j (find_link_id t u v)
-    done
-  done;
-  if !off = 2 * n then tr else Bytes.sub tr 0 (4 * !off)
+  tr
 
 let pp ppf t =
   let pp_dims ppf dims =

@@ -180,25 +180,45 @@ val bisection_links : t -> int
     Clos). *)
 
 type tree = private Bytes.t
-(** A spanning tree as the child links of each vertex, in
-    compressed-sparse-row form: [n + 1 + e] entries for [n] vertices and
-    [e] tree edges in one byte block, entry [i] being the little-endian
-    32-bit int at byte [4 * i] ({!tree_entry}). Entries [0 .. n] are
-    offsets into the same entry space: vertex [v]'s child links are the
-    entries [tree_entry tr v .. tree_entry tr (v + 1) - 1], in ascending
-    order of the child at their far end ({!find_link_id} of the tree
-    edge). A spanning tree of all [n] vertices takes [8 * n] bytes. *)
+(** A spanning tree as one bit per (vertex, out-link) slot, set when the
+    link is a tree edge. Vertex [v]'s slots fill bytes
+    [first_byte.(v) .. first_byte.(v + 1) - 1] of {!tree_layout}, one
+    per out-link in ascending order of the vertex at its far end, so its
+    set bits, walked lowest first, list its children in ascending id
+    order; {!iter_tree_links} walks them. Every tree of a graph takes
+    [first_byte.(n)] bytes, one per vertex of degree at most 8: 512 on
+    an 8x8x8 torus. *)
 
-val tree_entry : tree -> int -> int
-(** [tree_entry tr i] is entry [i] of [tr]. *)
+type tree_layout = private {
+  first_byte : int array;
+      (** [n + 1] entries: vertex [v]'s slots fill [⌈degree v / 8⌉] bytes
+          from [first_byte.(v)] on *)
+  slot_link : int array;
+      (** the link of slot [8 * byte + bit]; -1 for the padding bits past
+          a vertex's degree *)
+  link_slot : int array;  (** the slot of each link: [slot_link]'s inverse *)
+  reached : Bytes.t;
+      (** {!shortest_path_tree}'s per-vertex marks, all ['\000'] between
+          searches *)
+}
+(** The slots every tree of a graph lays its bits out in. *)
+
+val tree_layout : t -> tree_layout
+(** The graph's tree layout, built with its first tree (or on the first
+    call) and kept for the graph's life: the slots depend on the cables
+    alone, not on their down-state. *)
+
+val iter_tree_links : t -> tree -> node -> (link_id -> unit) -> unit
+(** [iter_tree_links t tr v f] applies [f] to each link over which [v]
+    forwards in [tr], in ascending order of the child at its far end. *)
 
 val shortest_path_tree : t -> root:node -> variant:int -> tree
 (** [shortest_path_tree t ~root ~variant] is a spanning tree of all alive
     vertices reachable from [root] over alive links (none when [root] is
     dead); every tree path from the root is a shortest path. Different
     [variant] values rotate the neighbor exploration order, producing
-    (generally) different trees. Allocates the tree only (and a trimmed
-    copy when some vertex is unreached). *)
+    (generally) different trees. Allocates the tree only, once
+    {!tree_layout} exists. *)
 
 val bridge : t -> t -> cables:(node * node) list -> t
 (** [bridge a b ~cables] composes two racks into one fabric by adding

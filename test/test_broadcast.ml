@@ -128,15 +128,28 @@ let out_of_range_rejected () =
   Alcotest.check_raises "tree_valid checks tree" tree_err (fun () ->
       ignore (Broadcast.tree_valid b ~src:0 ~tree:(-1)))
 
-(* Differential check of the CSR FIB on every builder and every (src,
-   tree) against [Tree_model], the parent-array cache it replaced: each
-   vertex's FIB slot must list the model's children in ascending order,
-   over the links [Topology.find_link_id] names, and the derived parent,
-   hops and edges must be the model's. Flooding over the FIB's link ids
-   must leave each forwarding vertex, reach every alive vertex reachable
-   from [src] exactly once over alive links, and hold a dead link only
-   towards a vertex out of reach (a tree that lost only such vertices
-   stays valid). *)
+(* The links whose bits are set in vertex [v]'s bytes of [fib], lowest
+   bit first, read from the raw bytes and the layout's slot table. *)
+let fib_links topo (fib : Broadcast.fib) v =
+  let lay = Topology.tree_layout topo in
+  let acc = ref [] in
+  for y = lay.first_byte.(v) to lay.first_byte.(v + 1) - 1 do
+    for b = 0 to 7 do
+      if Char.code (Bytes.get (fib :> Bytes.t) y) land (1 lsl b) <> 0 then
+        acc := lay.slot_link.((8 * y) + b) :: !acc
+    done
+  done;
+  List.rev !acc
+
+(* Differential check of the bitmask FIB on every builder and every (src,
+   tree) against [Tree_model], the parent-array cache the FIBs replaced:
+   each vertex's set bits must name the model's children in ascending
+   order, over the links [Topology.find_link_id] names, and the derived
+   parent, hops and edges must be the model's. Flooding over the FIB's
+   links must leave each forwarding vertex, reach every alive vertex
+   reachable from [src] exactly once over alive links, and hold a dead
+   link only towards a vertex out of reach (a tree that lost only such
+   vertices stays valid). *)
 let check_all_trees name topo b m =
   let n = Topology.vertex_count topo in
   for src = 0 to n - 1 do
@@ -145,14 +158,15 @@ let check_all_trees name topo b m =
       let parent = Tree_model.parent_array m ~src ~tree in
       let expected = Tree_model.tree_children parent ~root:src in
       let fib = Broadcast.fib b ~src ~tree in
+      Alcotest.(check int) (ctx ^ ": one bit per out-link")
+        (Topology.tree_layout topo).first_byte.(n)
+        (Bytes.length (fib :> Bytes.t));
       for v = 0 to n - 1 do
         Alcotest.(check (list int)) (ctx ^ ": children") expected.(v)
           (Broadcast.children b ~src ~tree v);
         Alcotest.(check (list int)) (ctx ^ ": links")
           (List.map (Topology.find_link_id topo v) expected.(v))
-          (List.init
-             (Topology.tree_entry fib (v + 1) - Topology.tree_entry fib v)
-             (fun i -> Topology.tree_entry fib (Topology.tree_entry fib v + i)))
+          (fib_links topo fib v)
       done;
       Alcotest.(check (array int)) (ctx ^ ": parents") parent
         (Array.init n (Broadcast.parent b ~src ~tree));
@@ -166,15 +180,15 @@ let check_all_trees name topo b m =
       let visits = Array.make n 0 in
       let rec flood v =
         visits.(v) <- visits.(v) + 1;
-        for i = Topology.tree_entry fib v to Topology.tree_entry fib (v + 1) - 1 do
-          let l = Topology.tree_entry fib i in
-          let c = Topology.link_dst topo l in
-          Alcotest.(check int) (ctx ^ ": link leaves the forwarder") v (Topology.link_src topo l);
-          if Topology.link_alive topo l then flood c
-          else
-            Alcotest.(check bool) (ctx ^ ": dead link leads out of reach") false
-              (Topology.reachable topo src c)
-        done
+        List.iter
+          (fun l ->
+            let c = Topology.link_dst topo l in
+            Alcotest.(check int) (ctx ^ ": link leaves the forwarder") v (Topology.link_src topo l);
+            if Topology.link_alive topo l then flood c
+            else
+              Alcotest.(check bool) (ctx ^ ": dead link leads out of reach") false
+                (Topology.reachable topo src c))
+          (fib_links topo fib v)
       in
       if Topology.node_alive topo src then flood src;
       for v = 0 to n - 1 do
@@ -236,12 +250,14 @@ let fib_matches_tree_children_everywhere () =
         4 );
     ]
 
-(* Every tree of the 8x8x8 rack is kept as its FIB alone: 4 bytes per
-   vertex boundary and per edge, 4 KB and a few words of cache per tree,
-   so all 2,048 hold less than 9 MB. Measured as the growth of the live
-   heap. *)
-let trees_8x8x8_fit_in_9mb () =
+(* Every tree of the 8x8x8 rack is kept as its FIB alone: one byte of
+   six child bits per vertex, 512 bytes and a few words of cache per
+   tree, so all 2,048 hold at most 1.2 MB. Measured as the growth of the
+   live heap once the rack's tree layout, which every tree shares,
+   exists. *)
+let trees_8x8x8_fit_in_1_2mb () =
   let topo = Lazy.force torus888 in
+  ignore (Topology.tree_layout topo);
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let b = Broadcast.make topo in
@@ -253,8 +269,8 @@ let trees_8x8x8_fit_in_9mb () =
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in
   let mb = float_of_int ((live1 - live0) * (Sys.word_size / 8)) /. 1e6 in
-  Alcotest.(check bool) (Printf.sprintf "2,048 trees hold %.2f MB <= 9 MB" mb) true (mb <= 9.0);
-  Alcotest.(check int) "one tree is 4 KB, a padding word and a header" 4112
+  Alcotest.(check bool) (Printf.sprintf "2,048 trees hold %.2f MB <= 1.2 MB" mb) true (mb <= 1.2);
+  Alcotest.(check int) "one tree is 512 bytes, a padding word and a header" 528
     (Obj.reachable_words (Obj.repr (Broadcast.fib b ~src:0 ~tree:0)) * (Sys.word_size / 8));
   ignore (Sys.opaque_identity b)
 
@@ -289,8 +305,8 @@ let suites =
         tc "overhead monotone in small-flow share" analytic_overhead_monotone;
         tc "greater diameter, lower overhead (Fig 9)" greater_diameter_lower_overhead;
         tc "out-of-range src or tree rejected" out_of_range_rejected;
-        tc "CSR FIB matches tree_children on every builder" fib_matches_tree_children_everywhere;
-        tc "2,048 trees of 8x8x8 hold at most 9 MB" trees_8x8x8_fit_in_9mb;
+        tc "FIB bits match tree_children on every builder" fib_matches_tree_children_everywhere;
+        tc "2,048 trees of 8x8x8 hold at most 1.2 MB" trees_8x8x8_fit_in_1_2mb;
         QCheck_alcotest.to_alcotest qcheck_tree_spans;
       ] );
   ]

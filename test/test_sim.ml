@@ -403,7 +403,7 @@ let sampled_route_zero_alloc proto () =
 
 let net_broadcast_replication_zero_alloc () =
   (* The same contract for broadcast replicas: once every tree of a 4x4x4
-     torus is built, a flood is a loop over each tree's CSR FIB — no
+     torus is built, a flood is a walk over each tree's FIB bits — no
      hashtable probe, child list, closure or link option per hop. *)
   let eng = Sim.Engine.create () in
   let topo = Topology.torus [| 4; 4; 4 |] in
@@ -492,11 +492,14 @@ let net_flood_each_tree_once () =
   let b = Broadcast.make topo in
   let trees = Broadcast.trees_per_source b in
   let kinds = Array.make 3 0 in
+  let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1)) in
   for root = 0 to 63 do
     for tree = 0 to trees - 1 do
       let fib = Broadcast.fib b ~src:root ~tree in
+      (* A vertex of degree 6: one byte, its set bits the child count. *)
+      let lay = Topology.tree_layout topo in
       for v = 0 to 63 do
-        let k = min 2 (Topology.tree_entry fib (v + 1) - Topology.tree_entry fib v) in
+        let k = min 2 (popcount (Char.code (Bytes.get (fib :> Bytes.t) lay.first_byte.(v)))) in
         kinds.(k) <- kinds.(k) + 1
       done
     done
@@ -619,6 +622,76 @@ let metrics_out_of_order_and_dups () =
   let f = Sim.Metrics.find m 0 in
   Alcotest.(check int) "reorder buffer peaked at 2" 2 f.Sim.Metrics.reorder_max;
   Alcotest.(check int) "all bytes" 4500 f.Sim.Metrics.delivered
+
+(* A flow makes its reorder table on its first out-of-order packet and
+   drops it at completion: a flow delivered in order never holds one. *)
+let metrics_reorder_table_lives_with_reordering () =
+  let m = Sim.Metrics.create () in
+  Sim.Metrics.add_flow m ~id:0 ~src:1 ~dst:2 ~size:3000 ~arrival_ns:0;
+  Sim.Metrics.add_flow m ~id:1 ~src:1 ~dst:2 ~size:3000 ~arrival_ns:0;
+  let table id = Option.is_some (Sim.Metrics.find m id).Sim.Metrics.ooo in
+  ignore (Sim.Metrics.record_delivery m ~id:0 ~seq:0 ~payload:1500 ~now:10);
+  Alcotest.(check bool) "in order: no table" false (table 0);
+  ignore (Sim.Metrics.record_delivery m ~id:0 ~seq:1 ~payload:1500 ~now:20);
+  Alcotest.(check bool) "completed in order: no table" false (table 0);
+  ignore (Sim.Metrics.record_delivery m ~id:1 ~seq:1 ~payload:1500 ~now:10);
+  Alcotest.(check bool) "first out-of-order packet makes one" true (table 1);
+  Alcotest.(check bool) "completes" true
+    (Sim.Metrics.record_delivery m ~id:1 ~seq:0 ~payload:1500 ~now:20);
+  Alcotest.(check bool) "dropped at completion" false (table 1);
+  Alcotest.(check int) "reorder buffer peaked at 1" 1 (Sim.Metrics.find m 1).Sim.Metrics.reorder_max
+
+(* A fixed reordering input: four flows of 40 packets, the last packet
+   700 bytes, each delivered in windows of 2, 3, 5 and 8 shuffled
+   packets, every fifth delivery of a flow followed by a duplicate of an
+   earlier sequence, the flows interleaved one delivery at a time. Each
+   flow's (reorder_max, delivered bytes, FCT) after the whole input. *)
+let reorder_fixture () =
+  let m = Sim.Metrics.create () in
+  let rng = Util.Rng.create 42 in
+  let pkts = 40 in
+  let orders =
+    Array.init 4 (fun id ->
+        Sim.Metrics.add_flow m ~id ~src:0 ~dst:1 ~size:(((pkts - 1) * 1500) + 700)
+          ~arrival_ns:(id * 100);
+        let w = [| 2; 3; 5; 8 |].(id) in
+        let order = Array.init pkts Fun.id in
+        let k = ref 0 in
+        while !k < pkts do
+          let len = min w (pkts - !k) in
+          let win = Array.sub order !k len in
+          Util.Rng.shuffle rng win;
+          Array.blit win 0 order !k len;
+          k := !k + len
+        done;
+        order)
+  in
+  let now = ref 1_000 in
+  let deliver id seq =
+    now := !now + 10;
+    let payload = if seq = pkts - 1 then 700 else 1500 in
+    ignore (Sim.Metrics.record_delivery m ~id ~seq ~payload ~now:!now)
+  in
+  for i = 0 to pkts - 1 do
+    Array.iteri
+      (fun id order ->
+        deliver id order.(i);
+        if i mod 5 = 4 then deliver id order.(Util.Rng.int rng (i + 1)))
+      orders
+  done;
+  List.init 4 (fun id ->
+      let f = Sim.Metrics.find m id in
+      ( f.Sim.Metrics.reorder_max,
+        f.Sim.Metrics.delivered,
+        if Sim.Metrics.complete m f then Sim.Metrics.fct_ns f else -1 ))
+
+(* The results of the fixed input, pinned while every flow held its
+   reorder table from the start. *)
+let metrics_reorder_fixture_pinned () =
+  Alcotest.(check (list (triple int int int)))
+    "reorder_max, delivered bytes and FCT per flow"
+    [ (1, 59200, 2850); (2, 59200, 2770); (4, 59200, 2690); (7, 59200, 2610) ]
+    (reorder_fixture ())
 
 (* -- r2c2 transport --------------------------------------------------------- *)
 
@@ -1034,6 +1107,67 @@ let r2c2_retransmit_backoff () =
   Alcotest.(check int) "idle after the summed timeouts" 24_500_000
     (Sim.Engine.now (Sim.R2c2_sim.engine sim))
 
+(* Under Global_epoch a finished flow lets go of its link-fraction row.
+   One-packet VLB flows from vertex 0 to 21 of a 4x4x4 torus run one at
+   a time, each row spanning most of the rack's links: doubling the flows
+   must grow what the simulator reaches by far less than one row per
+   extra flow. *)
+let r2c2_finished_flows_drop_rows () =
+  let words flows =
+    let topo = Topology.torus [| 4; 4; 4 |] in
+    let sim = Sim.R2c2_sim.create Sim.R2c2_sim.default_config topo in
+    for i = 0 to flows - 1 do
+      Sim.Engine.at (Sim.R2c2_sim.engine sim) (i * 20_000) (fun () ->
+          ignore (Sim.R2c2_sim.start_flow ~protocol:Routing.Vlb sim ~src:0 ~dst:21 ~size:1_000))
+    done;
+    Sim.R2c2_sim.run_engine sim;
+    Alcotest.(check int) "every flow completed" flows
+      (Sim.Metrics.completed_count (Sim.R2c2_sim.metrics sim));
+    Obj.reachable_words (Obj.repr sim)
+  in
+  let row =
+    Routing.fractions (Routing.make (Topology.torus [| 4; 4; 4 |])) Routing.Vlb ~src:0 ~dst:21
+  in
+  let row_words = Obj.reachable_words (Obj.repr row) in
+  let per_flow = (words 200 - words 100) / 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words per finished flow < half a %d-word row" per_flow row_words)
+    true
+    (per_flow < row_words / 2)
+
+(* A retired flow lets go of its retransmission table. A flow whose
+   packets never fit a 1,000-byte queue retransmits each of them until
+   one is dropped a 31st time and the flow aborts (see the backoff test):
+   with 100 packets its table held 100 sequences, with one packet one.
+   Both runs first schedule 300 idle events past the abort, so that the
+   engine's event pool and overflow heap end the same size whatever the
+   flow left pending. The two simulators must then differ by less than
+   the bindings of 50 sequences. *)
+let r2c2_retired_flow_drops_rtx_table () =
+  let words size =
+    let topo = Topology.torus [| 4; 4 |] in
+    let cfg =
+      { Sim.R2c2_sim.default_config with queue_capacity = 1_000; rtx_timeout_ns = 10_000 }
+    in
+    let sim = Sim.R2c2_sim.create cfg topo in
+    for k = 1 to 300 do
+      Sim.Engine.at (Sim.R2c2_sim.engine sim) (30_000_000 + (k * 1_000)) ignore
+    done;
+    let id = Sim.R2c2_sim.start_flow sim ~src:0 ~dst:5 ~size in
+    Sim.R2c2_sim.run_engine sim;
+    let r = Sim.R2c2_sim.results sim in
+    Alcotest.(check (list int)) "aborted" [ id ] r.Sim.R2c2_sim.aborted_flows;
+    (Obj.reachable_words (Obj.repr sim), r.Sim.R2c2_sim.drops)
+  in
+  let one, one_drops = words 1_000 in
+  let many, many_drops = words (100 * (Topology.mtu - Wire.data_header_size)) in
+  Alcotest.(check bool) "every packet of the long flow was dropped" true
+    (many_drops >= one_drops + 99);
+  Alcotest.(check bool)
+    (Printf.sprintf "the simulators differ by %d words < 200" (many - one))
+    true
+    (many - one < 200)
+
 (* -- tcp transport ---------------------------------------------------------- *)
 
 let tcp_delivers_everything () =
@@ -1114,6 +1248,8 @@ let suites =
       [
         tc "flow lifecycle" metrics_flow_lifecycle;
         tc "out-of-order and duplicates" metrics_out_of_order_and_dups;
+        tc "a reorder table lives only with reordering" metrics_reorder_table_lives_with_reordering;
+        tc "fixed reordering input keeps its results" metrics_reorder_fixture_pinned;
       ] );
     ( "sim.r2c2",
       [
@@ -1138,6 +1274,8 @@ let suites =
         tc "per-packet retransmission backs off, then aborts" r2c2_retransmit_backoff;
         tc "live routing reselection (SS3.4)" r2c2_live_reselection;
         tc "reselection does not regress" r2c2_reselection_not_worse;
+        tc "a finished flow holds no row (Global_epoch)" r2c2_finished_flows_drop_rows;
+        tc "a retired flow holds no retransmission table" r2c2_retired_flow_drops_rtx_table;
       ] );
     ( "sim.tcp",
       [

@@ -122,15 +122,20 @@ let clos_structure () =
   Alcotest.(check int) "cross leaf" 4 (Topology.distance t 0 15);
   Alcotest.(check int) "bisection" 8 (Topology.bisection_links t)
 
-(* The parent of every vertex a CSR tree reaches: the near end of the
-   link into it. *)
-let tree_parents t tr =
-  let n = Topology.vertex_count t in
-  let parent = Array.make n (-1) in
-  for i = n + 1 to Topology.tree_entry tr n - 1 do
-    let l = Topology.tree_entry tr i in
-    parent.(Topology.link_dst t l) <- Topology.link_src t l
-  done;
+(* The parent of every vertex a tree reaches: the near end of the link
+   whose bit is set, read straight from the tree's bytes. *)
+let tree_parents t (tr : Topology.tree) =
+  let lay = Topology.tree_layout t in
+  let parent = Array.make (Topology.vertex_count t) (-1) in
+  Bytes.iteri
+    (fun y c ->
+      for b = 0 to 7 do
+        if Char.code c land (1 lsl b) <> 0 then begin
+          let l = lay.slot_link.((8 * y) + b) in
+          parent.(Topology.link_dst t l) <- Topology.link_src t l
+        end
+      done)
+    (tr :> Bytes.t);
   parent
 
 let spanning_tree_is_shortest () =
@@ -159,11 +164,10 @@ let tree_children_sizes () =
   let tr = Topology.shortest_path_tree t ~root:0 ~variant:0 in
   let total = ref 0 in
   for v = 0 to 15 do
-    total := !total + (Topology.tree_entry tr (v + 1) - Topology.tree_entry tr v)
+    Topology.iter_tree_links t tr v (fun _ -> incr total)
   done;
   Alcotest.(check int) "n-1 edges" 15 !total;
-  Alcotest.(check int) "17 offsets and 15 links, 4 bytes each" (4 * 32)
-    (Bytes.length (tr :> Bytes.t))
+  Alcotest.(check int) "one byte of 4 slots per vertex" 16 (Bytes.length (tr :> Bytes.t))
 
 (* Words [f ()] allocates, in the minor and the major heap alike (a block
    of more than 256 words goes straight to the major heap), less what one
@@ -183,8 +187,10 @@ let words_allocated f =
 
 (* The zero-allocation bound of the searches: on a fresh graph, each cold
    [dist_to] and each spanning tree allocates its result and nothing else
-   (no queue cell, closure or parent array), on a 64-vertex torus, whose
-   results sit in the minor heap, and on 512 vertices, whose do not. *)
+   (no queue cell, closure or parent array), on a 64-vertex torus and on
+   512 vertices, whose distance arrays do not fit the minor heap. The
+   trees are measured once the graph's tree layout exists: the first
+   tree builds it. *)
 let cold_searches_allocate_only_their_output () =
   List.iter
     (fun dims ->
@@ -196,6 +202,7 @@ let cold_searches_allocate_only_their_output () =
         Alcotest.(check (float 0.0)) (name ^ ": cold dist_to allocates its array only")
           (float_of_int (Obj.reachable_words (Obj.repr d))) words
       done;
+      ignore (Topology.tree_layout t);
       for root = 0 to n - 1 do
         let variant = root mod 4 in
         let tr, words = words_allocated (fun () -> Topology.shortest_path_tree t ~root ~variant) in
@@ -208,6 +215,20 @@ let cold_searches_allocate_only_their_output () =
         (float_of_int (Obj.reachable_words (Obj.repr fib) + 5))
         words)
     [ [| 4; 4; 4 |]; [| 8; 8; 8 |] ]
+
+(* Building a graph does no work for its trees: the tree layout waits
+   for the first tree. The ceilings are the words [Topology.torus]
+   allocated before trees became per-vertex bitmasks, under OCaml 5.1. *)
+let torus_build_words_bounded () =
+  List.iter
+    (fun (dims, ceiling) ->
+      let _, words = words_allocated (fun () -> Topology.torus dims) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d vertices: %.0f words <= %d" (Array.fold_left ( * ) 1 dims) words
+           ceiling)
+        true
+        (words <= float_of_int ceiling))
+    [ ([| 4; 4; 4 |], 19_545); ([| 8; 8; 8 |], 385_113) ]
 
 (* A cable is removed by failing it on the down-state overlay; a fresh
    torus, since the overlay mutates it. *)
@@ -311,6 +332,7 @@ let suites =
         tc "tree variants differ" tree_variants_differ;
         tc "tree children count" tree_children_sizes;
         tc "cold searches allocate only their output" cold_searches_allocate_only_their_output;
+        tc "torus allocates no more words than with CSR trees" torus_build_words_bounded;
         tc "remove_link reroutes" remove_link_reroutes;
         tc "remove_link validates" remove_link_rejects_non_adjacent;
         tc "hypercube structure" hypercube_structure;

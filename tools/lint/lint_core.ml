@@ -329,7 +329,7 @@ let a1_banned_in file =
         ( "Topology.find_link",
           "returns an option per call; use Topology.find_link_id (-1 = not adjacent)" );
         ( "Broadcast.children",
-          "builds a fresh list per call; loop over the CSR slice of Broadcast.fib" );
+          "builds a fresh list per call; walk the vertex's set bits in Broadcast.fib" );
         ("Util.Rng.float", "returns a boxed float under -opaque; use Util.Rng.below");
       ]
   | "r2c2_sim.ml" ->
