@@ -8,11 +8,13 @@
     An event is either a closure ({!at} / {!after}) or a {e keyed} event
     ({!after_key}): a non-negative int handed to the one handler installed
     with {!set_handler}. A keyed event is its queue entry and nothing more,
-    so with the default {!Calendar} backend — a {!Util.Calqueue} of 1-ns
-    buckets over a 16384-ns window, {!Util.Heap} overflow beyond it —
-    scheduling and firing one allocates nothing. The packet fabric keys
-    its two per-hop events by link and by packet ({!Net}). A closure event
-    costs its closure and a slot in a pool recycled through a free list. *)
+    so with the default {!Calendar} backend — the engine's own wheel of
+    1-ns buckets over a 16,000-ns window, with a {!Util.Heap} for the times
+    beyond it — scheduling and firing one allocates nothing. The wheel is
+    private to this module so that its per-event add and pop are direct
+    calls. The packet fabric keys its two per-hop events by link and by
+    packet ({!Net}). A closure event costs its closure and a slot in a pool
+    recycled through a free list. *)
 
 type t
 

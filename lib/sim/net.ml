@@ -14,7 +14,11 @@
    Hot-path field access goes through local mirrors of the two backing
    Bigarrays ([st], [sl]) so reads compile to single monomorphic loads;
    the mirrors are re-fetched after an allocation whose handle lies past
-   them — i.e. exactly when pool growth replaced the store. *)
+   them — i.e. exactly when pool growth replaced the store. The
+   accessors are [@inline] and a relay reads its tree's FIB from this
+   module's own copy, kept per topology version, so the per-hop work
+   stays in this compilation unit: dune's dev profile builds with
+   -opaque, which inlines nothing across modules (DESIGN.md §11). *)
 
 module U = Util.Units
 module Arena = Util.Arena
@@ -123,6 +127,18 @@ type t = {
   mutable tx_memo_bytes : int;
   mutable tx_memo_ns : int;
   mutable broadcast : Broadcast.t option;
+  (* Relay FIBs: slot [root * fib_trees + tree] holds the tree that
+     [Broadcast.fib] returned while [Topology.version] read [fib_version]
+     (empty: not fetched yet), so a hop reads a FIB with one array load
+     instead of re-validating it in [Broadcast]. A version move drops them
+     all, and the next use of each tree re-validates (and repairs) it in
+     [Broadcast] exactly as an unmemoized fetch would. The tree layout's
+     arrays come with the first fetch; they never change. *)
+  mutable fibs : Bytes.t array;
+  mutable fib_trees : int;
+  mutable fib_version : int;
+  mutable first_byte : int array;
+  mutable slot_link : int array;
   mutable deliver : packet -> unit;
   mutable bcast_deliver : packet -> node:int -> unit;
   mutable drop : packet -> unit;
@@ -162,17 +178,19 @@ type t = {
   mutable flaky_lost_bytes : int;
   (* Observation tap fired on every live arrival (relays included); the
      chaos-scenario invariant monitors hang off this. *)
-  mutable arrive_tap : node:int -> packet -> unit;
+  mutable arrive_tap : (node:int -> packet -> unit) option;
 }
 
 (* -- field access --------------------------------------------------------- *)
 
-let fget t h f = Bigarray.Array1.unsafe_get t.st ((h * fields) + f)
-let fset t h f v = Bigarray.Array1.unsafe_set t.st ((h * fields) + f) v
+(* Inlined: a relayed copy reads and writes every field, and a call per
+   field would cost more than the load itself. *)
+let[@inline] fget t h f = Bigarray.Array1.unsafe_get t.st ((h * fields) + f)
+let[@inline] fset t h f v = Bigarray.Array1.unsafe_set t.st ((h * fields) + f) v
 
 (* Slice header: length at [s - 2] (see Arena.Ints). *)
-let slen t s = Bigarray.Array1.unsafe_get t.sl (s - 2)
-let sget t s i = Bigarray.Array1.unsafe_get t.sl (s + i)
+let[@inline] slen t s = Bigarray.Array1.unsafe_get t.sl (s - 2)
+let[@inline] sget t s i = Bigarray.Array1.unsafe_get t.sl (s + i)
 
 (* Callers write every field (send_sr, fanout, clone), so the record comes
    back uninitialized; the mirror is only re-fetched when the handle lies
@@ -282,7 +300,9 @@ let sync_last_seqs t h =
 let on_deliver t f = t.deliver <- f
 let on_bcast_deliver t f = t.bcast_deliver <- f
 let on_drop t f = t.drop <- f
-let set_broadcast t b = t.broadcast <- Some b
+let set_broadcast t b =
+  t.broadcast <- Some b;
+  t.fibs <- [||]
 
 let tx_time_ns t bytes =
   if bytes = t.tx_memo_bytes then t.tx_memo_ns
@@ -379,7 +399,7 @@ let flaky_link_stats t u v =
 
 let flaky_lost t = t.flaky_lost
 let flaky_lost_bytes t = t.flaky_lost_bytes
-let set_arrive_tap t f = t.arrive_tap <- f
+let set_arrive_tap t f = t.arrive_tap <- Some f
 
 (* -- routes --------------------------------------------------------------- *)
 
@@ -500,15 +520,39 @@ let blackholed_ctrl_bytes t = t.blackholed_ctrl_bytes
 
 (* -- forwarding ----------------------------------------------------------- *)
 
-(* The tree's FIB: one cache-validated fetch per arrival or injection,
-   then a walk over the set bits of the vertex's bytes. The bits are read
-   in place through the topology's {!Topology.tree_layout}: under -opaque
-   a call to {!Topology.iter_tree_links} would not be inlined, and a FIB
-   read is the per-hop work of a broadcast. *)
-let fib t ~root ~tree =
+(* The tree's FIB: one memo read per arrival or injection, then a walk
+   over the set bits of the vertex's bytes. The bits are read in place
+   through the topology's tree layout ([first_byte], [slot_link]): under
+   -opaque a call to {!Topology.iter_tree_links} would not be inlined, and
+   a FIB read is the per-hop work of a broadcast. *)
+let fetch_fib t ~root ~tree =
   match t.broadcast with
-  | Some b -> (Broadcast.fib b ~src:root ~tree :> Bytes.t)
   | None -> invalid_arg "Net: broadcast FIB not configured"
+  | Some b ->
+      (* Raises on an out-of-range root or tree, so the slot below exists. *)
+      let f = (Broadcast.fib b ~src:root ~tree :> Bytes.t) in
+      if Array.length t.fibs = 0 then begin
+        t.fib_trees <- Broadcast.trees_per_source b;
+        t.fibs <- Array.make (Topology.vertex_count t.topo * t.fib_trees) Bytes.empty;
+        let lay = Topology.tree_layout t.topo in
+        t.first_byte <- lay.first_byte;
+        t.slot_link <- lay.slot_link
+      end;
+      t.fibs.((root * t.fib_trees) + tree) <- f;
+      f
+
+let fib t ~root ~tree =
+  let v = Topology.version t.topo in
+  if v <> t.fib_version then begin
+    Array.fill t.fibs 0 (Array.length t.fibs) Bytes.empty;
+    t.fib_version <- v
+  end;
+  let k = (root * t.fib_trees) + tree in
+  if
+    tree >= 0 && tree < t.fib_trees && k >= 0 && k < Array.length t.fibs
+    && Bytes.length (Array.unsafe_get t.fibs k) > 0
+  then Array.unsafe_get t.fibs k
+  else fetch_fib t ~root ~tree
 
 (* The index of the lowest set bit of each nonzero byte: a vertex's
    children are visited one set bit at a time, with no branch on the
@@ -519,8 +563,8 @@ let lowest_bit =
       Char.chr (low 0))
 
 (* The link of the lowest set bit of byte [y], [bits] nonzero. *)
-let[@inline] child_link (lay : Topology.tree_layout) y bits =
-  Array.unsafe_get lay.slot_link ((8 * y) + Char.code (String.unsafe_get lowest_bit bits))
+let[@inline] child_link t y bits =
+  Array.unsafe_get t.slot_link ((8 * y) + Char.code (String.unsafe_get lowest_bit bits))
 
 (* Forwarding is mutually recursive with arrival: an arriving packet is
    re-enqueued towards its next hop. *)
@@ -640,7 +684,7 @@ and enqueue_link t link_id pkt =
 and arrive t node pkt =
   if not (Array.unsafe_get t.nodes_up node) then blackhole t pkt
   else begin
-    t.arrive_tap ~node pkt;
+    (match t.arrive_tap with Some tap -> tap ~node pkt | None -> ());
     let m = fget t pkt f_meta in
     let k = meta_kind m in
     let b = meta_bytes m in
@@ -683,9 +727,9 @@ and arrive t node pkt =
    copies carry the empty route and no slices, so a copy is its eight
    words. *)
 and replicate t pkt ~root ~tree ~from =
-  let fib = fib t ~root ~tree and lay = Topology.tree_layout t.topo in
+  let fib = fib t ~root ~tree in
   let held = ref (-1) in
-  for y = lay.first_byte.(from) to lay.first_byte.(from + 1) - 1 do
+  for y = t.first_byte.(from) to t.first_byte.(from + 1) - 1 do
     let bits = ref (Char.code (Bytes.unsafe_get fib y)) in
     while !bits <> 0 do
       if !held >= 0 then begin
@@ -695,7 +739,7 @@ and replicate t pkt ~root ~tree ~from =
         done;
         enqueue_link t !held c
       end;
-      held := child_link lay y !bits;
+      held := child_link t y !bits;
       bits := !bits land (!bits - 1)
     done
   done;
@@ -703,8 +747,8 @@ and replicate t pkt ~root ~tree ~from =
 
 (* Injection at the tree's root: a fresh packet per child. *)
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
-  let fib = fib t ~root ~tree and lay = Topology.tree_layout t.topo in
-  for y = lay.first_byte.(from) to lay.first_byte.(from + 1) - 1 do
+  let fib = fib t ~root ~tree in
+  for y = t.first_byte.(from) to t.first_byte.(from + 1) - 1 do
     let bits = ref (Char.code (Bytes.unsafe_get fib y)) in
     while !bits <> 0 do
       let h = alloc_pkt t in
@@ -716,7 +760,7 @@ and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
       fset t h f_p3 p3;
       fset t h f_p4 p4;
       fset t h f_p5 p5;
-      enqueue_link t (child_link lay y !bits) h;
+      enqueue_link t (child_link t y !bits) h;
       bits := !bits land (!bits - 1)
     done
   done
@@ -751,6 +795,11 @@ let create engine topo ?(queue_capacity = max_int) ~link_gbps () =
       tx_memo_bytes = -1;
       tx_memo_ns = 0;
       broadcast = None;
+      fibs = [||];
+      fib_trees = 0;
+      fib_version = Topology.version topo;
+      first_byte = [||];
+      slot_link = [||];
       deliver = ignore;
       bcast_deliver = (fun _ ~node:_ -> ());
       drop = ignore;
@@ -774,7 +823,7 @@ let create engine topo ?(queue_capacity = max_int) ~link_gbps () =
       flaky = None;
       flaky_lost = 0;
       flaky_lost_bytes = 0;
-      arrive_tap = (fun ~node:_ _ -> ());
+      arrive_tap = None;
     }
   in
   Engine.set_handler engine (fun key ->

@@ -149,7 +149,11 @@ val on_bcast_deliver : t -> (packet -> node:int -> unit) -> unit
 val on_drop : t -> (packet -> unit) -> unit
 
 val set_broadcast : t -> Broadcast.t -> unit
-(** Required before sending broadcast packets. *)
+(** Required before sending broadcast packets; the broadcast must be over
+    the fabric's topology. The fabric keeps each tree's FIB as
+    {!Broadcast.fib} returned it until {!Topology.version} moves, then
+    fetches it again, so [Broadcast] re-validates and repairs trees just
+    as it would on every hop. *)
 
 (** {2 Injection}
 
@@ -332,7 +336,8 @@ val flaky_lost_bytes : t -> int
 val set_arrive_tap : t -> (node:int -> packet -> unit) -> unit
 (** Observation tap fired on every live arrival, relays included (dead-node
     arrivals blackhole instead and never reach the tap). Chaos-scenario
-    invariant monitors hang off this; the default tap does nothing. *)
+    invariant monitors hang off this. Until one is installed no tap is
+    called. *)
 
 val max_queue_bytes : t -> int array
 (** Per-link maximum queue occupancy observed (bytes). *)

@@ -69,7 +69,7 @@ let engine_clock_never_backwards backend () =
   Sim.Engine.run eng;
   Alcotest.(check (list int)) "each event fired once, in order" [ 5_000; 50_000 ] (List.rev !log)
 
-(* A deadline more than one calendar wheel (16 384 ns) before every
+(* A deadline more than one calendar wheel (16,000 ns) before every
    pending event must not move the wheel's window past the deadline: the
    times between the deadline and the next event stay schedulable, as
    they are on the heap. *)
@@ -194,6 +194,73 @@ let run_script backend steps =
   Sim.Engine.run eng;
   note (Clock (Sim.Engine.now eng, Sim.Engine.pending eng));
   (List.rev !log, !ok)
+
+(* -- the calendar wheel, through the engine -------------------------------- *)
+
+(* Schedule event [i] at [time], keyed by [i] or as a closure; both log
+   (fire time, i). *)
+let wheel_engine () =
+  let eng = Sim.Engine.create ~backend:Sim.Engine.Calendar () in
+  let log = ref [] in
+  let note i = log := (Sim.Engine.now eng, i) :: !log in
+  Sim.Engine.set_handler eng note;
+  let add ~keyed time i =
+    if keyed then Sim.Engine.after_key eng (time - Sim.Engine.now eng) i
+    else Sim.Engine.at eng time (fun () -> note i)
+  in
+  (eng, log, add)
+
+(* Event ids are unique keys. Times up to 200k span a dozen 16,000-ns
+   windows, so the overflow heap and window migration run, not just the
+   wheel. *)
+let qcheck_wheel_order =
+  QCheck.Test.make ~name:"drain order = stable sort by time" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (pair bool (int_bound 200_000)))
+    (fun events ->
+      let eng, log, add = wheel_engine () in
+      List.iteri (fun i (keyed, time) -> add ~keyed time i) events;
+      Sim.Engine.run eng;
+      let expected =
+        List.mapi (fun i (_, time) -> (time, i)) events
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.rev !log = expected && Sim.Engine.pending eng = 0)
+
+(* A deadline stops the drain before the head and moves the clock to it;
+   a head past the window is popped once the deadline reaches it. *)
+let wheel_pop_until () =
+  let eng, log, add = wheel_engine () in
+  Sim.Engine.run ~until:100 eng;
+  Alcotest.(check int) "empty: the clock stays" 0 (Sim.Engine.now eng);
+  add ~keyed:true 50_000 7;
+  add ~keyed:false 50_000 8;
+  Sim.Engine.run ~until:49_999 eng;
+  Alcotest.(check (list (pair int int))) "deadline before head" [] !log;
+  Alcotest.(check int) "clock at the deadline" 49_999 (Sim.Engine.now eng);
+  Sim.Engine.run ~until:50_000 eng;
+  Alcotest.(check (list (pair int int))) "pops at deadline" [ (50_000, 7); (50_000, 8) ]
+    (List.rev !log);
+  Sim.Engine.run ~until:1_000_000 eng;
+  Alcotest.(check int) "drained: the clock stays" 50_000 (Sim.Engine.now eng);
+  Alcotest.check_raises "past add rejected" (Invalid_argument "Engine.at: time in the past")
+    (fun () -> add ~keyed:false 3 0)
+
+(* Ties pop in scheduling order when some of the tied events migrated in
+   from the overflow heap and others were bucketed after the window moved
+   over them. *)
+let wheel_fifo_across_stores () =
+  let eng, log, add = wheel_engine () in
+  add ~keyed:true 100_000 0;
+  add ~keyed:false 3 10;
+  add ~keyed:false 100_000 1;
+  add ~keyed:true 3 11;
+  (* Fires after the window moved to 100,000's, then adds two more ties. *)
+  Sim.Engine.at eng 99_000 (fun () ->
+      add ~keyed:true 100_000 2;
+      add ~keyed:false 100_000 3);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "insertion order on ties" [ 10; 11; 0; 1; 2; 3 ]
+    (List.rev_map snd !log)
 
 let qcheck_engine_backends_agree =
   QCheck.Test.make ~name:"engine backends agree on random keyed/closure scripts" ~count:300
@@ -550,6 +617,97 @@ let net_flood_each_tree_once () =
   Alcotest.(check int) "each delivery is a hop or a duplicate"
     (Sim.Net.ctrl_hops net + Sim.Net.ctrl_dupped net)
     (Array.fold_left ( + ) 0 heard)
+
+(* Relay FIBs are kept per topology version. Every (root, tree) of a
+   4x4x4 torus is flooded through [Net] before and after a node failure
+   applied to both [Net] and [Topology], which moves the version: each
+   flood reaches every other live vertex exactly once, so no relay
+   forwards over a tree the failure broke. A [Broadcast] driven without
+   [Net] — every tree walked through [Broadcast.children] before and after
+   the same failure — counts the same repairs. *)
+let net_fib_memo_across_failure () =
+  let dims = [| 4; 4; 4 |] and dead = 21 in
+  let topo = Topology.torus dims in
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create eng topo ~link_gbps:Topology.link_gbps () in
+  let b = Broadcast.make topo in
+  Sim.Net.set_broadcast net b;
+  let trees = Broadcast.trees_per_source b in
+  let heard = Array.make (64 * trees * 64) 0 in
+  Sim.Net.on_bcast_deliver net (fun pkt ~node ->
+      let i = (Sim.Net.bcast_id net pkt * 64) + node in
+      heard.(i) <- heard.(i) + 1);
+  let flood label =
+    Array.fill heard 0 (Array.length heard) 0;
+    for root = 0 to 63 do
+      if Topology.node_alive topo root then
+        for tree = 0 to trees - 1 do
+          Sim.Net.send_bcast net ~root ~tree ~bcast_id:((root * trees) + tree) ~bytes:16 ()
+        done
+    done;
+    Sim.Engine.run eng;
+    Array.iteri
+      (fun i n ->
+        let id = i / 64 and node = i mod 64 in
+        let root = id / trees in
+        let live v = Topology.node_alive topo v in
+        let want = if node <> root && live root && live node then 1 else 0 in
+        if n <> want then
+          Alcotest.failf "%s: root %d tree %d: node %d heard %d copies, want %d" label root
+            (id mod trees) node n want)
+      heard
+  in
+  flood "before";
+  let v0 = Topology.version topo in
+  Sim.Net.fail_node net dead;
+  Topology.fail_node topo dead;
+  Alcotest.(check bool) "the version moved" true (Topology.version topo > v0);
+  flood "after";
+  let topo' = Topology.torus dims in
+  let b' = Broadcast.make topo' in
+  let walk () =
+    for root = 0 to 63 do
+      if Topology.node_alive topo' root then
+        for tree = 0 to trees - 1 do
+          let rec down v = List.iter down (Broadcast.children b' ~src:root ~tree v) in
+          down root
+        done
+    done
+  in
+  walk ();
+  Topology.fail_node topo' dead;
+  walk ();
+  Alcotest.(check bool) "the failure broke some trees" true (Broadcast.repairs b' > 0);
+  Alcotest.(check int) "repairs as without the memo" (Broadcast.repairs b') (Broadcast.repairs b)
+
+(* A tap installed between two runs sees every arrival after it: the
+   same arrivals, at the same times, as a tap installed from the start
+   sees past that instant. *)
+let net_tap_installed_mid_run () =
+  let mid = 5_000 in
+  let run ~early =
+    let eng, topo, net = mk_net () in
+    Sim.Net.set_broadcast net (Broadcast.make topo);
+    let seen = ref [] in
+    let tap () =
+      Sim.Net.set_arrive_tap net (fun ~node _ -> seen := (Sim.Engine.now eng, node) :: !seen)
+    in
+    if early then tap ();
+    for i = 0 to 9 do
+      send_data net ~flow:i ~bytes:1500 [| 0; 1; 2; 3 |]
+    done;
+    Sim.Net.send_bcast net ~root:5 ~tree:0 ~bcast_id:1 ~bytes:16 ();
+    Sim.Engine.run ~until:mid eng;
+    if not early then tap ();
+    Sim.Engine.run eng;
+    List.rev !seen
+  in
+  let all = run ~early:true and late = run ~early:false in
+  Alcotest.(check bool) "arrivals on both sides of the install" true
+    (List.exists (fun (t, _) -> t <= mid) all && late <> []);
+  Alcotest.(check (list (pair int int))) "every later arrival counted"
+    (List.filter (fun (t, _) -> t > mid) all)
+    late
 
 (* The data plane's zero-allocation gate: 512 single-hop streams on the
    8x8x8 torus with 32 packets in flight each, so over a
@@ -1224,7 +1382,12 @@ let suites =
               tc ("keyed events: " ^ name) (engine_keyed_events backend);
             ])
           backends
-      @ [ QCheck_alcotest.to_alcotest qcheck_engine_backends_agree ] );
+      @ [
+          QCheck_alcotest.to_alcotest qcheck_engine_backends_agree;
+          QCheck_alcotest.to_alcotest qcheck_wheel_order;
+          tc "pop_until deadline semantics" wheel_pop_until;
+          tc "fifo ties across wheel and overflow" wheel_fifo_across_stores;
+        ] );
     ( "sim.net",
       [
         tc "source-routed delivery and latency" net_delivers_along_route;
@@ -1242,6 +1405,8 @@ let suites =
         tc "broadcast replication allocates nothing" net_broadcast_replication_zero_alloc;
         tc "digest check allocates nothing" digest_check_zero_alloc;
         tc "each flood reaches each vertex once, also with duplicates" net_flood_each_tree_once;
+        tc "relay FIBs follow the topology version across a failure" net_fib_memo_across_failure;
+        tc "an arrive tap installed mid-run counts every later arrival" net_tap_installed_mid_run;
         tc "many concurrent streams allocate nothing" net_many_streams_zero_alloc;
       ] );
     ( "sim.metrics",

@@ -602,60 +602,6 @@ let arena_ints_refcount () =
   Util.Arena.Ints.release p e;
   Util.Arena.Ints.release p e
 
-(* -- calendar queue -------------------------------------------------------- *)
-
-(* Ids double as list indices so every payload is unique (the queue's FIFO
-   links are intrusive). Times up to 50k against a 256-slot wheel exercise
-   the overflow heap and window migration, not just the happy path. *)
-let qcheck_calqueue_order =
-  QCheck.Test.make ~name:"drain order = stable sort by time" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 200) (int_bound 50_000))
-    (fun times ->
-      let q = Util.Calqueue.create ~wheel:256 () in
-      List.iteri (fun i t -> Util.Calqueue.add q ~time:t i) times;
-      let expected =
-        List.mapi (fun i t -> (t, i)) times
-        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let rec drain acc =
-        match Util.Calqueue.pop q with
-        | None -> List.rev acc
-        | Some (t, id) -> drain ((t, id) :: acc)
-      in
-      drain [] = expected)
-
-let calqueue_pop_until () =
-  let q = Util.Calqueue.create ~wheel:16 () in
-  Alcotest.(check int) "empty" (-1) (Util.Calqueue.pop_until q ~until:100);
-  (* Time 50 lands in the overflow heap (wheel 16), so hitting it also
-     crosses a window advance. *)
-  Util.Calqueue.add q ~time:50 7;
-  Alcotest.(check int) "deadline before head" (-2) (Util.Calqueue.pop_until q ~until:49);
-  Alcotest.(check int) "head time readable after -2" 50 (Util.Calqueue.popped_time q);
-  Alcotest.(check int) "pops at deadline" 7 (Util.Calqueue.pop_until q ~until:50);
-  Alcotest.(check int) "popped time" 50 (Util.Calqueue.popped_time q);
-  Alcotest.(check int) "drained" (-1) (Util.Calqueue.pop_until q ~until:1000);
-  Alcotest.check_raises "past add rejected"
-    (Invalid_argument "Calqueue.add: time below window") (fun () ->
-      Util.Calqueue.add q ~time:3 0)
-
-let calqueue_fifo_across_stores () =
-  (* Ties must pop in insertion order even when some of the tied entries
-     were bucketed directly and others migrated in from the overflow heap. *)
-  let q = Util.Calqueue.create ~wheel:8 () in
-  Util.Calqueue.add q ~time:100 0;
-  Util.Calqueue.add q ~time:3 10;
-  Util.Calqueue.add q ~time:100 1;
-  Util.Calqueue.add q ~time:3 11;
-  Util.Calqueue.add q ~time:100 2;
-  Alcotest.(check bool) "overflow used" true (Util.Calqueue.overflow_pushes q > 0);
-  let rec drain acc =
-    match Util.Calqueue.pop q with
-    | None -> List.rev acc
-    | Some (_, id) -> drain (id :: acc)
-  in
-  Alcotest.(check (list int)) "insertion order on ties" [ 10; 11; 0; 1; 2 ] (drain [])
-
 let suites =
   [
     ( "util.units",
@@ -701,12 +647,6 @@ let suites =
         tc "double free detected" arena_double_free_detected;
         tc "freed handles recycled" arena_recycles_handles;
         tc "slice refcounting" arena_ints_refcount;
-      ] );
-    ( "util.calqueue",
-      [
-        QCheck_alcotest.to_alcotest qcheck_calqueue_order;
-        tc "pop_until deadline semantics" calqueue_pop_until;
-        tc "fifo ties across wheel and overflow" calqueue_fifo_across_stores;
       ] );
     ( "util.stats",
       [
