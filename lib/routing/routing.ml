@@ -80,7 +80,6 @@ and scratch = {
   dag_bits : int array;  (* DAG vertices as a bitmap, 32 per word; empty between calls *)
   mutable dp_stamp : int;
   share : float array;  (* per link: mass the last DP put on it *)
-  share_seen : int array;  (* per link: [dp_stamp] of the DP that set [share] *)
   touched : int array;  (* links the last DP deposited on, in deposit order *)
   mutable ntouched : int;
   acc : float array;  (* per link: a row composed from several parts *)
@@ -123,7 +122,6 @@ let scratch ctx =
           dag_bits = Array.make ((n + 31) / 32) 0;
           dp_stamp = 0;
           share = Array.make m 0.0;
-          share_seen = Array.make m 0;
           touched = Array.make m 0;
           ntouched = 0;
           acc = Array.make m 0.0;
@@ -213,18 +211,20 @@ let node_shadowed ctx w =
    draw, so runs without quarantine consume the identical RNG stream. *)
 let walk_into ctx sc rng ~lowest ~pos ~src ~dst =
   let t = ctx.topo in
+  let { Topology.first; ldst } = Topology.flat t in
+  let row = Topology.mask_row t ~dst in
   let path = sc.path and ports = sc.ports in
   let pos = ref pos and u = ref src in
   path.(!pos) <- src;
   while !u <> dst do
-    let out = Topology.out_links t !u in
-    let n = Topology.productive_ports t !u ~dst ports in
+    let n = Topology.productive_ports t ~row !u ports in
     if n = 0 then invalid_arg "Routing: destination unreachable";
+    let base = first.(!u) in
     let k =
       if lowest then begin
         let best = ref 0 in
         for k = 1 to n - 1 do
-          if fst out.(ports.(k)) < fst out.(ports.(!best)) then best := k
+          if ldst.(base + ports.(k)) < ldst.(base + ports.(!best)) then best := k
         done;
         !best
       end
@@ -232,7 +232,7 @@ let walk_into ctx sc rng ~lowest ~pos ~src ~dst =
       else begin
         let total = ref 0.0 in
         for k = 0 to n - 1 do
-          sc.weights.(k) <- link_weight ctx (snd out.(ports.(k)));
+          sc.weights.(k) <- link_weight ctx (base + ports.(k));
           total := !total +. sc.weights.(k)
         done;
         assert (!total > 0.0);
@@ -248,7 +248,7 @@ let walk_into ctx sc rng ~lowest ~pos ~src ~dst =
         !k
       end
     in
-    u := fst out.(ports.(k));
+    u := ldst.(base + ports.(k));
     incr pos;
     path.(!pos) <- !u
   done;
@@ -499,7 +499,6 @@ let sample_paths_distinct ctx rng ~k ~src ~dst =
    in-links in deposit order and joins the queue on its first. *)
 let[@inline] deposit sc v l share =
   sc.share.(l) <- 0.0 +. share;
-  sc.share_seen.(l) <- sc.dp_stamp;
   sc.touched.(sc.ntouched) <- l;
   sc.ntouched <- sc.ntouched + 1;
   if sc.seen.(v) = sc.dp_stamp then sc.mass.(v) <- sc.mass.(v) +. share
@@ -521,6 +520,8 @@ let min_dp ctx sc ~src ~dst =
   let t = ctx.topo in
   let d = Topology.dist_to t dst in
   if d.(src) = max_int then invalid_arg "Routing: destination unreachable";
+  let { Topology.first; ldst } = Topology.flat t in
+  let row = Topology.mask_row t ~dst in
   let ports = sc.ports in
   sc.dp_stamp <- sc.dp_stamp + 1;
   sc.ntouched <- 0;
@@ -534,24 +535,24 @@ let min_dp ctx sc ~src ~dst =
     for j = hi - 1 downto !lo do
       let u = sc.queue.(j) in
       let p = sc.mass.(u) in
-      let out = Topology.out_links t u in
-      let n = Topology.productive_ports t u ~dst ports in
+      let n = Topology.productive_ports t ~row u ports in
+      let base = first.(u) in
       if ctx.demoted = 0 then begin
         (* Uniform split — the exact legacy arithmetic. *)
         let share = p /. float_of_int n in
         for k = 0 to n - 1 do
-          let v, l = out.(ports.(k)) in
-          deposit sc v l share
+          let l = base + ports.(k) in
+          deposit sc ldst.(l) l share
         done
       end
       else begin
         let wtot = ref 0.0 in
         for k = 0 to n - 1 do
-          wtot := !wtot +. link_weight ctx (snd out.(ports.(k)))
+          wtot := !wtot +. link_weight ctx (base + ports.(k))
         done;
         for k = 0 to n - 1 do
-          let v, l = out.(ports.(k)) in
-          deposit sc v l (p *. link_weight ctx l /. !wtot)
+          let l = base + ports.(k) in
+          deposit sc ldst.(l) l (p *. link_weight ctx l /. !wtot)
         done
       end
     done;
@@ -560,13 +561,16 @@ let min_dp ctx sc ~src ~dst =
 
 (* The last DP's row, sorted by link id without a sort: links are numbered
    source-major ({!Topology.link_count}), so visiting the DAG's vertices
-   by id, and each one's consecutive link ids in order, lists them
-   ascending. The DAG's vertices are the DP's queue, put in id order
-   through a bitmap that is emptied as it is read. Allocates the row
-   only. *)
+   by id, and each one's masked ports in order, lists them ascending.
+   The DP deposited on exactly those links: every DAG vertex but [dst]
+   was expanded over its masked ports, and [dst]'s mask is empty. The
+   DAG's vertices are the DP's queue, put in id order through a bitmap
+   that is emptied as it is read. Allocates the row only. *)
 let min_fractions ctx sc ~src ~dst =
   min_dp ctx sc ~src ~dst;
-  let t = ctx.topo and bits = sc.dag_bits and stamp = sc.dp_stamp in
+  let t = ctx.topo and bits = sc.dag_bits and ports = sc.ports in
+  let first = (Topology.flat t).first in
+  let row = Topology.mask_row t ~dst in
   for j = 0 to sc.qtail - 1 do
     let u = sc.queue.(j) in
     bits.(u lsr 5) <- bits.(u lsr 5) lor (1 lsl (u land 31))
@@ -578,14 +582,12 @@ let min_fractions ctx sc ~src ~dst =
     bits.(w) <- 0;
     while !word <> 0 do
       if !word land 1 <> 0 then begin
-        let out = Topology.out_links t !u in
-        let base = snd out.(0) in
-        for l = base to base + Array.length out - 1 do
-          if sc.share_seen.(l) = stamp then begin
-            links.(!k) <- l;
-            fracs.(!k) <- sc.share.(l);
-            incr k
-          end
+        let base = first.(!u) in
+        for i = 0 to Topology.productive_ports t ~row !u ports - 1 do
+          let l = base + ports.(i) in
+          links.(!k) <- l;
+          fracs.(!k) <- sc.share.(l);
+          incr k
         done
       end;
       word := !word lsr 1;

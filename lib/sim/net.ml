@@ -554,17 +554,10 @@ let fib t ~root ~tree =
   then Array.unsafe_get t.fibs k
   else fetch_fib t ~root ~tree
 
-(* The index of the lowest set bit of each nonzero byte: a vertex's
-   children are visited one set bit at a time, with no branch on the
-   bits in between. *)
-let lowest_bit =
-  String.init 256 (fun b ->
-      let rec low i = if b = 0 || b land (1 lsl i) <> 0 then i else low (i + 1) in
-      Char.chr (low 0))
-
-(* The link of the lowest set bit of byte [y], [bits] nonzero. *)
+(* The link of the lowest set bit of byte [y], [bits] nonzero: a
+   vertex's children are visited one set bit at a time. *)
 let[@inline] child_link t y bits =
-  Array.unsafe_get t.slot_link ((8 * y) + Char.code (String.unsafe_get lowest_bit bits))
+  Array.unsafe_get t.slot_link ((8 * y) + Char.code (String.unsafe_get Topology.lowest_bit bits))
 
 (* Forwarding is mutually recursive with arrival: an arriving packet is
    re-enqueued towards its next hop. *)

@@ -14,26 +14,35 @@ type kind =
   | Flattened_butterfly of int
   | Custom of string
 
+(* Compressed sparse rows: link ids are source-major, so vertex [u]'s
+   links are ids [first.(u) .. first.(u + 1) - 1] in port order and
+   [ldst] lists their far ends. *)
+type flat = { first : int array; ldst : int array }
+
 type t = {
   kind : kind;
   hosts : int;
   nverts : int;
+  (* The adjacency as (neighbour, link) tuples, for the cold callers of
+     [out_links]; the searches and the routing kernels read [flat]. *)
   out : (node * link_id) array array;
+  flat : flat;
+  (* Vertex [u]'s bytes in a mask row or a tree start at
+     [port_byte.(u)], one byte per 8 ports. *)
+  port_byte : int array;
   lsrc : int array;
-  ldst : int array;
-  (* Dense (u * nverts + v) -> link_id matrix, -1 when not adjacent: the
-     packet hot path resolves one link per hop with a single load.
-     Rack-scale vertex counts keep it small: 512 nodes -> 2 MB. *)
-  link_mat : int array;
   (* Distances towards each destination, indexed by destination; [||] =
      not computed. Reading an entry allocates nothing. *)
   dist_cache : int array array;
   (* Live down-state overlay: links and nodes can be failed and restored
      without rebuilding the graph. [link_failed] records explicitly failed
      directed links; a link is alive only if it is not failed AND both its
-     endpoints are up, so node and link failures compose. *)
+     endpoints are up, so node and link failures compose. [live] holds
+     that verdict, one byte per link ('\001' = alive), refreshed by every
+     fail and restore, so a hot loop tests a link with one load. *)
   link_failed : bool array;
   node_up : bool array;
+  live : Bytes.t;
   mutable version : int;
   (* Breadth-first search queue, shared by every search on this graph so
      that a search allocates nothing but its output. *)
@@ -41,6 +50,9 @@ type t = {
   (* The slots every spanning tree of the graph lays its bits out in;
      [None] until the first tree is built. *)
   mutable layout : tree_layout option;
+  (* The productive-port masks of every destination in one store, empty
+     until the first mask read (see [mask_row]). *)
+  mutable masks : Bytes.t;
 }
 
 and tree_layout = {
@@ -60,48 +72,45 @@ let build ~kind ~hosts ~nverts edges =
   List.iter
     (fun (u, v) ->
       assert (u <> v && u >= 0 && v >= 0 && u < nverts && v < nverts);
+      if List.mem v adj.(u) then invalid_arg "Topology: cable listed twice";
       adj.(u) <- v :: adj.(u);
       adj.(v) <- u :: adj.(v))
     edges;
-  let link_mat = Array.make (nverts * nverts) (-1) in
-  let next = ref 0 in
+  let first = Array.make (nverts + 1) 0 and first_byte = Array.make (nverts + 1) 0 in
+  for u = 0 to nverts - 1 do
+    let deg = List.length adj.(u) in
+    first.(u + 1) <- first.(u) + deg;
+    first_byte.(u + 1) <- first_byte.(u) + ((deg + 7) / 8)
+  done;
+  let m = first.(nverts) in
+  let lsrc = Array.make m 0 and ldst = Array.make m 0 in
   let out =
     Array.init nverts (fun u ->
-        let neighbors = List.rev adj.(u) in
         Array.of_list
-          (List.map
-             (fun v ->
-               if link_mat.((u * nverts) + v) >= 0 then
-                 invalid_arg "Topology: cable listed twice";
-               let id = !next in
-               incr next;
-               link_mat.((u * nverts) + v) <- id;
-               (v, id))
-             neighbors))
+          (List.mapi
+             (fun i v ->
+               let l = first.(u) + i in
+               lsrc.(l) <- u;
+               ldst.(l) <- v;
+               (v, l))
+             (List.rev adj.(u))))
   in
-  let lsrc = Array.make !next 0 and ldst = Array.make !next 0 in
-  Array.iteri
-    (fun u hops ->
-      Array.iter
-        (fun (v, id) ->
-          lsrc.(id) <- u;
-          ldst.(id) <- v)
-        hops)
-    out;
   {
     kind;
     hosts;
     nverts;
     out;
+    flat = { first; ldst };
+    port_byte = first_byte;
     lsrc;
-    ldst;
-    link_mat;
     dist_cache = Array.make nverts [||];
-    link_failed = Array.make !next false;
+    link_failed = Array.make m false;
     node_up = Array.make nverts true;
+    live = Bytes.make m '\001';
     version = 0;
     queue = Array.make nverts 0;
     layout = None;
+    masks = Bytes.empty;
   }
 
 let effective_dims dims =
@@ -254,13 +263,25 @@ let vertex_count t = t.nverts
 let host_count t = t.hosts
 let link_count t = Array.length t.lsrc
 let link_src t l = t.lsrc.(l)
-let link_dst t l = t.ldst.(l)
+let link_dst t l = t.flat.ldst.(l)
 let out_links t u = t.out.(u)
 let degree t u = Array.length t.out.(u)
-let[@inline] find_link_id t u v =
+let flat t = t.flat
+
+(* A scan of [u]'s neighbours: at most its degree, one cache line of
+   [ldst] on a torus. *)
+let find_link_id t u v =
   let n = t.nverts in
   if u < 0 || u >= n || v < 0 || v >= n then -1
-  else Array.unsafe_get t.link_mat ((u * n) + v)
+  else begin
+    let { first; ldst } = t.flat in
+    let stop = Array.unsafe_get first (u + 1) in
+    let l = ref (Array.unsafe_get first u) in
+    while !l < stop && Array.unsafe_get ldst !l <> v do
+      incr l
+    done;
+    if !l < stop then !l else -1
+  end
 
 let find_link t u v =
   let l = find_link_id t u v in
@@ -269,7 +290,7 @@ let find_link t u v =
 (* -- live down-state ----------------------------------------------------- *)
 
 let node_alive t u = t.node_up.(u)
-let[@inline] link_alive t l = (not t.link_failed.(l)) && t.node_up.(t.lsrc.(l)) && t.node_up.(t.ldst.(l))
+let link_alive t l = Bytes.get t.live l = '\001'
 let version t = t.version
 
 let alive_vertex_count t =
@@ -282,15 +303,41 @@ let cable_ids t u v =
   if a < 0 || b < 0 then invalid_arg "Topology: vertices not adjacent";
   (a, b)
 
+let refresh_live t l =
+  let alive = (not t.link_failed.(l)) && t.node_up.(t.lsrc.(l)) && t.node_up.(t.flat.ldst.(l)) in
+  Bytes.set t.live l (if alive then '\001' else '\000')
+
+(* Both links of every cable at [u]. *)
+let refresh_cables_at t u =
+  let { first; ldst } = t.flat in
+  for l = first.(u) to first.(u + 1) - 1 do
+    refresh_live t l;
+    refresh_live t (find_link_id t ldst.(l) u)
+  done
+
+(* The mask store holds one row of [port_byte.(n)] bytes per
+   destination, then one byte per destination, '\001' while its row is
+   filled. *)
+let mask_ready t dst = (t.nverts * t.port_byte.(t.nverts)) + dst
+
 (* Cache invalidation is selective: a cached distance array towards [dst]
    is dropped only when the changed element can lie on (failure) or create
    (restore) a shortest path towards [dst] under the distances the cache
-   currently holds. *)
+   currently holds. The destination's mask row is dropped with them.
+   A row that stays is still right: a link is productive only if its
+   ends' distances differ by exactly one, and a change that keeps the
+   distances flips the liveness of no such link. A cut or restored
+   cable keeps them only if its ends' distances do not differ by one,
+   and a failed node only if it is unreachable (max_int, more than one
+   away from any distance). *)
+let drop t dst =
+  t.dist_cache.(dst) <- [||];
+  if Bytes.length t.masks > 0 then Bytes.set t.masks (mask_ready t dst) '\000'
 
 let invalidate t stale =
   for dst = 0 to t.nverts - 1 do
     let d = t.dist_cache.(dst) in
-    if Array.length d > 0 && stale d then t.dist_cache.(dst) <- [||]
+    if Array.length d > 0 && stale d then drop t dst
   done
 
 let invalidate_link_failure t u v =
@@ -307,6 +354,8 @@ let fail_link t u v =
     invalidate_link_failure t u v;
     t.link_failed.(a) <- true;
     t.link_failed.(b) <- true;
+    refresh_live t a;
+    refresh_live t b;
     t.version <- t.version + 1
   end
 
@@ -315,6 +364,8 @@ let restore_link t u v =
   if t.link_failed.(a) || t.link_failed.(b) then begin
     t.link_failed.(a) <- false;
     t.link_failed.(b) <- false;
+    refresh_live t a;
+    refresh_live t b;
     invalidate_link_restore t u v;
     t.version <- t.version + 1
   end
@@ -324,6 +375,7 @@ let fail_node t u =
   if t.node_up.(u) then begin
     invalidate_node_failure t u;
     t.node_up.(u) <- false;
+    refresh_cables_at t u;
     t.version <- t.version + 1
   end
 
@@ -331,8 +383,11 @@ let restore_node t u =
   if u < 0 || u >= t.nverts then invalid_arg "Topology.restore_node";
   if not t.node_up.(u) then begin
     t.node_up.(u) <- true;
+    refresh_cables_at t u;
     (* A node coming back can shorten arbitrary paths; flush everything. *)
-    Array.fill t.dist_cache 0 t.nverts [||];
+    for dst = 0 to t.nverts - 1 do
+      drop t dst
+    done;
     t.version <- t.version + 1
   end
 
@@ -353,17 +408,16 @@ let of_coords t c =
 let bfs t src =
   let dist = Array.make t.nverts max_int in
   if t.node_up.(src) then begin
-    let q = t.queue in
+    let q = t.queue and { first; ldst } = t.flat and live = t.live in
     dist.(src) <- 0;
     q.(0) <- src;
     let head = ref 0 and tail = ref 1 in
     while !head < !tail do
       let u = q.(!head) in
       incr head;
-      let out = t.out.(u) in
-      for i = 0 to Array.length out - 1 do
-        let v, l = out.(i) in
-        if dist.(v) = max_int && link_alive t l then begin
+      for l = first.(u) to first.(u + 1) - 1 do
+        let v = ldst.(l) in
+        if dist.(v) = max_int && Bytes.unsafe_get live l = '\001' then begin
           dist.(v) <- dist.(u) + 1;
           q.(!tail) <- v;
           incr tail
@@ -386,29 +440,75 @@ let dist_to t dst =
 
 let distance t u v = (dist_to t v).(u)
 
-(* The one productive-hop test: hop [(v, l)] out of [u] steps one hop
-   closer to the destination whose distances are [d], over an alive link.
-   The distance filter alone is not enough: a dead link between two alive
-   vertices still satisfies d.(v) = d.(u) - 1. Unreachable [u]
-   (d.(u) = max_int) and [u] = dst (d.(u) = 0) have no productive hop,
-   since distances are either below the vertex count or max_int. *)
-let[@inline] productive t d u (v, l) = d.(v) = d.(u) - 1 && link_alive t l
+(* The one productive-hop test: 1 if link [l] out of a vertex [u] steps
+   one hop closer to the destination whose distances are [d] (so
+   [closer] = d.(u) - 1) and is alive, else 0, without a branch, as it
+   fills mask bits. The distance filter alone is not enough: a dead link
+   between two alive vertices still satisfies d.(v) = d.(u) - 1.
+   Unreachable [u] (d.(u) = max_int) and [u] = dst (d.(u) = 0) have no
+   productive hop, since distances are either below the vertex count or
+   max_int. The unchecked reads are in range: [l] is a link, and [d] has
+   an entry per vertex. *)
+let[@inline] productive t (d : int array) ~closer l =
+  Bool.to_int (Array.unsafe_get d (Array.unsafe_get t.flat.ldst l) = closer)
+  land Char.code (Bytes.unsafe_get t.live l)
 
-let productive_ports t u ~dst ports =
-  let d = dist_to t dst in
-  let out = t.out.(u) in
+let lowest_bit =
+  String.init 256 (fun b ->
+      let rec low i = if b = 0 || b land (1 lsl i) <> 0 then i else low (i + 1) in
+      Char.chr (low 0))
+
+let mask_store t =
+  if Bytes.length t.masks = 0 then begin
+    let n = t.nverts in
+    t.masks <- Bytes.make ((n * t.port_byte.(n)) + n) '\000'
+  end;
+  t.masks
+
+(* A row is filled from the destination's cached distances on its first
+   read, and dropped with them ([drop]). *)
+let mask_row t ~dst =
+  if dst < 0 || dst >= t.nverts then invalid_arg "Topology.mask_row";
+  let masks = mask_store t in
+  let first = t.flat.first and first_byte = t.port_byte in
+  let row = dst * first_byte.(t.nverts) in
+  let ready = mask_ready t dst in
+  if Bytes.get masks ready = '\000' then begin
+    let d = dist_to t dst in
+    for u = 0 to t.nverts - 1 do
+      let closer = d.(u) - 1 in
+      for y = first_byte.(u) to first_byte.(u + 1) - 1 do
+        let lo = first.(u) + (8 * (y - first_byte.(u))) in
+        let bits = ref 0 in
+        for l = lo to Int.min (lo + 8) first.(u + 1) - 1 do
+          bits := !bits lor (productive t d ~closer l lsl (l - lo))
+        done;
+        Bytes.set masks (row + y) (Char.unsafe_chr !bits)
+      done
+    done;
+    Bytes.set masks ready '\001'
+  end;
+  row
+
+(* The one mask decoder: set bits, lowest first, give the ports in
+   order. *)
+let productive_ports t ~row u ports =
+  let masks = t.masks and first_byte = t.port_byte in
   let n = ref 0 in
-  for i = 0 to Array.length out - 1 do
-    if productive t d u out.(i) then begin
-      ports.(!n) <- i;
-      incr n
-    end
+  for y = first_byte.(u) to first_byte.(u + 1) - 1 do
+    let bits = ref (Char.code (Bytes.get masks (row + y))) in
+    while !bits <> 0 do
+      ports.(!n) <- (8 * (y - first_byte.(u))) + Char.code (String.unsafe_get lowest_bit !bits);
+      incr n;
+      bits := !bits land (!bits - 1)
+    done
   done;
   !n
 
 let productive_hops t u ~dst =
   let d = dist_to t dst in
-  Array.of_list (List.filter (productive t d u) (Array.to_list t.out.(u)))
+  let closer = d.(u) - 1 in
+  Array.of_list (List.filter (fun (_, l) -> productive t d ~closer l = 1) (Array.to_list t.out.(u)))
 
 let reachable t u v =
   t.node_up.(u) && t.node_up.(v) && (u = v || (dist_to t v).(u) < max_int)
@@ -489,13 +589,9 @@ let tree_layout t =
   match t.layout with
   | Some lay -> lay
   | None ->
-      let n = t.nverts in
-      let first_byte = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        first_byte.(u + 1) <- first_byte.(u) + ((Array.length t.out.(u) + 7) / 8)
-      done;
+      let n = t.nverts and first_byte = t.port_byte in
       let slot_link = Array.make (8 * first_byte.(n)) (-1) in
-      let link_slot = Array.make (Array.length t.ldst) 0 in
+      let link_slot = Array.make (link_count t) 0 in
       for u = 0 to n - 1 do
         let by_far_end = Array.copy t.out.(u) in
         Array.sort (fun (v, _) (w, _) -> Int.compare v w) by_far_end;
@@ -528,22 +624,23 @@ let shortest_path_tree t ~root ~variant =
   let lay = tree_layout t in
   let tr = Bytes.make lay.first_byte.(t.nverts) '\000' in
   if t.node_up.(root) then begin
-    let q = t.queue and reached = lay.reached in
+    let q = t.queue and reached = lay.reached and { first; ldst } = t.flat and live = t.live in
     Bytes.set reached root '\001';
     q.(0) <- root;
     let head = ref 0 and tail = ref 1 in
     while !head < !tail do
       let u = q.(!head) in
       incr head;
-      let out = t.out.(u) in
-      let deg = Array.length out in
+      let base = first.(u) in
+      let deg = first.(u + 1) - base in
       (* Rotate exploration order so different variants attach vertices to
          different shortest-path parents. *)
       let rot = (variant + u) mod deg in
       for i = 0 to deg - 1 do
         let j = rot + i in
-        let v, l = out.(if j < deg then j else j - deg) in
-        if Bytes.get reached v = '\000' && link_alive t l then begin
+        let l = base + if j < deg then j else j - deg in
+        let v = ldst.(l) in
+        if Bytes.get reached v = '\000' && Bytes.unsafe_get live l = '\001' then begin
           Bytes.set reached v '\001';
           let s = lay.link_slot.(l) in
           let y = s lsr 3 in

@@ -94,8 +94,20 @@ val find_link : t -> node -> node -> link_id option
 
 val find_link_id : t -> node -> node -> int
 (** Allocation-free {!find_link}: the directed link id, or [-1] when the
-    vertices are not adjacent or either is out of range. The packet hot
-    path resolves one link per hop through this. *)
+    vertices are not adjacent or either is out of range, found by a
+    scan of [src]'s links in {!flat}. The packet hot path resolves one
+    link per hop through this. *)
+
+type flat = private {
+  first : int array;
+      (** [n + 1] entries: port [i] of [u], the [i]-th of {!out_links}, is
+          link [first.(u) + i] *)
+  ldst : int array;  (** the far end of every link *)
+}
+(** The adjacency as flat arrays, for the searches and the routing
+    kernels to fetch once per call. Never written. *)
+
+val flat : t -> flat
 
 val cable_ids : t -> node -> node -> link_id * link_id
 (** [cable_ids t u v] is the cable between [u] and [v] as its two directed
@@ -161,11 +173,26 @@ val productive_hops : t -> node -> dst:node -> (node * link_id) array
     links, in {!out_links} order. Empty if [node = dst] or [dst] is
     unreachable; never contains a failed link. *)
 
-val productive_ports : t -> node -> dst:node -> int array -> int
-(** [productive_ports t u ~dst ports] is {!productive_hops} without
-    allocating: it writes the positions in [out_links t u] of the
-    productive hops into [ports] (ascending; [ports] needs room for
-    [degree t u]) and returns their count. *)
+val mask_row : t -> dst:node -> int
+(** [mask_row t ~dst] names [dst]'s productive-port mask, one bit per
+    port of every vertex, set iff {!productive_hops} lists that hop, for
+    {!productive_ports} to read. The row is filled from {!dist_to}[ t dst]
+    on its first read and dropped with those distances; it allocates
+    nothing once they and the graph's one mask store exist. A row read
+    before a fail or restore may be stale: fetch it again after one.
+    Raises [Invalid_argument] when [dst] is out of range. *)
+
+val productive_ports : t -> row:int -> node -> int array -> int
+(** [productive_ports t ~row u ports] is {!productive_hops} towards the
+    destination of [row] ({!mask_row}) without allocating: it writes the
+    positions in [out_links t u] of the productive hops into [ports]
+    (ascending; [ports] needs room for [degree t u]) and returns their
+    count. A kernel fetches the row once per call and reads it here once
+    per vertex. *)
+
+val lowest_bit : string
+(** The index of the lowest set bit of each nonzero byte, as a character
+    code, to walk a byte of a {!tree} one set bit at a time. *)
 
 val average_distance : t -> float
 (** Mean shortest-path distance over distinct host pairs (exact for small

@@ -252,17 +252,7 @@ module M = Routing_model
 (* The topologies of the differential tests, small enough to check every
    (src, dst) pair: each builds a fresh graph, so a variant's failures
    never leak into the next. *)
-let model_topologies =
-  [
-    ("4x4x4 torus", fun () -> Topology.torus [| 4; 4; 4 |]);
-    ("3x4 mesh", fun () -> Topology.mesh [| 3; 4 |]);
-    ("clos", fun () -> Topology.clos ~leaves:3 ~spines:2 ~servers_per_leaf:2);
-    ("hypercube", fun () -> Topology.hypercube 4);
-    ( "bridged pair",
-      fun () ->
-        Topology.bridge (Topology.torus [| 3; 3 |]) (Topology.mesh [| 2; 3 |])
-          ~cables:[ (0, 0); (4, 5) ] );
-  ]
+let model_topologies = Test_topology.builders
 
 (* A cable out of [u]: its first neighbour. *)
 let cable_of t u = (u, fst (Topology.out_links t u).(0))
@@ -279,6 +269,20 @@ let model_variants =
         Topology.fail_link t u v),
       no_health );
     ("failed node", (fun t -> Topology.fail_node t (Topology.vertex_count t - 2)), no_health);
+    ( "failed, then restored",
+      (fun t ->
+        (* [restore_node] drops every mask row; the selective
+           [restore_link] comes last and meets every row filled, so a row
+           it keeps wrongly reaches the differentials. *)
+        let u, v = cable_of t 1 and w = Topology.vertex_count t - 2 in
+        Topology.fail_link t u v;
+        Topology.fail_node t w;
+        Topology.restore_node t w;
+        for dst = 0 to Topology.vertex_count t - 1 do
+          ignore (Topology.mask_row t ~dst : int)
+        done;
+        Topology.restore_link t u v),
+      no_health );
     ( "quarantined cable",
       ignore,
       fun t ctx ->

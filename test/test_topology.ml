@@ -2,6 +2,22 @@
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* Every builder, each call a fresh graph, so that one test's failures
+   never leak into the next. The flattened butterfly of 6 has degree 10:
+   two mask and tree bytes per vertex. *)
+let builders =
+  [
+    ("4x4x4 torus", fun () -> Topology.torus [| 4; 4; 4 |]);
+    ("3x4 mesh", fun () -> Topology.mesh [| 3; 4 |]);
+    ("clos", fun () -> Topology.clos ~leaves:3 ~spines:2 ~servers_per_leaf:2);
+    ("hypercube", fun () -> Topology.hypercube 4);
+    ( "bridged pair",
+      fun () ->
+        Topology.bridge (Topology.torus [| 3; 3 |]) (Topology.mesh [| 2; 3 |])
+          ~cables:[ (0, 0); (4, 5) ] );
+    ("fb 6", fun () -> Topology.flattened_butterfly 6);
+  ]
+
 let torus333 = lazy (Topology.torus [| 3; 3; 3 |])
 let torus44 = lazy (Topology.torus [| 4; 4 |])
 let mesh44 = lazy (Topology.mesh [| 4; 4 |])
@@ -95,23 +111,108 @@ let productive_hops_shrink_distance () =
     end
   done
 
+(* [find_link_id] scans a vertex's neighbours: on every builder it must
+   name the link a search of [out_links] finds for every ordered pair
+   ([find_link] and [cable_ids] agreeing), and -1 for a pair that is not
+   adjacent or off the graph. *)
 let find_link_consistent () =
-  let t = Lazy.force torus44 in
-  for v = 0 to 15 do
-    Array.iter
-      (fun (u, l) ->
-        Alcotest.(check (option int)) "find_link finds it" (Some l) (Topology.find_link t v u);
-        Alcotest.(check (pair int int)) "cable_ids: both directions"
-          (l, Topology.find_link_id t u v)
-          (Topology.cable_ids t v u))
-      (Topology.out_links t v)
-  done;
-  Alcotest.(check (option int)) "non-adjacent" None (Topology.find_link t 0 10);
   List.iter
-    (fun (u, v) ->
-      Alcotest.(check (option int)) "out of range" None (Topology.find_link t u v);
-      Alcotest.(check int) "out of range id" (-1) (Topology.find_link_id t u v))
-    [ (-1, 0); (0, -1); (16, 0); (0, 16); (15, 16) ]
+    (fun (name, build) ->
+      let t = build () in
+      let n = Topology.vertex_count t in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let want = Array.find_opt (fun (w, _) -> w = v) (Topology.out_links t u) in
+          let pair = Printf.sprintf "%s: %d -> %d" name u v in
+          Alcotest.(check int) pair (Option.fold ~none:(-1) ~some:snd want)
+            (Topology.find_link_id t u v);
+          Alcotest.(check (option int)) pair (Option.map snd want) (Topology.find_link t u v);
+          Option.iter
+            (fun (_, l) ->
+              Alcotest.(check (pair int int)) (pair ^ ": cable_ids")
+                (l, Topology.find_link_id t v u)
+                (Topology.cable_ids t u v))
+            want
+        done
+      done;
+      List.iter
+        (fun (u, v) ->
+          let pair = Printf.sprintf "%s: %d -> %d off the graph" name u v in
+          Alcotest.(check (option int)) pair None (Topology.find_link t u v);
+          Alcotest.(check int) pair (-1) (Topology.find_link_id t u v))
+        [ (-1, 0); (0, -1); (n, 0); (0, n); (n - 1, n); (min_int, max_int) ])
+    builders
+
+(* The ports [productive_ports] reads from a mask row must be the ports
+   that pass the productive test, in port order, for every vertex and
+   destination: filtered here from [out_links] over the distances and a
+   liveness kept by the test itself (a link is alive iff the test has
+   not failed its cable and both ends are up), so neither the masks nor
+   the liveness bytes are trusted. Checked on a fresh graph and after
+   each fault and repair. Each check reads every row, so the next change
+   meets filled rows, and a row it keeps wrongly shows. *)
+let masks_match_productive_under_faults () =
+  List.iter
+    (fun (name, build) ->
+      let t = build () in
+      let n = Topology.vertex_count t in
+      let ports = Array.make (Topology.link_count t) 0 in
+      let cut = ref [] in
+      let alive l =
+        let u = Topology.link_src t l and v = Topology.link_dst t l in
+        Topology.node_alive t u && Topology.node_alive t v
+        && not (List.mem (min u v, max u v) !cut)
+      in
+      let check step =
+        for l = 0 to Topology.link_count t - 1 do
+          if Topology.link_alive t l <> alive l then
+            Alcotest.failf "%s, %s: link %d alive = %b" name step l (Topology.link_alive t l)
+        done;
+        for dst = 0 to n - 1 do
+          let d = Topology.dist_to t dst and row = Topology.mask_row t ~dst in
+          for u = 0 to n - 1 do
+            let want =
+              List.concat
+                (List.mapi
+                   (fun i (v, l) -> if d.(v) = d.(u) - 1 && alive l then [ i ] else [])
+                   (Array.to_list (Topology.out_links t u)))
+            in
+            let k = Topology.productive_ports t ~row u ports in
+            let got = Array.to_list (Array.sub ports 0 k) in
+            if got <> want then
+              Alcotest.failf "%s, %s: %d towards %d: ports [%s], want [%s]" name step u dst
+                (String.concat ";" (List.map string_of_int got))
+                (String.concat ";" (List.map string_of_int want))
+          done
+        done
+      in
+      let u, v = (1, fst (Topology.out_links t 1).(0)) and w = n - 2 in
+      check "fresh";
+      Topology.fail_link t u v;
+      cut := [ (min u v, max u v) ];
+      check "fail_link";
+      Topology.fail_node t v;
+      check "fail_node (an end of the cut)";
+      Topology.fail_node t w;
+      check "fail_node";
+      Topology.restore_link t u v;
+      cut := [];
+      check "restore_link (an end still down)";
+      Topology.restore_node t v;
+      check "restore_node";
+      Topology.restore_node t w;
+      check "restore_node (all up)";
+      (* A cable cut and restored with both ends up: the restore keeps
+         every row whose distances it cannot shorten, and must still drop
+         each row towards which its ends are one hop apart, since the
+         cable turns productive there with no distance moving. *)
+      Topology.fail_link t u v;
+      cut := [ (min u v, max u v) ];
+      check "fail_link (both ends up)";
+      Topology.restore_link t u v;
+      cut := [];
+      check "restore_link (both ends up)")
+    builders
 
 let clos_structure () =
   let t = Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:4 in
@@ -216,19 +317,28 @@ let cold_searches_allocate_only_their_output () =
         words)
     [ [| 4; 4; 4 |]; [| 8; 8; 8 |] ]
 
-(* Building a graph does no work for its trees: the tree layout waits
-   for the first tree. The ceilings are the words [Topology.torus]
-   allocated before trees became per-vertex bitmasks, under OCaml 5.1. *)
+(* Building a graph does no work for its trees or masks: the tree
+   layout waits for the first tree, the mask store for the first mask
+   read. The ceilings are the words [Topology.torus] allocates with CSR
+   adjacency and no link matrix, under OCaml 5.1 (15,248 and 350,800
+   with the matrix). Nor does a fresh graph keep a vertex-by-vertex
+   structure: an 8x8x8 torus is about 8 words per link (its tuples, CSR
+   arrays and down-state), where a 512 x 512 link matrix alone was 85. *)
 let torus_build_words_bounded () =
   List.iter
     (fun (dims, ceiling) ->
-      let _, words = words_allocated (fun () -> Topology.torus dims) in
+      let t, words = words_allocated (fun () -> Topology.torus dims) in
+      let n = Array.fold_left ( * ) 1 dims in
       Alcotest.(check bool)
-        (Printf.sprintf "%d vertices: %.0f words <= %d" (Array.fold_left ( * ) 1 dims) words
-           ceiling)
+        (Printf.sprintf "%d vertices: %.0f words <= %d" n words ceiling)
         true
-        (words <= float_of_int ceiling))
-    [ ([| 4; 4; 4 |], 19_545); ([| 8; 8; 8 |], 385_113) ]
+        (words <= float_of_int ceiling);
+      let held = Obj.reachable_words (Obj.repr t) and links = Topology.link_count t in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d vertices: %d words held <= 10 x %d links" n held links)
+        true
+        (held <= 10 * links))
+    [ ([| 4; 4; 4 |], 10_946); ([| 8; 8; 8 |], 86_994) ]
 
 (* A cable is removed by failing it on the down-state overlay; a fresh
    torus, since the overlay mutates it. *)
@@ -327,12 +437,14 @@ let suites =
         tc "bisection link counts" bisection_values;
         tc "productive hops shrink distance" productive_hops_shrink_distance;
         tc "find_link consistent with out_links" find_link_consistent;
+        tc "masks = productive ports under faults, every builder" masks_match_productive_under_faults;
         tc "clos structure" clos_structure;
         tc "spanning tree is shortest-path" spanning_tree_is_shortest;
         tc "tree variants differ" tree_variants_differ;
         tc "tree children count" tree_children_sizes;
         tc "cold searches allocate only their output" cold_searches_allocate_only_their_output;
-        tc "torus allocates no more words than with CSR trees" torus_build_words_bounded;
+        tc "torus allocates no more words than its ceiling and holds no n^2 structure"
+          torus_build_words_bounded;
         tc "remove_link reroutes" remove_link_reroutes;
         tc "remove_link validates" remove_link_rejects_non_adjacent;
         tc "hypercube structure" hypercube_structure;

@@ -10,8 +10,12 @@ are symbolized against `nm -n EXE`, shifted by the load base of the
 executable read from /proc/<pid>/maps (OCaml executables are PIE), and
 the hottest functions are printed to stderr with their share of the
 samples. OCaml names are shortened: `camlSim__Net.arrive_1234` prints as
-`Sim.Net.arrive`. A sample outside the executable is charged to the file
-mapped there (libc, vdso).
+`Sim.Net.arrive`. A sample inside a mapped shared library is symbolized
+against `nm -D -S` of that file, relative to the address of its offset-0
+mapping, and prints as `__read [libc.so.6]` when it falls within an
+exported symbol's address and size; a sample that no such symbol covers
+(in a function the library does not export, say) is charged to the file
+mapped there (`[libc.so.6]`, `[vdso]`).
 
 It needs nothing beyond the Python standard library and binutils' `nm`.
 It samples the main thread only; an interval timer profiler that the
@@ -103,12 +107,13 @@ def exe_base(pid, exe):
 
 
 def mappings(pid):
+    """(low, high, path, file offset) of every mapping."""
     out = []
     with open(f"/proc/{pid}/maps") as f:
         for line in f:
             parts = line.split()
             lo, hi = (int(x, 16) for x in parts[0].split("-"))
-            out.append((lo, hi, os.path.basename(parts[5]) if len(parts) >= 6 else "?"))
+            out.append((lo, hi, parts[5] if len(parts) >= 6 else "?", int(parts[2], 16)))
     return out
 
 
@@ -143,19 +148,38 @@ def sample(pid, interval):
     return rips, maps
 
 
-def symbols(exe):
-    """Text symbols by address; where several share one, a function name
-    wins over a module's code_begin marker."""
+def symbols(path, dynamic=False):
+    """Text symbols as (addresses, names, ends), by address. In the
+    executable's table (`nm -n`) a symbol runs to the next one (end None),
+    and where several share an address a function name wins over a
+    module's code_begin marker. A shared library's table is its dynamic
+    one with sizes (`nm -D -S`), without version suffixes; a symbol
+    without a size is left out, and where several share an address the
+    first listed wins. Empty when `nm` cannot read the file."""
     table = {}
-    out = subprocess.run(["nm", "-n", exe], capture_output=True, text=True, check=True).stdout
-    for line in out.splitlines():
+    cmd = ["nm", "-D", "-S", "--defined-only", "-n", path] if dynamic else ["nm", "-n", path]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    for line in run.stdout.splitlines():
         parts = line.split()
-        if len(parts) == 3 and parts[1] in "tTwW":
+        if dynamic and len(parts) == 4 and parts[2] in "tTwWi":
             addr = int(parts[0], 16)
-            if addr not in table or table[addr].endswith("code_begin"):
-                table[addr] = parts[2]
+            if addr not in table:
+                table[addr] = (parts[3].split("@")[0], addr + int(parts[1], 16))
+        elif not dynamic and len(parts) == 3 and parts[1] in "tTwW":
+            addr = int(parts[0], 16)
+            if addr not in table or table[addr][0].endswith("code_begin"):
+                table[addr] = (parts[2], None)
     addrs = sorted(table)
-    return addrs, [table[a] for a in addrs]
+    return addrs, [table[a][0] for a in addrs], [table[a][1] for a in addrs]
+
+
+def lookup(table, offset):
+    """The name of the symbol that covers `offset`, or None."""
+    addrs, names, ends = table
+    i = bisect.bisect_right(addrs, offset) - 1
+    if i < 0 or (ends[i] is not None and offset >= ends[i]):
+        return None
+    return names[i]
 
 
 def pretty(name):
@@ -182,16 +206,28 @@ def main():
         ap.error(f"{cmd[0]}: not found")
     pid, base = start(cmd, exe)
     rips, maps = sample(pid, args.interval_ms / 1000.0)
-    addrs, names = symbols(exe)
-    real = os.path.basename(os.path.realpath(exe))
+    real = os.path.realpath(exe)
+    exe_table = symbols(exe)
+    # A library's symbols are offsets from where its offset-0 mapping sits.
+    lib_base = {}
+    for lo, _, path, offset in maps:
+        if offset == 0 and path.startswith("/") and path not in lib_base:
+            lib_base[path] = lo
+    lib_tables = {}
     counts = collections.Counter()
     for rip in rips:
-        where = next((name for lo, hi, name in maps if lo <= rip < hi), "?")
-        if where == real and addrs:
-            i = bisect.bisect_right(addrs, rip - base) - 1
-            counts[pretty(names[i]) if i >= 0 else "?"] += 1
+        where = next((path for lo, hi, path, _ in maps if lo <= rip < hi), "?")
+        if where == real:
+            name = lookup(exe_table, rip - base)
+            counts[pretty(name) if name else "?"] += 1
+        elif where in lib_base:
+            if where not in lib_tables:
+                lib_tables[where] = symbols(where, dynamic=True)
+            name = lookup(lib_tables[where], rip - lib_base[where])
+            file = os.path.basename(where)
+            counts[f"{name} [{file}]" if name else f"[{file}]"] += 1
         else:
-            counts[f"[{where}]"] += 1
+            counts[f"[{os.path.basename(where)}]"] += 1
     total = len(rips)
     print(f"{total} samples of {' '.join(cmd)}", file=sys.stderr)
     for name, n in counts.most_common(args.top):
